@@ -11,9 +11,9 @@ deployment, 10k query points) for the three query families:
   and the Theorem 3 grid structure,
 
 plus a backend-comparison section timing the same bulk workload through
-every production backend (numpy, multiprocess, float32-screen, and
-numba/gpu when installed); its per-backend q/s land in ``BENCH_engine.json``
-via :mod:`persist`.
+every production backend (numpy, float32-screen, and numba when
+installed); its per-backend q/s land in ``BENCH_engine.json`` via
+:mod:`persist`.
 
 Set ``REPRO_BENCH_QUICK=1`` to shrink the workload (CI smoke mode), and
 ``REPRO_BENCH_MIN_SPEEDUP=<float>`` to override the batch-over-scalar
@@ -31,13 +31,7 @@ import pytest
 from persist import record_benchmark
 from repro.env import BENCH_QUICK, read_bool_knob
 from repro import Point, SINRDiagram
-from repro.engine import (
-    GPU_AVAILABLE,
-    NUMBA_AVAILABLE,
-    MultiprocessBackend,
-    heard_station_batch,
-    sinr_batch,
-)
+from repro.engine import NUMBA_AVAILABLE, heard_station_batch, sinr_batch
 from repro.pointlocation import (
     BruteForceLocator,
     PointLocationStructure,
@@ -193,57 +187,47 @@ def test_backend_comparison(workload):
     """Per-backend throughput on the acceptance workload.
 
     Times ``sinr_batch`` and ``heard_station_batch`` through every production
-    backend — numpy, multiprocess (pool forced on so the sharding path is
-    what gets measured), and numba when installed (first call excluded: it
-    is the JIT compilation) — and sanity-checks that all answers agree.
-    Reported for the record; no relative gate, since the winner depends on
-    core count and whether numba is present.
+    backend — numpy, float32-screen, and numba when installed (first call
+    excluded: it is the JIT compilation) — and sanity-checks that all
+    answers agree.  Reported for the record; no relative gate, since the
+    winner depends on whether numba is present.
     """
     network, queries = workload
-    backends = {"numpy": "numpy"}
-    pool = MultiprocessBackend(
-        workers=max(2, os.cpu_count() or 1), min_batch_size=1
-    )
-    backends["multiprocess"] = pool
+    backends = ["numpy"]
     if NUMBA_AVAILABLE:
-        backends["numba"] = "numba"
-    backends["float32-screen"] = "float32-screen"
-    if GPU_AVAILABLE:
-        backends["gpu"] = "gpu"
+        backends.append("numba")
+    backends.append("float32-screen")
 
     recorded = {}
-    try:
-        expected = heard_station_batch(network, queries, backend="numpy")
-        print(
-            f"\nbackend comparison (stations={STATION_COUNT} "
-            f"queries={QUERY_COUNT}, multiprocess workers={pool.workers}):"
+    expected = heard_station_batch(network, queries, backend="numpy")
+    print(
+        f"\nbackend comparison (stations={STATION_COUNT} "
+        f"queries={QUERY_COUNT}):"
+    )
+    for name in backends:
+        # Warm-up: numba JIT compile.
+        heard_station_batch(network, queries[:64], backend=name)
+        sinr_seconds = _batch_seconds_per_query(
+            lambda pts, b=name: sinr_batch(network, pts, backend=b),
+            queries,
         )
-        for name, backend in backends.items():
-            # Warm-up: numba JIT compile, multiprocess pool start-up.
-            heard_station_batch(network, queries[:64], backend=backend)
-            sinr_seconds = _batch_seconds_per_query(
-                lambda pts, b=backend: sinr_batch(network, pts, backend=b),
-                queries,
-            )
-            heard_seconds = _batch_seconds_per_query(
-                lambda pts, b=backend: heard_station_batch(network, pts, backend=b),
-                queries,
-            )
-            np.testing.assert_array_equal(
-                heard_station_batch(network, queries, backend=backend), expected
-            )
-            recorded[name] = {
-                "sinr_qps": round(1.0 / sinr_seconds, 1),
-                "heard_qps": round(1.0 / heard_seconds, 1),
-            }
-            print(
-                f"  {name:>14}: sinr {sinr_seconds * 1e6:8.3f} us/query "
-                f"({1.0 / sinr_seconds:>12,.0f} q/s), "
-                f"heard {heard_seconds * 1e6:8.3f} us/query "
-                f"({1.0 / heard_seconds:>12,.0f} q/s)"
-            )
-    finally:
-        pool.close()
+        heard_seconds = _batch_seconds_per_query(
+            lambda pts, b=name: heard_station_batch(network, pts, backend=b),
+            queries,
+        )
+        np.testing.assert_array_equal(
+            heard_station_batch(network, queries, backend=name), expected
+        )
+        recorded[name] = {
+            "sinr_qps": round(1.0 / sinr_seconds, 1),
+            "heard_qps": round(1.0 / heard_seconds, 1),
+        }
+        print(
+            f"  {name:>14}: sinr {sinr_seconds * 1e6:8.3f} us/query "
+            f"({1.0 / sinr_seconds:>12,.0f} q/s), "
+            f"heard {heard_seconds * 1e6:8.3f} us/query "
+            f"({1.0 / heard_seconds:>12,.0f} q/s)"
+        )
 
     baseline = recorded["numpy"]["heard_qps"]
     for name, payload in recorded.items():

@@ -29,7 +29,6 @@ from persist import record_benchmark
 from repro.env import BENCH_QUICK, read_bool_knob
 from repro import Point
 from repro.engine import (
-    GPU_AVAILABLE,
     Float32ScreenBackend,
     get_backend,
     heard_station_batch,
@@ -86,7 +85,7 @@ def test_strongest_station_speedup_gate(workload):
     screen.stats.reset()
 
     results = {}
-    for name in ("numpy", "float32-screen") + (("gpu",) if GPU_AVAILABLE else ()):
+    for name in ("numpy", "float32-screen"):
         strongest_station_batch(network, queries[:256], backend=name)  # warm
         strongest = _best_seconds(
             lambda n=name: strongest_station_batch(network, queries, backend=n)

@@ -39,10 +39,5 @@ setup(
         "numba": [
             "numba>=0.57",
         ],
-        # Optional CUDA engine backend; without it (or without a visible
-        # device) `repro.engine` simply does not register the "gpu" backend.
-        "gpu": [
-            "cupy-cuda12x",
-        ],
     },
 )

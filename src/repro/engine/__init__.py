@@ -22,19 +22,13 @@ Architecture
 
     ================  ==========================================================
     ``numpy``         Vectorised kernels of ``kernels.py``; the default.  Best
-                      for everyday batches (it beats the others up to roughly
-                      10^4 points because it pays no compile or pool cost).
+                      for everyday batches (it pays no compile cost).
     ``reference``     Pure-Python loops over the scalar model functions; ~100x
                       slower, ground truth for the equivalence property tests.
     ``numba``         JIT-compiled fused loops (``numba_backend.py``).  Only
                       registered when the optional ``numba`` dependency is
                       installed (``pip install repro-sinr-diagrams[numba]``);
                       fastest steady-state single-core option once compiled.
-    ``multiprocess``  Shards the point batch across a worker-process pool
-                      (``multiprocess.py``).  Wins on multi-core hosts for
-                      large batches (>= its ``min_batch_size`` threshold,
-                      default 2048 points); smaller batches automatically fall
-                      through to ``numpy`` so they never pay pool overhead.
     ``float32-screen``  The precision tier (``mixed_precision.py``): decision
                       queries run a float32 screen with a certified decision
                       margin, and only margin-close points are re-verified
@@ -45,12 +39,6 @@ Architecture
                       half the memory traffic of the float64 kernels.  Value
                       queries (``sinr_batch`` / ``energy_batch``) delegate to
                       the inner backend unscreened.
-    ``gpu``           The same screen-then-verify shell with the float32
-                      screen on a CUDA device via CuPy (``gpu_backend.py``).
-                      Registered only when the optional dependency imports
-                      *and* a device is visible
-                      (``pip install repro-sinr-diagrams[gpu]``); exactness
-                      guarantee identical to ``float32-screen``.
     ================  ==========================================================
 
     Switch with::
@@ -62,8 +50,8 @@ Architecture
     or pass ``backend="numba"`` per call to any ``batch.py`` function.  The
     selection lives in a :class:`contextvars.ContextVar`, so threads and
     asyncio tasks are isolated from each other and nested ``with`` blocks
-    unwind correctly even on exceptions.  New backends (GPU, ...) register
-    via :func:`register_backend` and become selectable everywhere at once.
+    unwind correctly even on exceptions.  New backends register via
+    :func:`register_backend` and become selectable everywhere at once.
 
 ``batch.py``
     The uniform batch query API consumed by the model, point-location,
@@ -115,28 +103,22 @@ from .batch import (
     points_per_chunk,
     received_at,
     received_mask,
-    set_chunk_byte_budget,
     sinr_batch,
     strongest_station_batch,
 )
 from . import kernels
 
-# Importing these modules registers the production backends: "multiprocess"
-# and "float32-screen" always, "numba" and "gpu" only when their optional
-# dependency (and, for "gpu", a CUDA device) is available.
-from .multiprocess import MultiprocessBackend
+# Importing these modules registers the production backends:
+# "float32-screen" always, "numba" only when its optional dependency is
+# installed.
 from .numba_backend import NUMBA_AVAILABLE, NumbaBackend
 from .mixed_precision import Float32ScreenBackend, ScreenStats
-from .gpu_backend import GPU_AVAILABLE, GpuBackend
 
 __all__ = [
     "DEFAULT_CHUNK_BYTES",
-    "GPU_AVAILABLE",
     "NO_RECEPTION",
     "NUMBA_AVAILABLE",
     "Float32ScreenBackend",
-    "GpuBackend",
-    "MultiprocessBackend",
     "NumbaBackend",
     "NumpyBackend",
     "QueryBackend",
@@ -154,7 +136,6 @@ __all__ = [
     "points_per_chunk",
     "received_at",
     "received_mask",
-    "set_chunk_byte_budget",
     "register_backend",
     "sinr_batch",
     "strongest_station_batch",

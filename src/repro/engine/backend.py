@@ -8,14 +8,13 @@ matrix (see also :func:`available_backends`):
 * ``"reference"`` — a pure-Python backend that loops over the scalar model
   functions (:mod:`repro.model.sinr`).  It is deliberately slow and exists as
   ground truth: the property tests assert that every registered backend
-  agrees with it on random networks, so any future backend (GPU, ...) can be
+  agrees with it on random networks, so any future backend can be
   validated through the same protocol;
 * ``"numba"`` (:mod:`repro.engine.numba_backend`) — JIT-compiled kernels,
   registered only when the optional ``numba`` dependency is installed
   (``pip install repro-sinr-diagrams[numba]``);
-* ``"multiprocess"`` (:mod:`repro.engine.multiprocess`) — shards the point
-  batch across a worker-process pool, falling through to the numpy backend
-  below a batch-size threshold.
+* ``"float32-screen"`` (:mod:`repro.engine.mixed_precision`) — a certified
+  float32 screen whose uncertain points are re-verified exactly.
 
 Select a backend with :func:`use_backend` (also usable as a context manager)
 or per call via the ``backend=`` argument of the :mod:`repro.engine.batch`
@@ -46,7 +45,7 @@ process boundary as the spec string ``"backend/<name>"``
 from __future__ import annotations
 
 import math
-from typing import Dict, Protocol, cast, runtime_checkable
+from typing import Dict, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -339,21 +338,6 @@ class ReferenceBackend:
         return out
 
 
-class _BackendSelection(Selection[QueryBackend]):
-    """Result of :func:`use_backend`: effective immediately, optional context manager.
-
-    ``backend`` re-resolves name-based selections on access, so it tracks
-    re-registrations just like :func:`active_backend`.  The value bound by
-    ``with use_backend(name) as b`` is necessarily a snapshot taken at entry;
-    prefer :func:`active_backend` (or the ``backend`` property) inside the
-    block when re-registration during the block is a possibility.
-    """
-
-    @property
-    def backend(self) -> QueryBackend:
-        return self.value
-
-
 #: The engine backend registry — a :class:`repro.runtime.Registry`
 #: instantiation.  Name-based selections are re-resolved on every query
 #: (re-registration under an active name takes effect immediately), the
@@ -365,7 +349,6 @@ BACKENDS: Registry[QueryBackend] = Registry(
     label="engine backend",
     default="numpy",
     error=ReproError,
-    selection_type=_BackendSelection,
 )
 
 
@@ -404,7 +387,7 @@ def active_backend() -> QueryBackend:
     return BACKENDS.active()
 
 
-def use_backend(name: "str | QueryBackend") -> _BackendSelection:
+def use_backend(name: "str | QueryBackend") -> Selection[QueryBackend]:
     """Make ``name`` the active backend in the current context.
 
     The switch takes effect immediately and persists for the current thread /
@@ -412,7 +395,7 @@ def use_backend(name: "str | QueryBackend") -> _BackendSelection:
     previous selection is restored on exit (also when an exception escapes
     the block), and nested selections unwind in order.
     """
-    return cast(_BackendSelection, BACKENDS.use(name))
+    return BACKENDS.use(name)
 
 
 register_backend("numpy", NumpyBackend())

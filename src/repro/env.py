@@ -3,10 +3,9 @@
 Every runtime knob the package honours is declared here as an
 :class:`EnvKnob` (name, default, description) and read through
 :func:`read_knob`.  Centralising the reads keeps configuration enumerable —
-an operator, a doc table, or the coming adaptive-control layer can iterate
-:data:`KNOBS` instead of grepping for ``environ`` — and reprolint rule
-RL009 enforces that no other module under ``src/repro`` touches
-``os.environ`` / ``os.getenv``.
+an operator or a doc table can iterate :data:`KNOBS` instead of grepping
+for ``environ`` — and reprolint rule RL009 enforces that no other module
+under ``src/repro`` touches ``os.environ`` / ``os.getenv``.
 
 Benchmark-harness knobs (``REPRO_BENCH_*``) are declared too so the
 inventory is complete, although the ``benchmarks/`` scripts that read them
@@ -26,11 +25,8 @@ __all__ = [
     "EnvKnob",
     "KNOBS",
     "ENGINE_CHUNK_BYTES",
-    "ENGINE_WORKERS",
     "SERVICE_DRAIN_TIMEOUT",
     "METRICS_INTERVAL",
-    "CONTROL_WAIT_TARGET",
-    "CONTROL_BUDGET_CAP",
     "BENCH_QUICK",
     "BENCH_MIN_SPEEDUP",
     "read_knob",
@@ -42,20 +38,11 @@ __all__ = [
 #: :func:`repro.engine.batch.chunk_byte_budget`).
 ENGINE_CHUNK_BYTES = "REPRO_ENGINE_CHUNK_BYTES"
 
-#: Worker-process count of the multiprocess engine backend.
-ENGINE_WORKERS = "REPRO_ENGINE_WORKERS"
-
 #: Seconds a network swap waits for the previous epoch's batches to drain.
 SERVICE_DRAIN_TIMEOUT = "REPRO_SERVICE_DRAIN_TIMEOUT"
 
 #: Default collection interval, in seconds, of a metrics hub.
 METRICS_INTERVAL = "REPRO_METRICS_INTERVAL"
-
-#: Seal-wait p99 SLO (seconds) of the adaptive latency-budget controller.
-CONTROL_WAIT_TARGET = "REPRO_CONTROL_WAIT_TARGET"
-
-#: Upper bound (seconds) the adaptive latency budget may grow toward.
-CONTROL_BUDGET_CAP = "REPRO_CONTROL_BUDGET_CAP"
 
 #: Shrinks benchmark workloads for CI smoke runs.
 BENCH_QUICK = "REPRO_BENCH_QUICK"
@@ -83,16 +70,12 @@ _DECLARED: Tuple[EnvKnob, ...] = (
         ),
     ),
     EnvKnob(
-        name=ENGINE_WORKERS,
-        default="os.cpu_count()",
-        description="worker-process count of the multiprocess engine backend",
-    ),
-    EnvKnob(
         name=SERVICE_DRAIN_TIMEOUT,
         default="30",
         description=(
             "seconds QueryService.swap_network waits for the previous "
-            "epoch's in-flight batches to drain before raising"
+            "epoch's in-flight batches to drain before raising; a "
+            "malformed or non-positive value warns and uses the default"
         ),
     ),
     EnvKnob(
@@ -101,23 +84,6 @@ _DECLARED: Tuple[EnvKnob, ...] = (
         description=(
             "seconds between two metrics-hub collections (each registered "
             "source is snapshotted and fanned out to every sink per tick)"
-        ),
-    ),
-    EnvKnob(
-        name=CONTROL_WAIT_TARGET,
-        default="0.02",
-        description=(
-            "seal-wait p99 SLO, in seconds, of the adaptive latency-budget "
-            "controller: a budget whose observed wait p99 exceeds it is "
-            "multiplicatively shrunk"
-        ),
-    ),
-    EnvKnob(
-        name=CONTROL_BUDGET_CAP,
-        default="0.02",
-        description=(
-            "cap, in seconds, the adaptive latency budget grows toward "
-            "under pressure (additive increase never exceeds it)"
         ),
     ),
     EnvKnob(

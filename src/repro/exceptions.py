@@ -53,8 +53,8 @@ class RasterCacheError(DiagramError):
 class EngineError(ReproError, ValueError):
     """Raised for invalid engine batch arguments or backend configuration.
 
-    Examples: query points whose shape is not ``(m, 2)``, a per-point index
-    array of the wrong length, or a non-positive worker count.  Also a
+    Examples: query points whose shape is not ``(m, 2)`` or a per-point
+    index array of the wrong length.  Also a
     :class:`ValueError`: these are argument-validation failures, so existing
     callers that caught ``ValueError`` keep working while new code catches
     the taxonomy root.
@@ -95,21 +95,13 @@ class ObservabilityError(ReproError):
     """
 
 
-class ControlError(ReproError):
-    """Raised for invalid closed-loop controller configuration.
-
-    Examples: a budget floor above the cap, a non-positive AIMD step, or
-    actuating a controller that was never bound to its target.
-    """
-
-
 class ComponentError(ReproError):
     """Raised for runtime-framework misuse (:mod:`repro.runtime`).
 
     Examples: a malformed ``<kind>/<name>`` spec string, an unknown registry
     kind, adding a component to an already-started composition root, or
     starting a generic component twice.  Components with their own taxonomy
-    branch (service, observability, control) override the error types the
+    branch (service, observability) override the error types the
     shared lifecycle raises, so this class surfaces only from the framework
     itself.
     """
@@ -133,7 +125,3 @@ class ObservabilityClosedError(ObservabilityError):
     The unified component lifecycle is terminal: a hub that has been
     stopped keeps its counters readable but no longer samples.
     """
-
-
-class ControlClosedError(ControlError):
-    """Raised when a stopped controller receives a record to actuate on."""

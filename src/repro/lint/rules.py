@@ -593,9 +593,7 @@ class MutableDefaultRule(Rule):
 
 #: Files allowed to hold float32 state: the screen tier computes with it,
 #: the network owns the cached views every screen consumes.
-_FLOAT32_FILES = frozenset(
-    {"engine/mixed_precision.py", "engine/gpu_backend.py", "model/network.py"}
-)
+_FLOAT32_FILES = frozenset({"engine/mixed_precision.py", "model/network.py"})
 
 # The token set below necessarily spells the tokens it polices.
 _FLOAT32_TOKENS = frozenset({"float32", "coords32", "powers32"})  # reprolint: disable=RL008
@@ -616,8 +614,8 @@ class Float32ContainmentRule(Rule):
     title = "float32 containment"
     contract = (
         "float32/coords32/powers32 are referenced only by "
-        "engine/mixed_precision.py, engine/gpu_backend.py and the cached "
-        "views in model/network.py — everything else computes in float64"
+        "engine/mixed_precision.py and the cached views in "
+        "model/network.py — everything else computes in float64"
     )
 
     def applies_to(self, relpath: str) -> bool:
@@ -657,9 +655,8 @@ class Float32ContainmentRule(Rule):
 class EnvRegistryRule(Rule):
     """RL009: every environment read goes through :mod:`repro.env`.
 
-    Knobs must be enumerable (the coming adaptive-control layer tunes them
-    programmatically); a stray ``os.environ.get`` is a knob no inventory,
-    doc table or sweep will ever see.
+    Knobs must be enumerable; a stray ``os.environ.get`` is a knob no
+    inventory, doc table or sweep will ever see.
     """
 
     rule_id = "RL009"

@@ -1,25 +1,17 @@
-"""Observability layer: a metrics hub, source adapters and stock sinks.
+"""Observability layer: a metrics hub and stock sinks.
 
 The hub (:class:`MetricsHub`) periodically samples registered *sources*
 (zero-argument callables returning ``{metric: float}``) into immutable
 :class:`MetricsRecord` snapshots and fans each one out to registered
-*sinks* (anything with ``emit(record)``).  The generic
-:func:`stats_source` adapter (and its historical per-type wrappers) lives
-in :mod:`repro.obs.sources`; ring-buffer, JSONL and log sinks in
-:mod:`repro.obs.sinks`.  The closed-loop controllers of
-:mod:`repro.control` consume records through the same sink protocol.
+*sinks* (anything with ``emit(record)``); ring-buffer, JSONL and log sinks
+live in :mod:`repro.obs.sinks`.  Every first-party stats object implements
+``metrics_sample()``, and that bound method is the source:
+``hub.add_source(name, component.metrics_sample)`` — which is exactly how a
+:class:`~repro.runtime.Runtime` wires the components it composes.
 """
 
 from .hub import MetricSource, MetricsHub, MetricsRecord
 from .sinks import JsonlSink, LogSink, MemorySink
-from .sources import (
-    batcher_depth_source,
-    cache_stats_source,
-    query_service_source,
-    screen_stats_source,
-    service_stats_source,
-    stats_source,
-)
 
 __all__ = [
     "JsonlSink",
@@ -28,10 +20,4 @@ __all__ = [
     "MetricSource",
     "MetricsHub",
     "MetricsRecord",
-    "batcher_depth_source",
-    "cache_stats_source",
-    "query_service_source",
-    "screen_stats_source",
-    "service_stats_source",
-    "stats_source",
 ]

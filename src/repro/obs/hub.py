@@ -2,13 +2,12 @@
 
 :class:`MetricsHub` is the observability spine of the serving stack.  Code
 that owns interesting state registers a *source* — a zero-argument callable
-returning a flat ``{metric_name: float}`` mapping (see
-:mod:`repro.obs.sources` for adapters over the stock stats objects).  On
-every tick the hub samples all sources into one immutable
-:class:`MetricsRecord` and fans it out to every registered *sink* (anything
-with an ``emit(record)`` method — :mod:`repro.obs.sinks` ships a ring
-buffer, a JSONL writer and a log line; :mod:`repro.control` controllers are
-sinks too, which is how observations become actuations).
+returning a flat ``{metric_name: float}`` mapping, normally a stats
+object's bound ``metrics_sample`` method.  On every tick the hub samples
+all sources into one immutable :class:`MetricsRecord` and fans it out to
+every registered *sink* (anything with an ``emit(record)`` method —
+:mod:`repro.obs.sinks` ships a ring buffer, a JSONL writer and a log
+line).
 
 The hub runs in either of two modes:
 
@@ -25,9 +24,8 @@ unified one: started at most once, ``stop()`` is final (a stopped hub is
 never restarted — build a fresh one), and collecting through a closed hub
 raises :class:`~repro.exceptions.ObservabilityClosedError`.  Registration
 methods (``add_source`` / ``remove_source`` / ``add_sink`` /
-``remove_sink``) stay usable in every state: services withdraw their
-sources from a shared hub during their own teardown, which may run after
-the hub has stopped.
+``remove_sink``) stay usable in every state, so a source can be withdrawn
+whether or not the hub is still running.
 
 The periodic task splits each tick in two.  Source *sampling* runs inline
 on the event loop: the stock sources read loop-owned state (the batcher's

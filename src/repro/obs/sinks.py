@@ -6,9 +6,6 @@ in-process dashboards; :class:`JsonlSink` appends one JSON object per
 record for offline analysis; :class:`LogSink` writes a one-line summary
 through :mod:`logging`.  All are thread-safe — the hub emits from executor
 threads, and pull-mode callers may collect from anywhere.
-
-Closed-loop controllers (:mod:`repro.control`) implement the same ``emit``
-protocol, so a controller registers with the hub exactly like a sink.
 """
 
 from __future__ import annotations

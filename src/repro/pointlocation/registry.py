@@ -45,7 +45,7 @@ spellings included (``"locator/sharded:voronoi"``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Protocol, cast, runtime_checkable
+from typing import TYPE_CHECKING, Dict, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -119,14 +119,6 @@ class _ComposedFactory:
         return f"_ComposedFactory({self._outer!r}, inner={self._inner_name!r})"
 
 
-class _LocatorSelection(Selection[LocatorFactory]):
-    """Result of :func:`use_locator`: effective immediately, optional context manager."""
-
-    @property
-    def factory(self) -> LocatorFactory:
-        return self.value
-
-
 #: The locator registry — a :class:`repro.runtime.Registry` instantiation
 #: with the composed-name hook enabled: ``"sharded:<inner>"`` resolves to a
 #: :class:`_ComposedFactory` without ever being registered.  The ContextVar
@@ -140,7 +132,6 @@ LOCATORS: Registry[LocatorFactory] = Registry(
     compose=_ComposedFactory,
     compose_example="sharded:voronoi",
     unknown_hint=" (plus 'sharded:<inner>' compositions)",
-    selection_type=_LocatorSelection,
 )
 
 
@@ -205,11 +196,11 @@ def active_locator() -> LocatorFactory:
     return LOCATORS.active()
 
 
-def use_locator(name: "str | LocatorFactory") -> _LocatorSelection:
+def use_locator(name: "str | LocatorFactory") -> Selection[LocatorFactory]:
     """Make ``name`` the active locator selection in the current context.
 
     Takes effect immediately for the current thread / async task; as a
     context manager the previous selection is restored on exit, also when an
     exception escapes the block, and nested selections unwind in order.
     """
-    return cast(_LocatorSelection, LOCATORS.use(name))
+    return LOCATORS.use(name)

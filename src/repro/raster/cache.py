@@ -191,33 +191,12 @@ class TileCache:
         self._bytes += nbytes
         self._evict_over_budget_locked()
 
-    def _evict_over_budget_locked(self) -> int:
-        """Drop LRU tiles until resident bytes fit the budget; count them."""
-        evicted = 0
+    def _evict_over_budget_locked(self) -> None:
+        """Drop LRU tiles until resident bytes fit the budget."""
         while self._bytes > self.max_bytes:
-            old_key, old_tile = self._store.popitem(last=False)
+            _, old_tile = self._store.popitem(last=False)
             self._bytes -= old_tile.nbytes
             self._evictions += 1
-            evicted += 1
-        return evicted
-
-    # -- runtime retuning ------------------------------------------------
-    def set_byte_budget(self, max_bytes: int) -> int:
-        """Retune the byte budget at runtime (thread-safe).
-
-        Growing takes effect lazily (future insertions simply fit); shrinking
-        evicts least-recently-used tiles immediately until the residents fit
-        the new budget, exactly as an over-budget insertion would.  Returns
-        the number of tiles evicted by the call.  This is the actuation
-        surface of :class:`repro.control.CacheBudgetTuner`.
-        """
-        if max_bytes <= 0:
-            raise RasterCacheError(
-                f"the tile-cache byte budget must be positive, got {max_bytes}"
-            )
-        with self._lock:
-            self.max_bytes = int(max_bytes)
-            return self._evict_over_budget_locked()
 
     # -- invalidation ----------------------------------------------------
     def invalidate_region(
@@ -316,7 +295,7 @@ class TileCache:
 
         The :class:`~repro.runtime.StatsSource` protocol: every
         :class:`CacheStats` field as a float, plus the derived
-        ``requests`` / ``hit_rate`` the budget tuners key off.
+        ``requests`` / ``hit_rate``.
         """
         stats = self.stats()
         sample = {name: float(value) for name, value in asdict(stats).items()}

@@ -11,16 +11,16 @@ stack used to hand-roll now live here, written once:
 * :mod:`repro.runtime.component` — the :class:`Component` lifecycle
   (``new -> running -> stopping -> stopped``, terminal, async context
   manager, per-layer ``*ClosedError`` guards) adopted by the batcher,
-  services, router, hub and controllers, plus the :class:`Runtime`
+  services, router and hub, plus the :class:`Runtime`
   composition root that boots components in dependency order, stops them
   in reverse and auto-wires every :class:`StatsSource` into an owned
   metrics hub.
 * :mod:`repro.runtime.epoch` — the :class:`EpochCoordinator` that owns
-  the gate-build-flip-record-drain swap protocol every ``swap_network``
-  delegates to.
+  the build-flip-record-drain swap protocol
+  :meth:`~repro.service.QueryService.swap_network` delegates to.
 
 Everything above the foundations (engine, pointlocation, service, raster,
-obs, control) builds on this package; reprolint rule RL010 keeps it that
+obs) builds on this package; reprolint rule RL010 keeps it that
 way by flagging ad-hoc ContextVar registries and hand-rolled start/stop
 state machines anywhere else.
 """

@@ -1,9 +1,8 @@
 """The one component lifecycle and the composition root that boots it.
 
 Every long-lived object in the serving stack — the micro-batcher, the
-query and raster services, the locator router, the metrics hub, the
-closed-loop controllers — used to carry its own hand-rolled start/stop
-state machine.  :class:`Component` is that machine written once:
+query and raster services, the locator router, the metrics hub — used to
+carry its own hand-rolled start/stop state machine.  :class:`Component` is that machine written once:
 
 * states progress ``new -> running -> stopping -> stopped`` and the
   terminal state is final — a component is started at most once and never
@@ -69,9 +68,9 @@ class StatsSource(Protocol):
     ``metrics_sample()`` returns ``{metric_name: float}`` — exactly the
     shape a :class:`~repro.obs.MetricsHub` source produces.  Stats-bearing
     objects (service stats, batcher gauges, tile caches, screen counters)
-    implement it; :func:`repro.obs.stats_source` adapts anything that does
-    into a hub source, and :class:`Runtime` auto-registers every component
-    whose :meth:`Component.stats_source` yields one.
+    implement it, the bound method is itself a hub source, and
+    :class:`Runtime` auto-registers every component whose
+    :meth:`Component.stats_source` yields one.
     """
 
     def metrics_sample(self) -> Mapping[str, float]: ...

@@ -1,28 +1,20 @@
-"""Epoch coordination: the one swap protocol behind every ``swap_network``.
+"""Epoch coordination: the one swap protocol behind ``QueryService.swap_network``.
 
-Dynamic-network handoff grew three copies of the same choreography —
-:class:`~repro.service.QueryService`, :class:`~repro.service.RasterService`
-and :class:`~repro.service.LocatorRouter` each hand-rolled "raise the
-controller gate, build the replacement off-loop, flip atomically, drain
-the old epoch, lower the gate".  :class:`EpochCoordinator` is that
-choreography written once; the services delegate to it and keep only what
-is genuinely theirs (what to build, what a flip installs, what a drain
-awaits).
+:class:`EpochCoordinator` writes the "build the replacement off-loop, flip
+atomically, record, drain the old epoch" choreography once; the service
+delegates to it and keeps only what is genuinely its own (what to build,
+what a flip installs, what a drain awaits).
 
-The guarantees the coordinator preserves verbatim:
+The guarantees the coordinator preserves:
 
 * **seal-time answer capture** — the flip runs synchronously on the event
   loop thread, so batches sealed before it keep the answer function
   captured at their seal time and batches sealed after use the new one;
-  no batch ever mixes epochs (the PR-8 contract);
+  no batch ever mixes epochs;
 * **off-loop builds** — the build callable runs on an executor thread
   under a copy of the caller's :mod:`contextvars` context, so backend /
   locator selections govern the build while the loop keeps sealing
   batches against the old epoch;
-* **controller gating** — ``in_progress`` is ``True`` for the whole
-  build-flip-drain span; controllers gated on it skip actuation while an
-  epoch swap is underway (a decision computed from pre-swap metrics must
-  not fire mid-drain);
 * **update-latency accounting** — ``record`` receives build + flip
   seconds, measured before the drain starts: draining overlaps new-epoch
   service and would double-count in-flight engine time.
@@ -31,11 +23,10 @@ The guarantees the coordinator preserves verbatim:
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import contextvars
-from typing import AsyncIterator, Awaitable, Callable, Iterator, Optional, TypeVar
+from typing import Awaitable, Callable, Optional, TypeVar
 
-from ..env import SERVICE_DRAIN_TIMEOUT, read_knob
+from ..env import SERVICE_DRAIN_TIMEOUT, read_float_knob
 
 __all__ = ["EpochCoordinator", "drain_timeout"]
 
@@ -45,38 +36,20 @@ T = TypeVar("T")
 def drain_timeout(default: float = 30.0) -> float:
     """The bounded-drain timeout, from the ``REPRO_SERVICE_DRAIN_TIMEOUT``
     knob (seconds); read at drain time so a retune applies to the next
-    swap without a restart."""
-    return float(read_knob(SERVICE_DRAIN_TIMEOUT, str(default)) or default)
+    swap without a restart.  A malformed or non-positive value warns and
+    falls back to ``default``."""
+    return read_float_knob(SERVICE_DRAIN_TIMEOUT, default)
 
 
 class EpochCoordinator:
-    """Owns one component's swap state: the gate, the counter, the protocol.
+    """Runs one component's network swaps (see the module docstring).
 
-    ``epoch`` counts completed swaps; ``in_progress`` is the controller
-    gate (see the module docstring).  One coordinator belongs to one
-    owner — services do not share coordinators, exactly as their epochs,
-    batchers and stats are per-service by design.
+    One coordinator belongs to one owner — services do not share
+    coordinators, exactly as their epochs, batchers and stats are
+    per-service by design.
     """
 
-    __slots__ = ("_in_progress", "_epoch")
-
-    def __init__(self) -> None:
-        self._in_progress = False
-        self._epoch = 0
-
-    @property
-    def in_progress(self) -> bool:
-        """``True`` for the whole build-flip-drain span of a swap."""
-        return self._in_progress
-
-    @property
-    def epoch(self) -> int:
-        """Completed swaps coordinated so far."""
-        return self._epoch
-
-    def gate(self) -> Callable[[], bool]:
-        """A zero-argument gate callable for :meth:`Controller.set_gate`."""
-        return lambda: self._in_progress
+    __slots__ = ()
 
     async def swap(
         self,
@@ -86,65 +59,27 @@ class EpochCoordinator:
         drain: Optional[Callable[[], Awaitable[None]]] = None,
         record: Optional[Callable[[float], None]] = None,
     ) -> Optional[T]:
-        """Run one full swap: gate up, build off-loop, flip, record, drain.
+        """Run one full swap: build off-loop, flip, record, drain.
 
         ``build`` (optional) runs on an executor thread under a copy of
         the current context and its result is handed to ``flip``; with no
         ``build``, ``flip(None)`` installs whatever the caller prepared.
         ``record`` receives the build + flip seconds before the drain
-        begins; ``drain`` (optional) awaits the old epoch.  The gate drops
-        in a ``finally``, so an error anywhere never leaves controllers
-        gated forever.  Returns the built value (``None`` without a
-        ``build``).
+        begins; ``drain`` (optional) awaits the old epoch.  Returns the
+        built value (``None`` without a ``build``).
         """
         loop = asyncio.get_running_loop()
         started = loop.time()
-        self._in_progress = True
-        try:
-            built: Optional[T] = None
-            if build is not None:
-                # Context.run cannot be entered concurrently from two
-                # threads, so the build runs a fresh copy of the caller's
-                # context (the same convention as batch dispatch).
-                context = contextvars.copy_context()
-                built = await loop.run_in_executor(None, context.run, build)
-            flip(built)
-            self._epoch += 1
-            if record is not None:
-                record(loop.time() - started)
-            if drain is not None:
-                await drain()
-        finally:
-            self._in_progress = False
+        built: Optional[T] = None
+        if build is not None:
+            # Context.run cannot be entered concurrently from two threads,
+            # so the build runs a fresh copy of the caller's context (the
+            # same convention as batch dispatch).
+            context = contextvars.copy_context()
+            built = await loop.run_in_executor(None, context.run, build)
+        flip(built)
+        if record is not None:
+            record(loop.time() - started)
+        if drain is not None:
+            await drain()
         return built
-
-    @contextlib.contextmanager
-    def guard(self) -> Iterator[None]:
-        """Synchronous swap scope: gate up inside, epoch bumped on success.
-
-        For swaps with no async phase (the raster service's invalidate-and-
-        reinstall runs lock-protected inside the cache): controllers stay
-        gated for the block, and only a clean exit counts as a completed
-        epoch.
-        """
-        self._in_progress = True
-        try:
-            yield
-            self._epoch += 1
-        finally:
-            self._in_progress = False
-
-    @contextlib.asynccontextmanager
-    async def swapping(self) -> AsyncIterator[None]:
-        """Async swap scope for sweeps that delegate the real work.
-
-        The locator router swaps each routed service in turn; the router's
-        own coordinator gates the whole sweep and counts it as one epoch
-        (per-service coordinators still track their own).
-        """
-        self._in_progress = True
-        try:
-            yield
-            self._epoch += 1
-        finally:
-            self._in_progress = False

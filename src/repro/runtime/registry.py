@@ -149,8 +149,6 @@ class Registry(Generic[T]):
         unknown_hint: appended to the unknown-name error (e.g. a note that
             composed spellings also exist).
         separator: the composed-name separator (``":"``).
-        selection_type: the :class:`Selection` subclass :meth:`use` returns,
-            letting instantiations keep their historical result types.
     """
 
     def __init__(
@@ -164,7 +162,6 @@ class Registry(Generic[T]):
         compose_example: str = "",
         unknown_hint: str = "",
         separator: str = ":",
-        selection_type: Type[Selection[T]] = Selection,
     ) -> None:
         if not kind or SPEC_SEPARATOR in kind:
             raise ComponentError(
@@ -179,7 +176,6 @@ class Registry(Generic[T]):
         self._compose_example = compose_example
         self._unknown_hint = unknown_hint
         self._separator = separator
-        self._selection_type = selection_type
         self._items: Dict[str, T] = {}
         self._lock = threading.Lock()
         # The active *selection*, not the active item: a registered name
@@ -294,7 +290,7 @@ class Registry(Generic[T]):
         # re-registrations under it are picked up on re-resolution; an
         # explicitly passed item object is stored as-is.
         token = self._selection.set(name)
-        return self._selection_type(self, token, name)
+        return Selection(self, token, name)
 
     def reset(self, token: "Token[Union[str, T, None]]") -> None:
         """Restore the selection a :class:`Selection` token snapshotted."""

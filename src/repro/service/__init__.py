@@ -35,34 +35,16 @@ The pieces
     concurrent zoom/pan clients reuse each other's tiles (responses stay
     bit-identical to the uncached rasteriser).
 
-Both services accept ``metrics=`` (a :class:`repro.obs.MetricsHub` they
-report into) and ``controller=`` (a :class:`repro.control.Controller`
-closing the loop on the batcher's latency budget or the cache's byte
-budget); controllers are gated off automatically while an epoch swap is in
-progress.
-
-Backend / service matrix
-========================
+Both services implement ``metrics_sample()``; a
+:class:`~repro.runtime.Runtime` registers it with its metrics hub, or call
+``hub.add_source(name, service.metrics_sample)`` directly.
 
 The engine backend active when the service **starts** is captured (a
-:mod:`contextvars` context copy) and used for every dispatched batch:
-
-================  ===========================================================
-``numpy``         Supported, the default.  Fastest for the service's typical
-                  micro-batch sizes (hundreds to low thousands of points).
-``numba``         Supported when installed; warm the JIT (one throwaway
-                  batch) before starting, or the first micro-batch pays
-                  compilation inside its latency window.
-``multiprocess``  Supported **only** with ``dispatch_in_thread=True`` (the
-                  default).  Its worker pool is process-global state and its
-                  ``future.result()`` calls block; on a dispatch thread that
-                  blocking is harmless, but inline on the event loop
-                  (``dispatch_in_thread=False``) it would stall every timer
-                  and submitter between batches — don't combine the two.
-                  Note the default instance falls through to numpy below
-                  2048 points, which typical micro-batches are.
-``reference``     Works, but ~100x slower; only sensible in tests.
-================  ===========================================================
+:mod:`contextvars` context copy) and used for every batch, which runs on
+the batcher's one dispatch thread.  ``numpy`` (the default) and
+``float32-screen`` fit the service's typical micro-batch sizes; warm
+``numba``'s JIT with one throwaway batch before starting, or the first
+micro-batch pays compilation inside its latency window.
 
 Quick use::
 

@@ -24,12 +24,9 @@ Concurrency contract
   batch: the cancelled entry is skipped at seal/resolution time;
 * **backpressure**: at most ``max_pending`` queries may be queued or in
   flight; further ``submit`` calls wait (asynchronously) for capacity;
-* the engine call runs on a dedicated worker thread by default
-  (``dispatch_in_thread=True``), so the event loop keeps accumulating and
-  sealing batches on schedule while the engine computes — including when
-  the active engine backend is ``"multiprocess"``, whose blocking
-  ``future.result()`` calls must never run on the loop thread (see
-  :mod:`repro.service` for the supported backend/service matrix);
+* the engine call runs on one dedicated worker thread, so the event loop
+  keeps accumulating and sealing batches on schedule while the engine
+  computes;
 * the :mod:`contextvars` context captured at :meth:`start` is used for
   every engine call, so ``use_backend(...)`` / ``use_locator(...)``
   selections made before starting the service apply to dispatched batches
@@ -46,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
@@ -111,13 +109,6 @@ class MicroBatcher(Component):
             from the oldest queued query; ``0.0`` seals immediately.
         max_batch_size: seal as soon as this many queries have accumulated.
         max_pending: backpressure bound on queued + in-flight queries.
-        dispatch_in_thread: run engine calls on a worker thread (keeps the
-            event loop live; required for the ``"multiprocess"`` backend).
-            ``False`` runs them inline on the loop — only safe for fast
-            in-process backends, and it stalls batch timing meanwhile.
-        dispatch_workers: worker-thread count when ``dispatch_in_thread``;
-            more than one lets slow engine calls overlap (answers stay
-            correctly routed regardless of completion order).
         stats: a :class:`~repro.service.stats.ServiceStats` to record into
             (a fresh one is created when omitted).
     """
@@ -129,24 +120,22 @@ class MicroBatcher(Component):
         latency_budget: float = DEFAULT_LATENCY_BUDGET,
         max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
         max_pending: int = DEFAULT_MAX_PENDING,
-        dispatch_in_thread: bool = True,
-        dispatch_workers: int = 1,
         stats: Optional[ServiceStats] = None,
     ):
-        if latency_budget < 0.0:
-            raise ServiceError("latency_budget must be >= 0")
+        # A nan or infinite budget would arm a deadline that never fires,
+        # leaving a lone query queued forever.
+        if not (math.isfinite(latency_budget) and latency_budget >= 0.0):
+            raise ServiceError(
+                f"latency_budget must be a finite number >= 0, got {latency_budget}"
+            )
         if max_batch_size < 1:
             raise ServiceError("max_batch_size must be >= 1")
         if max_pending < 1:
             raise ServiceError("max_pending must be >= 1")
-        if dispatch_workers < 1:
-            raise ServiceError("dispatch_workers must be >= 1")
         self._locate = locate
         self.latency_budget = latency_budget
         self.max_batch_size = max_batch_size
         self.max_pending = max_pending
-        self._dispatch_in_thread = dispatch_in_thread
-        self._dispatch_workers = dispatch_workers
         self.stats = stats if stats is not None else ServiceStats()
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -172,11 +161,9 @@ class MicroBatcher(Component):
         self._capacity = asyncio.Semaphore(self.max_pending)
         self._wake = asyncio.Event()
         self._context = contextvars.copy_context()
-        if self._dispatch_in_thread:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._dispatch_workers,
-                thread_name_prefix="repro-service-dispatch",
-            )
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-service-dispatch"
+        )
         self._dispatcher = self._loop.create_task(
             self._dispatch_loop(), name="repro-service-batcher"
         )
@@ -216,12 +203,11 @@ class MicroBatcher(Component):
                 task.cancel()
             if self._inflight:
                 await asyncio.gather(*list(self._inflight), return_exceptions=True)
-        if self._executor is not None:
-            self._executor.shutdown(wait=drain, cancel_futures=not drain)
-            self._executor = None
+        self._executor.shutdown(wait=drain, cancel_futures=not drain)
+        self._executor = None
         self._dispatcher = None
 
-    # -- runtime retuning ------------------------------------------------
+    # -- gauges ----------------------------------------------------------
     @property
     def queue_depth(self) -> int:
         """Queries queued but not yet sealed into a batch."""
@@ -231,9 +217,8 @@ class MicroBatcher(Component):
     def inflight_batches(self) -> int:
         """Sealed batches whose engine call has not resolved yet.
 
-        The congestion signal adaptive control keys off: a value persistently
-        above the dispatch worker count means batches are being sealed faster
-        than the engine answers them.
+        A value persistently above one means batches are being sealed
+        faster than the dispatch thread answers them.
         """
         return len(self._inflight)
 
@@ -244,26 +229,6 @@ class MicroBatcher(Component):
             "inflight_batches": float(self.inflight_batches),
             "latency_budget": float(self.latency_budget),
         }
-
-    def set_latency_budget(self, budget: float) -> None:
-        """Retune the accumulation window at runtime, from any thread.
-
-        The assignment itself is atomic (one float store); the dispatcher
-        re-reads the budget on every wake, and this method additionally wakes
-        it through the loop so a *shrunk* budget re-arms the deadline of the
-        batch currently accumulating instead of letting it sleep out the old
-        window.  Safe to call before :meth:`start` (it simply becomes the
-        initial budget) and after :meth:`stop` (no effect).
-        """
-        if budget < 0.0:
-            raise ServiceError("latency_budget must be >= 0")
-        self.latency_budget = float(budget)
-        loop, wake = self._loop, self._wake
-        if loop is not None and wake is not None and not self.closed:
-            try:
-                loop.call_soon_threadsafe(wake.set)
-            except RuntimeError:  # loop already closed; nothing left to re-arm
-                pass
 
     # -- epoch handoff ---------------------------------------------------
     def set_locate(self, locate: Callable[[np.ndarray], np.ndarray]) -> None:
@@ -342,9 +307,6 @@ class MicroBatcher(Component):
                 await self._wake.wait()
                 continue
             while not self.closed and len(self._queue) < self.max_batch_size:
-                # Re-read the budget every wake: set_latency_budget may have
-                # retuned it (adaptive control), and the new window must
-                # govern the batch currently accumulating.
                 deadline = self._queue[0].submitted_at + self.latency_budget
                 remaining = deadline - loop.time()
                 if remaining <= 0.0:
@@ -392,16 +354,12 @@ class MicroBatcher(Component):
         locate: Callable[[np.ndarray], np.ndarray],
     ) -> None:
         try:
-            if self._executor is not None:
-                # Context.run cannot be entered concurrently from two
-                # threads, so each batch runs a fresh copy of the captured
-                # context (dispatch_workers > 1 overlaps engine calls).
-                context = self._context.copy()
-                answers = await self._loop.run_in_executor(
-                    self._executor, context.run, locate, points
-                )
-            else:
-                answers = self._context.copy().run(locate, points)
+            # Each batch runs a fresh copy of the captured context, so a
+            # selection one engine call makes never leaks into the next.
+            context = self._context.copy()
+            answers = await self._loop.run_in_executor(
+                self._executor, context.run, locate, points
+            )
         except asyncio.CancelledError:
             self._fail_entries(
                 entries, ServiceClosedError("service stopped with the batch in flight")

@@ -30,7 +30,6 @@ from ..model.diagram import RasterDiagram, SINRDiagram
 from ..raster import CacheStats, TileCache, invalidate_for_delta
 from ..raster.cache import DEFAULT_MAX_BYTES, DEFAULT_TILE_SIZE
 from ..runtime.component import Component
-from ..runtime.epoch import EpochCoordinator
 
 __all__ = ["RasterService"]
 
@@ -42,8 +41,7 @@ class RasterService(Component):
     service answers requests straight from construction (it owns no tasks),
     so ``start()`` is optional and exists for uniform composition — a
     :class:`~repro.runtime.Runtime` can boot and retire it like any other
-    component.  ``stop()`` is final: it withdraws the service's metrics
-    wiring and further requests raise
+    component.  ``stop()`` is final: further requests raise
     :class:`~repro.exceptions.ServiceClosedError`.
 
     Args:
@@ -55,17 +53,6 @@ class RasterService(Component):
             them together with an explicit ``cache`` is an error.
         max_concurrency: optional cap on simultaneously running
             rasterisations (``None`` leaves scheduling to the executor).
-        metrics: an optional :class:`repro.obs.MetricsHub`; the service
-            registers a :func:`repro.obs.cache_stats_source` over its cache
-            under a unique name (``"cache"`` when free).  The hub's
-            lifecycle stays with the caller — a :class:`RasterService` has
-            no start/stop of its own to own a periodic task, so
-            ``controller=`` requires ``metrics=``.
-        controller: an optional :class:`repro.control.Controller` (e.g.
-            :class:`repro.control.CacheBudgetTuner`) closing the loop on
-            the tile cache's byte budget: bound to the cache, pointed at
-            this service's metrics source, gated off while
-            :meth:`swap_network` runs, and registered as a hub sink.
     """
 
     def __init__(
@@ -76,8 +63,6 @@ class RasterService(Component):
         max_bytes: Optional[int] = None,
         max_concurrency: Optional[int] = None,
         tile_size: Optional[int] = None,
-        metrics: Optional[object] = None,
-        controller: Optional[object] = None,
     ):
         if cache is not None and (max_bytes is not None or tile_size is not None):
             raise ServiceError(
@@ -106,54 +91,10 @@ class RasterService(Component):
         # Captured once so every executor-thread rasterisation sees the
         # engine-backend selection active when the service was built.
         self._context = contextvars.copy_context()
-        self._epoch = EpochCoordinator()
-        if controller is not None and metrics is None:
-            raise ServiceError(
-                "a RasterService controller needs a metrics hub to feed it "
-                "(the service has no lifecycle of its own to run one); pass "
-                "metrics= alongside controller="
-            )
-        self.metrics = metrics
-        self.controller = controller
-        self._metrics_source_name: Optional[str] = None
-        if metrics is not None:
-            # Lazy import: obs duck-types its subjects and never imports the
-            # service tier, so this cannot cycle.
-            from ..obs import cache_stats_source
-
-            name = metrics.unique_source_name("cache")
-            metrics.add_source(name, cache_stats_source(self.cache))
-            self._metrics_source_name = name
-            if controller is not None:
-                if hasattr(controller, "source"):
-                    controller.source = name
-                if callable(getattr(controller, "set_gate", None)):
-                    controller.set_gate(self._epoch.gate())
-                if callable(getattr(controller, "bind", None)):
-                    controller.bind(self.cache)
-                metrics.add_sink(controller)
 
     # -- lifecycle -------------------------------------------------------
     lifecycle_error = ServiceError
     closed_error = ServiceClosedError
-
-    async def _do_stop(self, drain: bool) -> None:
-        # Nothing runs in the background; stopping just withdraws the
-        # metrics wiring and closes the request surface.
-        self.detach_metrics()
-
-    def detach_metrics(self) -> None:
-        """Withdraw this service's source (and controller sink) from the hub.
-
-        Call when retiring the service while its hub lives on; idempotent.
-        """
-        if self.metrics is None:
-            return
-        if self._metrics_source_name is not None:
-            self.metrics.remove_source(self._metrics_source_name)
-            self._metrics_source_name = None
-        if self.controller is not None:
-            self.metrics.remove_sink(self.controller)
 
     async def _run_bounded(self, call: Callable):
         """Run ``call`` on an executor thread, under the concurrency cap."""
@@ -222,25 +163,15 @@ class RasterService(Component):
         the network they started with.
         """
         self._ensure_open()
-        # Gate any attached controller while invalidation runs: a budget
-        # decision computed against pre-swap hit rates must not evict or
-        # grow mid-invalidation.  The coordinator's sync guard also counts
-        # the completed swap as one epoch.
-        with self._epoch.guard():
-            if new_network.fingerprint != self.network.fingerprint:
-                counts = invalidate_for_delta(
-                    self.cache, self.network, new_network, delta
-                )
-            else:
-                counts = (0, 0)
-            self.network = new_network
-            self.diagram = SINRDiagram(new_network)
+        if new_network.fingerprint != self.network.fingerprint:
+            counts = invalidate_for_delta(
+                self.cache, self.network, new_network, delta
+            )
+        else:
+            counts = (0, 0)
+        self.network = new_network
+        self.diagram = SINRDiagram(new_network)
         return counts
-
-    @property
-    def swap_in_progress(self) -> bool:
-        """``True`` while :meth:`swap_network` invalidates and reinstalls."""
-        return self._epoch.in_progress
 
     # -- introspection ---------------------------------------------------
     def cache_stats(self) -> CacheStats:

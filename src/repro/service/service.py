@@ -46,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..geometry.point import Point
     from ..model.delta import NetworkDelta
     from ..model.network import WirelessNetwork
-    from ..obs import MetricsHub
 
 #: One query point in any form locate() accepts.
 PointLike = Union["Point", Tuple[float, float], "np.ndarray"]
@@ -71,21 +70,12 @@ class QueryService(Component):
         build_options: forwarded to the locator factory's ``build`` when
             ``locator`` is a name (e.g. ``{"epsilon": 0.3}`` or
             ``{"shards": 8}``).
-        metrics: an optional :class:`repro.obs.MetricsHub` to report into.
-            The service registers a :func:`repro.obs.query_service_source`
-            under a unique name (``"service"`` when free) at construction
-            and deregisters it — plus any controller sink — when stopped;
-            the hub's own lifecycle stays with the caller.
-        controller: an optional :class:`repro.control.Controller` (e.g.
-            :class:`repro.control.AdaptiveLatencyBudget`) closing the loop
-            on this service's batcher.  It is bound to the batcher, pointed
-            at this service's metrics source, gated off while an epoch swap
-            is in progress, and registered as a sink.  When no ``metrics``
-            hub is supplied the service creates a private one and runs its
-            periodic task over the service's own lifetime.
         **batcher_options: :class:`MicroBatcher` knobs — ``latency_budget``,
-            ``max_batch_size``, ``max_pending``, ``dispatch_in_thread``,
-            ``dispatch_workers``.
+            ``max_batch_size``, ``max_pending``.
+
+    To report into a :class:`~repro.obs.MetricsHub`, register
+    :meth:`metrics_sample` as a source (a :class:`~repro.runtime.Runtime`
+    does so for every component it composes).
 
     Use as an async context manager (``async with QueryService(...)``) or
     call :meth:`start` / :meth:`stop` explicitly.  The locator is built
@@ -99,8 +89,6 @@ class QueryService(Component):
         locator: Union[str, Locator, None] = "voronoi",
         *,
         build_options: Optional[Mapping[str, object]] = None,
-        metrics: "Optional[MetricsHub]" = None,
-        controller: Optional[object] = None,
         **batcher_options: object,
     ) -> None:
         self.network = network
@@ -127,35 +115,6 @@ class QueryService(Component):
         self._prebuilt = not (locator is None or isinstance(locator, str))
         self._batcher = MicroBatcher(self.locator.locate_batch, **batcher_options)
         self._epoch = EpochCoordinator()
-        self._owns_hub = controller is not None and metrics is None
-        if self._owns_hub:
-            # Imported lazily: the observability layer is optional wiring,
-            # and obs itself never imports the service tier (sources
-            # duck-type their subjects), so this cannot cycle.
-            from ..obs import MetricsHub
-
-            metrics = MetricsHub()
-        self.metrics = metrics
-        self.controller = controller
-        self._metrics_source_name: Optional[str] = None
-        if metrics is not None:
-            from ..obs import query_service_source
-
-            name = metrics.unique_source_name("service")
-            metrics.add_source(name, query_service_source(self))
-            self._metrics_source_name = name
-            if controller is not None:
-                # getattr/setattr narrowing: controllers are duck-typed (any
-                # hub sink works), so only wire the hooks a given one has.
-                if hasattr(controller, "source"):
-                    setattr(controller, "source", name)
-                set_gate = getattr(controller, "set_gate", None)
-                if callable(set_gate):
-                    set_gate(self._epoch.gate())
-                bind = getattr(controller, "bind", None)
-                if callable(bind):
-                    bind(self._batcher)
-                metrics.add_sink(controller)
 
     # -- lifecycle -------------------------------------------------------
     lifecycle_error = ServiceError
@@ -163,24 +122,9 @@ class QueryService(Component):
 
     async def _do_start(self) -> None:
         await self._batcher.start()
-        if self._owns_hub and self.metrics is not None:
-            await self.metrics.start()
 
     async def _do_stop(self, drain: bool) -> None:
-        if self._owns_hub and self.metrics is not None and self.metrics.running:
-            # Stop the hub while the batcher is still draining-capable: its
-            # final collect records the post-traffic stats, and the gated
-            # controller sees them before the service goes away.
-            await self.metrics.stop()
         await self._batcher.stop(drain=drain)
-        if self.metrics is not None and not self._owns_hub:
-            # A shared hub outlives this service: withdraw our source and
-            # controller sink so later ticks don't sample a stopped batcher.
-            if self._metrics_source_name is not None:
-                self.metrics.remove_source(self._metrics_source_name)
-                self._metrics_source_name = None
-            if self.controller is not None:
-                self.metrics.remove_sink(self.controller)
 
     # -- queries ---------------------------------------------------------
     async def locate(self, point: "PointLike") -> int:
@@ -242,13 +186,9 @@ class QueryService(Component):
            already happened when the drain starts.
 
         Returns the installed locator.  Safe to call before :meth:`start`
-        (it just replaces the locator).
-
-        The gate-build-flip-record-drain choreography itself lives in this
-        service's :class:`~repro.runtime.EpochCoordinator`; attached
-        controllers are gated on its ``in_progress`` for the whole span
-        (the metrics hub keeps *collecting* throughout — only actuation
-        pauses).
+        (it just replaces the locator).  The build-flip-record-drain
+        choreography itself lives in this service's
+        :class:`~repro.runtime.EpochCoordinator`.
         """
         build = None
         if locator is None:
@@ -291,12 +231,6 @@ class QueryService(Component):
 
     # -- introspection ---------------------------------------------------
     @property
-    def swap_in_progress(self) -> bool:
-        """``True`` while :meth:`swap_network` is building, flipping or
-        draining — the window where attached controllers are gated."""
-        return self._epoch.in_progress
-
-    @property
     def stats(self) -> ServiceStats:
         return self._batcher.stats
 
@@ -306,11 +240,10 @@ class QueryService(Component):
     def metrics_sample(self) -> Dict[str, float]:
         """Snapshot counters plus the live batcher gauges, as one flat sample.
 
-        The :class:`~repro.runtime.StatsSource` protocol — what
-        :func:`repro.obs.query_service_source` (and therefore the metrics
-        hub) samples: the percentile/counter fields of
-        :meth:`stats_snapshot` plus ``queue_depth``, ``inflight_batches``
-        and the current ``latency_budget``.
+        The :class:`~repro.runtime.StatsSource` protocol — what a metrics
+        hub samples: the percentile/counter fields of :meth:`stats_snapshot`
+        plus ``queue_depth``, ``inflight_batches`` and the current
+        ``latency_budget``.
         """
         sample = self.stats.metrics_sample()
         sample.update(self._batcher.metrics_sample())
@@ -321,9 +254,7 @@ class LocatorRouter(Component):
     """One micro-batching service per locator name, behind a single front.
 
     A :class:`~repro.runtime.Component`: starting the router starts every
-    routed service; stopping stops them all (idempotent, final).  The
-    router's own :class:`~repro.runtime.EpochCoordinator` gates whole-fleet
-    swap sweeps.
+    routed service; stopping stops them all (idempotent, final).
 
     Args:
         network: the network every routed locator serves.
@@ -352,7 +283,6 @@ class LocatorRouter(Component):
         if not named:
             raise ServiceError("a LocatorRouter needs at least one locator name")
         self.network = network
-        self._epoch = EpochCoordinator()
         self._services: Dict[str, QueryService] = {
             name: QueryService(
                 network, name, build_options=options, **batcher_options
@@ -406,21 +336,13 @@ class LocatorRouter(Component):
         supports ``updated``).  During the sweep, already-swapped services
         answer from the new network while the rest still serve the old one —
         per-service epochs are independent by design, exactly as their
-        batchers and stats are.  The sweep counts as one epoch on the
-        router's own coordinator, whose ``in_progress`` gate covers the
-        whole sweep.
+        batchers and stats are.
         """
-        async with self._epoch.swapping():
-            for name in self.locator_names:
-                await self._services[name].swap_network(
-                    new_network, delta, drain_old=drain_old
-                )
-            self.network = new_network
-
-    @property
-    def swap_in_progress(self) -> bool:
-        """``True`` while a whole-router swap sweep is underway."""
-        return self._epoch.in_progress
+        for name in self.locator_names:
+            await self._services[name].swap_network(
+                new_network, delta, drain_old=drain_old
+            )
+        self.network = new_network
 
     def stats_snapshots(self) -> Dict[str, StatsSnapshot]:
         return {

@@ -45,7 +45,7 @@ def _percentile(samples: Sequence[float], fraction: float) -> float:
     earlier ``round(fraction * (n - 1))`` variant under-reported the tail
     (banker's rounding plus the ``n - 1`` scaling can pick the sample one
     rank *below* the nearest-rank p99), which would mislead every latency
-    gate and controller fed from these reservoirs.
+    gate fed from these reservoirs.
     """
     if not samples:
         return float("nan")

@@ -2,8 +2,8 @@
 
 Four families:
 
-* backend equivalence — every registered backend (numpy, multiprocess, and
-  numba when installed) agrees with the pure-Python reference backend on
+* backend equivalence — every registered backend (numpy, float32-screen,
+  and numba when installed) agrees with the pure-Python reference backend on
   randomized networks within 1e-9, including the coincident-point and
   overflow-close columns;
 * backend selection — the ContextVar-backed registry: nesting, exception
@@ -26,11 +26,9 @@ import pytest
 from repro import Point, SINRDiagram, Station, WirelessNetwork
 from repro.engine import (
     DEFAULT_CHUNK_BYTES,
-    GPU_AVAILABLE,
     NUMBA_AVAILABLE,
-    GpuBackend,
-    MultiprocessBackend,
     NumbaBackend,
+    NumpyBackend,
     active_backend,
     as_points_array,
     available_backends,
@@ -59,18 +57,14 @@ from repro.pointlocation import (
 from seeded_workloads import query_box_array, seeded_network
 
 needs_numba = pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-needs_gpu = pytest.mark.skipif(
-    not GPU_AVAILABLE, reason="cupy or a CUDA device not available"
-)
 
 #: Optional backends and the skip conditions of their CI legs.
-_OPTIONAL_MARKS = {"numba": needs_numba, "gpu": needs_gpu}
+_OPTIONAL_MARKS = {"numba": needs_numba}
 
 #: Every backend that must agree with the "reference" ground truth.  The
-#: optional entries ("numba", "gpu") are always present in the matrix and
-#: skip-marked when their dependency is missing, so CI stays green either
-#: way; newly registered backends (e.g. "float32-screen") join
-#: automatically.
+#: optional "numba" entry is always present in the matrix and skip-marked
+#: when its dependency is missing, so CI stays green either way; newly
+#: registered backends join automatically.
 CANDIDATE_BACKENDS = [
     pytest.param(name, marks=_OPTIONAL_MARKS[name])
     if name in _OPTIONAL_MARKS
@@ -81,23 +75,8 @@ CANDIDATE_BACKENDS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def pooled_multiprocess():
-    """A multiprocess backend whose pool is genuinely exercised.
-
-    The registered default falls through to numpy below 2048 points, which
-    would make the equivalence tests vacuous; this instance shards every
-    batch of >= 2 points across two real worker processes.
-    """
-    backend = MultiprocessBackend(workers=2, min_batch_size=1)
-    yield backend
-    backend.close()
-
-
 @pytest.fixture(params=CANDIDATE_BACKENDS)
-def candidate_backend(request, pooled_multiprocess):
-    if request.param == "multiprocess":
-        return pooled_multiprocess
+def candidate_backend(request):
     return get_backend(request.param)
 
 
@@ -181,15 +160,14 @@ class TestBackendSelection:
 
     def test_registered_backend_matrix(self):
         names = set(available_backends())
-        assert {"numpy", "reference", "multiprocess", "float32-screen"} <= names
+        assert {"numpy", "reference", "float32-screen"} <= names
         assert ("numba" in names) == NUMBA_AVAILABLE
-        assert ("gpu" in names) == GPU_AVAILABLE
 
     def test_use_backend_nesting_unwinds_in_order(self):
         with use_backend("reference"):
             assert active_backend().name == "reference"
-            with use_backend("multiprocess"):
-                assert active_backend().name == "multiprocess"
+            with use_backend("float32-screen"):
+                assert active_backend().name == "float32-screen"
             assert active_backend().name == "reference"
         assert active_backend().name == "numpy"
 
@@ -216,23 +194,23 @@ class TestBackendSelection:
 
         threads = [
             threading.Thread(target=worker, args=(name,))
-            for name in ("reference", "multiprocess")
+            for name in ("reference", "float32-screen")
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
         assert not errors
-        assert seen == {"reference": "reference", "multiprocess": "multiprocess"}
+        assert seen == {"reference": "reference", "float32-screen": "float32-screen"}
         # The main thread's selection never saw either of them.
         assert active_backend().name == "numpy"
 
     def test_use_backend_accepts_backend_object(self):
-        backend = MultiprocessBackend(workers=1)
+        backend = NumpyBackend()
         with use_backend(backend) as selected:
             assert selected is backend
             assert active_backend() is backend
-        assert active_backend().name == "numpy"
+        assert active_backend() is get_backend("numpy")
 
     def test_reregistration_takes_effect_while_active(self):
         class First:
@@ -324,54 +302,6 @@ class TestBackendEquivalence:
 # ----------------------------------------------------------------------
 # Backend-specific behaviour
 # ----------------------------------------------------------------------
-class TestMultiprocessBackend:
-    def test_small_batches_fall_through_without_a_pool(self):
-        backend = MultiprocessBackend(workers=4, min_batch_size=1_000_000)
-        network = random_network(seed=30)
-        points = queries_for(network, count=64)
-        np.testing.assert_allclose(
-            sinr_batch(network, points, backend=backend),
-            sinr_batch(network, points, backend="numpy"),
-            rtol=0,
-        )
-        assert backend._executor is None  # never paid pool start-up
-
-    def test_large_batches_use_the_pool(self, pooled_multiprocess):
-        network = random_network(seed=31)
-        points = queries_for(network, count=64)
-        labels = heard_station_batch(network, points, backend=pooled_multiprocess)
-        assert pooled_multiprocess._executor is not None
-        np.testing.assert_array_equal(
-            labels, heard_station_batch(network, points, backend="numpy")
-        )
-
-    def test_single_worker_never_shards(self):
-        backend = MultiprocessBackend(workers=1, min_batch_size=1)
-        network = random_network(seed=32)
-        points = queries_for(network, count=32)
-        np.testing.assert_array_equal(
-            strongest_station_batch(network, points, backend=backend),
-            strongest_station_batch(network, points, backend="numpy"),
-        )
-        assert backend._executor is None
-
-    def test_worker_count_validation_and_close(self):
-        with pytest.raises(ValueError):
-            MultiprocessBackend(workers=0)
-        with MultiprocessBackend(workers=2, min_batch_size=1) as backend:
-            network = random_network(seed=33)
-            points = queries_for(network, count=16)
-            sinr_batch(network, points, backend=backend)
-        assert backend._executor is None  # context exit closed the pool
-
-    def test_empty_batch(self, pooled_multiprocess):
-        network = random_network(seed=34)
-        assert sinr_batch(network, [], backend=pooled_multiprocess).shape == (
-            len(network),
-            0,
-        )
-
-
 class TestNumbaBackend:
     @needs_numba
     def test_registered_and_selectable(self):
@@ -439,28 +369,6 @@ class TestNumbaBackend:
             NumbaBackend()
         with pytest.raises(ReproError, match="available"):
             get_backend("numba")
-
-
-class TestGpuBackend:
-    @pytest.mark.skipif(
-        GPU_AVAILABLE, reason="error path only exists without a CUDA device"
-    )
-    def test_missing_dependency_skips_registration_cleanly(self):
-        assert "gpu" not in available_backends()
-        with pytest.raises(ReproError, match="gpu"):
-            GpuBackend()
-        with pytest.raises(ReproError, match="available"):
-            get_backend("gpu")
-
-    @needs_gpu
-    def test_registered_and_bit_identical_to_numpy(self):
-        network = random_network(seed=44)
-        points = np.vstack([queries_for(network, count=300), network.coords])
-        for fn in (heard_station_batch, strongest_station_batch):
-            np.testing.assert_array_equal(
-                fn(network, points, backend="gpu"),
-                fn(network, points, backend="numpy"),
-            )
 
 
 # ----------------------------------------------------------------------

@@ -64,15 +64,24 @@ class TestRegistry:
         names = available_locators()
         for expected in ("brute-force", "voronoi", "theorem3", "sharded"):
             assert expected in names
+        # Composed names resolve (see the contract sweep) without ever
+        # being registered.
+        assert "sharded:voronoi" not in names
 
     def test_unknown_name_raises(self):
-        with pytest.raises(PointLocationError):
+        with pytest.raises(PointLocationError, match="sharded:<inner>"):
             get_locator("nope")
         with pytest.raises(PointLocationError):
             get_locator("sharded:nope")  # inner names are validated eagerly
 
     def test_composed_names_cannot_be_registered(self):
-        with pytest.raises(PointLocationError):
+        with pytest.raises(
+            PointLocationError,
+            match=(
+                r"locator names must not contain ':'; composed names like "
+                r"'sharded:voronoi' are derived, not registered"
+            ),
+        ):
             register_locator("bad:name", BruteForceLocator)
 
     def test_registering_and_overwriting(self, network):

@@ -20,22 +20,12 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ObservabilityClosedError, ObservabilityError
-from repro.obs import (
-    JsonlSink,
-    LogSink,
-    MemorySink,
-    MetricsHub,
-    MetricsRecord,
-    batcher_depth_source,
-    cache_stats_source,
-    query_service_source,
-    screen_stats_source,
-    service_stats_source,
-)
+from repro.engine import ScreenStats
+from repro.obs import JsonlSink, LogSink, MemorySink, MetricsHub, MetricsRecord
 from repro.raster import TileCache
 from repro.service import MicroBatcher, QueryService, ServiceStats
 
-from test_service import FakeLocator, fingerprint_answers  # noqa: F401
+from test_service import FakeLocator, GatedLocator, fingerprint_answers
 
 
 def run(coro, timeout: float = 60.0):
@@ -152,7 +142,7 @@ class TestSinks:
         path = tmp_path / "metrics.jsonl"
         hub = MetricsHub(interval=1.0)
         stats = ServiceStats()  # all percentiles still nan
-        hub.add_source("service", service_stats_source(stats))
+        hub.add_source("service", stats.metrics_sample)
         hub.add_source("plain", lambda: {"x": 1.5, "inf": math.inf})
         with JsonlSink(path) as sink:
             hub.add_sink(sink)
@@ -179,46 +169,41 @@ class TestSinks:
 
 
 # ----------------------------------------------------------------------
-# Source adapters
+# metrics_sample: the one source shape
 # ----------------------------------------------------------------------
-class TestSources:
-    def test_service_stats_source_flattens_snapshot(self):
+class TestMetricsSamples:
+    def test_service_stats_sample_flattens_snapshot(self):
         stats = ServiceStats()
         stats.record_submitted()
         stats.record_batch(1, [0.001])
         stats.record_completed(0.002)
-        sample = service_stats_source(stats)()
+        sample = stats.metrics_sample()
         assert sample["submitted"] == 1.0
         assert sample["batches"] == 1.0
         assert sample["wait_p99"] == pytest.approx(0.001)
         assert math.isnan(sample["last_swap_seconds"])
 
-    def test_cache_stats_source_includes_derived_rates(self):
+    def test_cache_sample_includes_derived_rates(self):
         cache = TileCache(max_bytes=1 << 20)
-        sample = cache_stats_source(cache)()
+        sample = cache.metrics_sample()
         assert sample["hits"] == 0.0 and sample["hit_rate"] == 0.0
         assert sample["max_bytes"] == float(1 << 20)
         assert sample["requests"] == 0.0
 
-    def test_screen_stats_source(self):
-        class FakeScreen:
-            screened = 10
-            verified = 4
+    def test_screen_stats_sample(self):
+        stats = ScreenStats()
+        stats.screened, stats.verified = 10, 4
+        assert stats.metrics_sample() == {
+            "screened": 10.0, "verified": 4.0, "verify_fraction": 0.4,
+        }
 
-            def verify_fraction(self):
-                return self.verified / self.screened
-
-        sample = screen_stats_source(FakeScreen())()
-        assert sample == {"screened": 10.0, "verified": 4.0, "verify_fraction": 0.4}
-
-    def test_batcher_gauges_sources(self, ten_station_network):
+    def test_batcher_and_service_gauges(self, ten_station_network):
         async def main():
             fake = FakeLocator()
             batcher = MicroBatcher(fake.locate_batch, latency_budget=0.001)
             await batcher.start()
             try:
-                sample = batcher_depth_source(batcher)()
-                assert sample == {
+                assert batcher.metrics_sample() == {
                     "queue_depth": 0.0,
                     "inflight_batches": 0.0,
                     "latency_budget": 0.001,
@@ -229,10 +214,29 @@ class TestSources:
             service = QueryService(ten_station_network, "voronoi")
             async with service:
                 await service.locate((1.0, 1.0))
-                sample = query_service_source(service)()
+                sample = service.metrics_sample()
             assert sample["completed"] == 1.0
             assert sample["queue_depth"] == 0.0
             assert sample["latency_budget"] == service._batcher.latency_budget
+
+        run(main())
+
+    def test_gauges_expose_queue_and_inflight(self):
+        async def main():
+            gated = GatedLocator()
+            batcher = MicroBatcher(gated.locate_batch, latency_budget=0.001)
+            await batcher.start()
+            try:
+                pending = asyncio.ensure_future(batcher.submit((1.0, 2.0)))
+                loop = asyncio.get_running_loop()
+                await loop.run_in_executor(None, gated.entered.wait, 5)
+                assert batcher.inflight_batches == 1  # sealed, executing
+                assert batcher.queue_depth == 0
+                gated.gate.set()
+                await asyncio.wait_for(pending, 10.0)
+                assert batcher.inflight_batches == 0
+            finally:
+                await batcher.stop()
 
         run(main())
 
@@ -246,9 +250,8 @@ class TestPeriodicCollection:
             hub = MetricsHub(interval=0.02)
             sink = MemorySink(capacity=1024)
             hub.add_sink(sink)
-            async with QueryService(
-                ten_station_network, "voronoi", metrics=hub
-            ) as service:
+            async with QueryService(ten_station_network, "voronoi") as service:
+                hub.add_source("service", service.metrics_sample)
                 await hub.start()
                 assert hub.running
                 pts = query_box_points(ten_station_network)
@@ -328,9 +331,8 @@ class TestPeriodicCollection:
             hub = MetricsHub(interval=0.01)
             sink = MemorySink(capacity=4096)
             hub.add_sink(sink)
-            async with QueryService(
-                ten_station_network, "voronoi", metrics=hub
-            ) as service:
+            async with QueryService(ten_station_network, "voronoi") as service:
+                hub.add_source("service", service.metrics_sample)
                 await hub.start()
                 await service.locate((1.0, 1.0))
                 await asyncio.sleep(0.05)
@@ -349,17 +351,6 @@ class TestPeriodicCollection:
         sink = run(main())
         epochs = [record.source("service")["epoch"] for record in sink.records()]
         assert 0.0 in epochs and 1.0 in epochs  # sampled both sides of the swap
-
-    def test_shared_hub_deregistered_on_service_stop(self, ten_station_network):
-        async def main():
-            hub = MetricsHub(interval=1.0)
-            async with QueryService(ten_station_network, "voronoi", metrics=hub):
-                assert hub.source_names() == ("service",)
-            assert hub.source_names() == ()
-            record = hub.collect()
-            assert record.values == {}
-
-        run(main())
 
 
 def query_box_points(network, count: int = 60):

@@ -16,10 +16,8 @@ import numpy as np
 import pytest
 
 from repro import Point
-from repro.control import Controller
 from repro.exceptions import (
     ComponentError,
-    ControlClosedError,
     ObservabilityClosedError,
     ServiceClosedError,
 )
@@ -35,15 +33,6 @@ def run(coro, timeout: float = 60.0):
 
 def _zeros_locate(points) -> np.ndarray:
     return np.zeros(len(np.asarray(points, dtype=float)), dtype=np.int64)
-
-
-class CountingController(Controller):
-    def __init__(self) -> None:
-        super().__init__()
-        self.seen = 0
-
-    def observe(self, record) -> None:
-        self.seen += 1
 
 
 def _build(name: str, network):
@@ -82,12 +71,6 @@ def _build(name: str, network):
         async def op(c):
             return c.collect()
 
-    elif name == "controller":
-        component = CountingController()
-
-        async def op(c):
-            c.emit(None)  # _ensure_open runs before the record is touched
-
     else:  # pragma: no cover - parametrization mismatch
         raise AssertionError(name)
     return component, op
@@ -99,7 +82,6 @@ COMPONENTS = [
     "raster-service",
     "router",
     "hub",
-    "controller",
 ]
 
 CLOSED_ERRORS = {
@@ -108,7 +90,6 @@ CLOSED_ERRORS = {
     "raster-service": ServiceClosedError,
     "router": ServiceClosedError,
     "hub": ObservabilityClosedError,
-    "controller": ControlClosedError,
 }
 
 
@@ -170,8 +151,7 @@ class TestLifecycleConformance:
             component, op = _build(name, ten_station_network)
             async with component:
                 assert component.running
-                if name != "controller":  # emit(None) is only valid closed
-                    await op(component)
+                await op(component)
             assert component.closed
 
         run(main())

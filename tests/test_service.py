@@ -12,7 +12,7 @@ is honoured within tolerance.
 No pytest-asyncio dependency: every test drives its coroutine with
 ``asyncio.run`` through the :func:`run` helper (which adds a watchdog
 timeout so a service deadlock fails the test instead of hanging the
-suite — the multiprocess-backend regression relies on this).
+suite).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import MultiprocessBackend, use_backend
+from repro.engine import use_backend
 from repro.exceptions import ServiceClosedError, ServiceError
 from repro.pointlocation import build_locator
 from repro.service import (
@@ -294,7 +294,6 @@ class TestLatencyBudget:
         async def main():
             async with QueryService(
                 network, fake, latency_budget=budget, max_batch_size=1024,
-                dispatch_workers=4,
             ) as service:
                 answers = await run_scheduled(service, pts, offsets)
                 return answers, service.stats_snapshot()
@@ -546,9 +545,12 @@ class TestBackpressure:
     def test_invalid_configuration_rejected(self, network):
         for bad in (
             {"latency_budget": -0.1},
+            # Non-finite budgets arm a deadline that never fires: a lone
+            # query would wait forever.
+            {"latency_budget": float("nan")},
+            {"latency_budget": float("inf")},
             {"max_batch_size": 0},
             {"max_pending": 0},
-            {"dispatch_workers": 0},
         ):
             with pytest.raises(ServiceError):
                 QueryService(network, "voronoi", **bad)
@@ -601,37 +603,9 @@ class TestEngineFailures:
 
 
 # ----------------------------------------------------------------------
-# Engine backend interplay (the multiprocess regression)
+# Engine backend interplay
 # ----------------------------------------------------------------------
 class TestBackendInterplay:
-    def test_multiprocess_backend_round_trips(self, network, queries, truth):
-        """Regression: the process-global multiprocess pool and the service
-        event loop must not deadlock.  The pool's blocking future.result()
-        runs on the dispatch thread, never on the loop; the watchdog in
-        run() turns a deadlock into a failure."""
-        backend = MultiprocessBackend(workers=2, min_batch_size=1)
-
-        async def main():
-            with use_backend(backend):
-                async with QueryService(
-                    network, "voronoi", latency_budget=0.002, max_batch_size=256
-                ) as service:
-                    return await service.locate_many(queries[:400])
-
-        try:
-            answers = run(main())
-        finally:
-            backend.close()
-        np.testing.assert_array_equal(answers, truth[:400])
-
-    def test_registered_multiprocess_name_round_trips(self, network, queries,
-                                                      truth):
-        """The registered "multiprocess" default (numpy fall-through below
-        2048 points) through the sync facade."""
-        with use_backend("multiprocess"):
-            answers = serve_points(network, queries[:200], "voronoi")
-        np.testing.assert_array_equal(answers, truth[:200])
-
     def test_backend_selection_propagates_to_dispatch_thread(self, network,
                                                              queries, truth):
         """use_backend() before start() governs dispatched batches even
@@ -942,6 +916,37 @@ class TestEpochSwap:
         np.testing.assert_array_equal(answers, new_truth)
         assert snapshot.epoch == 1
         assert "epoch 1 after 1 swaps" in snapshot.describe()
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-1"])
+    def test_bad_drain_timeout_knob_falls_back_to_default(
+        self, network, monkeypatch, raw
+    ):
+        """A malformed or non-positive REPRO_SERVICE_DRAIN_TIMEOUT warns and
+        drains under the default timeout instead of failing the swap after
+        the new epoch is already installed."""
+        monkeypatch.setenv("REPRO_SERVICE_DRAIN_TIMEOUT", raw)
+        old_spy = GatedLocator()
+        new_spy = ShiftedLocator()
+        pts = query_box_array(network, 8, seed=5)
+
+        async def main():
+            async with QueryService(
+                network, old_spy, latency_budget=0.05, max_batch_size=8
+            ) as service:
+                wave = [asyncio.create_task(service.locate(p)) for p in pts]
+                await asyncio.to_thread(old_spy.entered.wait, 10.0)
+                swap = asyncio.create_task(
+                    service.swap_network(network, locator=new_spy)
+                )
+                await asyncio.sleep(0.05)  # the drain is now waiting
+                old_spy.gate.set()
+                await swap
+                return await asyncio.gather(*wave), service.stats_snapshot()
+
+        with pytest.warns(UserWarning, match="REPRO_SERVICE_DRAIN_TIMEOUT"):
+            answers, snapshot = run(main())
+        np.testing.assert_array_equal(answers, fingerprint_answers(pts))
+        assert snapshot.swaps == 1 and snapshot.failed == 0
 
     def test_opaque_prebuilt_locator_cannot_rebuild(self, network):
         moved, delta = self._moved(network)
