@@ -267,6 +267,39 @@ class TestBackendEquivalence:
             heard_station_batch(network, points, backend="reference"),
         )
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_received_at_agrees(self, seed, candidate_backend):
+        network = random_network(seed=seed, noise=0.02, beta=1.5)
+        points = queries_for(network, count=150, seed=seed + 30)
+        # One asked-about station per point, rotated so every point is
+        # asked about every station across the sweep.
+        for shift in range(len(network)):
+            indices = (np.arange(len(points)) + shift) % len(network)
+            np.testing.assert_array_equal(
+                received_at(network, indices, points, backend=candidate_backend),
+                received_at(network, indices, points, backend="reference"),
+            )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_low_beta_masks_agree(self, seed, candidate_backend):
+        """beta < 1: several stations can be received at one point."""
+        network = random_network(seed=seed, noise=0.001, beta=0.5)
+        points = queries_for(network, count=120, seed=seed + 40)
+        masks = [
+            received_mask(network, index, points, backend="reference")
+            for index in range(len(network))
+        ]
+        assert (np.sum(masks, axis=0) > 1).any()  # the regime is exercised
+        for index, expected in enumerate(masks):
+            np.testing.assert_array_equal(
+                received_mask(network, index, points, backend=candidate_backend),
+                expected,
+            )
+        np.testing.assert_array_equal(
+            heard_station_batch(network, points, backend=candidate_backend),
+            heard_station_batch(network, points, backend="reference"),
+        )
+
     def test_equivalence_includes_coincident_and_overflow_columns(
         self, candidate_backend
     ):

@@ -10,6 +10,8 @@ budgets and concurrent threads.
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,7 +20,7 @@ import pytest
 from repro import Point, SINRDiagram, TileCache, WirelessNetwork
 from repro.exceptions import RasterCacheError, ServiceError
 from repro.model.diagram import RasterLattice
-from repro.raster import default_cache
+from repro.raster import default_cache, resolve_cache
 from repro.service import RasterService
 
 
@@ -204,6 +206,192 @@ class TestCacheStats:
             assert default_cache().stats().hits >= before.hits + before.tiles
         finally:
             default_cache().clear()
+
+
+# ----------------------------------------------------------------------
+# The store itself, with stand-in tiles
+# ----------------------------------------------------------------------
+class FakeTile:
+    """Anything with ``nbytes`` is a tile as far as the store is concerned."""
+
+    def __init__(self, nbytes: int = 100):
+        self.nbytes = nbytes
+
+
+def tile_key(fingerprint: str, tile_x: int = 0, tile_y: int = 0) -> tuple:
+    """A TileKey on a 4-pixel, 0.5-pitch lattice: tile (i, j) spans
+    ``[2i, 2i + 2] x [2j, 2j + 2]`` in world units."""
+    return (fingerprint, "numpy", 4, 0.5, 0.0, 0.5, 0.0, tile_x, tile_y)
+
+
+class TestTileStore:
+    def fill(self, cache, fingerprint, count, nbytes=100):
+        for index in range(count):
+            cache.get_or_compute(
+                tile_key(fingerprint, index), lambda: FakeTile(nbytes)
+            )
+
+    def test_inserts_evict_lru_tiles_back_under_budget(self):
+        cache = TileCache(max_bytes=450)
+        self.fill(cache, "fp", 10)
+        stats = cache.stats()
+        assert stats.tiles == 4 and stats.stored_bytes == 400
+        assert stats.evictions == 6 and stats.misses == 10
+
+    def test_a_hit_refreshes_recency(self):
+        cache = TileCache(max_bytes=300)
+        self.fill(cache, "fp", 3)
+        cache.get_or_compute(tile_key("fp", 0), FakeTile)  # hit: now newest
+        cache.get_or_compute(tile_key("fp", 3), FakeTile)  # evicts tile 1
+        assert cache.stats().hits == 1
+        computed = []
+        for index in (0, 2, 3, 1):
+            cache.get_or_compute(
+                tile_key("fp", index), lambda: computed.append(index) or FakeTile()
+            )
+        assert computed == [1]
+
+    def test_a_tile_exactly_filling_the_budget_is_stored(self):
+        cache = TileCache(max_bytes=100)
+        self.fill(cache, "fp", 1)
+        stats = cache.stats()
+        assert stats.tiles == 1 and stats.rejected == 0
+        self.fill(cache, "other", 1)
+        assert cache.stats().evictions == 1
+
+    def test_oversized_tile_is_served_and_leaves_residents_alone(self):
+        cache = TileCache(max_bytes=300)
+        self.fill(cache, "fp", 3)
+        big = FakeTile(301)
+        assert cache.get_or_compute(tile_key("big"), lambda: big) is big
+        stats = cache.stats()
+        assert stats.rejected == 1 and stats.evictions == 0
+        assert stats.tiles == 3 and stats.stored_bytes == 300
+
+    def test_failed_computation_propagates_and_is_retried(self):
+        cache = TileCache()
+
+        def broken():
+            raise ValueError("engine failure")
+
+        with pytest.raises(ValueError, match="engine failure"):
+            cache.get_or_compute(tile_key("fp"), broken)
+        tile = FakeTile()
+        assert cache.get_or_compute(tile_key("fp"), lambda: tile) is tile
+        stats = cache.stats()
+        assert stats.misses == 1 and stats.tiles == 1
+
+    def test_concurrent_misses_of_one_key_compute_once(self):
+        cache = TileCache()
+        calls = []
+        workers = 6
+        barrier = threading.Barrier(workers)
+
+        def factory():
+            calls.append(1)
+            time.sleep(0.05)  # hold the single flight open
+            return FakeTile()
+
+        def request(_):
+            barrier.wait()
+            return cache.get_or_compute(tile_key("fp"), factory)
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            tiles = list(pool.map(request, range(workers)))
+        assert len(calls) == 1
+        assert all(tile is tiles[0] for tile in tiles)
+        stats = cache.stats()
+        assert stats.misses == 1 and stats.hits == workers - 1
+
+    def test_waiter_recomputes_when_the_owner_fails(self):
+        cache = TileCache()
+        entered = threading.Event()
+        release = threading.Event()
+
+        def failing():
+            entered.set()
+            release.wait(10.0)
+            raise ValueError("owner failed")
+
+        def owner():
+            with pytest.raises(ValueError):
+                cache.get_or_compute(tile_key("fp"), failing)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            owned = pool.submit(owner)
+            assert entered.wait(10.0)
+            waiter = pool.submit(cache.get_or_compute, tile_key("fp"), FakeTile)
+            time.sleep(0.05)  # let the waiter block on the in-flight key
+            release.set()
+            owned.result(timeout=10.0)
+            tile = waiter.result(timeout=10.0)
+        assert isinstance(tile, FakeTile)
+        assert cache.stats().tiles == 1
+
+    @pytest.mark.parametrize(
+        "box,dropped",
+        [
+            ((1.0, 1.0, 3.0, 3.0), True),  # overlaps
+            ((2.0, 0.5, 3.0, 1.0), True),  # touches the right edge
+            ((2.0, 2.0, 3.0, 3.0), True),  # touches a corner
+            ((-1.0, -1.0, 5.0, 5.0), True),  # contains the tile
+            ((0.5, 0.5, 1.0, 1.0), True),  # inside the tile
+            ((2.01, 0.0, 3.0, 2.0), False),  # right of the tile
+            ((0.0, 2.01, 2.0, 3.0), False),  # above the tile
+            ((-3.0, -3.0, -0.01, -0.01), False),  # below-left of the tile
+        ],
+        ids=[
+            "overlaps", "right-edge", "corner", "contains", "inside",
+            "right-of", "above", "below-left",
+        ],
+    )
+    def test_invalidation_overlap_is_closed(self, box, dropped):
+        cache = TileCache()
+        self.fill(cache, "old", 1)
+        rekeyed, removed = cache.invalidate_region("old", "new", [box])
+        assert (rekeyed, removed) == ((0, 1) if dropped else (1, 0))
+        stats = cache.stats()
+        assert stats.tiles == (0 if dropped else 1)
+        assert stats.stored_bytes == (0 if dropped else 100)
+
+    def test_rekeyed_tiles_keep_their_lru_position(self):
+        cache = TileCache(max_bytes=300)
+        self.fill(cache, "old", 3)
+        assert cache.invalidate_region("old", "new", []) == (3, 0)
+        self.fill(cache, "other", 1)  # evicts the oldest re-keyed tile
+        computed = []
+        for index in (1, 2, 0):
+            cache.get_or_compute(
+                tile_key("new", index),
+                lambda: computed.append(index) or FakeTile(),
+            )
+        assert computed == [0]
+        assert cache.stats().rekeyed == 3
+
+    def test_invalidation_spans_only_boxes_it_touches(self):
+        cache = TileCache()
+        self.fill(cache, "old", 4)  # tiles 0..3 span x in [0, 8]
+        rekeyed, removed = cache.invalidate_region(
+            "old", "new", [(2.5, 0.5, 3.5, 1.5)]  # inside tile 1 only
+        )
+        assert (rekeyed, removed) == (3, 1)
+        stats = cache.stats()
+        assert stats.invalidated == 1 and stats.stored_bytes == 300
+
+    def test_resolve_cache_passes_caches_through(self):
+        cache = TileCache()
+        assert resolve_cache(cache) is cache
+        assert resolve_cache(True) is default_cache()
+        assert default_cache() is default_cache()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [None, False, 0, "default", TileCache],
+        ids=["none", "false", "zero", "name", "class"],
+    )
+    def test_resolve_cache_rejects_everything_else(self, bad):
+        with pytest.raises(RasterCacheError, match="TileCache or True"):
+            resolve_cache(bad)
 
 
 # ----------------------------------------------------------------------
@@ -418,6 +606,31 @@ class TestRasterService:
         for raster in (*first, *second):
             assert_rasters_identical(direct, raster)
         assert "zone_areas" in summary
+
+    def test_swap_to_a_content_identical_network_keeps_every_tile(
+        self, ten_station_network
+    ):
+        from seeded_workloads import seeded_network
+
+        service = RasterService(ten_station_network, tile_size=32)
+        box = (Point(-4.0, -4.0), Point(4.0, 4.0), 64)
+        before = asyncio.run(service.rasterize(*box))
+        twin = seeded_network(10, side=16.0, seed=3)
+        assert twin is not ten_station_network
+        assert twin.fingerprint == ten_station_network.fingerprint
+        assert service.swap_network(twin) == (0, 0)
+        assert service.network is twin
+        misses = service.cache_stats().misses
+        after = asyncio.run(service.rasterize(*box))
+        assert_rasters_identical(before, after)
+        assert service.cache_stats().misses == misses  # all served warm
+
+    def test_metrics_sample_is_the_backing_caches(self, ten_station_network):
+        shared = TileCache(tile_size=32)
+        service = RasterService(ten_station_network, cache=shared)
+        asyncio.run(service.rasterize(Point(-4.0, -4.0), Point(4.0, 4.0), 64))
+        assert service.metrics_sample() == shared.metrics_sample()
+        assert service.metrics_sample()["misses"] == 4.0
 
     def test_configuration_validation(self, ten_station_network):
         with pytest.raises(ServiceError):

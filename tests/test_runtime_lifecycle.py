@@ -5,12 +5,17 @@ most once, rejects restart after stop, stops idempotently, raises its
 layer's ``*ClosedError`` when used after close, and drains cleanly as an
 async context manager.  Below the battery: the :class:`Runtime`
 composition root — declaration-order boot, reverse-order shutdown,
-automatic stats wiring into an owned hub, and startup-failure rollback.
+automatic stats wiring into an owned or caller-supplied hub, and
+startup-failure rollback — and the :class:`EpochCoordinator` swap
+protocol (build off-loop, flip, record, then drain).
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +27,7 @@ from repro.exceptions import (
     ServiceClosedError,
 )
 from repro.obs import MetricsHub
-from repro.runtime import Component, Runtime
+from repro.runtime import Component, EpochCoordinator, Runtime, drain_timeout
 from repro.service import LocatorRouter, MicroBatcher, QueryService
 from repro.service.raster import RasterService
 
@@ -71,6 +76,15 @@ def _build(name: str, network):
         async def op(c):
             return c.collect()
 
+    elif name == "runtime":
+        component = Runtime(metrics_interval=0.02)
+        component.add(
+            "query", QueryService(network, "voronoi", latency_budget=0.005)
+        )
+
+        async def op(c):
+            return await c.component("query").locate((1.0, 2.0))
+
     else:  # pragma: no cover - parametrization mismatch
         raise AssertionError(name)
     return component, op
@@ -82,6 +96,7 @@ COMPONENTS = [
     "raster-service",
     "router",
     "hub",
+    "runtime",
 ]
 
 CLOSED_ERRORS = {
@@ -90,6 +105,8 @@ CLOSED_ERRORS = {
     "raster-service": ServiceClosedError,
     "router": ServiceClosedError,
     "hub": ObservabilityClosedError,
+    # The runtime stops what it composes: its services refuse requests.
+    "runtime": ServiceClosedError,
 }
 
 
@@ -263,3 +280,181 @@ class TestRuntimeComposition:
                     runtime.add("late", Recorder("late", []))
 
         run(main())
+
+    @pytest.mark.parametrize("lent_running", [False, True])
+    def test_caller_supplied_hub(self, lent_running):
+        """A hub passed in gets the sources; the runtime starts and stops
+        it only when it was not already running."""
+
+        async def main():
+            hub = MetricsHub(interval=5.0)
+            if lent_running:
+                await hub.start()
+            runtime = Runtime(metrics=hub)
+            runtime.add("sampler", Sampling("sampler", []))
+            async with runtime:
+                assert hub.running
+                assert hub.collect().source("sampler") == {"ticks": 1.0}
+            assert hub.running is lent_running
+            await hub.stop()
+
+        run(main())
+
+    def test_source_names_taken_on_the_hub_get_a_suffix(self):
+        async def main():
+            hub = MetricsHub(interval=5.0)
+            hub.add_source("sampler", lambda: {"outer": 1.0})
+            runtime = Runtime(metrics=hub)
+            runtime.add("sampler", Sampling("sampler", []))
+            async with runtime:
+                return hub.collect()
+
+        record = run(main())
+        assert record.source("sampler") == {"outer": 1.0}
+        assert record.source("sampler-2") == {"ticks": 1.0}
+
+    def test_stop_failure_still_stops_the_rest_and_surfaces(self):
+        class FailingStop(Recorder):
+            async def _do_stop(self, drain: bool) -> None:
+                await super()._do_stop(drain)
+                raise ComponentError(f"{self.tag} failed to stop")
+
+        log: list = []
+        runtime = Runtime()
+        runtime.add("a", Recorder("a", log))
+        runtime.add("b", FailingStop("b", log))
+        runtime.add("c", Recorder("c", log))
+
+        async def main():
+            await runtime.start()
+            await runtime.stop()
+
+        with pytest.raises(ComponentError, match="b failed to stop"):
+            run(main())
+        assert [entry[1] for entry in log if entry[0] == "stop"] == ["c", "b", "a"]
+        assert runtime.closed
+
+    def test_error_inside_async_with_aborts_every_component(self):
+        log: list = []
+        runtime = Runtime()
+        runtime.add("a", Recorder("a", log))
+        runtime.add("b", Recorder("b", log))
+
+        async def main():
+            async with runtime:
+                raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            run(main())
+        assert log[2:] == [("stop", "b", False), ("stop", "a", False)]
+
+
+# ----------------------------------------------------------------------
+# EpochCoordinator: the swap protocol behind QueryService.swap_network
+# ----------------------------------------------------------------------
+EPOCH_TAG: "contextvars.ContextVar[str]" = contextvars.ContextVar(
+    "epoch_tag", default="unset"
+)
+
+
+async def logged_swap(log: list, build=None, drain_error=None):
+    """One swap whose flip, record and drain steps append to ``log``."""
+
+    async def drain():
+        if drain_error is not None:
+            raise drain_error
+        log.append("drain")
+
+    return await EpochCoordinator().swap(
+        build=build,
+        flip=lambda value: log.append(("flip", value)),
+        drain=drain,
+        record=lambda seconds: log.append("record"),
+    )
+
+
+class TestEpochCoordinator:
+    def test_build_flip_record_drain_in_order(self):
+        log: list = []
+
+        def build():
+            log.append("build")
+            return "epoch-2"
+
+        assert run(logged_swap(log, build)) == "epoch-2"
+        assert log == ["build", ("flip", "epoch-2"), "record", "drain"]
+
+    def test_without_build_flip_installs_what_the_caller_prepared(self):
+        log: list = []
+        assert run(logged_swap(log)) is None
+        assert log == [("flip", None), "record", "drain"]
+
+    def test_failed_build_leaves_the_old_epoch_untouched(self):
+        log: list = []
+
+        def build():
+            raise ValueError("cannot build")
+
+        with pytest.raises(ValueError, match="cannot build"):
+            run(logged_swap(log, build))
+        assert log == []
+
+    def test_failed_drain_surfaces_after_the_flip_is_recorded(self):
+        log: list = []
+        with pytest.raises(ServiceClosedError, match="drain failed"):
+            run(logged_swap(log, drain_error=ServiceClosedError("drain failed")))
+        assert log == [("flip", None), "record"]
+
+    def test_record_times_build_and_flip_but_not_the_drain(self):
+        recorded: list = []
+
+        async def main():
+            await EpochCoordinator().swap(
+                build=lambda: time.sleep(0.05),
+                flip=lambda value: None,
+                drain=lambda: asyncio.sleep(1.0),
+                record=recorded.append,
+            )
+
+        run(main())
+        assert 0.04 <= recorded[0] < 1.0
+
+    def test_build_runs_off_the_loop_so_the_loop_keeps_serving(self):
+        """The build blocks on an event only a loop task sets: it would
+        time out if it ran on the event-loop thread."""
+        gate = threading.Event()
+
+        async def main():
+            asyncio.get_running_loop().call_later(0.01, gate.set)
+            return await EpochCoordinator().swap(
+                build=lambda: gate.wait(10.0), flip=lambda value: None
+            )
+
+        assert run(main()) is True
+
+    def test_build_sees_the_callers_context_without_leaking_back(self):
+        seen: dict = {}
+
+        def build():
+            seen["tag"], seen["thread"] = EPOCH_TAG.get(), threading.get_ident()
+            EPOCH_TAG.set("build")
+
+        async def main():
+            EPOCH_TAG.set("caller")
+            await EpochCoordinator().swap(build=build, flip=lambda value: None)
+            return EPOCH_TAG.get(), threading.get_ident()
+
+        after, loop_thread = run(main())
+        assert seen["tag"] == after == "caller"
+        assert seen["thread"] != loop_thread
+
+
+class TestDrainTimeout:
+    def test_unset_knob_uses_the_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SERVICE_DRAIN_TIMEOUT", raising=False)
+        assert drain_timeout() == 30.0
+        assert drain_timeout(default=7.5) == 7.5
+
+    def test_positive_knob_value_is_used(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVICE_DRAIN_TIMEOUT", "2.5")
+        assert drain_timeout() == 2.5

@@ -220,6 +220,21 @@ class TestExactness:
         )
         np.testing.assert_array_equal(answers, truth[:300])
 
+    def test_no_name_serves_the_active_locator_selection(self, network,
+                                                         queries, truth):
+        from repro.pointlocation import BruteForceLocator, use_locator
+
+        with use_locator("brute-force"):
+            service = QueryService(network, None)
+        assert isinstance(service.locator, BruteForceLocator)
+        assert service.locator_name == "brute-force"
+
+        async def main():
+            async with service:
+                return await service.locate_many(queries[:64])
+
+        np.testing.assert_array_equal(run(main()), truth[:64])
+
     def test_acceptance_scale_network_serves_exactly(self, fifty_station_network):
         """The bench workload's 50-station network (same seed and box as
         benchmarks/bench_service.py) through the service, vs brute force."""
@@ -335,6 +350,96 @@ class TestLatencyBudget:
         elapsed = run(main())
         assert elapsed < 2.5  # nowhere near the 5 s budget
         assert max(fake.calls) <= 16
+
+
+# ----------------------------------------------------------------------
+# Batcher mechanics: batch caps, seal-time capture, the drain barrier
+# ----------------------------------------------------------------------
+class TestBatcherMechanics:
+    def test_batches_are_capped_and_a_drain_flushes_the_rest(self):
+        fake = FakeLocator()
+
+        async def main():
+            batcher = MicroBatcher(
+                fake.locate_batch, latency_budget=60.0, max_batch_size=3
+            )
+            await batcher.start()
+            pending = [
+                asyncio.ensure_future(batcher.submit((float(i), 0.0)))
+                for i in range(7)
+            ]
+            # Two full batches seal at once; the seventh query waits out
+            # the 60 s budget until the draining stop seals it.
+            while batcher.stats.completed < 6:
+                await asyncio.sleep(0.005)
+            assert batcher.queue_depth == 1
+            await batcher.stop()
+            return await asyncio.gather(*pending), batcher.stats.snapshot()
+
+        answers, snapshot = run(main())
+        expected = fingerprint_answers([(float(i), 0.0) for i in range(7)])
+        np.testing.assert_array_equal(answers, expected)
+        assert fake.calls == [3, 3, 1]
+        assert snapshot.batches == 3 and snapshot.max_batch_size == 3
+
+    def test_queued_queries_use_the_function_installed_at_seal_time(self):
+        old, new = FakeLocator(), ShiftedLocator()
+
+        async def main():
+            batcher = MicroBatcher(old.locate_batch, latency_budget=60.0)
+            await batcher.start()
+            pending = asyncio.ensure_future(batcher.submit((1.0, 2.0)))
+            while batcher.queue_depth == 0:
+                await asyncio.sleep(0.001)
+            batcher.set_locate(new.locate_batch)
+            await batcher.stop()  # the drain seals the queued query now
+            return await pending
+
+        answer = run(main())
+        expected = fingerprint_answers([(1.0, 2.0)])[0]
+        assert answer == expected + ShiftedLocator.EPOCH_OFFSET
+        assert old.calls == [] and new.calls == [1]
+
+    def test_drain_inflight_times_out_with_a_service_error(self):
+        gated = GatedLocator()
+
+        async def main():
+            batcher = MicroBatcher(gated.locate_batch, latency_budget=0.0)
+            await batcher.start()
+            try:
+                pending = asyncio.ensure_future(batcher.submit((1.0, 2.0)))
+                await asyncio.to_thread(gated.entered.wait, 10.0)
+                with pytest.raises(ServiceError, match="drain timeout"):
+                    await batcher.drain_inflight(timeout=0.05)
+                gated.gate.set()
+                await batcher.drain_inflight(timeout=10.0)
+                assert pending.done()
+                return pending.result()
+            finally:
+                gated.gate.set()
+                await batcher.stop()
+
+        assert run(main()) == fingerprint_answers([(1.0, 2.0)])[0]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [None, (1.0,), (1.0, 2.0, 3.0), ("x", "y")],
+        ids=["none", "one-coordinate", "three-coordinates", "non-numeric"],
+    )
+    def test_malformed_point_is_rejected_before_queueing(self, bad):
+        fake = FakeLocator()
+
+        async def main():
+            batcher = MicroBatcher(fake.locate_batch, latency_budget=0.001)
+            async with batcher:
+                with pytest.raises((TypeError, ValueError)):
+                    await batcher.submit(bad)
+                assert batcher.stats.submitted == 0
+                # The batcher keeps serving well-formed queries.
+                return await batcher.submit((1.0, 2.0))
+
+        assert run(main()) == fingerprint_answers([(1.0, 2.0)])[0]
+        assert fake.calls == [1]
 
 
 # ----------------------------------------------------------------------
@@ -671,6 +776,22 @@ class TestRouterAndFacade:
         with pytest.raises(ServiceError):
             LocatorRouter(network, [])
 
+    def test_router_lookup_errors_list_the_routed_names(self, network):
+        router = LocatorRouter(network, ["voronoi", "brute-force"])
+        assert router.locator_names == ("brute-force", "voronoi")
+        with pytest.raises(
+            ServiceError, match=r"routed: \['brute-force', 'voronoi'\]"
+        ):
+            router.service("theorem3")
+
+    def test_reservoir_keeps_only_the_newest_samples(self):
+        stats = ServiceStats(reservoir_size=4)
+        for latency in (9.0, 9.0, 9.0, 1.0, 2.0, 3.0, 4.0):
+            stats.record_completed(latency)
+        assert stats.latency_percentile(1.0) == 4.0
+        assert stats.latency_percentile(0.0) == 1.0
+        assert stats.completed == 7  # counters are not reservoir-bounded
+
     def test_serve_points_facade_with_stats(self, network, queries, truth):
         answers, snapshot = serve_points(
             network, queries[:200], "voronoi", max_batch_size=64,
@@ -947,6 +1068,61 @@ class TestEpochSwap:
             answers, snapshot = run(main())
         np.testing.assert_array_equal(answers, fingerprint_answers(pts))
         assert snapshot.swaps == 1 and snapshot.failed == 0
+
+    def test_short_drain_timeout_fails_the_swap_after_the_flip(
+        self, network, monkeypatch
+    ):
+        """A drain that outlives the knob raises, but only after the new
+        epoch is installed: later batches answer from it, and the stuck
+        old-epoch batch still answers its own queries."""
+        monkeypatch.setenv("REPRO_SERVICE_DRAIN_TIMEOUT", "0.05")
+        old_spy = GatedLocator()
+        new_spy = ShiftedLocator()
+        pts = query_box_array(network, 8, seed=5)
+
+        async def main():
+            async with QueryService(
+                network, old_spy, latency_budget=0.05, max_batch_size=8
+            ) as service:
+                wave = [asyncio.create_task(service.locate(p)) for p in pts]
+                await asyncio.to_thread(old_spy.entered.wait, 10.0)
+                with pytest.raises(ServiceError, match="drain timeout"):
+                    await service.swap_network(network, locator=new_spy)
+                assert service.locator is new_spy
+                fresh = asyncio.create_task(service.locate(pts[0]))
+                old_spy.gate.set()
+                return (
+                    await asyncio.gather(*wave),
+                    await fresh,
+                    service.stats_snapshot(),
+                )
+
+        answers, fresh, snapshot = run(main())
+        expected = fingerprint_answers(pts)
+        np.testing.assert_array_equal(answers, expected)
+        assert fresh == expected[0] + ShiftedLocator.EPOCH_OFFSET
+        assert snapshot.swaps == 1 and snapshot.failed == 0
+
+    def test_swap_without_drain_returns_at_the_flip(self, network):
+        old_spy = GatedLocator()
+        new_spy = ShiftedLocator()
+        pts = query_box_array(network, 8, seed=5)
+
+        async def main():
+            async with QueryService(
+                network, old_spy, latency_budget=0.05, max_batch_size=8
+            ) as service:
+                wave = [asyncio.create_task(service.locate(p)) for p in pts]
+                await asyncio.to_thread(old_spy.entered.wait, 10.0)
+                installed = await service.swap_network(
+                    network, locator=new_spy, drain_old=False
+                )
+                assert installed is new_spy
+                assert not any(task.done() for task in wave)  # still in flight
+                old_spy.gate.set()
+                return await asyncio.gather(*wave)
+
+        np.testing.assert_array_equal(run(main()), fingerprint_answers(pts))
 
     def test_opaque_prebuilt_locator_cannot_rebuild(self, network):
         moved, delta = self._moved(network)
