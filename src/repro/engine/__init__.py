@@ -11,14 +11,16 @@ Architecture
 
 ``kernels.py``
     Fully vectorised NumPy SINR kernels over raw coordinate arrays — the
-    pairwise energy matrix, interference, the SINR matrix, strongest-station
-    argmax and reception masks.  Everything here is array-in / array-out and
-    has no knowledge of the model layer's classes.
+    pairwise energy matrix, the SINR matrix, strongest-station argmax and
+    reception masks, each from one distance, coincidence and energy pass.
+    Everything here is array-in / array-out and has no knowledge of the
+    model layer's classes.
 
 ``backend.py``
     The pluggable backend protocol (:class:`QueryBackend`) and the
     concurrency-safe registry/selection machinery.  A backend is any object
-    implementing the five kernel entry points.  The backend matrix:
+    implementing the protocol's six methods, all required.  The backend
+    matrix:
 
     ================  ==========================================================
     ``numpy``         Vectorised kernels of ``kernels.py``; the default.  Best
@@ -56,14 +58,13 @@ Architecture
 ``batch.py``
     The uniform batch query API consumed by the model, point-location,
     analysis and workload layers: :func:`sinr_batch`,
-    :func:`heard_station_batch`, :func:`received_mask`,
-    :func:`strongest_station_batch` and :func:`locate_batch` (which
-    dispatches to a locator's native ``locate_batch`` fast path when
-    present).  Query points may be an ``(m, 2)`` array, a sequence of
-    :class:`Point` or ``(x, y)`` tuples.  Backends may additionally offer a
-    ``received_mask_row`` fast path (one station's reception row without the
-    other ``n - 1`` SINR rows — the hot kernel of zone-boundary probing);
-    :func:`received_mask` uses it when the active backend provides one.
+    :func:`heard_station_batch`, :func:`received_at` (the one reception
+    path) and :func:`received_mask`, :func:`strongest_station_batch`,
+    :func:`nearest_station_batch`, :func:`first_received_batch` and
+    :func:`locate_batch` (which dispatches to a locator's native
+    ``locate_batch`` fast path when present).  Query points may be an
+    ``(m, 2)`` array, a sequence of :class:`Point` or ``(x, y)`` tuples; a
+    non-finite point hears no station (:func:`as_points_array`).
 
     Every batch function tiles the point axis so the ``(n, m)``
     intermediates of one engine call fit a byte budget
@@ -98,8 +99,10 @@ from .batch import (
     as_points_array,
     chunk_byte_budget,
     energy_batch,
+    first_received_batch,
     heard_station_batch,
     locate_batch,
+    nearest_station_batch,
     points_per_chunk,
     received_at,
     received_mask,
@@ -129,10 +132,12 @@ __all__ = [
     "available_backends",
     "chunk_byte_budget",
     "energy_batch",
+    "first_received_batch",
     "get_backend",
     "heard_station_batch",
     "kernels",
     "locate_batch",
+    "nearest_station_batch",
     "points_per_chunk",
     "received_at",
     "received_mask",

@@ -1,7 +1,8 @@
 """Pluggable compute backends for the batched query engine.
 
-A backend turns raw coordinate arrays into SINR quantities.  The backend
-matrix (see also :func:`available_backends`):
+A backend turns raw coordinate arrays into SINR quantities through the six
+methods of :class:`QueryBackend`, all required.  The backend matrix (see
+also :func:`available_backends`):
 
 * ``"numpy"`` — the fully vectorised kernels of :mod:`repro.engine.kernels`
   (the default, and the fast path every consumer uses);
@@ -73,6 +74,8 @@ class QueryBackend(Protocol):
     All methods take station coordinates ``(n, 2)``, powers ``(n,)`` and
     query points ``(m, 2)`` as float arrays and return arrays with the
     coincident-point semantics documented in :mod:`repro.engine.kernels`.
+    ``received_mask_at`` (is station ``indices[j]`` received at
+    ``points[j]``?) is the one reception path of :mod:`repro.engine.batch`.
     """
 
     name: str
@@ -104,6 +107,17 @@ class QueryBackend(Protocol):
         alpha: float,
     ) -> np.ndarray: ...
 
+    def received_mask_at(
+        self,
+        coords: np.ndarray,
+        powers: np.ndarray,
+        points: np.ndarray,
+        indices: np.ndarray,
+        noise: float,
+        beta: float,
+        alpha: float,
+    ) -> np.ndarray: ...
+
     def heard_station(
         self,
         coords: np.ndarray,
@@ -117,16 +131,7 @@ class QueryBackend(Protocol):
 
 
 class NumpyBackend:
-    """The vectorised default backend (thin façade over the kernels).
-
-    Besides the protocol methods it offers ``received_mask_row`` and
-    ``received_mask_at``, *optional* fast paths (not part of
-    :class:`QueryBackend`) that compute one station's (resp. one per-point
-    candidate's) reception indicator without the other ``n - 1`` SINR rows;
-    :func:`repro.engine.batch.received_mask` and
-    :func:`repro.engine.batch.received_at` use them when the active backend
-    provides them and fall back to the full matrix otherwise.
-    """
+    """The vectorised default backend (thin façade over the kernels)."""
 
     name = "numpy"
 
@@ -134,20 +139,6 @@ class NumpyBackend:
         self, coords: np.ndarray, powers: np.ndarray, points: np.ndarray, alpha: float
     ) -> np.ndarray:
         return kernels.energy_matrix(coords, powers, points, alpha)
-
-    def received_mask_row(
-        self,
-        coords: np.ndarray,
-        powers: np.ndarray,
-        points: np.ndarray,
-        index: int,
-        noise: float,
-        beta: float,
-        alpha: float,
-    ) -> np.ndarray:
-        return kernels.received_mask_row(
-            coords, powers, points, index, noise, beta, alpha
-        )
 
     def received_mask_at(
         self,
@@ -257,6 +248,7 @@ class ReferenceBackend:
         out = np.empty((n, m), dtype=float)
         for j in range(m):
             column = energies[:, j]
+            finite_point = math.isfinite(points[j, 0]) and math.isfinite(points[j, 1])
             coincident = self._coincident(coords, points[j, 0], points[j, 1])
             if coincident:
                 out[:, j] = 0.0
@@ -271,9 +263,10 @@ class ReferenceBackend:
                     out[i, j] = 0.0
                 else:
                     denominator = finite_total - column[i] + noise
-                    out[i, j] = (
-                        column[i] / denominator if denominator > 0.0 else math.inf
-                    )
+                    if denominator != 0.0:
+                        out[i, j] = column[i] / denominator
+                    else:
+                        out[i, j] = math.inf if finite_point else math.nan
         return out
 
     def strongest_station(
@@ -316,6 +309,19 @@ class ReferenceBackend:
     ) -> np.ndarray:
         ratio = self.sinr_matrix(coords, powers, points, noise, alpha)
         return self._mask_from_ratio(ratio, coords, points, beta)
+
+    def received_mask_at(
+        self,
+        coords: np.ndarray,
+        powers: np.ndarray,
+        points: np.ndarray,
+        indices: np.ndarray,
+        noise: float,
+        beta: float,
+        alpha: float,
+    ) -> np.ndarray:
+        mask = self.received_mask_matrix(coords, powers, points, noise, beta, alpha)
+        return mask[indices, np.arange(len(points))]
 
     def heard_station(
         self,

@@ -23,13 +23,14 @@ matrix of :func:`sinr_batch`, for example) still scale with the batch.
 
 from __future__ import annotations
 
-import warnings
+import sys
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..env import ENGINE_CHUNK_BYTES, read_knob
+from ..env import ENGINE_CHUNK_BYTES, read_float_knob
 from ..exceptions import EngineError
+from . import kernels
 from .backend import QueryBackend, get_backend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -50,6 +51,8 @@ __all__ = [
     "strongest_station_batch",
     "received_mask",
     "received_at",
+    "first_received_batch",
+    "nearest_station_batch",
     "heard_station_batch",
     "locate_batch",
 ]
@@ -76,23 +79,12 @@ def chunk_byte_budget() -> int:
     """The configured intermediate-matrix byte budget for one engine call.
 
     Reads ``REPRO_ENGINE_CHUNK_BYTES`` on every call (so tests and services
-    can retune it at runtime); non-positive or unparsable values are
-    ignored with a warning in favour of :data:`DEFAULT_CHUNK_BYTES`.
+    can retune it at runtime) through :func:`repro.env.read_float_knob`:
+    non-positive or unparsable values are ignored with a warning in favour
+    of :data:`DEFAULT_CHUNK_BYTES`; a fractional value is truncated.
     """
-    raw = read_knob(ENGINE_CHUNK_BYTES)
-    if raw.strip():
-        try:
-            configured = int(raw)
-        except ValueError:
-            configured = 0
-        if configured > 0:
-            return configured
-        warnings.warn(
-            f"ignoring invalid REPRO_ENGINE_CHUNK_BYTES={raw!r} "
-            f"(expected a positive integer); using {DEFAULT_CHUNK_BYTES}",
-            stacklevel=2,
-        )
-    return DEFAULT_CHUNK_BYTES
+    budget = read_float_knob(ENGINE_CHUNK_BYTES, DEFAULT_CHUNK_BYTES)
+    return int(min(budget, sys.maxsize))
 
 
 def points_per_chunk(n_stations: int) -> int:
@@ -152,6 +144,33 @@ def _float32_kwargs(engine: QueryBackend, network: "WirelessNetwork") -> dict:
     return {}
 
 
+def _over_points(
+    network: "WirelessNetwork",
+    pts: np.ndarray,
+    backend: "str | QueryBackend | None",
+    query: str,
+    *args: object,
+    columns: bool = False,
+    per_point: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Chunked ``query(coords, powers, chunk, *args)`` on the backend.
+
+    ``pts`` comes from :func:`as_points_array`; ``per_point``, when given,
+    is co-sliced with it and passed right after the chunk (the candidate
+    indices of :func:`received_at`).
+    """
+    engine = get_backend(backend)
+    method = getattr(engine, query)
+    kwargs = _float32_kwargs(engine, network)
+    coords, powers = network.coords, network.powers_array()
+
+    def call(chunk: np.ndarray, sl: slice) -> np.ndarray:
+        head = () if per_point is None else (per_point[sl],)
+        return method(coords, powers, chunk, *head, *args, **kwargs)
+
+    return _chunked(call, pts, len(coords), columns)
+
+
 def as_points_array(points: PointsLike) -> np.ndarray:
     """Coerce query points into a float array of shape ``(m, 2)``.
 
@@ -159,6 +178,12 @@ def as_points_array(points: PointsLike) -> np.ndarray:
     a single ``Point`` / 2-tuple (promoted to shape ``(1, 2)``), or any
     sequence of points / 2-sequences.  An empty sequence, ``np.array([])``
     (shape ``(0,)``) or an ``(0, 2)`` array yields ``(0, 2)``.
+
+    Non-finite coordinates are accepted, and such a point hears no station:
+    every batch entry and locator answers ``NO_RECEPTION`` (-1) for it and
+    its reception mask is False.  Its SINR is NaN (a NaN coordinate, or an
+    infinitely far point without noise) or ``0``, never ``+inf``: the
+    kernels keep ``+inf`` for a zero denominator at a finite point only.
     """
     if isinstance(points, np.ndarray):
         array = np.asarray(points, dtype=float)
@@ -243,16 +268,9 @@ def energy_batch(
     backend: "str | QueryBackend | None" = None,
 ) -> np.ndarray:
     """Received-energy matrix of shape ``(n_stations, m)`` (``inf`` at stations)."""
-    engine = get_backend(backend)
-    pts = as_points_array(points)
-    kwargs = _float32_kwargs(engine, network)
-    return _chunked(
-        lambda chunk, sl: engine.energy_matrix(
-            network.coords, network.powers_array(), chunk, network.alpha, **kwargs
-        ),
-        pts,
-        len(network.coords),
-        columns=True,
+    return _over_points(
+        network, as_points_array(points), backend, "energy_matrix",
+        network.alpha, columns=True,
     )
 
 
@@ -269,21 +287,9 @@ def sinr_batch(
     agree with the scalar :meth:`WirelessNetwork.sinr`; the coincident-point
     convention is documented in :mod:`repro.engine.kernels`.
     """
-    engine = get_backend(backend)
-    pts = as_points_array(points)
-    kwargs = _float32_kwargs(engine, network)
-    matrix = _chunked(
-        lambda chunk, sl: engine.sinr_matrix(
-            network.coords,
-            network.powers_array(),
-            chunk,
-            network.noise,
-            network.alpha,
-            **kwargs,
-        ),
-        pts,
-        len(network.coords),
-        columns=True,
+    matrix = _over_points(
+        network, as_points_array(points), backend, "sinr_matrix",
+        network.noise, network.alpha, columns=True,
     )
     if target_index is None:
         return matrix
@@ -296,16 +302,9 @@ def strongest_station_batch(
     backend: "str | QueryBackend | None" = None,
 ) -> np.ndarray:
     """Index of the strongest (Voronoi, under uniform power) station per point."""
-    engine = get_backend(backend)
-    pts = as_points_array(points)
-    kwargs = _float32_kwargs(engine, network)
-    return _chunked(
-        lambda chunk, sl: engine.strongest_station(
-            network.coords, network.powers_array(), chunk, network.alpha, **kwargs
-        ),
-        pts,
-        len(network.coords),
-        columns=False,
+    return _over_points(
+        network, as_points_array(points), backend, "strongest_station",
+        network.alpha,
     )
 
 
@@ -317,46 +316,12 @@ def received_mask(
 ) -> np.ndarray:
     """Boolean array: is station ``index`` received at each point?
 
-    Agrees pointwise with :meth:`WirelessNetwork.is_received`.  Backends may
-    offer a row-only fast path (``received_mask_row``) that skips the other
-    ``n - 1`` SINR rows; without one, the full mask matrix is computed and
-    the row extracted.
+    Agrees pointwise with :meth:`WirelessNetwork.is_received`; it is
+    :func:`received_at` asking about the same station at every point.
     """
-    engine = get_backend(backend)
     pts = as_points_array(points)
-    kwargs = _float32_kwargs(engine, network)
-    n = len(network.coords)
-    row_kernel = getattr(engine, "received_mask_row", None)
-    if row_kernel is not None:
-        return _chunked(
-            lambda chunk, sl: row_kernel(
-                network.coords,
-                network.powers_array(),
-                chunk,
-                index,
-                network.noise,
-                network.beta,
-                network.alpha,
-                **kwargs,
-            ),
-            pts,
-            n,
-            columns=False,
-        )
-    return _chunked(
-        lambda chunk, sl: engine.received_mask_matrix(
-            network.coords,
-            network.powers_array(),
-            chunk,
-            network.noise,
-            network.beta,
-            network.alpha,
-            **kwargs,
-        )[index],
-        pts,
-        n,
-        columns=False,
-    )
+    indices = np.full(len(pts), index, dtype=np.intp)
+    return received_at(network, indices, pts, backend=backend)
 
 
 def received_at(
@@ -372,12 +337,9 @@ def received_at(
     :meth:`WirelessNetwork.is_received` (coincident-point rules included).
     This is the one verification idiom shared by every locator fast path —
     Voronoi candidates, the Theorem 3 uncertain-band fallback, and the
-    sharded locator's full-network candidate check all gather the same mask.
-    Backends may offer a gathered fast path (``received_mask_at``) that
-    skips the other ``n - 1`` SINR rows; without one, the full mask matrix
-    is computed and gathered.
+    sharded locator's full-network candidate check — and the one reception
+    path into the backends (``received_mask_at``).
     """
-    engine = get_backend(backend)
     pts = as_points_array(points)
     indices = np.asarray(station_indices, dtype=np.intp)
     if indices.shape != (len(pts),):
@@ -385,39 +347,55 @@ def received_at(
             f"expected one station index per point ({len(pts)}), "
             f"got shape {indices.shape}"
         )
-    kwargs = _float32_kwargs(engine, network)
-    n = len(network.coords)
-    gather_kernel = getattr(engine, "received_mask_at", None)
-    if gather_kernel is not None:
-        return _chunked(
-            lambda chunk, sl: gather_kernel(
-                network.coords,
-                network.powers_array(),
-                chunk,
-                indices[sl],
-                network.noise,
-                network.beta,
-                network.alpha,
-                **kwargs,
-            ),
-            pts,
-            n,
-            columns=False,
-        )
+    return _over_points(
+        network, pts, backend, "received_mask_at",
+        network.noise, network.beta, network.alpha, per_point=indices,
+    )
 
-    def _gathered(chunk, sl):
+
+def first_received_batch(
+    network: "WirelessNetwork",
+    points: PointsLike,
+    backend: "str | QueryBackend | None" = None,
+) -> np.ndarray:
+    """Lowest index of a station received at each point, ``NO_RECEPTION`` where none.
+
+    The brute-force locator's answer: :func:`heard_station_batch` except
+    for ``beta < 1``, where several stations can be received and this keeps
+    the lowest index rather than the highest SINR.
+    """
+    engine = get_backend(backend)
+    kwargs = _float32_kwargs(engine, network)
+    coords, powers = network.coords, network.powers_array()
+
+    def first(chunk: np.ndarray, sl: slice) -> np.ndarray:
         mask = engine.received_mask_matrix(
-            network.coords,
-            network.powers_array(),
-            chunk,
-            network.noise,
-            network.beta,
-            network.alpha,
+            coords, powers, chunk, network.noise, network.beta, network.alpha,
             **kwargs,
         )
-        return mask[indices[sl], np.arange(len(chunk))]
+        return np.where(mask.any(axis=0), np.argmax(mask, axis=0), NO_RECEPTION)
 
-    return _chunked(_gathered, pts, n, columns=False)
+    return _chunked(first, as_points_array(points), len(coords), columns=False)
+
+
+def nearest_station_batch(
+    network: "WirelessNetwork", points: PointsLike
+) -> np.ndarray:
+    """Index of the nearest station per point (lowest index on exact ties).
+
+    The Voronoi candidate of Observation 2.2 that the ``voronoi`` and
+    ``theorem3`` locators verify with :func:`received_at`; a float64
+    distance argmin on any backend.
+    """
+    coords = network.coords
+    return _chunked(
+        lambda chunk, sl: np.argmin(
+            kernels.pairwise_squared_distances(coords, chunk), axis=0
+        ),
+        as_points_array(points),
+        len(coords),
+        columns=False,
+    )
 
 
 def heard_station_batch(
@@ -430,23 +408,9 @@ def heard_station_batch(
     Agrees pointwise with :meth:`SINRDiagram.station_heard_at` (including the
     highest-SINR tie-break used in the ``beta < 1`` regime).
     """
-    engine = get_backend(backend)
-    pts = as_points_array(points)
-    kwargs = _float32_kwargs(engine, network)
-    return _chunked(
-        lambda chunk, sl: engine.heard_station(
-            network.coords,
-            network.powers_array(),
-            chunk,
-            network.noise,
-            network.beta,
-            network.alpha,
-            NO_RECEPTION,
-            **kwargs,
-        ),
-        pts,
-        len(network.coords),
-        columns=False,
+    return _over_points(
+        network, as_points_array(points), backend, "heard_station",
+        network.noise, network.beta, network.alpha, NO_RECEPTION,
     )
 
 

@@ -4,9 +4,10 @@ Every kernel operates on raw arrays — station coordinates of shape
 ``(n_stations, 2)``, powers of shape ``(n_stations,)`` and query points of
 shape ``(n_points, 2)`` — and returns arrays, never scalars or
 :class:`~repro.geometry.point.Point` objects.  The kernels are the single
-source of truth for bulk SINR arithmetic: the model layer's raster builder,
-the batch query API of :mod:`repro.engine.batch` and the locators'
-``locate_batch`` fast paths all delegate here.
+source of truth for bulk SINR arithmetic, reached through the chunked
+batch query API of :mod:`repro.engine.batch` (reprolint RL005 keeps every
+other layer out).  Each kernel call makes one distance, coincidence and
+energy pass (:func:`_masked_energies`).
 
 Edge-case semantics (matching the scalar model layer exactly):
 
@@ -23,7 +24,11 @@ Edge-case semantics (matching the scalar model layer exactly):
 * the reception mask follows
   :meth:`repro.model.network.WirelessNetwork.is_received`: a point occupied
   by stations is received exactly by the co-located stations (each hears its
-  own location by definition) and by nobody else.
+  own location by definition) and by nobody else;
+* only a zero denominator at a finite point gives SINR ``+inf``: a NaN
+  coordinate keeps every energy and SINR NaN, and an infinitely far point
+  has SINR ``0`` (``0/0 = NaN`` without noise), so no station is received at
+  a non-finite point.
 """
 
 from __future__ import annotations
@@ -34,12 +39,10 @@ __all__ = [
     "pairwise_squared_distances",
     "coincidence_matrix",
     "energy_matrix",
-    "interference_matrix",
     "sinr_matrix",
     "strongest_station",
     "received_mask_matrix",
     "received_mask_at",
-    "received_mask_row",
     "heard_station",
 ]
 
@@ -73,17 +76,14 @@ def coincidence_matrix(
     return same_x & same_y
 
 
-def energy_matrix(
+def _masked_energies(
     station_coordinates: np.ndarray,
     powers: np.ndarray,
     points: np.ndarray,
-    alpha: float = 2.0,
-) -> np.ndarray:
-    """Received energies ``psi_i * dist(s_i, p_j)^(-alpha)``, shape ``(n, m)``.
-
-    Entries where a point coincides with a station are ``+inf``; distances
-    small enough for the power law to overflow saturate to ``+inf`` as well.
-    """
+    alpha: float,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The energy matrix and the coincidence matrix it used: the one
+    distance, coincidence and energy pass of every kernel call."""
     squared = pairwise_squared_distances(station_coordinates, points)
     with np.errstate(divide="ignore", over="ignore"):
         if alpha == 2.0:
@@ -95,46 +95,35 @@ def energy_matrix(
             energies = powers[:, None] * np.power(squared, -alpha / 2.0)
     # Division / np.power already yield inf at squared == 0, but make the
     # coincident case explicit so nothing can scale or NaN it away.
-    return np.where(
-        coincidence_matrix(station_coordinates, points), np.inf, energies
-    )
+    at_station = coincidence_matrix(station_coordinates, points)
+    return np.where(at_station, np.inf, energies), at_station
 
 
-def interference_matrix(
+def energy_matrix(
     station_coordinates: np.ndarray,
     powers: np.ndarray,
     points: np.ndarray,
     alpha: float = 2.0,
 ) -> np.ndarray:
-    """Interference to every station at every point, shape ``(n, m)``.
+    """Received energies ``psi_i * dist(s_i, p_j)^(-alpha)``, shape ``(n, m)``.
 
-    Row ``i`` holds the total energy of all stations except ``s_i``; it is
-    ``+inf`` wherever some *other* station has infinite energy.
+    Entries where a point coincides with a station are ``+inf``; distances
+    small enough for the power law to overflow saturate to ``+inf`` as well.
     """
-    energies = energy_matrix(station_coordinates, powers, points, alpha)
-    inf_here = np.isinf(energies)
-    finite = np.where(inf_here, 0.0, energies)
-    interference = finite.sum(axis=0)[None, :] - finite
-    other_inf = (inf_here.sum(axis=0)[None, :] - inf_here.astype(int)) > 0
-    return np.where(other_inf, np.inf, interference)
+    return _masked_energies(station_coordinates, powers, points, alpha)[0]
 
 
-def sinr_matrix(
+def _sinr(
     station_coordinates: np.ndarray,
     powers: np.ndarray,
     points: np.ndarray,
     noise: float,
-    alpha: float = 2.0,
-) -> np.ndarray:
-    """The full SINR matrix, shape ``(n_stations, n_points)``.
-
-    Entry ``(i, j)`` is ``SINR(s_i, p_j)``.  At a point exactly occupied by a
-    station the column is ``+inf`` for the first co-located station and
-    ``0.0`` elsewhere (see the module docstring); everywhere else the values
-    agree with the scalar :func:`repro.model.sinr.sinr_ratio`.
-    """
-    energies = energy_matrix(station_coordinates, powers, points, alpha)
-    at_station = coincidence_matrix(station_coordinates, points)
+    alpha: float,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The SINR matrix together with the coincidence matrix it used."""
+    energies, at_station = _masked_energies(
+        station_coordinates, powers, points, alpha
+    )
     coincident_columns = at_station.any(axis=0)
 
     inf_energy = np.isinf(energies)
@@ -142,7 +131,8 @@ def sinr_matrix(
     total = finite.sum(axis=0)[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         denominator = total - finite + noise
-        ratio = np.where(denominator > 0.0, finite / denominator, np.inf)
+        infinite = (denominator == 0.0) & np.isfinite(points).all(axis=1)
+        ratio = np.where(infinite, np.inf, finite / denominator)
 
     # Overflow-close stations: infinite signal dominates any interference.
     ratio = np.where(inf_energy, np.inf, ratio)
@@ -159,7 +149,24 @@ def sinr_matrix(
         ) & coincident_columns[None, :]
         ratio = np.where(owner_mask, np.inf, ratio)
         ratio = np.where(coincident_columns[None, :] & ~owner_mask, 0.0, ratio)
-    return ratio
+    return ratio, at_station
+
+
+def sinr_matrix(
+    station_coordinates: np.ndarray,
+    powers: np.ndarray,
+    points: np.ndarray,
+    noise: float,
+    alpha: float = 2.0,
+) -> np.ndarray:
+    """The full SINR matrix, shape ``(n_stations, n_points)``.
+
+    Entry ``(i, j)`` is ``SINR(s_i, p_j)``.  At a point exactly occupied by a
+    station the column is ``+inf`` for the first co-located station and
+    ``0.0`` elsewhere (see the module docstring); everywhere else the values
+    agree with the scalar :func:`repro.model.sinr.sinr_ratio`.
+    """
+    return _sinr(station_coordinates, powers, points, noise, alpha)[0]
 
 
 def strongest_station(
@@ -192,10 +199,8 @@ def received_mask_matrix(
     received, a point occupied by (only) other stations is not, and
     elsewhere ``SINR >= beta`` decides.
     """
-    ratio = sinr_matrix(station_coordinates, powers, points, noise, alpha)
-    return _mask_from_ratio(
-        ratio, coincidence_matrix(station_coordinates, points), beta
-    )
+    ratio, at_station = _sinr(station_coordinates, powers, points, noise, alpha)
+    return _mask_from_ratio(ratio, at_station, beta)
 
 
 def received_mask_at(
@@ -212,12 +217,13 @@ def received_mask_at(
     Entry ``j`` equals ``received_mask_matrix(...)[indices[j], j]``, but
     computed without materialising the other ``n - 1`` SINR rows: the energy
     matrix (needed for the interference total) is the only ``(n, m)`` pass.
-    This is the verification kernel of the locator fast paths, where each
-    point has exactly one candidate station to check.
+    This is the verification kernel of every locator, where each point has
+    exactly one candidate station to check; a constant ``indices`` array
+    asks about one station everywhere.
     """
-    energies = energy_matrix(station_coordinates, powers, points, alpha)
-    at_station = coincidence_matrix(station_coordinates, points)
-    coincident_columns = at_station.any(axis=0)
+    energies, at_station = _masked_energies(
+        station_coordinates, powers, points, alpha
+    )
     columns = np.arange(len(points))
 
     inf_energy = np.isinf(energies)
@@ -226,7 +232,8 @@ def received_mask_at(
     row_finite = finite[indices, columns]
     with np.errstate(divide="ignore", invalid="ignore"):
         denominator = total - row_finite + noise
-        ratio = np.where(denominator > 0.0, row_finite / denominator, np.inf)
+        infinite = (denominator == 0.0) & np.isfinite(points).all(axis=1)
+        ratio = np.where(infinite, np.inf, row_finite / denominator)
     row_inf = inf_energy[indices, columns]
     ratio = np.where(row_inf, np.inf, ratio)
     other_inf = (inf_energy.sum(axis=0) - row_inf.astype(int)) > 0
@@ -235,29 +242,7 @@ def received_mask_at(
     mask = ratio >= beta
     # A point occupied by stations is received exactly by the co-located
     # stations (the scalar is_received rule), co-located or not this one.
-    return np.where(coincident_columns, at_station[indices, columns], mask)
-
-
-def received_mask_row(
-    station_coordinates: np.ndarray,
-    powers: np.ndarray,
-    points: np.ndarray,
-    index: int,
-    noise: float,
-    beta: float,
-    alpha: float = 2.0,
-) -> np.ndarray:
-    """Reception indicators of one station at every point, shape ``(m,)``.
-
-    Exactly row ``index`` of :func:`received_mask_matrix` — the constant-
-    index special case of :func:`received_mask_at`, and the hot kernel of
-    boundary probing, where thousands of points are tested against a single
-    zone per bisection step.
-    """
-    indices = np.full(len(points), index, dtype=np.intp)
-    return received_mask_at(
-        station_coordinates, powers, points, indices, noise, beta, alpha
-    )
+    return np.where(at_station.any(axis=0), at_station[indices, columns], mask)
 
 
 def _mask_from_ratio(
@@ -289,10 +274,8 @@ def heard_station(
     may, and the one with the highest SINR wins (first index on ties), exactly
     like :meth:`repro.model.diagram.SINRDiagram.station_heard_at`.
     """
-    ratio = sinr_matrix(station_coordinates, powers, points, noise, alpha)
-    mask = _mask_from_ratio(
-        ratio, coincidence_matrix(station_coordinates, points), beta
-    )
+    ratio, at_station = _sinr(station_coordinates, powers, points, noise, alpha)
+    mask = _mask_from_ratio(ratio, at_station, beta)
     any_received = mask.any(axis=0)
     best = np.argmax(np.where(mask, ratio, -np.inf), axis=0)
     return np.where(any_received, best, no_reception)

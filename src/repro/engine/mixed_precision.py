@@ -35,21 +35,19 @@ delegate wholly to the exact inner backend.
 
 The inner backend is late-bound exactly like the registry's name-based
 selections: a name is re-resolved on **every** call, so ``register_backend``
-overwrites take effect on the verify path immediately, and ``inner=None``
-follows the caller's :func:`~repro.engine.backend.use_backend` context.
+overwrites take effect on the verify path immediately.
 
-The screen itself is evaluated in cache-friendly float32 chunks under the
-same ``REPRO_ENGINE_CHUNK_BYTES`` budget as :mod:`repro.engine.batch`.
+All four decision queries run one screen-then-verify loop
+(:meth:`Float32ScreenBackend._decide`) over cache-friendly float32 chunks
+under the same ``REPRO_ENGINE_CHUNK_BYTES`` budget as :mod:`repro.engine.batch`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..exceptions import ReproError
-from .backend import QueryBackend, active_backend, get_backend, register_backend
+from .backend import QueryBackend, get_backend, register_backend
 from .batch import chunk_byte_budget
 
 __all__ = [
@@ -155,13 +153,16 @@ def _screen_strongest(coords32, powers32, pts32, alpha, tol32):
     return idx, uncertain, sq_min
 
 
-def _screen_sinr(coords32, powers32, pts32, noise, alpha):
-    """Float32 SINR ratios ``(n, c)`` plus per-point inf/underflow flags.
+def _screen_sinr(coords32, powers32, pts32, noise, beta32, tol32, alpha):
+    """One reception screen chunk: ``(ratio, mask, uncertain, sq_min)``.
 
-    Columns containing any infinite energy — coincident or overflow-close
-    stations — and columns whose total signal underflows are flagged; the
-    caller must route flagged columns to the exact path, so the simplified
-    arithmetic here (no coincidence/overflow overrides) is safe.
+    ``ratio`` and ``mask`` are the float32 SINR ``(n, c)`` and its
+    ``>= beta`` test.  A column is uncertain when some entry is
+    margin-close to ``beta``, when it contains any infinite energy —
+    coincident or overflow-close stations — or when its total signal
+    underflows; the caller routes uncertain columns to the exact path, so
+    the simplified arithmetic here (no coincidence/overflow overrides) is
+    safe.
     """
     energies, sq_min = _screen_energies(coords32, powers32, pts32, alpha)
     inf_energy = ~np.isfinite(energies)
@@ -173,31 +174,22 @@ def _screen_sinr(coords32, powers32, pts32, noise, alpha):
     ratio = np.where(
         denominator > 0, finite / denominator, np.float32(np.inf)
     )
-    return ratio, flagged, sq_min
-
-
-def _screen_mask(coords32, powers32, pts32, noise, beta32, tol32, alpha):
-    """One reception-mask screen chunk: ``(mask (n, c), uncertain, sq_min)``."""
-    ratio, flagged, sq_min = _screen_sinr(
-        coords32, powers32, pts32, noise, alpha
-    )
-    mask = ratio >= beta32
     near = np.abs(ratio - beta32) <= tol32 * (ratio + beta32)
-    return mask, near.any(axis=0) | flagged, sq_min
+    return ratio, ratio >= beta32, near.any(axis=0) | flagged, sq_min
 
 
-def _screen_heard(coords32, powers32, pts32, noise, beta32, tol32, alpha):
-    """One heard-station screen chunk: ``(best, any_received, uncertain, sq_min)``.
+def _screen_heard(
+    coords32, powers32, pts32, noise, beta32, tol32, alpha, no_reception
+):
+    """One heard-station screen chunk: ``(labels, uncertain, sq_min)``.
 
-    Uncertain when any entry is margin-close to ``beta`` (the mask could
-    differ), when the masked top-1/top-2 separation fails (the ``beta < 1``
-    tie-break could differ), or on any inf/underflow flag.
+    Uncertain when :func:`_screen_sinr` says so (the mask could differ) or
+    when the masked top-1/top-2 separation fails (the ``beta < 1``
+    tie-break could differ).
     """
-    ratio, flagged, sq_min = _screen_sinr(
-        coords32, powers32, pts32, noise, alpha
+    ratio, mask, uncertain, sq_min = _screen_sinr(
+        coords32, powers32, pts32, noise, beta32, tol32, alpha
     )
-    mask = ratio >= beta32
-    near = np.abs(ratio - beta32) <= tol32 * (ratio + beta32)
     masked = np.where(mask, ratio, np.float32(-np.inf))
     best = np.argmax(masked, axis=0)
     cols = np.arange(pts32.shape[0])
@@ -206,12 +198,10 @@ def _screen_heard(coords32, powers32, pts32, noise, beta32, tol32, alpha):
     masked[best, cols] = -np.inf
     top2 = masked.max(axis=0)
     contested = top2 > -np.inf
-    uncertain = (
-        near.any(axis=0)
-        | flagged
-        | (contested & ~((top1 - top2) > tol32 * (top1 + top2)))
+    uncertain = uncertain | (
+        contested & ~((top1 - top2) > tol32 * (top1 + top2))
     )
-    return best, any_received, uncertain, sq_min
+    return np.where(any_received, best, no_reception), uncertain, sq_min
 
 
 def _screen_row(
@@ -235,19 +225,15 @@ def _screen_row(
 class Float32ScreenBackend:
     """Exact decision backend with a float32 fast path (``"float32-screen"``).
 
-    Implements the full :class:`~repro.engine.backend.QueryBackend` protocol
-    plus the optional ``received_mask_row`` / ``received_mask_at`` fast
-    paths.  Decision queries run the float32 screen and re-route
-    margin-close points through the exact inner backend; value queries
-    delegate wholly to it.  See the module docstring for the margin scheme.
+    Implements the :class:`~repro.engine.backend.QueryBackend` protocol.
+    Decision queries run the float32 screen and re-route margin-close points
+    through the exact inner backend; value queries delegate wholly to it.
+    See the module docstring for the margin scheme.
 
     Args:
         inner: the exact backend used for verification and value queries —
             a registered name (re-resolved on every call, so later
-            ``register_backend`` overwrites apply), a backend object, or
-            ``None`` to follow the caller's active-backend context (falling
-            back to ``"numpy"`` when that context selects a screen backend,
-            which would otherwise verify through itself).
+            ``register_backend`` overwrites apply) or a backend object.
         decision_margin: relative margin below which a float32 decision is
             re-verified.  Widening it is always safe (more verification);
             the effective tolerance never drops below an error-bound floor,
@@ -255,9 +241,6 @@ class Float32ScreenBackend:
         geometry_margin: station-proximity guard relative to the coordinate
             scale; points closer than this to some station are always
             verified exactly.
-        chunk_bytes: byte budget for the screen's float32 intermediates;
-            defaults to the shared :func:`~repro.engine.batch.
-            chunk_byte_budget` (``REPRO_ENGINE_CHUNK_BYTES``).
     """
 
     name = "float32-screen"
@@ -268,12 +251,13 @@ class Float32ScreenBackend:
 
     def __init__(
         self,
-        inner: "str | QueryBackend | None" = "numpy",
+        inner: "str | QueryBackend" = "numpy",
         *,
         decision_margin: float = DEFAULT_DECISION_MARGIN,
         geometry_margin: float = DEFAULT_GEOMETRY_MARGIN,
-        chunk_bytes: Optional[int] = None,
     ) -> None:
+        if inner is None:
+            raise ReproError("inner must name or be an exact backend")
         if decision_margin <= 0.0:
             raise ReproError("decision_margin must be positive")
         if geometry_margin <= 0.0:
@@ -281,22 +265,11 @@ class Float32ScreenBackend:
         self._inner_selection = inner
         self.decision_margin = float(decision_margin)
         self.geometry_margin = float(geometry_margin)
-        self._chunk_bytes = chunk_bytes
         self.stats = ScreenStats()
-
-    # -- inner backend (late-bound) ------------------------------------
 
     def _inner(self) -> QueryBackend:
         """Resolve the exact inner backend *now* (late binding, every call)."""
-        selection = self._inner_selection
-        if selection is None:
-            resolved = active_backend()
-            if isinstance(resolved, Float32ScreenBackend):
-                # The active selection is a screen (typically this very
-                # backend): verifying through it would recurse, not verify.
-                return get_backend("numpy")
-            return resolved
-        return get_backend(selection)
+        return get_backend(self._inner_selection)
 
     # -- value queries: no decision to screen, delegate exactly --------
 
@@ -310,20 +283,7 @@ class Float32ScreenBackend:
     ):
         return self._inner().sinr_matrix(coords, powers, points, noise, alpha)
 
-    # -- screen plumbing ----------------------------------------------
-
-    def _screen_arrays(self, coords, powers, pts, coords32, powers32):
-        if coords32 is None:
-            coords32 = np.ascontiguousarray(coords, dtype=np.float32)
-        if powers32 is None:
-            powers32 = np.ascontiguousarray(powers, dtype=np.float32)
-        return coords32, powers32, np.ascontiguousarray(pts, dtype=np.float32)
-
-    def _chunk_step(self, n_stations: int) -> int:
-        budget = (
-            self._chunk_bytes if self._chunk_bytes else chunk_byte_budget()
-        )
-        return max(1, budget // (max(1, n_stations) * 4 * _SCREEN_TEMPS))
+    # -- the screen-then-verify loop ------------------------------------
 
     def _tolerance(self, n_stations: int, beta: float, alpha: float) -> np.float32:
         """Effective relative tolerance: the margin, floored by error bounds.
@@ -359,172 +319,119 @@ class Float32ScreenBackend:
             and 1e-30 < beta < limit
         )
 
-    def _note(self, screened: int, verified: int) -> None:
-        self.stats.screened += int(screened)
-        self.stats.verified += int(verified)
+    def _decide(
+        self, coords, powers, points, coords32, powers32, beta, alpha,
+        out, screen, exact,
+    ):
+        """Screen every point in float32, then verify the uncertain ones.
+
+        ``out`` is the empty answer array, with points on its last axis.
+        ``screen(c32, p32, pts32, sl, tol32)`` answers the point chunk
+        ``sl`` and returns ``(answers, uncertain, sq_min)``; ``exact(pts,
+        selector)`` answers ``pts[selector]`` through the inner backend.
+        """
+        pts = np.asarray(points, dtype=float)
+        m = len(pts)
+        if coords32 is None:
+            coords32 = np.ascontiguousarray(coords, dtype=np.float32)
+        if powers32 is None:
+            powers32 = np.ascontiguousarray(powers, dtype=np.float32)
+        pts32 = np.ascontiguousarray(pts, dtype=np.float32)
+        tol32 = self._tolerance(len(coords), beta, alpha)
+        uncertain = np.empty(m, dtype=bool)
+        per_point = max(1, len(coords)) * 4 * _SCREEN_TEMPS
+        step = max(1, chunk_byte_budget() // per_point)
+        for start in range(0, m, step):
+            sl = slice(start, min(start + step, m))
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                answers, unc, sq_min = screen(
+                    coords32, powers32, pts32[sl], sl, tol32
+                )
+            out[..., sl] = answers
+            uncertain[sl] = unc | self._geometry_flags(coords, pts[sl], sq_min)
+        verified = int(np.count_nonzero(uncertain))
+        if verified:
+            out[..., uncertain] = exact(pts, uncertain)
+        self.stats.screened += m
+        self.stats.verified += verified
+        return out
 
     # -- screened decision queries -------------------------------------
 
     def strongest_station(
         self, coords, powers, points, alpha, coords32=None, powers32=None
     ):
-        pts = np.asarray(points, dtype=float)
-        m = len(pts)
-        if m == 0:
-            return np.empty(0, dtype=np.intp)
-        c32, p32, pts32 = self._screen_arrays(
-            coords, powers, pts, coords32, powers32
+        return self._decide(
+            coords, powers, points, coords32, powers32, 1.0, alpha,
+            np.empty(len(points), dtype=np.intp),
+            lambda c32, p32, chunk, sl, tol32: _screen_strongest(
+                c32, p32, chunk, alpha, tol32
+            ),
+            lambda pts, sel: self._inner().strongest_station(
+                coords, powers, pts[sel], alpha
+            ),
         )
-        tol32 = self._tolerance(len(coords), 1.0, alpha)
-        out = np.empty(m, dtype=np.intp)
-        uncertain = np.empty(m, dtype=bool)
-        step = self._chunk_step(len(coords))
-        for start in range(0, m, step):
-            sl = slice(start, min(start + step, m))
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                idx, unc, sq_min = _screen_strongest(
-                    c32, p32, pts32[sl], alpha, tol32
-                )
-            out[sl] = idx
-            uncertain[sl] = unc | self._geometry_flags(coords, pts[sl], sq_min)
-        verified = int(np.count_nonzero(uncertain))
-        if verified:
-            out[uncertain] = self._inner().strongest_station(
-                coords, powers, pts[uncertain], alpha
-            )
-        self._note(m, verified)
-        return out
 
     def received_mask_matrix(
         self, coords, powers, points, noise, beta, alpha,
         coords32=None, powers32=None,
     ):
-        pts = np.asarray(points, dtype=float)
-        n, m = len(coords), len(pts)
-        if m == 0:
-            return np.empty((n, 0), dtype=bool)
         if not self._screenable(noise, beta, alpha):
             return self._inner().received_mask_matrix(
-                coords, powers, pts, noise, beta, alpha
+                coords, powers, points, noise, beta, alpha
             )
-        c32, p32, pts32 = self._screen_arrays(
-            coords, powers, pts, coords32, powers32
-        )
         beta32 = np.float32(beta)
-        tol32 = self._tolerance(n, beta, alpha)
-        out = np.empty((n, m), dtype=bool)
-        uncertain = np.empty(m, dtype=bool)
-        step = self._chunk_step(n)
-        for start in range(0, m, step):
-            sl = slice(start, min(start + step, m))
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                mask, unc, sq_min = _screen_mask(
-                    c32, p32, pts32[sl], noise, beta32, tol32, alpha
-                )
-            out[:, sl] = mask
-            uncertain[sl] = unc | self._geometry_flags(coords, pts[sl], sq_min)
-        verified = int(np.count_nonzero(uncertain))
-        if verified:
-            out[:, uncertain] = self._inner().received_mask_matrix(
-                coords, powers, pts[uncertain], noise, beta, alpha
-            )
-        self._note(m, verified)
-        return out
-
-    def heard_station(
-        self, coords, powers, points, noise, beta, alpha, no_reception,
-        coords32=None, powers32=None,
-    ):
-        pts = np.asarray(points, dtype=float)
-        m = len(pts)
-        if m == 0:
-            return np.empty(0, dtype=np.intp)
-        if not self._screenable(noise, beta, alpha):
-            return self._inner().heard_station(
-                coords, powers, pts, noise, beta, alpha, no_reception
-            )
-        c32, p32, pts32 = self._screen_arrays(
-            coords, powers, pts, coords32, powers32
+        return self._decide(
+            coords, powers, points, coords32, powers32, beta, alpha,
+            np.empty((len(coords), len(points)), dtype=bool),
+            lambda c32, p32, chunk, sl, tol32: _screen_sinr(
+                c32, p32, chunk, noise, beta32, tol32, alpha
+            )[1:],
+            lambda pts, sel: self._inner().received_mask_matrix(
+                coords, powers, pts[sel], noise, beta, alpha
+            ),
         )
-        beta32 = np.float32(beta)
-        tol32 = self._tolerance(len(coords), beta, alpha)
-        out = np.empty(m, dtype=np.intp)
-        uncertain = np.empty(m, dtype=bool)
-        step = self._chunk_step(len(coords))
-        for start in range(0, m, step):
-            sl = slice(start, min(start + step, m))
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                best, any_received, unc, sq_min = _screen_heard(
-                    c32, p32, pts32[sl], noise, beta32, tol32, alpha
-                )
-            out[sl] = np.where(any_received, best, no_reception)
-            uncertain[sl] = unc | self._geometry_flags(coords, pts[sl], sq_min)
-        verified = int(np.count_nonzero(uncertain))
-        if verified:
-            out[uncertain] = self._inner().heard_station(
-                coords, powers, pts[uncertain], noise, beta, alpha, no_reception
-            )
-        self._note(m, verified)
-        return out
-
-    # -- optional gathered fast paths ----------------------------------
 
     def received_mask_at(
         self, coords, powers, points, indices, noise, beta, alpha,
         coords32=None, powers32=None,
     ):
-        pts = np.asarray(points, dtype=float)
         indices = np.asarray(indices, dtype=np.intp)
-        m = len(pts)
-        if m == 0:
-            return np.empty(0, dtype=bool)
         if not self._screenable(noise, beta, alpha):
-            return self._verify_mask_at(coords, powers, pts, indices, noise, beta, alpha)
-        c32, p32, pts32 = self._screen_arrays(
-            coords, powers, pts, coords32, powers32
-        )
-        beta32 = np.float32(beta)
-        tol32 = self._tolerance(len(coords), beta, alpha)
-        out = np.empty(m, dtype=bool)
-        uncertain = np.empty(m, dtype=bool)
-        step = self._chunk_step(len(coords))
-        for start in range(0, m, step):
-            sl = slice(start, min(start + step, m))
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                mask, unc, sq_min = _screen_row(
-                    c32, p32, pts32[sl], indices[sl], noise, beta32, tol32, alpha
-                )
-            out[sl] = mask
-            uncertain[sl] = unc | self._geometry_flags(coords, pts[sl], sq_min)
-        verified = int(np.count_nonzero(uncertain))
-        if verified:
-            out[uncertain] = self._verify_mask_at(
-                coords, powers, pts[uncertain], indices[uncertain],
-                noise, beta, alpha,
+            return self._inner().received_mask_at(
+                coords, powers, points, indices, noise, beta, alpha
             )
-        self._note(m, verified)
-        return out
+        beta32 = np.float32(beta)
+        return self._decide(
+            coords, powers, points, coords32, powers32, beta, alpha,
+            np.empty(len(points), dtype=bool),
+            lambda c32, p32, chunk, sl, tol32: _screen_row(
+                c32, p32, chunk, indices[sl], noise, beta32, tol32, alpha
+            ),
+            lambda pts, sel: self._inner().received_mask_at(
+                coords, powers, pts[sel], indices[sel], noise, beta, alpha
+            ),
+        )
 
-    def received_mask_row(
-        self, coords, powers, points, index, noise, beta, alpha,
+    def heard_station(
+        self, coords, powers, points, noise, beta, alpha, no_reception,
         coords32=None, powers32=None,
     ):
-        indices = np.full(len(points), index, dtype=np.intp)
-        return self.received_mask_at(
-            coords, powers, points, indices, noise, beta, alpha,
-            coords32=coords32, powers32=powers32,
+        if not self._screenable(noise, beta, alpha):
+            return self._inner().heard_station(
+                coords, powers, points, noise, beta, alpha, no_reception
+            )
+        beta32 = np.float32(beta)
+        return self._decide(
+            coords, powers, points, coords32, powers32, beta, alpha,
+            np.empty(len(points), dtype=np.intp),
+            lambda c32, p32, chunk, sl, tol32: _screen_heard(
+                c32, p32, chunk, noise, beta32, tol32, alpha, no_reception
+            ),
+            lambda pts, sel: self._inner().heard_station(
+                coords, powers, pts[sel], noise, beta, alpha, no_reception
+            ),
         )
-
-    def _verify_mask_at(self, coords, powers, pts, indices, noise, beta, alpha):
-        """Exact per-point-candidate reception through the inner backend."""
-        inner = self._inner()
-        gather = getattr(inner, "received_mask_at", None)
-        if gather is not None:
-            return gather(coords, powers, pts, indices, noise, beta, alpha)
-        matrix = inner.received_mask_matrix(
-            coords, powers, pts, noise, beta, alpha
-        )
-        return matrix[indices, np.arange(len(pts))]
 
 
 register_backend("float32-screen", Float32ScreenBackend())

@@ -122,7 +122,12 @@ def _sinr_matrix(coords, powers, points, noise, alpha):
                 out[i, j] = 0.0
             else:
                 denominator = finite_total - energy + noise
-                out[i, j] = energy / denominator if denominator > 0.0 else np.inf
+                if denominator != 0.0:
+                    out[i, j] = energy / denominator
+                elif np.isfinite(points[j, 0]) and np.isfinite(points[j, 1]):
+                    out[i, j] = np.inf
+                else:
+                    out[i, j] = np.nan
     return out
 
 
@@ -239,6 +244,10 @@ class NumbaBackend:
             float(beta),
             float(alpha),
         )
+
+    def received_mask_at(self, coords, powers, points, indices, noise, beta, alpha):
+        mask = self.received_mask_matrix(coords, powers, points, noise, beta, alpha)
+        return mask[indices, np.arange(len(points))]
 
     def heard_station(self, coords, powers, points, noise, beta, alpha, no_reception):
         return _heard_station(

@@ -19,7 +19,7 @@ RL003   async purity          the service tier: no ``time.sleep`` /
                               ``open()`` on the event loop
 RL004   selection discipline  backend/locator selection is a ``ContextVar``
                               (the module-global leak PR 2 fixed)
-RL005   chunking discipline   batch-entry kernels only via
+RL005   chunking discipline   kernels and backend methods only via
                               ``repro.engine.batch`` (chunk byte budget)
 RL006   seeded RNG            reproducibility: pass a ``Generator``, never
                               the global ``numpy.random`` state

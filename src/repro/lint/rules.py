@@ -16,8 +16,8 @@ RL003    No blocking calls (``time.sleep``, ``Future.result()``,
          ``subprocess.*``, ``open``) inside ``async def`` bodies.
 RL004    Backend/locator selection state lives in a ``ContextVar``,
          never a rebindable module global.
-RL005    ``engine.kernels`` batch-entry kernels are called only from
-         inside ``engine/`` (everyone else goes through the chunked
+RL005    ``engine.kernels`` and backend methods are used only inside
+         ``engine/`` (everyone else goes through the chunked
          ``engine.batch`` API).
 RL006    No global-state ``numpy.random`` calls; pass a ``Generator``.
 RL007    No mutable default arguments.
@@ -403,19 +403,21 @@ class SelectionDisciplineRule(Rule):
 # RL005 — chunking discipline
 # ---------------------------------------------------------------------------
 
-#: The kernels wrapped by the chunked entry points of repro.engine.batch;
-#: calling one directly materialises unbounded (n_stations, m) temporaries.
-_ENTRY_KERNELS = frozenset(
+#: The QueryBackend protocol's methods: kernel calls that materialise
+#: ``(n_stations, m)`` temporaries when made on a backend directly.
+_BACKEND_METHODS = frozenset(
     {
         "energy_matrix",
         "sinr_matrix",
         "strongest_station",
         "received_mask_matrix",
-        "heard_station",
-        "received_mask_row",
         "received_mask_at",
+        "heard_station",
     }
 )
+
+#: Functions that hand out a backend object.
+_BACKEND_GETTERS = frozenset({"get_backend", "active_backend"})
 
 
 def _is_kernels_module(origin: str) -> bool:
@@ -423,22 +425,35 @@ def _is_kernels_module(origin: str) -> bool:
     return normalized == "engine.kernels" or normalized.endswith(".engine.kernels")
 
 
+def _imported_origins(node: ast.AST) -> List[str]:
+    """The dotted origin of every name an import statement binds."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        prefix = "." * node.level + (node.module or "")
+        return [f"{prefix}.{alias.name}" for alias in node.names]
+    return []
+
+
 class ChunkingDisciplineRule(Rule):
-    """RL005: batch-entry kernels are called only from inside ``engine/``.
+    """RL005: kernels and backends are reached only through ``engine.batch``.
 
     ``repro.engine.batch`` tiles every query so kernel temporaries fit
-    ``REPRO_ENGINE_CHUNK_BYTES``; a direct ``kernels.sinr_matrix`` call from
-    another layer silently reopens the unbounded-peak-memory path PR 6
-    closed.  Helper kernels (e.g. ``pairwise_squared_distances``) are not
-    batch entries and stay callable.
+    ``REPRO_ENGINE_CHUNK_BYTES``.  Outside ``engine/`` nothing may use
+    ``repro.engine.kernels`` at all (a helper such as
+    ``pairwise_squared_distances`` allocates ``(n, m)`` too), nor call a
+    ``QueryBackend`` method on a ``get_backend(...)`` / ``active_backend()``
+    result — directly or through a name bound to one — which bypasses the
+    budget the same way.
     """
 
     rule_id = "RL005"
     title = "chunking discipline"
     contract = (
-        "no engine.kernels batch-entry calls (sinr_matrix, heard_station, ...) "
-        "from outside engine/ — use repro.engine.batch, which enforces the "
-        "REPRO_ENGINE_CHUNK_BYTES memory bound"
+        "no repro.engine.kernels use and no QueryBackend method call on a "
+        "get_backend()/active_backend() result outside engine/ — use "
+        "repro.engine.batch, which enforces the REPRO_ENGINE_CHUNK_BYTES "
+        "memory bound"
     )
 
     def applies_to(self, relpath: str) -> bool:
@@ -446,30 +461,52 @@ class ChunkingDisciplineRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         table = _import_table(ctx.tree)
+        backend_names = {
+            target.id
+            for node in ast.walk(ctx.tree)
+            if isinstance(node, ast.Assign) and self._gets_backend(node.value, table)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom):
-                origin = "." * node.level + (node.module or "")
-                if _is_kernels_module(origin):
-                    for alias in node.names:
-                        if alias.name in _ENTRY_KERNELS:
-                            yield self.finding(
-                                node,
-                                f"importing batch-entry kernel "
-                                f"{alias.name!r} outside engine/; call "
-                                f"repro.engine.batch instead (chunk budget)",
-                            )
-            elif isinstance(node, ast.Call):
-                dotted = _dotted_name(node.func)
-                if dotted is None or "." not in dotted:
-                    continue
-                resolved = _resolve(table, dotted)
-                head, _, entry = resolved.rpartition(".")
-                if entry in _ENTRY_KERNELS and _is_kernels_module(head):
+            for origin in _imported_origins(node):
+                if _is_kernels_module(origin) or _is_kernels_module(
+                    origin.rpartition(".")[0]
+                ):
                     yield self.finding(
                         node,
-                        f"direct kernels.{entry}() call bypasses the chunk "
+                        f"importing {origin.lstrip('.')!r} outside engine/; "
+                        f"call repro.engine.batch instead (chunk budget)",
+                    )
+            if isinstance(node, ast.Attribute):
+                dotted = _dotted_name(node)
+                if dotted is not None and _is_kernels_module(_resolve(table, dotted)):
+                    yield self.finding(
+                        node,
+                        "repro.engine.kernels used outside engine/; call "
+                        "repro.engine.batch instead (chunk budget)",
+                    )
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                receiver = node.func.value
+                if node.func.attr in _BACKEND_METHODS and (
+                    self._gets_backend(receiver, table)
+                    or (isinstance(receiver, ast.Name) and receiver.id in backend_names)
+                ):
+                    yield self.finding(
+                        node,
+                        f"backend .{node.func.attr}() call bypasses the chunk "
                         f"byte budget; route through repro.engine.batch",
                     )
+
+    @staticmethod
+    def _gets_backend(node: Optional[ast.expr], table: Dict[str, str]) -> bool:
+        """Is ``node`` a ``get_backend(...)`` / ``active_backend()`` call?"""
+        if not isinstance(node, ast.Call):
+            return False
+        dotted = _dotted_name(node.func)
+        if dotted is None:
+            return False
+        return _resolve(table, dotted).rpartition(".")[2] in _BACKEND_GETTERS
 
 
 # ---------------------------------------------------------------------------

@@ -259,8 +259,11 @@ class WirelessNetwork:
         """The fundamental reception rule: ``SINR(s_i, p) >= beta``.
 
         The reception zone includes the station location itself by definition
-        even though the SINR ratio is undefined there.
+        even though the SINR ratio is undefined there.  A point with a
+        non-finite coordinate hears no station, as in the batch engine.
         """
+        if not (math.isfinite(point.x) and math.isfinite(point.y)):
+            return False
         station = self.stations[index]
         if point == station.location:
             return True

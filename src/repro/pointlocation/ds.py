@@ -34,8 +34,13 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..engine import kernels
-from ..engine.batch import NO_RECEPTION, PointsLike, as_points_array, received_at
+from ..engine.batch import (
+    NO_RECEPTION,
+    PointsLike,
+    as_points_array,
+    nearest_station_batch,
+    received_at,
+)
 from ..exceptions import PointLocationError
 from ..geometry.kdtree import KDTree
 from ..geometry.point import Point
@@ -238,7 +243,7 @@ class PointLocationStructure:
         count = len(pts)
         if count == 0:
             return []
-        candidates = self._nearest_candidates(pts)
+        candidates = nearest_station_batch(self.network, pts)
 
         answers: List[Optional[PointLocationAnswer]] = [None] * count
         for station in np.unique(candidates).tolist():
@@ -295,7 +300,7 @@ class PointLocationStructure:
         out = np.full(count, NO_RECEPTION, dtype=np.int64)
         if count == 0:
             return out
-        candidates = self._nearest_candidates(pts)
+        candidates = nearest_station_batch(self.network, pts)
 
         fallback: List[np.ndarray] = []
         for station in np.unique(candidates).tolist():
@@ -316,11 +321,6 @@ class PointLocationStructure:
             heard = received_at(self.network, candidates[rows], pts[rows])
             out[rows[heard]] = candidates[rows][heard]
         return out
-
-    def _nearest_candidates(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorised nearest-station front-end (lowest index on exact ties)."""
-        squared = kernels.pairwise_squared_distances(self.network.coords, pts)
-        return np.argmin(squared, axis=0)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -25,9 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine.backend import get_backend
-from ..engine.batch import NO_RECEPTION, PointsLike, as_points_array, received_at
-from ..engine import kernels
+from ..engine.batch import (
+    NO_RECEPTION,
+    PointsLike,
+    as_points_array,
+    first_received_batch,
+    nearest_station_batch,
+    received_at,
+)
 from ..geometry.kdtree import KDTree
 from ..geometry.point import Point
 from ..model.network import WirelessNetwork
@@ -65,19 +70,7 @@ class BruteForceLocator:
         rule (which matters only in the ``beta < 1`` regime where several
         stations may qualify).  Runs through the active engine backend.
         """
-        pts = as_points_array(points)
-        network = self.network
-        mask = get_backend().received_mask_matrix(
-            network.coords,
-            network.powers_array(),
-            pts,
-            network.noise,
-            network.beta,
-            network.alpha,
-        )
-        any_received = mask.any(axis=0)
-        first = np.argmax(mask, axis=0)
-        return np.where(any_received, first, NO_RECEPTION).astype(np.int64)
+        return first_received_batch(self.network, points).astype(np.int64)
 
     def query_cost(self) -> int:
         """Number of energy evaluations a single query performs."""
@@ -124,8 +117,7 @@ class VoronoiCandidateLocator:
         """
         pts = as_points_array(points)
         network = self.network
-        squared = kernels.pairwise_squared_distances(network.coords, pts)
-        candidates = np.argmin(squared, axis=0)
+        candidates = nearest_station_batch(network, pts)
         heard = received_at(network, candidates, pts)
         return np.where(heard, candidates, NO_RECEPTION).astype(np.int64)
 

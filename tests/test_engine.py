@@ -26,14 +26,17 @@ import pytest
 from repro import Point, SINRDiagram, Station, WirelessNetwork
 from repro.engine import (
     DEFAULT_CHUNK_BYTES,
+    NO_RECEPTION,
     NUMBA_AVAILABLE,
     NumbaBackend,
     NumpyBackend,
+    QueryBackend,
     active_backend,
     as_points_array,
     available_backends,
     chunk_byte_budget,
     energy_batch,
+    first_received_batch,
     get_backend,
     heard_station_batch,
     kernels,
@@ -238,6 +241,42 @@ class TestBackendSelection:
 
 
 # ----------------------------------------------------------------------
+# The backend protocol: six required methods, no optional capabilities
+# ----------------------------------------------------------------------
+PROTOCOL_METHODS = (
+    "energy_matrix",
+    "sinr_matrix",
+    "strongest_station",
+    "received_mask_matrix",
+    "received_mask_at",
+    "heard_station",
+)
+
+
+class TestBackendProtocol:
+    def test_protocol_declares_the_six_methods(self):
+        declared = {
+            name
+            for name, value in vars(QueryBackend).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert declared == set(PROTOCOL_METHODS)
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(available_backends()) | {"numba"})
+    )
+    def test_every_backend_defines_every_method(self, name):
+        # Without numba the class stands in for the unregistered instance.
+        backend = available_backends().get(name, NumbaBackend)
+        missing = [
+            method
+            for method in PROTOCOL_METHODS
+            if not callable(getattr(backend, method, None))
+        ]
+        assert missing == []
+
+
+# ----------------------------------------------------------------------
 # Backend equivalence (every registered backend vs pure-Python reference)
 # ----------------------------------------------------------------------
 class TestBackendEquivalence:
@@ -358,14 +397,18 @@ class TestNumbaBackend:
         # or without the optional dependency.  Coincident columns are
         # included; pow-overflow columns are not, because pure Python raises
         # OverflowError where compiled code saturates to inf (that edge is
-        # covered by the equivalence tests on the [numba] CI leg).
+        # covered by the equivalence tests on the [numba] CI leg).  A NaN
+        # column pins the loops' NaN handling: a NaN denominator keeps the
+        # SINR NaN, so the point is received nowhere, as in numpy.
         from repro.engine import numba_backend as nb
 
         network = random_network(seed=41)
         coords = np.ascontiguousarray(network.coords, dtype=np.float64)
         powers = np.ascontiguousarray(network.powers_array(), dtype=np.float64)
         points = np.ascontiguousarray(
-            np.vstack([network.coords, queries_for(network, count=40)])
+            np.vstack(
+                [network.coords, [[np.nan, 1.0]], queries_for(network, count=40)]
+            )
         )
         noise, beta, alpha = network.noise, network.beta, network.alpha
 
@@ -373,11 +416,11 @@ class TestNumbaBackend:
             nb._energy_matrix(coords, powers, points, alpha) == np.inf,
             energy_batch(network, points) == np.inf,
         )
+        sinr = nb._sinr_matrix(coords, powers, points, noise, alpha)
         np.testing.assert_allclose(
-            nb._sinr_matrix(coords, powers, points, noise, alpha),
-            sinr_batch(network, points, backend="numpy"),
-            rtol=1e-12,
+            sinr, sinr_batch(network, points, backend="numpy"), rtol=1e-12
         )
+        assert np.isnan(sinr[:, len(coords)]).all()
         np.testing.assert_array_equal(
             nb._strongest_station(coords, powers, points, alpha),
             strongest_station_batch(network, points, backend="numpy"),
@@ -393,6 +436,28 @@ class TestNumbaBackend:
             heard_station_batch(network, points, backend="numpy"),
         )
 
+    def test_kernel_zero_denominator_rule_without_jit(self):
+        # Noiseless: an infinitely far point divides 0 by 0 interference
+        # plus noise, which only a finite point turns into +inf.
+        from repro.engine import numba_backend as nb
+
+        network = random_network(seed=42, noise=0.0)
+        coords = np.ascontiguousarray(network.coords, dtype=np.float64)
+        powers = np.ascontiguousarray(network.powers_array(), dtype=np.float64)
+        points = np.vstack([NON_FINITE, queries_for(network, count=20)])
+        np.testing.assert_allclose(
+            nb._sinr_matrix(coords, powers, points, 0.0, network.alpha),
+            sinr_batch(network, points, backend="numpy"),
+            rtol=1e-12,
+        )
+        heard = nb._heard_station(
+            coords, powers, points, 0.0, network.beta, network.alpha, -1
+        )
+        np.testing.assert_array_equal(
+            heard, heard_station_batch(network, points, backend="numpy")
+        )
+        assert (heard[: len(NON_FINITE)] == -1).all()
+
     @pytest.mark.skipif(
         NUMBA_AVAILABLE, reason="error path only exists without numba"
     )
@@ -407,6 +472,19 @@ class TestNumbaBackend:
 # ----------------------------------------------------------------------
 # Memory-bounded chunking
 # ----------------------------------------------------------------------
+def peak_of(fn):
+    """``(fn(), tracemalloc peak in bytes)`` of one call."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestChunkedBatch:
     def test_invalid_budget_warns_and_uses_default(self, monkeypatch):
         for bogus in ("banana", "-5", "0"):
@@ -458,20 +536,8 @@ class TestChunkedBatch:
         inherent output, an order of magnitude below the unchunked run —
         with bit-identical answers.
         """
-        import tracemalloc
-
         network = seeded_network(50, side=30.0, seed=77)
         points = query_box_array(network, 60_000, seed=78)
-
-        def peak_of(fn):
-            tracemalloc.start()
-            try:
-                result = fn()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            return result, peak
-
         budget = 2 * 2**20
         monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", str(budget))
         chunked, peak_chunked = peak_of(
@@ -488,6 +554,27 @@ class TestChunkedBatch:
         assert peak_chunked <= budget + inherent + (1 << 20)
         assert peak_unchunked > 4 * peak_chunked
 
+    @pytest.mark.parametrize(
+        "locator_class", [BruteForceLocator, VoronoiCandidateLocator]
+    )
+    def test_locator_passes_stay_bounded(self, monkeypatch, locator_class):
+        """The brute-force mask pass and the nearest-station candidate pass
+        (shared by ``voronoi`` and ``theorem3``) obey the byte budget too."""
+        network = seeded_network(50, side=30.0, seed=77)
+        points = query_box_array(network, 30_000, seed=79)
+        locator = locator_class(network)
+
+        budget = 2**20
+        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", str(budget))
+        chunked, peak_chunked = peak_of(lambda: locator.locate_batch(points))
+        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", str(1 << 34))
+        unchunked, peak_unchunked = peak_of(lambda: locator.locate_batch(points))
+        np.testing.assert_array_equal(chunked, unchunked)
+        # Budgeted temporaries + a few (m,) label / candidate / mask arrays.
+        inherent = 4 * len(points) * np.dtype(np.int64).itemsize
+        assert peak_chunked <= budget + inherent + (1 << 20)
+        assert peak_unchunked > 4 * peak_chunked
+
     def test_raster_block_inherits_chunking(self, monkeypatch):
         """Tile rasters run through the chunked batch API, bit-identically."""
         from repro.model.diagram import raster_block
@@ -501,6 +588,53 @@ class TestChunkedBatch:
         labels_chunked, values_chunked = raster_block(network, xs, ys)
         np.testing.assert_array_equal(labels_chunked, labels)
         np.testing.assert_array_equal(values_chunked, values)
+
+
+# ----------------------------------------------------------------------
+# Non-finite query points (the as_points_array contract)
+# ----------------------------------------------------------------------
+NON_FINITE = np.array(
+    [
+        [np.nan, 1.0],
+        [1.0, np.nan],
+        [np.nan, np.nan],
+        [np.inf, 1.0],
+        [-np.inf, 2.0],
+        [1.0, -np.inf],
+        [np.inf, np.nan],
+    ]
+)
+
+
+class TestNonFinitePoints:
+    """A point with a non-finite coordinate hears no station, on every
+    backend and whether or not the network has noise (without noise an
+    infinitely far point divides 0 by 0, which is no infinite SINR)."""
+
+    @pytest.mark.parametrize("noise", [0.005, 0.0])
+    @pytest.mark.parametrize("backend", ["numpy", "reference", "float32-screen"])
+    def test_no_station_is_received(self, backend, noise):
+        network = random_network(seed=12, noise=noise)
+        finite = queries_for(network, count=30, seed=13)
+        points = np.vstack([NON_FINITE, finite])
+        labels = heard_station_batch(network, points, backend=backend)
+        assert (labels[: len(NON_FINITE)] == NO_RECEPTION).all()
+        np.testing.assert_array_equal(
+            labels[len(NON_FINITE):],
+            heard_station_batch(network, finite, backend=backend),
+        )
+        first = first_received_batch(network, NON_FINITE, backend=backend)
+        assert (first == NO_RECEPTION).all()
+        for index in range(len(network)):
+            assert not received_mask(
+                network, index, NON_FINITE, backend=backend
+            ).any()
+        indices = np.arange(len(NON_FINITE)) % len(network)
+        assert not received_at(network, indices, NON_FINITE, backend=backend).any()
+        sinr = sinr_batch(network, NON_FINITE, backend=backend)
+        assert not (sinr >= network.beta).any()
+        nan_only = np.isnan(NON_FINITE).any(axis=1) & ~np.isinf(NON_FINITE).any(axis=1)
+        assert np.isnan(sinr[:, nan_only]).all()
 
 
 # ----------------------------------------------------------------------
@@ -523,9 +657,9 @@ class TestBatchMatchesScalar:
             scalar = [network.is_received(index, Point(x, y)) for x, y in points]
             np.testing.assert_array_equal(mask, scalar)
 
-    def test_received_mask_row_kernel_matches_matrix_row(self):
+    def test_received_mask_at_kernel_matches_matrix_rows(self):
         network = random_network(seed=5)
-        # Include exactly-coincident and overflow-close columns: the row
+        # Include exactly-coincident and overflow-close columns: the gathered
         # kernel must reproduce every edge case of the full matrix.
         points = np.vstack(
             [
@@ -539,8 +673,9 @@ class TestBatchMatchesScalar:
             network.noise, network.beta, network.alpha,
         )
         for index in range(len(network)):
-            row = kernels.received_mask_row(
-                network.coords, network.powers_array(), points, index,
+            row = kernels.received_mask_at(
+                network.coords, network.powers_array(), points,
+                np.full(len(points), index, dtype=np.intp),
                 network.noise, network.beta, network.alpha,
             )
             np.testing.assert_array_equal(row, full[index])
@@ -555,9 +690,9 @@ class TestBatchMatchesScalar:
             gathered, full[indices, np.arange(len(points))]
         )
 
-    def test_received_mask_works_without_row_fast_path(self):
-        # The reference backend has no received_mask_row; received_mask must
-        # fall back to the full matrix and still agree.
+    def test_received_mask_agrees_on_the_reference_backend(self):
+        # The reference backend gathers its received_mask_at from its full
+        # mask matrix; received_mask must agree with the numpy kernel.
         network = random_network(seed=4)
         points = queries_for(network, count=40)
         with use_backend("reference"):
@@ -588,16 +723,6 @@ class TestBatchMatchesScalar:
         batch = strongest_station_batch(network, points)
         for (x, y), index in zip(points, batch):
             assert network.strongest_station(Point(x, y)) == index
-
-    def test_interference_matrix_matches_scalar(self):
-        network = random_network(seed=18)
-        points = np.vstack([network.coords, queries_for(network, count=100)])
-        matrix = kernels.interference_matrix(
-            network.coords, network.powers_array(), points, network.alpha
-        )
-        for index in range(len(network)):
-            scalar = [network.interference(index, Point(x, y)) for x, y in points]
-            np.testing.assert_allclose(matrix[index], scalar, rtol=1e-9)
 
 
 class TestLocatorBatches:

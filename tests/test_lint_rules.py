@@ -286,14 +286,71 @@ class TestRL005ChunkingDiscipline:
             path="raster/x.py",
         )
 
-    def test_helper_kernels_stay_callable(self):
-        clean = """
+    def test_flags_helper_kernel_use_outside_engine(self):
+        # Helpers allocate (n, m) temporaries too: the nearest-station argmin
+        # of two locators once bypassed the chunk budget this way.
+        violating = """
             from repro.engine import kernels
 
             def distances(coords, pts):
                 return kernels.pairwise_squared_distances(coords, pts)
         """
-        assert not findings_for("RL005", clean, path="model/x.py")
+        assert findings_for("RL005", violating, path="model/x.py")
+
+    def test_flags_kernels_reached_through_the_package(self):
+        violating = """
+            import repro.engine
+
+            def distances(coords, pts):
+                return repro.engine.kernels.pairwise_squared_distances(coords, pts)
+        """
+        assert len(findings_for("RL005", violating, path="model/x.py")) == 1
+
+    def test_flags_backend_method_called_on_a_resolved_backend(self):
+        direct = """
+            from ..engine.backend import get_backend
+
+            def locate(network, pts):
+                return get_backend().received_mask_matrix(
+                    network.coords, network.powers_array(), pts,
+                    network.noise, network.beta, network.alpha,
+                )
+        """
+        assert findings_for("RL005", direct, path="pointlocation/x.py")
+        bound = """
+            from repro.engine import active_backend
+
+            def heard(network, pts):
+                engine = active_backend()
+                return engine.heard_station(
+                    network.coords, network.powers_array(), pts,
+                    network.noise, network.beta, network.alpha, -1,
+                )
+        """
+        assert findings_for("RL005", bound, path="raster/x.py")
+
+    def test_backend_method_list_matches_the_protocol(self):
+        from repro.engine import QueryBackend
+        from repro.lint.rules import _BACKEND_METHODS
+
+        declared = {
+            name
+            for name, value in vars(QueryBackend).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert _BACKEND_METHODS == declared
+
+    def test_batch_api_and_backend_pinning_pass(self):
+        clean = """
+            from repro.engine import active_backend
+            from repro.engine.batch import received_at, sinr_batch
+
+            def render(network, pts, candidates):
+                backend = active_backend()
+                values = sinr_batch(network, pts, backend=backend)
+                return values, received_at(network, candidates, pts)
+        """
+        assert not findings_for("RL005", clean, path="raster/x.py")
 
     def test_engine_internals_are_in_scope_for_kernels(self):
         violating = """

@@ -8,6 +8,7 @@ paper's ``beta > 1`` regime all of them agree with brute force exactly.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.pointlocation import (
     register_locator,
     use_locator,
 )
+from repro.engine import use_backend
 from repro.workloads import random_query_array
 
 from seeded_workloads import seeded_network
@@ -185,3 +187,68 @@ class TestLocatorContract:
             scaled, epsilon=0.5, cover_method="ray_sweep"
         )
         np.testing.assert_array_equal(structure.locate_batch(queries), truth)
+
+
+class TestNonFinitePoints:
+    """A point with a non-finite coordinate hears no station: every locator
+    answers -1 for it on every backend, and so does the serving path."""
+
+    POINTS = np.array(
+        [
+            [np.nan, 1.0],
+            [1.0, np.nan],
+            [np.inf, 1.0],
+            [-np.inf, 2.0],
+            [3.0, np.inf],
+            [np.inf, -np.inf],
+        ]
+    )
+
+    @pytest.fixture(scope="class", params=[0.005, 0.0], ids=["noisy", "noiseless"])
+    def built(self, request, network):
+        noisy = network.with_noise(request.param)
+        locators = {
+            # The fast ray-sweep cover keeps the two theorem3 builds cheap.
+            name: get_locator(name).build(
+                noisy,
+                **(dict(options, cover_method="ray_sweep")
+                   if name == "theorem3" else options),
+            )
+            for name, options in CONTRACT_SWEEP
+        }
+        return noisy, locators
+
+    @pytest.mark.parametrize("backend", ["numpy", "reference", "float32-screen"])
+    def test_every_locator_answers_no_reception(self, built, queries, backend):
+        network, locators = built
+        finite = queries[:40]
+        points = np.vstack([self.POINTS, finite])
+        with use_backend(backend):
+            truth = locators["brute-force"].locate_batch(finite)
+            for name, locator in locators.items():
+                labels = locator.locate_batch(points)
+                assert (labels[: len(self.POINTS)] == -1).all(), name
+                np.testing.assert_array_equal(
+                    labels[len(self.POINTS):], truth, err_msg=name
+                )
+
+    def test_scalar_locate_agrees(self, built):
+        _, locators = built
+        for name, locator in locators.items():
+            answers = [locator.locate(Point(x, y)) for x, y in self.POINTS]
+            assert answers == [-1] * len(self.POINTS), name
+
+    @pytest.mark.parametrize("backend", ["numpy", "reference", "float32-screen"])
+    @pytest.mark.parametrize("name", ["brute-force", "voronoi"])
+    def test_query_service_answers_no_reception(self, built, backend, name):
+        from repro.service import QueryService
+
+        network, _ = built
+
+        async def main():
+            async with QueryService(network, name) as service:
+                return [await service.locate(tuple(p)) for p in self.POINTS]
+
+        with use_backend(backend):
+            answers = asyncio.run(asyncio.wait_for(main(), 60.0))
+        assert answers == [-1] * len(self.POINTS)

@@ -11,9 +11,9 @@ where a float32 screen alone would go wrong:
   stations) where top-1/top-2 separation is zero;
 * overflow-close and float32-coincident points (float64-distinct
   coordinates that round onto a station in float32);
-* the late-binding contract of the inner backend (the PR's bugfix): a
-  ``register_backend`` overwrite or a ``use_backend`` context must reach
-  the verify path of an already-constructed screen backend;
+* the late-binding contract of the inner backend: a ``register_backend``
+  overwrite must reach the verify path of an already-constructed screen
+  backend;
 * end-to-end round trips through every layer that routes by backend name —
   ``sharded:`` locators, the micro-batching service, and the raster tiles.
 
@@ -23,6 +23,8 @@ is the verify path — that the screen really did route points through it.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 import pytest
@@ -274,30 +276,15 @@ class TestLateBoundInner:
         finally:
             register_backend("numpy", NumpyBackend())
 
-    def test_inner_none_follows_use_backend_context(self):
-        network, points = self._adversarial_workload()
-        counting = _CountingInner("counting")
-        screen = Float32ScreenBackend(inner=None)
-        try:
-            register_backend("counting-inner", counting)
-            with use_backend("counting-inner"):
-                heard_station_batch(network, points, backend=screen)
-            assert counting.calls > 0
-        finally:
-            backend_module.BACKENDS.unregister("counting-inner")
-
-    def test_inner_none_never_verifies_through_itself(self):
-        network, points = self._adversarial_workload()
-        screen = Float32ScreenBackend(inner=None)
-        try:
-            register_backend("screen-self-test", screen)
-            with use_backend("screen-self-test"):
-                got = heard_station_batch(network, points)
-        finally:
-            backend_module.BACKENDS.unregister("screen-self-test")
-        np.testing.assert_array_equal(
-            got, heard_station_batch(network, points, backend="numpy")
-        )
+    def test_inner_must_be_an_exact_backend(self):
+        # No context-following mode: the verify path is always a named or
+        # given backend, never whatever the caller happens to select.
+        with pytest.raises(ReproError, match="inner"):
+            Float32ScreenBackend(None)
+        # The screen chunks under the shared engine budget; no own option.
+        assert list(inspect.signature(Float32ScreenBackend).parameters) == [
+            "inner", "decision_margin", "geometry_margin",
+        ]
 
 
 class TestRoutedEndToEnd:
