@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -72,7 +73,9 @@ def explicit_radius_bounds(network: WirelessNetwork, index: int) -> RadiusBounds
     """The explicit bounds of Theorem 4.1 for station ``index``.
 
     Requires a uniform power network with ``beta > 1`` whose station ``index``
-    does not share its location with another station.
+    does not share its location with another station.  Where ``kappa**2``
+    overflows, both bounds take the overflow-safe form of
+    :func:`station_reaches`, rounded one ulp outward.
     """
     _require_uniform_nondegenerate(network, index)
     beta = network.beta
@@ -80,23 +83,61 @@ def explicit_radius_bounds(network: WirelessNetwork, index: int) -> RadiusBounds
     n = len(network)
     kappa = network.minimum_distance_from(index)
 
-    delta_lower = kappa / (math.sqrt(beta * (n - 1 + noise * kappa * kappa)) + 1.0)
-    Delta_upper = kappa / (math.sqrt(beta * (1.0 + noise * kappa * kappa)) - 1.0)
+    if math.isfinite(beta * (1.0 + noise * kappa * kappa)):
+        delta_lower = kappa / (math.sqrt(beta * (n - 1 + noise * kappa * kappa)) + 1.0)
+        Delta_upper = kappa / (math.sqrt(beta * (1.0 + noise * kappa * kappa)) - 1.0)
+    else:
+        delta_lower = float(_far_bound(kappa, beta, noise, n - 1, 1.0))
+        Delta_upper = float(_far_bound(kappa, beta, noise, 1, -1.0))
     return RadiusBounds(delta_lower=delta_lower, Delta_upper=Delta_upper)
 
 
-def station_reaches(network: WirelessNetwork) -> np.ndarray:
-    """Theorem 4.1 enclosing-radius upper bounds for *every* station at once.
+# Neighbour offsets one pass of the sorted sweep scans in each direction.
+# A pass costs a fixed number of numpy calls, and inside a swap under serving
+# load every call waits for the GIL, so offsets are scanned in blocks.
+_SWEEP_OFFSETS = 32
+
+
+def station_reaches(
+    network: WirelessNetwork, indices: Sequence[int] | np.ndarray | None = None
+) -> np.ndarray:
+    """Theorem 4.1 enclosing-radius upper bounds for every station at once.
 
     The vectorised twin of per-index :func:`explicit_radius_bounds`
-    ``Delta_upper`` values: one ``(n,)`` float array, with ``0.0`` for
-    degenerate stations (another station shares the location — their zone is
-    the single point ``{s_i}``, so a zero reach is exact).  One distance
-    matrix replaces ``n`` scalar nearest-neighbour scans, which is what lets
-    the sharded locator recompute all routing boxes on every incremental
-    update: the reach of an *untouched* station still shifts whenever its
-    nearest neighbour moved, and ``Delta_upper`` is not monotone in that
-    distance once noise is positive, so stale reaches are not conservative.
+    ``Delta_upper`` values, ``kappa / (sqrt(beta * (1 + N * kappa**2)) - 1)``
+    with ``kappa`` the nearest-neighbour distance: one ``(n,)`` float array,
+    with ``0.0`` for degenerate stations (another station shares the
+    location — their zone is the single point ``{s_i}``, so a zero reach is
+    exact).  The sharded locator recomputes all routing boxes from it on
+    every incremental update: the reach of an *untouched* station still
+    shifts whenever its nearest neighbour moved, and ``Delta_upper`` is not
+    monotone in that distance once noise is positive, so stale reaches are
+    not conservative.
+
+    ``kappa**2`` comes from a sorted sweep, not an ``n x n`` matrix.  The
+    stations are sorted along the coordinate with the larger spread, and
+    each one scans its neighbours in sorted order, both directions, in
+    passes of ``_SWEEP_OFFSETS`` (32) offsets, keeping the smallest
+    ``dx * dx + dy * dy``.  A station retires once the squared gap along the
+    sort axis to the last neighbour scanned, in each direction, is at least
+    its best so far.  That is the certificate: every later neighbour's gap
+    is at least as large, and ``fl(a) <= fl(a + b)`` for ``b >= 0``, so no
+    later neighbour can be strictly closer.  Each pair is the expression of
+    :func:`repro.engine.kernels.pairwise_squared_distances`, ``min`` is
+    exact, and swapping which axis plays ``dx`` only commutes an IEEE
+    addition, so every reach is bit-identical to the dense pass.  The cost
+    is ``O(n)`` memory and, for spread-out stations, ``O(n sqrt(n))`` time.
+
+    ``indices`` (a 1-D sequence of station indices) returns only those
+    stations' reaches, equal to ``station_reaches(network)[indices]``, from
+    one dense ``(k, n)`` pass of the same expression.  Callers that need a
+    few reaches (raster invalidation) pay ``O(k n)`` instead of the sweep.
+
+    Where ``beta * (1 + N * kappa**2)`` overflows (``kappa`` beyond about
+    ``1e154``), the same bound is evaluated divided through by ``kappa``:
+    ``1 / (sqrt(beta) * hypot(u, sqrt(N)) - u)`` with ``u = 1 / kappa``,
+    ``kappa`` taken from ``np.hypot`` over the station's row, and the value
+    rounded up one ulp so it stays conservative.
 
     Requires the Theorem 4.1 regime (uniform power, ``beta > 1``).
     """
@@ -109,18 +150,115 @@ def station_reaches(network: WirelessNetwork) -> np.ndarray:
             "the radius bounds of Theorem 4.1 require beta > 1"
         )
     coords = network.coords
-    deltas = coords[:, None, :] - coords[None, :, :]
-    squared = np.einsum("ijk,ijk->ij", deltas, deltas)
-    np.fill_diagonal(squared, np.inf)
-    kappa_squared = squared.min(axis=1)
-    kappa = np.sqrt(kappa_squared)
+    with np.errstate(over="ignore"):
+        if indices is None:
+            rows = np.arange(len(coords))
+            kappa_squared = _sweep_nearest_squared(coords)
+        else:
+            rows = np.asarray(indices, dtype=np.intp)
+            dx, dy = _row_differences(coords, rows)
+            kappa_squared = _min_off_self(dx * dx + dy * dy, rows)
 
-    out = np.zeros(len(network), dtype=float)
-    live = kappa > 0.0
-    out[live] = kappa[live] / (
-        np.sqrt(network.beta * (1.0 + network.noise * kappa_squared[live])) - 1.0
-    )
+    beta = network.beta
+    noise = network.noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        radicand = beta * (1.0 + noise * kappa_squared)
+    live = kappa_squared > 0.0
+    near = live & np.isfinite(radicand)
+    far = live & ~near
+    out = np.zeros(rows.size, dtype=float)
+    out[near] = np.sqrt(kappa_squared[near]) / (np.sqrt(radicand[near]) - 1.0)
+    if far.any():
+        with np.errstate(over="ignore"):
+            distances = np.hypot(*_row_differences(coords, rows[far]))
+        kappa = _min_off_self(distances, rows[far])
+        out[far] = _far_bound(kappa, beta, noise, 1, -1.0)
     return out
+
+
+def _row_differences(
+    coords: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(dx, dy)``, each ``(k, n)``: station ``rows[i]`` minus station ``j``.
+
+    The operand order of :func:`repro.engine.kernels.pairwise_squared_distances`.
+    """
+    dx = coords[rows, 0:1] - coords[:, 0][None, :]
+    dy = coords[rows, 1:2] - coords[:, 1][None, :]
+    return dx, dy
+
+
+def _min_off_self(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row minima of a ``(k, n)`` pairwise array, skipping each row's own station."""
+    values[np.arange(rows.size), rows] = np.inf
+    return values.min(axis=1, initial=np.inf)
+
+
+def _sweep_nearest_squared(coords: np.ndarray) -> np.ndarray:
+    """Each station's smallest squared distance to another, by a sorted sweep.
+
+    See :func:`station_reaches` for the scan and its certificate.
+    """
+    n = len(coords)
+    axis = int(np.argmax(np.ptp(coords, axis=0)))
+    order = np.argsort(coords[:, axis], kind="stable")
+    along = coords[order, axis]
+    across = coords[order, 1 - axis]
+    best = np.full(n, np.inf)
+    offsets = np.arange(1, _SWEEP_OFFSETS + 1)
+    offsets = np.concatenate((offsets, -offsets))
+    active = np.arange(n)
+    scanned = 0
+    while active.size:
+        neighbours = active[:, None] + (offsets + np.sign(offsets) * scanned)
+        outside = (neighbours < 0) | (neighbours >= n)
+        np.clip(neighbours, 0, n - 1, out=neighbours)
+        # dx * dx + dy * dy, evaluated in place to keep the pass at O(k) memory.
+        squared = along[neighbours]
+        np.subtract(along[active, None], squared, out=squared)
+        np.multiply(squared, squared, out=squared)
+        d_across = across[neighbours]
+        del neighbours
+        np.subtract(across[active, None], d_across, out=d_across)
+        np.multiply(d_across, d_across, out=d_across)
+        squared += d_across
+        squared[outside] = np.inf
+        kept = np.minimum(best[active], squared.min(axis=1))
+        best[active] = kept
+
+        scanned += _SWEEP_OFFSETS
+        ahead = active + scanned
+        behind = active - scanned
+        gap_ahead = along[np.minimum(ahead, n - 1)] - along[active]
+        gap_behind = along[active] - along[np.maximum(behind, 0)]
+        done = ((ahead >= n - 1) | (gap_ahead * gap_ahead >= kept)) & (
+            (behind <= 0) | (gap_behind * gap_behind >= kept)
+        )
+        active = active[~done]
+
+    kappa_squared = np.empty(n)
+    kappa_squared[order] = best
+    return kappa_squared
+
+
+def _far_bound(
+    kappa: float | np.ndarray, beta: float, noise: float, count: float, sign: float
+) -> np.ndarray:
+    """``kappa / (sqrt(beta * (count + noise * kappa**2)) + sign)`` for huge ``kappa``.
+
+    Divided through by ``kappa``, with ``u = 1 / kappa``, the bound is
+    ``1 / (sqrt(beta) * hypot(u * sqrt(count), sqrt(noise)) + sign * u)``,
+    which squares nothing: neither ``kappa**2`` overflowing nor ``u**2``
+    underflowing can reach it.  The result is rounded one ulp outward: up
+    for the upper bound (``sign = -1``), down for the lower one.
+    """
+    u = 1.0 / np.asarray(kappa, dtype=float)
+    with np.errstate(divide="ignore"):
+        bound = 1.0 / (
+            math.sqrt(beta) * np.hypot(u * math.sqrt(count), math.sqrt(noise))
+            + sign * u
+        )
+    return np.nextafter(bound, -sign * np.inf)
 
 
 def improved_radius_bounds(

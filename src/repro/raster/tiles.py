@@ -138,6 +138,10 @@ def affected_boxes(
     move causes (see :func:`invalidate_for_delta` for how that residual
     approximation is scoped).
 
+    Only the touched stations' reaches are computed, one dense row per
+    station (``station_reaches(network, touched)``), so a one-station move
+    costs ``O(n)`` rather than a pass over every station.
+
     Raises :class:`~repro.exceptions.PointLocationError` outside the
     Theorem 4.1 regime (non-uniform power or ``beta <= 1``), where no
     certified reach exists.
@@ -145,14 +149,14 @@ def affected_boxes(
     from ..pointlocation.bounds import station_reaches
 
     boxes: List[Tuple[float, float, float, float]] = []
-    for network, touched, reaches in (
-        (old_network, delta.touched_old, station_reaches(old_network)),
-        (new_network, delta.touched_new, station_reaches(new_network)),
+    for network, touched in (
+        (old_network, delta.touched_old),
+        (new_network, delta.touched_new),
     ):
         coords = network.coords
-        for index in touched:
+        reaches = station_reaches(network, touched)
+        for index, reach in zip(touched, reaches.tolist()):
             x, y = float(coords[index, 0]), float(coords[index, 1])
-            reach = float(reaches[index])
             boxes.append((x - reach, y - reach, x + reach, y + reach))
     return boxes
 
