@@ -37,7 +37,7 @@ def test_figure6_partition_query_split(benchmark, figure6_structure):
         Point(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 8.0)) for _ in range(3000)
     ]
 
-    answers = benchmark(figure6_structure.locate_many, queries)
+    answers = benchmark(figure6_structure.locate_answers, queries)
 
     inside = sum(1 for a in answers if a.label is ZoneLabel.INSIDE)
     uncertain = sum(1 for a in answers if a.label is ZoneLabel.UNCERTAIN)

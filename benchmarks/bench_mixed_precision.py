@@ -6,7 +6,7 @@ points, where ``float32-screen`` must beat the numpy float64 backend by
 of the gate, two sweeps characterise the design space:
 
 * margin widths — a wider decision margin routes more points through the
-  exact inner backend; the sweep records the verified fraction and the
+  exact numpy backend; the sweep records the verified fraction and the
   throughput cost per margin, and asserts exactness at every width;
 * chunk budgets — the shared ``REPRO_ENGINE_CHUNK_BYTES`` budget trades
   peak memory against per-chunk overhead; the sweep asserts bit-identical

@@ -52,7 +52,7 @@ def test_query_time_grid_structure(benchmark, station_count):
         QUERY_COUNT, Point(-2.0, -2.0), Point(side + 2.0, side + 2.0), seed=7
     )
 
-    benchmark(structure.locate_many, queries)
+    benchmark(structure.locate_answers, queries)
     benchmark.extra_info["stations"] = station_count
     benchmark.extra_info["per_query_us"] = round(
         benchmark.stats.stats.mean / QUERY_COUNT * 1e6, 2

@@ -14,8 +14,7 @@ This demo builds a 50-station deployment, then:
    :class:`QueryService` and prints what the batcher did to each shape;
 2. sweeps the latency budget to show the batch-size / latency trade-off;
 3. compares per-query asyncio serving (no batching) with the micro-batched
-   service and the direct engine call;
-4. routes two locators side by side through a :class:`LocatorRouter`.
+   service and the direct engine call.
 
 Run with:  python examples/point_location_service.py
 """
@@ -29,7 +28,7 @@ import numpy as np
 
 from repro import Point
 from repro.pointlocation import build_locator
-from repro.service import LocatorRouter, QueryService, serve_points
+from repro.service import QueryService, serve_points
 from repro.workloads import (
     random_query_array,
     run_bursts,
@@ -126,20 +125,6 @@ def serving_comparison(network, queries, truth) -> None:
           f"per-query serving)")
 
 
-async def router_demo(network, queries, truth) -> None:
-    print("\n-- LocatorRouter: two locators, one front --")
-    async with LocatorRouter(
-        network,
-        {"voronoi": {}, "sharded:voronoi": {"shards": 8}},
-        latency_budget=0.002,
-        max_pending=QUERIES,
-    ) as router:
-        for name in router.locator_names:
-            answers = await router.locate_many(name, queries[:1000])
-            assert np.array_equal(answers, truth[:1000])
-            print(f"{name:>18}: {router.stats_snapshots()[name].describe()}")
-
-
 def main() -> None:
     network, queries = build_workload()
     print(network.describe())
@@ -148,7 +133,6 @@ def main() -> None:
     asyncio.run(traffic_shapes(network, queries, truth))
     asyncio.run(budget_sweep(network, queries, truth))
     serving_comparison(network, queries, truth)
-    asyncio.run(router_demo(network, queries, truth))
 
     print(
         "\nevery served answer above was bit-identical to the direct "

@@ -21,7 +21,7 @@ setup(
     # installed copies type-check and `python -m repro.lint` behaves exactly
     # like an in-tree run.
     package_data={"repro": ["py.typed", "lint/baseline.json"]},
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={
         "test": [
@@ -33,11 +33,6 @@ setup(
         "dev": [
             "mypy>=1.0",
             "ruff>=0.4",
-        ],
-        # Optional JIT engine backend; without it `repro.engine` simply does
-        # not register the "numba" backend.
-        "numba": [
-            "numba>=0.57",
         ],
     },
 )

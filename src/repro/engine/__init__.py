@@ -27,20 +27,16 @@ Architecture
                       for everyday batches (it pays no compile cost).
     ``reference``     Pure-Python loops over the scalar model functions; ~100x
                       slower, ground truth for the equivalence property tests.
-    ``numba``         JIT-compiled fused loops (``numba_backend.py``).  Only
-                      registered when the optional ``numba`` dependency is
-                      installed (``pip install repro-sinr-diagrams[numba]``);
-                      fastest steady-state single-core option once compiled.
     ``float32-screen``  The precision tier (``mixed_precision.py``): decision
                       queries run a float32 screen with a certified decision
                       margin, and only margin-close points are re-verified
-                      through an exact inner backend (any registered name,
-                      default ``numpy``; late-bound per call).  Answers are
-                      bit-identical to ``reference`` by construction — the
-                      screen keeps only decisions it can certify — at roughly
-                      half the memory traffic of the float64 kernels.  Value
-                      queries (``sinr_batch`` / ``energy_batch``) delegate to
-                      the inner backend unscreened.
+                      through the registered ``numpy`` backend (resolved by
+                      name on every call).  Answers are bit-identical to
+                      ``reference`` by construction — the screen keeps only
+                      decisions it can certify — at roughly half the memory
+                      traffic of the float64 kernels.  Value queries
+                      (``sinr_batch`` / ``energy_batch``) delegate to
+                      ``numpy`` unscreened.
     ================  ==========================================================
 
     Switch with::
@@ -49,7 +45,7 @@ Architecture
         use_backend("reference")            # current thread/task, persistent
         with use_backend("numpy"): ...      # scoped, restored on exit
 
-    or pass ``backend="numba"`` per call to any ``batch.py`` function.  The
+    or pass ``backend="float32-screen"`` per call to any ``batch.py`` function.  The
     selection lives in a :class:`contextvars.ContextVar`, so threads and
     asyncio tasks are isolated from each other and nested ``with`` blocks
     unwind correctly even on exceptions.  New backends register via
@@ -111,18 +107,13 @@ from .batch import (
 )
 from . import kernels
 
-# Importing these modules registers the production backends:
-# "float32-screen" always, "numba" only when its optional dependency is
-# installed.
-from .numba_backend import NUMBA_AVAILABLE, NumbaBackend
+# Importing this module registers the "float32-screen" backend.
 from .mixed_precision import Float32ScreenBackend, ScreenStats
 
 __all__ = [
     "DEFAULT_CHUNK_BYTES",
     "NO_RECEPTION",
-    "NUMBA_AVAILABLE",
     "Float32ScreenBackend",
-    "NumbaBackend",
     "NumpyBackend",
     "QueryBackend",
     "ReferenceBackend",

@@ -11,9 +11,6 @@ also :func:`available_backends`):
   ground truth: the property tests assert that every registered backend
   agrees with it on random networks, so any future backend can be
   validated through the same protocol;
-* ``"numba"`` (:mod:`repro.engine.numba_backend`) — JIT-compiled kernels,
-  registered only when the optional ``numba`` dependency is installed
-  (``pip install repro-sinr-diagrams[numba]``);
 * ``"float32-screen"`` (:mod:`repro.engine.mixed_precision`) — a certified
   float32 screen whose uncertain points are re-verified exactly.
 
@@ -35,12 +32,10 @@ even when an exception escapes the block.  The registry itself is guarded by
 a lock, and name-based selections are re-resolved on every query, so
 re-registering a backend under an active name takes effect immediately.
 
-Since the runtime unification, all of that machinery is one
-:class:`repro.runtime.Registry` instantiation (:data:`BACKENDS`, kind
-``"backend"``): this module contributes the backends and keeps the
-historical function surface as thin delegates, and a selection can cross a
-process boundary as the spec string ``"backend/<name>"``
-(:meth:`~repro.runtime.Registry.to_spec`).
+All of that machinery is one :class:`repro.runtime.Registry`
+instantiation (:data:`BACKENDS`, kind ``"backend"``): this module
+contributes the backends and keeps the function surface as thin
+delegates.
 """
 
 from __future__ import annotations
@@ -248,7 +243,6 @@ class ReferenceBackend:
         out = np.empty((n, m), dtype=float)
         for j in range(m):
             column = energies[:, j]
-            finite_point = math.isfinite(points[j, 0]) and math.isfinite(points[j, 1])
             coincident = self._coincident(coords, points[j, 0], points[j, 1])
             if coincident:
                 out[:, j] = 0.0
@@ -266,7 +260,7 @@ class ReferenceBackend:
                     if denominator != 0.0:
                         out[i, j] = column[i] / denominator
                     else:
-                        out[i, j] = math.inf if finite_point else math.nan
+                        out[i, j] = math.inf if column[i] > 0.0 else math.nan
         return out
 
     def strongest_station(
@@ -346,10 +340,9 @@ class ReferenceBackend:
 
 #: The engine backend registry — a :class:`repro.runtime.Registry`
 #: instantiation.  Name-based selections are re-resolved on every query
-#: (re-registration under an active name takes effect immediately), the
-#: ContextVar isolates selections per thread / async task with ``"numpy"``
-#: as the default, and ``BACKENDS.to_spec(name)`` renders a portable
-#: ``"backend/<name>"`` spec.
+#: (re-registration under an active name takes effect immediately), and
+#: the ContextVar isolates selections per thread / async task with
+#: ``"numpy"`` as the default.
 BACKENDS: Registry[QueryBackend] = Registry(
     "backend",
     label="engine backend",

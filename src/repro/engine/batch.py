@@ -183,7 +183,9 @@ def as_points_array(points: PointsLike) -> np.ndarray:
     every batch entry and locator answers ``NO_RECEPTION`` (-1) for it and
     its reception mask is False.  Its SINR is NaN (a NaN coordinate, or an
     infinitely far point without noise) or ``0``, never ``+inf``: the
-    kernels keep ``+inf`` for a zero denominator at a finite point only.
+    kernels keep ``+inf`` for a zero denominator under a positive signal
+    only.  A finite point so far away that every energy is ``0`` behaves
+    the same way.
     """
     if isinstance(points, np.ndarray):
         array = np.asarray(points, dtype=float)

@@ -25,10 +25,11 @@ Edge-case semantics (matching the scalar model layer exactly):
   :meth:`repro.model.network.WirelessNetwork.is_received`: a point occupied
   by stations is received exactly by the co-located stations (each hears its
   own location by definition) and by nobody else;
-* only a zero denominator at a finite point gives SINR ``+inf``: a NaN
-  coordinate keeps every energy and SINR NaN, and an infinitely far point
-  has SINR ``0`` (``0/0 = NaN`` without noise), so no station is received at
-  a non-finite point.
+* a zero denominator gives SINR ``+inf`` only under a positive signal:
+  without noise, a point whose every energy is ``0`` — infinitely far, or
+  so far that its squared distances overflow — has SINR ``0/0 = NaN``, and
+  a NaN coordinate keeps every energy and SINR NaN, so no station is
+  received at such a point.
 """
 
 from __future__ import annotations
@@ -52,13 +53,17 @@ def pairwise_squared_distances(
 ) -> np.ndarray:
     """Squared distances of shape ``(n_stations, n_points)``.
 
+    A distance too large to square is ``+inf``, the intended value: such a
+    point is infinitely far for every energy and nearest-station test.
+
     Args:
         station_coordinates: array of shape ``(n_stations, 2)``.
         points: array of shape ``(n_points, 2)``.
     """
     dx = station_coordinates[:, 0:1] - points[:, 0][None, :]
     dy = station_coordinates[:, 1:2] - points[:, 1][None, :]
-    return dx * dx + dy * dy
+    with np.errstate(over="ignore"):
+        return dx * dx + dy * dy
 
 
 def coincidence_matrix(
@@ -130,9 +135,7 @@ def _sinr(
     finite = np.where(inf_energy, 0.0, energies)
     total = finite.sum(axis=0)[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        denominator = total - finite + noise
-        infinite = (denominator == 0.0) & np.isfinite(points).all(axis=1)
-        ratio = np.where(infinite, np.inf, finite / denominator)
+        ratio = finite / (total - finite + noise)
 
     # Overflow-close stations: infinite signal dominates any interference.
     ratio = np.where(inf_energy, np.inf, ratio)
@@ -231,9 +234,7 @@ def received_mask_at(
     total = finite.sum(axis=0)
     row_finite = finite[indices, columns]
     with np.errstate(divide="ignore", invalid="ignore"):
-        denominator = total - row_finite + noise
-        infinite = (denominator == 0.0) & np.isfinite(points).all(axis=1)
-        ratio = np.where(infinite, np.inf, row_finite / denominator)
+        ratio = row_finite / (total - row_finite + noise)
     row_inf = inf_energy[indices, columns]
     ratio = np.where(row_inf, np.inf, ratio)
     other_inf = (inf_energy.sum(axis=0) - row_inf.astype(int)) > 0

@@ -7,9 +7,10 @@ precision instead of space: decision queries (strongest station, reception
 masks, heard station) are screened in float32 — half the memory traffic of
 the float64 kernels, and free of their coincidence-matrix passes — together
 with a certified decision margin per point.  Points whose float32 margin is
-too small to rule out a float64 disagreement are re-routed through an exact
-inner backend, so the combined answer is bit-identical to ``reference`` *by
-construction*: the screen only ever keeps decisions it can certify.
+too small to rule out a float64 disagreement are re-routed through the
+exact ``numpy`` backend, so the combined answer is bit-identical to
+``reference`` *by construction*: the screen only ever keeps decisions it can
+certify.
 
 Margin semantics
 ----------------
@@ -20,22 +21,24 @@ Margin semantics
 * Strongest-station (and the masked argmax of ``heard_station``) certify the
   winner only when top-1 and top-2 are relatively separated:
   ``(v1 - v2) > tol * (v1 + v2)``; ties are always uncertain.
-* A per-point geometry guard flags points within ``geometry_margin`` (relative
-  to the coordinate scale) of a station, where coordinate rounding amplifies
-  without bound; any non-finite or underflowed float32 value is uncertain as
-  well, which also covers every coincident-station column (a float64
-  coincidence forces a float32 zero distance, hence an infinite energy).
+* A per-point geometry guard flags points within :data:`GEOMETRY_MARGIN`
+  (relative to the coordinate scale) of a station, where coordinate rounding
+  amplifies without bound; any non-finite or underflowed float32 value is
+  uncertain as well, which also covers every coincident-station column (a
+  float64 coincidence forces a float32 zero distance, hence an infinite
+  energy).
 
 ``tol`` is the maximum of the configured ``decision_margin`` and a floor
 derived from the station count, ``beta``, ``alpha`` and float32 epsilon, so
 shrinking the margin can grow the verified fraction but never break
 exactness.  *Value* queries (``energy_matrix`` / ``sinr_matrix``) return
 floats rather than decisions — there is no margin to certify — so they
-delegate wholly to the exact inner backend.
+delegate wholly to the exact backend.
 
-The inner backend is late-bound exactly like the registry's name-based
-selections: a name is re-resolved on **every** call, so ``register_backend``
-overwrites take effect on the verify path immediately.
+The exact backend is resolved by the name ``"numpy"`` on **every** call,
+exactly like the registry's name-based selections, so
+``register_backend("numpy", ...)`` overwrites take effect on the verify path
+immediately.
 
 All four decision queries run one screen-then-verify loop
 (:meth:`Float32ScreenBackend._decide`) over cache-friendly float32 chunks
@@ -52,7 +55,7 @@ from .batch import chunk_byte_budget
 
 __all__ = [
     "DEFAULT_DECISION_MARGIN",
-    "DEFAULT_GEOMETRY_MARGIN",
+    "GEOMETRY_MARGIN",
     "Float32ScreenBackend",
     "ScreenStats",
 ]
@@ -60,9 +63,13 @@ __all__ = [
 #: Default relative decision margin of the screen; see ``decision_margin``.
 DEFAULT_DECISION_MARGIN = 1e-3
 
-#: Default station-proximity guard (relative to the coordinate scale) below
-#: which coordinate rounding error is considered unbounded.
-DEFAULT_GEOMETRY_MARGIN = 1e-3
+#: Station-proximity guard (relative to the coordinate scale) below which
+#: coordinate rounding error is considered unbounded.
+GEOMETRY_MARGIN = 1e-3
+
+#: The registered backend that verifies uncertain points and answers value
+#: queries, resolved by name on every call.
+_EXACT_BACKEND = "numpy"
 
 _EPS32 = float(np.finfo(np.float32).eps)
 _TINY32 = float(np.finfo(np.float32).tiny)
@@ -76,7 +83,7 @@ class ScreenStats:
     """Counters of screen effectiveness (informational, per backend instance).
 
     ``screened`` counts every point a decision query saw; ``verified`` the
-    subset whose margin was too small, re-routed through the exact inner
+    subset whose margin was too small, re-routed through the exact
     backend.  Updated without locking — exact totals under concurrency are
     not guaranteed, only the answers are.
     """
@@ -227,20 +234,14 @@ class Float32ScreenBackend:
 
     Implements the :class:`~repro.engine.backend.QueryBackend` protocol.
     Decision queries run the float32 screen and re-route margin-close points
-    through the exact inner backend; value queries delegate wholly to it.
-    See the module docstring for the margin scheme.
+    through the registered ``"numpy"`` backend; value queries delegate
+    wholly to it.  See the module docstring for the margin scheme.
 
     Args:
-        inner: the exact backend used for verification and value queries —
-            a registered name (re-resolved on every call, so later
-            ``register_backend`` overwrites apply) or a backend object.
         decision_margin: relative margin below which a float32 decision is
             re-verified.  Widening it is always safe (more verification);
             the effective tolerance never drops below an error-bound floor,
             so narrowing it cannot break exactness either.
-        geometry_margin: station-proximity guard relative to the coordinate
-            scale; points closer than this to some station are always
-            verified exactly.
     """
 
     name = "float32-screen"
@@ -249,39 +250,27 @@ class Float32ScreenBackend:
     #: ``coords32`` / ``powers32`` views so the screen never re-casts.
     accepts_float32_arrays = True
 
-    def __init__(
-        self,
-        inner: "str | QueryBackend" = "numpy",
-        *,
-        decision_margin: float = DEFAULT_DECISION_MARGIN,
-        geometry_margin: float = DEFAULT_GEOMETRY_MARGIN,
-    ) -> None:
-        if inner is None:
-            raise ReproError("inner must name or be an exact backend")
+    def __init__(self, *, decision_margin: float = DEFAULT_DECISION_MARGIN) -> None:
         if decision_margin <= 0.0:
             raise ReproError("decision_margin must be positive")
-        if geometry_margin <= 0.0:
-            raise ReproError("geometry_margin must be positive")
-        self._inner_selection = inner
         self.decision_margin = float(decision_margin)
-        self.geometry_margin = float(geometry_margin)
         self.stats = ScreenStats()
 
-    def _inner(self) -> QueryBackend:
-        """Resolve the exact inner backend *now* (late binding, every call)."""
-        return get_backend(self._inner_selection)
+    def _exact(self) -> QueryBackend:
+        """Resolve the exact backend *now* (by name, on every call)."""
+        return get_backend(_EXACT_BACKEND)
 
     # -- value queries: no decision to screen, delegate exactly --------
 
     def energy_matrix(
         self, coords, powers, points, alpha, coords32=None, powers32=None
     ):
-        return self._inner().energy_matrix(coords, powers, points, alpha)
+        return self._exact().energy_matrix(coords, powers, points, alpha)
 
     def sinr_matrix(
         self, coords, powers, points, noise, alpha, coords32=None, powers32=None
     ):
-        return self._inner().sinr_matrix(coords, powers, points, noise, alpha)
+        return self._exact().sinr_matrix(coords, powers, points, noise, alpha)
 
     # -- the screen-then-verify loop ------------------------------------
 
@@ -289,23 +278,27 @@ class Float32ScreenBackend:
         """Effective relative tolerance: the margin, floored by error bounds.
 
         The floor covers coordinate-rounding amplification at the geometry
-        guard (``~alpha * eps32 / geometry_margin``) and the interference
+        guard (``~alpha * eps32 / GEOMETRY_MARGIN``) and the interference
         cancellation of near-threshold SINR columns
         (``~beta * n * eps32``), each with generous slack.
         """
         floor = max(
-            4.0 * max(2.0, abs(alpha)) * _EPS32 / self.geometry_margin,
+            4.0 * max(2.0, abs(alpha)) * _EPS32 / GEOMETRY_MARGIN,
             8.0 * (abs(beta) + 1.0) * (n_stations + 64.0) * _EPS32,
         )
         return np.float32(max(self.decision_margin, floor))
 
-    def _geometry_flags(self, coords, pts_chunk, sq_min) -> np.ndarray:
-        """Points within ``geometry_margin`` of a station (float64 check)."""
+    @staticmethod
+    def _geometry_flags(coords, pts_chunk, sq_min) -> np.ndarray:
+        """Points within :data:`GEOMETRY_MARGIN` of a station (float64 check)."""
         coord_scale = max(1.0, float(np.abs(coords).max(initial=0.0)))
         scale = np.maximum(
             np.abs(np.asarray(pts_chunk, dtype=float)).max(axis=1), coord_scale
         )
-        threshold = (self.geometry_margin * scale) ** 2
+        # A huge scale squares to inf: the guard then flags the point, and
+        # the exact path answers it.
+        with np.errstate(over="ignore"):
+            threshold = (GEOMETRY_MARGIN * scale) ** 2
         return np.asarray(sq_min, dtype=float) <= threshold
 
     def _screenable(self, noise: float, beta: float, alpha: float) -> bool:
@@ -328,7 +321,7 @@ class Float32ScreenBackend:
         ``out`` is the empty answer array, with points on its last axis.
         ``screen(c32, p32, pts32, sl, tol32)`` answers the point chunk
         ``sl`` and returns ``(answers, uncertain, sq_min)``; ``exact(pts,
-        selector)`` answers ``pts[selector]`` through the inner backend.
+        selector)`` answers ``pts[selector]`` through the exact backend.
         """
         pts = np.asarray(points, dtype=float)
         m = len(pts)
@@ -336,7 +329,10 @@ class Float32ScreenBackend:
             coords32 = np.ascontiguousarray(coords, dtype=np.float32)
         if powers32 is None:
             powers32 = np.ascontiguousarray(powers, dtype=np.float32)
-        pts32 = np.ascontiguousarray(pts, dtype=np.float32)
+        # Points beyond float32 range cast to inf; the screen marks their
+        # columns uncertain and the exact path answers them.
+        with np.errstate(over="ignore"):
+            pts32 = np.ascontiguousarray(pts, dtype=np.float32)
         tol32 = self._tolerance(len(coords), beta, alpha)
         uncertain = np.empty(m, dtype=bool)
         per_point = max(1, len(coords)) * 4 * _SCREEN_TEMPS
@@ -367,7 +363,7 @@ class Float32ScreenBackend:
             lambda c32, p32, chunk, sl, tol32: _screen_strongest(
                 c32, p32, chunk, alpha, tol32
             ),
-            lambda pts, sel: self._inner().strongest_station(
+            lambda pts, sel: self._exact().strongest_station(
                 coords, powers, pts[sel], alpha
             ),
         )
@@ -377,7 +373,7 @@ class Float32ScreenBackend:
         coords32=None, powers32=None,
     ):
         if not self._screenable(noise, beta, alpha):
-            return self._inner().received_mask_matrix(
+            return self._exact().received_mask_matrix(
                 coords, powers, points, noise, beta, alpha
             )
         beta32 = np.float32(beta)
@@ -387,7 +383,7 @@ class Float32ScreenBackend:
             lambda c32, p32, chunk, sl, tol32: _screen_sinr(
                 c32, p32, chunk, noise, beta32, tol32, alpha
             )[1:],
-            lambda pts, sel: self._inner().received_mask_matrix(
+            lambda pts, sel: self._exact().received_mask_matrix(
                 coords, powers, pts[sel], noise, beta, alpha
             ),
         )
@@ -398,7 +394,7 @@ class Float32ScreenBackend:
     ):
         indices = np.asarray(indices, dtype=np.intp)
         if not self._screenable(noise, beta, alpha):
-            return self._inner().received_mask_at(
+            return self._exact().received_mask_at(
                 coords, powers, points, indices, noise, beta, alpha
             )
         beta32 = np.float32(beta)
@@ -408,7 +404,7 @@ class Float32ScreenBackend:
             lambda c32, p32, chunk, sl, tol32: _screen_row(
                 c32, p32, chunk, indices[sl], noise, beta32, tol32, alpha
             ),
-            lambda pts, sel: self._inner().received_mask_at(
+            lambda pts, sel: self._exact().received_mask_at(
                 coords, powers, pts[sel], indices[sel], noise, beta, alpha
             ),
         )
@@ -418,7 +414,7 @@ class Float32ScreenBackend:
         coords32=None, powers32=None,
     ):
         if not self._screenable(noise, beta, alpha):
-            return self._inner().heard_station(
+            return self._exact().heard_station(
                 coords, powers, points, noise, beta, alpha, no_reception
             )
         beta32 = np.float32(beta)
@@ -428,7 +424,7 @@ class Float32ScreenBackend:
             lambda c32, p32, chunk, sl, tol32: _screen_heard(
                 c32, p32, chunk, noise, beta32, tol32, alpha, no_reception
             ),
-            lambda pts, sel: self._inner().heard_station(
+            lambda pts, sel: self._exact().heard_station(
                 coords, powers, pts[sel], noise, beta, alpha, no_reception
             ),
         )

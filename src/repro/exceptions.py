@@ -83,7 +83,8 @@ class ServiceError(ReproError):
     """Raised for invalid query-service configuration or lifecycle misuse.
 
     Examples: a non-positive latency budget or batch size, starting a
-    service twice, or routing to a locator name the router does not front.
+    service twice, or swapping an opaque pre-built locator without a
+    replacement.
     """
 
 
@@ -98,9 +99,9 @@ class ObservabilityError(ReproError):
 class ComponentError(ReproError):
     """Raised for runtime-framework misuse (:mod:`repro.runtime`).
 
-    Examples: a malformed ``<kind>/<name>`` spec string, an unknown registry
-    kind, adding a component to an already-started composition root, or
-    starting a generic component twice.  Components with their own taxonomy
+    Examples: adding a component to an already-started composition root,
+    declaring a component after an undeclared dependency, or starting a
+    generic component twice.  Components with their own taxonomy
     branch (service, observability) override the error types the
     shared lifecycle raises, so this class surfaces only from the framework
     itself.

@@ -32,6 +32,10 @@ __all__ = ["Grid", "GridCell"]
 
 CellIndex = Tuple[int, int]
 
+#: Cell coordinates ``(x - origin) / spacing`` of at least this magnitude lie
+#: in no cell: the batch path stores cell indices as int64.
+MAX_CELL_COORDINATE = 2.0**62
+
 
 @dataclass(frozen=True, slots=True)
 class GridCell:
@@ -101,9 +105,22 @@ class Grid:
     # Point <-> cell conversions
     # ------------------------------------------------------------------
     def cell_index_of(self, point: Point) -> CellIndex:
-        """Index of the cell containing ``point`` (half-open tie-breaking)."""
-        col = math.floor((point.x - self.origin.x) / self.spacing)
-        row = math.floor((point.y - self.origin.y) / self.spacing)
+        """Index of the cell containing ``point`` (half-open tie-breaking).
+
+        Raises:
+            GeometryError: if no cell contains ``point`` (see :meth:`has_cell`).
+        """
+        # Python floats overflow to inf silently; numpy scalars would warn.
+        spacing = float(self.spacing)
+        col_offset = (float(point.x) - float(self.origin.x)) / spacing
+        row_offset = (float(point.y) - float(self.origin.y)) / spacing
+        if not (
+            abs(col_offset) < MAX_CELL_COORDINATE
+            and abs(row_offset) < MAX_CELL_COORDINATE
+        ):
+            raise GeometryError(f"no grid cell contains {point}")
+        col = math.floor(col_offset)
+        row = math.floor(row_offset)
         # Guard against floating-point drift right at a cell boundary: ensure
         # the computed cell actually contains the point under the half-open rule.
         cell = self.cell(col, row)
@@ -117,11 +134,25 @@ class Grid:
             row -= 1
         return (col, row)
 
+    def has_cell(self, points: np.ndarray) -> np.ndarray:
+        """Boolean ``(m,)`` mask of the ``(m, 2)`` points some cell contains.
+
+        A point lies in no cell when its cell coordinate
+        ``(x - origin) / spacing`` is not finite (a coordinate is non-finite,
+        or so far from the origin that the division overflows) or is too
+        large for an int64 cell index (:data:`MAX_CELL_COORDINATE`).
+        """
+        origin = np.array([self.origin.x, self.origin.y])
+        with np.errstate(over="ignore", invalid="ignore"):
+            offsets = np.abs((points - origin) / self.spacing)
+            return (offsets < MAX_CELL_COORDINATE).all(axis=1)
+
     def cell_indices_of(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`cell_index_of`: ``(cols, rows)`` int arrays.
 
         Args:
-            points: float array of shape ``(m, 2)``.
+            points: float array of shape ``(m, 2)``, every point in some
+                cell (:meth:`has_cell`).
 
         Applies the same floating-point drift guard as the scalar method (the
         computed cell must actually contain the point under the half-open

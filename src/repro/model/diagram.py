@@ -316,10 +316,18 @@ class SINRDiagram:
                 return bit-identical rasters.
 
         Raises:
-            DiagramError: if the box is empty or the resolution is too small.
+            DiagramError: if the box is empty, its width or height is not
+                finite (a non-finite corner, or corners so far apart that
+                the extent overflows), or the resolution is too small.
         """
-        width = upper_right.x - lower_left.x
-        height = upper_right.y - lower_left.y
+        # Python floats overflow to inf silently; numpy scalars would warn.
+        width = float(upper_right.x) - float(lower_left.x)
+        height = float(upper_right.y) - float(lower_left.y)
+        if not (math.isfinite(width) and math.isfinite(height)):
+            raise DiagramError(
+                f"rasterize() requires a finite bounding box, got "
+                f"{lower_left}-{upper_right}"
+            )
         if width <= 0.0 or height <= 0.0:
             raise DiagramError("rasterize() requires a non-empty bounding box")
         if resolution < 2:

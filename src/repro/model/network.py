@@ -64,12 +64,18 @@ class WirelessNetwork:
             raise NetworkConfigurationError(
                 f"a wireless network needs at least two stations, got {len(stations)}"
             )
-        if noise < 0.0:
-            raise NetworkConfigurationError(f"noise must be non-negative, got {noise}")
-        if beta <= 0.0:
-            raise NetworkConfigurationError(f"beta must be positive, got {beta}")
-        if alpha <= 0.0:
-            raise NetworkConfigurationError(f"alpha must be positive, got {alpha}")
+        if not 0.0 <= noise < math.inf:
+            raise NetworkConfigurationError(
+                f"noise must be non-negative and finite, got {noise}"
+            )
+        if not 0.0 < beta < math.inf:
+            raise NetworkConfigurationError(
+                f"beta must be positive and finite, got {beta}"
+            )
+        if not 0.0 < alpha < math.inf:
+            raise NetworkConfigurationError(
+                f"alpha must be positive and finite, got {alpha}"
+            )
         object.__setattr__(self, "stations", tuple(stations))
         object.__setattr__(self, "noise", float(noise))
         object.__setattr__(self, "beta", float(beta))
@@ -128,10 +134,6 @@ class WirelessNetwork:
             # __setattr__ guard; the array itself is read-only.
             self.__dict__["_coords"] = cached
         return cached
-
-    def coordinates_array(self) -> np.ndarray:
-        """Station coordinates as an ``(n, 2)`` numpy array (cached, read-only)."""
-        return self.coords
 
     def powers_array(self) -> np.ndarray:
         """Transmission powers as a cached, read-only ``(n,)`` numpy array."""

@@ -115,7 +115,8 @@ def sinr_ratio(
     if math.isinf(noise_plus_interference):
         return 0.0
     if noise_plus_interference == 0.0:
-        return math.inf
+        # 0/0 when every energy underflows at a far point without noise.
+        return math.inf if signal > 0.0 else math.nan
     return signal / noise_plus_interference
 
 

@@ -10,6 +10,7 @@ that configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -34,9 +35,13 @@ class Station:
     name: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.power <= 0.0:
+        if not (math.isfinite(self.location.x) and math.isfinite(self.location.y)):
             raise NetworkConfigurationError(
-                f"station power must be positive, got {self.power}"
+                f"station location must be finite, got {self.location}"
+            )
+        if not 0.0 < self.power < math.inf:
+            raise NetworkConfigurationError(
+                f"station power must be positive and finite, got {self.power}"
             )
 
     # ------------------------------------------------------------------

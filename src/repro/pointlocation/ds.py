@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -258,10 +258,6 @@ class PointLocationStructure:
             for position, label in zip(selector.tolist(), labels):
                 answers[position] = PointLocationAnswer(station=station, label=label)
         return answers
-
-    def locate_many(self, points: Sequence[Point]) -> List[PointLocationAnswer]:
-        """Alias of :meth:`locate_answers` (the historical batch-answer name)."""
-        return self.locate_answers(points)
 
     # ------------------------------------------------------------------
     # Locator protocol (uniform int64 station-index answers)

@@ -29,7 +29,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 import numpy as np
 
 from ..engine.batch import PointsLike, as_points_array
-from ..exceptions import PointLocationError
+from ..exceptions import GeometryError, PointLocationError
 from ..geometry.grid import Grid
 from ..geometry.point import Point
 from .brp import BoundaryCover, ray_sweep_boundary_cells, reconstruct_boundary_cells
@@ -225,8 +225,16 @@ class ZoneGridIndex:
         return ZoneLabel.OUTSIDE
 
     def classify(self, point: Point) -> ZoneLabel:
-        """Classify a query point in constant time."""
-        return self.classify_cell(self.grid.cell_index_of(point))
+        """Classify a query point in constant time.
+
+        A point in no grid cell (a non-finite point, or one so far away that
+        its cell coordinate overflows) is outside the bounded zone.
+        """
+        try:
+            index = self.grid.cell_index_of(point)
+        except GeometryError:
+            return ZoneLabel.OUTSIDE
+        return self.classify_cell(index)
 
     def classify_batch(self, points: PointsLike) -> List[ZoneLabel]:
         """Classify a batch of query points.
@@ -249,21 +257,20 @@ class ZoneGridIndex:
         ``int64`` answers from.
         """
         pts = as_points_array(points)
-        cols, rows = self.grid.cell_indices_of(pts)
-        out = np.empty(len(pts), dtype=np.int8)
+        # Points in no grid cell stay OUTSIDE, as in :meth:`classify`.
+        out = np.full(len(pts), OUTSIDE_CODE, dtype=np.int8)
+        placed = np.flatnonzero(self.grid.has_cell(pts))
+        cols, rows = self.grid.cell_indices_of(pts[placed])
         lookup = self._columns.get
-        for position, (col, row) in enumerate(zip(cols.tolist(), rows.tolist())):
+        for position, col, row in zip(placed.tolist(), cols.tolist(), rows.tolist()):
             column = lookup(col)
             if column is None:
-                out[position] = OUTSIDE_CODE
                 continue
             min_row, max_row, cell_rows = column
             if row in cell_rows:
                 out[position] = UNCERTAIN_CODE
             elif min_row < row < max_row:
                 out[position] = INSIDE_CODE
-            else:
-                out[position] = OUTSIDE_CODE
         return out
 
     # ------------------------------------------------------------------

@@ -34,13 +34,10 @@ locator per shard, so e.g. ``get_locator("sharded:theorem3")`` works anywhere
 a plain name does.  The registered locator matrix lives in the package
 docstring (:mod:`repro.pointlocation`).
 
-Since the runtime unification, the registry machinery is one
-:class:`repro.runtime.Registry` instantiation (:data:`LOCATORS`, kind
-``"locator"``, with the composed-name hook enabled): this module
-contributes the protocols and the composition semantics, keeps the
-historical function surface as thin delegates, and a selection can cross a
-process boundary as the spec string ``"locator/<name>"`` — composed
-spellings included (``"locator/sharded:voronoi"``).
+The registry machinery is one :class:`repro.runtime.Registry`
+instantiation (:data:`LOCATORS`, kind ``"locator"``, with the composed-name
+hook enabled): this module contributes the protocols and the composition
+semantics and keeps the function surface as thin delegates.
 """
 
 from __future__ import annotations
@@ -122,8 +119,7 @@ class _ComposedFactory:
 #: The locator registry — a :class:`repro.runtime.Registry` instantiation
 #: with the composed-name hook enabled: ``"sharded:<inner>"`` resolves to a
 #: :class:`_ComposedFactory` without ever being registered.  The ContextVar
-#: selection defaults to ``"voronoi"`` and ``LOCATORS.to_spec(name)``
-#: renders a portable ``"locator/<name>"`` spec.
+#: selection defaults to ``"voronoi"``.
 LOCATORS: Registry[LocatorFactory] = Registry(
     "locator",
     label="locator",

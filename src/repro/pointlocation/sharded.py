@@ -45,7 +45,8 @@ The locator registers as ``"sharded"``; the composed spelling
 ``"sharded:<inner>"`` (e.g. ``"sharded:theorem3"``) selects the inner
 locator by name through the registry.  Because both the inner proposals and
 the verification run through the engine's batch entry points, per-shard
-dispatch inherits whatever backend is active (numpy, numba, float32-screen).
+dispatch inherits whatever backend is active (numpy, float32-screen,
+reference).
 """
 
 from __future__ import annotations

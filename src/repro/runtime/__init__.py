@@ -4,14 +4,13 @@ Three pieces of cross-cutting machinery that every layer of the serving
 stack used to hand-roll now live here, written once:
 
 * :mod:`repro.runtime.registry` — the generic name -> item
-  :class:`Registry` with ContextVar-scoped selection, composed-name
-  resolution (``"sharded:voronoi"``) and portable ``"<kind>/<name>"``
-  spec strings.  The engine backend and locator registries are thin
-  instantiations of it.
+  :class:`Registry` with ContextVar-scoped selection and composed-name
+  resolution (``"sharded:voronoi"``).  The engine backend and locator
+  registries are thin instantiations of it.
 * :mod:`repro.runtime.component` — the :class:`Component` lifecycle
   (``new -> running -> stopping -> stopped``, terminal, async context
   manager, per-layer ``*ClosedError`` guards) adopted by the batcher,
-  services, router and hub, plus the :class:`Runtime`
+  services and hub, plus the :class:`Runtime`
   composition root that boots components in dependency order, stops them
   in reverse and auto-wires every :class:`StatsSource` into an owned
   metrics hub.
@@ -27,7 +26,7 @@ state machines anywhere else.
 
 from .component import Component, Runtime, StatsSource
 from .epoch import EpochCoordinator, drain_timeout
-from .registry import Registry, Selection, registry_for_kind, use_spec
+from .registry import Registry, Selection
 
 __all__ = [
     "Component",
@@ -37,6 +36,4 @@ __all__ = [
     "Selection",
     "StatsSource",
     "drain_timeout",
-    "registry_for_kind",
-    "use_spec",
 ]

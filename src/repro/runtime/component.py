@@ -1,8 +1,9 @@
 """The one component lifecycle and the composition root that boots it.
 
 Every long-lived object in the serving stack — the micro-batcher, the
-query and raster services, the locator router, the metrics hub — used to
-carry its own hand-rolled start/stop state machine.  :class:`Component` is that machine written once:
+query and raster services, the metrics hub — used to carry its own
+hand-rolled start/stop state machine.  :class:`Component` is that machine
+written once:
 
 * states progress ``new -> running -> stopping -> stopped`` and the
   terminal state is final — a component is started at most once and never
@@ -23,12 +24,11 @@ manager live here — which is also what makes reprolint rule RL010
 enforceable: a class outside :mod:`repro.runtime` that defines its own
 ``start``/``stop`` pair is re-growing the machinery this module unified.
 
-:class:`Runtime` is the composition root the multi-process cluster story
-builds on: declare named components (dependencies first), ``start()``
-boots them in declaration order and stops them in reverse, and any
-component exposing :meth:`Component.stats_source` is automatically wired
-into a metrics hub the runtime owns — a worker process is "a composition
-root plus a handful of spec strings" (:mod:`repro.runtime.registry`).
+:class:`Runtime` is the composition root of one serving process: declare
+named components (dependencies first), ``start()`` boots them in
+declaration order and stops them in reverse, and any component exposing
+:meth:`Component.stats_source` is automatically wired into a metrics hub
+the runtime owns.
 """
 
 from __future__ import annotations

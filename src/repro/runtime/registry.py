@@ -9,29 +9,14 @@ active name takes effect immediately), and a token-restoring context
 manager.  :class:`Registry` is that machinery written once, parameterised
 by the few things that actually differed:
 
-* the **kind** (``"backend"``, ``"locator"``) — also the prefix of the
-  portable spec strings below;
+* the **kind** (``"backend"``, ``"locator"``), which names the
+  selection's ContextVar;
 * the **error type** raised for unknown names (``ReproError`` for the
   engine, :class:`~repro.exceptions.PointLocationError` for locators), so
   existing ``except`` clauses keep working;
 * an optional **compose** hook for derived names: ``"sharded:voronoi"``
   resolves recursively — the prefix must be registered, the remainder must
   itself resolve — without ever being registered itself.
-
-Spec strings
-============
-
-A selection that must cross a process boundary (the planned multi-process
-serving cluster ships worker configuration as data) is rendered as
-``"<kind>/<name>"`` by :meth:`Registry.to_spec` and resolved back by
-:meth:`Registry.from_spec` / :func:`use_spec`::
-
-    BACKENDS.to_spec("numpy")          # -> "backend/numpy"
-    Registry.from_spec("backend/numpy")        # -> the NumpyBackend
-    use_spec("locator/sharded:voronoi")        # select it in this context
-
-Every :class:`Registry` announces itself in a module-level kind table at
-construction, so ``from_spec`` needs nothing but the string.
 
 Concurrency contract (inherited verbatim from both predecessors):
 ``register`` is lock-guarded and safe from any thread; ``get`` is a
@@ -45,49 +30,27 @@ from __future__ import annotations
 import threading
 from contextvars import ContextVar, Token
 from typing import (
-    Any,
     Callable,
     Dict,
     Generic,
     List,
     Optional,
-    Tuple,
     Type,
     TypeVar,
     Union,
 )
 
-from ..exceptions import ComponentError, ReproError
+from ..exceptions import ReproError
 
 __all__ = [
     "Registry",
     "Selection",
-    "registry_for_kind",
-    "use_spec",
 ]
 
 T = TypeVar("T")
 
-#: Separator between the registry kind and the item name in a spec string.
-SPEC_SEPARATOR = "/"
-
-#: Every constructed registry, by kind — what ``from_spec`` resolves
-#: against.  A re-constructed kind replaces the previous entry (tests build
-#: scratch registries; the library's own kinds are module singletons).
-_REGISTRIES: Dict[str, "Registry[Any]"] = {}
-_registries_lock = threading.Lock()
-
-
-def registry_for_kind(kind: str) -> "Registry[Any]":
-    """The registry registered under ``kind``, or raise ``ComponentError``."""
-    with _registries_lock:
-        registry = _REGISTRIES.get(kind)
-        known = sorted(_REGISTRIES)
-    if registry is None:
-        raise ComponentError(
-            f"unknown registry kind {kind!r}; known kinds: {known}"
-        )
-    return registry
+#: Separator of composed names (``"sharded:voronoi"``).
+COMPOSE_SEPARATOR = ":"
 
 
 class Selection(Generic[T]):
@@ -132,7 +95,8 @@ class Registry(Generic[T]):
     """A lock-guarded, ContextVar-selected name -> item registry.
 
     Args:
-        kind: the spec-string prefix and kind-table key (``"backend"``).
+        kind: what the registry holds (``"backend"``); names the
+            selection's ContextVar.
         label: human phrasing used in error messages (``"engine backend"``);
             defaults to ``kind``.
         default: the selection in force where none was made (a name).
@@ -140,7 +104,7 @@ class Registry(Generic[T]):
             each instantiation keeps its layer's taxonomy branch.
         compose: optional hook enabling derived names: a callable
             ``(outer_item, inner_name) -> item`` applied when a name
-            contains ``separator`` (``"sharded:voronoi"`` resolves the
+            contains ``":"`` (``"sharded:voronoi"`` resolves the
             ``"sharded"`` item, validates ``"voronoi"`` recursively, and
             returns ``compose(item, "voronoi")``).  When set, plain names
             must not contain the separator.
@@ -148,7 +112,6 @@ class Registry(Generic[T]):
             error (``"sharded:voronoi"``).
         unknown_hint: appended to the unknown-name error (e.g. a note that
             composed spellings also exist).
-        separator: the composed-name separator (``":"``).
     """
 
     def __init__(
@@ -161,13 +124,7 @@ class Registry(Generic[T]):
         compose: Optional[Callable[[T, str], T]] = None,
         compose_example: str = "",
         unknown_hint: str = "",
-        separator: str = ":",
     ) -> None:
-        if not kind or SPEC_SEPARATOR in kind:
-            raise ComponentError(
-                f"a registry kind must be a non-empty name without "
-                f"{SPEC_SEPARATOR!r}, got {kind!r}"
-            )
         self.kind = kind
         self.label = label if label is not None else kind
         self.default = default
@@ -175,7 +132,6 @@ class Registry(Generic[T]):
         self._compose = compose
         self._compose_example = compose_example
         self._unknown_hint = unknown_hint
-        self._separator = separator
         self._items: Dict[str, T] = {}
         self._lock = threading.Lock()
         # The active *selection*, not the active item: a registered name
@@ -186,8 +142,6 @@ class Registry(Generic[T]):
         self._selection: ContextVar[Union[str, T, None]] = ContextVar(
             f"repro_{kind}", default=default
         )
-        with _registries_lock:
-            _REGISTRIES[kind] = self
 
     # -- registration ----------------------------------------------------
     def register(self, name: str, item: T) -> None:
@@ -200,9 +154,9 @@ class Registry(Generic[T]):
         dynamically so every registered inner name is immediately
         composable.
         """
-        if self._compose is not None and self._separator in name:
+        if self._compose is not None and COMPOSE_SEPARATOR in name:
             raise self._error(
-                f"{self.label} names must not contain {self._separator!r}; "
+                f"{self.label} names must not contain {COMPOSE_SEPARATOR!r}; "
                 f"composed names like {self._compose_example!r} are derived, "
                 f"not registered"
             )
@@ -242,7 +196,7 @@ class Registry(Generic[T]):
             return self.active()
         if isinstance(name, str):
             if self._compose is not None:
-                base, separator, inner = name.partition(self._separator)
+                base, separator, inner = name.partition(COMPOSE_SEPARATOR)
             else:
                 base, separator, inner = name, "", ""
             # Lock-free read: dict lookups are atomic under the GIL, and
@@ -296,58 +250,8 @@ class Registry(Generic[T]):
         """Restore the selection a :class:`Selection` token snapshotted."""
         self._selection.reset(token)
 
-    # -- spec strings ----------------------------------------------------
-    def to_spec(self, name: Union[str, T, None] = None) -> str:
-        """Render a selection as a portable ``"<kind>/<name>"`` string.
-
-        ``None`` renders the current context's selection.  Only name-based
-        selections can cross a process boundary: an object selection has no
-        portable identity, so it is rejected — register the object and
-        select it by name instead.  The name is validated (including
-        composed spellings), so a spec that renders is a spec that resolves.
-        """
-        if name is None:
-            name = self._selection.get()
-        if not isinstance(name, str):
-            raise self._error(
-                f"only name-based {self.label} selections can be rendered "
-                f"as a spec, got {name!r}; register the object and select "
-                f"it by name"
-            )
-        self.get(name)  # validate, composed spellings included
-        return f"{self.kind}{SPEC_SEPARATOR}{name}"
-
-    @staticmethod
-    def resolve_spec(spec: str) -> Tuple["Registry[Any]", str]:
-        """Split a spec into its registry and name (both validated to exist)."""
-        kind, separator, name = spec.partition(SPEC_SEPARATOR)
-        if not separator or not kind or not name:
-            raise ComponentError(
-                f"malformed spec {spec!r}; expected '<kind>{SPEC_SEPARATOR}"
-                f"<name>' such as 'backend{SPEC_SEPARATOR}numpy'"
-            )
-        return registry_for_kind(kind), name
-
-    @classmethod
-    def from_spec(cls, spec: str) -> Any:
-        """Resolve a ``"<kind>/<name>"`` spec to its registered item."""
-        registry, name = cls.resolve_spec(spec)
-        return registry.get(name)
-
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and name in self._items
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Registry(kind={self.kind!r}, available={self.available()!r})"
-
-
-def use_spec(spec: str) -> Selection[Any]:
-    """Select a spec string's item in the current context.
-
-    ``use_spec("backend/numpy")`` is ``registry_for_kind("backend")
-    .use("numpy")`` — the one-call worker-boot hook: a process handed its
-    configuration as spec strings applies them without knowing which layer
-    each one belongs to.
-    """
-    registry, name = Registry.resolve_spec(spec)
-    return registry.use(name)

@@ -24,8 +24,6 @@ The pieces
     including ``"sharded:<inner>"`` compositions, or a pre-built object)
     behind a batcher, with per-service :class:`ServiceStats` (batches,
     mean batch size, wait and latency p50/p99).
-:class:`LocatorRouter`
-    One service per locator name behind a single front.
 :func:`serve_points`
     Sync facade for scripts: serve an ``(m, 2)`` array through a temporary
     service and return the ``int64`` answers.
@@ -42,9 +40,7 @@ Both services implement ``metrics_sample()``; a
 The engine backend active when the service **starts** is captured (a
 :mod:`contextvars` context copy) and used for every batch, which runs on
 the batcher's one dispatch thread.  ``numpy`` (the default) and
-``float32-screen`` fit the service's typical micro-batch sizes; warm
-``numba``'s JIT with one throwaway batch before starting, or the first
-micro-batch pays compilation inside its latency window.
+``float32-screen`` fit the service's typical micro-batch sizes.
 
 Quick use::
 
@@ -63,14 +59,13 @@ from .batcher import (
     MicroBatcher,
 )
 from .raster import RasterService
-from .service import LocatorRouter, QueryService, serve_points
+from .service import QueryService, serve_points
 from .stats import ServiceStats, StatsSnapshot
 
 __all__ = [
     "DEFAULT_LATENCY_BUDGET",
     "DEFAULT_MAX_BATCH_SIZE",
     "DEFAULT_MAX_PENDING",
-    "LocatorRouter",
     "MicroBatcher",
     "QueryService",
     "RasterService",

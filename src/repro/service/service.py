@@ -8,11 +8,6 @@
 together with every other query that arrived within the latency budget, as
 one vectorised ``locate_batch`` call through the active engine backend.
 
-:class:`LocatorRouter` runs one service per locator name, so one process
-can serve e.g. ``"voronoi"`` for cheap exact answers and
-``"sharded:theorem3"`` for a large deployment side by side, each with its
-own batch accumulation and stats.
-
 :func:`serve_points` is the sync facade for scripts and benchmarks: it
 spins up an event loop, serves an array of points through a temporary
 service with maximal concurrency, and returns the ``int64`` answers.
@@ -22,15 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    Mapping,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -50,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: One query point in any form locate() accepts.
 PointLike = Union["Point", Tuple[float, float], "np.ndarray"]
 
-__all__ = ["QueryService", "LocatorRouter", "serve_points"]
+__all__ = ["QueryService", "serve_points"]
 
 
 class QueryService(Component):
@@ -248,107 +235,6 @@ class QueryService(Component):
         sample = self.stats.metrics_sample()
         sample.update(self._batcher.metrics_sample())
         return sample
-
-
-class LocatorRouter(Component):
-    """One micro-batching service per locator name, behind a single front.
-
-    A :class:`~repro.runtime.Component`: starting the router starts every
-    routed service; stopping stops them all (idempotent, final).
-
-    Args:
-        network: the network every routed locator serves.
-        locators: the routed names — either an iterable of registry names,
-            or a mapping ``name -> build_options`` for per-name build
-            configuration.
-        **batcher_options: shared :class:`MicroBatcher` knobs applied to
-            every routed service.
-
-    Each name gets its own :class:`QueryService` (hence its own batcher,
-    backpressure bound and stats): a slow ``theorem3`` build or a bursty
-    client of one locator never delays batches of another beyond event-loop
-    scheduling.
-    """
-
-    def __init__(
-        self,
-        network: "WirelessNetwork",
-        locators: Union[Iterable[str], Mapping[str, Mapping[str, object]]],
-        **batcher_options: object,
-    ) -> None:
-        if isinstance(locators, Mapping):
-            named: Dict[str, Mapping[str, object]] = dict(locators)
-        else:
-            named = {name: {} for name in locators}
-        if not named:
-            raise ServiceError("a LocatorRouter needs at least one locator name")
-        self.network = network
-        self._services: Dict[str, QueryService] = {
-            name: QueryService(
-                network, name, build_options=options, **batcher_options
-            )
-            for name, options in named.items()
-        }
-
-    # -- lifecycle -------------------------------------------------------
-    lifecycle_error = ServiceError
-    closed_error = ServiceClosedError
-
-    async def _do_start(self) -> None:
-        for service in self._services.values():
-            await service.start()
-
-    async def _do_stop(self, drain: bool) -> None:
-        for service in self._services.values():
-            await service.stop(drain=drain)
-
-    # -- routing ---------------------------------------------------------
-    def service(self, name: str) -> QueryService:
-        try:
-            return self._services[name]
-        except KeyError:
-            raise ServiceError(
-                f"no service routes locator {name!r}; "
-                f"routed: {sorted(self._services)}"
-            ) from None
-
-    @property
-    def locator_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._services))
-
-    async def locate(self, name: str, point: "PointLike") -> int:
-        return await self.service(name).locate(point)
-
-    async def locate_many(self, name: str, points: PointsLike) -> np.ndarray:
-        return await self.service(name).locate_many(points)
-
-    async def swap_network(
-        self,
-        new_network: "WirelessNetwork",
-        delta: "Optional[NetworkDelta]" = None,
-        *,
-        drain_old: bool = True,
-    ) -> None:
-        """Swap every routed service to ``new_network``, one epoch each.
-
-        Services are swapped in sorted-name order; each applies
-        :meth:`QueryService.swap_network` (incremental where its locator
-        supports ``updated``).  During the sweep, already-swapped services
-        answer from the new network while the rest still serve the old one —
-        per-service epochs are independent by design, exactly as their
-        batchers and stats are.
-        """
-        for name in self.locator_names:
-            await self._services[name].swap_network(
-                new_network, delta, drain_old=drain_old
-            )
-        self.network = new_network
-
-    def stats_snapshots(self) -> Dict[str, StatsSnapshot]:
-        return {
-            name: service.stats_snapshot()
-            for name, service in self._services.items()
-        }
 
 
 def serve_points(

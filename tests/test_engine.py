@@ -2,9 +2,9 @@
 
 Four families:
 
-* backend equivalence — every registered backend (numpy, float32-screen,
-  and numba when installed) agrees with the pure-Python reference backend on
-  randomized networks within 1e-9, including the coincident-point and
+* backend equivalence — every registered backend (numpy, float32-screen)
+  agrees with the pure-Python reference backend on randomized networks
+  within 1e-9, including the coincident-point and
   overflow-close columns;
 * backend selection — the ContextVar-backed registry: nesting, exception
   safety, cross-thread isolation, and re-registration taking effect while a
@@ -27,8 +27,6 @@ from repro import Point, SINRDiagram, Station, WirelessNetwork
 from repro.engine import (
     DEFAULT_CHUNK_BYTES,
     NO_RECEPTION,
-    NUMBA_AVAILABLE,
-    NumbaBackend,
     NumpyBackend,
     QueryBackend,
     active_backend,
@@ -59,23 +57,9 @@ from repro.pointlocation import (
 )
 from seeded_workloads import query_box_array, seeded_network
 
-needs_numba = pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-
-#: Optional backends and the skip conditions of their CI legs.
-_OPTIONAL_MARKS = {"numba": needs_numba}
-
-#: Every backend that must agree with the "reference" ground truth.  The
-#: optional "numba" entry is always present in the matrix and skip-marked
-#: when its dependency is missing, so CI stays green either way; newly
+#: Every backend that must agree with the "reference" ground truth; newly
 #: registered backends join automatically.
-CANDIDATE_BACKENDS = [
-    pytest.param(name, marks=_OPTIONAL_MARKS[name])
-    if name in _OPTIONAL_MARKS
-    else name
-    for name in sorted(
-        set(available_backends()) - {"reference"} | set(_OPTIONAL_MARKS)
-    )
-]
+CANDIDATE_BACKENDS = sorted(set(available_backends()) - {"reference"})
 
 
 @pytest.fixture(params=CANDIDATE_BACKENDS)
@@ -162,9 +146,7 @@ class TestBackendSelection:
             use_backend("gpu-of-the-future")
 
     def test_registered_backend_matrix(self):
-        names = set(available_backends())
-        assert {"numpy", "reference", "float32-screen"} <= names
-        assert ("numba" in names) == NUMBA_AVAILABLE
+        assert set(available_backends()) == {"numpy", "reference", "float32-screen"}
 
     def test_use_backend_nesting_unwinds_in_order(self):
         with use_backend("reference"):
@@ -262,12 +244,9 @@ class TestBackendProtocol:
         }
         assert declared == set(PROTOCOL_METHODS)
 
-    @pytest.mark.parametrize(
-        "name", sorted(set(available_backends()) | {"numba"})
-    )
+    @pytest.mark.parametrize("name", sorted(available_backends()))
     def test_every_backend_defines_every_method(self, name):
-        # Without numba the class stands in for the unregistered instance.
-        backend = available_backends().get(name, NumbaBackend)
+        backend = get_backend(name)
         missing = [
             method
             for method in PROTOCOL_METHODS
@@ -369,104 +348,6 @@ class TestBackendEquivalence:
             heard_station_batch(network, points, backend=candidate_backend),
             heard_station_batch(network, points, backend="reference"),
         )
-
-
-# ----------------------------------------------------------------------
-# Backend-specific behaviour
-# ----------------------------------------------------------------------
-class TestNumbaBackend:
-    @needs_numba
-    def test_registered_and_selectable(self):
-        assert "numba" in available_backends()
-        with use_backend("numba"):
-            assert active_backend().name == "numba"
-
-    @needs_numba
-    def test_agrees_with_numpy_on_a_quick_workload(self):
-        network = random_network(seed=40)
-        points = queries_for(network, count=50)
-        np.testing.assert_allclose(
-            sinr_batch(network, points, backend="numba"),
-            sinr_batch(network, points, backend="numpy"),
-            rtol=1e-12,
-        )
-
-    def test_kernel_logic_matches_numpy_even_without_jit(self):
-        # Without numba the @njit placeholder leaves the kernel definitions
-        # as plain Python functions, so their loop logic is verifiable with
-        # or without the optional dependency.  Coincident columns are
-        # included; pow-overflow columns are not, because pure Python raises
-        # OverflowError where compiled code saturates to inf (that edge is
-        # covered by the equivalence tests on the [numba] CI leg).  A NaN
-        # column pins the loops' NaN handling: a NaN denominator keeps the
-        # SINR NaN, so the point is received nowhere, as in numpy.
-        from repro.engine import numba_backend as nb
-
-        network = random_network(seed=41)
-        coords = np.ascontiguousarray(network.coords, dtype=np.float64)
-        powers = np.ascontiguousarray(network.powers_array(), dtype=np.float64)
-        points = np.ascontiguousarray(
-            np.vstack(
-                [network.coords, [[np.nan, 1.0]], queries_for(network, count=40)]
-            )
-        )
-        noise, beta, alpha = network.noise, network.beta, network.alpha
-
-        np.testing.assert_array_equal(
-            nb._energy_matrix(coords, powers, points, alpha) == np.inf,
-            energy_batch(network, points) == np.inf,
-        )
-        sinr = nb._sinr_matrix(coords, powers, points, noise, alpha)
-        np.testing.assert_allclose(
-            sinr, sinr_batch(network, points, backend="numpy"), rtol=1e-12
-        )
-        assert np.isnan(sinr[:, len(coords)]).all()
-        np.testing.assert_array_equal(
-            nb._strongest_station(coords, powers, points, alpha),
-            strongest_station_batch(network, points, backend="numpy"),
-        )
-        np.testing.assert_array_equal(
-            nb._received_mask_matrix(coords, powers, points, noise, beta, alpha),
-            get_backend("numpy").received_mask_matrix(
-                coords, powers, points, noise, beta, alpha
-            ),
-        )
-        np.testing.assert_array_equal(
-            nb._heard_station(coords, powers, points, noise, beta, alpha, -1),
-            heard_station_batch(network, points, backend="numpy"),
-        )
-
-    def test_kernel_zero_denominator_rule_without_jit(self):
-        # Noiseless: an infinitely far point divides 0 by 0 interference
-        # plus noise, which only a finite point turns into +inf.
-        from repro.engine import numba_backend as nb
-
-        network = random_network(seed=42, noise=0.0)
-        coords = np.ascontiguousarray(network.coords, dtype=np.float64)
-        powers = np.ascontiguousarray(network.powers_array(), dtype=np.float64)
-        points = np.vstack([NON_FINITE, queries_for(network, count=20)])
-        np.testing.assert_allclose(
-            nb._sinr_matrix(coords, powers, points, 0.0, network.alpha),
-            sinr_batch(network, points, backend="numpy"),
-            rtol=1e-12,
-        )
-        heard = nb._heard_station(
-            coords, powers, points, 0.0, network.beta, network.alpha, -1
-        )
-        np.testing.assert_array_equal(
-            heard, heard_station_batch(network, points, backend="numpy")
-        )
-        assert (heard[: len(NON_FINITE)] == -1).all()
-
-    @pytest.mark.skipif(
-        NUMBA_AVAILABLE, reason="error path only exists without numba"
-    )
-    def test_missing_dependency_raises_clear_error(self):
-        assert "numba" not in available_backends()
-        with pytest.raises(ReproError, match="numba"):
-            NumbaBackend()
-        with pytest.raises(ReproError, match="available"):
-            get_backend("numba")
 
 
 # ----------------------------------------------------------------------
@@ -602,14 +483,18 @@ NON_FINITE = np.array(
         [-np.inf, 2.0],
         [1.0, -np.inf],
         [np.inf, np.nan],
+        # Finite, but every squared distance overflows: infinitely far too.
+        [1e308, 1e308],
+        [-1e308, 2.0],
     ]
 )
 
 
 class TestNonFinitePoints:
-    """A point with a non-finite coordinate hears no station, on every
-    backend and whether or not the network has noise (without noise an
-    infinitely far point divides 0 by 0, which is no infinite SINR)."""
+    """A point with a non-finite coordinate, or one so far away that every
+    energy is 0, hears no station, on every backend and whether or not the
+    network has noise (without noise such a point divides 0 by 0, which is
+    no infinite SINR)."""
 
     @pytest.mark.parametrize("noise", [0.005, 0.0])
     @pytest.mark.parametrize("backend", ["numpy", "reference", "float32-screen"])
@@ -885,7 +770,6 @@ class TestCachedNetworkArrays:
     def test_coords_and_powers_are_cached_and_read_only(self):
         network = random_network(seed=15)
         assert network.coords is network.coords
-        assert network.coordinates_array() is network.coords
         assert network.powers_array() is network.powers_array()
         with pytest.raises(ValueError):
             network.coords[0, 0] = 99.0

@@ -6,17 +6,21 @@ around it agree: undeclared names cannot be read; every knob name the
 code, benchmarks, examples, CI and README mention is declared; the README
 knob table lists each declared knob with its declared default; and each
 library knob's reader falls back to exactly that default — with a warning
-naming the knob — on a malformed or non-positive value.
+naming the knob — on a malformed or non-positive value.  The README's
+backend table and install lines are pinned the same way, against the
+registered backends and the extras ``setup.py`` declares.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
 import pytest
 
 from repro import env
+from repro.engine import available_backends
 from repro.engine.batch import chunk_byte_budget
 from repro.exceptions import ReproError
 from repro.obs import MetricsHub
@@ -105,6 +109,41 @@ class TestReadmeTable:
 
     def test_table_lists_no_undeclared_knob(self):
         assert set(readme_knob_rows()) <= set(env.KNOBS)
+
+
+def readme_table_names(header: str):
+    """Backticked first-column names of the README table headed ``header``."""
+    names, in_table = [], False
+    for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines():
+        first = line.strip().strip("|").split("|")[0].strip()
+        if not line.startswith("|"):
+            in_table = False
+        elif first == header:
+            in_table = True
+        elif in_table and re.fullmatch(r"`[^`]+`", first):
+            names.append(first.strip("`"))
+    return names
+
+
+def setup_extras():
+    """The extras ``setup.py`` declares in ``extras_require``."""
+    tree = ast.parse((REPO / "setup.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "extras_require":
+            return {key.value for key in node.value.keys}
+    raise AssertionError("setup.py declares no extras_require")
+
+
+class TestReadmeInventories:
+    def test_backend_table_and_install_extras_match_the_code(self):
+        assert sorted(readme_table_names("Backend")) == sorted(available_backends())
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        extras = {
+            extra.strip()
+            for match in re.finditer(r'pip install -e "\.\[([^\]]*)\]"', readme)
+            for extra in match.group(1).split(",")
+        }
+        assert extras and extras <= setup_extras()
 
 
 class TestLibraryReaders:

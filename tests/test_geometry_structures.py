@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.exceptions import GeometryError
@@ -72,6 +73,48 @@ class TestGrid:
     def test_positive_spacing_required(self):
         with pytest.raises(GeometryError):
             Grid(origin=Point(0, 0), spacing=0.0)
+
+    # A point lies in no cell when its cell coordinate
+    # ``(x - origin) / spacing`` is non-finite or too large for an int64
+    # cell index.
+    UNPLACEABLE = {
+        "nan-x": (Grid(Point(0, 0), 1.0), Point(math.nan, 0.5)),
+        "nan-y": (Grid(Point(0, 0), 1.0), Point(0.5, math.nan)),
+        "inf-x": (Grid(Point(0, 0), 1.0), Point(math.inf, 0.5)),
+        "minus-inf-y": (Grid(Point(0, 0), 1.0), Point(0.5, -math.inf)),
+        "division-overflows": (Grid(Point(0, 0), 0.5), Point(1e308, 0.5)),
+        "subtraction-overflows": (Grid(Point(-1e308, 0), 1.0), Point(1e308, 0.5)),
+        "beyond-int64": (Grid(Point(0, 0), 1.0), Point(0.5, -1e19)),
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(UNPLACEABLE))
+    def test_no_cell_contains_an_unplaceable_point(self, case):
+        grid, point = self.UNPLACEABLE[case]
+        with pytest.raises(GeometryError, match="no grid cell contains"):
+            grid.cell_index_of(point)
+        with pytest.raises(GeometryError):
+            grid.cell_of(point)
+        assert not grid.has_cell(np.array([[point.x, point.y]])).any()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_has_cell_and_batch_indices_match_the_scalar_path(self):
+        grid = Grid(origin=Point(0.25, -0.5), spacing=0.5)
+        rng = np.random.default_rng(8)
+        finite = rng.uniform(-20.0, 20.0, size=(40, 2))
+        finite[:4] = [[0.25, -0.5], [0.75, 0.0], [-1e15, 3.0], [2.0, 1e17]]
+        unplaceable = np.array(
+            [[point.x, point.y] for _, point in self.UNPLACEABLE.values()]
+        )
+        points = np.vstack([unplaceable, finite])
+        mask = grid.has_cell(points)
+        np.testing.assert_array_equal(
+            mask, [False] * len(unplaceable) + [True] * len(finite)
+        )
+        cols, rows = grid.cell_indices_of(points[mask])
+        assert cols.dtype == rows.dtype == np.int64
+        scalar = [grid.cell_index_of(Point(x, y)) for x, y in points[mask]]
+        assert list(zip(cols.tolist(), rows.tolist())) == scalar
 
 
 class TestKDTree:

@@ -441,7 +441,7 @@ class TestRL008Float32Containment:
             from repro.engine.mixed_precision import Float32ScreenBackend
 
             def make():
-                return Float32ScreenBackend("numpy")
+                return Float32ScreenBackend()
         """
         assert not findings_for("RL008", clean, path="model/x.py")
 

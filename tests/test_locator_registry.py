@@ -189,9 +189,12 @@ class TestLocatorContract:
         np.testing.assert_array_equal(structure.locate_batch(queries), truth)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFinitePoints:
-    """A point with a non-finite coordinate hears no station: every locator
-    answers -1 for it on every backend, and so does the serving path."""
+    """A point with a non-finite coordinate, or one so far away that its
+    distances or its theorem3 grid cell index overflow, hears no station:
+    every locator answers -1 for it on every backend, and so does the
+    serving path, without a warning."""
 
     POINTS = np.array(
         [
@@ -201,6 +204,10 @@ class TestNonFinitePoints:
             [-np.inf, 2.0],
             [3.0, np.inf],
             [np.inf, -np.inf],
+            [1e308, 1e308],
+            [-1e308, 2.0],
+            [1e300, -1e300],
+            [1e20, 0.0],
         ]
     )
 

@@ -11,9 +11,9 @@ where a float32 screen alone would go wrong:
   stations) where top-1/top-2 separation is zero;
 * overflow-close and float32-coincident points (float64-distinct
   coordinates that round onto a station in float32);
-* the late-binding contract of the inner backend: a ``register_backend``
-  overwrite must reach the verify path of an already-constructed screen
-  backend;
+* the late-binding contract of the verify path: a
+  ``register_backend("numpy", ...)`` overwrite must reach an
+  already-constructed screen backend;
 * end-to-end round trips through every layer that routes by backend name —
   ``sharded:`` locators, the micro-batching service, and the raster tiles.
 
@@ -43,7 +43,6 @@ from repro.engine import (
     strongest_station_batch,
     use_backend,
 )
-from repro.engine import backend as backend_module
 from repro.exceptions import ReproError
 from repro.pointlocation import build_locator
 from repro.service import serve_points
@@ -206,7 +205,7 @@ class TestAdversarialMargins:
         )
         assert screen.stats.screened == 0  # delegated, not screened
 
-    def test_value_queries_delegate_to_inner_exactly(self):
+    def test_value_queries_delegate_to_numpy_exactly(self):
         network = network_6(seed=73)
         points = query_box_array(network, 80, seed=74)
         np.testing.assert_array_equal(
@@ -217,11 +216,9 @@ class TestAdversarialMargins:
     def test_rejects_nonpositive_margins(self):
         with pytest.raises(ReproError, match="decision_margin"):
             Float32ScreenBackend(decision_margin=0.0)
-        with pytest.raises(ReproError, match="geometry_margin"):
-            Float32ScreenBackend(geometry_margin=-1.0)
 
 
-class _CountingInner(NumpyBackend):
+class _CountingNumpy(NumpyBackend):
     """A numpy backend that counts how often its kernels are reached."""
 
     def __init__(self, name):
@@ -237,8 +234,8 @@ class _CountingInner(NumpyBackend):
         return super().strongest_station(*args, **kwargs)
 
 
-class TestLateBoundInner:
-    """The PR's bugfix: the inner backend re-resolves by name on every call."""
+class TestLateBoundVerifyPath:
+    """The verify path re-resolves ``"numpy"`` by name on every call."""
 
     def _adversarial_workload(self):
         # Station coordinates are in the batch, so verification is forced.
@@ -248,42 +245,28 @@ class TestLateBoundInner:
         )
         return network, points
 
-    def test_register_backend_overwrite_reaches_verify_path(self):
+    def test_overwriting_numpy_reaches_the_verify_path(self):
         network, points = self._adversarial_workload()
-        first = _CountingInner("first")
-        second = _CountingInner("second")
-        screen = Float32ScreenBackend(inner="screen-inner-test")
+        expected = heard_station_batch(network, points, backend="numpy")
+        screen = Float32ScreenBackend()
+        first = _CountingNumpy("numpy")
+        second = _CountingNumpy("numpy")
         try:
-            register_backend("screen-inner-test", first)
-            heard_station_batch(network, points, backend=screen)
+            register_backend("numpy", first)
+            got = heard_station_batch(network, points, backend=screen)
             assert first.calls > 0 and second.calls == 0
-            register_backend("screen-inner-test", second)
+            np.testing.assert_array_equal(got, expected)
+            register_backend("numpy", second)
             heard_station_batch(network, points, backend=screen)
             assert second.calls > 0
         finally:
-            backend_module.BACKENDS.unregister("screen-inner-test")
-
-    def test_overwriting_the_default_inner_name_applies(self):
-        network, points = self._adversarial_workload()
-        expected = heard_station_batch(network, points, backend="numpy")
-        spy = _CountingInner("numpy")
-        screen = Float32ScreenBackend()  # inner="numpy", resolved per call
-        try:
-            register_backend("numpy", spy)
-            got = heard_station_batch(network, points, backend=screen)
-            assert spy.calls > 0
-            np.testing.assert_array_equal(got, expected)
-        finally:
             register_backend("numpy", NumpyBackend())
 
-    def test_inner_must_be_an_exact_backend(self):
-        # No context-following mode: the verify path is always a named or
-        # given backend, never whatever the caller happens to select.
-        with pytest.raises(ReproError, match="inner"):
-            Float32ScreenBackend(None)
-        # The screen chunks under the shared engine budget; no own option.
+    def test_decision_margin_is_the_only_option(self):
+        # The verify backend and the geometry guard are fixed, and the
+        # screen chunks under the shared engine budget.
         assert list(inspect.signature(Float32ScreenBackend).parameters) == [
-            "inner", "decision_margin", "geometry_margin",
+            "decision_margin",
         ]
 
 
@@ -318,7 +301,7 @@ class TestRoutedEndToEnd:
         labels, values = raster_block(network, xs, ys)
         with use_backend("float32-screen"):
             labels_screen, values_screen = raster_block(network, xs, ys)
-        # Value planes delegate to the exact inner backend, so the whole
+        # Value planes delegate to the exact numpy backend, so the whole
         # raster — labels *and* SINR values — is bit-identical to numpy.
         np.testing.assert_array_equal(labels_screen, labels)
         np.testing.assert_array_equal(values_screen, values)

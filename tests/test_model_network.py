@@ -12,6 +12,7 @@ from repro import Point, Station, WirelessNetwork
 from repro.exceptions import NetworkConfigurationError
 from repro.geometry import SimilarityTransform
 from repro.model import received_energy, sinr_map, sinr_ratio, strongest_station_map
+from repro.model.delta import move_station
 
 
 class TestStation:
@@ -25,6 +26,15 @@ class TestStation:
     def test_positive_power_required(self):
         with pytest.raises(NetworkConfigurationError):
             Station.at(0, 0, power=0.0)
+        # Non-finite powers and coordinates are rejected too.
+        for power in (math.nan, math.inf):
+            with pytest.raises(NetworkConfigurationError, match="power"):
+                Station.at(0, 0, power=power)
+        for x, y in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)):
+            with pytest.raises(NetworkConfigurationError, match="location"):
+                Station(Point(x, y))
+        # Huge finite coordinates stay valid.
+        assert Station.at(1e160, -1e160).x == 1e160
 
     def test_from_points_builds_uniform_stations(self):
         stations = Station.from_points([(0, 0), (1, 1)])
@@ -54,6 +64,47 @@ class TestNetworkConstruction:
             WirelessNetwork.uniform([(0, 0), (1, 1)], beta=0.0)
         with pytest.raises(NetworkConfigurationError):
             WirelessNetwork.uniform([(0, 0), (1, 1)], alpha=-2.0)
+        for name in ("noise", "beta", "alpha"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(NetworkConfigurationError, match=name):
+                    WirelessNetwork.uniform([(0, 0), (1, 1)], **{name: value})
+        # A move validates the one moved station: no delta for a NaN target.
+        network = WirelessNetwork.uniform([(0, 0), (1, 1)])
+        with pytest.raises(NetworkConfigurationError, match="location"):
+            move_station(network, 0, Point(math.nan, 0.0))
+
+    # Every derived-network path validates like the constructor, so no copy
+    # carries a non-finite parameter, location or power.  The base network
+    # has huge but finite coordinates, which stay valid.
+    DERIVATIONS = {
+        "with-noise-nan": ("noise", lambda net: net.with_noise(math.nan)),
+        "with-noise-inf": ("noise", lambda net: net.with_noise(math.inf)),
+        "with-beta-nan": ("beta", lambda net: net.with_beta(math.nan)),
+        "with-beta-inf": ("beta", lambda net: net.with_beta(math.inf)),
+        "moved-to-inf": (
+            "location",
+            lambda net: net.with_station_moved(1, Point(math.inf, 0.0)),
+        ),
+        "added-with-nan-power": (
+            "power",
+            lambda net: net.with_station(net.stations[0].with_power(math.nan)),
+        ),
+        "transformed-out-of-range": (
+            "location",
+            lambda net: net.transformed(SimilarityTransform(scale=1e300)),
+        ),
+        "noise-folded-power-overflows": (
+            "power",
+            lambda net: net.noise_folded_into_station(0),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DERIVATIONS))
+    def test_derived_networks_reject_non_finite_configuration(self, case):
+        network = WirelessNetwork.uniform([(0, 0), (1e160, -1e160)], noise=0.01)
+        field, derive = self.DERIVATIONS[case]
+        with pytest.raises(NetworkConfigurationError, match=field):
+            derive(network)
 
     def test_uniform_and_trivial_detection(self, two_station_network):
         assert two_station_network.is_uniform_power()
@@ -68,7 +119,7 @@ class TestNetworkConstruction:
         assert network.minimum_distance_from(2) == pytest.approx(5.0)
 
     def test_arrays(self, noisy_network):
-        coordinates = noisy_network.coordinates_array()
+        coordinates = noisy_network.coords
         powers = noisy_network.powers_array()
         assert coordinates.shape == (5, 2)
         assert powers.shape == (5,)
@@ -193,7 +244,7 @@ class TestVectorisedSinr:
     def test_sinr_map_matches_scalar(self, noisy_network):
         xs, ys = np.meshgrid(np.linspace(-4, 7, 12), np.linspace(-4, 7, 12))
         values = sinr_map(
-            noisy_network.coordinates_array(),
+            noisy_network.coords,
             noisy_network.powers_array(),
             0,
             xs,
@@ -212,7 +263,7 @@ class TestVectorisedSinr:
     def test_strongest_station_map_matches_scalar(self, noisy_network):
         xs, ys = np.meshgrid(np.linspace(-4, 7, 9), np.linspace(-4, 7, 9))
         labels = strongest_station_map(
-            noisy_network.coordinates_array(), noisy_network.powers_array(), xs, ys
+            noisy_network.coords, noisy_network.powers_array(), xs, ys
         )
         for r in range(9):
             for c in range(9):

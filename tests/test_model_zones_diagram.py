@@ -17,6 +17,7 @@ from repro import (
     WirelessNetwork,
 )
 from repro.exceptions import DiagramError, NetworkConfigurationError
+from repro.raster import TileCache
 
 
 class TestReceptionZone:
@@ -142,6 +143,20 @@ class TestSINRDiagram:
             noisy_diagram.rasterize(Point(0, 0), Point(0, 5), resolution=50)
         with pytest.raises(DiagramError):
             noisy_diagram.rasterize(Point(0, 0), Point(5, 5), resolution=1)
+        # Non-finite corners, an overflowing extent and an infinite side, on
+        # the monolithic and the tile-cached path.
+        for lower_left, upper_right in [
+            (Point(math.nan, 0.0), Point(5.0, 5.0)),
+            (Point(0.0, 0.0), Point(5.0, math.nan)),
+            (Point(-math.inf, 0.0), Point(5.0, 5.0)),
+            (Point(-1e308, -1e308), Point(1e308, 1e308)),
+            (Point(0.0, 0.0), Point(math.inf, 1.0)),
+        ]:
+            for cache in (None, TileCache(tile_size=8)):
+                with pytest.raises(DiagramError):
+                    noisy_diagram.rasterize(
+                        lower_left, upper_right, resolution=50, cache=cache
+                    )
 
     def test_raster_zone_area_close_to_analytic(self, two_station_network):
         diagram = SINRDiagram(two_station_network)

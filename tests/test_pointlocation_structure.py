@@ -153,6 +153,31 @@ class TestZoneGridIndex:
         assert index.classify(Point(100.0, 100.0)) is ZoneLabel.OUTSIDE
         assert index.classify(Point(-100.0, 50.0)) is ZoneLabel.OUTSIDE
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "point",
+        [
+            Point(math.nan, 0.0),
+            Point(0.0, math.inf),
+            Point(-math.inf, 1.0),
+            Point(1e308, 1e308),
+            Point(1e300, -1e300),
+        ],
+        ids=["nan", "inf", "minus-inf", "overflowing-cell", "beyond-int64-cell"],
+    )
+    def test_points_in_no_grid_cell_are_outside(self, small_network, point):
+        """A point whose grid cell coordinate is non-finite or beyond int64
+        is OUTSIDE on the scalar and the batch path, and does not shift the
+        labels of its batch neighbours."""
+        zone, index = self.build_index(small_network, cover_method="ray_sweep")
+        assert index.classify(point) is ZoneLabel.OUTSIDE
+        station = zone.station_location
+        assert index.classify_batch([station, point, station]) == [
+            ZoneLabel.INSIDE,
+            ZoneLabel.OUTSIDE,
+            ZoneLabel.INSIDE,
+        ]
+
     def test_ray_sweep_cover_classification_is_sound(self, small_network):
         zone, index = self.build_index(small_network, cover_method="ray_sweep")
         rng = random.Random(33)
@@ -228,8 +253,8 @@ class TestPointLocationStructure:
         assert built_structure.zone_index(0) is not None
         assert built_structure.radius_bounds(0) is not None
 
-    def test_locate_many(self, built_structure):
-        answers = built_structure.locate_many([Point(0, 0), Point(100, 100)])
+    def test_locate_answers(self, built_structure):
+        answers = built_structure.locate_answers([Point(0, 0), Point(100, 100)])
         assert answers[0].label is ZoneLabel.INSIDE
         assert answers[1].label is ZoneLabel.OUTSIDE
 

@@ -10,6 +10,7 @@ budgets and concurrent threads.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro import Point, SINRDiagram, TileCache, WirelessNetwork
-from repro.exceptions import RasterCacheError, ServiceError
+from repro.exceptions import DiagramError, RasterCacheError, ServiceError
 from repro.model.diagram import RasterLattice
 from repro.raster import default_cache, resolve_cache
 from repro.service import RasterService
@@ -437,7 +438,7 @@ class TestNetworkFingerprint:
     ):
         """No seams: a request started under a backend finishes under it."""
         from repro.engine import use_backend
-        from repro.engine.backend import get_backend, register_backend
+        from repro.engine.backend import BACKENDS, get_backend, register_backend
 
         class CountingBackend:
             name = "counting"
@@ -457,8 +458,13 @@ class TestNetworkFingerprint:
         register_backend("counting", counting)
         diagram = SINRDiagram(noisy_network)
         cache = TileCache(tile_size=8)
-        with use_backend("counting"):
-            raster = diagram.rasterize(Point(-2, -2), Point(2, 2), 16, cache=cache)
+        try:
+            with use_backend("counting"):
+                raster = diagram.rasterize(
+                    Point(-2, -2), Point(2, 2), 16, cache=cache
+                )
+        finally:
+            BACKENDS.unregister("counting")
         assert counting.calls == cache.stats().misses > 0
         direct = diagram.rasterize(Point(-2, -2), Point(2, 2), 16)
         assert_rasters_identical(direct, raster)
@@ -639,6 +645,36 @@ class TestRasterService:
             )
         with pytest.raises(ServiceError):
             RasterService(ten_station_network, max_concurrency=0)
+
+    @pytest.mark.parametrize(
+        "lower_left,upper_right",
+        [
+            (Point(math.nan, 0.0), Point(5.0, 5.0)),
+            (Point(0.0, 0.0), Point(5.0, math.nan)),
+            (Point(-math.inf, 0.0), Point(5.0, 5.0)),
+            (Point(-1e308, -1e308), Point(1e308, 1e308)),
+            (Point(0.0, 0.0), Point(math.inf, 1.0)),
+        ],
+        ids=["nan-corner", "nan-side", "minus-inf-corner", "overflowing-width",
+             "infinite-width"],
+    )
+    def test_non_finite_boxes_are_rejected_before_any_tile_work(
+        self, ten_station_network, lower_left, upper_right
+    ):
+        """A box with a non-finite extent fails its own request with
+        ``DiagramError``, computes no tile, and leaves the service serving."""
+        service = RasterService(ten_station_network, tile_size=32)
+        box = (Point(-4.0, -4.0), Point(4.0, 4.0), 64)
+
+        async def drive():
+            with pytest.raises(DiagramError, match="finite bounding box"):
+                await service.rasterize(lower_left, upper_right, 50)
+            assert service.cache_stats().misses == 0
+            return await service.rasterize(*box)
+
+        raster = asyncio.run(drive())
+        direct = SINRDiagram(ten_station_network).rasterize(*box)
+        assert_rasters_identical(direct, raster)
 
 
 # ----------------------------------------------------------------------

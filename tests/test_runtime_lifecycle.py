@@ -28,7 +28,7 @@ from repro.exceptions import (
 )
 from repro.obs import MetricsHub
 from repro.runtime import Component, EpochCoordinator, Runtime, drain_timeout
-from repro.service import LocatorRouter, MicroBatcher, QueryService
+from repro.service import MicroBatcher, QueryService
 from repro.service.raster import RasterService
 
 
@@ -64,12 +64,6 @@ def _build(name: str, network):
         async def op(c):
             return await c.rasterize(Point(0.0, 0.0), Point(2.0, 2.0), resolution=8)
 
-    elif name == "router":
-        component = LocatorRouter(network, ["voronoi"], latency_budget=0.005)
-
-        async def op(c):
-            return await c.locate("voronoi", (1.0, 2.0))
-
     elif name == "hub":
         component = MetricsHub(interval=0.02)
 
@@ -94,7 +88,6 @@ COMPONENTS = [
     "batcher",
     "query-service",
     "raster-service",
-    "router",
     "hub",
     "runtime",
 ]
@@ -103,7 +96,6 @@ CLOSED_ERRORS = {
     "batcher": ServiceClosedError,
     "query-service": ServiceClosedError,
     "raster-service": ServiceClosedError,
-    "router": ServiceClosedError,
     "hub": ObservabilityClosedError,
     # The runtime stops what it composes: its services refuse requests.
     "runtime": ServiceClosedError,

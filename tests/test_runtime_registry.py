@@ -3,10 +3,7 @@
 The invariants under test: one :class:`Registry` implementation backs both
 the engine-backend and locator surfaces; ``available()`` (and both public
 ``available_*`` call sites) is sorted, hence deterministic across runs;
-spec strings round-trip every registered name — composed locator
-spellings included — through ``to_spec`` / ``from_spec``; selections
-nest and restore with ContextVar token semantics; and the kind table
-resolves specs without the caller knowing which layer owns them.
+and selections nest and restore with ContextVar token semantics.
 """
 
 from __future__ import annotations
@@ -19,19 +16,10 @@ from repro.engine.backend import (
     available_backends,
     use_backend,
 )
-from repro.exceptions import (
-    ComponentError,
-    PointLocationError,
-    ReproError,
-)
+from repro.exceptions import ReproError
 from repro.pointlocation import registry as locator_module
-from repro.pointlocation.registry import (
-    LOCATORS,
-    available_locators,
-    get_locator,
-)
-from repro.runtime import Registry, Selection, registry_for_kind, use_spec
-from repro.runtime.registry import SPEC_SEPARATOR
+from repro.pointlocation.registry import LOCATORS, available_locators
+from repro.runtime import Registry, Selection
 
 
 class TestOneImplementation:
@@ -41,13 +29,9 @@ class TestOneImplementation:
         assert BACKENDS.kind == "backend"
         assert LOCATORS.kind == "locator"
 
-    def test_kind_table_resolves_both(self):
-        assert registry_for_kind("backend") is BACKENDS
-        assert registry_for_kind("locator") is LOCATORS
-
-    def test_unknown_kind_lists_known_kinds(self):
-        with pytest.raises(ComponentError, match="backend"):
-            registry_for_kind("no-such-kind")
+    def test_module_aliases_point_at_the_instances(self):
+        assert backend_module.BACKENDS is BACKENDS
+        assert locator_module.LOCATORS is LOCATORS
 
 
 class TestSortedAvailability:
@@ -67,56 +51,6 @@ class TestSortedAvailability:
             scratch.register(name, object())
         assert scratch.available() == ["alpha", "mid", "zeta"]
         assert list(scratch.snapshot()) == ["alpha", "mid", "zeta"]
-
-
-class TestSpecRoundTrip:
-    def test_every_backend_round_trips(self):
-        for name in available_backends():
-            spec = BACKENDS.to_spec(name)
-            assert spec == f"backend{SPEC_SEPARATOR}{name}"
-            assert Registry.from_spec(spec) is BACKENDS.get(name)
-
-    def test_every_locator_round_trips(self):
-        for name in available_locators():
-            spec = LOCATORS.to_spec(name)
-            assert Registry.from_spec(spec) is LOCATORS.get(name)
-
-    def test_composed_locator_spec_round_trips(self):
-        spec = LOCATORS.to_spec("sharded:voronoi")
-        assert spec == "locator/sharded:voronoi"
-        factory = Registry.from_spec(spec)
-        # Composed factories are derived per resolution (never registered),
-        # so identity cannot hold; the resolved type must match instead.
-        assert type(factory) is type(get_locator("sharded:voronoi"))
-
-    def test_to_spec_renders_the_active_selection(self):
-        with BACKENDS.use("reference"):
-            assert BACKENDS.to_spec() == "backend/reference"
-
-    def test_to_spec_validates_the_name(self):
-        with pytest.raises(ReproError, match="available"):
-            BACKENDS.to_spec("no-such-backend")
-
-    def test_to_spec_rejects_object_selections(self):
-        with pytest.raises(ReproError, match="by name"):
-            BACKENDS.to_spec(object())
-
-    def test_malformed_specs_are_component_errors(self):
-        for spec in ("numpy", "backend/", "/numpy", ""):
-            with pytest.raises(ComponentError, match="malformed"):
-                Registry.resolve_spec(spec)
-
-    def test_use_spec_selects_in_context(self):
-        reference = BACKENDS.get("reference")
-        before = BACKENDS.active()
-        with use_spec("backend/reference") as selected:
-            assert selected is reference
-            assert BACKENDS.active() is reference
-        assert BACKENDS.active() is before
-
-    def test_use_spec_unknown_name_raises_the_layer_error(self):
-        with pytest.raises(PointLocationError, match="available"):
-            use_spec("locator/no-such-locator")
 
 
 class TestSelectionSemantics:
@@ -155,14 +89,3 @@ class TestSelectionSemantics:
         with pytest.raises(ReproError, match="no default"):
             scratch.active()
 
-
-class TestKindValidation:
-    def test_kind_must_not_contain_the_spec_separator(self):
-        with pytest.raises(ComponentError, match="non-empty"):
-            Registry("bad/kind")
-        with pytest.raises(ComponentError, match="non-empty"):
-            Registry("")
-
-    def test_module_aliases_point_at_the_instances(self):
-        assert backend_module.BACKENDS is BACKENDS
-        assert locator_module.LOCATORS is LOCATORS

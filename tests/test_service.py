@@ -28,7 +28,6 @@ from repro.engine import use_backend
 from repro.exceptions import ServiceClosedError, ServiceError
 from repro.pointlocation import build_locator
 from repro.service import (
-    LocatorRouter,
     MicroBatcher,
     QueryService,
     ServiceStats,
@@ -748,42 +747,9 @@ class TestBackendInterplay:
 
 
 # ----------------------------------------------------------------------
-# Router, facade, stats
+# Facade, stats
 # ----------------------------------------------------------------------
-class TestRouterAndFacade:
-    def test_router_serves_each_name_with_own_batcher(self, network, queries,
-                                                      truth):
-        async def main():
-            async with LocatorRouter(
-                network,
-                {"voronoi": {}, "sharded:voronoi": {"shards": 3}},
-                latency_budget=0.002,
-            ) as router:
-                first = await router.locate_many("voronoi", queries[:150])
-                second = await router.locate_many("sharded:voronoi", queries[:150])
-                with pytest.raises(ServiceError):
-                    await router.locate("theorem3", (0.0, 0.0))
-                return first, second, router.stats_snapshots()
-
-        first, second, snapshots = run(main())
-        np.testing.assert_array_equal(first, truth[:150])
-        np.testing.assert_array_equal(second, truth[:150])
-        assert set(snapshots) == {"voronoi", "sharded:voronoi"}
-        for snapshot in snapshots.values():
-            assert snapshot.completed == 150
-
-    def test_router_requires_a_name(self, network):
-        with pytest.raises(ServiceError):
-            LocatorRouter(network, [])
-
-    def test_router_lookup_errors_list_the_routed_names(self, network):
-        router = LocatorRouter(network, ["voronoi", "brute-force"])
-        assert router.locator_names == ("brute-force", "voronoi")
-        with pytest.raises(
-            ServiceError, match=r"routed: \['brute-force', 'voronoi'\]"
-        ):
-            router.service("theorem3")
-
+class TestFacadeAndStats:
     def test_reservoir_keeps_only_the_newest_samples(self):
         stats = ServiceStats(reservoir_size=4)
         for latency in (9.0, 9.0, 9.0, 1.0, 2.0, 3.0, 4.0):
@@ -999,27 +965,34 @@ class TestEpochSwap:
             answers, fresh.locate_batch(queries[:200])
         )
 
-    def test_router_swaps_every_routed_service(self, network, queries):
+    @pytest.mark.parametrize("locator,options", [
+        ("brute-force", {}),
+        ("voronoi", {}),
+        ("sharded:voronoi", {"shards": 3}),
+        ("theorem3", {"epsilon": 0.5, "cover_method": "ray_sweep"}),
+    ])
+    def test_swap_serves_every_locator_kind_on_the_new_network(
+        self, network, queries, truth, locator, options
+    ):
+        """One service per locator over the same network: each swap installs
+        that locator for the moved network, rebuilt or updated in place."""
         moved, delta = self._moved(network)
-        new_truth = build_locator(moved, "voronoi").locate_batch(queries[:150])
+        new_truth = build_locator(moved, "brute-force").locate_batch(queries[:150])
 
         async def main():
-            async with LocatorRouter(
-                network, ["voronoi", "sharded:voronoi"]
-            ) as router:
-                await router.locate_many("voronoi", queries[:10])
-                await router.swap_network(moved, delta)
-                exact = await router.locate_many("voronoi", queries[:150])
-                sharded = await router.locate_many(
-                    "sharded:voronoi", queries[:150]
-                )
-                return exact, sharded, router.stats_snapshots(), router.network
+            async with QueryService(
+                network, locator, build_options=options
+            ) as service:
+                before = await service.locate_many(queries[:150])
+                await service.swap_network(moved, delta)
+                after = await service.locate_many(queries[:150])
+                return before, after, service.network, service.stats_snapshot()
 
-        exact, sharded, snapshots, routed = run(main())
-        np.testing.assert_array_equal(exact, new_truth)
-        np.testing.assert_array_equal(sharded, new_truth)
-        assert routed is moved
-        assert all(s.epoch == 1 for s in snapshots.values())
+        before, after, served, snapshot = run(main())
+        np.testing.assert_array_equal(before, truth[:150])
+        np.testing.assert_array_equal(after, new_truth)
+        assert served is moved
+        assert snapshot.epoch == 1 and snapshot.failed == 0
 
     def test_swap_before_start_and_stats_line(self, network, queries):
         moved, delta = self._moved(network)
