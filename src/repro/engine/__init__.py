@@ -19,8 +19,10 @@ Architecture
 ``backend.py``
     The pluggable backend protocol (:class:`QueryBackend`) and the
     concurrency-safe registry/selection machinery.  A backend is any object
-    implementing the protocol's six methods, all required.  The backend
-    matrix:
+    implementing the protocol's seven methods, all required: two value
+    queries (``energy_matrix``, ``sinr_matrix``) and five decision queries
+    (``strongest_station``, ``received_mask_matrix``, ``received_mask_at``,
+    ``nearest_received``, ``heard_station``).  The backend matrix:
 
     ================  ==========================================================
     ``numpy``         Vectorised kernels of ``kernels.py``; the default.  Best
@@ -34,9 +36,10 @@ Architecture
                       name on every call).  Answers are bit-identical to
                       ``reference`` by construction — the screen keeps only
                       decisions it can certify — at roughly half the memory
-                      traffic of the float64 kernels.  Value queries
-                      (``sinr_batch`` / ``energy_batch``) delegate to
-                      ``numpy`` unscreened.
+                      traffic of the float64 kernels.  ``nearest_received``
+                      screens the nearest station and its reception in one
+                      pass.  Value queries (``sinr_batch`` /
+                      ``energy_batch``) delegate to ``numpy`` unscreened.
     ================  ==========================================================
 
     Switch with::
@@ -54,13 +57,16 @@ Architecture
 ``batch.py``
     The uniform batch query API consumed by the model, point-location,
     analysis and workload layers: :func:`sinr_batch`,
-    :func:`heard_station_batch`, :func:`received_at` (the one reception
-    path) and :func:`received_mask`, :func:`strongest_station_batch`,
-    :func:`nearest_station_batch`, :func:`first_received_batch` and
-    :func:`locate_batch` (which dispatches to a locator's native
-    ``locate_batch`` fast path when present).  Query points may be an
-    ``(m, 2)`` array, a sequence of :class:`Point` or ``(x, y)`` tuples; a
-    non-finite point hears no station (:func:`as_points_array`).
+    :func:`heard_station_batch`, :func:`received_at` (the reception check
+    of a given candidate) and :func:`received_mask`,
+    :func:`nearest_received_batch` (the ``voronoi`` locator's one query:
+    the nearest station where it is received),
+    :func:`strongest_station_batch`, :func:`nearest_station_batch`,
+    :func:`first_received_batch` and :func:`locate_batch` (which
+    dispatches to a locator's native ``locate_batch`` fast path when
+    present).  Query points may be an ``(m, 2)`` array, a sequence of
+    :class:`Point` or ``(x, y)`` tuples; a non-finite point hears no
+    station (:func:`as_points_array`).
 
     Every batch function tiles the point axis so the ``(n, m)``
     intermediates of one engine call fit a byte budget
@@ -98,6 +104,7 @@ from .batch import (
     first_received_batch,
     heard_station_batch,
     locate_batch,
+    nearest_received_batch,
     nearest_station_batch,
     points_per_chunk,
     received_at,
@@ -128,6 +135,7 @@ __all__ = [
     "heard_station_batch",
     "kernels",
     "locate_batch",
+    "nearest_received_batch",
     "nearest_station_batch",
     "points_per_chunk",
     "received_at",

@@ -1,6 +1,6 @@
 """Pluggable compute backends for the batched query engine.
 
-A backend turns raw coordinate arrays into SINR quantities through the six
+A backend turns raw coordinate arrays into SINR quantities through the seven
 methods of :class:`QueryBackend`, all required.  The backend matrix (see
 also :func:`available_backends`):
 
@@ -70,7 +70,9 @@ class QueryBackend(Protocol):
     query points ``(m, 2)`` as float arrays and return arrays with the
     coincident-point semantics documented in :mod:`repro.engine.kernels`.
     ``received_mask_at`` (is station ``indices[j]`` received at
-    ``points[j]``?) is the one reception path of :mod:`repro.engine.batch`.
+    ``points[j]``?) checks a given candidate; ``nearest_received`` (the
+    nearest station where it is received, else ``no_reception``) picks the
+    Voronoi candidate and checks it, the ``voronoi`` locator's whole query.
     """
 
     name: str
@@ -113,6 +115,17 @@ class QueryBackend(Protocol):
         alpha: float,
     ) -> np.ndarray: ...
 
+    def nearest_received(
+        self,
+        coords: np.ndarray,
+        powers: np.ndarray,
+        points: np.ndarray,
+        noise: float,
+        beta: float,
+        alpha: float,
+        no_reception: int,
+    ) -> np.ndarray: ...
+
     def heard_station(
         self,
         coords: np.ndarray,
@@ -147,6 +160,20 @@ class NumpyBackend:
     ) -> np.ndarray:
         return kernels.received_mask_at(
             coords, powers, points, indices, noise, beta, alpha
+        )
+
+    def nearest_received(
+        self,
+        coords: np.ndarray,
+        powers: np.ndarray,
+        points: np.ndarray,
+        noise: float,
+        beta: float,
+        alpha: float,
+        no_reception: int,
+    ) -> np.ndarray:
+        return kernels.nearest_received(
+            coords, powers, points, noise, beta, alpha, no_reception
         )
 
     def sinr_matrix(
@@ -316,6 +343,34 @@ class ReferenceBackend:
     ) -> np.ndarray:
         mask = self.received_mask_matrix(coords, powers, points, noise, beta, alpha)
         return mask[indices, np.arange(len(points))]
+
+    def nearest_received(
+        self,
+        coords: np.ndarray,
+        powers: np.ndarray,
+        points: np.ndarray,
+        noise: float,
+        beta: float,
+        alpha: float,
+        no_reception: int,
+    ) -> np.ndarray:
+        from ..geometry.point import Point
+
+        nearest = np.empty(len(points), dtype=np.intp)
+        for j in range(len(points)):
+            point = Point(float(points[j, 0]), float(points[j, 1]))
+            # First strict improvement wins: the lowest index on exact ties.
+            best, best_squared = 0, math.inf
+            for i in range(len(coords)):
+                station = Point(float(coords[i, 0]), float(coords[i, 1]))
+                squared = station.squared_distance_to(point)
+                if squared < best_squared:
+                    best, best_squared = i, squared
+            nearest[j] = best
+        heard = self.received_mask_at(
+            coords, powers, points, nearest, noise, beta, alpha
+        )
+        return np.where(heard, nearest, no_reception)
 
     def heard_station(
         self,

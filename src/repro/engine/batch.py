@@ -53,6 +53,7 @@ __all__ = [
     "received_at",
     "first_received_batch",
     "nearest_station_batch",
+    "nearest_received_batch",
     "heard_station_batch",
     "locate_batch",
 ]
@@ -337,10 +338,10 @@ def received_at(
     ``station_indices[j]`` names the station whose reception is tested at
     ``points[j]``; the result is a boolean array with the semantics of
     :meth:`WirelessNetwork.is_received` (coincident-point rules included).
-    This is the one verification idiom shared by every locator fast path —
-    Voronoi candidates, the Theorem 3 uncertain-band fallback, and the
-    sharded locator's full-network candidate check — and the one reception
-    path into the backends (``received_mask_at``).
+    This is the verification idiom of the locator fast paths that bring
+    their own candidates — the Theorem 3 uncertain-band fallback and the
+    sharded locator's full-network candidate check — through the backends'
+    ``received_mask_at``.
     """
     pts = as_points_array(points)
     indices = np.asarray(station_indices, dtype=np.intp)
@@ -385,9 +386,9 @@ def nearest_station_batch(
 ) -> np.ndarray:
     """Index of the nearest station per point (lowest index on exact ties).
 
-    The Voronoi candidate of Observation 2.2 that the ``voronoi`` and
-    ``theorem3`` locators verify with :func:`received_at`; a float64
-    distance argmin on any backend.
+    The Voronoi candidate of Observation 2.2 that the ``theorem3`` locator
+    verifies with :func:`received_at`; a float64 distance argmin on any
+    backend.
     """
     coords = network.coords
     return _chunked(
@@ -397,6 +398,26 @@ def nearest_station_batch(
         as_points_array(points),
         len(coords),
         columns=False,
+    )
+
+
+def nearest_received_batch(
+    network: "WirelessNetwork",
+    points: PointsLike,
+    backend: "str | QueryBackend | None" = None,
+) -> np.ndarray:
+    """The nearest station where it is received, ``NO_RECEPTION`` elsewhere.
+
+    Observation 2.2 as one decision query: under uniform power only the
+    nearest station (lowest index on exact ties) can be heard, so this is
+    the ``voronoi`` locator's answer.  Equal pointwise to
+    :func:`nearest_station_batch` followed by :func:`received_at` on every
+    backend, for any powers and any ``beta``; the float32 screen decides
+    the candidate and its reception in one pass.
+    """
+    return _over_points(
+        network, as_points_array(points), backend, "nearest_received",
+        network.noise, network.beta, network.alpha, NO_RECEPTION,
     )
 
 

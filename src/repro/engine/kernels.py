@@ -44,6 +44,7 @@ __all__ = [
     "strongest_station",
     "received_mask_matrix",
     "received_mask_at",
+    "nearest_received",
     "heard_station",
 ]
 
@@ -244,6 +245,30 @@ def received_mask_at(
     # A point occupied by stations is received exactly by the co-located
     # stations (the scalar is_received rule), co-located or not this one.
     return np.where(at_station.any(axis=0), at_station[indices, columns], mask)
+
+
+def nearest_received(
+    station_coordinates: np.ndarray,
+    powers: np.ndarray,
+    points: np.ndarray,
+    noise: float,
+    beta: float,
+    alpha: float = 2.0,
+    no_reception: int = -1,
+) -> np.ndarray:
+    """The nearest station where it is received, else ``no_reception``.
+
+    The Voronoi candidate of Observation 2.2 and its reception check: a
+    squared-distance argmin (lowest index on exact ties) followed by
+    :func:`received_mask_at` on that station, shape ``(m,)``.
+    """
+    nearest = np.argmin(
+        pairwise_squared_distances(station_coordinates, points), axis=0
+    )
+    heard = received_mask_at(
+        station_coordinates, powers, points, nearest, noise, beta, alpha
+    )
+    return np.where(heard, nearest, no_reception)
 
 
 def _mask_from_ratio(

@@ -4,13 +4,13 @@
 *propose* pass stays exact as long as an exact *verify* pass re-checks every
 proposal that could be wrong.  This module applies the same trick to
 precision instead of space: decision queries (strongest station, reception
-masks, heard station) are screened in float32 — half the memory traffic of
-the float64 kernels, and free of their coincidence-matrix passes — together
-with a certified decision margin per point.  Points whose float32 margin is
-too small to rule out a float64 disagreement are re-routed through the
-exact ``numpy`` backend, so the combined answer is bit-identical to
-``reference`` *by construction*: the screen only ever keeps decisions it can
-certify.
+masks, heard station, nearest received station) are screened in float32 —
+half the memory traffic of the float64 kernels, and free of their
+coincidence-matrix passes — together with a certified decision margin per
+point.  Points whose float32 margin is too small to rule out a float64
+disagreement are re-routed through the exact ``numpy`` backend, so the
+combined answer is bit-identical to ``reference`` *by construction*: the
+screen only ever keeps decisions it can certify.
 
 Margin semantics
 ----------------
@@ -21,26 +21,40 @@ Margin semantics
 * Strongest-station (and the masked argmax of ``heard_station``) certify the
   winner only when top-1 and top-2 are relatively separated:
   ``(v1 - v2) > tol * (v1 + v2)``; ties are always uncertain.
+* ``nearest_received`` certifies its candidate, the float32 nearest
+  station, only when it is separated from the runner-up on squared
+  distances: ``(d2**2 - d1**2) > tol * (d1**2 + d2**2)``.  With non-uniform
+  powers or ``beta <= 1`` the float32 nearest must be the float64 nearest
+  before its SINR can stand in for it.  Outside the geometry guard, float32
+  coordinate rounding moves a squared distance by a relative
+  ``~(2 * sqrt(2) / GEOMETRY_MARGIN + 2) * eps32``, below the tolerance's
+  geometry floor, so a separated pair has the same strict order in float64
+  (no tie for its lowest-index rule to break).  The candidate's reception
+  is then certified like ``received_mask_at``'s.  A one-station network
+  has no runner-up.
 * A per-point geometry guard flags points within :data:`GEOMETRY_MARGIN`
   (relative to the coordinate scale) of a station, where coordinate rounding
-  amplifies without bound; any non-finite or underflowed float32 value is
-  uncertain as well, which also covers every coincident-station column (a
-  float64 coincidence forces a float32 zero distance, hence an infinite
-  energy).
+  amplifies without bound.  Every screen turns squared distances into
+  energies in place; the four reception screens flag a column whose energy
+  total is not finite or underflows (strongest-station checks its top-1
+  instead).  An infinite energy makes the total infinite, which covers
+  every coincident-station column (a float64 coincidence forces a float32
+  zero distance, hence an infinite energy).
 
 ``tol`` is the maximum of the configured ``decision_margin`` and a floor
 derived from the station count, ``beta``, ``alpha`` and float32 epsilon, so
 shrinking the margin can grow the verified fraction but never break
-exactness.  *Value* queries (``energy_matrix`` / ``sinr_matrix``) return
-floats rather than decisions — there is no margin to certify — so they
-delegate wholly to the exact backend.
+exactness; an infinite margin verifies every point.  *Value* queries
+(``energy_matrix`` / ``sinr_matrix``) return floats rather than decisions —
+there is no margin to certify — so they delegate wholly to the exact
+backend.
 
 The exact backend is resolved by the name ``"numpy"`` on **every** call,
 exactly like the registry's name-based selections, so
 ``register_backend("numpy", ...)`` overwrites take effect on the verify path
 immediately.
 
-All four decision queries run one screen-then-verify loop
+All five decision queries run one screen-then-verify loop
 (:meth:`Float32ScreenBackend._decide`) over cache-friendly float32 chunks
 under the same ``REPRO_ENGINE_CHUNK_BYTES`` budget as :mod:`repro.engine.batch`.
 """
@@ -118,22 +132,53 @@ class ScreenStats:
         )
 
 
-def _screen_energies(coords32, powers32, pts32, alpha):
-    """Float32 energies ``(n, c)`` plus the per-point min squared distance.
-
-    No coincidence matrix: a zero float32 distance yields an infinite energy,
-    and every non-finite value routes its column to the exact path anyway.
-    """
-    dx = coords32[:, 0:1] - pts32[:, 0][None, :]
+def _screen_squared(coords32, pts32):
+    """Float32 squared distances ``(n, c)``, squared and summed in place."""
+    squared = coords32[:, 0:1] - pts32[:, 0][None, :]
+    np.multiply(squared, squared, out=squared)
     dy = coords32[:, 1:2] - pts32[:, 1][None, :]
-    sq = dx * dx
-    sq += dy * dy
-    sq_min = sq.min(axis=0)
+    np.multiply(dy, dy, out=dy)
+    squared += dy
+    return squared
+
+
+def _energies_in_place(squared, powers32, alpha):
+    """Overwrite float32 squared distances with the energies they give.
+
+    No coincidence matrix: a zero float32 distance yields an infinite
+    energy, which makes its column's total infinite (:func:`_screen_total`).
+    """
     if alpha == 2.0:
-        energies = powers32[:, None] / sq
+        np.divide(powers32[:, None], squared, out=squared)
     else:
-        energies = powers32[:, None] * sq ** np.float32(-alpha / 2.0)
-    return energies, sq_min
+        np.power(squared, np.float32(-alpha / 2.0), out=squared)
+        squared *= powers32[:, None]
+    return squared
+
+
+def _screen_energies(coords32, powers32, pts32, alpha):
+    """Float32 energies ``(n, c)`` plus the per-point min squared distance."""
+    squared = _screen_squared(coords32, pts32)
+    sq_min = squared.min(axis=0)
+    return _energies_in_place(squared, powers32, alpha), sq_min
+
+
+def _screen_total(energies):
+    """Column totals ``(c,)`` and the columns they flag as uncertain.
+
+    A column is flagged when its total is not finite — an infinite energy
+    (coincident or overflow-close station) makes it ``+inf``, a NaN energy
+    makes it NaN, and so may an overflowing sum — or when it underflows.
+    Flagged columns go to the exact path, so the screens never need the
+    kernels' coincidence and overflow overrides.
+    """
+    total = energies.sum(axis=0)
+    return total, ~((total >= np.float32(_TINY32)) & (total < np.inf))
+
+
+def _near_beta(ratio, beta32, tol32):
+    """``|SINR32 - beta| <= tol * (SINR32 + beta)``, elementwise."""
+    return np.abs(ratio - beta32) <= tol32 * (ratio + beta32)
 
 
 def _screen_strongest(coords32, powers32, pts32, alpha, tol32):
@@ -165,24 +210,17 @@ def _screen_sinr(coords32, powers32, pts32, noise, beta32, tol32, alpha):
 
     ``ratio`` and ``mask`` are the float32 SINR ``(n, c)`` and its
     ``>= beta`` test.  A column is uncertain when some entry is
-    margin-close to ``beta``, when it contains any infinite energy —
-    coincident or overflow-close stations — or when its total signal
-    underflows; the caller routes uncertain columns to the exact path, so
-    the simplified arithmetic here (no coincidence/overflow overrides) is
-    safe.
+    margin-close to ``beta`` or when :func:`_screen_total` flags it.
     """
     energies, sq_min = _screen_energies(coords32, powers32, pts32, alpha)
-    inf_energy = ~np.isfinite(energies)
-    flagged = inf_energy.any(axis=0)
-    finite = np.where(inf_energy, np.float32(0.0), energies)
-    total = finite.sum(axis=0)
-    flagged = flagged | (total < np.float32(_TINY32))
-    denominator = total[None, :] - finite + np.float32(noise)
-    ratio = np.where(
-        denominator > 0, finite / denominator, np.float32(np.inf)
-    )
-    near = np.abs(ratio - beta32) <= tol32 * (ratio + beta32)
-    return ratio, ratio >= beta32, near.any(axis=0) | flagged, sq_min
+    total, flagged = _screen_total(energies)
+    # total >= every energy, so the denominator is >= 0, and it is 0 with a
+    # zero energy only where the total is 0, a flagged column.
+    ratio = total[None, :] - energies
+    ratio += np.float32(noise)
+    np.divide(energies, ratio, out=ratio)
+    uncertain = _near_beta(ratio, beta32, tol32).any(axis=0) | flagged
+    return ratio, ratio >= beta32, uncertain, sq_min
 
 
 def _screen_heard(
@@ -211,22 +249,51 @@ def _screen_heard(
     return np.where(any_received, best, no_reception), uncertain, sq_min
 
 
+def _row_sinr(energies, total, indices, noise):
+    """Float32 SINR ``(c,)`` of station ``indices[j]`` at point ``j``."""
+    row = energies[indices, np.arange(energies.shape[1])]
+    return row / (total - row + np.float32(noise))
+
+
 def _screen_row(
     coords32, powers32, pts32, indices, noise, beta32, tol32, alpha
 ):
     """One gathered reception screen chunk: ``(mask (c,), uncertain, sq_min)``."""
     energies, sq_min = _screen_energies(coords32, powers32, pts32, alpha)
-    inf_energy = ~np.isfinite(energies)
-    flagged = inf_energy.any(axis=0)
-    finite = np.where(inf_energy, np.float32(0.0), energies)
-    total = finite.sum(axis=0)
-    flagged = flagged | (total < np.float32(_TINY32))
+    total, flagged = _screen_total(energies)
+    ratio = _row_sinr(energies, total, indices, noise)
+    return ratio >= beta32, _near_beta(ratio, beta32, tol32) | flagged, sq_min
+
+
+def _screen_nearest(
+    coords32, powers32, pts32, noise, beta32, tol32, alpha, no_reception
+):
+    """One nearest-received screen chunk: ``(labels, uncertain, sq_min)``.
+
+    The float32 nearest station and its reception, from one pass: squared
+    distances give the nearest and the runner-up, then turn into energies
+    in place for the column total and the nearest station's SINR.  A point
+    is uncertain unless the nearest is separated from the runner-up,
+    ``(d2 - d1) > tol * (d1 + d2)`` on squared distances, and its SINR is
+    clear of ``beta`` as in :func:`_screen_row`.  A one-station network has
+    no runner-up.
+    """
+    squared = _screen_squared(coords32, pts32)
     cols = np.arange(pts32.shape[0])
-    row = finite[indices, cols]
-    denominator = total - row + np.float32(noise)
-    ratio = np.where(denominator > 0, row / denominator, np.float32(np.inf))
-    near = np.abs(ratio - beta32) <= tol32 * (ratio + beta32)
-    return ratio >= beta32, near | flagged, sq_min
+    nearest = np.argmin(squared, axis=0)
+    d1 = squared[nearest, cols]
+    if len(squared) > 1:
+        squared[nearest, cols] = np.inf
+        d2 = squared.min(axis=0)
+        squared[nearest, cols] = d1
+        uncertain = ~((d2 - d1) > tol32 * (d1 + d2))
+    else:
+        uncertain = np.zeros(len(cols), dtype=bool)
+    energies = _energies_in_place(squared, powers32, alpha)
+    total, flagged = _screen_total(energies)
+    ratio = _row_sinr(energies, total, nearest, noise)
+    uncertain |= _near_beta(ratio, beta32, tol32) | flagged
+    return np.where(ratio >= beta32, nearest, no_reception), uncertain, d1
 
 
 class Float32ScreenBackend:
@@ -241,7 +308,9 @@ class Float32ScreenBackend:
         decision_margin: relative margin below which a float32 decision is
             re-verified.  Widening it is always safe (more verification);
             the effective tolerance never drops below an error-bound floor,
-            so narrowing it cannot break exactness either.
+            so narrowing it cannot break exactness either.  ``inf`` verifies
+            every point exactly; zero, negative and NaN margins raise
+            :class:`~repro.exceptions.ReproError`.
     """
 
     name = "float32-screen"
@@ -251,8 +320,12 @@ class Float32ScreenBackend:
     accepts_float32_arrays = True
 
     def __init__(self, *, decision_margin: float = DEFAULT_DECISION_MARGIN) -> None:
-        if decision_margin <= 0.0:
-            raise ReproError("decision_margin must be positive")
+        # Written so that NaN fails too: a NaN tolerance would make no
+        # point margin-close, certifying every float32 decision.
+        if not decision_margin > 0.0:
+            raise ReproError(
+                f"decision_margin must be positive, got {decision_margin!r}"
+            )
         self.decision_margin = float(decision_margin)
         self.stats = ScreenStats()
 
@@ -278,8 +351,9 @@ class Float32ScreenBackend:
         """Effective relative tolerance: the margin, floored by error bounds.
 
         The floor covers coordinate-rounding amplification at the geometry
-        guard (``~alpha * eps32 / GEOMETRY_MARGIN``) and the interference
-        cancellation of near-threshold SINR columns
+        guard (``~alpha * eps32 / GEOMETRY_MARGIN``, which also bounds the
+        squared-distance error of ``nearest_received``'s separation test)
+        and the interference cancellation of near-threshold SINR columns
         (``~beta * n * eps32``), each with generous slack.
         """
         floor = max(
@@ -289,17 +363,21 @@ class Float32ScreenBackend:
         return np.float32(max(self.decision_margin, floor))
 
     @staticmethod
-    def _geometry_flags(coords, pts_chunk, sq_min) -> np.ndarray:
-        """Points within :data:`GEOMETRY_MARGIN` of a station (float64 check)."""
+    def _geometry_guard(coords, pts) -> np.ndarray:
+        """Per-point float64 squared distance ``(GEOMETRY_MARGIN * scale)**2``.
+
+        A point whose float32 distance to some station squares to at most
+        this is within :data:`GEOMETRY_MARGIN` of it; ``scale`` is the
+        largest of 1 and the station and point coordinate magnitudes.
+        """
         coord_scale = max(1.0, float(np.abs(coords).max(initial=0.0)))
-        scale = np.maximum(
-            np.abs(np.asarray(pts_chunk, dtype=float)).max(axis=1), coord_scale
-        )
+        scale = np.maximum(np.abs(pts[:, 0]), np.abs(pts[:, 1]))
+        np.maximum(scale, coord_scale, out=scale)
         # A huge scale squares to inf: the guard then flags the point, and
         # the exact path answers it.
         with np.errstate(over="ignore"):
-            threshold = (GEOMETRY_MARGIN * scale) ** 2
-        return np.asarray(sq_min, dtype=float) <= threshold
+            scale *= GEOMETRY_MARGIN
+            return np.square(scale, out=scale)
 
     def _screenable(self, noise: float, beta: float, alpha: float) -> bool:
         """Whether the float32 screen's assumptions hold for these parameters."""
@@ -330,10 +408,12 @@ class Float32ScreenBackend:
         if powers32 is None:
             powers32 = np.ascontiguousarray(powers, dtype=np.float32)
         # Points beyond float32 range cast to inf; the screen marks their
-        # columns uncertain and the exact path answers them.
+        # columns uncertain and the exact path answers them.  Column-major,
+        # so each coordinate broadcasts against the stations contiguously.
         with np.errstate(over="ignore"):
-            pts32 = np.ascontiguousarray(pts, dtype=np.float32)
+            pts32 = np.asfortranarray(pts, dtype=np.float32)
         tol32 = self._tolerance(len(coords), beta, alpha)
+        guard = self._geometry_guard(coords, pts)
         uncertain = np.empty(m, dtype=bool)
         per_point = max(1, len(coords)) * 4 * _SCREEN_TEMPS
         step = max(1, chunk_byte_budget() // per_point)
@@ -344,7 +424,7 @@ class Float32ScreenBackend:
                     coords32, powers32, pts32[sl], sl, tol32
                 )
             out[..., sl] = answers
-            uncertain[sl] = unc | self._geometry_flags(coords, pts[sl], sq_min)
+            uncertain[sl] = unc | (sq_min <= guard[sl])
         verified = int(np.count_nonzero(uncertain))
         if verified:
             out[..., uncertain] = exact(pts, uncertain)
@@ -406,6 +486,26 @@ class Float32ScreenBackend:
             ),
             lambda pts, sel: self._exact().received_mask_at(
                 coords, powers, pts[sel], indices[sel], noise, beta, alpha
+            ),
+        )
+
+    def nearest_received(
+        self, coords, powers, points, noise, beta, alpha, no_reception,
+        coords32=None, powers32=None,
+    ):
+        if not self._screenable(noise, beta, alpha):
+            return self._exact().nearest_received(
+                coords, powers, points, noise, beta, alpha, no_reception
+            )
+        beta32 = np.float32(beta)
+        return self._decide(
+            coords, powers, points, coords32, powers32, beta, alpha,
+            np.empty(len(points), dtype=np.intp),
+            lambda c32, p32, chunk, sl, tol32: _screen_nearest(
+                c32, p32, chunk, noise, beta32, tol32, alpha, no_reception
+            ),
+            lambda pts, sel: self._exact().nearest_received(
+                coords, powers, pts[sel], noise, beta, alpha, no_reception
             ),
         )
 

@@ -412,6 +412,7 @@ _BACKEND_METHODS = frozenset(
         "strongest_station",
         "received_mask_matrix",
         "received_mask_at",
+        "nearest_received",
         "heard_station",
     }
 )

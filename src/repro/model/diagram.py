@@ -318,7 +318,8 @@ class SINRDiagram:
         Raises:
             DiagramError: if the box is empty, its width or height is not
                 finite (a non-finite corner, or corners so far apart that
-                the extent overflows), or the resolution is too small.
+                the extent overflows), a side is too short for its pixel
+                pitch to be a nonzero float, or the resolution is too small.
         """
         # Python floats overflow to inf silently; numpy scalars would warn.
         width = float(upper_right.x) - float(lower_left.x)
@@ -339,6 +340,13 @@ class SINRDiagram:
         else:
             rows = resolution
             columns = max(2, int(round(resolution * width / height)))
+
+        if width / columns == 0.0 or height / rows == 0.0:
+            raise DiagramError(
+                f"rasterize() requires a box whose pixel pitch does not "
+                f"underflow to 0, got {lower_left}-{upper_right} at "
+                f"{columns}x{rows} pixels"
+            )
 
         lattice_x = RasterLattice.build(lower_left.x, width, columns)
         lattice_y = RasterLattice.build(lower_left.y, height, rows)

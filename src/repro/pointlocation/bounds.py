@@ -44,6 +44,8 @@ __all__ = [
     "improved_radius_bounds",
     "measured_radius_bounds",
     "radius_bounds",
+    "reach_box",
+    "reach_margin",
     "station_reaches",
 ]
 
@@ -92,6 +94,9 @@ def explicit_radius_bounds(network: WirelessNetwork, index: int) -> RadiusBounds
     return RadiusBounds(delta_lower=delta_lower, Delta_upper=Delta_upper)
 
 
+#: float64 machine epsilon, ``2u`` in :func:`reach_margin`.
+_EPS64 = float(np.finfo(np.float64).eps)
+
 # Neighbour offsets one pass of the sorted sweep scans in each direction.
 # A pass costs a fixed number of numpy calls, and inside a swap under serving
 # load every call waits for the GIL, so offsets are scanned in blocks.
@@ -139,6 +144,12 @@ def station_reaches(
     ``kappa`` taken from ``np.hypot`` over the station's row, and the value
     rounded up one ulp so it stays conservative.
 
+    Every non-zero reach is then widened by :func:`reach_margin` and
+    rounded up one ulp.  The bound is tight (two stations, no noise), and
+    the float64 kernels decide reception from a rounded SINR, so without
+    the widening a point a few ulps past the bound can be heard by brute
+    force yet fall outside a routing box built from it.
+
     Requires the Theorem 4.1 regime (uniform power, ``beta > 1``).
     """
     if not network.is_uniform_power():
@@ -167,13 +178,73 @@ def station_reaches(
     near = live & np.isfinite(radicand)
     far = live & ~near
     out = np.zeros(rows.size, dtype=float)
+    margin = reach_margin(len(coords), beta)
+    if margin >= 1.0:
+        out[live] = np.inf
+        return out
+    # sqrt(radicand) >= sqrt(beta) > 1 here, so nothing divides by zero.
     out[near] = np.sqrt(kappa_squared[near]) / (np.sqrt(radicand[near]) - 1.0)
     if far.any():
         with np.errstate(over="ignore"):
             distances = np.hypot(*_row_differences(coords, rows[far]))
         kappa = _min_off_self(distances, rows[far])
         out[far] = _far_bound(kappa, beta, noise, 1, -1.0)
+    out *= 1.0 + margin
+    np.nextafter(out, np.inf, out=out, where=live)
     return out
+
+
+def reach_margin(n_stations: int, beta: float) -> float:
+    """Relative widening of a Theorem 4.1 reach that covers float64 rounding.
+
+    :func:`station_reaches` multiplies every reach by ``1 + margin`` so that
+    every point the float64 kernels of :mod:`repro.engine.kernels` find
+    received lies inside it.  With ``u = 2**-53``, ``c = sqrt(beta) /
+    (sqrt(beta) - 1)`` and ``n`` stations, to first order (``alpha = 2``,
+    the Theorem 4.1 regime):
+
+    * The kernels' SINR at a point outside the exact zone is off by a
+      relative ``e <= (n + 12 + (n - 1) * beta) * u``: each energy by
+      ``5u``, the total of ``n`` energies by ``(n - 1) u`` of itself (which
+      ``total - signal`` turns into up to ``(n - 1) (beta + 1) u`` of the
+      interference plus noise, the signal being at most ``beta`` times it),
+      and the subtraction, the noise and the division by ``3u``.  A point
+      judged received therefore has an exact SINR of at least
+      ``beta / (1 + e)``.
+    * Lowering the threshold from ``beta`` to ``beta / (1 + e)`` grows the
+      bound by a factor of at most ``1 + c * e / (2 * (1 - t))`` with
+      ``t = e / (2 * (sqrt(beta) - 1))``, and ``t <= 1/2`` while the margin
+      is below 1.
+    * Evaluating the bound in float64 (``kappa**2`` from rounded
+      differences, the radicand and its square root, ``- 1``, the
+      division) loses at most ``9.5 * c * u``; :func:`_far_bound` less.
+
+    The sum is at most ``(n + 31) * (beta + 1) * c * u``.  The margin is
+    twice that, which covers the second-order terms and its own rounding.
+    A margin of 1 or more (``beta`` within rounding of 1, or so large that
+    the cancellation in ``total - signal`` swamps the interference) makes
+    every reach infinite.
+    """
+    root = math.sqrt(beta)
+    if root <= 1.0:
+        return math.inf
+    return (n_stations + 31) * (beta + 1.0) * _EPS64 * root / (root - 1.0)
+
+
+def reach_box(
+    xmin: float, ymin: float, xmax: float, ymax: float, reach: float
+) -> Tuple[float, float, float, float]:
+    """``(xmin, ymin, xmax, ymax)`` inflated by ``reach`` on every side.
+
+    Each edge is rounded outward one ulp, so the box holds every point
+    within ``reach`` of the original box despite the rounded sums.
+    """
+    return (
+        math.nextafter(xmin - reach, -math.inf),
+        math.nextafter(ymin - reach, -math.inf),
+        math.nextafter(xmax + reach, math.inf),
+        math.nextafter(ymax + reach, math.inf),
+    )
 
 
 def _row_differences(

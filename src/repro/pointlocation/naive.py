@@ -17,6 +17,11 @@ protocol: ``locate`` returns the heard station's index (``NO_RECEPTION`` =
 one vectorised pass through the active engine backend and returns an
 ``int64`` label array agreeing with the scalar loop pointwise.  They are
 registered as ``"brute-force"`` and ``"voronoi"``.
+
+Each batch is one engine decision query: brute force asks
+:func:`~repro.engine.batch.first_received_batch`, the Voronoi locator asks
+:func:`~repro.engine.batch.nearest_received_batch`, which the float32
+screen answers — candidate and reception — in a single pass.
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ import numpy as np
 from ..engine.batch import (
     NO_RECEPTION,
     PointsLike,
-    as_points_array,
     first_received_batch,
-    nearest_station_batch,
-    received_at,
+    nearest_received_batch,
 )
+# Bound here, though unused, because perfbench/tracing.py wraps
+# ``naive.received_at`` as a span of its serving benchmark.
+from ..engine.batch import received_at  # noqa: F401
 from ..geometry.kdtree import KDTree
 from ..geometry.point import Point
 from ..model.network import WirelessNetwork
@@ -109,17 +115,13 @@ class VoronoiCandidateLocator:
     def locate_batch(self, points: PointsLike) -> np.ndarray:
         """Vectorised :meth:`locate`: one ``int64`` label per point.
 
-        The nearest candidate is found by a vectorised distance argmin
-        (lowest index on exact ties) instead of the k-d tree; away from
-        measure-zero equidistance ties the answers agree with the scalar
-        method pointwise.  The reception check runs through the active
-        engine backend.
+        One :func:`~repro.engine.batch.nearest_received_batch` call through
+        the active engine backend: the candidate is the nearest station by
+        a distance argmin (lowest index on exact ties) instead of the k-d
+        tree, so away from measure-zero equidistance ties the answers agree
+        with the scalar method pointwise.
         """
-        pts = as_points_array(points)
-        network = self.network
-        candidates = nearest_station_batch(network, pts)
-        heard = received_at(network, candidates, pts)
-        return np.where(heard, candidates, NO_RECEPTION).astype(np.int64)
+        return nearest_received_batch(self.network, points).astype(np.int64)
 
     def query_cost(self) -> int:
         """Number of energy evaluations a single query performs."""

@@ -9,8 +9,9 @@ answers query batches in three steps:
 
 1. **Route.**  Each shard advertises a query box: the bounding box of its
    stations inflated by the shard's *reach* — the largest certified enclosing
-   radius (Theorem 4.1) of any of its zones.  A station can only be heard
-   inside its zone, and its zone fits inside its reach, so a query point can
+   radius (Theorem 4.1) of any of its zones, widened to cover the float64
+   kernels' rounding, with edges rounded outward.  A station can only be
+   heard inside its zone, and its zone fits inside its reach, so a query point can
    only be answered by shards whose query box contains it (possibly several,
    possibly none — then nothing is heard, certified).
 2. **Propose.**  Each routed batch slice is answered by the shard's inner
@@ -62,7 +63,7 @@ from ..exceptions import PointLocationError
 from ..geometry.point import Point
 from ..model.delta import NetworkDelta, diff_networks
 from ..model.network import WirelessNetwork
-from .bounds import station_reaches
+from .bounds import reach_box, station_reaches
 from .registry import Locator, get_locator, register_locator
 
 __all__ = ["ShardedLocator", "ShardInfo", "ShardUpdateReport"]
@@ -218,12 +219,12 @@ class ShardedLocator:
     ) -> Tuple[float, float, float, float]:
         """Station bounding box inflated by the shard's largest certified reach."""
         points = coords[group]
-        reach = float(reaches[group].max())
-        return (
-            float(points[:, 0].min() - reach),
-            float(points[:, 1].min() - reach),
-            float(points[:, 0].max() + reach),
-            float(points[:, 1].max() + reach),
+        return reach_box(
+            float(points[:, 0].min()),
+            float(points[:, 1].min()),
+            float(points[:, 0].max()),
+            float(points[:, 1].max()),
+            float(reaches[group].max()),
         )
 
     def _build_inner(

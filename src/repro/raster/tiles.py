@@ -146,7 +146,7 @@ def affected_boxes(
     Theorem 4.1 regime (non-uniform power or ``beta <= 1``), where no
     certified reach exists.
     """
-    from ..pointlocation.bounds import station_reaches
+    from ..pointlocation.bounds import reach_box, station_reaches
 
     boxes: List[Tuple[float, float, float, float]] = []
     for network, touched in (
@@ -157,7 +157,7 @@ def affected_boxes(
         reaches = station_reaches(network, touched)
         for index, reach in zip(touched, reaches.tolist()):
             x, y = float(coords[index, 0]), float(coords[index, 1])
-            boxes.append((x - reach, y - reach, x + reach, y + reach))
+            boxes.append(reach_box(x, y, x, y, reach))
     return boxes
 
 

@@ -5,7 +5,9 @@ Four families:
 * backend equivalence — every registered backend (numpy, float32-screen)
   agrees with the pure-Python reference backend on randomized networks
   within 1e-9, including the coincident-point and
-  overflow-close columns;
+  overflow-close columns, and ``nearest_received`` equals the nearest
+  station plus its reception check on every backend, at stations,
+  Voronoi midpoints and points a hair off them;
 * backend selection — the ContextVar-backed registry: nesting, exception
   safety, cross-thread isolation, and re-registration taking effect while a
   name is active;
@@ -39,6 +41,8 @@ from repro.engine import (
     heard_station_batch,
     kernels,
     locate_batch,
+    nearest_received_batch,
+    nearest_station_batch,
     points_per_chunk,
     received_at,
     received_mask,
@@ -223,7 +227,7 @@ class TestBackendSelection:
 
 
 # ----------------------------------------------------------------------
-# The backend protocol: six required methods, no optional capabilities
+# The backend protocol: seven required methods, no optional capabilities
 # ----------------------------------------------------------------------
 PROTOCOL_METHODS = (
     "energy_matrix",
@@ -231,12 +235,13 @@ PROTOCOL_METHODS = (
     "strongest_station",
     "received_mask_matrix",
     "received_mask_at",
+    "nearest_received",
     "heard_station",
 )
 
 
 class TestBackendProtocol:
-    def test_protocol_declares_the_six_methods(self):
+    def test_protocol_declares_the_seven_methods(self):
         declared = {
             name
             for name, value in vars(QueryBackend).items()
@@ -351,6 +356,188 @@ class TestBackendEquivalence:
 
 
 # ----------------------------------------------------------------------
+# nearest_received: the Voronoi candidate and its reception in one query
+# ----------------------------------------------------------------------
+def nearest_received_networks():
+    """``(id, network)`` pairs: the regimes the candidate rule must survive."""
+    base = random_network(seed=30)
+    stations = base.stations
+    return [
+        ("random-0", random_network(seed=31)),
+        ("random-1", random_network(seed=32, noise=0.0, beta=1.5)),
+        ("beta-0.5", random_network(seed=33, noise=0.001, beta=0.5)),
+        (
+            "non-uniform-powers",
+            WirelessNetwork(
+                [
+                    Station(s.location, power=0.5 + i)
+                    for i, s in enumerate(stations)
+                ],
+                noise=0.01,
+                beta=1.2,
+            ),
+        ),
+        (
+            "alpha-3",
+            WirelessNetwork(stations, noise=0.005, beta=2.0, alpha=3.0),
+        ),
+        ("duplicated", base.with_station(stations[2])),
+    ]
+
+
+def voronoi_probe_points(network, seed: int) -> np.ndarray:
+    """Stations, exact pair midpoints (float64 ties: the lowest index
+    wins), points 1e-7 relative either side of them, and generic points."""
+    coords = network.coords
+    first, second = np.triu_indices(len(coords), k=1)
+    midpoints = (coords[first] + coords[second]) / 2.0
+    return np.vstack(
+        [
+            coords,
+            midpoints,
+            midpoints * (1.0 + 1e-7),
+            midpoints * (1.0 - 1e-7),
+            queries_for(network, count=120, seed=seed),
+        ]
+    )
+
+
+def nearest_then_received(network, points, backend):
+    candidates = nearest_station_batch(network, points)
+    heard = received_at(network, candidates, points, backend=backend)
+    return np.where(heard, candidates, NO_RECEPTION)
+
+
+class TestNearestReceived:
+    @pytest.mark.parametrize(
+        "network",
+        [network for _, network in nearest_received_networks()],
+        ids=[name for name, _ in nearest_received_networks()],
+    )
+    @pytest.mark.parametrize("backend", ["numpy", "reference", "float32-screen"])
+    def test_equals_nearest_station_then_received_at(self, network, backend):
+        points = voronoi_probe_points(network, seed=len(network))
+        got = nearest_received_batch(network, points, backend=backend)
+        np.testing.assert_array_equal(
+            got, nearest_then_received(network, points, backend)
+        )
+        np.testing.assert_array_equal(
+            got, nearest_received_batch(network, points, backend="numpy")
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_agrees_with_reference(self, seed, candidate_backend):
+        network = random_network(seed=seed, noise=0.01 * seed, beta=1.5 + seed)
+        points = voronoi_probe_points(network, seed=seed + 50)
+        np.testing.assert_array_equal(
+            nearest_received_batch(network, points, backend=candidate_backend),
+            nearest_received_batch(network, points, backend="reference"),
+        )
+
+    @pytest.mark.parametrize("backend", ["numpy", "reference", "float32-screen"])
+    def test_one_station_has_no_runner_up(self, backend):
+        """A network needs two stations, but a backend serves raw arrays of
+        one (a sharded locator's lone-station shard is such a case)."""
+        coords = np.array([[2.0, -1.0]])
+        powers = np.array([1.0])
+        points = np.vstack(
+            [coords, coords + 0.05, coords + 40.0, queries_for(random_network(1))]
+        )
+        indices = np.zeros(len(points), dtype=np.intp)
+        for noise, beta in ((0.01, 2.0), (0.0, 1.5)):
+            heard = kernels.received_mask_at(
+                coords, powers, points, indices, noise, beta, 2.0
+            )
+            got = get_backend(backend).nearest_received(
+                coords, powers, points, noise, beta, 2.0, NO_RECEPTION
+            )
+            np.testing.assert_array_equal(got, np.where(heard, 0, NO_RECEPTION))
+            # Without noise and interference the lone station is heard
+            # everywhere; with noise, not 40 units away.
+            assert heard[:2].all() and heard[2] == (noise == 0.0)
+
+    def test_points_whose_float32_energies_vanish_go_exact(self):
+        """Without noise and with beta < 1 the nearest station is heard far
+        away.  There float32 energies underflow to 0 (weak stations), or the
+        squared distances overflow: the screen must flag the vanished total
+        and the unseparated infinite distances, not answer from 0/0."""
+        network = WirelessNetwork(
+            [
+                Station.at(0.0, 0.0, power=1e-20),
+                Station.at(2.0, 0.0, power=1e-20),
+                Station.at(1.0, 40.0, power=1e-20),
+            ],
+            noise=0.0,
+            beta=0.3,
+        )
+        points = np.array(
+            [[3e13, 7e13], [-1e15, 2e14], [3e19, 7e19], [5e22, -1e22], [1e25, 1e25]]
+        )
+        want = nearest_received_batch(network, points, backend="numpy")
+        assert (want >= 0).all()
+        for backend in ("reference", "float32-screen"):
+            np.testing.assert_array_equal(
+                nearest_received_batch(network, points, backend=backend), want
+            )
+        # A clearly nearest station whose float32 energies are subnormal:
+        # they round to 71 and 7 steps of 2**-149, so a float32 SINR of 10.14
+        # would certify reception where the float64 SINR is 10 < beta.
+        x = math.sqrt(1e23)
+        network = WirelessNetwork(
+            [Station.at(0.0, 0.0, power=1e-20), Station.at(x + 1e12, 0.0, power=1e-20)],
+            noise=0.0,
+            beta=10.05,
+        )
+        for backend in ("numpy", "reference", "float32-screen"):
+            assert nearest_received_batch(
+                network, [(x, 0.0)], backend=backend
+            ).tolist() == [NO_RECEPTION]
+
+    def test_midpoint_ties_go_to_the_lowest_index(self):
+        # beta < 1: both tied stations are received on their bisector.
+        network = WirelessNetwork.uniform(
+            [(0.0, 0.0), (2.0, 0.0), (1.0, 40.0)], noise=0.0, beta=0.5
+        )
+        points = np.array([[1.0, 0.0], [1.0, 0.5]])
+        for backend in ("numpy", "reference", "float32-screen"):
+            np.testing.assert_array_equal(
+                nearest_received_batch(network, points, backend=backend), [0, 0]
+            )
+
+    def test_screen_verifies_only_uncertain_points_exactly(self, monkeypatch):
+        """The screen makes no float64 ``(n, m)`` distance pass for a batch
+        it certifies whole, and makes it over exactly the uncertain points
+        otherwise (here: the points on stations)."""
+        from repro.engine import Float32ScreenBackend
+
+        network = seeded_network(12, side=20.0, seed=34)
+        coords = network.coords
+        near = coords + np.array([0.05, -0.03])
+        calls = []
+        real = kernels.pairwise_squared_distances
+
+        def spy(station_coordinates, points):
+            calls.append(len(points))
+            return real(station_coordinates, points)
+
+        monkeypatch.setattr(kernels, "pairwise_squared_distances", spy)
+        screen = Float32ScreenBackend()
+        expected = np.arange(len(coords))
+
+        got = nearest_received_batch(network, near, backend=screen)
+        np.testing.assert_array_equal(got, expected)
+        assert screen.stats.verified == 0
+        assert calls == []
+
+        k = 4
+        batch = np.vstack([near, coords[:k]])
+        got = nearest_received_batch(network, batch, backend=screen)
+        np.testing.assert_array_equal(got, np.concatenate([expected, expected[:k]]))
+        assert screen.stats.verified == k
+        assert calls and set(calls) == {k}
+
+
+# ----------------------------------------------------------------------
 # Memory-bounded chunking
 # ----------------------------------------------------------------------
 def peak_of(fn):
@@ -401,6 +588,7 @@ class TestChunkedBatch:
             lambda b: heard_station_batch(network, points, backend=b),
             lambda b: received_mask(network, 2, points, backend=b),
             lambda b: received_at(network, indices, points, backend=b),
+            lambda b: nearest_received_batch(network, points, backend=b),
         ]
         monkeypatch.delenv("REPRO_ENGINE_CHUNK_BYTES", raising=False)
         baselines = [fn(backend_name) for fn in families]
@@ -516,6 +704,12 @@ class TestNonFinitePoints:
             ).any()
         indices = np.arange(len(NON_FINITE)) % len(network)
         assert not received_at(network, indices, NON_FINITE, backend=backend).any()
+        nearest = nearest_received_batch(network, points, backend=backend)
+        assert (nearest[: len(NON_FINITE)] == NO_RECEPTION).all()
+        np.testing.assert_array_equal(
+            nearest[len(NON_FINITE):],
+            nearest_received_batch(network, finite, backend=backend),
+        )
         sinr = sinr_batch(network, NON_FINITE, backend=backend)
         assert not (sinr >= network.beta).any()
         nan_only = np.isnan(NON_FINITE).any(axis=1) & ~np.isinf(NON_FINITE).any(axis=1)

@@ -323,7 +323,7 @@ class TestShardSelectiveRebuild:
     def test_routing_boxes_are_refreshed_for_reused_shards(self):
         """A reused shard's box must track the *new* network's reaches: the
         Theorem 4.1 bound is not monotone under noise, so stale boxes would
-        not be conservative."""
+        not be conservative.  Edges are rounded outward one ulp."""
         network = uniform_random_network(
             12, side=14.0, minimum_separation=1.5, noise=0.01, beta=3.0, seed=13
         )
@@ -336,10 +336,10 @@ class TestShardSelectiveRebuild:
             pts = coords[shard.indices]
             reach = float(reaches[shard.indices].max())
             assert shard.query_box == (
-                float(pts[:, 0].min() - reach),
-                float(pts[:, 1].min() - reach),
-                float(pts[:, 0].max() + reach),
-                float(pts[:, 1].max() + reach),
+                np.nextafter(pts[:, 0].min() - reach, -np.inf),
+                np.nextafter(pts[:, 1].min() - reach, -np.inf),
+                np.nextafter(pts[:, 0].max() + reach, np.inf),
+                np.nextafter(pts[:, 1].max() + reach, np.inf),
             )
 
 

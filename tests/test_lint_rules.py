@@ -328,6 +328,17 @@ class TestRL005ChunkingDiscipline:
                 )
         """
         assert findings_for("RL005", bound, path="raster/x.py")
+        nearest = """
+            from repro.engine import get_backend
+
+            def locate(network, pts):
+                backend = get_backend("float32-screen")
+                return backend.nearest_received(
+                    network.coords, network.powers_array(), pts,
+                    network.noise, network.beta, network.alpha, -1,
+                )
+        """
+        assert findings_for("RL005", nearest, path="pointlocation/x.py")
 
     def test_backend_method_list_matches_the_protocol(self):
         from repro.engine import QueryBackend
@@ -343,12 +354,15 @@ class TestRL005ChunkingDiscipline:
     def test_batch_api_and_backend_pinning_pass(self):
         clean = """
             from repro.engine import active_backend
-            from repro.engine.batch import received_at, sinr_batch
+            from repro.engine.batch import (
+                nearest_received_batch, received_at, sinr_batch,
+            )
 
             def render(network, pts, candidates):
                 backend = active_backend()
                 values = sinr_batch(network, pts, backend=backend)
-                return values, received_at(network, candidates, pts)
+                nearest = nearest_received_batch(network, pts, backend=backend)
+                return values, nearest, received_at(network, candidates, pts)
         """
         assert not findings_for("RL005", clean, path="raster/x.py")
 

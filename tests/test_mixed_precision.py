@@ -36,6 +36,7 @@ from repro.engine import (
     get_backend,
     heard_station_batch,
     locate_batch,
+    nearest_received_batch,
     received_at,
     received_mask,
     register_backend,
@@ -63,12 +64,14 @@ def assert_decisions_identical(network, points, backend, reference="numpy"):
         heard_station_batch(network, points, backend=backend),
         received_mask(network, 0, points, backend=backend),
         received_at(network, indices, points, backend=backend),
+        nearest_received_batch(network, points, backend=backend),
     ]
     expected = [
         strongest_station_batch(network, points, backend=reference),
         heard_station_batch(network, points, backend=reference),
         received_mask(network, 0, points, backend=reference),
         received_at(network, indices, points, backend=reference),
+        nearest_received_batch(network, points, backend=reference),
     ]
     for got, want in zip(pairs, expected):
         np.testing.assert_array_equal(got, want)
@@ -216,6 +219,19 @@ class TestAdversarialMargins:
     def test_rejects_nonpositive_margins(self):
         with pytest.raises(ReproError, match="decision_margin"):
             Float32ScreenBackend(decision_margin=0.0)
+        # NaN compares false with everything: as a tolerance it would make
+        # no point margin-close and certify every float32 decision.
+        with pytest.raises(ReproError, match="decision_margin"):
+            Float32ScreenBackend(decision_margin=float("nan"))
+
+    def test_infinite_margin_verifies_every_point(self):
+        network = network_6(seed=75)
+        points = np.vstack([query_box_array(network, 300, seed=76), network.coords])
+        screen = Float32ScreenBackend(decision_margin=float("inf"))
+        screen.stats.reset()
+        assert_decisions_identical(network, points, screen)
+        assert screen.stats.screened > 0
+        assert screen.stats.verified == screen.stats.screened
 
 
 class _CountingNumpy(NumpyBackend):

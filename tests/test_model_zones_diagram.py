@@ -143,14 +143,16 @@ class TestSINRDiagram:
             noisy_diagram.rasterize(Point(0, 0), Point(0, 5), resolution=50)
         with pytest.raises(DiagramError):
             noisy_diagram.rasterize(Point(0, 0), Point(5, 5), resolution=1)
-        # Non-finite corners, an overflowing extent and an infinite side, on
-        # the monolithic and the tile-cached path.
+        # Non-finite corners, an overflowing extent, an infinite side and a
+        # subnormal box whose pixel pitch underflows to 0, on the monolithic
+        # and the tile-cached path.
         for lower_left, upper_right in [
             (Point(math.nan, 0.0), Point(5.0, 5.0)),
             (Point(0.0, 0.0), Point(5.0, math.nan)),
             (Point(-math.inf, 0.0), Point(5.0, 5.0)),
             (Point(-1e308, -1e308), Point(1e308, 1e308)),
             (Point(0.0, 0.0), Point(math.inf, 1.0)),
+            (Point(0.0, 0.0), Point(1e-322, 1e-322)),
         ]:
             for cache in (None, TileCache(tile_size=8)):
                 with pytest.raises(DiagramError):

@@ -647,27 +647,29 @@ class TestRasterService:
             RasterService(ten_station_network, max_concurrency=0)
 
     @pytest.mark.parametrize(
-        "lower_left,upper_right",
+        "lower_left,upper_right,message",
         [
-            (Point(math.nan, 0.0), Point(5.0, 5.0)),
-            (Point(0.0, 0.0), Point(5.0, math.nan)),
-            (Point(-math.inf, 0.0), Point(5.0, 5.0)),
-            (Point(-1e308, -1e308), Point(1e308, 1e308)),
-            (Point(0.0, 0.0), Point(math.inf, 1.0)),
+            (Point(math.nan, 0.0), Point(5.0, 5.0), "finite bounding box"),
+            (Point(0.0, 0.0), Point(5.0, math.nan), "finite bounding box"),
+            (Point(-math.inf, 0.0), Point(5.0, 5.0), "finite bounding box"),
+            (Point(-1e308, -1e308), Point(1e308, 1e308), "finite bounding box"),
+            (Point(0.0, 0.0), Point(math.inf, 1.0), "finite bounding box"),
+            (Point(0.0, 0.0), Point(1e-322, 1e-322), "pixel pitch"),
         ],
         ids=["nan-corner", "nan-side", "minus-inf-corner", "overflowing-width",
-             "infinite-width"],
+             "infinite-width", "underflowing-pitch"],
     )
     def test_non_finite_boxes_are_rejected_before_any_tile_work(
-        self, ten_station_network, lower_left, upper_right
+        self, ten_station_network, lower_left, upper_right, message
     ):
-        """A box with a non-finite extent fails its own request with
-        ``DiagramError``, computes no tile, and leaves the service serving."""
+        """A box with a non-finite extent, or one whose pixel pitch
+        underflows, fails its own request with ``DiagramError``, computes no
+        tile, and leaves the service serving."""
         service = RasterService(ten_station_network, tile_size=32)
         box = (Point(-4.0, -4.0), Point(4.0, 4.0), 64)
 
         async def drive():
-            with pytest.raises(DiagramError, match="finite bounding box"):
+            with pytest.raises(DiagramError, match=message):
                 await service.rasterize(lower_left, upper_right, 50)
             assert service.cache_stats().misses == 0
             return await service.rasterize(*box)

@@ -5,7 +5,8 @@ reach.  The sweep that computes them must return the same bits as the
 dense nearest-neighbour pass it replaced, on every layout the sort and
 its certificate could get wrong (duplicates, ties, one-axis layouts,
 clusters far apart, distances whose square underflows or overflows), in
-``O(n)`` memory.
+``O(n)`` memory.  Where the bound is tight, every point the float64
+kernels hear must still fall inside the reach and its routing box.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from repro import Point, WirelessNetwork
 from repro.model import move_station
 from repro.pointlocation import explicit_radius_bounds, station_reaches
+from repro.pointlocation.bounds import reach_margin
 from repro.pointlocation.registry import get_locator
 from repro.raster import affected_boxes
 from repro.workloads import uniform_random_network
@@ -29,7 +31,8 @@ MIB = 2**20
 
 
 def dense_reaches(network: WirelessNetwork) -> np.ndarray:
-    """The reference: one ``(n, n, 2)`` difference array, as the code had it."""
+    """The reference: one ``(n, n, 2)`` difference array, as the code had it,
+    then widened by the rounding margin and one ulp."""
     coords = network.coords
     deltas = coords[:, None, :] - coords[None, :, :]
     squared = np.einsum("ijk,ijk->ij", deltas, deltas)
@@ -42,6 +45,8 @@ def dense_reaches(network: WirelessNetwork) -> np.ndarray:
     out[live] = kappa[live] / (
         np.sqrt(network.beta * (1.0 + network.noise * kappa_squared[live])) - 1.0
     )
+    margin = reach_margin(len(network), network.beta)
+    out[live] = np.nextafter(out[live] * (1.0 + margin), np.inf)
     return out
 
 
@@ -217,7 +222,8 @@ class TestSweepMatchesDensePass:
 
 
 class TestAgreesWithExplicitBounds:
-    """The vectorised reach is per-station ``explicit_radius_bounds``."""
+    """The vectorised reach is per-station ``explicit_radius_bounds``,
+    widened by no more than twice the rounding margin."""
 
     @pytest.mark.parametrize(
         "network",
@@ -250,7 +256,8 @@ class TestAgreesWithExplicitBounds:
                 assert reaches[index] == 0.0
                 continue
             expected = explicit_radius_bounds(network, index).Delta_upper
-            assert reaches[index] == pytest.approx(expected, rel=1e-12)
+            margin = reach_margin(len(network), network.beta)
+            assert expected <= reaches[index] <= expected * (1.0 + 2.0 * margin)
             checked += 1
         assert checked > 0
 
@@ -302,6 +309,71 @@ class TestOverflowingKappa:
 
 
 # ----------------------------------------------------------------------
+# Tight bounds: two stations, no noise
+# ----------------------------------------------------------------------
+KAPPAS = np.logspace(-3.0, 6.0, 10)
+
+
+def ulps_past(x: float, direction: float, count: int) -> np.ndarray:
+    """``x`` and the ``count`` doubles after it towards ``direction``."""
+    out = [x]
+    for _ in range(count):
+        out.append(np.nextafter(out[-1], direction))
+    return np.array(out)
+
+
+class TestTightReachRouting:
+    """With no noise and one interferer, Theorem 4.1's ``Delta_upper`` is
+    attained on the axis, so the float64 kernels hear points a few ulps past
+    the exact bound.  Unwidened reaches and nearest-rounded box edges
+    dropped those points from ``sharded:voronoi``'s routing (for example
+    kappa = 1, beta = 3: brute force hears station 0 at
+    ``(-1.366025403784439, 0)``)."""
+
+    @pytest.mark.parametrize(
+        "beta", [1.0 + 1e-6, 1.01, 1.21, 1.5, 2.0, 3.0, 9.0]
+    )
+    @pytest.mark.parametrize("x0", [0.0, 1e6, -12345.678])
+    def test_sharded_hears_what_brute_force_hears_past_the_bound(self, x0, beta):
+        for kappa in KAPPAS:
+            network = network_from([(x0, 0.0), (x0 + kappa, 0.0)], noise=0.0, beta=beta)
+            exact = kappa / (np.sqrt(beta) - 1.0)
+            xs = np.concatenate(
+                [
+                    ulps_past(x0 - exact, -np.inf, 200),
+                    ulps_past(x0 + kappa + exact, np.inf, 200),
+                ]
+            )
+            points = np.column_stack([xs, np.zeros_like(xs)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                want = get_locator("brute-force").build(network).locate_batch(points)
+                got = (
+                    get_locator("sharded:voronoi")
+                    .build(network, shards=2)
+                    .locate_batch(points)
+                )
+            np.testing.assert_array_equal(got, want, err_msg=f"kappa={kappa}")
+
+    def test_reach_covers_every_point_the_kernels_hear(self):
+        network = network_from([(0.0, 0.0), (1.0, 0.0)], noise=0.0, beta=3.0)
+        reach = station_reaches(network)[0]
+        xs = ulps_past(-1.3660254037844388, -np.inf, 2000)
+        points = np.column_stack([xs, np.zeros_like(xs)])
+        heard = get_locator("brute-force").build(network).locate_batch(points) == 0
+        assert heard[1]  # one ulp past the unwidened bound
+        assert (-xs[heard] <= reach).all()
+
+    def test_margin_grows_as_beta_nears_one(self):
+        assert reach_margin(2, 3.0) < reach_margin(2, 1.01) < reach_margin(2, 1.0 + 1e-6)
+        assert reach_margin(3200, 3.0) < 1e-10
+        # beta within rounding of 1: no finite reach is certified.
+        network = network_from([(0.0, 0.0), (1.0, 0.0)], noise=0.0, beta=1.0 + 2**-52)
+        assert reach_margin(2, network.beta) == np.inf
+        assert (station_reaches(network) == np.inf).all()
+
+
+# ----------------------------------------------------------------------
 # Only the touched rows for raster invalidation
 # ----------------------------------------------------------------------
 def test_affected_boxes_computes_only_touched_reaches(monkeypatch):
@@ -317,7 +389,14 @@ def test_affected_boxes_computes_only_touched_reaches(monkeypatch):
         for index in touched:
             x, y = net.coords[index]
             r = reaches[index]
-            expected.append((x - r, y - r, x + r, y + r))
+            expected.append(
+                (
+                    np.nextafter(x - r, -np.inf),
+                    np.nextafter(y - r, -np.inf),
+                    np.nextafter(x + r, np.inf),
+                    np.nextafter(y + r, np.inf),
+                )
+            )
 
     calls = []
     real = bounds.station_reaches
