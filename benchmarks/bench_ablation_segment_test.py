@@ -38,11 +38,15 @@ def edge_segments(network):
     zone = ReceptionZone(network=network, index=0)
     rng = random.Random(5)
     center = zone.station_location
+    # Half the segments straddle the boundary, half sit well inside/outside.
+    draws = [
+        (rng.uniform(0.0, 2.0 * math.pi), rng.choice([0.98, 0.6, 1.4]))
+        for _ in range(200)
+    ]
+    distances = zone.boundary_distances_along_rays([angle for angle, _ in draws])
     segments = []
-    for _ in range(200):
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        # Half the segments straddle the boundary, half sit well inside/outside.
-        base = zone.boundary_distance_along_ray(angle) * rng.choice([0.98, 0.6, 1.4])
+    for (angle, factor), distance in zip(draws, distances.tolist()):
+        base = distance * factor
         start = Point(
             center.x + base * math.cos(angle), center.y + base * math.sin(angle)
         )

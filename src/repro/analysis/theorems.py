@@ -110,12 +110,14 @@ def _zone_sample_points(
     if zone.is_degenerate:
         return [zone.station_location]
     center = zone.station_location
-    max_radius = zone.search_radius()
+    # Draw in the order of per-ray sampling (an angle, then a radius), probe
+    # every ray in one call, then scale: ``rng.uniform(0.0, b)`` is
+    # ``0.0 + (b - 0.0) * rng.random()``, which equals ``b * rng.random()``.
+    draws = [(rng.uniform(0.0, 2.0 * math.pi), rng.random()) for _ in range(count)]
+    boundaries = zone.boundary_distances_along_rays([angle for angle, _ in draws])
     points: List[Point] = []
-    for _ in range(count):
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        boundary = zone.boundary_distance_along_ray(angle, max_radius)
-        radius = rng.uniform(0.0, boundary * 0.999)
+    for (angle, draw), boundary in zip(draws, boundaries.tolist()):
+        radius = boundary * 0.999 * draw
         points.append(
             Point(
                 center.x + radius * math.cos(angle),
@@ -144,11 +146,10 @@ def verify_zone_convexity(
     points = _zone_sample_points(zone, sample_points, rng)
     # Include boundary-hugging points: convexity violations show up near the
     # boundary first, so probe just inside the boundary along many rays.
-    max_radius = zone.search_radius()
-    for k in range(24):
-        angle = 2.0 * math.pi * k / 24
-        boundary = zone.boundary_distance_along_ray(angle, max_radius)
-        center = zone.station_location
+    center = zone.station_location
+    angles = [2.0 * math.pi * k / 24 for k in range(24)]
+    boundaries = zone.boundary_distances_along_rays(angles)
+    for angle, boundary in zip(angles, boundaries.tolist()):
         points.append(
             Point(
                 center.x + 0.999 * boundary * math.cos(angle),
@@ -223,20 +224,22 @@ def verify_zone_star_shape(
     rays: int = 90,
     samples_per_ray: int = 48,
 ) -> StarShapeVerification:
-    """Check the zone is star-shaped with respect to its station."""
+    """Check the zone is star-shaped with respect to its station.
+
+    The targets are the vertices of the zone's boundary polygon over
+    ``rays`` (at least 3) equally spaced rays, pulled slightly inward.
+    """
     if zone.is_degenerate:
         return StarShapeVerification(
             station=zone.index, is_star_shaped=True, rays_checked=0
         )
-    max_radius = zone.search_radius()
-    targets = [
-        zone.boundary_point_along_ray(2.0 * math.pi * k / rays, max_radius)
-        for k in range(rays)
-    ]
-    # Pull the targets slightly inward so numerical boundary error does not
-    # register as a violation.
+    # Pull the boundary points slightly inward so numerical boundary error
+    # does not register as a violation.
     center = zone.station_location
-    targets = [center + (target - center) * 0.999 for target in targets]
+    targets = [
+        center + (target - center) * 0.999
+        for target in zone.boundary_polygon(rays).vertices
+    ]
     report = check_zone_star_shape(
         zone.contains, center, targets, samples_per_segment=samples_per_ray
     )

@@ -4,8 +4,10 @@ Two tracing strategies are provided:
 
 * :func:`trace_zone_boundary` — exact-to-tolerance tracing of a single
   reception zone by the ray sweep enabled by the star-shape property
-  (Lemma 3.1); this is what the figure exports use for the smooth zone
-  outlines.
+  (Lemma 3.1): the vertices of
+  :meth:`~repro.model.reception.ReceptionZone.boundary_polygon`, whose rays
+  go to the batched boundary probe in one call; this is what the figure
+  exports use for the smooth zone outlines.
 * :func:`marching_squares` — a generic iso-contour extractor over a raster
   (used for the ``beta < 1`` regime of Figure 5, where zones need not be
   star-shaped around anything and the ray sweep is not applicable, and for
@@ -17,7 +19,6 @@ point at the end.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,11 +47,7 @@ def trace_zone_boundary(
         raise DiagramError("cannot trace the boundary of a degenerate zone")
     if vertices < 3:
         raise DiagramError("trace_zone_boundary() needs at least 3 vertices")
-    max_radius = zone.search_radius()
-    points = [
-        zone.boundary_point_along_ray(2.0 * math.pi * k / vertices, max_radius)
-        for k in range(vertices)
-    ]
+    points = list(zone.boundary_polygon(vertices).vertices)
     if close:
         points.append(points[0])
     return points

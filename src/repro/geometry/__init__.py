@@ -3,9 +3,10 @@
 Everything the paper needs from computational geometry is implemented here
 from scratch: points and vectors, balls, segments and lines (including the
 separation line of two points), similarity transforms realising Lemma 2.3,
-polygons with half-plane clipping, convexity / star-shape checkers, fatness
-measurement, gamma-spaced grids with 9-cells, a k-d tree, and a Voronoi
-diagram by half-plane intersection.
+polygons with half-plane clipping, convexity / star-shape checkers, polygon
+fatness and the paper's fatness bound, gamma-spaced grids with 9-cells, a k-d
+tree, and a Voronoi diagram by half-plane intersection.  Reception zones are
+measured by :class:`repro.model.reception.ReceptionZone`, not here.
 """
 
 from .ball import Ball, circle_intersection_points
@@ -19,7 +20,6 @@ from .convexity import (
 from .fatness import (
     FatnessMeasurement,
     fatness_of_polygon,
-    fatness_of_predicate,
     theoretical_fatness_bound,
 )
 from .grid import Grid, GridCell
@@ -68,7 +68,6 @@ __all__ = [
     "distance",
     "dot",
     "fatness_of_polygon",
-    "fatness_of_predicate",
     "is_convex_point_set",
     "midpoint",
     "orientation",

@@ -12,16 +12,16 @@ For a bounded zone ``Z`` and an internal point ``p`` the paper defines
 constant.  Theorem 2 shows reception zones of uniform-power networks are fat
 with ``phi <= (sqrt(beta) + 1) / (sqrt(beta) - 1)``.
 
-Zones in this library are usually given either as a membership predicate (the
-SINR reception test) or as a polygon approximating the boundary, so this
-module provides fatness measurement for both representations.
+This module holds the measurement record, the paper's bound and the
+measurement of a polygonal zone.  Reception zones are measured by
+:meth:`repro.model.reception.ReceptionZone.fatness`, which reads ``delta``
+and ``Delta`` off the library's one batched boundary probe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from ..exceptions import GeometryError
 from .point import Point
@@ -30,11 +30,8 @@ from .polygon import Polygon
 __all__ = [
     "FatnessMeasurement",
     "fatness_of_polygon",
-    "fatness_of_predicate",
     "theoretical_fatness_bound",
 ]
-
-ZonePredicate = Callable[[Point], bool]
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,68 +77,3 @@ def fatness_of_polygon(polygon: Polygon, center: Point) -> FatnessMeasurement:
     delta = min(edge.distance_to_point(center) for edge in polygon.edges())
     big_delta = max(center.distance_to(vertex) for vertex in polygon.vertices)
     return FatnessMeasurement(center=center, delta=delta, Delta=big_delta)
-
-
-def fatness_of_predicate(
-    inside: ZonePredicate,
-    center: Point,
-    max_radius: float,
-    angles: int = 360,
-    radial_tolerance: float = 1e-6,
-) -> FatnessMeasurement:
-    """Measure fatness of a zone given only by a membership predicate.
-
-    The zone is assumed to be star-shaped with respect to ``center`` (true for
-    SINR reception zones by Lemma 3.1), so along each ray from ``center`` the
-    zone is an interval ``[0, r(theta)]``.  The boundary distance ``r(theta)``
-    is located by bisection between 0 and ``max_radius`` on ``angles`` equally
-    spaced rays; ``delta`` / ``Delta`` are the min / max over the rays.
-
-    Args:
-        inside: membership predicate of the zone.
-        center: an internal point (typically the station location).
-        max_radius: a radius known to be outside the zone in every direction.
-        angles: number of rays used in the sweep.
-        radial_tolerance: bisection stopping tolerance (absolute distance).
-    """
-    if angles < 4:
-        raise GeometryError("fatness_of_predicate() needs at least four rays")
-    if not inside(center):
-        raise GeometryError("center must belong to the zone")
-
-    radii = []
-    for index in range(angles):
-        theta = 2.0 * math.pi * index / angles
-        direction = Point(math.cos(theta), math.sin(theta))
-        radii.append(
-            _boundary_distance_along_ray(
-                inside, center, direction, max_radius, radial_tolerance
-            )
-        )
-    return FatnessMeasurement(center=center, delta=min(radii), Delta=max(radii))
-
-
-def _boundary_distance_along_ray(
-    inside: ZonePredicate,
-    center: Point,
-    direction: Point,
-    max_radius: float,
-    tolerance: float,
-) -> float:
-    """Distance from ``center`` to the zone boundary along ``direction``.
-
-    Assumes the zone restricted to the ray is an interval starting at the
-    centre, i.e. the zone is star-shaped with respect to ``center``.
-    """
-    low = 0.0
-    high = max_radius
-    if inside(center + direction * max_radius):
-        # The zone is not bounded by max_radius in this direction; report the cap.
-        return max_radius
-    while high - low > tolerance:
-        mid = (low + high) / 2.0
-        if inside(center + direction * mid):
-            low = mid
-        else:
-            high = mid
-    return (low + high) / 2.0

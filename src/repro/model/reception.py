@@ -7,9 +7,13 @@ contained in the Voronoi cell of its station (Observation 2.2), and for
 ``alpha = 2`` and ``beta >= 1`` it is convex (Theorem 1) and fat (Theorem 2).
 
 :class:`ReceptionZone` wraps a network and a station index and provides the
-membership predicate, boundary probing along rays (valid because the zone is
-star-shaped with respect to its station, Lemma 3.1), polygonal boundary
-approximation, and area / perimeter / fatness estimates built on it.
+membership predicate and one boundary probe,
+:meth:`~ReceptionZone.boundary_distances_along_rays`: a bisection along rays
+from the station (valid because the zone is star-shaped with respect to its
+station, Lemma 3.1) that runs all of a caller's rays in lockstep through the
+engine's batched reception mask.  The polygonal boundary approximation and
+the area / perimeter / fatness estimates are built on it, and so is every
+other boundary measure in the library.
 """
 
 from __future__ import annotations
@@ -118,35 +122,15 @@ class ReceptionZone:
         max_radius: Optional[float] = None,
         tolerance: float = 1e-10,
     ) -> float:
-        """Distance from the station to the zone boundary along a ray.
+        """Distance from the station to the zone boundary along one ray.
 
-        Lemma 3.1 (star shape): along any ray from the station the zone is an
-        interval starting at the station, so the boundary distance is found by
-        bisection.  ``max_radius`` defaults to :meth:`search_radius`.
+        A one-ray call of :meth:`boundary_distances_along_rays`, for callers
+        that probe a single ray; a caller with many rays passes them all to
+        that method in one call.
         """
-        if self.is_degenerate:
-            return 0.0
-        center = self.station_location
-        direction = Point(math.cos(angle), math.sin(angle))
-        high = max_radius if max_radius is not None else self.search_radius()
-        if high <= 0.0:
-            return 0.0
-        if self.contains(center + direction * high):
-            # Unbounded (trivial network) or max_radius underestimated; extend.
-            for _ in range(60):
-                high *= 2.0
-                if not self.contains(center + direction * high):
-                    break
-            else:
-                return math.inf
-        low = 0.0
-        while high - low > tolerance * max(1.0, high):
-            middle = (low + high) / 2.0
-            if self.contains(center + direction * middle):
-                low = middle
-            else:
-                high = middle
-        return (low + high) / 2.0
+        return float(
+            self.boundary_distances_along_rays([angle], max_radius, tolerance)[0]
+        )
 
     def boundary_distances_along_rays(
         self,
@@ -154,24 +138,55 @@ class ReceptionZone:
         max_radius: Optional[float] = None,
         tolerance: float = 1e-10,
     ) -> "np.ndarray":
-        """Vectorised :meth:`boundary_distance_along_ray` over many rays at once.
+        """Distances from the station to the zone boundary along many rays.
 
+        Lemma 3.1 (star shape): along any ray from the station the zone is an
+        interval starting at the station, so its boundary distance is found
+        by bisection.  This is the library's one boundary probe: the rim
+        measures below, contour tracing, the radius bounds, the ray-sweep
+        cover and the theorem harnesses all pass their rays here in one call.
         The bisections of all rays advance in lockstep: every iteration
         evaluates one batch reception mask (:func:`repro.engine.batch.
         received_mask`) at the current midpoints, so a sweep of thousands of
-        rays costs ``O(log(Delta / tol))`` engine calls instead of that many
-        scalar SINR loops per ray.  The point-location preprocessing (measured
-        radius bounds, ray-sweep boundary covers) runs through this path,
-        which is what keeps builds on hundreds of stations tractable.
+        rays costs ``O(log(Delta / tol))`` engine calls.
 
-        Returns a float array of per-ray boundary distances (``inf`` where the
-        zone turns out to be unbounded along a ray, as for trivial networks).
+        Args:
+            angles: finite ray directions in radians.
+            max_radius: finite positive radius the bisection starts from;
+                defaults to :meth:`search_radius`.  A ray still inside the
+                zone there is extended by up to 60 doublings, so a
+                ``max_radius`` up to a factor ``2**60`` below the boundary
+                distance still brackets it.
+            tolerance: finite positive stopping gap, relative to
+                ``max(1, distance)``.  A gap finer than float64 resolution
+                cannot be reached, so a ray also stops once its bracket holds
+                two adjacent floats.
+
+        Returns:
+            A float array of per-ray boundary distances: ``inf`` where the ray
+            is still inside after the doublings (the zone is unbounded along
+            it, as for trivial networks), ``0`` for a degenerate zone.
+
+        Raises:
+            NetworkConfigurationError: for a non-finite angle, or a
+                ``max_radius`` or ``tolerance`` that is not finite and
+                positive.
         """
         import numpy as np
 
         from ..engine import batch as engine_batch
 
         angle_array = np.asarray(angles, dtype=float).ravel()
+        if not np.isfinite(angle_array).all():
+            raise NetworkConfigurationError("boundary probe angles must be finite")
+        if max_radius is not None and not 0.0 < max_radius < math.inf:
+            raise NetworkConfigurationError(
+                f"max_radius must be finite and positive, got {max_radius!r}"
+            )
+        if not 0.0 < tolerance < math.inf:
+            raise NetworkConfigurationError(
+                f"tolerance must be finite and positive, got {tolerance!r}"
+            )
         count = angle_array.size
         if self.is_degenerate or count == 0:
             return np.zeros(count, dtype=float)
@@ -186,11 +201,9 @@ class ReceptionZone:
             return engine_batch.received_mask(self.network, self.index, points)
 
         start = max_radius if max_radius is not None else self.search_radius()
-        if start <= 0.0:
-            return np.zeros(count, dtype=float)
         high = np.full(count, float(start))
         everything = np.ones(count, dtype=bool)
-        # Rays still inside at max_radius: extend like the scalar probe does.
+        # Rays still inside at the start radius: extend by doubling.
         unbounded = inside_at(everything, high)
         for _ in range(60):
             if not unbounded.any():
@@ -200,9 +213,13 @@ class ReceptionZone:
         low = np.zeros(count, dtype=float)
         active = ~unbounded
         while True:
-            gaps = high[active] - low[active]
-            scale = np.maximum(1.0, high[active])
-            remaining = gaps > tolerance * scale
+            bracket_high = high[active]
+            gaps = bracket_high - low[active]
+            # Never ask for a gap below one float spacing: it cannot shrink.
+            stop = np.maximum(
+                tolerance * np.maximum(1.0, bracket_high), np.spacing(bracket_high)
+            )
+            remaining = gaps > stop
             if not remaining.any():
                 break
             active[active] = remaining
@@ -225,6 +242,18 @@ class ReceptionZone:
             center.y + distance * math.sin(angle),
         )
 
+    def _rim(self, rays: int) -> Tuple[List[float], List[float]]:
+        """The angles ``2 pi k / rays`` and the boundary distances along them.
+
+        Degenerate zones give distance 0 on every ray.
+        """
+        if rays < 1:
+            raise NetworkConfigurationError(
+                f"a zone measure needs at least one ray, got {rays!r}"
+            )
+        angles = [2.0 * math.pi * k / rays for k in range(rays)]
+        return angles, self.boundary_distances_along_rays(angles).tolist()
+
     def boundary_polygon(self, vertices: int = 180) -> Polygon:
         """A polygonal approximation of the zone boundary.
 
@@ -241,47 +270,32 @@ class ReceptionZone:
             )
         if vertices < 3:
             raise NetworkConfigurationError("boundary_polygon() needs >= 3 vertices")
-        max_radius = self.search_radius()
-        points = [
-            self.boundary_point_along_ray(2.0 * math.pi * k / vertices, max_radius)
-            for k in range(vertices)
-        ]
-        return Polygon(points)
+        center = self.station_location
+        angles, distances = self._rim(vertices)
+        return Polygon(
+            [
+                Point(
+                    center.x + distance * math.cos(angle),
+                    center.y + distance * math.sin(angle),
+                )
+                for angle, distance in zip(angles, distances)
+            ]
+        )
 
     # ------------------------------------------------------------------
     # Measures
     # ------------------------------------------------------------------
     def inscribed_radius(self, angles: int = 360) -> float:
         """``delta(s_i, H_i)``: radius of the largest centred inscribed ball."""
-        if self.is_degenerate:
-            return 0.0
-        max_radius = self.search_radius()
-        return min(
-            self.boundary_distance_along_ray(2.0 * math.pi * k / angles, max_radius)
-            for k in range(angles)
-        )
+        return min(self._rim(angles)[1])
 
     def enclosing_radius(self, angles: int = 360) -> float:
         """``Delta(s_i, H_i)``: radius of the smallest centred enclosing ball."""
-        if self.is_degenerate:
-            return 0.0
-        max_radius = self.search_radius()
-        return max(
-            self.boundary_distance_along_ray(2.0 * math.pi * k / angles, max_radius)
-            for k in range(angles)
-        )
+        return max(self._rim(angles)[1])
 
     def fatness(self, angles: int = 360) -> FatnessMeasurement:
         """The measured fatness parameters ``(delta, Delta, phi)`` of the zone."""
-        if self.is_degenerate:
-            return FatnessMeasurement(
-                center=self.station_location, delta=0.0, Delta=0.0
-            )
-        max_radius = self.search_radius()
-        radii = [
-            self.boundary_distance_along_ray(2.0 * math.pi * k / angles, max_radius)
-            for k in range(angles)
-        ]
+        radii = self._rim(angles)[1]
         return FatnessMeasurement(
             center=self.station_location, delta=min(radii), Delta=max(radii)
         )

@@ -411,8 +411,6 @@ def measured_radius_bounds(
     polynomial = network.reception_polynomial(index)
     max_radius = explicit.Delta_upper * 1.0000001
 
-    # One lockstep bisection over all rays through the engine's batch
-    # reception mask instead of `rays` scalar probes of O(n) Python each.
     angles = [2.0 * math.pi * k / rays for k in range(rays)]
     distances = zone.boundary_distances_along_rays(
         angles, max_radius=max_radius, tolerance=tolerance

@@ -21,7 +21,10 @@ This module implements two boundary-cover strategies over a common interface:
 * :func:`ray_sweep_boundary_cells` — an ablation baseline that exploits the
   star shape of reception zones (Lemma 3.1): boundary points are sampled
   along rays from the station at an angular resolution fine enough that
-  consecutive samples fall in the same or adjacent cells.
+  consecutive samples fall in the same or adjacent cells.  All rays go to
+  one batched boundary probe
+  (:meth:`~repro.model.reception.ReceptionZone.boundary_distances_along_rays`)
+  in a single call, at a cell-resolution tolerance.
 
 Both return the set of *boundary* cells; the QDS layer pads them to 9-cells.
 """
@@ -31,6 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..exceptions import PointLocationError
 from ..geometry.grid import Grid
@@ -192,28 +197,23 @@ def _corner_on_boundary(grid: Grid, index: CellIndex, inside) -> bool:
 
 def ray_sweep_boundary_cells(
     grid: Grid,
-    boundary_distance: Optional[Callable[[float], float]] = None,
+    boundary_distance_batch: Callable[..., object],
     station: Optional[Point] = None,
     Delta_upper: Optional[float] = None,
     oversampling: float = 2.0,
-    boundary_distance_batch: Optional[Callable[..., object]] = None,
 ) -> BoundaryCover:
     """Boundary cover by angular sweep (ablation baseline).
 
     Args:
         grid: the gamma-spaced grid aligned at the station.
-        boundary_distance: function mapping a ray angle to the distance from
-            the station to the zone boundary along that ray (star shape).
+        boundary_distance_batch: maps an array of ray angles and a
+            ``tolerance=`` keyword to the array of distances from the station
+            to the zone boundary along those rays (star shape), all in one
+            call, e.g. :meth:`ReceptionZone.boundary_distances_along_rays`.
         station: the zone's station.
         Delta_upper: upper bound on the enclosing radius (sets the angular
             resolution).
         oversampling: how many samples per gamma of arc length (>= 1).
-        boundary_distance_batch: vectorised alternative to
-            ``boundary_distance``: maps an array of ray angles to the array
-            of boundary distances in one call (e.g.
-            :meth:`ReceptionZone.boundary_distances_along_rays`).  Preferred
-            when available — the sweep typically probes thousands of rays and
-            the batch path answers them through the engine kernels.
 
     The angular step is chosen so consecutive boundary samples are at most
     ``gamma / oversampling`` apart, hence fall in the same or an adjacent
@@ -222,10 +222,6 @@ def ray_sweep_boundary_cells(
     """
     if oversampling < 1.0:
         raise PointLocationError("oversampling must be at least 1")
-    if boundary_distance is None and boundary_distance_batch is None:
-        raise PointLocationError(
-            "the ray sweep needs a boundary_distance or boundary_distance_batch"
-        )
     if station is None:
         raise PointLocationError("the ray sweep needs the zone's station")
     if Delta_upper is None or Delta_upper <= 0.0:
@@ -237,57 +233,32 @@ def ray_sweep_boundary_cells(
     step = gamma / (oversampling * max(Delta_upper, gamma))
     count = max(16, int(math.ceil(2.0 * math.pi / step)))
 
-    if boundary_distance_batch is not None:
-        import numpy as np
-
-        angles = 2.0 * math.pi * np.arange(count, dtype=float) / count
-        if _accepts_tolerance(boundary_distance_batch):
-            # Cell-resolution tolerance: a boundary sample within a small
-            # fraction of gamma of the true boundary point lands in the same
-            # or an adjacent cell, which the QDS 9-cell padding absorbs —
-            # and it saves half the bisection iterations of the default
-            # 1e-10 tolerance.  The bisection treats tolerance as relative
-            # (scaled by max(1, high)); dividing by max(1, Delta_upper)
-            # makes the stopping gap ~gamma/100 in absolute units at every
-            # coordinate scale (high never exceeds ~Delta_upper for the
-            # bounded zones this cover is built for).
-            distances = boundary_distance_batch(
-                angles, tolerance=gamma * 1e-2 / max(1.0, Delta_upper)
-            )
-        else:
-            distances = boundary_distance_batch(angles)
-        distances = np.asarray(distances, dtype=float)
-        points = np.column_stack(
-            (
-                station.x + distances * np.cos(angles),
-                station.y + distances * np.sin(angles),
-            )
+    angles = 2.0 * math.pi * np.arange(count, dtype=float) / count
+    # Cell-resolution tolerance: a boundary sample within a small fraction of
+    # gamma of the true boundary point lands in the same or an adjacent cell,
+    # which the QDS 9-cell padding absorbs — and it saves half the bisection
+    # iterations of the default 1e-10 tolerance.  The bisection treats
+    # tolerance as relative (scaled by max(1, high)); dividing by
+    # max(1, Delta_upper) makes the stopping gap ~gamma/100 in absolute units
+    # at every coordinate scale (high never exceeds ~Delta_upper for the
+    # bounded zones this cover is built for).
+    distances = np.asarray(
+        boundary_distance_batch(
+            angles, tolerance=gamma * 1e-2 / max(1.0, Delta_upper)
+        ),
+        dtype=float,
+    )
+    points = np.column_stack(
+        (
+            station.x + distances * np.cos(angles),
+            station.y + distances * np.sin(angles),
         )
-        cols, rows = grid.cell_indices_of(points)
-        cells = set(zip(cols.tolist(), rows.tolist()))
-        return BoundaryCover(
-            boundary_cells=frozenset(cells),
-            segment_tests=0,
-            boundary_probes=count,
-            method="ray_sweep",
-        )
-
-    cells: Set[CellIndex] = set()
-    probes = 0
-    for k in range(count):
-        angle = 2.0 * math.pi * k / count
-        distance = boundary_distance(angle)
-        probes += 1
-        boundary_point = Point(
-            station.x + distance * math.cos(angle),
-            station.y + distance * math.sin(angle),
-        )
-        cells.add(grid.cell_index_of(boundary_point))
-
+    )
+    cols, rows = grid.cell_indices_of(points)
     return BoundaryCover(
-        boundary_cells=frozenset(cells),
+        boundary_cells=frozenset(zip(cols.tolist(), rows.tolist())),
         segment_tests=0,
-        boundary_probes=probes,
+        boundary_probes=count,
         method="ray_sweep",
     )
 
@@ -295,25 +266,6 @@ def ray_sweep_boundary_cells(
 # ----------------------------------------------------------------------
 # Internal helpers
 # ----------------------------------------------------------------------
-def _accepts_tolerance(callable_object) -> bool:
-    """Does a boundary-distance-batch callable take a ``tolerance`` keyword?
-
-    Decided from the signature (not by catching TypeError at the call, which
-    would swallow TypeErrors raised *inside* the callable and silently rerun
-    the whole sweep without the loosened tolerance).
-    """
-    import inspect
-
-    try:
-        parameters = inspect.signature(callable_object).parameters
-    except (TypeError, ValueError):
-        return False
-    return "tolerance" in parameters or any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
-
-
 def _find_starting_cell(
     grid: Grid,
     inside: Callable[[Point], bool],

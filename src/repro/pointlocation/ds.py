@@ -7,10 +7,10 @@ nearest-station search:
   degenerate, the improved radius bounds of Section 5.2 and a
   :class:`~repro.pointlocation.qds.ZoneGridIndex` of size ``O(eps^-1)``;
   total size ``O(n * eps^-1)``;
-* a query locates the nearest station (``O(log n)`` via a k-d tree, standing
-  in for the paper's Voronoi diagram) and consults only that station's QDS
-  (constant time), returning which of ``H_i^+``, ``H_i^?`` or ``H^-`` the
-  point belongs to.
+* a query locates the nearest station (``O(log n)`` via the network's cached
+  k-d tree, standing in for the paper's Voronoi diagram) and consults only
+  that station's QDS (constant time), returning which of ``H_i^+``,
+  ``H_i^?`` or ``H^-`` the point belongs to.
 
 The classification (:meth:`PointLocationStructure.locate_answer`) is
 *one-sided exact*: ``H_i^+`` is certified reception, ``H^-`` is certified
@@ -42,7 +42,6 @@ from ..engine.batch import (
     received_at,
 )
 from ..exceptions import PointLocationError
-from ..geometry.kdtree import KDTree
 from ..geometry.point import Point
 from ..model.network import WirelessNetwork
 from ..model.reception import ReceptionZone
@@ -143,7 +142,6 @@ class PointLocationStructure:
         self.bounds_method = bounds_method
 
         start = time.perf_counter()
-        self._tree = KDTree(network.locations())
         self._zone_indexes: Dict[int, ZoneGridIndex] = {}
         self._bounds: Dict[int, RadiusBounds] = {}
         per_zone_reports: Dict[int, QDSBuildReport] = {}
@@ -205,12 +203,9 @@ class PointLocationStructure:
             Delta_upper=bounds.Delta_upper,
             epsilon=self.epsilon,
             segment_test=segment_test,
-            boundary_distance=lambda angle: zone.boundary_distance_along_ray(
-                angle, max_radius=probe_radius
-            ),
-            boundary_distance_batch=lambda angles, **kw: (
+            boundary_distance_batch=lambda angles, tolerance: (
                 zone.boundary_distances_along_rays(
-                    angles, max_radius=probe_radius, **kw
+                    angles, max_radius=probe_radius, tolerance=tolerance
                 )
             ),
             cover_method=self.cover_method,
@@ -221,7 +216,7 @@ class PointLocationStructure:
     # ------------------------------------------------------------------
     def locate_answer(self, point: Point) -> PointLocationAnswer:
         """Classify one query in ``O(log n)`` time (INSIDE / OUTSIDE / UNCERTAIN)."""
-        candidate = self._tree.nearest_index(point)
+        candidate = self.network.station_kdtree().nearest_index(point)
         zone_index = self._zone_indexes.get(candidate)
         if zone_index is None:
             return PointLocationAnswer(station=candidate, label=ZoneLabel.OUTSIDE)
@@ -270,7 +265,7 @@ class PointLocationStructure:
         is resolved with one exact SINR evaluation, so the answer is always
         exact while almost every query stays ``O(log n)``.
         """
-        candidate = self._tree.nearest_index(point)
+        candidate = self.network.station_kdtree().nearest_index(point)
         zone_index = self._zone_indexes.get(candidate)
         if zone_index is None:
             # Degenerate zone (shared location): heard only exactly at the

@@ -39,7 +39,6 @@ from ..engine.batch import (
 # Bound here, though unused, because perfbench/tracing.py wraps
 # ``naive.received_at`` as a span of its serving benchmark.
 from ..engine.batch import received_at  # noqa: F401
-from ..geometry.kdtree import KDTree
 from ..geometry.point import Point
 from ..model.network import WirelessNetwork
 from .registry import register_locator
@@ -89,14 +88,15 @@ class VoronoiCandidateLocator:
 
     Observation 2.2: in a uniform power network only the nearest station can
     be heard at a point, so the query reduces to one nearest-station lookup
-    (``O(log n)`` with the k-d tree) plus one SINR evaluation (``O(n)``).
+    (``O(log n)`` with the network's cached k-d tree,
+    :meth:`~repro.model.network.WirelessNetwork.station_kdtree`) plus one
+    SINR evaluation (``O(n)``).
     """
 
     name = "voronoi"
 
     def __init__(self, network: WirelessNetwork):
         self.network = network
-        self._tree = KDTree(network.locations())
 
     @classmethod
     def build(cls, network: WirelessNetwork, **options) -> "VoronoiCandidateLocator":
@@ -107,7 +107,7 @@ class VoronoiCandidateLocator:
 
     def locate(self, point: Point) -> int:
         """Index of the station heard at ``point``, or ``NO_RECEPTION`` (-1)."""
-        candidate = self._tree.nearest_index(point)
+        candidate = self.network.station_kdtree().nearest_index(point)
         if self.network.is_received(candidate, point):
             return candidate
         return NO_RECEPTION

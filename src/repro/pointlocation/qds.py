@@ -96,11 +96,11 @@ class ZoneGridIndex:
         epsilon: performance parameter in ``(0, 1)``.
         segment_test: segment test used by the BRP (required unless
             ``cover_method='ray_sweep'``).
-        boundary_distance: angle -> boundary distance function (required for
-            ``cover_method='ray_sweep'`` unless the batch variant is given).
-        boundary_distance_batch: vectorised angle-array -> distance-array
-            function; when provided the ray sweep probes all rays through one
-            lockstep engine bisection instead of per-ray scalar loops.
+        boundary_distance_batch: the ray sweep's boundary probe (required for
+            ``cover_method='ray_sweep'``): maps an array of angles and a
+            ``tolerance=`` keyword to the array of boundary distances in one
+            call, e.g. a zone's
+            :meth:`~repro.model.reception.ReceptionZone.boundary_distances_along_rays`.
         cover_method: ``"brp"`` (the paper's process, default) or
             ``"ray_sweep"`` (the ablation baseline).
     """
@@ -113,9 +113,8 @@ class ZoneGridIndex:
         Delta_upper: float,
         epsilon: float,
         segment_test: Optional[SegmentTest] = None,
-        boundary_distance: Optional[Callable[[float], float]] = None,
         cover_method: str = "brp",
-        boundary_distance_batch: Optional[Callable[[object], object]] = None,
+        boundary_distance_batch: Optional[Callable[..., object]] = None,
     ):
         if not 0.0 < epsilon < 1.0:
             raise PointLocationError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -136,7 +135,7 @@ class ZoneGridIndex:
         self.grid = Grid(origin=station, spacing=gamma)
 
         cover = self._cover_boundary(
-            cover_method, segment_test, boundary_distance, boundary_distance_batch
+            cover_method, segment_test, boundary_distance_batch
         )
         self._suspect: FrozenSet[CellIndex] = self._pad_to_nine_cells(
             cover.boundary_cells
@@ -157,8 +156,7 @@ class ZoneGridIndex:
         self,
         cover_method: str,
         segment_test: Optional[SegmentTest],
-        boundary_distance: Optional[Callable[[float], float]],
-        boundary_distance_batch: Optional[Callable[[object], object]] = None,
+        boundary_distance_batch: Optional[Callable[..., object]],
     ) -> BoundaryCover:
         if cover_method == "brp":
             if segment_test is None:
@@ -172,16 +170,15 @@ class ZoneGridIndex:
                 Delta_upper=self.Delta_upper,
             )
         if cover_method == "ray_sweep":
-            if boundary_distance is None and boundary_distance_batch is None:
+            if boundary_distance_batch is None:
                 raise PointLocationError(
-                    "the ray-sweep cover requires a boundary_distance function"
+                    "the ray-sweep cover requires a boundary_distance_batch function"
                 )
             return ray_sweep_boundary_cells(
                 grid=self.grid,
-                boundary_distance=boundary_distance,
+                boundary_distance_batch=boundary_distance_batch,
                 station=self.station,
                 Delta_upper=self.Delta_upper,
-                boundary_distance_batch=boundary_distance_batch,
             )
         raise PointLocationError(f"unknown cover method: {cover_method!r}")
 

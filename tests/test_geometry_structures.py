@@ -19,7 +19,6 @@ from repro.geometry import (
     check_zone_convexity,
     check_zone_star_shape,
     fatness_of_polygon,
-    fatness_of_predicate,
     is_convex_point_set,
     theoretical_fatness_bound,
 )
@@ -189,14 +188,6 @@ class TestFatness:
         square = Polygon([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])
         with pytest.raises(GeometryError):
             fatness_of_polygon(square, Point(5, 5))
-
-    def test_fatness_of_predicate_ball(self):
-        ball = Ball(Point(1, 1), 2.0)
-        measurement = fatness_of_predicate(
-            ball.contains, Point(1, 1), max_radius=5.0, angles=72
-        )
-        assert measurement.delta == pytest.approx(2.0, rel=1e-3)
-        assert measurement.Delta == pytest.approx(2.0, rel=1e-3)
 
     def test_theoretical_bound_decreases_with_beta(self):
         assert theoretical_fatness_bound(2.0) > theoretical_fatness_bound(6.0) > 1.0

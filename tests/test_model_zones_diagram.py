@@ -14,10 +14,14 @@ from repro import (
     RasterDiagram,
     ReceptionZone,
     SINRDiagram,
+    Station,
     WirelessNetwork,
 )
 from repro.exceptions import DiagramError, NetworkConfigurationError
 from repro.raster import TileCache
+from repro.workloads import scenario, uniform_random_network
+
+from seeded_workloads import seeded_network
 
 
 class TestReceptionZone:
@@ -103,6 +107,150 @@ class TestReceptionZone:
                 center.y + radius * 1.01 * math.sin(angle),
             )
             assert not zone.contains(probe)
+
+
+def per_ray_bisection(zone, angle, tolerance=1e-10):
+    """The per-ray scalar bisection the batched probe replaced, as its oracle."""
+    if zone.is_degenerate:
+        return 0.0
+    center = zone.station_location
+    cos, sin = math.cos(angle), math.sin(angle)
+
+    def inside(radius):
+        point = Point(center.x + radius * cos, center.y + radius * sin)
+        return zone.network.is_received(zone.index, point)
+
+    high = zone.search_radius()
+    if inside(high):
+        for _ in range(60):
+            high *= 2.0
+            if not inside(high):
+                break
+        else:
+            return math.inf
+    low = 0.0
+    while high - low > tolerance * max(1.0, high):
+        middle = (low + high) / 2.0
+        if inside(middle):
+            low = middle
+        else:
+            high = middle
+    return (low + high) / 2.0
+
+
+ORACLE_NETWORKS = {
+    **{
+        name: (lambda name=name: scenario(name).network())
+        for name in (
+            "small-random",
+            "clustered",
+            "ring",
+            "grid",
+            "colinear",
+            "textbook-beta",
+        )
+    },
+    "beta-0.5": lambda: uniform_random_network(
+        5, side=10.0, minimum_separation=1.5, noise=0.01, beta=0.5, seed=3
+    ),
+    "beta-1.01": lambda: uniform_random_network(
+        5, side=10.0, minimum_separation=1.5, noise=0.01, beta=1.01, seed=4
+    ),
+    "noiseless-pair": lambda: WirelessNetwork.uniform([(0, 0), (4, 0)], beta=2.0),
+    # The paper's trivial network (two stations, no noise, beta = 1): its
+    # zones are half-planes, unbounded along half of the rays.
+    "trivial": lambda: WirelessNetwork.uniform([(0, 0), (4, 0)], beta=1.0),
+    "duplicated": lambda: WirelessNetwork.uniform(
+        [(0, 0), (0, 0), (4, 0), (1, 3)], noise=0.01, beta=2.0
+    ),
+    "alpha-3": lambda: WirelessNetwork.uniform(
+        [(0, 0), (4, 0), (0, 5), (6, 6), (-3, 2)], noise=0.01, beta=2.0, alpha=3.0
+    ),
+    "non-uniform-power": lambda: WirelessNetwork(
+        [
+            Station(Point(0, 0), 1.0),
+            Station(Point(4, 0), 3.0),
+            Station(Point(0, 5), 0.5),
+            Station(Point(6, 6), 2.0),
+        ],
+        noise=0.01,
+        beta=2.0,
+    ),
+}
+
+
+class TestBoundaryProbe:
+    @pytest.mark.parametrize("name", list(ORACLE_NETWORKS))
+    def test_matches_the_per_ray_bisection(self, name):
+        network = ORACLE_NETWORKS[name]()
+        angles = [2.0 * math.pi * k / 90 for k in range(90)]
+        for index in range(len(network)):
+            zone = ReceptionZone(network=network, index=index)
+            probed = zone.boundary_distances_along_rays(angles).tolist()
+            for angle, distance in zip(angles, probed):
+                expected = per_ray_bisection(zone, angle)
+                if expected == 0.0 or math.isinf(expected):
+                    assert distance == expected, (index, angle)
+                else:
+                    # cos/sin rounding may differ by an ulp across platforms.
+                    assert abs(distance - expected) <= 2e-10 * max(1.0, expected)
+
+    def test_trivial_and_degenerate_zones(self):
+        angles = [2.0 * math.pi * k / 90 for k in range(90)]
+        trivial = ReceptionZone(network=ORACLE_NETWORKS["trivial"](), index=1)
+        distances = trivial.boundary_distances_along_rays(angles)
+        # Station 1 at (4, 0) hears the half-plane x >= 2: unbounded along the
+        # 45 rays within 90 degrees of +x, 2 / |cos| away along the others.
+        assert np.isinf(distances[:23]).all() and np.isinf(distances[68:]).all()
+        assert distances[45] == pytest.approx(2.0)
+        assert np.isfinite(distances[23:68]).all()
+        degenerate = ReceptionZone(network=ORACLE_NETWORKS["duplicated"](), index=0)
+        assert degenerate.boundary_distances_along_rays(angles).tolist() == [0.0] * 90
+
+    def test_tolerance_below_float_resolution_terminates(self):
+        zone = ReceptionZone(network=seeded_network(6, side=10.0, seed=1), index=0)
+        fine = zone.boundary_distance_along_ray(0.3, tolerance=1e-300)
+        assert fine == pytest.approx(
+            zone.boundary_distance_along_ray(0.3), rel=2e-10
+        )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda zone: zone.boundary_distance_along_ray(0.3, tolerance=0.0),
+            lambda zone: zone.boundary_distance_along_ray(0.3, tolerance=-1e-9),
+            lambda zone: zone.boundary_distance_along_ray(0.3, tolerance=math.nan),
+            lambda zone: zone.boundary_distance_along_ray(0.3, tolerance=math.inf),
+            lambda zone: zone.boundary_distance_along_ray(0.3, max_radius=math.nan),
+            lambda zone: zone.boundary_distance_along_ray(0.3, max_radius=-1.0),
+            lambda zone: zone.boundary_distance_along_ray(0.3, max_radius=math.inf),
+            lambda zone: zone.boundary_distance_along_ray(math.nan),
+            lambda zone: zone.boundary_distance_along_ray(math.inf),
+            lambda zone: zone.boundary_distances_along_rays([0.3, math.nan]),
+            lambda zone: zone.fatness(angles=0),
+            lambda zone: zone.inscribed_radius(0),
+            lambda zone: zone.enclosing_radius(-3),
+        ],
+        ids=[
+            "tolerance-zero",
+            "tolerance-negative",
+            "tolerance-nan",
+            "tolerance-inf",
+            "max-radius-nan",
+            "max-radius-negative",
+            "max-radius-inf",
+            "angle-nan",
+            "angle-inf",
+            "batch-angle-nan",
+            "fatness-no-rays",
+            "inscribed-no-rays",
+            "enclosing-negative-rays",
+        ],
+    )
+    def test_rejects_arguments_that_hang_or_mislead(self, call):
+        zone = ReceptionZone(network=seeded_network(6, side=10.0, seed=1), index=0)
+        with pytest.raises(NetworkConfigurationError):
+            call(zone)
 
 
 class TestSINRDiagram:

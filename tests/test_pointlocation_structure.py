@@ -61,7 +61,7 @@ class TestBoundaryCover:
         grid = Grid(origin=zone.station_location, spacing=0.1)
         cover = ray_sweep_boundary_cells(
             grid=grid,
-            boundary_distance=lambda angle: zone.boundary_distance_along_ray(angle),
+            boundary_distance_batch=zone.boundary_distances_along_rays,
             station=zone.station_location,
             Delta_upper=bounds.Delta_upper,
         )
@@ -88,7 +88,7 @@ class TestBoundaryCover:
         )
         sweep = ray_sweep_boundary_cells(
             grid=grid,
-            boundary_distance=lambda angle: zone.boundary_distance_along_ray(angle),
+            boundary_distance_batch=zone.boundary_distances_along_rays,
             station=zone.station_location,
             Delta_upper=bounds.Delta_upper,
         )
@@ -110,7 +110,7 @@ class TestZoneGridIndex:
                 Delta_upper=bounds.Delta_upper,
                 epsilon=epsilon,
                 segment_test=SturmSegmentTest(network.reception_polynomial(index)),
-                boundary_distance=lambda angle: zone.boundary_distance_along_ray(angle),
+                boundary_distance_batch=zone.boundary_distances_along_rays,
                 cover_method=cover_method,
             ),
         )
@@ -188,6 +188,18 @@ class TestZoneGridIndex:
                 assert zone.contains(point)
             elif label is ZoneLabel.OUTSIDE:
                 assert not zone.contains(point)
+
+    def test_ray_sweep_requires_the_batched_probe(self, small_network):
+        zone = ReceptionZone(network=small_network, index=0)
+        with pytest.raises(PointLocationError):
+            ZoneGridIndex(
+                inside=zone.contains,
+                station=zone.station_location,
+                delta_lower=1.0,
+                Delta_upper=2.0,
+                epsilon=0.5,
+                cover_method="ray_sweep",
+            )
 
     def test_unknown_cover_method_rejected(self, small_network):
         zone = ReceptionZone(network=small_network, index=0)
@@ -306,3 +318,27 @@ class TestNaiveLocators:
     def test_query_costs(self, small_network):
         assert BruteForceLocator(small_network).query_cost() == 9
         assert VoronoiCandidateLocator(small_network).query_cost() == 3
+
+    def test_scalar_locate_reads_the_networks_cached_kdtree(self, monkeypatch):
+        import repro.model.network as network_module
+
+        built = []
+
+        class CountingKDTree(network_module.KDTree):
+            def __init__(self, points):
+                built.append(len(points))
+                super().__init__(points)
+
+        monkeypatch.setattr(network_module, "KDTree", CountingKDTree)
+        network = WirelessNetwork.uniform(
+            [(0.0, 0.0), (5.0, 0.0), (0.0, 6.0)], noise=0.01, beta=2.5
+        )
+        voronoi = VoronoiCandidateLocator(network)
+        structure = PointLocationStructure(
+            network, epsilon=0.4, cover_method="ray_sweep"
+        )
+        assert built == []  # building a locator builds no tree
+        point = Point(0.3, 0.2)
+        assert voronoi.locate(point) == structure.locate(point) == 0
+        assert structure.locate_answer(point).station == 0
+        assert built == [3]  # one tree per network, shared by every locator
