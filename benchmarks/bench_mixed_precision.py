@@ -1,9 +1,11 @@
 """The precision tier: float32 screen-then-verify throughput and exactness.
 
-The acceptance workload is the ISSUE's gate: 200 stations x 100k query
-points, where ``float32-screen`` must beat the numpy float64 backend by
->= 1.5x on ``strongest_station_batch`` while staying bit-identical.  On top
-of the gate, two sweeps characterise the design space:
+The gate workload: 200 stations x 100k query points, where
+``float32-screen`` must beat the numpy float64 backend by >= 1.5x on
+``nearest_received_batch`` while staying bit-identical.  That is the query
+the served ``voronoi`` and ``sharded:voronoi`` locators send (the Voronoi
+candidate and its reception check in one screened pass).  On top of the
+gate, two sweeps characterise the design space:
 
 * margin widths — a wider decision margin routes more points through the
   exact numpy backend; the sweep records the verified fraction and the
@@ -32,7 +34,7 @@ from repro.engine import (
     Float32ScreenBackend,
     get_backend,
     heard_station_batch,
-    strongest_station_batch,
+    nearest_received_batch,
 )
 from repro.workloads import random_query_array, uniform_random_network
 
@@ -73,8 +75,8 @@ def workload():
 
 
 @pytest.mark.paper
-def test_strongest_station_speedup_gate(workload):
-    """The acceptance gate: float32-screen >= 1.5x numpy on strongest-station.
+def test_nearest_received_speedup_gate(workload):
+    """The gate: float32-screen >= 1.5x numpy on the nearest received station.
 
     Also times ``heard_station_batch`` for the record and re-asserts
     bit-identical answers on the gate workload itself (the equivalence
@@ -86,21 +88,21 @@ def test_strongest_station_speedup_gate(workload):
 
     results = {}
     for name in ("numpy", "float32-screen"):
-        strongest_station_batch(network, queries[:256], backend=name)  # warm
-        strongest = _best_seconds(
-            lambda n=name: strongest_station_batch(network, queries, backend=n)
+        nearest_received_batch(network, queries[:256], backend=name)  # warm
+        nearest = _best_seconds(
+            lambda n=name: nearest_received_batch(network, queries, backend=n)
         )
         heard = _best_seconds(
             lambda n=name: heard_station_batch(network, queries, backend=n)
         )
         results[name] = {
-            "strongest_qps": round(QUERY_COUNT / strongest, 1),
+            "nearest_qps": round(QUERY_COUNT / nearest, 1),
             "heard_qps": round(QUERY_COUNT / heard, 1),
         }
 
     np.testing.assert_array_equal(
-        strongest_station_batch(network, queries, backend="float32-screen"),
-        strongest_station_batch(network, queries, backend="numpy"),
+        nearest_received_batch(network, queries, backend="float32-screen"),
+        nearest_received_batch(network, queries, backend="numpy"),
     )
     np.testing.assert_array_equal(
         heard_station_batch(network, queries, backend="float32-screen"),
@@ -108,14 +110,14 @@ def test_strongest_station_speedup_gate(workload):
     )
 
     speedup = (
-        results["float32-screen"]["strongest_qps"]
-        / results["numpy"]["strongest_qps"]
+        results["float32-screen"]["nearest_qps"]
+        / results["numpy"]["nearest_qps"]
     )
     verify_fraction = screen.stats.verify_fraction()
     print(
         f"\nmixed precision (stations={STATION_COUNT} queries={QUERY_COUNT}): "
-        f"strongest numpy {results['numpy']['strongest_qps']:,.0f} q/s, "
-        f"float32-screen {results['float32-screen']['strongest_qps']:,.0f} q/s "
+        f"nearest received numpy {results['numpy']['nearest_qps']:,.0f} q/s, "
+        f"float32-screen {results['float32-screen']['nearest_qps']:,.0f} q/s "
         f"({speedup:.2f}x), verify fraction {verify_fraction:.4f}"
     )
     record_benchmark(
@@ -124,12 +126,12 @@ def test_strongest_station_speedup_gate(workload):
             "stations": STATION_COUNT,
             "queries": QUERY_COUNT,
             "backends": results,
-            "strongest_speedup_vs_numpy": round(speedup, 3),
+            "nearest_speedup_vs_numpy": round(speedup, 3),
             "verify_fraction": round(verify_fraction, 6),
         },
     )
-    # The tentpole's raison d'etre; REPRO_BENCH_MIN_SPEEDUP overrides for
-    # noisy or underpowered runners.
+    # The precision tier's reason to exist; REPRO_BENCH_MIN_SPEEDUP
+    # overrides for noisy or underpowered runners.
     assert speedup >= _speedup_floor(1.5)
 
 
@@ -165,22 +167,22 @@ def test_margin_width_sweep(workload):
 def test_chunk_budget_sweep(workload, monkeypatch):
     """Throughput across chunk budgets; answers bit-identical at every one."""
     network, queries = workload
-    expected = strongest_station_batch(network, queries, backend="numpy")
+    expected = nearest_received_batch(network, queries, backend="numpy")
     sweep = {}
     for budget in (4 * 2**20, 64 * 2**20, 256 * 2**20):
         monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", str(budget))
         seconds = _best_seconds(
-            lambda: strongest_station_batch(
+            lambda: nearest_received_batch(
                 network, queries, backend="float32-screen"
             ),
             repeats=2,
         )
         np.testing.assert_array_equal(
-            strongest_station_batch(network, queries, backend="float32-screen"),
+            nearest_received_batch(network, queries, backend="float32-screen"),
             expected,
         )
         sweep[f"{budget >> 20}MiB"] = {
-            "strongest_qps": round(QUERY_COUNT / seconds, 1)
+            "nearest_qps": round(QUERY_COUNT / seconds, 1)
         }
     print(f"\nchunk budget sweep: {sweep}")
     record_benchmark("mixed_precision_chunk_sweep", sweep)

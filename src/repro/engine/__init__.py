@@ -11,18 +11,18 @@ Architecture
 
 ``kernels.py``
     Fully vectorised NumPy SINR kernels over raw coordinate arrays — the
-    pairwise energy matrix, the SINR matrix, strongest-station argmax and
-    reception masks, each from one distance, coincidence and energy pass.
+    SINR matrix, reception masks, the nearest received station and the
+    heard station, each from one distance, coincidence and energy pass.
     Everything here is array-in / array-out and has no knowledge of the
     model layer's classes.
 
 ``backend.py``
     The pluggable backend protocol (:class:`QueryBackend`) and the
     concurrency-safe registry/selection machinery.  A backend is any object
-    implementing the protocol's seven methods, all required: two value
-    queries (``energy_matrix``, ``sinr_matrix``) and five decision queries
-    (``strongest_station``, ``received_mask_matrix``, ``received_mask_at``,
-    ``nearest_received``, ``heard_station``).  The backend matrix:
+    implementing the protocol's five methods, all required: one value
+    query (``sinr_matrix``, behind rasters) and four decision queries
+    (``received_mask_matrix``, ``received_mask_at``, ``nearest_received``,
+    ``heard_station``).  The backend matrix:
 
     ================  ==========================================================
     ``numpy``         Vectorised kernels of ``kernels.py``; the default.  Best
@@ -38,8 +38,8 @@ Architecture
                       decisions it can certify — at roughly half the memory
                       traffic of the float64 kernels.  ``nearest_received``
                       screens the nearest station and its reception in one
-                      pass.  Value queries (``sinr_batch`` /
-                      ``energy_batch``) delegate to ``numpy`` unscreened.
+                      pass.  The value query (``sinr_batch``) delegates
+                      to ``numpy`` unscreened.
     ================  ==========================================================
 
     Switch with::
@@ -61,12 +61,12 @@ Architecture
     of a given candidate) and :func:`received_mask`,
     :func:`nearest_received_batch` (the ``voronoi`` locator's one query:
     the nearest station where it is received),
-    :func:`strongest_station_batch`, :func:`nearest_station_batch`,
-    :func:`first_received_batch` and :func:`locate_batch` (which
-    dispatches to a locator's native ``locate_batch`` fast path when
-    present).  Query points may be an ``(m, 2)`` array, a sequence of
-    :class:`Point` or ``(x, y)`` tuples; a non-finite point hears no
-    station (:func:`as_points_array`).
+    :func:`nearest_station_batch` (``theorem3``'s candidate pass) and
+    :func:`first_received_batch` (the ``brute-force`` locator's answer).
+    Locators answer batches through their own ``locate_batch``.  Query
+    points may be an ``(m, 2)`` array, a sequence of :class:`Point` or
+    ``(x, y)`` tuples; a non-finite point hears no station
+    (:func:`as_points_array`).
 
     Every batch function tiles the point axis so the ``(n, m)``
     intermediates of one engine call fit a byte budget
@@ -100,17 +100,14 @@ from .batch import (
     NO_RECEPTION,
     as_points_array,
     chunk_byte_budget,
-    energy_batch,
     first_received_batch,
     heard_station_batch,
-    locate_batch,
     nearest_received_batch,
     nearest_station_batch,
     points_per_chunk,
     received_at,
     received_mask,
     sinr_batch,
-    strongest_station_batch,
 )
 from . import kernels
 
@@ -129,12 +126,10 @@ __all__ = [
     "as_points_array",
     "available_backends",
     "chunk_byte_budget",
-    "energy_batch",
     "first_received_batch",
     "get_backend",
     "heard_station_batch",
     "kernels",
-    "locate_batch",
     "nearest_received_batch",
     "nearest_station_batch",
     "points_per_chunk",
@@ -142,6 +137,5 @@ __all__ = [
     "received_mask",
     "register_backend",
     "sinr_batch",
-    "strongest_station_batch",
     "use_backend",
 ]

@@ -1,7 +1,8 @@
 """Pluggable compute backends for the batched query engine.
 
-A backend turns raw coordinate arrays into SINR quantities through the seven
-methods of :class:`QueryBackend`, all required.  The backend matrix (see
+A backend turns raw coordinate arrays into SINR quantities through the five
+methods of :class:`QueryBackend`, all required: the SINR matrix (the value
+query behind rasters) and four decision queries.  The backend matrix (see
 also :func:`available_backends`):
 
 * ``"numpy"`` — the fully vectorised kernels of :mod:`repro.engine.kernels`
@@ -69,17 +70,15 @@ class QueryBackend(Protocol):
     All methods take station coordinates ``(n, 2)``, powers ``(n,)`` and
     query points ``(m, 2)`` as float arrays and return arrays with the
     coincident-point semantics documented in :mod:`repro.engine.kernels`.
-    ``received_mask_at`` (is station ``indices[j]`` received at
-    ``points[j]``?) checks a given candidate; ``nearest_received`` (the
-    nearest station where it is received, else ``no_reception``) picks the
-    Voronoi candidate and checks it, the ``voronoi`` locator's whole query.
+    ``sinr_matrix`` is the value query of rasters; ``received_mask_matrix``
+    (brute force), ``received_mask_at`` (is station ``indices[j]`` received
+    at ``points[j]``?, the check of a given candidate), ``nearest_received``
+    (the nearest station where it is received, else ``no_reception``: the
+    ``voronoi`` locator's whole query) and ``heard_station`` (the bulk
+    :meth:`~repro.model.diagram.SINRDiagram.station_heard_at`) decide.
     """
 
     name: str
-
-    def energy_matrix(
-        self, coords: np.ndarray, powers: np.ndarray, points: np.ndarray, alpha: float
-    ) -> np.ndarray: ...
 
     def sinr_matrix(
         self,
@@ -88,10 +87,6 @@ class QueryBackend(Protocol):
         points: np.ndarray,
         noise: float,
         alpha: float,
-    ) -> np.ndarray: ...
-
-    def strongest_station(
-        self, coords: np.ndarray, powers: np.ndarray, points: np.ndarray, alpha: float
     ) -> np.ndarray: ...
 
     def received_mask_matrix(
@@ -143,11 +138,6 @@ class NumpyBackend:
 
     name = "numpy"
 
-    def energy_matrix(
-        self, coords: np.ndarray, powers: np.ndarray, points: np.ndarray, alpha: float
-    ) -> np.ndarray:
-        return kernels.energy_matrix(coords, powers, points, alpha)
-
     def received_mask_at(
         self,
         coords: np.ndarray,
@@ -185,11 +175,6 @@ class NumpyBackend:
         alpha: float,
     ) -> np.ndarray:
         return kernels.sinr_matrix(coords, powers, points, noise, alpha)
-
-    def strongest_station(
-        self, coords: np.ndarray, powers: np.ndarray, points: np.ndarray, alpha: float
-    ) -> np.ndarray:
-        return kernels.strongest_station(coords, powers, points, alpha)
 
     def received_mask_matrix(
         self,
@@ -235,7 +220,7 @@ class ReferenceBackend:
 
         return received_energy(Point(sx, sy), power, Point(px, py), alpha)
 
-    def energy_matrix(
+    def _energy_matrix(
         self, coords: np.ndarray, powers: np.ndarray, points: np.ndarray, alpha: float
     ) -> np.ndarray:
         n, m = len(coords), len(points)
@@ -265,7 +250,7 @@ class ReferenceBackend:
         noise: float,
         alpha: float,
     ) -> np.ndarray:
-        energies = self.energy_matrix(coords, powers, points, alpha)
+        energies = self._energy_matrix(coords, powers, points, alpha)
         n, m = energies.shape
         out = np.empty((n, m), dtype=float)
         for j in range(m):
@@ -288,20 +273,6 @@ class ReferenceBackend:
                         out[i, j] = column[i] / denominator
                     else:
                         out[i, j] = math.inf if column[i] > 0.0 else math.nan
-        return out
-
-    def strongest_station(
-        self, coords: np.ndarray, powers: np.ndarray, points: np.ndarray, alpha: float
-    ) -> np.ndarray:
-        energies = self.energy_matrix(coords, powers, points, alpha)
-        m = energies.shape[1]
-        out = np.empty(m, dtype=np.intp)
-        for j in range(m):
-            best, best_energy = 0, -math.inf
-            for i in range(energies.shape[0]):
-                if energies[i, j] > best_energy:
-                    best, best_energy = i, energies[i, j]
-            out[j] = best
         return out
 
     def _mask_from_ratio(

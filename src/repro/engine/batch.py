@@ -24,7 +24,7 @@ matrix of :func:`sinr_batch`, for example) still scale with the batch.
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,18 +44,13 @@ __all__ = [
     "as_points_array",
     "chunk_byte_budget",
     "points_per_chunk",
-    "energy_batch",
-    "sinr_matrix_array",
-    "strongest_station_array",
     "sinr_batch",
-    "strongest_station_batch",
     "received_mask",
     "received_at",
     "first_received_batch",
     "nearest_station_batch",
     "nearest_received_batch",
     "heard_station_batch",
-    "locate_batch",
 ]
 
 #: Label returned by :func:`heard_station_batch` where no station is heard
@@ -132,19 +127,6 @@ def _chunked(
     return out
 
 
-def _float32_kwargs(engine: QueryBackend, network: "WirelessNetwork") -> dict:
-    """Cached float32 network views, for backends that opt in.
-
-    Backends advertising ``accepts_float32_arrays`` (the precision tier of
-    :mod:`repro.engine.mixed_precision`) receive the network's cached
-    contiguous float32 coordinate/power arrays alongside the exact float64
-    ones, so their screen pass never re-casts per call.
-    """
-    if getattr(engine, "accepts_float32_arrays", False):
-        return {"coords32": network.coords32, "powers32": network.powers32}
-    return {}
-
-
 def _over_points(
     network: "WirelessNetwork",
     pts: np.ndarray,
@@ -160,14 +142,12 @@ def _over_points(
     is co-sliced with it and passed right after the chunk (the candidate
     indices of :func:`received_at`).
     """
-    engine = get_backend(backend)
-    method = getattr(engine, query)
-    kwargs = _float32_kwargs(engine, network)
+    method = getattr(get_backend(backend), query)
     coords, powers = network.coords, network.powers_array()
 
     def call(chunk: np.ndarray, sl: slice) -> np.ndarray:
         head = () if per_point is None else (per_point[sl],)
-        return method(coords, powers, chunk, *head, *args, **kwargs)
+        return method(coords, powers, chunk, *head, *args)
 
     return _chunked(call, pts, len(coords), columns)
 
@@ -214,69 +194,6 @@ def as_points_array(points: PointsLike) -> np.ndarray:
     return np.array([(p[0], p[1]) for p in seq], dtype=float)
 
 
-def sinr_matrix_array(
-    coords: np.ndarray,
-    powers: np.ndarray,
-    points: PointsLike,
-    noise: float,
-    alpha: float,
-    backend: "str | QueryBackend | None" = None,
-) -> np.ndarray:
-    """Chunked ``(n, m)`` SINR matrix over raw station arrays.
-
-    The array-level sibling of :func:`sinr_batch` for callers that have no
-    :class:`~repro.model.network.WirelessNetwork` (the grid façades of
-    :mod:`repro.model.sinr`).  Same chunk byte budget, same backend
-    delegation, bit-identical to an unchunked kernel call.
-    """
-    engine = get_backend(backend)
-    coords = np.asarray(coords, dtype=float)
-    powers = np.asarray(powers, dtype=float)
-    pts = as_points_array(points)
-    return _chunked(
-        lambda chunk, sl: engine.sinr_matrix(coords, powers, chunk, noise, alpha),
-        pts,
-        len(coords),
-        columns=True,
-    )
-
-
-def strongest_station_array(
-    coords: np.ndarray,
-    powers: np.ndarray,
-    points: PointsLike,
-    alpha: float,
-    backend: "str | QueryBackend | None" = None,
-) -> np.ndarray:
-    """Chunked strongest-station indices over raw station arrays.
-
-    The array-level sibling of :func:`strongest_station_batch` (see
-    :func:`sinr_matrix_array` for when to prefer these).
-    """
-    engine = get_backend(backend)
-    coords = np.asarray(coords, dtype=float)
-    powers = np.asarray(powers, dtype=float)
-    pts = as_points_array(points)
-    return _chunked(
-        lambda chunk, sl: engine.strongest_station(coords, powers, chunk, alpha),
-        pts,
-        len(coords),
-        columns=False,
-    )
-
-
-def energy_batch(
-    network: "WirelessNetwork",
-    points: PointsLike,
-    backend: "str | QueryBackend | None" = None,
-) -> np.ndarray:
-    """Received-energy matrix of shape ``(n_stations, m)`` (``inf`` at stations)."""
-    return _over_points(
-        network, as_points_array(points), backend, "energy_matrix",
-        network.alpha, columns=True,
-    )
-
-
 def sinr_batch(
     network: "WirelessNetwork",
     points: PointsLike,
@@ -297,18 +214,6 @@ def sinr_batch(
     if target_index is None:
         return matrix
     return matrix[target_index]
-
-
-def strongest_station_batch(
-    network: "WirelessNetwork",
-    points: PointsLike,
-    backend: "str | QueryBackend | None" = None,
-) -> np.ndarray:
-    """Index of the strongest (Voronoi, under uniform power) station per point."""
-    return _over_points(
-        network, as_points_array(points), backend, "strongest_station",
-        network.alpha,
-    )
 
 
 def received_mask(
@@ -368,13 +273,11 @@ def first_received_batch(
     the lowest index rather than the highest SINR.
     """
     engine = get_backend(backend)
-    kwargs = _float32_kwargs(engine, network)
     coords, powers = network.coords, network.powers_array()
 
     def first(chunk: np.ndarray, sl: slice) -> np.ndarray:
         mask = engine.received_mask_matrix(
-            coords, powers, chunk, network.noise, network.beta, network.alpha,
-            **kwargs,
+            coords, powers, chunk, network.noise, network.beta, network.alpha
         )
         return np.where(mask.any(axis=0), np.argmax(mask, axis=0), NO_RECEPTION)
 
@@ -435,23 +338,3 @@ def heard_station_batch(
         network, as_points_array(points), backend, "heard_station",
         network.noise, network.beta, network.alpha, NO_RECEPTION,
     )
-
-
-def locate_batch(locator: object, points: PointsLike) -> List[object]:
-    """Answer a batch of point-location queries through any locator.
-
-    Uses the locator's native ``locate_batch`` fast path when it has one and
-    falls back to looping its scalar ``locate`` otherwise.  Every locator
-    implementing the :class:`repro.pointlocation.registry.Locator` protocol
-    (all registered ones: brute-force, voronoi, theorem3, sharded) natively
-    returns an ``int64`` station-index array with ``NO_RECEPTION`` (-1)
-    where nothing is heard; for non-protocol objects the fallback returns a
-    list of whatever their ``locate`` yields, in query order.
-    """
-    native = getattr(locator, "locate_batch", None)
-    if native is not None:
-        return native(points)
-    from ..geometry.point import Point
-
-    pts = as_points_array(points)
-    return [locator.locate(Point(x, y)) for x, y in pts]

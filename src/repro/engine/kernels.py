@@ -39,9 +39,7 @@ import numpy as np
 __all__ = [
     "pairwise_squared_distances",
     "coincidence_matrix",
-    "energy_matrix",
     "sinr_matrix",
-    "strongest_station",
     "received_mask_matrix",
     "received_mask_at",
     "nearest_received",
@@ -105,20 +103,6 @@ def _masked_energies(
     return np.where(at_station, np.inf, energies), at_station
 
 
-def energy_matrix(
-    station_coordinates: np.ndarray,
-    powers: np.ndarray,
-    points: np.ndarray,
-    alpha: float = 2.0,
-) -> np.ndarray:
-    """Received energies ``psi_i * dist(s_i, p_j)^(-alpha)``, shape ``(n, m)``.
-
-    Entries where a point coincides with a station are ``+inf``; distances
-    small enough for the power law to overflow saturate to ``+inf`` as well.
-    """
-    return _masked_energies(station_coordinates, powers, points, alpha)[0]
-
-
 def _sinr(
     station_coordinates: np.ndarray,
     powers: np.ndarray,
@@ -171,21 +155,6 @@ def sinr_matrix(
     agree with the scalar :func:`repro.model.sinr.sinr_ratio`.
     """
     return _sinr(station_coordinates, powers, points, noise, alpha)[0]
-
-
-def strongest_station(
-    station_coordinates: np.ndarray,
-    powers: np.ndarray,
-    points: np.ndarray,
-    alpha: float = 2.0,
-) -> np.ndarray:
-    """Index of the station with the highest energy at each point, shape ``(m,)``.
-
-    Ties resolve to the lowest station index, like the scalar
-    :meth:`~repro.model.network.WirelessNetwork.strongest_station` loop.
-    """
-    energies = energy_matrix(station_coordinates, powers, points, alpha)
-    return np.argmax(energies, axis=0)
 
 
 def received_mask_matrix(

@@ -3,8 +3,8 @@
 :class:`~repro.pointlocation.sharded.ShardedLocator` proved that a cheap
 *propose* pass stays exact as long as an exact *verify* pass re-checks every
 proposal that could be wrong.  This module applies the same trick to
-precision instead of space: decision queries (strongest station, reception
-masks, heard station, nearest received station) are screened in float32 —
+precision instead of space: decision queries (reception masks, heard
+station, nearest received station) are screened in float32 —
 half the memory traffic of the float64 kernels, and free of their
 coincidence-matrix passes — together with a certified decision margin per
 point.  Points whose float32 margin is too small to rule out a float64
@@ -18,9 +18,9 @@ Margin semantics
 * Reception tests certify ``SINR >= beta`` only when the float32 SINR is
   relatively far from ``beta``: a column is uncertain iff some entry has
   ``|SINR32 - beta| <= tol * (SINR32 + beta)``.
-* Strongest-station (and the masked argmax of ``heard_station``) certify the
-  winner only when top-1 and top-2 are relatively separated:
-  ``(v1 - v2) > tol * (v1 + v2)``; ties are always uncertain.
+* The masked argmax of ``heard_station`` certifies the winner only when
+  top-1 and top-2 are relatively separated: ``(v1 - v2) > tol * (v1 + v2)``;
+  ties are always uncertain.
 * ``nearest_received`` certifies its candidate, the float32 nearest
   station, only when it is separated from the runner-up on squared
   distances: ``(d2**2 - d1**2) > tol * (d1**2 + d2**2)``.  With non-uniform
@@ -35,28 +35,28 @@ Margin semantics
 * A per-point geometry guard flags points within :data:`GEOMETRY_MARGIN`
   (relative to the coordinate scale) of a station, where coordinate rounding
   amplifies without bound.  Every screen turns squared distances into
-  energies in place; the four reception screens flag a column whose energy
-  total is not finite or underflows (strongest-station checks its top-1
-  instead).  An infinite energy makes the total infinite, which covers
+  energies in place and flags a column whose energy total is not finite or
+  underflows.  An infinite energy makes the total infinite, which covers
   every coincident-station column (a float64 coincidence forces a float32
   zero distance, hence an infinite energy).
 
 ``tol`` is the maximum of the configured ``decision_margin`` and a floor
 derived from the station count, ``beta``, ``alpha`` and float32 epsilon, so
 shrinking the margin can grow the verified fraction but never break
-exactness; an infinite margin verifies every point.  *Value* queries
-(``energy_matrix`` / ``sinr_matrix``) return floats rather than decisions —
-there is no margin to certify — so they delegate wholly to the exact
-backend.
+exactness; an infinite margin verifies every point.  The *value* query
+``sinr_matrix`` returns floats rather than decisions — there is no margin
+to certify — so it delegates wholly to the exact backend.
 
 The exact backend is resolved by the name ``"numpy"`` on **every** call,
 exactly like the registry's name-based selections, so
 ``register_backend("numpy", ...)`` overwrites take effect on the verify path
 immediately.
 
-All five decision queries run one screen-then-verify loop
-(:meth:`Float32ScreenBackend._decide`) over cache-friendly float32 chunks
-under the same ``REPRO_ENGINE_CHUNK_BYTES`` budget as :mod:`repro.engine.batch`.
+All four decision queries run one screen-then-verify pass
+(:meth:`Float32ScreenBackend._decide`), which casts the station arrays to
+float32 once per call.  :mod:`repro.engine.batch` hands every call a point
+chunk sized for the float64 kernels' temporaries under its
+``REPRO_ENGINE_CHUNK_BYTES`` budget, so the screen's float32 ones fit too.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ import numpy as np
 
 from ..exceptions import ReproError
 from .backend import QueryBackend, get_backend, register_backend
-from .batch import chunk_byte_budget
 
 __all__ = [
     "DEFAULT_DECISION_MARGIN",
@@ -87,10 +86,6 @@ _EXACT_BACKEND = "numpy"
 
 _EPS32 = float(np.finfo(np.float32).eps)
 _TINY32 = float(np.finfo(np.float32).tiny)
-
-#: Concurrent float32 ``(n, chunk)`` temporaries of one screen pass; the
-#: screen chunks points so all of them fit the shared chunk byte budget.
-_SCREEN_TEMPS = 10
 
 
 class ScreenStats:
@@ -181,32 +176,8 @@ def _near_beta(ratio, beta32, tol32):
     return np.abs(ratio - beta32) <= tol32 * (ratio + beta32)
 
 
-def _screen_strongest(coords32, powers32, pts32, alpha, tol32):
-    """One strongest-station screen chunk: ``(idx, uncertain, sq_min)``.
-
-    ``idx`` is the float32 energy argmax; a point is uncertain unless top-1
-    is finite, clear of the underflow floor, and relatively separated from
-    top-2 by more than ``tol32``.
-    """
-    energies, sq_min = _screen_energies(coords32, powers32, pts32, alpha)
-    idx = np.argmax(energies, axis=0)
-    cols = np.arange(pts32.shape[0])
-    top1 = energies[idx, cols]
-    energies[idx, cols] = -np.inf
-    top2 = energies.max(axis=0)
-    # Below the floor, float32 zeros may hide larger true energies (underflow
-    # or squared-distance overflow), so a "winner" there proves nothing.
-    floor = np.float32(max(_TINY32, float(powers32.max()) * 1e-35))
-    uncertain = (
-        ~np.isfinite(top1)
-        | (top1 <= floor)
-        | ~((top1 - top2) > tol32 * (top1 + top2))
-    )
-    return idx, uncertain, sq_min
-
-
 def _screen_sinr(coords32, powers32, pts32, noise, beta32, tol32, alpha):
-    """One reception screen chunk: ``(ratio, mask, uncertain, sq_min)``.
+    """The reception screen: ``(ratio, mask, uncertain, sq_min)``.
 
     ``ratio`` and ``mask`` are the float32 SINR ``(n, c)`` and its
     ``>= beta`` test.  A column is uncertain when some entry is
@@ -226,7 +197,7 @@ def _screen_sinr(coords32, powers32, pts32, noise, beta32, tol32, alpha):
 def _screen_heard(
     coords32, powers32, pts32, noise, beta32, tol32, alpha, no_reception
 ):
-    """One heard-station screen chunk: ``(labels, uncertain, sq_min)``.
+    """The heard-station screen: ``(labels, uncertain, sq_min)``.
 
     Uncertain when :func:`_screen_sinr` says so (the mask could differ) or
     when the masked top-1/top-2 separation fails (the ``beta < 1``
@@ -258,7 +229,7 @@ def _row_sinr(energies, total, indices, noise):
 def _screen_row(
     coords32, powers32, pts32, indices, noise, beta32, tol32, alpha
 ):
-    """One gathered reception screen chunk: ``(mask (c,), uncertain, sq_min)``."""
+    """The gathered reception screen: ``(mask (c,), uncertain, sq_min)``."""
     energies, sq_min = _screen_energies(coords32, powers32, pts32, alpha)
     total, flagged = _screen_total(energies)
     ratio = _row_sinr(energies, total, indices, noise)
@@ -268,7 +239,7 @@ def _screen_row(
 def _screen_nearest(
     coords32, powers32, pts32, noise, beta32, tol32, alpha, no_reception
 ):
-    """One nearest-received screen chunk: ``(labels, uncertain, sq_min)``.
+    """The nearest-received screen: ``(labels, uncertain, sq_min)``.
 
     The float32 nearest station and its reception, from one pass: squared
     distances give the nearest and the runner-up, then turn into energies
@@ -301,7 +272,7 @@ class Float32ScreenBackend:
 
     Implements the :class:`~repro.engine.backend.QueryBackend` protocol.
     Decision queries run the float32 screen and re-route margin-close points
-    through the registered ``"numpy"`` backend; value queries delegate
+    through the registered ``"numpy"`` backend; the value query delegates
     wholly to it.  See the module docstring for the margin scheme.
 
     Args:
@@ -314,10 +285,6 @@ class Float32ScreenBackend:
     """
 
     name = "float32-screen"
-
-    #: Opt-in marker for :mod:`repro.engine.batch`: pass the network's cached
-    #: ``coords32`` / ``powers32`` views so the screen never re-casts.
-    accepts_float32_arrays = True
 
     def __init__(self, *, decision_margin: float = DEFAULT_DECISION_MARGIN) -> None:
         # Written so that NaN fails too: a NaN tolerance would make no
@@ -333,16 +300,9 @@ class Float32ScreenBackend:
         """Resolve the exact backend *now* (by name, on every call)."""
         return get_backend(_EXACT_BACKEND)
 
-    # -- value queries: no decision to screen, delegate exactly --------
+    # -- the value query: no decision to screen, delegate exactly -------
 
-    def energy_matrix(
-        self, coords, powers, points, alpha, coords32=None, powers32=None
-    ):
-        return self._exact().energy_matrix(coords, powers, points, alpha)
-
-    def sinr_matrix(
-        self, coords, powers, points, noise, alpha, coords32=None, powers32=None
-    ):
+    def sinr_matrix(self, coords, powers, points, noise, alpha):
         return self._exact().sinr_matrix(coords, powers, points, noise, alpha)
 
     # -- the screen-then-verify loop ------------------------------------
@@ -390,88 +350,53 @@ class Float32ScreenBackend:
             and 1e-30 < beta < limit
         )
 
-    def _decide(
-        self, coords, powers, points, coords32, powers32, beta, alpha,
-        out, screen, exact,
-    ):
+    def _decide(self, coords, powers, points, beta, alpha, screen, exact):
         """Screen every point in float32, then verify the uncertain ones.
 
-        ``out`` is the empty answer array, with points on its last axis.
-        ``screen(c32, p32, pts32, sl, tol32)`` answers the point chunk
-        ``sl`` and returns ``(answers, uncertain, sq_min)``; ``exact(pts,
-        selector)`` answers ``pts[selector]`` through the exact backend.
+        ``screen(coords32, powers32, pts32, tol32)`` returns ``(answers,
+        uncertain, sq_min)`` with points on the last axis of ``answers``;
+        ``exact(pts, selector)`` answers ``pts[selector]`` through the
+        exact backend.  The callers of :mod:`repro.engine.batch` already
+        hold the points to its chunk budget, so one pass serves the call.
         """
         pts = np.asarray(points, dtype=float)
-        m = len(pts)
-        if coords32 is None:
-            coords32 = np.ascontiguousarray(coords, dtype=np.float32)
-        if powers32 is None:
-            powers32 = np.ascontiguousarray(powers, dtype=np.float32)
+        coords32 = np.ascontiguousarray(coords, dtype=np.float32)
+        powers32 = np.ascontiguousarray(powers, dtype=np.float32)
         # Points beyond float32 range cast to inf; the screen marks their
         # columns uncertain and the exact path answers them.  Column-major,
         # so each coordinate broadcasts against the stations contiguously.
         with np.errstate(over="ignore"):
             pts32 = np.asfortranarray(pts, dtype=np.float32)
         tol32 = self._tolerance(len(coords), beta, alpha)
-        guard = self._geometry_guard(coords, pts)
-        uncertain = np.empty(m, dtype=bool)
-        per_point = max(1, len(coords)) * 4 * _SCREEN_TEMPS
-        step = max(1, chunk_byte_budget() // per_point)
-        for start in range(0, m, step):
-            sl = slice(start, min(start + step, m))
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                answers, unc, sq_min = screen(
-                    coords32, powers32, pts32[sl], sl, tol32
-                )
-            out[..., sl] = answers
-            uncertain[sl] = unc | (sq_min <= guard[sl])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out, uncertain, sq_min = screen(coords32, powers32, pts32, tol32)
+        uncertain |= sq_min <= self._geometry_guard(coords, pts)
         verified = int(np.count_nonzero(uncertain))
         if verified:
             out[..., uncertain] = exact(pts, uncertain)
-        self.stats.screened += m
+        self.stats.screened += len(pts)
         self.stats.verified += verified
         return out
 
     # -- screened decision queries -------------------------------------
 
-    def strongest_station(
-        self, coords, powers, points, alpha, coords32=None, powers32=None
-    ):
-        return self._decide(
-            coords, powers, points, coords32, powers32, 1.0, alpha,
-            np.empty(len(points), dtype=np.intp),
-            lambda c32, p32, chunk, sl, tol32: _screen_strongest(
-                c32, p32, chunk, alpha, tol32
-            ),
-            lambda pts, sel: self._exact().strongest_station(
-                coords, powers, pts[sel], alpha
-            ),
-        )
-
-    def received_mask_matrix(
-        self, coords, powers, points, noise, beta, alpha,
-        coords32=None, powers32=None,
-    ):
+    def received_mask_matrix(self, coords, powers, points, noise, beta, alpha):
         if not self._screenable(noise, beta, alpha):
             return self._exact().received_mask_matrix(
                 coords, powers, points, noise, beta, alpha
             )
         beta32 = np.float32(beta)
         return self._decide(
-            coords, powers, points, coords32, powers32, beta, alpha,
-            np.empty((len(coords), len(points)), dtype=bool),
-            lambda c32, p32, chunk, sl, tol32: _screen_sinr(
-                c32, p32, chunk, noise, beta32, tol32, alpha
+            coords, powers, points, beta, alpha,
+            lambda c32, p32, pts32, tol32: _screen_sinr(
+                c32, p32, pts32, noise, beta32, tol32, alpha
             )[1:],
             lambda pts, sel: self._exact().received_mask_matrix(
                 coords, powers, pts[sel], noise, beta, alpha
             ),
         )
 
-    def received_mask_at(
-        self, coords, powers, points, indices, noise, beta, alpha,
-        coords32=None, powers32=None,
-    ):
+    def received_mask_at(self, coords, powers, points, indices, noise, beta, alpha):
         indices = np.asarray(indices, dtype=np.intp)
         if not self._screenable(noise, beta, alpha):
             return self._exact().received_mask_at(
@@ -479,10 +404,9 @@ class Float32ScreenBackend:
             )
         beta32 = np.float32(beta)
         return self._decide(
-            coords, powers, points, coords32, powers32, beta, alpha,
-            np.empty(len(points), dtype=bool),
-            lambda c32, p32, chunk, sl, tol32: _screen_row(
-                c32, p32, chunk, indices[sl], noise, beta32, tol32, alpha
+            coords, powers, points, beta, alpha,
+            lambda c32, p32, pts32, tol32: _screen_row(
+                c32, p32, pts32, indices, noise, beta32, tol32, alpha
             ),
             lambda pts, sel: self._exact().received_mask_at(
                 coords, powers, pts[sel], indices[sel], noise, beta, alpha
@@ -490,8 +414,7 @@ class Float32ScreenBackend:
         )
 
     def nearest_received(
-        self, coords, powers, points, noise, beta, alpha, no_reception,
-        coords32=None, powers32=None,
+        self, coords, powers, points, noise, beta, alpha, no_reception
     ):
         if not self._screenable(noise, beta, alpha):
             return self._exact().nearest_received(
@@ -499,30 +422,25 @@ class Float32ScreenBackend:
             )
         beta32 = np.float32(beta)
         return self._decide(
-            coords, powers, points, coords32, powers32, beta, alpha,
-            np.empty(len(points), dtype=np.intp),
-            lambda c32, p32, chunk, sl, tol32: _screen_nearest(
-                c32, p32, chunk, noise, beta32, tol32, alpha, no_reception
+            coords, powers, points, beta, alpha,
+            lambda c32, p32, pts32, tol32: _screen_nearest(
+                c32, p32, pts32, noise, beta32, tol32, alpha, no_reception
             ),
             lambda pts, sel: self._exact().nearest_received(
                 coords, powers, pts[sel], noise, beta, alpha, no_reception
             ),
         )
 
-    def heard_station(
-        self, coords, powers, points, noise, beta, alpha, no_reception,
-        coords32=None, powers32=None,
-    ):
+    def heard_station(self, coords, powers, points, noise, beta, alpha, no_reception):
         if not self._screenable(noise, beta, alpha):
             return self._exact().heard_station(
                 coords, powers, points, noise, beta, alpha, no_reception
             )
         beta32 = np.float32(beta)
         return self._decide(
-            coords, powers, points, coords32, powers32, beta, alpha,
-            np.empty(len(points), dtype=np.intp),
-            lambda c32, p32, chunk, sl, tol32: _screen_heard(
-                c32, p32, chunk, noise, beta32, tol32, alpha, no_reception
+            coords, powers, points, beta, alpha,
+            lambda c32, p32, pts32, tol32: _screen_heard(
+                c32, p32, pts32, noise, beta32, tol32, alpha, no_reception
             ),
             lambda pts, sel: self._exact().heard_station(
                 coords, powers, pts[sel], noise, beta, alpha, no_reception

@@ -407,9 +407,7 @@ class SelectionDisciplineRule(Rule):
 #: ``(n_stations, m)`` temporaries when made on a backend directly.
 _BACKEND_METHODS = frozenset(
     {
-        "energy_matrix",
         "sinr_matrix",
-        "strongest_station",
         "received_mask_matrix",
         "received_mask_at",
         "nearest_received",
@@ -629,9 +627,9 @@ class MutableDefaultRule(Rule):
 # RL008 — float32 containment
 # ---------------------------------------------------------------------------
 
-#: Files allowed to hold float32 state: the screen tier computes with it,
-#: the network owns the cached views every screen consumes.
-_FLOAT32_FILES = frozenset({"engine/mixed_precision.py", "model/network.py"})
+#: The one file allowed to hold float32 state: the screen tier, which casts
+#: the station and point arrays it computes with on every call.
+_FLOAT32_FILES = frozenset({"engine/mixed_precision.py"})
 
 # The token set below necessarily spells the tokens it polices.
 _FLOAT32_TOKENS = frozenset({"float32", "coords32", "powers32"})  # reprolint: disable=RL008
@@ -652,8 +650,7 @@ class Float32ContainmentRule(Rule):
     title = "float32 containment"
     contract = (
         "float32/coords32/powers32 are referenced only by "
-        "engine/mixed_precision.py and the cached views in "
-        "model/network.py — everything else computes in float64"
+        "engine/mixed_precision.py — everything else computes in float64"
     )
 
     def applies_to(self, relpath: str) -> bool:

@@ -27,9 +27,7 @@ from .reception import ReceptionZone
 from .sinr import (
     interference,
     received_energy,
-    sinr_map,
     sinr_ratio,
-    strongest_station_map,
     total_energy,
 )
 from .station import Station
@@ -55,8 +53,6 @@ __all__ = [
     "two_station_reception_interval",
     "interference",
     "received_energy",
-    "sinr_map",
     "sinr_ratio",
-    "strongest_station_map",
     "total_energy",
 ]

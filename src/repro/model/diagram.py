@@ -270,15 +270,6 @@ class SINRDiagram:
                 return index
         return max(candidates, key=lambda index: self.network.sinr(index, point))
 
-    def station_heard_at_batch(self, points) -> np.ndarray:
-        """Bulk :meth:`station_heard_at`: one label per point, ``-1`` for none.
-
-        Accepts an ``(m, 2)`` array or a sequence of points and routes
-        through the vectorised engine; answers agree pointwise with the
-        scalar method (including the highest-SINR rule for ``beta < 1``).
-        """
-        return engine_batch.heard_station_batch(self.network, points)
-
     def reception_vector(self, point: Point) -> List[bool]:
         """Reception indicator of every station at ``point``."""
         return [

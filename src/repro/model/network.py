@@ -145,35 +145,6 @@ class WirelessNetwork:
         return cached
 
     @property
-    def coords32(self) -> np.ndarray:
-        """:attr:`coords` rounded to a cached, read-only float32 ``(n, 2)`` array.
-
-        The *screen* tier of the precision-tiered engine backends
-        (:mod:`repro.engine.mixed_precision`) evaluates its fast float32 pass
-        over these arrays; they are views of the same immutable network, so
-        one cast per network serves every batch query.  The rounding loses
-        up to half a float32 ulp per coordinate — screen results are never
-        returned directly where that rounding could flip a decision (the
-        margin test routes such points through the exact float64 path).
-        """
-        cached = self.__dict__.get("_coords32")
-        if cached is None:
-            cached = np.ascontiguousarray(self.coords, dtype=np.float32)
-            cached.setflags(write=False)
-            self.__dict__["_coords32"] = cached
-        return cached
-
-    @property
-    def powers32(self) -> np.ndarray:
-        """:meth:`powers_array` as a cached, read-only float32 ``(n,)`` array."""
-        cached = self.__dict__.get("_powers32")
-        if cached is None:
-            cached = np.ascontiguousarray(self.powers_array(), dtype=np.float32)
-            cached.setflags(write=False)
-            self.__dict__["_powers32"] = cached
-        return cached
-
-    @property
     def fingerprint(self) -> str:
         """A cheap content fingerprint of everything reception depends on.
 
@@ -297,34 +268,6 @@ class WirelessNetwork:
             if self.is_received(index, point):
                 return index
         return None
-
-    # ------------------------------------------------------------------
-    # Batch queries (delegated to the engine)
-    # ------------------------------------------------------------------
-    def sinr_batch(self, points, target_index: Optional[int] = None) -> np.ndarray:
-        """Bulk SINR via :func:`repro.engine.batch.sinr_batch`."""
-        from ..engine import batch
-
-        return batch.sinr_batch(self, points, target_index=target_index)
-
-    def received_mask(self, index: int, points) -> np.ndarray:
-        """Bulk reception indicator of one station (:meth:`is_received` in bulk)."""
-        from ..engine import batch
-
-        return batch.received_mask(self, index, points)
-
-    def heard_station_batch(self, points) -> np.ndarray:
-        """Bulk :meth:`heard_station`; ``-1`` marks points where nothing is heard.
-
-        For ``beta < 1`` (several stations may qualify) the highest-SINR
-        station is reported, matching
-        :meth:`repro.model.diagram.SINRDiagram.station_heard_at`; for the
-        paper's ``beta >= 1`` regime the answer is the unique heard station,
-        identical to the scalar :meth:`heard_station`.
-        """
-        from ..engine import batch
-
-        return batch.heard_station_batch(self, points)
 
     # ------------------------------------------------------------------
     # Derived structures
@@ -462,8 +405,8 @@ class WirelessNetwork:
         shared outright — both are read-only, so sharing is safe, and a
         single-station move in a dynamic-network update loop stays ``O(n)``
         instead of re-deriving every array from the station objects.
-        Everything location-dependent (``fingerprint``, ``coords32``, the
-        kdtree/Voronoi caches) is left unseeded and rebuilds on first use.
+        Everything location-dependent (``fingerprint``, the kdtree/Voronoi
+        caches) is left unseeded and rebuilds on first use.
         """
         stations = list(self.stations)
         stations[index] = stations[index].moved_to(location)

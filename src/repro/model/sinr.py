@@ -9,17 +9,16 @@ arithmetic itself is defined for any ``alpha > 0``):
 * interference to ``s_i`` at ``p``: the total energy of all other stations;
 * SINR: ``E(s_i, p) / (I(s_i, p) + N)``.
 
-Scalar versions operate on :class:`~repro.geometry.point.Point`; vectorised
-versions operate on numpy coordinate arrays and are what the raster diagram
-builder uses to label hundreds of thousands of pixels quickly.
+These scalar versions operate on :class:`~repro.geometry.point.Point` and
+define the model's reference semantics.  Bulk queries (rasters, locators)
+go through the chunked batch API of :mod:`repro.engine.batch`, whose
+kernels agree with them pointwise.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import Sequence
 
 from ..exceptions import NetworkConfigurationError
 from ..geometry.point import Point
@@ -29,8 +28,6 @@ __all__ = [
     "total_energy",
     "interference",
     "sinr_ratio",
-    "sinr_map",
-    "strongest_station_map",
 ]
 
 
@@ -118,66 +115,3 @@ def sinr_ratio(
         # 0/0 when every energy underflows at a far point without noise.
         return math.inf if signal > 0.0 else math.nan
     return signal / noise_plus_interference
-
-
-# ----------------------------------------------------------------------
-# Vectorised versions (grid-shaped façades over the engine kernels)
-# ----------------------------------------------------------------------
-def _as_point_rows(xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
-    """Flatten broadcastable coordinate arrays into ``(m, 2)`` point rows."""
-    grid_x, grid_y = np.broadcast_arrays(np.asarray(xs, dtype=float),
-                                         np.asarray(ys, dtype=float))
-    points = np.column_stack((grid_x.ravel(), grid_y.ravel()))
-    return points, grid_x.shape
-
-
-def sinr_map(
-    station_coordinates: np.ndarray,
-    powers: np.ndarray,
-    target_index: int,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    noise: float,
-    alpha: float = 2.0,
-) -> np.ndarray:
-    """SINR of one station over a grid of points.
-
-    Args:
-        station_coordinates: array of shape ``(n, 2)``.
-        powers: array of shape ``(n,)``.
-        target_index: which station's SINR to compute.
-        xs, ys: broadcastable coordinate arrays (e.g. from ``numpy.meshgrid``).
-        noise: background noise ``N``.
-        alpha: path-loss exponent.
-
-    Returns:
-        Array with the broadcast shape of ``xs``/``ys``; entries are ``inf``
-        at the target station's own location and ``0`` at other stations'
-        locations (the engine-kernel convention).
-    """
-    from ..engine.batch import sinr_matrix_array
-
-    points, shape = _as_point_rows(xs, ys)
-    matrix = sinr_matrix_array(station_coordinates, powers, points, noise, alpha)
-    return matrix[target_index].reshape(shape)
-
-
-def strongest_station_map(
-    station_coordinates: np.ndarray,
-    powers: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    alpha: float = 2.0,
-) -> np.ndarray:
-    """Index of the station with the highest received energy at every grid point.
-
-    In uniform power networks this is the nearest station, i.e. the Voronoi
-    owner of the point (Observation 2.2 guarantees it is the only candidate
-    whose transmission may be received there).
-    """
-    from ..engine.batch import strongest_station_array
-
-    points, shape = _as_point_rows(xs, ys)
-    return strongest_station_array(
-        station_coordinates, powers, points, alpha
-    ).reshape(shape)

@@ -35,12 +35,10 @@ from repro.engine import (
     as_points_array,
     available_backends,
     chunk_byte_budget,
-    energy_batch,
     first_received_batch,
     get_backend,
     heard_station_batch,
     kernels,
-    locate_batch,
     nearest_received_batch,
     nearest_station_batch,
     points_per_chunk,
@@ -48,7 +46,6 @@ from repro.engine import (
     received_mask,
     register_backend,
     sinr_batch,
-    strongest_station_batch,
     use_backend,
 )
 from repro.engine import backend as backend_module
@@ -227,12 +224,10 @@ class TestBackendSelection:
 
 
 # ----------------------------------------------------------------------
-# The backend protocol: seven required methods, no optional capabilities
+# The backend protocol: five required methods, no optional capabilities
 # ----------------------------------------------------------------------
 PROTOCOL_METHODS = (
-    "energy_matrix",
     "sinr_matrix",
-    "strongest_station",
     "received_mask_matrix",
     "received_mask_at",
     "nearest_received",
@@ -241,7 +236,7 @@ PROTOCOL_METHODS = (
 
 
 class TestBackendProtocol:
-    def test_protocol_declares_the_seven_methods(self):
+    def test_protocol_declares_the_five_methods(self):
         declared = {
             name
             for name, value in vars(QueryBackend).items()
@@ -281,10 +276,6 @@ class TestBackendEquivalence:
                 received_mask(network, index, points, backend=candidate_backend),
                 received_mask(network, index, points, backend="reference"),
             )
-        np.testing.assert_array_equal(
-            strongest_station_batch(network, points, backend=candidate_backend),
-            strongest_station_batch(network, points, backend="reference"),
-        )
         np.testing.assert_array_equal(
             heard_station_batch(network, points, backend=candidate_backend),
             heard_station_batch(network, points, backend="reference"),
@@ -344,11 +335,6 @@ class TestBackendEquivalence:
             rtol=1e-9,
         )
         assert not np.isnan(candidate).any()
-        np.testing.assert_allclose(
-            energy_batch(network, points, backend=candidate_backend),
-            energy_batch(network, points, backend="reference"),
-            rtol=1e-9,
-        )
         np.testing.assert_array_equal(
             heard_station_batch(network, points, backend=candidate_backend),
             heard_station_batch(network, points, backend="reference"),
@@ -583,8 +569,6 @@ class TestChunkedBatch:
         indices = np.arange(len(points)) % len(network)
         families = [
             lambda b: sinr_batch(network, points, backend=b),
-            lambda b: energy_batch(network, points, backend=b),
-            lambda b: strongest_station_batch(network, points, backend=b),
             lambda b: heard_station_batch(network, points, backend=b),
             lambda b: received_mask(network, 2, points, backend=b),
             lambda b: received_at(network, indices, points, backend=b),
@@ -610,11 +594,11 @@ class TestChunkedBatch:
         budget = 2 * 2**20
         monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", str(budget))
         chunked, peak_chunked = peak_of(
-            lambda: strongest_station_batch(network, points)
+            lambda: heard_station_batch(network, points)
         )
         monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", str(1 << 34))
         unchunked, peak_unchunked = peak_of(
-            lambda: strongest_station_batch(network, points)
+            lambda: heard_station_batch(network, points)
         )
         np.testing.assert_array_equal(chunked, unchunked)
         # Budgeted temporaries + the (m,) intp output + small slack; the
@@ -796,13 +780,6 @@ class TestBatchMatchesScalar:
             scalar = diagram.station_heard_at(Point(x, y))
             assert (scalar if scalar is not None else -1) == label
 
-    def test_strongest_station_matches_scalar(self):
-        network = random_network(seed=8)
-        points = queries_for(network, count=150)
-        batch = strongest_station_batch(network, points)
-        for (x, y), index in zip(points, batch):
-            assert network.strongest_station(Point(x, y)) == index
-
 
 class TestLocatorBatches:
     @pytest.mark.parametrize("beta", [3.0, 0.5])
@@ -843,27 +820,6 @@ class TestLocatorBatches:
             assert scalar.station == answer.station
             assert scalar.label == answer.label
 
-    def test_generic_locate_batch_dispatch(self):
-        network = random_network(seed=12)
-        locator = VoronoiCandidateLocator(network)
-        points = queries_for(network, count=50)
-        np.testing.assert_array_equal(
-            locate_batch(locator, points), locator.locate_batch(points)
-        )
-
-    def test_generic_locate_batch_fallback_loops_scalar(self):
-        network = random_network(seed=13)
-
-        class ScalarOnly:
-            def locate(self, point):
-                return network.heard_station(point)
-
-        points = queries_for(network, count=30)
-        fallback = locate_batch(ScalarOnly(), points)
-        assert fallback == [
-            network.heard_station(Point(x, y)) for x, y in points
-        ]
-
     def test_empty_and_single_point_batches(self):
         network = random_network(seed=14)
         structure = PointLocationStructure(network, epsilon=0.4)
@@ -900,17 +856,26 @@ class TestCoincidentAndOverflowEdges:
     def test_kernel_energy_agrees_with_scalar_at_edges(self):
         network = self.network()
         points = np.array([[0.0, 0.0], [1e-200, 0.0], [1e-160, 0.0], [0.5, 0.5]])
-        matrix = energy_batch(network, points)
+        matrix = sinr_batch(network, points)
         for i in range(len(network)):
+            mask = received_mask(network, i, points)
             for j, (x, y) in enumerate(points):
-                scalar = network.energy(i, Point(x, y))
-                if math.isinf(scalar):
-                    # The edge contract: exact agreement on the inf cases.
-                    assert matrix[i, j] == scalar
+                point = Point(x, y)
+                assert mask[j] == network.is_received(i, point)
+                energies = [network.energy(k, point) for k in range(len(network))]
+                if math.isinf(energies[i]):
+                    # The edge contract: a coincident or overflowing energy
+                    # is an infinite SINR, received.
+                    assert matrix[i, j] == math.inf and mask[j]
+                elif any(math.isinf(energy) for energy in energies):
+                    # Drowned by a competitor's infinite energy.
+                    assert matrix[i, j] == 0.0 and not mask[j]
                 else:
                     # Ordinary points: hypot-then-power vs squared-power may
                     # differ in the last ulp.
-                    assert matrix[i, j] == pytest.approx(scalar, rel=1e-12)
+                    assert matrix[i, j] == pytest.approx(
+                        network.sinr(i, point), rel=1e-12
+                    )
 
     def test_scalar_sinr_ratio_no_nan_at_overflow_points(self):
         network = self.network()
@@ -985,29 +950,3 @@ class TestCachedNetworkArrays:
             network.coords,
             np.array([[p.x, p.y] for p in network.locations()]),
         )
-
-    def test_float32_views_cached_read_only_and_rounded(self):
-        network = random_network(seed=18)
-        assert network.coords32 is network.coords32
-        assert network.powers32 is network.powers32
-        assert network.coords32.dtype == np.float32
-        assert network.powers32.dtype == np.float32
-        assert network.coords32.flags["C_CONTIGUOUS"]
-        with pytest.raises(ValueError):
-            network.coords32[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            network.powers32[0] = 1.0
-        np.testing.assert_array_equal(
-            network.coords32, network.coords.astype(np.float32)
-        )
-        np.testing.assert_array_equal(
-            network.powers32, network.powers_array().astype(np.float32)
-        )
-
-    def test_float32_views_track_mutated_networks(self):
-        network = random_network(seed=19)
-        _ = network.coords32
-        moved = network.with_station_moved(0, Point(100.0, 100.0))
-        assert moved.coords32[0, 0] == np.float32(100.0)
-        assert network.coords32[0, 0] != np.float32(100.0)
-        assert network.subnetwork([1, 2]).coords32.shape == (2, 2)

@@ -7,8 +7,8 @@ where a float32 screen alone would go wrong:
 
 * points whose SINR *equals* beta (zero decision margin), constructed by
   setting beta to the computed SINR, plus straddles a hair either side;
-* exact strongest-station ties (perpendicular bisector, duplicated
-  stations) where top-1/top-2 separation is zero;
+* exact nearest-station ties (duplicated stations) where the runner-up
+  separation is zero;
 * overflow-close and float32-coincident points (float64-distinct
   coordinates that round onto a station in float32);
 * the late-binding contract of the verify path: a
@@ -35,13 +35,12 @@ from repro.engine import (
     NumpyBackend,
     get_backend,
     heard_station_batch,
-    locate_batch,
     nearest_received_batch,
+    nearest_station_batch,
     received_at,
     received_mask,
     register_backend,
     sinr_batch,
-    strongest_station_batch,
     use_backend,
 )
 from repro.exceptions import ReproError
@@ -60,14 +59,12 @@ def assert_decisions_identical(network, points, backend, reference="numpy"):
     """Every decision family, bit-identical between two backends."""
     indices = np.arange(len(points)) % len(network)
     pairs = [
-        strongest_station_batch(network, points, backend=backend),
         heard_station_batch(network, points, backend=backend),
         received_mask(network, 0, points, backend=backend),
         received_at(network, indices, points, backend=backend),
         nearest_received_batch(network, points, backend=backend),
     ]
     expected = [
-        strongest_station_batch(network, points, backend=reference),
         heard_station_batch(network, points, backend=reference),
         received_mask(network, 0, points, backend=reference),
         received_at(network, indices, points, backend=reference),
@@ -101,24 +98,6 @@ class TestAdversarialMargins:
             assert_decisions_identical(network, points, screen)
             assert screen.stats.verified > 0
 
-    def test_exact_strongest_station_ties(self):
-        """Perpendicular-bisector points: top-1 == top-2, zero separation."""
-        network = seeded_network(2, side=8.0, seed=62)
-        a, b = network.coords
-        mid = (a + b) / 2.0
-        offsets = np.linspace(-3.0, 3.0, 21)
-        perp = np.array([-(b - a)[1], (b - a)[0]])
-        perp = perp / np.hypot(*perp)
-        points = mid[None, :] + offsets[:, None] * perp[None, :]
-        screen = Float32ScreenBackend()
-        screen.stats.reset()
-        assert_decisions_identical(network, points, screen)
-        # Exact float64 ties exist only where the arithmetic cooperates,
-        # but the bisector band must at least partly defeat the separation
-        # test; what matters above is that answers (first-index tie-break
-        # included) came out identical.
-        assert screen.stats.verified > 0
-
     def test_duplicated_stations_tie_everywhere(self):
         """Two co-located equal-power stations: every point is a tie."""
         network = network_6(seed=63)
@@ -127,13 +106,14 @@ class TestAdversarialMargins:
         points = query_box_array(duplicated, 120, seed=64)
         screen = Float32ScreenBackend()
         screen.stats.reset()
-        got = strongest_station_batch(duplicated, points, backend=screen)
-        want = strongest_station_batch(duplicated, points, backend="numpy")
+        got = nearest_received_batch(duplicated, points, backend=screen)
+        want = nearest_received_batch(duplicated, points, backend="numpy")
         np.testing.assert_array_equal(got, want)
-        # Wherever the duplicated pair wins, top-1 == top-2 exactly, so the
+        # Wherever the duplicated pair is nearest, d1 == d2 exactly, so the
         # separation test must have routed those points through the verify
-        # path (elsewhere an untied winner may legitimately be certified).
-        tied_wins = int(np.count_nonzero(want == 0))
+        # path (elsewhere a separated nearest may legitimately be certified).
+        nearest = nearest_station_batch(duplicated, points)
+        tied_wins = int(np.count_nonzero(nearest == 0))
         assert tied_wins > 0
         assert screen.stats.verified >= tied_wins
 
@@ -184,11 +164,7 @@ class TestAdversarialMargins:
         assert_decisions_identical(network, points, "float32-screen")
 
     def test_unscreenable_parameters_fall_back_to_exact(self):
-        """Absurd beta values bypass the reception screens entirely.
-
-        (``strongest_station`` is beta-independent and may still screen;
-        the reception families must delegate without screening.)
-        """
+        """Absurd beta values bypass the reception screens entirely."""
         network = network_6(seed=71).with_beta(1e-31)
         points = query_box_array(network, 100, seed=72)
         indices = np.zeros(len(points), dtype=np.intp)
@@ -245,10 +221,6 @@ class _CountingNumpy(NumpyBackend):
         self.calls += 1
         return super().heard_station(*args, **kwargs)
 
-    def strongest_station(self, *args, **kwargs):
-        self.calls += 1
-        return super().strongest_station(*args, **kwargs)
-
 
 class TestLateBoundVerifyPath:
     """The verify path re-resolves ``"numpy"`` by name on every call."""
@@ -280,7 +252,7 @@ class TestLateBoundVerifyPath:
 
     def test_decision_margin_is_the_only_option(self):
         # The verify backend and the geometry guard are fixed, and the
-        # screen chunks under the shared engine budget.
+        # screen takes its point chunks from the engine's batch API.
         assert list(inspect.signature(Float32ScreenBackend).parameters) == [
             "decision_margin",
         ]
@@ -294,10 +266,10 @@ class TestRoutedEndToEnd:
         points = np.vstack(
             [query_box_array(network, 600, seed=91), network.coords]
         )
-        expected = locate_batch(build_locator(network, "brute-force"), points)
+        expected = build_locator(network, "brute-force").locate_batch(points)
         with use_backend("float32-screen"):
             sharded = build_locator(network, "sharded:voronoi")
-            got = locate_batch(sharded, points)
+            got = sharded.locate_batch(points)
         np.testing.assert_array_equal(got, expected)
 
     def test_micro_batched_service_under_screen_backend(self):

@@ -11,7 +11,7 @@ import pytest
 from repro import Point, Station, WirelessNetwork
 from repro.exceptions import NetworkConfigurationError
 from repro.geometry import SimilarityTransform
-from repro.model import received_energy, sinr_map, sinr_ratio, strongest_station_map
+from repro.model import received_energy, sinr_ratio
 from repro.model.delta import move_station
 
 
@@ -241,35 +241,6 @@ class TestNetworkTransformations:
 
 
 class TestVectorisedSinr:
-    def test_sinr_map_matches_scalar(self, noisy_network):
-        xs, ys = np.meshgrid(np.linspace(-4, 7, 12), np.linspace(-4, 7, 12))
-        values = sinr_map(
-            noisy_network.coords,
-            noisy_network.powers_array(),
-            0,
-            xs,
-            ys,
-            noisy_network.noise,
-        )
-        for r in range(0, 12, 3):
-            for c in range(0, 12, 3):
-                point = Point(float(xs[r, c]), float(ys[r, c]))
-                if any(s.location == point for s in noisy_network.stations):
-                    continue
-                assert values[r, c] == pytest.approx(
-                    noisy_network.sinr(0, point), rel=1e-9
-                )
-
-    def test_strongest_station_map_matches_scalar(self, noisy_network):
-        xs, ys = np.meshgrid(np.linspace(-4, 7, 9), np.linspace(-4, 7, 9))
-        labels = strongest_station_map(
-            noisy_network.coords, noisy_network.powers_array(), xs, ys
-        )
-        for r in range(9):
-            for c in range(9):
-                point = Point(float(xs[r, c]), float(ys[r, c]))
-                assert labels[r, c] == noisy_network.strongest_station(point)
-
     def test_received_energy_at_station_is_infinite(self):
         assert received_energy(Point(0, 0), 1.0, Point(0, 0)) == math.inf
 
@@ -281,8 +252,8 @@ class TestVectorisedSinr:
 class TestMutationCacheRefresh:
     """Mutated copies must never inherit stale derived caches.
 
-    Every cached derivative — ``fingerprint``, ``coords``/``coords32``,
-    ``powers_array``/``powers32``, the kdtree and Voronoi diagram — is
+    Every cached derivative — ``fingerprint``, ``coords``,
+    ``powers_array``, the kdtree and Voronoi diagram — is
     materialised on the parent *first*, then a mutator runs; the copy's
     values must reflect the mutation and the parent's caches must be
     untouched.  This is the contract the dynamic-network layers (deltas,
@@ -294,9 +265,7 @@ class TestMutationCacheRefresh:
         return {
             "fingerprint": network.fingerprint,
             "coords": network.coords.copy(),
-            "coords32": network.coords32.copy(),
             "powers": network.powers_array().copy(),
-            "powers32": network.powers32.copy(),
             "kdtree": network.station_kdtree(),
             "voronoi": network.voronoi_diagram(),
         }
@@ -305,9 +274,7 @@ class TestMutationCacheRefresh:
     def _assert_parent_untouched(network, before):
         assert network.fingerprint == before["fingerprint"]
         np.testing.assert_array_equal(network.coords, before["coords"])
-        np.testing.assert_array_equal(network.coords32, before["coords32"])
         np.testing.assert_array_equal(network.powers_array(), before["powers"])
-        np.testing.assert_array_equal(network.powers32, before["powers32"])
         assert network.station_kdtree() is before["kdtree"]
         assert network.voronoi_diagram() is before["voronoi"]
 
@@ -326,11 +293,7 @@ class TestMutationCacheRefresh:
 
         assert moved.fingerprint != parent.fingerprint
         np.testing.assert_array_equal(moved.coords[1], [2.5, 2.5])
-        np.testing.assert_array_equal(
-            moved.coords32, moved.coords.astype(np.float32)
-        )
         np.testing.assert_array_equal(moved.powers_array(), before["powers"])
-        np.testing.assert_array_equal(moved.powers32, before["powers32"])
         # The copy's spatial indexes answer for the *new* geometry.
         assert moved.station_kdtree() is not before["kdtree"]
         assert moved.station_kdtree().nearest_index(target) == 1
@@ -344,7 +307,6 @@ class TestMutationCacheRefresh:
 
         assert quieter.fingerprint != parent.fingerprint
         np.testing.assert_array_equal(quieter.coords, before["coords"])
-        np.testing.assert_array_equal(quieter.coords32, before["coords32"])
         np.testing.assert_array_equal(quieter.powers_array(), before["powers"])
         self._assert_parent_untouched(parent, before)
 
@@ -362,9 +324,7 @@ class TestMutationCacheRefresh:
 
         assert sub.fingerprint != parent.fingerprint
         np.testing.assert_array_equal(sub.coords, before["coords"][selector])
-        np.testing.assert_array_equal(sub.coords32, sub.coords.astype(np.float32))
         np.testing.assert_array_equal(sub.powers_array(), before["powers"][selector])
-        np.testing.assert_array_equal(sub.powers32, before["powers32"][selector])
         assert sub.station_kdtree() is not before["kdtree"]
         assert len(sub.station_kdtree()) == 3
         assert sub.voronoi_diagram() is not before["voronoi"]
@@ -379,5 +339,3 @@ class TestMutationCacheRefresh:
         ):
             assert not mutated.coords.flags.writeable
             assert not mutated.powers_array().flags.writeable
-            assert not mutated.coords32.flags.writeable
-            assert not mutated.powers32.flags.writeable
