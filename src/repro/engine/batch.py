@@ -16,9 +16,11 @@ them at once — so an unchunked 200-station × 1M-point batch peaks around
 intermediates fit a byte budget (:func:`chunk_byte_budget`, settable via
 the ``REPRO_ENGINE_CHUNK_BYTES`` environment variable, default 64 MiB).
 Chunking is exact: every kernel decides each point independently of every
-other point, so results are bit-identical for every chunk size.  Only the per-call *temporaries* are
-bounded — outputs whose size is inherent to the query (the ``(n, m)``
-matrix of :func:`sinr_batch`, for example) still scale with the batch.
+other point and adds each point's interference total row by row, a
+one-point chunk included, so results are bit-identical for every chunk
+size.  Only the per-call *temporaries* are bounded — outputs whose size is
+inherent to the query (the ``(n, m)`` matrix of :func:`sinr_batch`, for
+example) still scale with the batch.
 """
 
 from __future__ import annotations

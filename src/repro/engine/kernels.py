@@ -7,7 +7,9 @@ shape ``(n_points, 2)`` — and returns arrays, never scalars or
 source of truth for bulk SINR arithmetic, reached through the chunked
 batch query API of :mod:`repro.engine.batch` (reprolint RL005 keeps every
 other layer out).  Each kernel call makes one distance, coincidence and
-energy pass (:func:`_masked_energies`).
+energy pass (:func:`_masked_energies`) and adds each point's interference
+total row by row (:func:`_column_totals`), so a point's answer does not
+depend on how many points share the call.
 
 Edge-case semantics (matching the scalar model layer exactly):
 
@@ -103,6 +105,20 @@ def _masked_energies(
     return np.where(at_station, np.inf, energies), at_station
 
 
+def _column_totals(finite: np.ndarray) -> np.ndarray:
+    """Column sums ``(m,)`` of an ``(n, m)`` block, added row by row.
+
+    numpy adds a block of two or more columns row by row, but sums a lone
+    contiguous column pairwise once it has eight or more entries, which
+    can round differently.  The cumulative sum keeps a one-point call in
+    the row-by-row order, so a point's SINR does not depend on how many
+    points share its kernel call.
+    """
+    if finite.shape[1] == 1:
+        return np.cumsum(finite[:, 0])[-1:]
+    return finite.sum(axis=0)
+
+
 def _sinr(
     station_coordinates: np.ndarray,
     powers: np.ndarray,
@@ -118,7 +134,7 @@ def _sinr(
 
     inf_energy = np.isinf(energies)
     finite = np.where(inf_energy, 0.0, energies)
-    total = finite.sum(axis=0)[None, :]
+    total = _column_totals(finite)[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = finite / (total - finite + noise)
 
@@ -201,7 +217,7 @@ def received_mask_at(
 
     inf_energy = np.isinf(energies)
     finite = np.where(inf_energy, 0.0, energies)
-    total = finite.sum(axis=0)
+    total = _column_totals(finite)
     row_finite = finite[indices, columns]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = row_finite / (total - row_finite + noise)

@@ -55,7 +55,9 @@ from repro.pointlocation import (
     BruteForceLocator,
     PointLocationStructure,
     VoronoiCandidateLocator,
+    get_locator,
 )
+from repro.service import serve_points
 from seeded_workloads import query_box_array, seeded_network
 
 #: Every backend that must agree with the "reference" ground truth; newly
@@ -553,22 +555,26 @@ class TestChunkedBatch:
         assert points_per_chunk(10_000) == 1
 
     @pytest.mark.parametrize("backend_name", ["numpy", "float32-screen"])
-    @pytest.mark.parametrize("budget", [40_000, 300_000, 5_000_000])
+    @pytest.mark.parametrize("budget", [1, 40_000, 300_000, 5_000_000])
     def test_results_bit_identical_across_chunk_sizes(
         self, monkeypatch, backend_name, budget
     ):
-        """Chunking is invisible: every query family, three budgets apart.
+        """Chunking is invisible: every query family, four budgets apart.
 
         The baseline runs under the default 64 MiB budget (one single chunk
         at this scale), the comparison under budgets small enough for tens
-        of chunks — results must match to the bit.
+        of chunks, down to one point per chunk — results must match to the
+        bit.  Twelve stations, because numpy sums a lone column pairwise
+        only from eight entries on: a smaller network could not show a
+        one-point chunk rounding its interference total differently.
         """
-        network = random_network(seed=50)
+        network = seeded_network(12, side=20.0, seed=50)
         points = np.vstack([queries_for(network, count=1500, seed=51),
                             network.coords])
         indices = np.arange(len(points)) % len(network)
         families = [
             lambda b: sinr_batch(network, points, backend=b),
+            lambda b: first_received_batch(network, points, backend=b),
             lambda b: heard_station_batch(network, points, backend=b),
             lambda b: received_mask(network, 2, points, backend=b),
             lambda b: received_at(network, indices, points, backend=b),
@@ -641,6 +647,93 @@ class TestChunkedBatch:
         labels_chunked, values_chunked = raster_block(network, xs, ys)
         np.testing.assert_array_equal(labels_chunked, labels)
         np.testing.assert_array_equal(values_chunked, values)
+
+
+class TestColumnTotals:
+    """A column's interference total has the same bits however many points
+    share its kernel call: the kernels add every block row by row."""
+
+    @pytest.mark.parametrize("n", [8, 9, 50, 3200])
+    def test_a_column_total_does_not_depend_on_the_call_width(self, n):
+        rng = np.random.default_rng(n)
+        side = 4.0 * math.sqrt(n)
+        coords = rng.uniform(0.0, side, size=(n, 2))
+        powers = rng.uniform(0.5, 2.0, size=n)
+        points = rng.uniform(-4.0, side + 4.0, size=(1024, 2))
+        energies = powers[:, None] / kernels.pairwise_squared_distances(
+            coords, points
+        )
+        # The row-by-row order: a running sum down each column.
+        running = np.add.accumulate(energies, axis=0)[-1]
+        sinr = kernels.sinr_matrix(coords, powers, points, 0.01)
+        blocks = [
+            slice(start, start + m)
+            for m in (1, 2, 3, 1024)
+            for start in range(0, 1024 - m + 1, m)
+        ]
+        for block in blocks:
+            np.testing.assert_array_equal(
+                kernels.sinr_matrix(coords, powers, points[block], 0.01),
+                sinr[:, block],
+            )
+        for block in blocks:
+            np.testing.assert_array_equal(
+                kernels._column_totals(np.ascontiguousarray(energies[:, block])),
+                running[block],
+            )
+
+
+# ----------------------------------------------------------------------
+# A point's answer does not depend on the points sharing its engine call
+# ----------------------------------------------------------------------
+#: Station 0's SINR at this point is within an ulp of beta = 3 on a
+#: 9-station network: summed pairwise, as numpy sums one contiguous column,
+#: it rounded to 3.0000000000000013; summed row by row, as in any wider
+#: block, to 2.9999999999999996.
+ONE_POINT_PROBE = (0.7497123076938413, 10.667261030678043)
+
+#: Registered locators and the build options that keep them fast here.
+LOCATOR_BUILDS = {
+    "brute-force": {},
+    "voronoi": {},
+    "sharded:voronoi": {"shards": 2},
+    "theorem3": {"epsilon": 0.4, "cover_method": "ray_sweep"},
+}
+
+
+def one_point_probe_network():
+    return seeded_network(
+        9, side=12.0, seed=1, minimum_separation=1.5, noise=0.002, beta=3.0
+    )
+
+
+class TestAnswersIndependentOfBatching:
+    @pytest.mark.parametrize("backend", ["numpy", "float32-screen"])
+    @pytest.mark.parametrize("name", sorted(LOCATOR_BUILDS))
+    def test_alone_in_a_batch_and_as_brute_force(self, name, backend):
+        """One answer for the probe: alone (a one-point kernel call), beside
+        a far point (a two-point call for the dense locators; the sharded
+        and theorem3 verifies still check it alone), beside itself, and
+        the numpy brute-force answer of the two-point batch."""
+        network = one_point_probe_network()
+        probe, far = ONE_POINT_PROBE, (100.0, 100.0)
+        want = BruteForceLocator(network).locate_batch([probe, far])[0]
+        with use_backend(backend):
+            locator = get_locator(name).build(network, **LOCATOR_BUILDS[name])
+            got = [
+                locator.locate_batch([probe])[0],
+                locator.locate_batch([probe, far])[0],
+                locator.locate_batch([probe, probe])[0],
+            ]
+        assert [int(label) for label in got] == [want] * 3
+
+    def test_micro_batching_does_not_change_an_answer(self):
+        network = one_point_probe_network()
+        points = [ONE_POINT_PROBE, ONE_POINT_PROBE]
+        np.testing.assert_array_equal(
+            serve_points(network, points, "brute-force", max_batch_size=1),
+            serve_points(network, points, "brute-force"),
+        )
 
 
 # ----------------------------------------------------------------------
