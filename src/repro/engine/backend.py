@@ -70,12 +70,14 @@ class QueryBackend(Protocol):
     All methods take station coordinates ``(n, 2)``, powers ``(n,)`` and
     query points ``(m, 2)`` as float arrays and return arrays with the
     coincident-point semantics documented in :mod:`repro.engine.kernels`.
-    ``sinr_matrix`` is the value query of rasters; ``received_mask_matrix``
-    (brute force), ``received_mask_at`` (is station ``indices[j]`` received
-    at ``points[j]``?, the check of a given candidate), ``nearest_received``
-    (the nearest station where it is received, else ``no_reception``: the
-    ``voronoi`` locator's whole query) and ``heard_station`` (the bulk
-    :meth:`~repro.model.diagram.SINRDiagram.station_heard_at`) decide.
+    ``sinr_matrix`` is the value query behind rasters.  The four decision
+    queries are ``received_mask_matrix`` (every station at every point, the
+    brute-force answer), ``received_mask_at`` (is station ``indices[j]``
+    received at ``points[j]``? — the check of a given candidate),
+    ``nearest_received`` (the nearest station where it is received, else
+    ``no_reception``: the ``voronoi`` locator's whole query) and
+    ``heard_station`` (the bulk
+    :meth:`~repro.model.diagram.SINRDiagram.station_heard_at`).
     """
 
     name: str

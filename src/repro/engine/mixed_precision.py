@@ -356,8 +356,8 @@ class Float32ScreenBackend:
         ``screen(coords32, powers32, pts32, tol32)`` returns ``(answers,
         uncertain, sq_min)`` with points on the last axis of ``answers``;
         ``exact(pts, selector)`` answers ``pts[selector]`` through the
-        exact backend.  The callers of :mod:`repro.engine.batch` already
-        hold the points to its chunk budget, so one pass serves the call.
+        exact backend.  :mod:`repro.engine.batch` already hands every call
+        a budget-sized point chunk, so one pass serves the call.
         """
         pts = np.asarray(points, dtype=float)
         coords32 = np.ascontiguousarray(coords, dtype=np.float32)
