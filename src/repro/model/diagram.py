@@ -15,6 +15,7 @@ the null zone ``H_empty`` where no station is heard (Section 1.1).  The
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -94,6 +95,23 @@ class RasterLattice:
         return self.start + self.count
 
 
+def _raster_sinr(
+    network: WirelessNetwork, xs: np.ndarray, ys: np.ndarray, backend
+) -> np.ndarray:
+    """SINR of every station at every pixel centre, shape ``(n, len(ys), len(xs))``.
+
+    One call of the batch API rather than the raw backend method, so pixel
+    batches inherit its memory-bounded point chunking (bit-identical per
+    chunk size — chunking commutes with the per-pixel independence that
+    already makes tiles exact).
+    """
+    grid_x, grid_y = np.meshgrid(xs, ys)
+    pixel_points = np.column_stack((grid_x.ravel(), grid_y.ravel()))
+    return engine_batch.sinr_batch(network, pixel_points, backend=backend).reshape(
+        len(network), len(ys), len(xs)
+    )
+
+
 def raster_block(
     network: WirelessNetwork, xs: np.ndarray, ys: np.ndarray, backend=None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -114,17 +132,7 @@ def raster_block(
     """
     if backend is None:
         backend = active_backend()
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    pixel_points = np.column_stack((grid_x.ravel(), grid_y.ravel()))
-    n = len(network)
-    # Through the batch API rather than the raw backend method, so pixel
-    # batches inherit its memory-bounded point chunking (bit-identical per
-    # chunk size — chunking commutes with the per-pixel independence that
-    # already makes tiles exact).
-    sinr_values = engine_batch.sinr_batch(
-        network, pixel_points, backend=backend
-    ).reshape(n, len(ys), len(xs))
-
+    sinr_values = _raster_sinr(network, xs, ys, backend)
     received = sinr_values >= network.beta
     best = np.argmax(sinr_values, axis=0)
     any_received = received.any(axis=0)
@@ -145,7 +153,6 @@ def _nearest_pixel_index(centers: np.ndarray, coordinate: float) -> int:
     return int(np.searchsorted(midpoints, coordinate, side="left"))
 
 
-@dataclass(frozen=True)
 class RasterDiagram:
     """A rasterised SINR diagram over an axis-aligned bounding box.
 
@@ -157,19 +164,83 @@ class RasterDiagram:
             ``labels[r, c]`` is the index of the station heard at pixel
             ``(xs[c], ys[r])`` or ``NO_RECEPTION``.
         sinr_values: 3-d float array of per-station SINR values with shape
-            ``(n_stations, len(ys), len(xs))``.
+            ``(n_stations, len(ys), len(xs))``.  A raster assembled from
+            the tile cache computes them on first read (see
+            :attr:`sinr_values`).
         pitch: optional ``(dx, dy)`` pixel extent.  Always set by
             :meth:`SINRDiagram.rasterize`; rasters constructed by hand may
             omit it, in which case the extent is recovered from adjacent
             centres (and a degenerate single-row/column raster has no
             recoverable extent at all — see :meth:`pixel_area`).
+
+    A raster is a value: treat its arrays as read-only.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
-    labels: np.ndarray
-    sinr_values: np.ndarray
-    pitch: Optional[Tuple[float, float]] = None
+    def __init__(
+        self,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        labels: np.ndarray,
+        sinr_values: np.ndarray,
+        pitch: Optional[Tuple[float, float]] = None,
+    ):
+        self.xs = xs
+        self.ys = ys
+        self.labels = labels
+        self.pitch = pitch
+        self._sinr_values = sinr_values
+        # ``(network, backend)`` while the SINR values are still to be
+        # computed; only the tile cache's assembly sets it.
+        self._sinr_source: Optional[tuple] = None
+        self._sinr_lock: Optional[threading.Lock] = None
+
+    @classmethod
+    def _with_deferred_sinr(
+        cls,
+        network: WirelessNetwork,
+        lattice_x: RasterLattice,
+        lattice_y: RasterLattice,
+        labels: np.ndarray,
+        backend,
+    ) -> "RasterDiagram":
+        """The raster of a lattice pair whose SINR values wait for a read.
+
+        The tile cache stores labels only; the first read of
+        :attr:`sinr_values` makes the one engine call the monolithic
+        rasteriser makes, under the request's pinned ``backend``.
+        """
+        raster = cls(
+            xs=lattice_x.centers(),
+            ys=lattice_y.centers(),
+            labels=labels,
+            sinr_values=None,
+            pitch=(lattice_x.pitch, lattice_y.pitch),
+        )
+        raster._sinr_source = (network, backend)
+        raster._sinr_lock = threading.Lock()
+        return raster
+
+    @property
+    def sinr_values(self) -> np.ndarray:
+        """Per-station SINR values, shape ``(n_stations, len(ys), len(xs))``.
+
+        On a raster assembled from the tile cache the first read computes
+        them through one ``engine.batch.sinr_batch`` call over the pixel
+        centres, with the network and backend of the request, and keeps
+        them: every pixel is computed on its own and chunking is exact, so
+        the values are bit-identical to the uncached raster's.  Concurrent
+        first reads compute once, under the raster's lock, and all return
+        the same array.
+        """
+        if self._sinr_source is not None:
+            with self._sinr_lock:
+                if self._sinr_source is not None:
+                    network, backend = self._sinr_source
+                    self._sinr_values = _raster_sinr(
+                        network, self.xs, self.ys, backend
+                    )
+                    self._sinr_source = None
+        return self._sinr_values
 
     @property
     def resolution(self) -> Tuple[int, int]:
@@ -210,8 +281,12 @@ class RasterDiagram:
         next centre *at or above* the coordinate — biased one pixel up for
         any point right of a centre — so the lookup goes through the
         midpoints between centres instead.  Points outside the box clamp to
-        the nearest edge pixel.
+        the nearest edge pixel.  A point with a non-finite coordinate hears
+        no station, as on every locator and backend, so it answers
+        ``NO_RECEPTION``.
         """
+        if not (math.isfinite(point.x) and math.isfinite(point.y)):
+            return NO_RECEPTION
         column = _nearest_pixel_index(self.xs, point.x)
         row = _nearest_pixel_index(self.ys, point.y)
         return int(self.labels[row, column])

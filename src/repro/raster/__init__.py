@@ -15,12 +15,14 @@ snaps the request onto a per-axis pixel lattice (pitch = box length /
 pixel count; pixel centres at ``phase + (g + 0.5) * pitch`` for global
 integer indices ``g``), decomposes it onto the global tile lattice —
 square blocks of ``tile_size`` pixels anchored at global pixel index 0 —
-and assembles the result from tiles, computing only the missing ones
-through the active engine backend.  The assembled
-:class:`~repro.model.diagram.RasterDiagram` is **bit-identical** to the
-uncached path: tiles use the same coordinate formula and the same
-per-pixel-independent compute core (:func:`repro.model.diagram.raster_block`),
-so caching regroups work without changing a single bit of output.
+and assembles the result's labels from tiles, computing only the missing
+ones through the active engine backend.  Tiles hold labels only; the
+assembled :class:`~repro.model.diagram.RasterDiagram` computes its
+``sinr_values`` on first read, with one engine pass over the request's
+pixel centres.  The raster is **bit-identical** to the uncached path:
+tiles use the same coordinate formula and the same per-pixel-independent
+compute core (:func:`repro.model.diagram.raster_block`), so caching
+regroups work without changing a single bit of output.
 
 Keying scheme
 =============
@@ -47,11 +49,19 @@ Budget and statistics
 =====================
 
 :class:`TileCache` holds tiles in a thread-safe LRU under a configurable
-byte budget (``max_bytes``, default 256 MiB) and exposes
-:class:`CacheStats` counters: hits, misses, evictions, rejections
-(tiles larger than the whole budget), resident tiles and bytes.
-Concurrent misses of one tile are single-flighted, so a burst of
-overlapping requests computes each tile once.
+byte budget (``max_bytes``, default 256 MiB).  A tile is its read-only
+``intp`` label block, ``tile_size**2 * 8`` bytes whatever the station
+count: 32 KiB at the default 64 px.  :class:`CacheStats` counts hits,
+misses, evictions, rejections (tiles computed but never stored: larger
+than the whole budget, or keyed by a fingerprint that a swap retired),
+re-keyed and invalidated tiles, resident tiles and bytes.  Concurrent
+misses of one tile are single-flighted, so a burst of overlapping requests
+computes each tile once.
+
+A network swap (:func:`invalidate_for_delta`) retires the old network's
+fingerprint, so a request that straddles the swap parks no tiles under it.
+One cache therefore follows one network lineage: services that share a
+cache must swap together.
 
 Quick use::
 
@@ -75,7 +85,6 @@ from .cache import (
     resolve_cache,
 )
 from .tiles import (
-    Tile,
     TileKey,
     affected_boxes,
     compute_tile,
@@ -88,7 +97,6 @@ __all__ = [
     "CacheStats",
     "DEFAULT_MAX_BYTES",
     "DEFAULT_TILE_SIZE",
-    "Tile",
     "TileCache",
     "TileKey",
     "affected_boxes",

@@ -1,9 +1,9 @@
 """The thread-safe LRU tile store behind cached rasterisation.
 
 :class:`TileCache` maps :data:`~repro.raster.tiles.TileKey` tuples to
-computed :class:`~repro.raster.tiles.Tile` payloads under a configurable
-byte budget, evicting least-recently-used tiles when the budget is
-exceeded.  It is safe to share one cache between threads (and hence between
+computed tiles — read-only label arrays — under a configurable byte
+budget, evicting least-recently-used tiles when the budget is exceeded.
+It is safe to share one cache between threads (and hence between
 the event-loop executor threads of the service's raster endpoint): lookups
 and insertions are serialised by a lock, while tile *computation* happens
 outside it.  Concurrent requests for the same missing tile are
@@ -11,8 +11,14 @@ single-flighted — one caller computes, the others wait for the result —
 so a burst of overlapping zoom/pan requests never computes a tile twice.
 
 Statistics (:class:`CacheStats`) count hits, misses, evictions and
-rejections (tiles larger than the whole budget, which are computed but
-never stored), plus the resident tile count and byte total.
+rejections (tiles computed but never stored: larger than the whole budget,
+or keyed by a retired fingerprint), plus the resident tile count and byte
+total.
+
+One cache follows one network lineage.  :meth:`TileCache.invalidate_region`
+retires the fingerprint a swap moves away from, so services that share a
+cache must swap together: a service still serving a retired network would
+get every tile computed and none stored.
 """
 
 from __future__ import annotations
@@ -33,14 +39,19 @@ __all__ = [
     "resolve_cache",
 ]
 
-#: Default byte budget: enough for a few dozen 64-pixel tiles of a
-#: 50-station network (one such tile is ~1.7 MB of SINR values).
+#: Default byte budget: 8192 tiles of 64 pixels, since such a tile is a
+#: 32 KiB label block whatever the station count.
 DEFAULT_MAX_BYTES = 256 * 2**20
 
 #: Default tile side length, in pixels.  Small enough that a request only
 #: over-computes a thin margin beyond its box, large enough that the
 #: per-tile engine call still amortises its dispatch overhead.
 DEFAULT_TILE_SIZE = 64
+
+#: How many of the most recently retired fingerprints a cache remembers.
+#: A request still running after this many further swaps stores its tiles
+#: like any other request, and the LRU evicts them.
+RETIRED_FINGERPRINTS = 32
 
 
 @dataclass(frozen=True)
@@ -52,8 +63,10 @@ class CacheStats:
             waited on another thread's in-flight computation).
         misses: lookups that had to compute the tile.
         evictions: tiles dropped to get back under the byte budget.
-        rejected: computed tiles never stored because they alone exceed
-            the whole budget.
+        rejected: computed tiles never stored: the tile alone exceeds the
+            whole budget, or its fingerprint was retired by
+            :meth:`TileCache.invalidate_region` (a request that straddled
+            a swap computed it for a network no longer served).
         rekeyed: tiles carried across a network swap by
             :meth:`TileCache.invalidate_region` (their content is certified
             unaffected by the mutation).
@@ -115,6 +128,8 @@ class TileCache:
         self._lock = threading.Lock()
         self._store: "OrderedDict[tuple, object]" = OrderedDict()
         self._in_flight: Dict[tuple, threading.Event] = {}
+        # Fingerprints invalidate_region moved away from, oldest first.
+        self._retired: "OrderedDict[str, None]" = OrderedDict()
         self._bytes = 0
         self._hits = 0
         self._misses = 0
@@ -130,9 +145,9 @@ class TileCache:
         Concurrent misses of the same key are single-flighted: exactly one
         caller runs ``factory`` (outside the lock), the rest wait and then
         re-check the store.  If the computed tile was rejected or already
-        evicted by the time a waiter wakes (pathologically small budgets),
-        the waiter simply computes its own copy — correctness never depends
-        on residency.
+        evicted by the time a waiter wakes (pathologically small budgets, or
+        a fingerprint retired mid-request), the waiter simply computes its
+        own copy — correctness never depends on residency.
         """
         while True:
             with self._lock:
@@ -177,11 +192,14 @@ class TileCache:
     def _insert_locked(self, key: tuple, tile) -> None:
         """Store ``tile`` and evict LRU entries back under budget.
 
-        The ``_locked`` suffix is the lock-discipline convention (reprolint
-        RL002): the caller holds ``self._lock`` for the whole call.
+        A tile larger than the whole budget, or keyed by a retired
+        fingerprint, is not stored and counts as rejected; the caller still
+        serves it.  The ``_locked`` suffix is the lock-discipline convention
+        (reprolint RL002): the caller holds ``self._lock`` for the whole
+        call.
         """
         nbytes = tile.nbytes
-        if nbytes > self.max_bytes:
+        if nbytes > self.max_bytes or key[0] in self._retired:
             self._rejected += 1
             return
         previous = self._store.pop(key, None)
@@ -225,6 +243,12 @@ class TileCache:
         :func:`repro.raster.tiles.invalidate_for_delta`, which falls back
         to ``None`` whenever it cannot — should pass a box list.
 
+        ``old_fingerprint`` is retired and ``new_fingerprint`` un-retired (a
+        network can return to an earlier configuration): from now on a tile
+        computed for the old network, by a request that straddled the swap,
+        is served to that request but never stored.  Only the most recent
+        :data:`RETIRED_FINGERPRINTS` are remembered.
+
         Returns ``(rekeyed, dropped)`` counts.
         """
         if new_fingerprint == old_fingerprint:
@@ -249,6 +273,11 @@ class TileCache:
             self._store = survivors
             self._rekeyed += rekeyed
             self._invalidated += dropped
+            self._retired.pop(new_fingerprint, None)
+            self._retired.pop(old_fingerprint, None)
+            self._retired[old_fingerprint] = None
+            if len(self._retired) > RETIRED_FINGERPRINTS:
+                self._retired.popitem(last=False)
         return rekeyed, dropped
 
     @staticmethod

@@ -8,6 +8,12 @@ anchored at global pixel index 0 — fetches each covering tile from a
 through the active engine backend), and assembles the requested
 :class:`~repro.model.diagram.RasterDiagram` from the tile slices.
 
+A tile is its read-only ``(tile_size, tile_size)`` ``intp`` label block:
+``tile_size**2 * 8`` bytes whatever the station count (32 KiB at 64 px).
+The assembled raster copies labels only; its ``sinr_values`` are computed
+on first read by one ``engine.batch.sinr_batch`` call over the request's
+pixel centres, with the request's network and pinned backend.
+
 Bit-identity with the monolithic path is structural, not approximate:
 
 * tile pixel-centre coordinates come from the *same* lattice formula
@@ -15,7 +21,8 @@ Bit-identity with the monolithic path is structural, not approximate:
   rasteriser uses, so they are bit-identical floats;
 * :func:`~repro.model.diagram.raster_block` computes every per-pixel
   quantity independently per pixel, so evaluating a tile's sub-grid yields
-  exactly the values the full grid would.
+  exactly the labels the full grid would, and the deferred SINR pass over
+  the request's own grid is the monolithic rasteriser's pass.
 
 Tile keys are ``(network fingerprint, engine backend, tile size, pitch and
 phase per axis, tile index)``: everything the tile's content depends on
@@ -28,7 +35,6 @@ caches perfectly against repeats of itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Tuple
 
@@ -42,7 +48,6 @@ from ..model.network import WirelessNetwork
 from .cache import TileCache
 
 __all__ = [
-    "Tile",
     "TileKey",
     "affected_boxes",
     "compute_tile",
@@ -58,26 +63,6 @@ __all__ = [
 #: ``numpy`` must never answer a request made under ``reference`` (or the
 #: bit-identity contract — and seam-freeness within one raster — breaks).
 TileKey = Tuple[str, object, int, float, float, float, float, int, int]
-
-
-@dataclass(frozen=True)
-class Tile:
-    """One cached ``tile_size`` x ``tile_size`` block of a rasterisation.
-
-    Attributes:
-        labels: ``(tile_size, tile_size)`` integer labels (station index or
-            ``NO_RECEPTION``), read-only.
-        sinr_values: ``(n_stations, tile_size, tile_size)`` float SINR
-            values, read-only.
-    """
-
-    labels: np.ndarray
-    sinr_values: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        """Resident size, used against the cache byte budget."""
-        return int(self.labels.nbytes + self.sinr_values.nbytes)
 
 
 def tile_key(
@@ -111,14 +96,14 @@ def compute_tile(
     tile_y: int,
     tile_size: int,
     backend=None,
-) -> Tile:
-    """Compute one tile through ``backend`` (default: the active backend)."""
+) -> np.ndarray:
+    """One tile's read-only label block, computed through ``backend``
+    (default: the active backend)."""
     xs = lattice_x.centers_at(tile_x * tile_size, tile_size)
     ys = lattice_y.centers_at(tile_y * tile_size, tile_size)
-    labels, sinr_values = raster_block(network, xs, ys, backend=backend)
+    labels, _ = raster_block(network, xs, ys, backend=backend)
     labels.setflags(write=False)
-    sinr_values.setflags(write=False)
-    return Tile(labels=labels, sinr_values=sinr_values)
+    return labels
 
 
 def affected_boxes(
@@ -179,17 +164,21 @@ def invalidate_for_delta(
 
     * the delta changes ``noise``/``beta``/``alpha`` (every pixel is stale);
     * the delta is not index-preserving (station joins/leaves renumber the
-      label space and change the ``sinr_values`` row count, so retained
-      tile payloads would be shaped for the wrong network);
+      label space, so retained labels would name the wrong stations);
     * the network is outside the Theorem 4.1 regime (no certified reach).
+
+    Either way the old fingerprint is retired: tiles computed for it by
+    requests still running are not stored (see
+    :meth:`TileCache.invalidate_region`).
 
     Scope of the approximation: a re-keyed tile's labels are exact wherever
     reception margins exceed the interference shift of the moved stations
     (boundary-marginal pixels of *other* stations' zones may flip — the
     same tolerance class as cross-backend float disagreement, which the
-    keying scheme already scopes per backend), and its per-station SINR
-    values are those of the previous network.  Callers that need
-    bit-exact SINR rasters after a mutation should drop instead
+    keying scheme already scopes per backend).  SINR values are exact:
+    tiles hold no SINR, and a raster served after the swap computes its
+    values from the new network on first read.  Callers that need exact
+    labels after a mutation should drop instead
     (``cache.invalidate_region(old_fp, new_fp, None)``).
     """
     if delta is None:
@@ -218,21 +207,22 @@ def rasterize_tiled(
     The public entry point is ``SINRDiagram.rasterize(..., cache=...)``,
     which builds the lattices; this function fetches every tile covering
     ``[lattice_x.start, lattice_x.stop) x [lattice_y.start, lattice_y.stop)``
-    via :meth:`TileCache.get_or_compute` and copies the overlapping slices
-    into the result arrays.  The returned diagram is bit-identical to the
-    monolithic path on the same box.
+    via :meth:`TileCache.get_or_compute` and copies the overlapping label
+    slices into the result.  The returned diagram computes its
+    ``sinr_values`` on first read, under this request's network and
+    backend, and is bit-identical to the monolithic path on the same box.
     """
     size = cache.tile_size
     fingerprint = network.fingerprint
     # Pinned once per request: every tile of this raster — cached or
-    # computed — belongs to the same backend, so a backend switch mid-burst
-    # can never stitch a seam through one assembled diagram.
+    # computed — and its deferred SINR values belong to the same backend,
+    # so a backend switch mid-burst can never stitch a seam through one
+    # assembled diagram.
     backend = active_backend()
     columns, rows = lattice_x.count, lattice_y.count
     gx0, gy0 = lattice_x.start, lattice_y.start
 
     labels = np.empty((rows, columns), dtype=np.intp)
-    sinr_values = np.empty((len(network), rows, columns), dtype=float)
 
     first_tile_x = gx0 // size
     last_tile_x = (lattice_x.stop - 1) // size
@@ -260,13 +250,8 @@ def rasterize_tiled(
             out_rows = slice(overlap_y0 - gy0, overlap_y1 - gy0)
             in_cols = slice(overlap_x0 - tile_x * size, overlap_x1 - tile_x * size)
             in_rows = slice(overlap_y0 - tile_y * size, overlap_y1 - tile_y * size)
-            labels[out_rows, out_cols] = tile.labels[in_rows, in_cols]
-            sinr_values[:, out_rows, out_cols] = tile.sinr_values[:, in_rows, in_cols]
+            labels[out_rows, out_cols] = tile[in_rows, in_cols]
 
-    return RasterDiagram(
-        xs=lattice_x.centers(),
-        ys=lattice_y.centers(),
-        labels=labels,
-        sinr_values=sinr_values,
-        pitch=(lattice_x.pitch, lattice_y.pitch),
+    return RasterDiagram._with_deferred_sinr(
+        network, lattice_x, lattice_y, labels, backend
     )

@@ -48,7 +48,10 @@ class RasterService(Component):
         network: the :class:`~repro.model.network.WirelessNetwork` served.
         cache: a :class:`~repro.raster.TileCache` to share (e.g. with other
             services over the same network), or ``None`` to create a
-            private one from ``max_bytes`` / ``tile_size``.
+            private one from ``max_bytes`` / ``tile_size``.  One cache
+            follows one network lineage: a swap retires the old network's
+            fingerprint in the cache, so services sharing a cache must
+            swap together.
         max_bytes, tile_size: configuration of the private cache; passing
             them together with an explicit ``cache`` is an error.
         max_concurrency: optional cap on simultaneously running
@@ -153,14 +156,19 @@ class RasterService(Component):
         cache — tiles no changed station's certified reach can touch are
         re-keyed to the new network's fingerprint, overlapping tiles are
         dropped (a full drop when re-keying cannot be justified; see that
-        function for the exact contract and its label/SINR caveats) — then
+        function for the exact contract and its label caveat) — then
         installs the new network and diagram.  Returns the
-        ``(rekeyed, dropped)`` counts.
+        ``(rekeyed, dropped)`` counts.  Rasters served after the swap
+        compute their SINR values from the new network, so those are
+        exact; re-keyed labels may drift at other stations' zone
+        boundaries.
 
         Synchronous and lock-protected inside the cache, so it is safe to
         call from async code between requests; requests already running on
         executor threads hold their tiles by reference and complete against
-        the network they started with.
+        the network they started with.  The tiles such a request computes
+        are served to it but not stored, because the swap retired the old
+        network's fingerprint.
         """
         self._ensure_open()
         if new_network.fingerprint != self.network.fingerprint:

@@ -259,3 +259,51 @@ class TestNonFinitePoints:
         with use_backend(backend):
             answers = asyncio.run(asyncio.wait_for(main(), 60.0))
         assert answers == [-1] * len(self.POINTS)
+
+
+@pytest.mark.filterwarnings("error")
+class TestSubnormalPoints:
+    """Points a subnormal distance off a station or the origin: every
+    locator, on every backend, batch and scalar, answers what the scalar
+    ``station_heard_at`` does, without a warning."""
+
+    OFFSETS = (5e-324, 1e-320, 1e-310, 2.2e-308)
+
+    @pytest.fixture(scope="class", params=[0.002, 0.0], ids=["noisy", "noiseless"])
+    def built(self, request):
+        from repro import SINRDiagram
+        from repro.workloads import uniform_random_network
+
+        network = uniform_random_network(
+            9, side=12.0, minimum_separation=1.5, noise=request.param,
+            beta=3.0, seed=1,
+        )
+        points = [(d, d) for d in self.OFFSETS] + [(0.0, d) for d in self.OFFSETS]
+        for x, y in network.coords:
+            for d in self.OFFSETS:
+                for sign in (1.0, -1.0):
+                    points += [(x + sign * d, y), (x, y + sign * d)]
+        points = np.array(points)
+        diagram = SINRDiagram(network)
+        heard = [diagram.station_heard_at(Point(x, y)) for x, y in points]
+        truth = np.array([-1 if h is None else h for h in heard], dtype=np.int64)
+        locators = {
+            "brute-force": get_locator("brute-force").build(network),
+            "voronoi": get_locator("voronoi").build(network),
+            "sharded": get_locator("sharded").build(network, shards=2),
+            "theorem3": get_locator("theorem3").build(
+                network, epsilon=0.5, cover_method="ray_sweep"
+            ),
+        }
+        return points, truth, locators
+
+    @pytest.mark.parametrize("backend", ["numpy", "float32-screen", "reference"])
+    def test_batch_and_scalar_agree_with_station_heard_at(self, built, backend):
+        points, truth, locators = built
+        with use_backend(backend):
+            for name, locator in locators.items():
+                np.testing.assert_array_equal(
+                    locator.locate_batch(points), truth, err_msg=name
+                )
+                scalar = [locator.locate(Point(x, y)) for x, y in points]
+                np.testing.assert_array_equal(scalar, truth, err_msg=name)

@@ -347,6 +347,28 @@ class TestSINRDiagram:
             Point(raster.xs[0], 0.0)
         )
 
+    @pytest.mark.parametrize("cache", [None, 8], ids=["monolithic", "tiled"])
+    def test_raster_label_at_non_finite_point_hears_no_station(self, cache):
+        """searchsorted places NaN past the last midpoint and inf on the last
+        pixel; a non-finite point hears no station, so it must answer
+        NO_RECEPTION even where the edge pixel is a reception zone."""
+        network = uniform_random_network(
+            9, side=12.0, minimum_separation=1.5, noise=0.002, beta=3.0, seed=1
+        )
+        diagram = SINRDiagram(network)
+        x0, y0 = network.coords[0]
+        raster = diagram.rasterize(
+            Point(x0 - 0.5, y0 - 0.5), Point(x0 + 0.1, y0 + 0.1), 16,
+            cache=None if cache is None else TileCache(tile_size=cache),
+        )
+        assert int(raster.labels[-1, -1]) == 0
+        for x, y in [
+            (math.nan, math.nan), (math.inf, math.inf), (math.nan, y0),
+            (x0, math.inf), (-math.inf, y0), (x0, -math.nan),
+        ]:
+            assert diagram.station_heard_at(Point(x, y)) is None
+            assert raster.label_at(Point(x, y)) == NO_RECEPTION, (x, y)
+
     def test_raster_pixels_tile_the_box_exactly(self, noisy_diagram):
         """Cell-centre sampling: labels.size * pixel_area() == box area.
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +23,9 @@ from repro import Point, SINRDiagram, TileCache, WirelessNetwork
 from repro.exceptions import DiagramError, RasterCacheError, ServiceError
 from repro.model.diagram import RasterLattice
 from repro.raster import default_cache, resolve_cache
+from repro.raster.cache import RETIRED_FINGERPRINTS
 from repro.service import RasterService
+from repro.workloads import uniform_random_network
 
 
 @pytest.fixture
@@ -178,6 +181,20 @@ class TestCacheStats:
         assert stats.misses == misses
         assert stats.hits == 4 + 4
 
+    @pytest.mark.parametrize("stations", [2, 12])
+    def test_a_tile_holds_its_label_block_only(self, stations):
+        """A tile's resident bytes are ``tile_size**2`` labels whatever the
+        station count: no per-station SINR planes are cached."""
+        network = uniform_random_network(
+            stations, side=8.0, minimum_separation=1.5, noise=0.01, beta=2.0,
+            seed=3,
+        )
+        cache = TileCache(tile_size=16)
+        SINRDiagram(network).rasterize(Point(-2, -2), Point(10, 10), 48, cache=cache)
+        stats = cache.stats()
+        assert stats.tiles == 16
+        assert stats.stored_bytes == stats.tiles * 16 * 16 * np.dtype(np.intp).itemsize
+
     def test_clear_drops_tiles_but_not_counters(self, diagram):
         cache = TileCache(tile_size=32)
         diagram.rasterize(Point(-4, -4), Point(4, 4), 64, cache=cache)
@@ -207,6 +224,74 @@ class TestCacheStats:
             assert default_cache().stats().hits >= before.hits + before.tiles
         finally:
             default_cache().clear()
+
+
+# ----------------------------------------------------------------------
+# SINR values computed on first read
+# ----------------------------------------------------------------------
+@pytest.fixture
+def sinr_batch_calls(monkeypatch):
+    """The point counts of every ``engine.batch.sinr_batch`` call."""
+    import repro.engine.batch as engine_batch
+
+    calls = []
+    original = engine_batch.sinr_batch
+
+    def counting(network, points, *args, **kwargs):
+        calls.append(len(points))
+        return original(network, points, *args, **kwargs)
+
+    monkeypatch.setattr(engine_batch, "sinr_batch", counting)
+    return calls
+
+
+class TestDeferredSinrValues:
+    def test_unread_sinr_costs_only_the_missing_tiles(
+        self, diagram, sinr_batch_calls
+    ):
+        cache = TileCache(tile_size=16)
+        diagram.rasterize(Point(-8.0, -8.0), Point(0.0, 8.0), 64, cache=cache)
+        assert len(sinr_batch_calls) == cache.stats().misses == 8
+        sinr_batch_calls.clear()
+        # The full box: 8 of its 16 tiles are warm.
+        diagram.rasterize(Point(-8.0, -8.0), Point(8.0, 8.0), 64, cache=cache)
+        assert sinr_batch_calls == [16 * 16] * 8
+        sinr_batch_calls.clear()
+        raster = diagram.rasterize(Point(-8.0, -8.0), Point(8.0, 8.0), 64, cache=cache)
+        assert sinr_batch_calls == []  # a full hit is lookups and label copies
+        # The first read is one engine call over the request's own pixels.
+        values = raster.sinr_values
+        assert sinr_batch_calls == [64 * 64]
+        assert raster.sinr_values is values
+        assert sinr_batch_calls == [64 * 64]
+        direct = diagram.rasterize(Point(-8.0, -8.0), Point(8.0, 8.0), 64)
+        assert_rasters_identical(direct, raster)
+
+    def test_concurrent_first_reads_compute_once(
+        self, ten_station_network, sinr_batch_calls
+    ):
+        diagram = SINRDiagram(ten_station_network)
+        box = (Point(-8.0, -8.0), Point(8.0, 8.0), 64)
+        direct = diagram.rasterize(*box)
+        raster = diagram.rasterize(*box, cache=TileCache(tile_size=16))
+        sinr_batch_calls.clear()
+        workers = 8
+        barrier = threading.Barrier(workers)
+
+        def first_read(_):
+            barrier.wait(timeout=30.0)
+            return raster.sinr_values
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                reads = list(pool.map(first_read, range(workers), timeout=60.0))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sinr_batch_calls == [64 * 64]
+        assert all(values is reads[0] for values in reads)
+        np.testing.assert_array_equal(direct.sinr_values, reads[0])
 
 
 # ----------------------------------------------------------------------
@@ -378,6 +463,17 @@ class TestTileStore:
         assert (rekeyed, removed) == (3, 1)
         stats = cache.stats()
         assert stats.invalidated == 1 and stats.stored_bytes == 300
+
+    def test_only_the_latest_retired_fingerprints_are_remembered(self):
+        cache = TileCache()
+        for index in range(RETIRED_FINGERPRINTS + 1):
+            cache.invalidate_region(f"fp{index}", f"fp{index + 1}", None)
+        self.fill(cache, "fp0", 1)  # forgotten: stored like any other tile
+        self.fill(cache, "fp1", 1)  # still retired: served, never stored
+        self.fill(cache, f"fp{RETIRED_FINGERPRINTS + 1}", 1)  # the live one
+        stats = cache.stats()
+        assert stats.misses == 3 and stats.rejected == 1
+        assert stats.tiles == 2 and stats.stored_bytes == 200
 
     def test_resolve_cache_passes_caches_through(self):
         cache = TileCache()
@@ -838,3 +934,63 @@ class TestDeltaInvalidation:
         # recomputed, so the moved station's neighbourhood is exact.
         agreement = np.mean(served.labels == direct.labels)
         assert agreement > 0.99
+
+    def test_retired_network_tiles_are_served_but_never_stored(
+        self, noisy_network
+    ):
+        """A request that straddles a swap finishes against the old network:
+        it gets its tiles, and they count as rejected instead of parking
+        under a fingerprint nothing will serve again."""
+        from repro.model import move_station
+        from repro.raster import invalidate_for_delta
+
+        cache = self._warm(noisy_network)
+        moved, delta = move_station(noisy_network, 0, Point(0.3, 0.2))
+        invalidate_for_delta(cache, noisy_network, moved, delta)
+        before = cache.stats()
+        stale = SINRDiagram(noisy_network).rasterize(*self.BOX, 64, cache=cache)
+        assert_rasters_identical(
+            SINRDiagram(noisy_network).rasterize(*self.BOX, 64), stale
+        )
+        after = cache.stats()
+        assert after.misses - before.misses == 64  # 8 x 8 tiles, none left
+        assert after.rejected - before.rejected == 64
+        assert after.tiles == before.tiles
+        assert after.stored_bytes == before.stored_bytes
+        assert after.evictions == before.evictions == 0
+
+    def test_a_network_that_returns_is_cached_again(self, noisy_network):
+        from repro.raster import invalidate_for_delta
+
+        moved = noisy_network.with_station_moved(0, Point(0.3, 0.2))
+        cache = self._warm(noisy_network)
+        invalidate_for_delta(cache, noisy_network, moved)
+        invalidate_for_delta(cache, moved, noisy_network)
+        assert cache.stats().tiles < 64  # the move dropped some tiles
+        SINRDiagram(noisy_network).rasterize(*self.BOX, 64, cache=cache)
+        stats = cache.stats()
+        assert stats.rejected == 0 and stats.tiles == 64
+        # The network moved away from is now the retired one.
+        SINRDiagram(moved).rasterize(*self.BOX, 64, cache=cache)
+        stats = cache.stats()
+        assert stats.rejected == 64 and stats.tiles == 64
+
+    def test_swap_serves_the_new_networks_sinr_values(self):
+        """Re-keyed tiles keep their labels, but a raster served after the
+        swap computes its SINR values from the new network, bit for bit."""
+        from repro.model import move_station
+
+        network = uniform_random_network(
+            12, side=12.0, minimum_separation=1.5, noise=0.01, beta=2.0, seed=3
+        )
+        box = (Point(-2.0, -2.0), Point(14.0, 14.0), 128)
+        service = RasterService(network, tile_size=16)
+        asyncio.run(service.rasterize(*box))
+        x, y = network.coords[0]
+        moved, delta = move_station(network, 0, Point(x + 0.7, y + 0.4))
+        rekeyed, _ = service.swap_network(moved, delta)
+        assert rekeyed > 0
+        served = asyncio.run(service.rasterize(*box))
+        direct = SINRDiagram(moved).rasterize(*box)
+        np.testing.assert_array_equal(direct.sinr_values, served.sinr_values)
+        assert np.mean(served.labels == direct.labels) > 0.99
