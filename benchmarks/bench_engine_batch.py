@@ -21,13 +21,12 @@ speedup gates on runners too slow or noisy for the defaults.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 import pytest
 
-from persist import record_benchmark
+from persist import record_benchmark, speedup_floor
 from repro.env import BENCH_QUICK, read_bool_knob
 from repro import Point, SINRDiagram
 from repro.engine import heard_station_batch, sinr_batch
@@ -73,12 +72,6 @@ def workload():
 def ds_workload():
     network, queries = _make_workload(DS_STATION_COUNT)
     return network, queries, PointLocationStructure(network, epsilon=0.5)
-
-
-def _speedup_floor(default: float) -> float:
-    """The gate threshold, overridable for slow CI runners."""
-    override = os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "")
-    return float(override) if override.strip() else default
 
 
 def _scalar_seconds_per_query(fn, points) -> float:
@@ -160,7 +153,7 @@ def test_speedup_batch_over_scalar(workload):
     # Generous slack below the ~100x typically observed, so CI noise cannot
     # flake the gate while a genuine vectorisation regression still fails it;
     # REPRO_BENCH_MIN_SPEEDUP overrides it for pathologically slow runners.
-    floor = _speedup_floor(3.0 if QUICK else 10.0)
+    floor = speedup_floor(3.0 if QUICK else 10.0)
     assert heard_speedup >= floor
     assert locate_speedup >= floor
 
@@ -178,7 +171,7 @@ def test_speedup_structure_batch_over_scalar(ds_workload):
         f"\nDS locate speedup {speedup:.1f}x "
         f"({scalar * 1e6:.1f} -> {batch * 1e6:.2f} us/query)"
     )
-    assert speedup >= _speedup_floor(2.0 if QUICK else 4.0)
+    assert speedup >= speedup_floor(2.0 if QUICK else 4.0)
 
 
 @pytest.mark.paper

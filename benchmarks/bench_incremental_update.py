@@ -27,13 +27,12 @@ via :mod:`persist`.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 import pytest
 
-from persist import record_benchmark
+from persist import record_benchmark, speedup_floor
 from repro.env import BENCH_QUICK, read_bool_knob
 from repro import Point, SINRDiagram, TileCache
 from repro.model import move_station
@@ -47,11 +46,6 @@ QUERY_COUNT = 2_000 if QUICK else 20_000
 SHARDS = 8 if QUICK else 16
 RESOLUTION = 96 if QUICK else 192
 DS_OPTIONS = {"epsilon": 0.5, "cover_method": "ray_sweep"}
-
-
-def _speedup_floor(default: float) -> float:
-    override = os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "")
-    return float(override) if override.strip() else default
 
 
 def _moved_workload(station_count: int, seed: int = 23):
@@ -125,7 +119,7 @@ def test_incremental_update_beats_full_rebuild():
 
     # A single move must not pay for the whole deployment (default floor
     # the acceptance 5x; REPRO_BENCH_MIN_SPEEDUP overrides).
-    assert speedup >= _speedup_floor(5.0)
+    assert speedup >= speedup_floor(5.0)
 
 
 @pytest.mark.paper
@@ -191,4 +185,4 @@ def test_tile_invalidation_beats_full_flush():
 
     # Tile-granular invalidation must amortise (default floor the
     # acceptance 3x; REPRO_BENCH_MIN_SPEEDUP overrides).
-    assert speedup >= _speedup_floor(3.0)
+    assert speedup >= speedup_floor(3.0)

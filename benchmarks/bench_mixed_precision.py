@@ -21,13 +21,12 @@ Headline numbers are persisted to ``BENCH_engine.json`` via :mod:`persist`.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 import pytest
 
-from persist import record_benchmark
+from persist import record_benchmark, speedup_floor
 from repro.env import BENCH_QUICK, read_bool_knob
 from repro import Point
 from repro.engine import (
@@ -41,11 +40,6 @@ from repro.workloads import random_query_array, uniform_random_network
 QUICK = read_bool_knob(BENCH_QUICK)
 STATION_COUNT = 40 if QUICK else 200
 QUERY_COUNT = 5_000 if QUICK else 100_000
-
-
-def _speedup_floor(default: float) -> float:
-    override = os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "")
-    return float(override) if override.strip() else default
 
 
 def _best_seconds(fn, repeats: int = 3) -> float:
@@ -132,7 +126,7 @@ def test_nearest_received_speedup_gate(workload):
     )
     # The precision tier's reason to exist; REPRO_BENCH_MIN_SPEEDUP
     # overrides for noisy or underpowered runners.
-    assert speedup >= _speedup_floor(1.5)
+    assert speedup >= speedup_floor(1.5)
 
 
 @pytest.mark.paper

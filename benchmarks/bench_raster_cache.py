@@ -22,13 +22,12 @@ Set ``REPRO_BENCH_QUICK=1`` to shrink the workload (CI smoke mode).
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 import pytest
 
-from persist import record_benchmark
+from persist import record_benchmark, speedup_floor
 from repro.env import BENCH_QUICK, read_bool_knob
 from repro import Point, SINRDiagram, TileCache
 from repro.workloads import uniform_random_network
@@ -36,11 +35,6 @@ from repro.workloads import uniform_random_network
 QUICK = read_bool_knob(BENCH_QUICK)
 STATION_COUNT = 20
 RESOLUTION = 96 if QUICK else 192
-
-
-def _speedup_floor(default: float) -> float:
-    override = os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "")
-    return float(override) if override.strip() else default
 
 
 @pytest.fixture(scope="module")
@@ -159,4 +153,4 @@ def test_warm_cache_beats_uncached_rasterisation(workload):
 
     # The warm cache must amortise: the default floor is the acceptance 5x
     # (REPRO_BENCH_MIN_SPEEDUP overrides for slow or noisy runners).
-    assert speedup >= _speedup_floor(5.0)
+    assert speedup >= speedup_floor(5.0)

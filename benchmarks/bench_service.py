@@ -27,13 +27,12 @@ Set ``REPRO_BENCH_QUICK=1`` to shrink the workload (CI smoke mode).
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 
 import numpy as np
 import pytest
 
-from persist import record_benchmark
+from persist import record_benchmark, speedup_floor
 from repro.env import BENCH_QUICK, read_bool_knob
 from repro.pointlocation import build_locator
 from repro.service import QueryService, serve_points
@@ -47,11 +46,6 @@ from repro import Point
 QUICK = read_bool_knob(BENCH_QUICK)
 STATION_COUNT = 50
 QUERY_COUNT = 2_000 if QUICK else 10_000
-
-
-def _speedup_floor(default: float) -> float:
-    override = os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "")
-    return float(override) if override.strip() else default
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +132,7 @@ def test_micro_batching_beats_per_query_serving(workload):
 
     # Micro-batching must amortise: the default floor is the acceptance 5x
     # (REPRO_BENCH_MIN_SPEEDUP overrides for slow or noisy runners).
-    assert speedup >= _speedup_floor(5.0)
+    assert speedup >= speedup_floor(5.0)
 
 
 @pytest.mark.paper

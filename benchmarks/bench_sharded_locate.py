@@ -18,13 +18,12 @@ noisy runners.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 import pytest
 
-from persist import record_benchmark
+from persist import record_benchmark, speedup_floor
 from repro.env import BENCH_QUICK, read_bool_knob
 from repro import Point
 from repro.pointlocation import get_locator
@@ -37,11 +36,6 @@ SHARD_COUNTS = (1, 4, 8) if QUICK else (1, 2, 4, 8, 16)
 #: The flat structure is built once with the cheap cover (the vectorised
 #: ray sweep); epsilon is mid-range so the structure is realistic, not tiny.
 DS_OPTIONS = {"epsilon": 0.5, "cover_method": "ray_sweep"}
-
-
-def _speedup_floor(default: float) -> float:
-    override = os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "")
-    return float(override) if override.strip() else default
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +139,7 @@ def test_sharded_beats_flat_theorem3(workload):
     # Sharding must pay on this workload: the best configuration beats the
     # flat structure (default floor 1.2x; REPRO_BENCH_MIN_SPEEDUP overrides
     # for slow or noisy runners).
-    floor = _speedup_floor(1.0 if QUICK else 1.2)
+    floor = speedup_floor(1.0 if QUICK else 1.2)
     assert best_speedup >= floor
 
 

@@ -34,7 +34,13 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
 
-__all__ = ["BENCH_PATH", "current_git_sha", "quick_mode", "record_benchmark"]
+__all__ = [
+    "BENCH_PATH",
+    "current_git_sha",
+    "quick_mode",
+    "record_benchmark",
+    "speedup_floor",
+]
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -74,6 +80,20 @@ def quick_mode() -> bool:
     from repro.env import BENCH_QUICK, read_bool_knob
 
     return read_bool_knob(BENCH_QUICK)
+
+
+def speedup_floor(default: float) -> float:
+    """A benchmark gate's minimum speedup: ``default`` unless overridden.
+
+    ``REPRO_BENCH_MIN_SPEEDUP`` replaces the calibrated ``default`` (CI
+    sets 1.0–2.0 for its slower runners).  The knob is read through
+    :func:`repro.env.read_float_knob`, so a malformed, zero or negative
+    value warns and keeps ``default``: a typo can neither switch a gate
+    off nor crash the bench.
+    """
+    from repro.env import BENCH_MIN_SPEEDUP, read_float_knob
+
+    return read_float_knob(BENCH_MIN_SPEEDUP, default)
 
 
 @contextmanager

@@ -95,8 +95,8 @@ class FigurePanel:
     def rasterize(self, resolution: int = 200, *, cache=None):
         """Rasterise this panel's bounding box (the figure's pixel data).
 
-        Passing ``cache`` (a :class:`repro.raster.TileCache` or ``True``
-        for the process default) serves the raster from the tile cache:
+        Passing ``cache`` (a :class:`repro.raster.TileCache`) serves the
+        raster from the tile cache:
         panels of one figure share a bounding box — and different figures
         often share lattice-aligned sub-boxes — so rendering a figure set
         through one cache recomputes only genuinely new tiles.  The result

@@ -32,6 +32,10 @@ other's choice, and the context-manager form restores the previous selection
 even when an exception escapes the block.  The registry itself is guarded by
 a lock, and name-based selections are re-resolved on every query, so
 re-registering a backend under an active name takes effect immediately.
+A selection is a registered name or an object with the five
+:class:`QueryBackend` methods; anything else raises
+:class:`~repro.exceptions.ReproError` where it is passed, before it can
+reach a query.
 
 All of that machinery is one :class:`repro.runtime.Registry`
 instantiation (:data:`BACKENDS`, kind ``"backend"``): this module
@@ -399,9 +403,37 @@ def available_backends() -> Dict[str, QueryBackend]:
     return BACKENDS.snapshot()
 
 
+#: The :class:`QueryBackend` methods an explicitly passed backend must have.
+_METHODS = tuple(
+    name for name, value in vars(QueryBackend).items()
+    if callable(value) and not name.startswith("_")
+)
+
+
+def _checked(backend: QueryBackend) -> QueryBackend:
+    """``backend`` itself, once it is seen to have every protocol method.
+
+    Five attribute reads: raster tiles pass their pinned backend object on
+    every compute, so the check stays constant-time.
+    """
+    missing = [
+        method for method in _METHODS
+        if not callable(getattr(backend, method, None))
+    ]
+    if missing:
+        raise ReproError(
+            f"an engine backend is a registered name or an object with the "
+            f"QueryBackend methods; {backend!r} lacks {missing}"
+        )
+    return backend
+
+
 def get_backend(name: "str | QueryBackend | None" = None) -> QueryBackend:
-    """Resolve a backend: None -> the active one, a str -> by name, else as-is."""
-    return BACKENDS.get(name)
+    """Resolve a backend: None -> the active one, a str -> by name, else a
+    backend object (checked, returned as-is)."""
+    if name is None or isinstance(name, str):
+        return BACKENDS.get(name)
+    return _checked(name)
 
 
 def active_backend() -> QueryBackend:
@@ -422,7 +454,7 @@ def use_backend(name: "str | QueryBackend") -> Selection[QueryBackend]:
     previous selection is restored on exit (also when an exception escapes
     the block), and nested selections unwind in order.
     """
-    return BACKENDS.use(name)
+    return BACKENDS.use(name if isinstance(name, str) else _checked(name))
 
 
 register_backend("numpy", NumpyBackend())

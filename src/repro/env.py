@@ -25,8 +25,6 @@ __all__ = [
     "EnvKnob",
     "KNOBS",
     "ENGINE_CHUNK_BYTES",
-    "SERVICE_DRAIN_TIMEOUT",
-    "METRICS_INTERVAL",
     "BENCH_QUICK",
     "BENCH_MIN_SPEEDUP",
     "read_knob",
@@ -37,12 +35,6 @@ __all__ = [
 #: Byte budget for one engine call's kernel temporaries (see
 #: :func:`repro.engine.batch.chunk_byte_budget`).
 ENGINE_CHUNK_BYTES = "REPRO_ENGINE_CHUNK_BYTES"
-
-#: Seconds a network swap waits for the previous epoch's batches to drain.
-SERVICE_DRAIN_TIMEOUT = "REPRO_SERVICE_DRAIN_TIMEOUT"
-
-#: Default collection interval, in seconds, of a metrics hub.
-METRICS_INTERVAL = "REPRO_METRICS_INTERVAL"
 
 #: Shrinks benchmark workloads for CI smoke runs.
 BENCH_QUICK = "REPRO_BENCH_QUICK"
@@ -67,23 +59,6 @@ _DECLARED: Tuple[EnvKnob, ...] = (
         description=(
             "byte budget for one engine call's (n_stations, chunk) kernel "
             "temporaries; batch entry points tile the point axis to fit it"
-        ),
-    ),
-    EnvKnob(
-        name=SERVICE_DRAIN_TIMEOUT,
-        default="30",
-        description=(
-            "seconds QueryService.swap_network waits for the previous "
-            "epoch's in-flight batches to drain before raising; a "
-            "malformed or non-positive value warns and uses the default"
-        ),
-    ),
-    EnvKnob(
-        name=METRICS_INTERVAL,
-        default="0.25",
-        description=(
-            "seconds between two metrics-hub collections (each registered "
-            "source is snapshotted and fanned out to every sink per tick)"
         ),
     ),
     EnvKnob(

@@ -46,7 +46,7 @@ class RasterCacheError(DiagramError):
     """Raised for invalid raster tile-cache configuration or arguments.
 
     Examples: a non-positive byte budget or tile size, or a ``cache=``
-    argument that is neither a :class:`repro.raster.TileCache` nor ``True``.
+    argument that is neither a :class:`repro.raster.TileCache` nor ``None``.
     """
 
 

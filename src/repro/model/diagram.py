@@ -24,7 +24,7 @@ import numpy as np
 
 from ..engine import batch as engine_batch
 from ..engine.backend import active_backend
-from ..exceptions import DiagramError
+from ..exceptions import DiagramError, RasterCacheError
 from ..geometry.point import Point
 from .network import WirelessNetwork
 from .reception import ReceptionZone
@@ -376,16 +376,17 @@ class SINRDiagram:
             resolution: number of pixels along the longer side; the shorter
                 side is scaled to keep pixels square.
             cache: ``None`` computes the raster monolithically; a
-                :class:`repro.raster.TileCache` (or ``True`` for the
-                process-wide default cache) assembles it from cached lattice
-                tiles instead, computing only the missing ones.  Both paths
-                return bit-identical rasters.
+                :class:`repro.raster.TileCache` assembles it from cached
+                lattice tiles instead, computing only the missing ones.
+                Both paths return bit-identical rasters.
 
         Raises:
             DiagramError: if the box is empty, its width or height is not
                 finite (a non-finite corner, or corners so far apart that
                 the extent overflows), a side is too short for its pixel
                 pitch to be a nonzero float, or the resolution is too small.
+            RasterCacheError: if ``cache`` is neither ``None`` nor a
+                :class:`repro.raster.TileCache`.
         """
         # Python floats overflow to inf silently; numpy scalars would warn.
         width = float(upper_right.x) - float(lower_left.x)
@@ -417,13 +418,16 @@ class SINRDiagram:
         lattice_x = RasterLattice.build(lower_left.x, width, columns)
         lattice_y = RasterLattice.build(lower_left.y, height, rows)
 
-        if cache is not None and cache is not False:
+        if cache is not None:
             # Imported lazily: repro.raster sits above the model layer.
-            from ..raster import rasterize_tiled, resolve_cache
+            from ..raster import TileCache, rasterize_tiled
 
-            return rasterize_tiled(
-                self.network, lattice_x, lattice_y, cache=resolve_cache(cache)
-            )
+            if not isinstance(cache, TileCache):
+                raise RasterCacheError(
+                    f"cache must be a repro.raster.TileCache or None, "
+                    f"got {cache!r}"
+                )
+            return rasterize_tiled(self.network, lattice_x, lattice_y, cache=cache)
 
         xs = lattice_x.centers()
         ys = lattice_y.centers()
@@ -455,19 +459,15 @@ class SINRDiagram:
     # ------------------------------------------------------------------
     # Summary statistics
     # ------------------------------------------------------------------
-    def summary(self, resolution: int = 300, *, cache=None) -> Dict[str, object]:
+    def summary(self, resolution: int = 300) -> Dict[str, object]:
         """Coarse summary of the diagram (zone areas, coverage, fatness).
 
         Used by the experiment harness and examples for quick reporting; all
-        quantities are raster estimates.  Passing ``cache`` (a
-        :class:`repro.raster.TileCache` or ``True`` for the process default)
-        serves the underlying raster from the tile cache, so repeated
-        summaries of the same network recompute nothing.
+        quantities are raster estimates.  Each call rasterises the default
+        bounding box and measures every zone's fatness afresh.
         """
         lower_left, upper_right = self.default_bounding_box()
-        raster = self.rasterize(
-            lower_left, upper_right, resolution=resolution, cache=cache
-        )
+        raster = self.rasterize(lower_left, upper_right, resolution=resolution)
         zone_areas = {
             index: raster.zone_area(index) for index in range(len(self.network))
         }

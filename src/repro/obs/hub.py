@@ -48,7 +48,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..env import METRICS_INTERVAL, read_float_knob
 from ..exceptions import ObservabilityClosedError, ObservabilityError
 from ..runtime.component import Component
 
@@ -56,6 +55,9 @@ __all__ = ["MetricSource", "MetricsHub", "MetricsRecord"]
 
 #: A source is any zero-argument callable returning ``{name: number}``.
 MetricSource = Callable[[], Mapping[str, float]]
+
+#: Seconds between two periodic collections unless ``interval`` says else.
+DEFAULT_INTERVAL = 0.25
 
 
 @dataclass(frozen=True)
@@ -89,17 +91,15 @@ class MetricsHub(Component):
     """Collects registered sources into records and fans them to sinks.
 
     Args:
-        interval: seconds between periodic collections; defaults to the
-            ``REPRO_METRICS_INTERVAL`` knob (0.25 s).  Only used by the
-            periodic task — pull-mode ``collect()`` ignores it.
+        interval: seconds between periodic collections (default
+            :data:`DEFAULT_INTERVAL`, 0.25 s).  Only used by the periodic
+            task — pull-mode ``collect()`` ignores it.
     """
 
     lifecycle_error = ObservabilityError
     closed_error = ObservabilityClosedError
 
-    def __init__(self, interval: Optional[float] = None):
-        if interval is None:
-            interval = read_float_knob(METRICS_INTERVAL, 0.25)
+    def __init__(self, interval: float = DEFAULT_INTERVAL):
         if not interval > 0.0:
             raise ObservabilityError(
                 f"the metrics interval must be positive, got {interval}"

@@ -11,7 +11,7 @@ Every network-level locator implements the unified
 :class:`~repro.pointlocation.registry.Locator` protocol — ``locate(point)``
 -> station index or ``-1``; ``locate_batch(points)`` -> ``int64`` array with
 the same sentinel — and is reachable by name through the registry
-(:func:`get_locator` / :func:`available_locators` / :func:`use_locator`).
+(:func:`get_locator` / :func:`available_locators` / :func:`build_locator`).
 The locator matrix:
 
 ===================  =========================================================
@@ -64,12 +64,10 @@ from .qds import QDSBuildReport, ZoneGridIndex, ZoneLabel
 from .registry import (
     Locator,
     LocatorFactory,
-    active_locator,
     available_locators,
     build_locator,
     get_locator,
     register_locator,
-    use_locator,
 )
 from .segment_test import (
     SamplingSegmentTest,
@@ -102,7 +100,6 @@ __all__ = [
     "VoronoiCandidateLocator",
     "ZoneGridIndex",
     "ZoneLabel",
-    "active_locator",
     "available_locators",
     "build_locator",
     "explicit_radius_bounds",
@@ -115,5 +112,4 @@ __all__ = [
     "reconstruct_boundary_cells",
     "register_locator",
     "station_reaches",
-    "use_locator",
 ]

@@ -22,22 +22,21 @@ The registry
 
 ``register_locator(name, factory)`` / ``get_locator(name)`` /
 ``available_locators()`` manage the name -> factory mapping behind a lock, so
-registration is safe from any thread.  ``use_locator(name)`` selects a
-default locator factory for the current thread / asyncio task (a
-:class:`contextvars.ContextVar`, usable as a context manager exactly like
-:func:`repro.engine.backend.use_backend`), which lets harnesses sweep
-locators without threading a parameter through every call.
+registration is safe from any thread, and ``build_locator(network, name,
+**options)`` resolves and builds in one call.  Every caller names its
+locator or passes a factory object: there is no context-wide selection.
 
 Composed names: ``"sharded:<inner>"`` resolves to a factory that builds a
 :class:`~repro.pointlocation.sharded.ShardedLocator` wrapping the named inner
 locator per shard, so e.g. ``get_locator("sharded:theorem3")`` works anywhere
-a plain name does.  The registered locator matrix lives in the package
-docstring (:mod:`repro.pointlocation`).
+a plain name does.  ``sharded`` is the only prefix that composes.  The
+registered locator matrix lives in the package docstring
+(:mod:`repro.pointlocation`).
 
-The registry machinery is one :class:`repro.runtime.Registry`
-instantiation (:data:`LOCATORS`, kind ``"locator"``, with the composed-name
-hook enabled): this module contributes the protocols and the composition
-semantics and keeps the function surface as thin delegates.
+The name -> factory table is one :class:`repro.runtime.Registry`
+instantiation (:data:`LOCATORS`, kind ``"locator"``): this module
+contributes the protocols, the composition semantics and the check of
+factory objects, and keeps the function surface as thin delegates.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numpy as np
 
 from ..exceptions import PointLocationError
 from ..geometry.point import Point
-from ..runtime.registry import Registry, Selection
+from ..runtime.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..model.network import WirelessNetwork
@@ -61,9 +60,13 @@ __all__ = [
     "available_locators",
     "get_locator",
     "build_locator",
-    "active_locator",
-    "use_locator",
 ]
+
+#: Separator of composed names (``"sharded:voronoi"``).
+COMPOSE_SEPARATOR = ":"
+
+#: The one registered name whose factory takes an inner locator.
+_COMPOSING = "sharded"
 
 
 @runtime_checkable
@@ -117,17 +120,10 @@ class _ComposedFactory:
 
 
 #: The locator registry — a :class:`repro.runtime.Registry` instantiation
-#: with the composed-name hook enabled: ``"sharded:<inner>"`` resolves to a
-#: :class:`_ComposedFactory` without ever being registered.  The ContextVar
-#: selection defaults to ``"voronoi"``.
+#: of base names only: :func:`get_locator` resolves ``"sharded:<inner>"`` to
+#: a :class:`_ComposedFactory` without it ever being registered.
 LOCATORS: Registry[LocatorFactory] = Registry(
-    "locator",
-    label="locator",
-    default="voronoi",
-    error=PointLocationError,
-    compose=_ComposedFactory,
-    compose_example="sharded:voronoi",
-    unknown_hint=" (plus 'sharded:<inner>' compositions)",
+    "locator", error=PointLocationError
 )
 
 
@@ -138,6 +134,11 @@ def register_locator(name: str, factory: LocatorFactory) -> None:
     directly — the ``sharded:`` prefix is resolved dynamically so that every
     registered inner locator is immediately sweepable through it.
     """
+    if COMPOSE_SEPARATOR in name:
+        raise PointLocationError(
+            f"locator names must not contain {COMPOSE_SEPARATOR!r}; composed "
+            f"names like 'sharded:voronoi' are derived, not registered"
+        )
     LOCATORS.register(name, factory)
 
 
@@ -153,50 +154,44 @@ def available_locators() -> Dict[str, LocatorFactory]:
     return LOCATORS.snapshot()
 
 
-def get_locator(name: "str | LocatorFactory | None" = None) -> LocatorFactory:
-    """Resolve a locator factory: None -> the active one, a str -> by name.
+def get_locator(name: "str | LocatorFactory") -> LocatorFactory:
+    """Resolve a locator factory by name, or check a factory object.
 
     Composed names (``"sharded:voronoi"``, ``"sharded:theorem3"``, even
-    ``"sharded:sharded:voronoi"``) resolve recursively: the prefix must be a
-    registered factory that accepts an ``inner=`` build option, and the
-    remainder must itself resolve.  Anything that is not ``None`` or a string
-    is returned as-is (an explicitly constructed factory).
+    ``"sharded:sharded:voronoi"``) resolve recursively: ``sharded`` is the
+    only prefix that composes, and the remainder must itself resolve.  Any
+    other object must have a ``build`` method and is returned as-is (an
+    explicitly constructed factory).
     """
-    return LOCATORS.get(name)
+    if isinstance(name, str):
+        outer, separator, inner = name.partition(COMPOSE_SEPARATOR)
+        if not separator:
+            return LOCATORS.get(name)
+        if outer != _COMPOSING:
+            raise PointLocationError(
+                f"only {_COMPOSING!r} composes an inner locator "
+                f"({_COMPOSING}{COMPOSE_SEPARATOR}<inner>), got {name!r}"
+            )
+        get_locator(inner)  # validate the inner name eagerly
+        return _ComposedFactory(LOCATORS.get(outer), inner)
+    if not callable(getattr(name, "build", None)):
+        raise PointLocationError(
+            f"a locator is a registered name or a factory with a "
+            f"build(network, **options) method, got {name!r}"
+        )
+    return name
 
 
 def build_locator(
     network: "WirelessNetwork",
-    name: "str | LocatorFactory | None" = None,
+    name: "str | LocatorFactory",
     **options: object,
 ) -> Locator:
     """Resolve and build in one call: the service-layer lookup hook.
 
     ``build_locator(network, "sharded:voronoi", shards=8)`` is exactly
-    ``get_locator("sharded:voronoi").build(network, shards=8)``; ``None``
-    builds the context's active selection (:func:`use_locator`).  The async
+    ``get_locator("sharded:voronoi").build(network, shards=8)``.  The async
     query service (:mod:`repro.service`) and harnesses that take a locator
     spec as data go through this instead of pairing the two calls.
     """
     return get_locator(name).build(network, **options)
-
-
-def active_locator() -> LocatorFactory:
-    """The locator factory harnesses use when none is named explicitly.
-
-    Resolved from the current context's selection, so each thread and async
-    task sees its own :func:`use_locator` choices (falling back to
-    ``"voronoi"`` — the exact ``O(n)``-per-query baseline — where none was
-    made).
-    """
-    return LOCATORS.active()
-
-
-def use_locator(name: "str | LocatorFactory") -> Selection[LocatorFactory]:
-    """Make ``name`` the active locator selection in the current context.
-
-    Takes effect immediately for the current thread / async task; as a
-    context manager the previous selection is restored on exit, also when an
-    exception escapes the block, and nested selections unwind in order.
-    """
-    return LOCATORS.use(name)

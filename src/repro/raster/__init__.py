@@ -2,15 +2,17 @@
 
 Rasterising an SINR diagram (``SINRDiagram.rasterize``, the numerical
 procedure behind the paper's Figures 1–5) costs one full SINR-matrix pass
-per pixel grid.  Under serving workloads — figures, ``summary()`` calls,
-experiment sweeps, zoom/pan traffic over the same network — overlapping
-requests used to recompute identical pixels from scratch.  This package
+per pixel grid.  Under serving workloads — figures, experiment sweeps,
+zoom/pan traffic over the same network — overlapping requests used to
+recompute identical pixels from scratch.  This package
 caches the work at tile granularity and reuses it across requests.
 
 How a request is served
 =======================
 
-``SINRDiagram.rasterize(lower_left, upper_right, resolution, cache=...)``
+``SINRDiagram.rasterize(lower_left, upper_right, resolution, cache=cache)``
+with a :class:`TileCache` (``cache=None``, the default, rasterises without
+one; any other value raises :class:`~repro.exceptions.RasterCacheError`)
 snaps the request onto a per-axis pixel lattice (pitch = box length /
 pixel count; pixel centres at ``phase + (g + 0.5) * pitch`` for global
 integer indices ``g``), decomposes it onto the global tile lattice —
@@ -71,9 +73,10 @@ Quick use::
     raster = diagram.rasterize(lower_left, upper_right, 256, cache=cache)
     print(cache.stats().hit_rate)
 
-``cache=True`` uses the process-wide :func:`default_cache`.  The service
-layer's :class:`repro.service.RasterService` wraps one cache behind an
-async endpoint for concurrent zoom/pan traffic.
+There is no process-wide cache: whoever wants tiles reused owns the
+:class:`TileCache` and passes it.  The service layer's
+:class:`repro.service.RasterService` wraps one cache behind an async
+endpoint for concurrent zoom/pan traffic.
 """
 
 from .cache import (
@@ -81,8 +84,6 @@ from .cache import (
     DEFAULT_TILE_SIZE,
     CacheStats,
     TileCache,
-    default_cache,
-    resolve_cache,
 )
 from .tiles import (
     TileKey,
@@ -101,9 +102,7 @@ __all__ = [
     "TileKey",
     "affected_boxes",
     "compute_tile",
-    "default_cache",
     "invalidate_for_delta",
     "rasterize_tiled",
-    "resolve_cache",
     "tile_key",
 ]

@@ -3,10 +3,12 @@
 :class:`TileCache` maps :data:`~repro.raster.tiles.TileKey` tuples to
 computed tiles — read-only label arrays — under a configurable byte
 budget, evicting least-recently-used tiles when the budget is exceeded.
-It is safe to share one cache between threads (and hence between
-the event-loop executor threads of the service's raster endpoint): lookups
-and insertions are serialised by a lock, while tile *computation* happens
-outside it.  Concurrent requests for the same missing tile are
+Every cache is an object its owner creates and passes (``rasterize(...,
+cache=cache)``, ``RasterService(network, cache=cache)``); there is no
+process-wide one.  It is safe to share one cache between threads (and
+hence between the event-loop executor threads of the service's raster
+endpoint): lookups and insertions are serialised by a lock, while tile
+*computation* happens outside it.  Concurrent requests for the same missing tile are
 single-flighted — one caller computes, the others wait for the result —
 so a burst of overlapping zoom/pan requests never computes a tile twice.
 
@@ -35,8 +37,6 @@ __all__ = [
     "TileCache",
     "DEFAULT_MAX_BYTES",
     "DEFAULT_TILE_SIZE",
-    "default_cache",
-    "resolve_cache",
 ]
 
 #: Default byte budget: 8192 tiles of 64 pixels, since such a tile is a
@@ -331,40 +331,3 @@ class TileCache:
         sample["requests"] = float(stats.requests)
         sample["hit_rate"] = float(stats.hit_rate)
         return sample
-
-    def clear(self) -> None:
-        """Drop every resident tile (counters other than bytes/tiles remain)."""
-        with self._lock:
-            self._store.clear()
-            self._bytes = 0
-
-
-# -- the process-wide default cache --------------------------------------
-_default_cache: Optional[TileCache] = None
-_default_cache_lock = threading.Lock()
-
-
-def default_cache() -> TileCache:
-    """The process-wide default :class:`TileCache` (created on first use).
-
-    This is the cache ``rasterize(..., cache=True)`` uses; long-lived
-    deployments that want a different budget should build their own
-    :class:`TileCache` and pass it explicitly.
-    """
-    global _default_cache
-    with _default_cache_lock:
-        if _default_cache is None:
-            _default_cache = TileCache()
-        return _default_cache
-
-
-def resolve_cache(cache) -> TileCache:
-    """Normalise a ``cache=`` argument: ``True`` means the process default."""
-    if cache is True:
-        return default_cache()
-    if isinstance(cache, TileCache):
-        return cache
-    raise RasterCacheError(
-        "cache must be a repro.raster.TileCache or True (the process "
-        f"default), got {cache!r}"
-    )

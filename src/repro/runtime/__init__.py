@@ -4,9 +4,8 @@ Three pieces of cross-cutting machinery that every layer of the serving
 stack used to hand-roll now live here, written once:
 
 * :mod:`repro.runtime.registry` — the generic name -> item
-  :class:`Registry` with ContextVar-scoped selection and composed-name
-  resolution (``"sharded:voronoi"``).  The engine backend and locator
-  registries are thin instantiations of it.
+  :class:`Registry` with ContextVar-scoped selection.  The engine backend
+  and locator registries are thin instantiations of it.
 * :mod:`repro.runtime.component` — the :class:`Component` lifecycle
   (``new -> running -> stopping -> stopped``, terminal, async context
   manager, per-layer ``*ClosedError`` guards) adopted by the batcher,
@@ -25,7 +24,7 @@ state machines anywhere else.
 """
 
 from .component import Component, Runtime, StatsSource
-from .epoch import EpochCoordinator, drain_timeout
+from .epoch import EpochCoordinator
 from .registry import Registry, Selection
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "Runtime",
     "Selection",
     "StatsSource",
-    "drain_timeout",
 ]

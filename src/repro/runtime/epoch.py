@@ -12,8 +12,8 @@ The guarantees the coordinator preserves:
   captured at their seal time and batches sealed after use the new one;
   no batch ever mixes epochs;
 * **off-loop builds** — the build callable runs on an executor thread
-  under a copy of the caller's :mod:`contextvars` context, so backend /
-  locator selections govern the build while the loop keeps sealing
+  under a copy of the caller's :mod:`contextvars` context, so the engine
+  backend selection governs the build while the loop keeps sealing
   batches against the old epoch;
 * **update-latency accounting** — ``record`` receives build + flip
   seconds, measured before the drain starts: draining overlaps new-epoch
@@ -26,19 +26,9 @@ import asyncio
 import contextvars
 from typing import Awaitable, Callable, Optional, TypeVar
 
-from ..env import SERVICE_DRAIN_TIMEOUT, read_float_knob
-
-__all__ = ["EpochCoordinator", "drain_timeout"]
+__all__ = ["EpochCoordinator"]
 
 T = TypeVar("T")
-
-
-def drain_timeout(default: float = 30.0) -> float:
-    """The bounded-drain timeout, from the ``REPRO_SERVICE_DRAIN_TIMEOUT``
-    knob (seconds); read at drain time so a retune applies to the next
-    swap without a restart.  A malformed or non-positive value warns and
-    falls back to ``default``."""
-    return read_float_knob(SERVICE_DRAIN_TIMEOUT, default)
 
 
 class EpochCoordinator:

@@ -7,16 +7,20 @@ name -> item dict, a :class:`contextvars.ContextVar` holding the current
 *selection* (a name, re-resolved on every use, so re-registration under an
 active name takes effect immediately), and a token-restoring context
 manager.  :class:`Registry` is that machinery written once, parameterised
-by the few things that actually differed:
+by the two things that actually differed:
 
 * the **kind** (``"backend"``, ``"locator"``), which names the
   selection's ContextVar;
 * the **error type** raised for unknown names (``ReproError`` for the
   engine, :class:`~repro.exceptions.PointLocationError` for locators), so
-  existing ``except`` clauses keep working;
-* an optional **compose** hook for derived names: ``"sharded:voronoi"``
-  resolves recursively — the prefix must be registered, the remainder must
-  itself resolve — without ever being registered itself.
+  existing ``except`` clauses keep working.
+
+What a registry holds and how its layer spells derived names stay with
+that layer: :func:`repro.pointlocation.get_locator` resolves
+``"sharded:<inner>"`` itself, and both layers check an explicitly passed
+object before handing it out.  Only the engine selects through the
+ContextVar (``use_backend``); the locator registry has no default
+selection.
 
 Concurrency contract (inherited verbatim from both predecessors):
 ``register`` is lock-guarded and safe from any thread; ``get`` is a
@@ -30,7 +34,6 @@ from __future__ import annotations
 import threading
 from contextvars import ContextVar, Token
 from typing import (
-    Callable,
     Dict,
     Generic,
     List,
@@ -48,9 +51,6 @@ __all__ = [
 ]
 
 T = TypeVar("T")
-
-#: Separator of composed names (``"sharded:voronoi"``).
-COMPOSE_SEPARATOR = ":"
 
 
 class Selection(Generic[T]):
@@ -100,18 +100,8 @@ class Registry(Generic[T]):
         label: human phrasing used in error messages (``"engine backend"``);
             defaults to ``kind``.
         default: the selection in force where none was made (a name).
-        error: the exception type raised for unknown or malformed names —
-            each instantiation keeps its layer's taxonomy branch.
-        compose: optional hook enabling derived names: a callable
-            ``(outer_item, inner_name) -> item`` applied when a name
-            contains ``":"`` (``"sharded:voronoi"`` resolves the
-            ``"sharded"`` item, validates ``"voronoi"`` recursively, and
-            returns ``compose(item, "voronoi")``).  When set, plain names
-            must not contain the separator.
-        compose_example: a derived-name example quoted by the registration
-            error (``"sharded:voronoi"``).
-        unknown_hint: appended to the unknown-name error (e.g. a note that
-            composed spellings also exist).
+        error: the exception type raised for unknown names — each
+            instantiation keeps its layer's taxonomy branch.
     """
 
     def __init__(
@@ -121,17 +111,11 @@ class Registry(Generic[T]):
         label: Optional[str] = None,
         default: Optional[str] = None,
         error: Type[ReproError] = ReproError,
-        compose: Optional[Callable[[T, str], T]] = None,
-        compose_example: str = "",
-        unknown_hint: str = "",
     ) -> None:
         self.kind = kind
         self.label = label if label is not None else kind
         self.default = default
         self._error = error
-        self._compose = compose
-        self._compose_example = compose_example
-        self._unknown_hint = unknown_hint
         self._items: Dict[str, T] = {}
         self._lock = threading.Lock()
         # The active *selection*, not the active item: a registered name
@@ -149,17 +133,8 @@ class Registry(Generic[T]):
 
         Safe to call from any thread.  Because active selections made by
         name are re-resolved on use, overwriting a name that is currently
-        active takes effect immediately.  When composition is enabled,
-        derived spellings cannot be registered directly — they are resolved
-        dynamically so every registered inner name is immediately
-        composable.
+        active takes effect immediately.
         """
-        if self._compose is not None and COMPOSE_SEPARATOR in name:
-            raise self._error(
-                f"{self.label} names must not contain {COMPOSE_SEPARATOR!r}; "
-                f"composed names like {self._compose_example!r} are derived, "
-                f"not registered"
-            )
         with self._lock:
             self._items[name] = item
 
@@ -187,31 +162,22 @@ class Registry(Generic[T]):
     def get(self, name: Union[str, T, None] = None) -> T:
         """Resolve an item: ``None`` -> the active one, a str -> by name.
 
-        Composed names resolve recursively when the registry has a
-        ``compose`` hook (``"sharded:sharded:voronoi"`` works); anything
-        that is not ``None`` or a string is returned as-is (an explicitly
-        constructed item).
+        Anything that is not ``None`` or a string is returned as-is (an
+        explicitly constructed item; the layer's own ``get_*`` wrapper
+        checks it).
         """
         if name is None:
             return self.active()
         if isinstance(name, str):
-            if self._compose is not None:
-                base, separator, inner = name.partition(COMPOSE_SEPARATOR)
-            else:
-                base, separator, inner = name, "", ""
             # Lock-free read: dict lookups are atomic under the GIL, and
             # this is on the hot path of every batched query (re-resolution
             # of name-based selections).  The lock only serialises writers.
-            item = self._items.get(base)
+            item = self._items.get(name)
             if item is None:
                 raise self._error(
-                    f"unknown {self.label} {base!r}; "
-                    f"available: {self.available()}{self._unknown_hint}"
+                    f"unknown {self.label} {name!r}; "
+                    f"available: {self.available()}"
                 )
-            if separator:
-                assert self._compose is not None
-                self.get(inner)  # validate the inner name eagerly
-                return self._compose(item, inner)
             return item
         return name
 

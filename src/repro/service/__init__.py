@@ -33,6 +33,13 @@ The pieces
     concurrent zoom/pan clients reuse each other's tiles (responses stay
     bit-identical to the uncached rasteriser).
 
+What a caller sets is all there is to configure: a locator (name plus
+``build_options``, or an object) and the batcher's ``latency_budget`` /
+``max_batch_size`` / ``max_pending`` for :class:`QueryService`; the
+network and optionally a :class:`~repro.raster.TileCache` for
+:class:`RasterService`.  A network swap waits at most 30 s
+(:data:`repro.service.service.DRAIN_TIMEOUT`) for the old epoch's batches.
+
 Both services implement ``metrics_sample()``; a
 :class:`~repro.runtime.Runtime` registers it with its metrics hub, or call
 ``hub.add_source(name, service.metrics_sample)`` directly.

@@ -28,9 +28,9 @@ Concurrency contract
   keeps accumulating and sealing batches on schedule while the engine
   computes;
 * the :mod:`contextvars` context captured at :meth:`start` is used for
-  every engine call, so ``use_backend(...)`` / ``use_locator(...)``
-  selections made before starting the service apply to dispatched batches
-  even though they execute on another thread;
+  every engine call, so a ``use_backend(...)`` selection made before
+  starting the service applies to dispatched batches even though they
+  execute on another thread;
 * **epoch capture**: every batch is answered by the ``locate`` function
   installed *when the batch was sealed*.  :meth:`MicroBatcher.set_locate`
   (the serving side of a network swap) therefore never produces a
@@ -44,6 +44,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import math
+import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
@@ -84,6 +85,17 @@ class _Entry:
         self.submitted_at = submitted_at
 
 
+def _count(name: str, value: object) -> int:
+    """``value`` as an ``int`` >= 1; a float, even ``2.0``, is refused."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ServiceError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
+
+
 def _point_coordinates(point) -> Tuple[float, float]:
     """Coerce a Point / ``(x, y)`` pair / length-2 array into two floats."""
     x = getattr(point, "x", None)
@@ -109,8 +121,10 @@ class MicroBatcher(Component):
             from the oldest queued query; ``0.0`` seals immediately.
         max_batch_size: seal as soon as this many queries have accumulated.
         max_pending: backpressure bound on queued + in-flight queries.
-        stats: a :class:`~repro.service.stats.ServiceStats` to record into
-            (a fresh one is created when omitted).
+
+    Both counts must be integers >= 1, otherwise :class:`ServiceError`.
+    The batcher records into its own :class:`~repro.service.stats.ServiceStats`
+    (``stats``).
     """
 
     def __init__(
@@ -120,7 +134,6 @@ class MicroBatcher(Component):
         latency_budget: float = DEFAULT_LATENCY_BUDGET,
         max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
         max_pending: int = DEFAULT_MAX_PENDING,
-        stats: Optional[ServiceStats] = None,
     ):
         # A nan or infinite budget would arm a deadline that never fires,
         # leaving a lone query queued forever.
@@ -128,15 +141,11 @@ class MicroBatcher(Component):
             raise ServiceError(
                 f"latency_budget must be a finite number >= 0, got {latency_budget}"
             )
-        if max_batch_size < 1:
-            raise ServiceError("max_batch_size must be >= 1")
-        if max_pending < 1:
-            raise ServiceError("max_pending must be >= 1")
         self._locate = locate
         self.latency_budget = latency_budget
-        self.max_batch_size = max_batch_size
-        self.max_pending = max_pending
-        self.stats = stats if stats is not None else ServiceStats()
+        self.max_batch_size = _count("max_batch_size", max_batch_size)
+        self.max_pending = _count("max_pending", max_pending)
+        self.stats = ServiceStats()
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queue: Deque[_Entry] = deque()

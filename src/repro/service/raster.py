@@ -12,23 +12,20 @@ is the one that computes missing tiles, mirroring the
 The cache is thread-safe and single-flights concurrent misses, so a burst
 of overlapping zoom/pan requests computes every shared tile exactly once
 and each response is bit-identical to an uncached
-``SINRDiagram.rasterize`` of the same box.  An optional semaphore bounds
-how many rasterisations may run concurrently (defence against a client
-fanning out hundreds of cold requests at once).
+``SINRDiagram.rasterize`` of the same box.  Requests run on the event
+loop's default executor, which bounds how many compute at once.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
-import weakref
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
-from ..exceptions import ServiceClosedError, ServiceError
+from ..exceptions import RasterCacheError, ServiceClosedError, ServiceError
 from ..model.diagram import RasterDiagram, SINRDiagram
 from ..raster import CacheStats, TileCache, invalidate_for_delta
-from ..raster.cache import DEFAULT_MAX_BYTES, DEFAULT_TILE_SIZE
 from ..runtime.component import Component
 
 __all__ = ["RasterService"]
@@ -47,50 +44,22 @@ class RasterService(Component):
     Args:
         network: the :class:`~repro.model.network.WirelessNetwork` served.
         cache: a :class:`~repro.raster.TileCache` to share (e.g. with other
-            services over the same network), or ``None`` to create a
-            private one from ``max_bytes`` / ``tile_size``.  One cache
-            follows one network lineage: a swap retires the old network's
-            fingerprint in the cache, so services sharing a cache must
-            swap together.
-        max_bytes, tile_size: configuration of the private cache; passing
-            them together with an explicit ``cache`` is an error.
-        max_concurrency: optional cap on simultaneously running
-            rasterisations (``None`` leaves scheduling to the executor).
+            services over the same network, or a small-tile cache), or
+            ``None`` for a private default one.  One cache follows one
+            network lineage: a swap retires the old network's fingerprint
+            in the cache, so services sharing a cache must swap together.
     """
 
-    def __init__(
-        self,
-        network,
-        *,
-        cache: Optional[TileCache] = None,
-        max_bytes: Optional[int] = None,
-        max_concurrency: Optional[int] = None,
-        tile_size: Optional[int] = None,
-    ):
-        if cache is not None and (max_bytes is not None or tile_size is not None):
-            raise ServiceError(
-                "pass either an explicit cache or max_bytes/tile_size, not both"
-            )
+    def __init__(self, network, *, cache: Optional[TileCache] = None):
         if cache is None:
-            cache = TileCache(
-                max_bytes=DEFAULT_MAX_BYTES if max_bytes is None else max_bytes,
-                tile_size=DEFAULT_TILE_SIZE if tile_size is None else tile_size,
-            )
-        if max_concurrency is not None and max_concurrency < 1:
-            raise ServiceError(
-                f"max_concurrency must be at least 1, got {max_concurrency}"
+            cache = TileCache()
+        elif not isinstance(cache, TileCache):
+            raise RasterCacheError(
+                f"cache must be a repro.raster.TileCache or None, got {cache!r}"
             )
         self.network = network
         self.diagram = SINRDiagram(network)
         self.cache = cache
-        self._max_concurrency = max_concurrency
-        # asyncio primitives bind to the loop they were created under, and
-        # one long-lived service may be driven from several asyncio.run
-        # calls — so the concurrency semaphore is created per event loop
-        # (weakly keyed: a closed loop releases its semaphore with it).
-        self._semaphores: "weakref.WeakKeyDictionary[asyncio.AbstractEventLoop, asyncio.Semaphore]" = (
-            weakref.WeakKeyDictionary()
-        )
         # Captured once so every executor-thread rasterisation sees the
         # engine-backend selection active when the service was built.
         self._context = contextvars.copy_context()
@@ -98,18 +67,6 @@ class RasterService(Component):
     # -- lifecycle -------------------------------------------------------
     lifecycle_error = ServiceError
     closed_error = ServiceClosedError
-
-    async def _run_bounded(self, call: Callable):
-        """Run ``call`` on an executor thread, under the concurrency cap."""
-        loop = asyncio.get_running_loop()
-        if self._max_concurrency is None:
-            return await loop.run_in_executor(None, call)
-        semaphore = self._semaphores.get(loop)
-        if semaphore is None:
-            semaphore = asyncio.Semaphore(self._max_concurrency)
-            self._semaphores[loop] = semaphore
-        async with semaphore:
-            return await loop.run_in_executor(None, call)
 
     # -- queries ---------------------------------------------------------
     async def rasterize(
@@ -135,18 +92,7 @@ class RasterService(Component):
                 cache=self.cache,
             ),
         )
-        return await self._run_bounded(call)
-
-    async def summary(self, resolution: int = 300) -> dict:
-        """The diagram's :meth:`~repro.model.diagram.SINRDiagram.summary`,
-        with its raster served from the tile cache (and counted against
-        the same ``max_concurrency`` bound as :meth:`rasterize`)."""
-        self._ensure_open()
-        call = partial(
-            self._context.copy().run,
-            partial(self.diagram.summary, resolution, cache=self.cache),
-        )
-        return await self._run_bounded(call)
+        return await asyncio.get_running_loop().run_in_executor(None, call)
 
     # -- network swaps ---------------------------------------------------
     def swap_network(self, new_network, delta=None) -> tuple:

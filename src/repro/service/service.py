@@ -25,7 +25,7 @@ from ..engine.batch import PointsLike, as_points_array
 from ..exceptions import ServiceClosedError, ServiceError
 from ..pointlocation.registry import Locator, build_locator
 from ..runtime.component import Component
-from ..runtime.epoch import EpochCoordinator, drain_timeout
+from ..runtime.epoch import EpochCoordinator
 from .batcher import MicroBatcher
 from .stats import ServiceStats, StatsSnapshot
 
@@ -39,6 +39,10 @@ PointLike = Union["Point", Tuple[float, float], "np.ndarray"]
 
 __all__ = ["QueryService", "serve_points"]
 
+#: Seconds a network swap waits for the previous epoch's batches to drain
+#: before it raises :class:`~repro.exceptions.ServiceError`.
+DRAIN_TIMEOUT = 30.0
+
 
 class QueryService(Component):
     """Micro-batched async point location over one locator.
@@ -51,9 +55,8 @@ class QueryService(Component):
     Args:
         network: the :class:`~repro.model.network.WirelessNetwork` served.
         locator: a registry name (``"voronoi"``, ``"theorem3"``,
-            ``"sharded:voronoi"``, ...), ``None`` for the context's active
-            locator selection, or an already built locator object (anything
-            with a ``locate_batch``).
+            ``"sharded:voronoi"``, ...) or an already built locator object
+            (anything with a ``locate_batch``).
         build_options: forwarded to the locator factory's ``build`` when
             ``locator`` is a name (e.g. ``{"epsilon": 0.3}`` or
             ``{"shards": 8}``).
@@ -73,19 +76,17 @@ class QueryService(Component):
     def __init__(
         self,
         network: "WirelessNetwork",
-        locator: Union[str, Locator, None] = "voronoi",
+        locator: Union[str, Locator] = "voronoi",
         *,
         build_options: Optional[Mapping[str, object]] = None,
         **batcher_options: object,
     ) -> None:
         self.network = network
-        if locator is None or isinstance(locator, str):
-            self._locator_spec: Union[str, None] = locator
+        if isinstance(locator, str):
+            self._locator_spec: Optional[str] = locator
             self._build_options = dict(build_options or {})
             self.locator = build_locator(network, locator, **self._build_options)
-            self.locator_name = locator if isinstance(locator, str) else getattr(
-                self.locator, "name", "<active>"
-            )
+            self.locator_name = locator
         else:
             if build_options:
                 raise ServiceError(
@@ -99,7 +100,6 @@ class QueryService(Component):
             self._build_options = {}
             self.locator = locator
             self.locator_name = getattr(locator, "name", type(locator).__name__)
-        self._prebuilt = not (locator is None or isinstance(locator, str))
         self._batcher = MicroBatcher(self.locator.locate_batch, **batcher_options)
         self._epoch = EpochCoordinator()
 
@@ -143,7 +143,6 @@ class QueryService(Component):
         delta: "Optional[NetworkDelta]" = None,
         *,
         locator: Optional[Locator] = None,
-        drain_old: bool = True,
     ) -> Locator:
         """Install ``new_network`` for new batches; drain the old epoch.
 
@@ -164,13 +163,12 @@ class QueryService(Component):
            queries queued across the flip are simply answered by the new
            epoch.  ``ServiceStats.record_swap`` stamps the update latency
            (build + flip) and bumps the epoch counter.
-        3. **Drain.**  With ``drain_old=True`` (default) the call returns
-           only after every old-epoch batch has resolved its futures, so no
-           in-flight query is lost; the wait is bounded by the
-           ``REPRO_SERVICE_DRAIN_TIMEOUT`` knob (seconds).  ``drain_old=
-           False`` returns at the flip and lets the old epoch finish in the
-           background — cancellation-safe either way, since the flip has
-           already happened when the drain starts.
+        3. **Drain.**  The call returns only after every old-epoch batch
+           has resolved its futures, so no in-flight query is lost; the
+           wait is bounded by :data:`DRAIN_TIMEOUT` (30 s), after which the
+           swap raises :class:`ServiceError` with the new epoch already
+           installed.  Cancelling the call during the drain is safe, since
+           the flip has already happened when the drain starts.
 
         Returns the installed locator.  Safe to call before :meth:`start`
         (it just replaces the locator).  The build-flip-record-drain
@@ -182,7 +180,7 @@ class QueryService(Component):
             previous = self.locator
             if hasattr(previous, "updated"):
                 build = functools.partial(previous.updated, new_network, delta)
-            elif not self._prebuilt:
+            elif self._locator_spec is not None:
                 build = functools.partial(
                     build_locator, new_network, self._locator_spec,
                     **self._build_options,
@@ -205,8 +203,8 @@ class QueryService(Component):
             self._batcher.set_locate(installed.locate_batch)
 
         async def drain() -> None:
-            if drain_old and self.running:
-                await self._batcher.drain_inflight(timeout=drain_timeout())
+            if self.running:
+                await self._batcher.drain_inflight(timeout=DRAIN_TIMEOUT)
 
         built = await self._epoch.swap(
             build=build, flip=flip, drain=drain,
@@ -240,7 +238,7 @@ class QueryService(Component):
 def serve_points(
     network: "WirelessNetwork",
     points: PointsLike,
-    locator: Union[str, Locator, None] = "voronoi",
+    locator: Union[str, Locator] = "voronoi",
     *,
     build_options: Optional[Mapping[str, object]] = None,
     return_stats: bool = False,

@@ -12,8 +12,8 @@ The micro-batcher records three kinds of facts while it runs:
   on top of the wait.
 
 Waits and latencies are kept in bounded reservoirs (the most recent
-``reservoir_size`` samples) so a long-running service never grows without
-bound; percentiles are computed on demand from the reservoir.
+:data:`RESERVOIR_SIZE` samples) so a long-running service never grows
+without bound; percentiles are computed on demand from the reservoir.
 
 Everything here is mutated only from the service's event loop thread, so no
 locking is needed; :meth:`ServiceStats.snapshot` returns an immutable copy
@@ -27,12 +27,10 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Deque, Dict, Iterable, Sequence
 
-from ..exceptions import ServiceError
-
 __all__ = ["ServiceStats", "StatsSnapshot"]
 
-#: Default number of wait / latency samples retained for percentiles.
-DEFAULT_RESERVOIR_SIZE = 4096
+#: Number of wait / latency samples retained for percentiles.
+RESERVOIR_SIZE = 4096
 
 
 def _percentile(samples: Sequence[float], fraction: float) -> float:
@@ -102,9 +100,7 @@ class StatsSnapshot:
 class ServiceStats:
     """Mutable accumulator owned by one :class:`~repro.service.MicroBatcher`."""
 
-    def __init__(self, reservoir_size: int = DEFAULT_RESERVOIR_SIZE):
-        if reservoir_size < 1:
-            raise ServiceError("reservoir_size must be >= 1")
+    def __init__(self) -> None:
         self.submitted = 0
         self.completed = 0
         self.cancelled = 0
@@ -115,8 +111,8 @@ class ServiceStats:
         self.swaps = 0
         self.last_swap_seconds = float("nan")
         self._batched_queries = 0
-        self._waits: Deque[float] = deque(maxlen=reservoir_size)
-        self._latencies: Deque[float] = deque(maxlen=reservoir_size)
+        self._waits: Deque[float] = deque(maxlen=RESERVOIR_SIZE)
+        self._latencies: Deque[float] = deque(maxlen=RESERVOIR_SIZE)
 
     # -- recording (event-loop thread only) -----------------------------
     def record_submitted(self) -> None:
@@ -136,8 +132,8 @@ class ServiceStats:
         self.completed += 1
         self._latencies.append(latency)
 
-    def record_failed(self, count: int = 1) -> None:
-        self.failed += count
+    def record_failed(self) -> None:
+        self.failed += 1
 
     def record_swap(self, seconds: float) -> None:
         """One completed network swap: bump the epoch, keep update latency.

@@ -19,6 +19,7 @@ Four families:
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
 
@@ -199,6 +200,32 @@ class TestBackendSelection:
             assert selected is backend
             assert active_backend() is backend
         assert active_backend() is get_backend("numpy")
+
+    @pytest.mark.parametrize("bad", [123, None, object()],
+                             ids=["number", "none", "object"])
+    def test_a_selection_that_is_no_backend_is_refused(self, bad):
+        """Regression: ``use_backend(123)`` was accepted and poisoned its
+        context (every later engine call there raised a bare
+        ``AttributeError: 'int' object has no attribute 'sinr_matrix'``),
+        and ``sinr_batch(..., backend=object())`` failed the same way.
+        Both are refused where the value is passed."""
+        network = random_network(seed=1)
+        points = queries_for(network, count=8)
+
+        def select():
+            with pytest.raises(ReproError, match="registered name or an object"):
+                use_backend(bad)
+            return active_backend(), sinr_batch(network, points)
+
+        # A copied context, so a selection that slips through cannot leak.
+        selected, values = contextvars.copy_context().run(select)
+        assert selected is get_backend("numpy")
+        np.testing.assert_array_equal(
+            values, sinr_batch(network, points, backend="numpy")
+        )
+        if bad is not None:  # backend=None means the active backend
+            with pytest.raises(ReproError, match="registered name or an object"):
+                sinr_batch(network, points, backend=bad)
 
     def test_reregistration_takes_effect_while_active(self):
         class First:

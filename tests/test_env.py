@@ -23,16 +23,12 @@ from repro import env
 from repro.engine import available_backends
 from repro.engine.batch import chunk_byte_budget
 from repro.exceptions import ReproError
-from repro.obs import MetricsHub
-from repro.runtime import drain_timeout
 
 REPO = Path(__file__).resolve().parent.parent
 
 #: Library knob -> (reader, parser of the declared default).
 LIBRARY_READERS = {
     env.ENGINE_CHUNK_BYTES: (chunk_byte_budget, int),
-    env.SERVICE_DRAIN_TIMEOUT: (drain_timeout, float),
-    env.METRICS_INTERVAL: (lambda: MetricsHub().interval, float),
 }
 
 KNOB_NAME = re.compile(r"\bREPRO_[A-Z0-9_]+")

@@ -9,7 +9,6 @@ paper's ``beta > 1`` regime all of them agree with brute force exactly.
 from __future__ import annotations
 
 import asyncio
-import threading
 
 import numpy as np
 import pytest
@@ -19,11 +18,10 @@ from repro.exceptions import PointLocationError
 from repro.pointlocation import (
     BruteForceLocator,
     Locator,
-    active_locator,
     available_locators,
+    build_locator,
     get_locator,
     register_locator,
-    use_locator,
 )
 from repro.engine import use_backend
 from repro.workloads import random_query_array
@@ -71,10 +69,32 @@ class TestRegistry:
         assert "sharded:voronoi" not in names
 
     def test_unknown_name_raises(self):
-        with pytest.raises(PointLocationError, match="sharded:<inner>"):
+        with pytest.raises(PointLocationError, match="unknown locator 'nope'"):
             get_locator("nope")
         with pytest.raises(PointLocationError):
             get_locator("sharded:nope")  # inner names are validated eagerly
+
+    @pytest.mark.parametrize(
+        "name", ["voronoi:brute-force", "theorem3:voronoi", "nope:voronoi"]
+    )
+    def test_only_sharded_composes(self, name):
+        """Regression: any registered prefix resolved to a composed factory
+        whose ``build`` then failed with a bare ``TypeError`` (``unexpected
+        options: ['inner']``); it is refused at resolution now."""
+        with pytest.raises(PointLocationError, match="only 'sharded' composes"):
+            get_locator(name)
+
+    @pytest.mark.parametrize("bad", [123, None, object()],
+                             ids=["number", "none", "object"])
+    def test_a_selection_that_is_no_factory_is_refused(self, network, bad):
+        """Regression: a non-name without ``build`` was handed out as-is,
+        so ``build_locator(network, 123)`` failed with a bare
+        ``AttributeError``; ``None`` named a default selection that is
+        gone."""
+        with pytest.raises(PointLocationError, match="registered name or a factory"):
+            get_locator(bad)
+        with pytest.raises(PointLocationError, match="registered name or a factory"):
+            build_locator(network, bad)
 
     def test_composed_names_cannot_be_registered(self):
         with pytest.raises(
@@ -95,35 +115,16 @@ class TestRegistry:
             assert get_locator("custom") is Custom
             built = get_locator("custom").build(network)
             assert isinstance(built, Locator)
-            # Overwriting is allowed and visible immediately, also through
-            # an active by-name selection.
-            with use_locator("custom"):
-                register_locator("custom", BruteForceLocator)
-                assert active_locator() is BruteForceLocator
+            # Overwriting is allowed and visible immediately, also to a
+            # composed name resolved afterwards.
+            register_locator("custom", BruteForceLocator)
+            assert get_locator("custom") is BruteForceLocator
+            sharded = get_locator("sharded:custom").build(network, shards=2)
+            assert isinstance(sharded.shards[0].locator, BruteForceLocator)
         finally:
             from repro.pointlocation import registry
 
             registry.LOCATORS.unregister("custom")
-
-    def test_use_locator_scoping_and_default(self):
-        assert active_locator() is get_locator("voronoi")
-        with use_locator("brute-force") as factory:
-            assert factory is get_locator("brute-force")
-            assert active_locator() is get_locator("brute-force")
-        assert active_locator() is get_locator("voronoi")
-
-    def test_use_locator_is_thread_isolated(self):
-        seen = {}
-
-        def worker():
-            seen["worker"] = active_locator()
-
-        with use_locator("theorem3"):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-            assert active_locator() is get_locator("theorem3")
-        assert seen["worker"] is get_locator("voronoi")
 
     def test_factory_objects_pass_through(self):
         assert get_locator(BruteForceLocator) is BruteForceLocator

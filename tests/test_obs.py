@@ -91,12 +91,12 @@ class TestHubBasics:
         with pytest.raises(ObservabilityError):
             hub.add_sink(object())  # no emit()
 
-    def test_interval_defaults_from_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_METRICS_INTERVAL", "0.125")
-        assert MetricsHub().interval == 0.125
-        monkeypatch.setenv("REPRO_METRICS_INTERVAL", "not-a-number")
-        with pytest.warns(UserWarning, match="REPRO_METRICS_INTERVAL"):
-            assert MetricsHub().interval == 0.25
+    def test_interval_defaults_to_a_quarter_second(self):
+        from repro.obs.hub import DEFAULT_INTERVAL
+
+        assert DEFAULT_INTERVAL == 0.25
+        assert MetricsHub().interval == DEFAULT_INTERVAL
+        assert MetricsHub(interval=0.125).interval == 0.125
 
     def test_failing_source_is_skipped_and_counted(self):
         hub = MetricsHub(interval=1.0)

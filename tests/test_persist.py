@@ -1,6 +1,6 @@
-"""Regression tests for boolean knobs and benchmark persistence.
+"""Regression tests for benchmark knobs and benchmark persistence.
 
-Two historical bugs are pinned here:
+Three historical bugs are pinned here:
 
 * ``quick_mode()`` read the quick flag as ``bool(read_knob(...))`` — any
   non-empty value, including ``REPRO_BENCH_QUICK=0`` and ``=false``,
@@ -12,6 +12,12 @@ Two historical bugs are pinned here:
   silently dropped the earlier writer's section.  The fix serialises the
   cycle under an advisory file lock; the threaded test here loses sections
   on the pre-fix code.
+* six benchmark modules each read ``REPRO_BENCH_MIN_SPEEDUP`` straight from
+  ``os.environ``: ``0`` or a negative value silently disabled their speedup
+  gates, and a malformed value crashed them.  The one
+  :func:`persist.speedup_floor` reads the knob through
+  :func:`repro.env.read_float_knob`, which warns and keeps the calibrated
+  floor instead.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ import threading
 import pytest
 
 from repro.env import (
+    BENCH_MIN_SPEEDUP,
     BENCH_QUICK,
-    METRICS_INTERVAL,
     read_bool_knob,
     read_float_knob,
 )
@@ -62,18 +68,52 @@ class TestReadBoolKnob:
 
 class TestReadFloatKnob:
     def test_valid_value(self, monkeypatch):
-        monkeypatch.setenv(METRICS_INTERVAL, "0.5")
-        assert read_float_knob(METRICS_INTERVAL, 0.25) == 0.5
+        monkeypatch.setenv(BENCH_MIN_SPEEDUP, "0.5")
+        assert read_float_knob(BENCH_MIN_SPEEDUP, 0.25) == 0.5
 
     def test_unset_uses_default(self, monkeypatch):
-        monkeypatch.delenv(METRICS_INTERVAL, raising=False)
-        assert read_float_knob(METRICS_INTERVAL, 0.25) == 0.25
+        monkeypatch.delenv(BENCH_MIN_SPEEDUP, raising=False)
+        assert read_float_knob(BENCH_MIN_SPEEDUP, 0.25) == 0.25
 
     @pytest.mark.parametrize("raw", ["junk", "0", "-1.5", "nan"])
     def test_invalid_or_nonpositive_warns_and_defaults(self, monkeypatch, raw):
-        monkeypatch.setenv(METRICS_INTERVAL, raw)
-        with pytest.warns(UserWarning, match=METRICS_INTERVAL):
-            assert read_float_knob(METRICS_INTERVAL, 0.25) == 0.25
+        monkeypatch.setenv(BENCH_MIN_SPEEDUP, raw)
+        with pytest.warns(UserWarning, match=BENCH_MIN_SPEEDUP):
+            assert read_float_knob(BENCH_MIN_SPEEDUP, 0.25) == 0.25
+
+
+# ----------------------------------------------------------------------
+# speedup_floor() regression
+# ----------------------------------------------------------------------
+class TestSpeedupFloor:
+    def test_unset_keeps_the_calibrated_floor(self, monkeypatch):
+        monkeypatch.delenv(BENCH_MIN_SPEEDUP, raising=False)
+        assert persist.speedup_floor(5.0) == 5.0
+
+    @pytest.mark.parametrize("raw", ["1.0", "1.1", "1.5", "2.0"])
+    def test_ci_overrides_replace_the_floor(self, monkeypatch, raw):
+        monkeypatch.setenv(BENCH_MIN_SPEEDUP, raw)
+        assert persist.speedup_floor(5.0) == float(raw)
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "junk", "nan"])
+    def test_bad_override_warns_and_keeps_the_floor(self, monkeypatch, raw):
+        """Pre-fix, ``0`` or ``-1`` returned a floor every speedup clears
+        and ``junk`` raised ``ValueError`` out of the bench."""
+        monkeypatch.setenv(BENCH_MIN_SPEEDUP, raw)
+        with pytest.warns(UserWarning, match=BENCH_MIN_SPEEDUP):
+            assert persist.speedup_floor(5.0) == 5.0
+
+    def test_no_benchmark_reads_the_environment_itself(self):
+        """Every gate goes through the one helper."""
+        folder = os.path.dirname(persist.__file__)
+        readers = [
+            name
+            for name in sorted(os.listdir(folder))
+            if name.endswith(".py")
+            and name != "persist.py"
+            and "os.environ" in open(os.path.join(folder, name)).read()
+        ]
+        assert readers == []
 
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,8 @@ import numpy as np
 import pytest
 
 from repro import Point, SINRDiagram, TileCache, WirelessNetwork
-from repro.exceptions import DiagramError, RasterCacheError, ServiceError
+from repro.exceptions import DiagramError, RasterCacheError
 from repro.model.diagram import RasterLattice
-from repro.raster import default_cache, resolve_cache
 from repro.raster.cache import RETIRED_FINGERPRINTS
 from repro.service import RasterService
 from repro.workloads import uniform_random_network
@@ -139,18 +138,6 @@ class TestTiledBitIdentity:
         assert stats.misses == misses
         assert stats.hits == misses
 
-    def test_summary_through_cache_matches_uncached(self, diagram):
-        cache = TileCache(tile_size=32)
-        uncached = diagram.summary(resolution=60)
-        cached = diagram.summary(resolution=60, cache=cache)
-        assert cached["zone_areas"] == uncached["zone_areas"]
-        assert cached["coverage_fraction"] == uncached["coverage_fraction"]
-        assert cache.stats().misses > 0
-        # A repeated summary recomputes no tiles at all.
-        misses = cache.stats().misses
-        diagram.summary(resolution=60, cache=cache)
-        assert cache.stats().misses == misses
-
 
 # ----------------------------------------------------------------------
 # Cache bookkeeping
@@ -195,35 +182,25 @@ class TestCacheStats:
         assert stats.tiles == 16
         assert stats.stored_bytes == stats.tiles * 16 * 16 * np.dtype(np.intp).itemsize
 
-    def test_clear_drops_tiles_but_not_counters(self, diagram):
-        cache = TileCache(tile_size=32)
-        diagram.rasterize(Point(-4, -4), Point(4, 4), 64, cache=cache)
-        assert cache.stats().tiles > 0
-        cache.clear()
-        stats = cache.stats()
-        assert stats.tiles == 0 and stats.stored_bytes == 0
-        assert stats.misses > 0
-
     def test_validation(self):
         with pytest.raises(RasterCacheError):
             TileCache(max_bytes=0)
         with pytest.raises(RasterCacheError):
             TileCache(tile_size=0)
 
-    def test_cache_argument_validation(self, diagram):
-        with pytest.raises(RasterCacheError):
-            diagram.rasterize(Point(-4, -4), Point(4, 4), 32, cache=123)
-
-    def test_cache_true_uses_the_process_default(self, diagram):
-        default_cache().clear()
-        try:
-            first = diagram.rasterize(Point(-4, -4), Point(4, 4), 64, cache=True)
-            before = default_cache().stats()
-            again = diagram.rasterize(Point(-4, -4), Point(4, 4), 64, cache=True)
-            assert_rasters_identical(first, again)
-            assert default_cache().stats().hits >= before.hits + before.tiles
-        finally:
-            default_cache().clear()
+    @pytest.mark.parametrize(
+        "bad",
+        [123, True, False, 0, "default", TileCache],
+        ids=["number", "true", "false", "zero", "name", "class"],
+    )
+    def test_cache_argument_must_be_a_tile_cache_or_none(self, diagram, bad):
+        """``rasterize`` takes ``cache=None`` or a :class:`TileCache`; every
+        other value (``True`` named a process-wide cache that is gone)
+        raises, on the diagram and at ``RasterService`` construction."""
+        with pytest.raises(RasterCacheError, match="TileCache or None"):
+            diagram.rasterize(Point(-4, -4), Point(4, 4), 32, cache=bad)
+        with pytest.raises(RasterCacheError, match="TileCache or None"):
+            RasterService(diagram.network, cache=bad)
 
 
 # ----------------------------------------------------------------------
@@ -475,21 +452,6 @@ class TestTileStore:
         assert stats.misses == 3 and stats.rejected == 1
         assert stats.tiles == 2 and stats.stored_bytes == 200
 
-    def test_resolve_cache_passes_caches_through(self):
-        cache = TileCache()
-        assert resolve_cache(cache) is cache
-        assert resolve_cache(True) is default_cache()
-        assert default_cache() is default_cache()
-
-    @pytest.mark.parametrize(
-        "bad",
-        [None, False, 0, "default", TileCache],
-        ids=["none", "false", "zero", "name", "class"],
-    )
-    def test_resolve_cache_rejects_everything_else(self, bad):
-        with pytest.raises(RasterCacheError, match="TileCache or True"):
-            resolve_cache(bad)
-
 
 # ----------------------------------------------------------------------
 # Fingerprints
@@ -639,7 +601,9 @@ class TestConcurrency:
 # ----------------------------------------------------------------------
 class TestRasterService:
     def test_concurrent_zoom_pan_traffic(self, ten_station_network):
-        service = RasterService(ten_station_network, tile_size=32)
+        service = RasterService(
+            ten_station_network, cache=TileCache(tile_size=32)
+        )
         diagram = SINRDiagram(ten_station_network)
         boxes = [
             (Point(-8.0, -8.0), Point(8.0, 8.0), 128),
@@ -661,18 +625,11 @@ class TestRasterService:
         assert stats.misses == 16
         assert stats.hits == 4 * (16 + 4 + 4) - 16
 
-    def test_summary_endpoint_matches_direct(self, ten_station_network):
-        service = RasterService(ten_station_network, tile_size=32)
-        summary = asyncio.run(service.summary(resolution=60))
-        direct = SINRDiagram(ten_station_network).summary(resolution=60)
-        assert summary["zone_areas"] == direct["zone_areas"]
-        assert service.cache_stats().misses > 0
-
-    def test_shared_cache_and_bounded_concurrency(self, ten_station_network):
+    def test_shared_cache_single_flights_concurrent_requests(
+        self, ten_station_network
+    ):
         shared = TileCache(tile_size=32)
-        service = RasterService(
-            ten_station_network, cache=shared, max_concurrency=2
-        )
+        service = RasterService(ten_station_network, cache=shared)
         box = (Point(-4.0, -4.0), Point(4.0, 4.0), 64)
 
         async def drive():
@@ -686,35 +643,34 @@ class TestRasterService:
             assert_rasters_identical(direct, raster)
         assert shared.stats().misses == 4
 
-    def test_bounded_service_survives_multiple_event_loops(
-        self, ten_station_network
-    ):
-        """The concurrency semaphore must bind per loop, not per service."""
+    def test_service_survives_multiple_event_loops(self, ten_station_network):
+        """One long-lived service driven from two ``asyncio.run`` calls:
+        nothing it holds may bind to the first event loop."""
         service = RasterService(
-            ten_station_network, tile_size=32, max_concurrency=1
+            ten_station_network, cache=TileCache(tile_size=32)
         )
         box = (Point(-4.0, -4.0), Point(4.0, 4.0), 64)
 
         async def drive():
-            rasters = await asyncio.gather(
+            return await asyncio.gather(
                 *(service.rasterize(*box) for _ in range(3))
             )
-            summary = await service.summary(resolution=40)
-            return rasters, summary
 
-        first, _ = asyncio.run(drive())
-        second, summary = asyncio.run(drive())  # a fresh event loop
+        first = asyncio.run(drive())
+        second = asyncio.run(drive())  # a fresh event loop
         direct = SINRDiagram(ten_station_network).rasterize(*box)
         for raster in (*first, *second):
             assert_rasters_identical(direct, raster)
-        assert "zone_areas" in summary
+        assert service.cache_stats().misses == 4
 
     def test_swap_to_a_content_identical_network_keeps_every_tile(
         self, ten_station_network
     ):
         from seeded_workloads import seeded_network
 
-        service = RasterService(ten_station_network, tile_size=32)
+        service = RasterService(
+            ten_station_network, cache=TileCache(tile_size=32)
+        )
         box = (Point(-4.0, -4.0), Point(4.0, 4.0), 64)
         before = asyncio.run(service.rasterize(*box))
         twin = seeded_network(10, side=16.0, seed=3)
@@ -733,14 +689,6 @@ class TestRasterService:
         asyncio.run(service.rasterize(Point(-4.0, -4.0), Point(4.0, 4.0), 64))
         assert service.metrics_sample() == shared.metrics_sample()
         assert service.metrics_sample()["misses"] == 4.0
-
-    def test_configuration_validation(self, ten_station_network):
-        with pytest.raises(ServiceError):
-            RasterService(
-                ten_station_network, cache=TileCache(), max_bytes=1024
-            )
-        with pytest.raises(ServiceError):
-            RasterService(ten_station_network, max_concurrency=0)
 
     @pytest.mark.parametrize(
         "lower_left,upper_right,message",
@@ -761,7 +709,9 @@ class TestRasterService:
         """A box with a non-finite extent, or one whose pixel pitch
         underflows, fails its own request with ``DiagramError``, computes no
         tile, and leaves the service serving."""
-        service = RasterService(ten_station_network, tile_size=32)
+        service = RasterService(
+            ten_station_network, cache=TileCache(tile_size=32)
+        )
         box = (Point(-4.0, -4.0), Point(4.0, 4.0), 64)
 
         async def drive():
@@ -919,7 +869,7 @@ class TestDeltaInvalidation:
     def test_raster_service_swap_network(self, noisy_network):
         from repro.model import move_station
 
-        service = RasterService(noisy_network, tile_size=8)
+        service = RasterService(noisy_network, cache=TileCache(tile_size=8))
         box = (*self.BOX, 64)
         asyncio.run(service.rasterize(*box))
         moved, delta = move_station(noisy_network, 0, Point(0.3, 0.2))
@@ -984,7 +934,7 @@ class TestDeltaInvalidation:
             12, side=12.0, minimum_separation=1.5, noise=0.01, beta=2.0, seed=3
         )
         box = (Point(-2.0, -2.0), Point(14.0, 14.0), 128)
-        service = RasterService(network, tile_size=16)
+        service = RasterService(network, cache=TileCache(tile_size=16))
         asyncio.run(service.rasterize(*box))
         x, y = network.coords[0]
         moved, delta = move_station(network, 0, Point(x + 0.7, y + 0.4))

@@ -27,7 +27,8 @@ from repro.exceptions import (
     ServiceClosedError,
 )
 from repro.obs import MetricsHub
-from repro.runtime import Component, EpochCoordinator, Runtime, drain_timeout
+from repro.raster import TileCache
+from repro.runtime import Component, EpochCoordinator, Runtime
 from repro.service import MicroBatcher, QueryService
 from repro.service.raster import RasterService
 
@@ -59,7 +60,7 @@ def _build(name: str, network):
             return await c.locate((1.0, 2.0))
 
     elif name == "raster-service":
-        component = RasterService(network, max_bytes=1 << 20)
+        component = RasterService(network, cache=TileCache(max_bytes=1 << 20))
 
         async def op(c):
             return await c.rasterize(Point(0.0, 0.0), Point(2.0, 2.0), resolution=8)
@@ -439,14 +440,3 @@ class TestEpochCoordinator:
         after, loop_thread = run(main())
         assert seen["tag"] == after == "caller"
         assert seen["thread"] != loop_thread
-
-
-class TestDrainTimeout:
-    def test_unset_knob_uses_the_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVICE_DRAIN_TIMEOUT", raising=False)
-        assert drain_timeout() == 30.0
-        assert drain_timeout(default=7.5) == 7.5
-
-    def test_positive_knob_value_is_used(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_DRAIN_TIMEOUT", "2.5")
-        assert drain_timeout() == 2.5

@@ -219,21 +219,6 @@ class TestExactness:
         )
         np.testing.assert_array_equal(answers, truth[:300])
 
-    def test_no_name_serves_the_active_locator_selection(self, network,
-                                                         queries, truth):
-        from repro.pointlocation import BruteForceLocator, use_locator
-
-        with use_locator("brute-force"):
-            service = QueryService(network, None)
-        assert isinstance(service.locator, BruteForceLocator)
-        assert service.locator_name == "brute-force"
-
-        async def main():
-            async with service:
-                return await service.locate_many(queries[:64])
-
-        np.testing.assert_array_equal(run(main()), truth[:64])
-
     def test_acceptance_scale_network_serves_exactly(self, fifty_station_network):
         """The bench workload's 50-station network (same seed and box as
         benchmarks/bench_service.py) through the service, vs brute force."""
@@ -664,6 +649,28 @@ class TestBackpressure:
             # build_options are meaningless with a pre-built locator.
             QueryService(network, FakeLocator(), build_options={"shards": 2})
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "8", None],
+                             ids=["fraction", "integral-float", "string", "none"])
+    @pytest.mark.parametrize("option", ["max_batch_size", "max_pending"])
+    def test_batch_counts_must_be_integers(self, network, option, bad):
+        """Regression: ``max_batch_size=2.5`` was accepted, and the first
+        seal then raised ``TypeError`` (``range(2.5)``) inside the
+        dispatcher task, so every ``locate`` hung until ``stop()``
+        re-raised it.  Both counts are checked at construction now."""
+        with pytest.raises(ServiceError, match=f"{option} must be an integer"):
+            QueryService(network, "voronoi", **{option: bad})
+        with pytest.raises(ServiceError, match=f"{option} must be an integer"):
+            MicroBatcher(FakeLocator().locate_batch, **{option: bad})
+
+    def test_integer_types_are_accepted_as_counts(self):
+        batcher = MicroBatcher(
+            FakeLocator().locate_batch,
+            max_batch_size=np.int64(3),
+            max_pending=np.int32(8),
+        )
+        assert (batcher.max_batch_size, batcher.max_pending) == (3, 8)
+        assert type(batcher.max_batch_size) is int
+
 
 # ----------------------------------------------------------------------
 # Engine failures
@@ -751,12 +758,18 @@ class TestBackendInterplay:
 # ----------------------------------------------------------------------
 class TestFacadeAndStats:
     def test_reservoir_keeps_only_the_newest_samples(self):
-        stats = ServiceStats(reservoir_size=4)
-        for latency in (9.0, 9.0, 9.0, 1.0, 2.0, 3.0, 4.0):
+        from repro.service.stats import RESERVOIR_SIZE
+
+        stats = ServiceStats()
+        for latency in (9e9, 9e9, 9e9):
             stats.record_completed(latency)
-        assert stats.latency_percentile(1.0) == 4.0
-        assert stats.latency_percentile(0.0) == 1.0
-        assert stats.completed == 7  # counters are not reservoir-bounded
+        for latency in range(RESERVOIR_SIZE):
+            stats.record_completed(float(latency))
+        # The three oldest (and largest) samples fell out of the reservoir.
+        assert stats.latency_percentile(1.0) == RESERVOIR_SIZE - 1
+        assert stats.latency_percentile(0.0) == 0.0
+        # Counters are not reservoir-bounded.
+        assert stats.completed == RESERVOIR_SIZE + 3
 
     def test_serve_points_facade_with_stats(self, network, queries, truth):
         answers, snapshot = serve_points(
@@ -770,7 +783,7 @@ class TestFacadeAndStats:
         assert "answered" in snapshot.describe()
 
     def test_stats_percentiles_and_empty_snapshot(self):
-        stats = ServiceStats(reservoir_size=8)
+        stats = ServiceStats()
         empty = stats.snapshot()
         assert np.isnan(empty.latency_p50) and np.isnan(empty.mean_batch_size)
         stats.record_batch(5, [0.001, 0.002, 0.003, 0.004, 0.005])
@@ -781,8 +794,6 @@ class TestFacadeAndStats:
         assert snapshot.wait_p99 == pytest.approx(0.005, abs=1e-9)
         assert snapshot.latency_p99 == pytest.approx(0.05, abs=1e-9)
         assert snapshot.mean_batch_size == 5.0
-        with pytest.raises(ServiceError):
-            ServiceStats(reservoir_size=0)
 
     def test_percentile_is_nearest_rank_regression(self):
         """Pin the nearest-rank ``ceil(f*n)`` percentile definition.
@@ -793,18 +804,18 @@ class TestFacadeAndStats:
         fails on the pre-fix code (67 samples: p99 was 66.0; 4 and 8
         samples: p50 was the rank *above* the median).
         """
-        stats = ServiceStats(reservoir_size=128)
+        stats = ServiceStats()
         stats.record_batch(67, [float(value) for value in range(1, 68)])
         # Nearest rank: ceil(0.99 * 67) = 67th sample -> 67.0 (pre-fix 66.0).
         assert stats.wait_percentile(0.99) == 67.0
         assert stats.wait_percentile(0.50) == 34.0
 
-        four = ServiceStats(reservoir_size=8)
+        four = ServiceStats()
         four.record_batch(4, [1.0, 2.0, 3.0, 4.0])
         # ceil(0.5 * 4) = 2nd sample -> 2.0 (pre-fix round(1.5) -> 3.0).
         assert four.wait_percentile(0.50) == 2.0
 
-        eight = ServiceStats(reservoir_size=8)
+        eight = ServiceStats()
         eight.record_batch(8, [float(value) for value in range(1, 9)])
         # ceil(0.5 * 8) = 4th sample -> 4.0 (pre-fix round(3.5) -> 5.0).
         assert eight.wait_percentile(0.50) == 4.0
@@ -1011,44 +1022,15 @@ class TestEpochSwap:
         assert snapshot.epoch == 1
         assert "epoch 1 after 1 swaps" in snapshot.describe()
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-1"])
-    def test_bad_drain_timeout_knob_falls_back_to_default(
-        self, network, monkeypatch, raw
-    ):
-        """A malformed or non-positive REPRO_SERVICE_DRAIN_TIMEOUT warns and
-        drains under the default timeout instead of failing the swap after
-        the new epoch is already installed."""
-        monkeypatch.setenv("REPRO_SERVICE_DRAIN_TIMEOUT", raw)
-        old_spy = GatedLocator()
-        new_spy = ShiftedLocator()
-        pts = query_box_array(network, 8, seed=5)
-
-        async def main():
-            async with QueryService(
-                network, old_spy, latency_budget=0.05, max_batch_size=8
-            ) as service:
-                wave = [asyncio.create_task(service.locate(p)) for p in pts]
-                await asyncio.to_thread(old_spy.entered.wait, 10.0)
-                swap = asyncio.create_task(
-                    service.swap_network(network, locator=new_spy)
-                )
-                await asyncio.sleep(0.05)  # the drain is now waiting
-                old_spy.gate.set()
-                await swap
-                return await asyncio.gather(*wave), service.stats_snapshot()
-
-        with pytest.warns(UserWarning, match="REPRO_SERVICE_DRAIN_TIMEOUT"):
-            answers, snapshot = run(main())
-        np.testing.assert_array_equal(answers, fingerprint_answers(pts))
-        assert snapshot.swaps == 1 and snapshot.failed == 0
-
     def test_short_drain_timeout_fails_the_swap_after_the_flip(
         self, network, monkeypatch
     ):
-        """A drain that outlives the knob raises, but only after the new
-        epoch is installed: later batches answer from it, and the stuck
-        old-epoch batch still answers its own queries."""
-        monkeypatch.setenv("REPRO_SERVICE_DRAIN_TIMEOUT", "0.05")
+        """A drain that outlives ``DRAIN_TIMEOUT`` raises, but only after
+        the new epoch is installed: later batches answer from it, and the
+        stuck old-epoch batch still answers its own queries."""
+        from repro.service import service as service_module
+
+        monkeypatch.setattr(service_module, "DRAIN_TIMEOUT", 0.05)
         old_spy = GatedLocator()
         new_spy = ShiftedLocator()
         pts = query_box_array(network, 8, seed=5)
@@ -1075,27 +1057,6 @@ class TestEpochSwap:
         np.testing.assert_array_equal(answers, expected)
         assert fresh == expected[0] + ShiftedLocator.EPOCH_OFFSET
         assert snapshot.swaps == 1 and snapshot.failed == 0
-
-    def test_swap_without_drain_returns_at_the_flip(self, network):
-        old_spy = GatedLocator()
-        new_spy = ShiftedLocator()
-        pts = query_box_array(network, 8, seed=5)
-
-        async def main():
-            async with QueryService(
-                network, old_spy, latency_budget=0.05, max_batch_size=8
-            ) as service:
-                wave = [asyncio.create_task(service.locate(p)) for p in pts]
-                await asyncio.to_thread(old_spy.entered.wait, 10.0)
-                installed = await service.swap_network(
-                    network, locator=new_spy, drain_old=False
-                )
-                assert installed is new_spy
-                assert not any(task.done() for task in wave)  # still in flight
-                old_spy.gate.set()
-                return await asyncio.gather(*wave)
-
-        np.testing.assert_array_equal(run(main()), fingerprint_answers(pts))
 
     def test_opaque_prebuilt_locator_cannot_rebuild(self, network):
         moved, delta = self._moved(network)
