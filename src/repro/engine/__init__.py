@@ -11,17 +11,18 @@ Architecture
 
 ``kernels.py``
     Fully vectorised NumPy SINR kernels over raw coordinate arrays — the
-    SINR matrix, reception masks, the nearest received station and the
-    heard station, each from one distance, coincidence and energy pass.
+    SINR matrix, the reception check of a given station, the nearest
+    received station and the heard station, each from one distance,
+    coincidence and energy pass.
     Everything here is array-in / array-out and has no knowledge of the
     model layer's classes.
 
 ``backend.py``
     The pluggable backend protocol (:class:`QueryBackend`) and the
     concurrency-safe registry/selection machinery.  A backend is any object
-    implementing the protocol's five methods, all required: one value
-    query (``sinr_matrix``, behind rasters) and four decision queries
-    (``received_mask_matrix``, ``received_mask_at``, ``nearest_received``,
+    implementing the protocol's four methods, all required: one value
+    query (``sinr_matrix``, behind a raster's SINR values) and three
+    decision queries (``received_mask_at``, ``nearest_received``,
     ``heard_station``).  The backend matrix:
 
     ================  ==========================================================
@@ -57,12 +58,12 @@ Architecture
 ``batch.py``
     The uniform batch query API consumed by the model, point-location,
     analysis and workload layers: :func:`sinr_batch`,
-    :func:`heard_station_batch`, :func:`received_at` (the reception check
-    of a given candidate) and :func:`received_mask`,
-    :func:`nearest_received_batch` (the ``voronoi`` locator's one query:
-    the nearest station where it is received),
-    :func:`nearest_station_batch` (``theorem3``'s candidate pass) and
-    :func:`first_received_batch` (the ``brute-force`` locator's answer).
+    :func:`heard_station_batch` (the station heard at each point: the
+    ``brute-force`` locator's answer and every raster label),
+    :func:`received_at` (the reception check of a given candidate) and
+    :func:`received_mask`, :func:`nearest_received_batch` (the ``voronoi``
+    locator's one query: the nearest station where it is received) and
+    :func:`nearest_station_batch` (``theorem3``'s candidate pass).
     Locators answer batches through their own ``locate_batch``.  Query
     points may be an ``(m, 2)`` array, a sequence of :class:`Point` or
     ``(x, y)`` tuples; a non-finite point hears no station
@@ -80,8 +81,9 @@ Semantics
 Batch answers agree *pointwise* with the scalar code paths, including the
 edge cases: energies are ``+inf`` at (or overflow-close to) a station
 location, a point occupied by stations is received exactly by the co-located
-stations (and *heard* by the first of them), and no NaN ever leaks out of
-the SINR matrix at coincident points.  The property tests in ``tests/test_engine.py`` enforce
+stations (and *heard* by the first of them), elsewhere the station with the
+highest SINR is heard where that SINR reaches ``beta`` (lowest index on
+ties), and no NaN ever leaks out of the SINR matrix at coincident points.  The property tests in ``tests/test_engine.py`` enforce
 scalar/batch and numpy/reference agreement on randomized networks.
 """
 
@@ -100,7 +102,6 @@ from .batch import (
     NO_RECEPTION,
     as_points_array,
     chunk_byte_budget,
-    first_received_batch,
     heard_station_batch,
     nearest_received_batch,
     nearest_station_batch,
@@ -126,7 +127,6 @@ __all__ = [
     "as_points_array",
     "available_backends",
     "chunk_byte_budget",
-    "first_received_batch",
     "get_backend",
     "heard_station_batch",
     "kernels",

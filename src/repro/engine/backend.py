@@ -1,9 +1,9 @@
 """Pluggable compute backends for the batched query engine.
 
-A backend turns raw coordinate arrays into SINR quantities through the five
+A backend turns raw coordinate arrays into SINR quantities through the four
 methods of :class:`QueryBackend`, all required: the SINR matrix (the value
-query behind rasters) and four decision queries.  The backend matrix (see
-also :func:`available_backends`):
+query behind a raster's SINR values) and three decision queries.  The
+backend matrix (see also :func:`available_backends`):
 
 * ``"numpy"`` — the fully vectorised kernels of :mod:`repro.engine.kernels`
   (the default, and the fast path every consumer uses);
@@ -32,7 +32,7 @@ other's choice, and the context-manager form restores the previous selection
 even when an exception escapes the block.  The registry itself is guarded by
 a lock, and name-based selections are re-resolved on every query, so
 re-registering a backend under an active name takes effect immediately.
-A selection is a registered name or an object with the five
+A selection is a registered name or an object with the four
 :class:`QueryBackend` methods; anything else raises
 :class:`~repro.exceptions.ReproError` where it is passed, before it can
 reach a query.
@@ -74,14 +74,14 @@ class QueryBackend(Protocol):
     All methods take station coordinates ``(n, 2)``, powers ``(n,)`` and
     query points ``(m, 2)`` as float arrays and return arrays with the
     coincident-point semantics documented in :mod:`repro.engine.kernels`.
-    ``sinr_matrix`` is the value query behind rasters.  The four decision
-    queries are ``received_mask_matrix`` (every station at every point, the
-    brute-force answer), ``received_mask_at`` (is station ``indices[j]``
-    received at ``points[j]``? — the check of a given candidate),
-    ``nearest_received`` (the nearest station where it is received, else
-    ``no_reception``: the ``voronoi`` locator's whole query) and
-    ``heard_station`` (the bulk
-    :meth:`~repro.model.diagram.SINRDiagram.station_heard_at`).
+    ``sinr_matrix`` is the value query behind a raster's SINR values.  The
+    three decision queries are ``received_mask_at`` (is station
+    ``indices[j]`` received at ``points[j]``? — the check of a given
+    candidate), ``nearest_received`` (the nearest station where it is
+    received, else ``no_reception``: the ``voronoi`` locator's whole query)
+    and ``heard_station`` (the station heard at each point, else
+    ``no_reception``: the brute-force locator's answer and every raster
+    label; the bulk :meth:`~repro.model.network.WirelessNetwork.heard_station`).
     """
 
     name: str
@@ -92,16 +92,6 @@ class QueryBackend(Protocol):
         powers: np.ndarray,
         points: np.ndarray,
         noise: float,
-        alpha: float,
-    ) -> np.ndarray: ...
-
-    def received_mask_matrix(
-        self,
-        coords: np.ndarray,
-        powers: np.ndarray,
-        points: np.ndarray,
-        noise: float,
-        beta: float,
         alpha: float,
     ) -> np.ndarray: ...
 
@@ -181,17 +171,6 @@ class NumpyBackend:
         alpha: float,
     ) -> np.ndarray:
         return kernels.sinr_matrix(coords, powers, points, noise, alpha)
-
-    def received_mask_matrix(
-        self,
-        coords: np.ndarray,
-        powers: np.ndarray,
-        points: np.ndarray,
-        noise: float,
-        beta: float,
-        alpha: float,
-    ) -> np.ndarray:
-        return kernels.received_mask_matrix(coords, powers, points, noise, beta, alpha)
 
     def heard_station(
         self,
@@ -296,18 +275,6 @@ class ReferenceBackend:
                 mask[i, j] = ratio[i, j] >= beta
         return mask
 
-    def received_mask_matrix(
-        self,
-        coords: np.ndarray,
-        powers: np.ndarray,
-        points: np.ndarray,
-        noise: float,
-        beta: float,
-        alpha: float,
-    ) -> np.ndarray:
-        ratio = self.sinr_matrix(coords, powers, points, noise, alpha)
-        return self._mask_from_ratio(ratio, coords, points, beta)
-
     def received_mask_at(
         self,
         coords: np.ndarray,
@@ -318,7 +285,8 @@ class ReferenceBackend:
         beta: float,
         alpha: float,
     ) -> np.ndarray:
-        mask = self.received_mask_matrix(coords, powers, points, noise, beta, alpha)
+        ratio = self.sinr_matrix(coords, powers, points, noise, alpha)
+        mask = self._mask_from_ratio(ratio, coords, points, beta)
         return mask[indices, np.arange(len(points))]
 
     def nearest_received(
@@ -413,7 +381,7 @@ _METHODS = tuple(
 def _checked(backend: QueryBackend) -> QueryBackend:
     """``backend`` itself, once it is seen to have every protocol method.
 
-    Five attribute reads: raster tiles pass their pinned backend object on
+    Four attribute reads: raster tiles pass their pinned backend object on
     every compute, so the check stays constant-time.
     """
     missing = [

@@ -49,7 +49,6 @@ __all__ = [
     "sinr_batch",
     "received_mask",
     "received_at",
-    "first_received_batch",
     "nearest_station_batch",
     "nearest_received_batch",
     "heard_station_batch",
@@ -263,29 +262,6 @@ def received_at(
     )
 
 
-def first_received_batch(
-    network: "WirelessNetwork",
-    points: PointsLike,
-    backend: "str | QueryBackend | None" = None,
-) -> np.ndarray:
-    """Lowest index of a station received at each point, ``NO_RECEPTION`` where none.
-
-    The brute-force locator's answer: :func:`heard_station_batch` except
-    for ``beta < 1``, where several stations can be received and this keeps
-    the lowest index rather than the highest SINR.
-    """
-    engine = get_backend(backend)
-    coords, powers = network.coords, network.powers_array()
-
-    def first(chunk: np.ndarray, sl: slice) -> np.ndarray:
-        mask = engine.received_mask_matrix(
-            coords, powers, chunk, network.noise, network.beta, network.alpha
-        )
-        return np.where(mask.any(axis=0), np.argmax(mask, axis=0), NO_RECEPTION)
-
-    return _chunked(first, as_points_array(points), len(coords), columns=False)
-
-
 def nearest_station_batch(
     network: "WirelessNetwork", points: PointsLike
 ) -> np.ndarray:
@@ -333,8 +309,12 @@ def heard_station_batch(
 ) -> np.ndarray:
     """Index of the station heard at each point, ``NO_RECEPTION`` where none.
 
-    Agrees pointwise with :meth:`SINRDiagram.station_heard_at` (including the
-    highest-SINR tie-break used in the ``beta < 1`` regime).
+    The one bulk heard-station query: the ``brute-force`` locator's answer
+    and every raster label.  The station with the highest SINR is heard
+    where that SINR reaches ``beta`` (lowest index on ties, which matters
+    only for ``beta < 1``), and at a point occupied by stations the first
+    co-located one: the rule of the scalar
+    :meth:`WirelessNetwork.heard_station`, with which it agrees pointwise.
     """
     return _over_points(
         network, as_points_array(points), backend, "heard_station",

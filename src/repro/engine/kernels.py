@@ -27,6 +27,10 @@ Edge-case semantics (matching the scalar model layer exactly):
   :meth:`repro.model.network.WirelessNetwork.is_received`: a point occupied
   by stations is received exactly by the co-located stations (each hears its
   own location by definition) and by nobody else;
+* the heard station follows
+  :meth:`repro.model.network.WirelessNetwork.heard_station`: the highest
+  SINR where it reaches ``beta``, lowest index on ties, and the first
+  co-located station at a point occupied by stations;
 * a zero denominator gives SINR ``+inf`` only under a positive signal:
   without noise, a point whose every energy is ``0`` — infinitely far, or
   so far that its squared distances overflow — has SINR ``0/0 = NaN``, and
@@ -42,7 +46,6 @@ __all__ = [
     "pairwise_squared_distances",
     "coincidence_matrix",
     "sinr_matrix",
-    "received_mask_matrix",
     "received_mask_at",
     "nearest_received",
     "heard_station",
@@ -119,14 +122,20 @@ def _column_totals(finite: np.ndarray) -> np.ndarray:
     return finite.sum(axis=0)
 
 
-def _sinr(
+def sinr_matrix(
     station_coordinates: np.ndarray,
     powers: np.ndarray,
     points: np.ndarray,
     noise: float,
-    alpha: float,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """The SINR matrix together with the coincidence matrix it used."""
+    alpha: float = 2.0,
+) -> np.ndarray:
+    """The full SINR matrix, shape ``(n_stations, n_points)``.
+
+    Entry ``(i, j)`` is ``SINR(s_i, p_j)``.  At a point exactly occupied by a
+    station the column is ``+inf`` for the first co-located station and
+    ``0.0`` elsewhere (see the module docstring); everywhere else the values
+    agree with the scalar :func:`repro.model.sinr.sinr_ratio`.
+    """
     energies, at_station = _masked_energies(
         station_coordinates, powers, points, alpha
     )
@@ -153,43 +162,7 @@ def _sinr(
         ) & coincident_columns[None, :]
         ratio = np.where(owner_mask, np.inf, ratio)
         ratio = np.where(coincident_columns[None, :] & ~owner_mask, 0.0, ratio)
-    return ratio, at_station
-
-
-def sinr_matrix(
-    station_coordinates: np.ndarray,
-    powers: np.ndarray,
-    points: np.ndarray,
-    noise: float,
-    alpha: float = 2.0,
-) -> np.ndarray:
-    """The full SINR matrix, shape ``(n_stations, n_points)``.
-
-    Entry ``(i, j)`` is ``SINR(s_i, p_j)``.  At a point exactly occupied by a
-    station the column is ``+inf`` for the first co-located station and
-    ``0.0`` elsewhere (see the module docstring); everywhere else the values
-    agree with the scalar :func:`repro.model.sinr.sinr_ratio`.
-    """
-    return _sinr(station_coordinates, powers, points, noise, alpha)[0]
-
-
-def received_mask_matrix(
-    station_coordinates: np.ndarray,
-    powers: np.ndarray,
-    points: np.ndarray,
-    noise: float,
-    beta: float,
-    alpha: float = 2.0,
-) -> np.ndarray:
-    """Reception indicators for every station at every point, shape ``(n, m)``.
-
-    Entry ``(i, j)`` is True iff ``p_j`` lies in the reception zone of
-    ``s_i`` under the scalar rule: the station's own location is always
-    received, a point occupied by (only) other stations is not, and
-    elsewhere ``SINR >= beta`` decides.
-    """
-    ratio, at_station = _sinr(station_coordinates, powers, points, noise, alpha)
-    return _mask_from_ratio(ratio, at_station, beta)
+    return ratio
 
 
 def received_mask_at(
@@ -203,9 +176,12 @@ def received_mask_at(
 ) -> np.ndarray:
     """Reception indicator of a *per-point* station, shape ``(m,)``.
 
-    Entry ``j`` equals ``received_mask_matrix(...)[indices[j], j]``, but
-    computed without materialising the other ``n - 1`` SINR rows: the energy
-    matrix (needed for the interference total) is the only ``(n, m)`` pass.
+    Entry ``j`` says whether station ``indices[j]`` is received at
+    ``points[j]``: its row of :func:`sinr_matrix` against ``beta``, computed
+    without materialising the other ``n - 1`` SINR rows (the energy matrix,
+    needed for the interference total, is the only ``(n, m)`` pass), except
+    that a point occupied by stations is received exactly by the co-located
+    ones.
     This is the verification kernel of every locator, where each point has
     exactly one candidate station to check; a constant ``indices`` array
     asks about one station everywhere.
@@ -256,20 +232,6 @@ def nearest_received(
     return np.where(heard, nearest, no_reception)
 
 
-def _mask_from_ratio(
-    ratio: np.ndarray, at_station: np.ndarray, beta: float
-) -> np.ndarray:
-    """Reception mask from a precomputed SINR matrix and coincidence matrix."""
-    mask = ratio >= beta
-    coincident_columns = at_station.any(axis=0)
-    if coincident_columns.any():
-        # A point occupied by stations is received exactly by the co-located
-        # stations: each hears its own location by definition, every other
-        # station is drowned there (the scalar is_received rule).
-        mask = np.where(coincident_columns[None, :], at_station, mask)
-    return mask
-
-
 def heard_station(
     station_coordinates: np.ndarray,
     powers: np.ndarray,
@@ -281,12 +243,15 @@ def heard_station(
 ) -> np.ndarray:
     """Index of the station heard at each point, or ``no_reception``.
 
-    For ``beta >= 1`` at most one station qualifies; for ``beta < 1`` several
-    may, and the one with the highest SINR wins (first index on ties), exactly
-    like :meth:`repro.model.diagram.SINRDiagram.station_heard_at`.
+    The station with the highest SINR, where that SINR reaches ``beta``
+    (lowest index on ties): for ``beta >= 1`` at most one station
+    qualifies, for ``beta < 1`` several may.  At a point occupied by
+    stations the first co-located one holds the column's only ``+inf``,
+    so it is heard; a NaN SINR (``0/0``, a NaN coordinate) fills its whole
+    column, whose argmax is then never received.  The same rule as
+    :meth:`repro.model.network.WirelessNetwork.heard_station`.
     """
-    ratio, at_station = _sinr(station_coordinates, powers, points, noise, alpha)
-    mask = _mask_from_ratio(ratio, at_station, beta)
-    any_received = mask.any(axis=0)
-    best = np.argmax(np.where(mask, ratio, -np.inf), axis=0)
-    return np.where(any_received, best, no_reception)
+    ratio = sinr_matrix(station_coordinates, powers, points, noise, alpha)
+    best = np.argmax(ratio, axis=0)
+    heard = ratio[best, np.arange(len(points))] >= beta
+    return np.where(heard, best, no_reception)

@@ -52,7 +52,7 @@ exactly like the registry's name-based selections, so
 ``register_backend("numpy", ...)`` overwrites take effect on the verify path
 immediately.
 
-All four decision queries run one screen-then-verify pass
+All three decision queries run one screen-then-verify pass
 (:meth:`Float32ScreenBackend._decide`), which casts the station arrays to
 float32 once per call.  :mod:`repro.engine.batch` hands every call a point
 chunk sized for the float64 kernels' temporaries under its
@@ -379,22 +379,6 @@ class Float32ScreenBackend:
         return out
 
     # -- screened decision queries -------------------------------------
-
-    def received_mask_matrix(self, coords, powers, points, noise, beta, alpha):
-        if not self._screenable(noise, beta, alpha):
-            return self._exact().received_mask_matrix(
-                coords, powers, points, noise, beta, alpha
-            )
-        beta32 = np.float32(beta)
-        return self._decide(
-            coords, powers, points, beta, alpha,
-            lambda c32, p32, pts32, tol32: _screen_sinr(
-                c32, p32, pts32, noise, beta32, tol32, alpha
-            )[1:],
-            lambda pts, sel: self._exact().received_mask_matrix(
-                coords, powers, pts[sel], noise, beta, alpha
-            ),
-        )
 
     def received_mask_at(self, coords, powers, points, indices, noise, beta, alpha):
         indices = np.asarray(indices, dtype=np.intp)

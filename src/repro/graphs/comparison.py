@@ -184,7 +184,14 @@ class ModelComparator:
         return self.udg.station_heard_at(point, self.transmitters)
 
     def heard_station_sinr(self, point: Point) -> Optional[int]:
-        """Station heard at ``point`` under the SINR rule (or None)."""
+        """Station heard at ``point`` under the SINR rule (or None).
+
+        :meth:`WirelessNetwork.heard_station` on the transmitters; a lone
+        transmitter is heard where its SNR reaches ``beta``.
+        """
+        if self._active_network is not None:
+            heard = self._active_network.heard_station(point)
+            return None if heard is None else self.transmitters[heard]
         for sender in self.transmitters:
             if self.sinr_receives(point, sender):
                 return sender

@@ -408,7 +408,6 @@ class SelectionDisciplineRule(Rule):
 _BACKEND_METHODS = frozenset(
     {
         "sinr_matrix",
-        "received_mask_matrix",
         "received_mask_at",
         "nearest_received",
         "heard_station",

@@ -7,7 +7,8 @@ the null zone ``H_empty`` where no station is heard (Section 1.1).  The
 * per-station :class:`~repro.model.reception.ReceptionZone` objects,
 * point queries ("which station, if any, is heard here?"),
 * a vectorised raster labelling over a bounding box (the numerical procedure
-  behind the paper's Figures 1–5),
+  behind the paper's Figures 1–5): one engine ``heard_station_batch`` call
+  labels the pixels, and the raster computes its SINR values on first read,
 * summary statistics (areas, fatness, coverage fraction) used by the
   experiment harness.
 """
@@ -29,7 +30,7 @@ from ..geometry.point import Point
 from .network import WirelessNetwork
 from .reception import ReceptionZone
 
-__all__ = ["SINRDiagram", "RasterDiagram", "RasterLattice", "raster_block"]
+__all__ = ["SINRDiagram", "RasterDiagram", "RasterLattice", "raster_labels"]
 
 #: Label used in raster maps for points where no station is heard.
 NO_RECEPTION = -1
@@ -95,6 +96,13 @@ class RasterLattice:
         return self.start + self.count
 
 
+def _pixel_points(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The pixel centres of a grid as one ``(len(ys) * len(xs), 2)`` batch,
+    row by row."""
+    grid_x, grid_y = np.meshgrid(xs, ys)
+    return np.column_stack((grid_x.ravel(), grid_y.ravel()))
+
+
 def _raster_sinr(
     network: WirelessNetwork, xs: np.ndarray, ys: np.ndarray, backend
 ) -> np.ndarray:
@@ -102,42 +110,26 @@ def _raster_sinr(
 
     One call of the batch API rather than the raw backend method, so pixel
     batches inherit its memory-bounded point chunking (bit-identical per
-    chunk size — chunking commutes with the per-pixel independence that
-    already makes tiles exact).
+    chunk size).
     """
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    pixel_points = np.column_stack((grid_x.ravel(), grid_y.ravel()))
-    return engine_batch.sinr_batch(network, pixel_points, backend=backend).reshape(
-        len(network), len(ys), len(xs)
-    )
+    return engine_batch.sinr_batch(
+        network, _pixel_points(xs, ys), backend=backend
+    ).reshape(len(network), len(ys), len(xs))
 
 
-def raster_block(
-    network: WirelessNetwork, xs: np.ndarray, ys: np.ndarray, backend=None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Labels and SINR values over a pixel-centre grid, in one engine call.
+def raster_labels(
+    network: WirelessNetwork, xs: np.ndarray, ys: np.ndarray, backend
+) -> np.ndarray:
+    """The station heard at every pixel centre, shape ``(len(ys), len(xs))``.
 
-    The shared compute core of the monolithic rasteriser and the tile cache:
-    the centres become an ``(m, 2)`` batch through the engine backend
-    (``backend``, defaulting to the active one) and every per-pixel quantity
-    (SINR column, reception test, argmax) is computed independently per
-    pixel, so computing any sub-grid under the *same* backend yields
-    bit-identical values to computing the full grid.  Different backends
-    agree only to floating-point tolerance, which is why the tile cache
-    keys tiles by backend and pins one backend per assembled request.
-
-    Returns:
-        ``(labels, sinr_values)`` of shapes ``(len(ys), len(xs))`` and
-        ``(n_stations, len(ys), len(xs))``.
+    One ``engine.batch.heard_station_batch`` call over the centres through
+    ``backend``: the labels of the uncached rasteriser and of every tile.
+    Each pixel is decided on its own, so any sub-grid computed under the
+    same backend has the labels of the same pixels in the full grid.
     """
-    if backend is None:
-        backend = active_backend()
-    sinr_values = _raster_sinr(network, xs, ys, backend)
-    received = sinr_values >= network.beta
-    best = np.argmax(sinr_values, axis=0)
-    any_received = received.any(axis=0)
-    labels = np.where(any_received, best, NO_RECEPTION)
-    return labels, sinr_values
+    return engine_batch.heard_station_batch(
+        network, _pixel_points(xs, ys), backend=backend
+    ).reshape(len(ys), len(xs))
 
 
 def _nearest_pixel_index(centers: np.ndarray, coordinate: float) -> int:
@@ -164,9 +156,9 @@ class RasterDiagram:
             ``labels[r, c]`` is the index of the station heard at pixel
             ``(xs[c], ys[r])`` or ``NO_RECEPTION``.
         sinr_values: 3-d float array of per-station SINR values with shape
-            ``(n_stations, len(ys), len(xs))``.  A raster assembled from
-            the tile cache computes them on first read (see
-            :attr:`sinr_values`).
+            ``(n_stations, len(ys), len(xs))``.  A raster from
+            :meth:`SINRDiagram.rasterize`, cached or not, computes them on
+            first read (see :attr:`sinr_values`).
         pitch: optional ``(dx, dy)`` pixel extent.  Always set by
             :meth:`SINRDiagram.rasterize`; rasters constructed by hand may
             omit it, in which case the extent is recovered from adjacent
@@ -190,7 +182,7 @@ class RasterDiagram:
         self.pitch = pitch
         self._sinr_values = sinr_values
         # ``(network, backend)`` while the SINR values are still to be
-        # computed; only the tile cache's assembly sets it.
+        # computed; set by ``SINRDiagram.rasterize`` and the tile cache.
         self._sinr_source: Optional[tuple] = None
         self._sinr_lock: Optional[threading.Lock] = None
 
@@ -205,9 +197,10 @@ class RasterDiagram:
     ) -> "RasterDiagram":
         """The raster of a lattice pair whose SINR values wait for a read.
 
-        The tile cache stores labels only; the first read of
-        :attr:`sinr_values` makes the one engine call the monolithic
-        rasteriser makes, under the request's pinned ``backend``.
+        Rasters are labelled by :func:`raster_labels` and tiles store
+        labels only; the first read of :attr:`sinr_values` makes one engine
+        call over the request's pixel centres, under its pinned
+        ``backend``.
         """
         raster = cls(
             xs=lattice_x.centers(),
@@ -224,13 +217,13 @@ class RasterDiagram:
     def sinr_values(self) -> np.ndarray:
         """Per-station SINR values, shape ``(n_stations, len(ys), len(xs))``.
 
-        On a raster assembled from the tile cache the first read computes
-        them through one ``engine.batch.sinr_batch`` call over the pixel
-        centres, with the network and backend of the request, and keeps
-        them: every pixel is computed on its own and chunking is exact, so
-        the values are bit-identical to the uncached raster's.  Concurrent
-        first reads compute once, under the raster's lock, and all return
-        the same array.
+        On a raster from :meth:`SINRDiagram.rasterize` the first read
+        computes them through one ``engine.batch.sinr_batch`` call over the
+        pixel centres, with the network and backend of the request, and
+        keeps them: every pixel is computed on its own and chunking is
+        exact, so cached and uncached rasters of one box have bit-identical
+        values.  Concurrent first reads compute once, under the raster's
+        lock, and all return the same array.
         """
         if self._sinr_source is not None:
             with self._sinr_lock:
@@ -322,28 +315,12 @@ class SINRDiagram:
     def station_heard_at(self, point: Point) -> Optional[int]:
         """The station heard at ``point``, or None (the null zone ``H_empty``).
 
-        When ``beta >= 1`` at most one station can be heard at any point; for
-        ``beta < 1`` (allowed so that Figure 5 can be reproduced) several
-        stations may qualify, in which case the one with the highest SINR is
-        reported.
+        :meth:`WirelessNetwork.heard_station`: when ``beta >= 1`` at most
+        one station can be heard at any point; for ``beta < 1`` (allowed so
+        that Figure 5 can be reproduced) several stations may qualify, and
+        the one with the highest SINR is reported.
         """
-        candidates = [
-            index
-            for index in range(len(self.network))
-            if self.network.is_received(index, point)
-        ]
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
-        # A point occupied by stations (only possible with shared locations):
-        # every co-located station is received there but the SINR ratio is
-        # undefined, so the first co-located candidate wins — the same
-        # convention the batch kernels use.
-        for index in candidates:
-            if self.network.station(index).location == point:
-                return index
-        return max(candidates, key=lambda index: self.network.sinr(index, point))
+        return self.network.heard_station(point)
 
     def reception_vector(self, point: Point) -> List[bool]:
         """Reception indicator of every station at ``point``."""
@@ -375,10 +352,11 @@ class SINRDiagram:
             lower_left, upper_right: corners of the bounding box.
             resolution: number of pixels along the longer side; the shorter
                 side is scaled to keep pixels square.
-            cache: ``None`` computes the raster monolithically; a
-                :class:`repro.raster.TileCache` assembles it from cached
-                lattice tiles instead, computing only the missing ones.
-                Both paths return bit-identical rasters.
+            cache: ``None`` labels the whole box in one engine call; a
+                :class:`repro.raster.TileCache` assembles the labels from
+                cached lattice tiles instead, computing only the missing
+                ones.  Either way the raster's ``sinr_values`` are computed
+                on first read, and both paths return bit-identical rasters.
 
         Raises:
             DiagramError: if the box is empty, its width or height is not
@@ -429,15 +407,14 @@ class SINRDiagram:
                 )
             return rasterize_tiled(self.network, lattice_x, lattice_y, cache=cache)
 
-        xs = lattice_x.centers()
-        ys = lattice_y.centers()
-        labels, sinr_values = raster_block(self.network, xs, ys)
-        return RasterDiagram(
-            xs=xs,
-            ys=ys,
-            labels=labels,
-            sinr_values=sinr_values,
-            pitch=(lattice_x.pitch, lattice_y.pitch),
+        # Pinned once: the labels and the deferred SINR values belong to
+        # the same backend, as in the tile cache's assembly.
+        backend = active_backend()
+        labels = raster_labels(
+            self.network, lattice_x.centers(), lattice_y.centers(), backend
+        )
+        return RasterDiagram._with_deferred_sinr(
+            self.network, lattice_x, lattice_y, labels, backend
         )
 
     def default_bounding_box(self, margin: float = 1.5) -> Tuple[Point, Point]:

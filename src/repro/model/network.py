@@ -261,13 +261,25 @@ class WirelessNetwork:
     def heard_station(self, point: Point) -> Optional[int]:
         """Index of the station heard at ``point``, or None.
 
-        At most one station can be heard at any point when ``beta >= 1``
-        (its SINR being at least 1 forces every other station's SINR below 1).
+        The station with the highest SINR, where that SINR reaches ``beta``
+        (lowest index on ties).  At most one station can be heard when
+        ``beta >= 1`` (its SINR being at least 1 forces every other
+        station's SINR below 1); for ``beta < 1`` several may be received.
+        A point occupied by stations is heard from the first co-located
+        one, and a point with a non-finite coordinate hears no station.
+        The batch engine's ``heard_station_batch`` answers by the same rule.
         """
-        for index in range(len(self.stations)):
-            if self.is_received(index, point):
+        if not (math.isfinite(point.x) and math.isfinite(point.y)):
+            return None
+        for index, station in enumerate(self.stations):
+            if station.location == point:
                 return index
-        return None
+        best, best_sinr = None, -math.inf
+        for index in range(len(self.stations)):
+            value = self.sinr(index, point)
+            if value >= self.beta and value > best_sinr:
+                best, best_sinr = index, value
+        return best
 
     # ------------------------------------------------------------------
     # Derived structures

@@ -16,8 +16,10 @@ The locator matrix:
 
 ===================  =========================================================
 ``"brute-force"``    :class:`BruteForceLocator` — every station's SINR per
-                     query (``O(n^2)``); the ground truth all equivalence
-                     tests compare against.
+                     query (``O(n^2)``), the highest heard where it reaches
+                     ``beta``: the engine's ``heard_station``, the rule of
+                     every raster label too; the ground truth all
+                     equivalence tests compare against.
 ``"voronoi"``        :class:`VoronoiCandidateLocator` — Observation 2.2's
                      nearest-station candidate plus one SINR check
                      (``O(n)`` per query); exact, no preprocessing.

@@ -19,9 +19,12 @@ one vectorised pass through the active engine backend and returns an
 registered as ``"brute-force"`` and ``"voronoi"``.
 
 Each batch is one engine decision query: brute force asks
-:func:`~repro.engine.batch.first_received_batch`, the Voronoi locator asks
+:func:`~repro.engine.batch.heard_station_batch` (the station with the
+highest SINR, where it is received), the Voronoi locator asks
 :func:`~repro.engine.batch.nearest_received_batch`, which the float32
-screen answers — candidate and reception — in a single pass.
+screen answers — candidate and reception — in a single pass.  Under
+uniform power the nearest station has the highest SINR, so the two agree
+for every ``beta``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from ..engine.batch import (
     NO_RECEPTION,
     PointsLike,
-    first_received_batch,
+    heard_station_batch,
     nearest_received_batch,
 )
 # Bound here, though unused, because perfbench/tracing.py wraps
@@ -62,20 +65,20 @@ class BruteForceLocator:
         return cls(network)
 
     def locate(self, point: Point) -> int:
-        """Index of the station heard at ``point``, or ``NO_RECEPTION`` (-1)."""
-        for index in range(len(self.network)):
-            if self.network.is_received(index, point):
-                return index
-        return NO_RECEPTION
+        """Index of the station heard at ``point``, or ``NO_RECEPTION`` (-1):
+        :meth:`~repro.model.network.WirelessNetwork.heard_station`."""
+        heard = self.network.heard_station(point)
+        return NO_RECEPTION if heard is None else heard
 
     def locate_batch(self, points: PointsLike) -> np.ndarray:
         """Vectorised :meth:`locate`: one ``int64`` label per point.
 
-        Matches the scalar loop exactly, including its first-received-index
-        rule (which matters only in the ``beta < 1`` regime where several
-        stations may qualify).  Runs through the active engine backend.
+        One :func:`~repro.engine.batch.heard_station_batch` call through the
+        active engine backend, under the scalar method's rule (highest SINR
+        wins, lowest index on ties, which matters only in the ``beta < 1``
+        regime where several stations may qualify).
         """
-        return first_received_batch(self.network, points).astype(np.int64)
+        return heard_station_batch(self.network, points).astype(np.int64)
 
     def query_cost(self) -> int:
         """Number of energy evaluations a single query performs."""

@@ -21,10 +21,11 @@ and assembles the result's labels from tiles, computing only the missing
 ones through the active engine backend.  Tiles hold labels only; the
 assembled :class:`~repro.model.diagram.RasterDiagram` computes its
 ``sinr_values`` on first read, with one engine pass over the request's
-pixel centres.  The raster is **bit-identical** to the uncached path:
-tiles use the same coordinate formula and the same per-pixel-independent
-compute core (:func:`repro.model.diagram.raster_block`), so caching
-regroups work without changing a single bit of output.
+pixel centres, like every raster ``rasterize`` returns.  The raster is
+**bit-identical** to the uncached path: tiles use the same coordinate
+formula and the same per-pixel-independent label helper
+(:func:`repro.model.diagram.raster_labels`, one ``heard_station_batch``
+call), so caching regroups work without changing a single bit of output.
 
 Keying scheme
 =============

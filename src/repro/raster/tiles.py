@@ -12,17 +12,19 @@ A tile is its read-only ``(tile_size, tile_size)`` ``intp`` label block:
 ``tile_size**2 * 8`` bytes whatever the station count (32 KiB at 64 px).
 The assembled raster copies labels only; its ``sinr_values`` are computed
 on first read by one ``engine.batch.sinr_batch`` call over the request's
-pixel centres, with the request's network and pinned backend.
+pixel centres, with the request's network and pinned backend, as on every
+raster ``SINRDiagram.rasterize`` returns.
 
 Bit-identity with the monolithic path is structural, not approximate:
 
 * tile pixel-centre coordinates come from the *same* lattice formula
   (``phase + (g + 0.5) * pitch`` over global indices ``g``) the monolithic
   rasteriser uses, so they are bit-identical floats;
-* :func:`~repro.model.diagram.raster_block` computes every per-pixel
-  quantity independently per pixel, so evaluating a tile's sub-grid yields
-  exactly the labels the full grid would, and the deferred SINR pass over
-  the request's own grid is the monolithic rasteriser's pass.
+* both label their pixels with :func:`~repro.model.diagram.raster_labels`,
+  one ``heard_station_batch`` call that decides every pixel on its own, so
+  evaluating a tile's sub-grid yields exactly the labels the full grid
+  would, and the deferred SINR pass over the request's own grid is the
+  monolithic raster's pass.
 
 Tile keys are ``(network fingerprint, engine backend, tile size, pitch and
 phase per axis, tile index)``: everything the tile's content depends on
@@ -43,7 +45,7 @@ import numpy as np
 from ..exceptions import PointLocationError
 from ..engine.backend import active_backend
 from ..model.delta import NetworkDelta, diff_networks
-from ..model.diagram import RasterDiagram, RasterLattice, raster_block
+from ..model.diagram import RasterDiagram, RasterLattice, raster_labels
 from ..model.network import WirelessNetwork
 from .cache import TileCache
 
@@ -101,7 +103,7 @@ def compute_tile(
     (default: the active backend)."""
     xs = lattice_x.centers_at(tile_x * tile_size, tile_size)
     ys = lattice_y.centers_at(tile_y * tile_size, tile_size)
-    labels, _ = raster_block(network, xs, ys, backend=backend)
+    labels = raster_labels(network, xs, ys, backend)
     labels.setflags(write=False)
     return labels
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import math
+import numbers
 import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -85,6 +86,24 @@ class _Entry:
         self.submitted_at = submitted_at
 
 
+def _budget(value: object) -> float:
+    """``value`` as a finite ``float`` >= 0; a bool or a non-real value
+    (a string, ``None``) is refused."""
+    budget = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            budget = float(value)
+        except OverflowError:
+            budget = math.inf
+    # A nan or infinite budget would arm a deadline that never fires,
+    # leaving a lone query queued forever.
+    if not (math.isfinite(budget) and budget >= 0.0):
+        raise ServiceError(
+            f"latency_budget must be a finite number >= 0, got {value!r}"
+        )
+    return budget
+
+
 def _count(name: str, value: object) -> int:
     """``value`` as an ``int`` >= 1; a float, even ``2.0``, is refused."""
     try:
@@ -122,7 +141,9 @@ class MicroBatcher(Component):
         max_batch_size: seal as soon as this many queries have accumulated.
         max_pending: backpressure bound on queued + in-flight queries.
 
-    Both counts must be integers >= 1, otherwise :class:`ServiceError`.
+    The budget must be a finite real number >= 0 (a bool is not one) and
+    is stored as a ``float``; both counts must be integers >= 1.  Anything
+    else raises :class:`ServiceError`.
     The batcher records into its own :class:`~repro.service.stats.ServiceStats`
     (``stats``).
     """
@@ -135,14 +156,8 @@ class MicroBatcher(Component):
         max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
         max_pending: int = DEFAULT_MAX_PENDING,
     ):
-        # A nan or infinite budget would arm a deadline that never fires,
-        # leaving a lone query queued forever.
-        if not (math.isfinite(latency_budget) and latency_budget >= 0.0):
-            raise ServiceError(
-                f"latency_budget must be a finite number >= 0, got {latency_budget}"
-            )
         self._locate = locate
-        self.latency_budget = latency_budget
+        self.latency_budget = _budget(latency_budget)
         self.max_batch_size = _count("max_batch_size", max_batch_size)
         self.max_pending = _count("max_pending", max_pending)
         self.stats = ServiceStats()

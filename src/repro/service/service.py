@@ -44,6 +44,12 @@ __all__ = ["QueryService", "serve_points"]
 DRAIN_TIMEOUT = 30.0
 
 
+def _unbuilt(points: np.ndarray) -> np.ndarray:
+    """The batcher's answer function until the constructor installs the
+    locator's; the batcher cannot start before then."""
+    raise ServiceError("the locator is not built yet")
+
+
 class QueryService(Component):
     """Micro-batched async point location over one locator.
 
@@ -70,7 +76,8 @@ class QueryService(Component):
     Use as an async context manager (``async with QueryService(...)``) or
     call :meth:`start` / :meth:`stop` explicitly.  The locator is built
     eagerly in the constructor so that expensive preprocessing (e.g.
-    ``theorem3``) happens before the service advertises itself as up.
+    ``theorem3``) happens before the service advertises itself as up; the
+    batcher options are checked before it, so a bad one fails at once.
     """
 
     def __init__(
@@ -82,6 +89,7 @@ class QueryService(Component):
         **batcher_options: object,
     ) -> None:
         self.network = network
+        self._batcher = MicroBatcher(_unbuilt, **batcher_options)
         if isinstance(locator, str):
             self._locator_spec: Optional[str] = locator
             self._build_options = dict(build_options or {})
@@ -100,7 +108,7 @@ class QueryService(Component):
             self._build_options = {}
             self.locator = locator
             self.locator_name = getattr(locator, "name", type(locator).__name__)
-        self._batcher = MicroBatcher(self.locator.locate_batch, **batcher_options)
+        self._batcher.set_locate(self.locator.locate_batch)
         self._epoch = EpochCoordinator()
 
     # -- lifecycle -------------------------------------------------------

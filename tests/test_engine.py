@@ -36,7 +36,6 @@ from repro.engine import (
     as_points_array,
     available_backends,
     chunk_byte_budget,
-    first_received_batch,
     get_backend,
     heard_station_batch,
     kernels,
@@ -51,6 +50,7 @@ from repro.engine import (
 )
 from repro.engine import backend as backend_module
 from repro.exceptions import ReproError
+from repro.model.diagram import raster_labels
 from repro.model.sinr import received_energy, sinr_ratio
 from repro.pointlocation import (
     BruteForceLocator,
@@ -59,6 +59,7 @@ from repro.pointlocation import (
     get_locator,
 )
 from repro.service import serve_points
+from repro.workloads import random_query_array, uniform_random_network
 from seeded_workloads import query_box_array, seeded_network
 
 #: Every backend that must agree with the "reference" ground truth; newly
@@ -253,11 +254,10 @@ class TestBackendSelection:
 
 
 # ----------------------------------------------------------------------
-# The backend protocol: five required methods, no optional capabilities
+# The backend protocol: four required methods, no optional capabilities
 # ----------------------------------------------------------------------
 PROTOCOL_METHODS = (
     "sinr_matrix",
-    "received_mask_matrix",
     "received_mask_at",
     "nearest_received",
     "heard_station",
@@ -265,7 +265,7 @@ PROTOCOL_METHODS = (
 
 
 class TestBackendProtocol:
-    def test_protocol_declares_the_five_methods(self):
+    def test_protocol_declares_the_four_methods(self):
         declared = {
             name
             for name, value in vars(QueryBackend).items()
@@ -599,9 +599,11 @@ class TestChunkedBatch:
         points = np.vstack([queries_for(network, count=1500, seed=51),
                             network.coords])
         indices = np.arange(len(points)) % len(network)
+        xs = np.linspace(-2.0, 22.0, 40)
+        ys = np.linspace(-2.0, 22.0, 30)
         families = [
             lambda b: sinr_batch(network, points, backend=b),
-            lambda b: first_received_batch(network, points, backend=b),
+            lambda b: raster_labels(network, xs, ys, b),
             lambda b: heard_station_batch(network, points, backend=b),
             lambda b: received_mask(network, 2, points, backend=b),
             lambda b: received_at(network, indices, points, backend=b),
@@ -661,19 +663,18 @@ class TestChunkedBatch:
         assert peak_chunked <= budget + inherent + (1 << 20)
         assert peak_unchunked > 4 * peak_chunked
 
-    def test_raster_block_inherits_chunking(self, monkeypatch):
-        """Tile rasters run through the chunked batch API, bit-identically."""
-        from repro.model.diagram import raster_block
-
-        network = random_network(seed=52)
-        xs = np.linspace(-1.0, 15.0, 64)
-        ys = np.linspace(-1.0, 15.0, 48)
+    def test_rasters_inherit_chunking(self, monkeypatch):
+        """Raster labels and their SINR values run through the chunked
+        batch API, bit-identically."""
+        diagram = SINRDiagram(random_network(seed=52))
+        box = (Point(-1.0, -1.0), Point(15.0, 11.0), 64)
         monkeypatch.delenv("REPRO_ENGINE_CHUNK_BYTES", raising=False)
-        labels, values = raster_block(network, xs, ys)
+        raster = diagram.rasterize(*box)
+        labels, values = raster.labels, raster.sinr_values
         monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", "40000")
-        labels_chunked, values_chunked = raster_block(network, xs, ys)
-        np.testing.assert_array_equal(labels_chunked, labels)
-        np.testing.assert_array_equal(values_chunked, values)
+        chunked = diagram.rasterize(*box)
+        np.testing.assert_array_equal(chunked.labels, labels)
+        np.testing.assert_array_equal(chunked.sinr_values, values)
 
 
 class TestColumnTotals:
@@ -800,8 +801,9 @@ class TestNonFinitePoints:
             labels[len(NON_FINITE):],
             heard_station_batch(network, finite, backend=backend),
         )
-        first = first_received_batch(network, NON_FINITE, backend=backend)
-        assert (first == NO_RECEPTION).all()
+        with use_backend(backend):
+            brute = BruteForceLocator(network).locate_batch(NON_FINITE)
+        assert (brute == NO_RECEPTION).all()
         for index in range(len(network)):
             assert not received_mask(
                 network, index, NON_FINITE, backend=backend
@@ -851,9 +853,16 @@ class TestBatchMatchesScalar:
                 queries_for(network, count=120),
             ]
         )
-        full = kernels.received_mask_matrix(
-            network.coords, network.powers_array(), points,
-            network.noise, network.beta, network.alpha,
+        # The full mask: every SINR row against beta, except that a point
+        # occupied by stations is received exactly by the co-located ones.
+        at_station = kernels.coincidence_matrix(network.coords, points)
+        full = np.where(
+            at_station.any(axis=0),
+            at_station,
+            kernels.sinr_matrix(
+                network.coords, network.powers_array(), points,
+                network.noise, network.alpha,
+            ) >= network.beta,
         )
         for index in range(len(network)):
             row = kernels.received_mask_at(
@@ -956,6 +965,57 @@ class TestLocatorBatches:
         assert single.shape == (1,)
         assert single[0] == structure.locate(Point(1.0, 1.0))
         assert voronoi.locate_batch(Point(1.0, 1.0)).shape == (1,)
+
+
+# ----------------------------------------------------------------------
+# One heard-station rule below beta = 1
+# ----------------------------------------------------------------------
+class TestOneHeardStationRule:
+    """Below ``beta = 1`` several stations can be received at one point;
+    the station heard is the one with the highest SINR.  Brute force (batch
+    and scalar), ``voronoi``, the engine's ``heard_station``, the diagram's
+    scalar query and raster labels all answer by that one rule, on every
+    backend."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "reference", "float32-screen"])
+    @pytest.mark.parametrize("beta", [0.3, 0.5])
+    def test_every_path_agrees(self, beta, backend):
+        network = uniform_random_network(
+            12, side=12.0, minimum_separation=1.5, noise=0.001, beta=beta,
+            seed=3,
+        )
+        count, resolution = (1000, 30) if backend == "reference" else (3000, 90)
+        points = random_query_array(count, Point(-3, -3), Point(15, 15), seed=0)
+        diagram = SINRDiagram(network)
+        brute = BruteForceLocator(network)
+        with use_backend(backend):
+            heard = heard_station_batch(network, points)
+            brute_batch = brute.locate_batch(points)
+            voronoi = VoronoiCandidateLocator(network).locate_batch(points)
+            raster = diagram.rasterize(Point(-3, -3), Point(15, 15), resolution)
+            grid_x, grid_y = np.meshgrid(raster.xs, raster.ys)
+            pixels = np.column_stack((grid_x.ravel(), grid_y.ravel()))
+            pixel_brute = brute.locate_batch(pixels)
+
+        # The points tell the rules apart: where several stations are
+        # received, the lowest received index is not always the one heard.
+        received = sinr_batch(network, points) >= beta
+        lowest = np.where(received.any(axis=0), np.argmax(received, axis=0), -1)
+        assert (lowest != heard).any()
+
+        np.testing.assert_array_equal(brute_batch, heard)
+        np.testing.assert_array_equal(voronoi, heard)
+        np.testing.assert_array_equal(raster.labels.ravel(), pixel_brute)
+        sample = points[:300]
+        scalar_brute = [brute.locate(Point(x, y)) for x, y in sample]
+        scalar_diagram = [
+            diagram.station_heard_at(Point(x, y)) for x, y in sample
+        ]
+        np.testing.assert_array_equal(scalar_brute, heard[:300])
+        np.testing.assert_array_equal(
+            [NO_RECEPTION if h is None else h for h in scalar_diagram],
+            heard[:300],
+        )
 
 
 # ----------------------------------------------------------------------

@@ -175,6 +175,25 @@ class TestModelComparator:
         assert comparator.heard_station_udg(probe) == 0
         assert comparator.heard_station_sinr(probe) is None
 
+    def test_heard_station_sinr_is_the_highest_sinr_transmitter(self):
+        """Below ``beta = 1`` transmitters 1 and 2 are both received at
+        (3.55, 0); the one with the higher SINR is heard, and silent
+        station 0 takes no part."""
+        network = WirelessNetwork.uniform(
+            [(3.5, 0.0), (3.0, 0.0), (4.0, 0.0)], noise=0.0, beta=0.5
+        )
+        comparator = ModelComparator(network, udg_radius=1.0, transmitters=[1, 2])
+        probe = Point(3.55, 0.0)
+        assert comparator.sinr_receives(probe, 1)
+        assert comparator.sinr_receives(probe, 2)
+        assert comparator.heard_station_sinr(probe) == 2
+        assert comparator.heard_station_sinr(Point(3.45, 0.0)) == 1
+        lone = ModelComparator(network, udg_radius=1.0, transmitters=[1])
+        assert lone.heard_station_sinr(probe) == 1
+        assert ModelComparator(
+            network, udg_radius=1.0, transmitters=[]
+        ).heard_station_sinr(probe) is None
+
     def test_false_negative_two_transmitters(self):
         network = WirelessNetwork.uniform([(0.4, 3.0), (-0.7, 4.0)], noise=0.0, beta=2.0)
         comparator = ModelComparator(network, udg_radius=3.0)

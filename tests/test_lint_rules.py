@@ -311,9 +311,9 @@ class TestRL005ChunkingDiscipline:
             from ..engine.backend import get_backend
 
             def locate(network, pts):
-                return get_backend().received_mask_matrix(
+                return get_backend().sinr_matrix(
                     network.coords, network.powers_array(), pts,
-                    network.noise, network.beta, network.alpha,
+                    network.noise, network.alpha,
                 )
         """
         assert findings_for("RL005", direct, path="pointlocation/x.py")

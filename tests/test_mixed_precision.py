@@ -29,7 +29,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro import Point
+from repro import Point, SINRDiagram, TileCache
 from repro.engine import (
     Float32ScreenBackend,
     NumpyBackend,
@@ -280,16 +280,16 @@ class TestRoutedEndToEnd:
             got = serve_points(network, points, locator="voronoi")
         np.testing.assert_array_equal(got, expected)
 
-    def test_raster_tiles_under_screen_backend(self):
-        from repro.model.diagram import raster_block
-
-        network = network_6(seed=94)
-        xs = np.linspace(-2.0, 16.0, 80)
-        ys = np.linspace(-2.0, 16.0, 64)
-        labels, values = raster_block(network, xs, ys)
+    def test_rasters_under_screen_backend(self):
+        diagram = SINRDiagram(network_6(seed=94))
+        box = (Point(-2.0, -2.0), Point(16.0, 12.0), 80)
+        exact = diagram.rasterize(*box)
         with use_backend("float32-screen"):
-            labels_screen, values_screen = raster_block(network, xs, ys)
-        # Value planes delegate to the exact numpy backend, so the whole
-        # raster — labels *and* SINR values — is bit-identical to numpy.
-        np.testing.assert_array_equal(labels_screen, labels)
-        np.testing.assert_array_equal(values_screen, values)
+            screened = diagram.rasterize(*box)
+            tiled = diagram.rasterize(*box, cache=TileCache(tile_size=16))
+        # Labels are certified heard_station answers and value planes
+        # delegate to the exact numpy backend, so the whole raster — labels
+        # *and* SINR values, cached or not — is bit-identical to numpy.
+        for raster in (screened, tiled):
+            np.testing.assert_array_equal(raster.labels, exact.labels)
+            np.testing.assert_array_equal(raster.sinr_values, exact.sinr_values)

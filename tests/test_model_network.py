@@ -181,6 +181,28 @@ class TestSINRArithmetic:
         assert two_station_network.heard_station(Point(0.5, 0.0)) == 0
         assert two_station_network.heard_station(Point(2.0, 0.0)) is None
 
+    def test_heard_station_is_the_highest_sinr_below_beta_one(self):
+        """With ``beta < 1`` both stations are received at (0.55, 0): station
+        0 with SINR 0.67, station 1 with 1.49.  The higher SINR is heard, not
+        the lower index."""
+        network = WirelessNetwork.uniform([(0.0, 0.0), (1.0, 0.0)], beta=0.5)
+        point = Point(0.55, 0.0)
+        assert network.is_received(0, point) and network.is_received(1, point)
+        assert network.heard_station(point) == 1
+        assert network.heard_station(Point(0.45, 0.0)) == 0
+        # Equal SINRs on the bisector: the lowest index breaks the tie.
+        assert network.heard_station(Point(0.5, 0.0)) == 0
+
+    def test_heard_station_on_shared_locations_and_non_finite_points(self):
+        network = WirelessNetwork.uniform(
+            [(0.0, 0.0), (3.0, 0.0), (3.0, 0.0)], noise=0.01, beta=0.5
+        )
+        # The first co-located station is heard on its location.
+        assert network.heard_station(Point(3.0, 0.0)) == 1
+        assert network.heard_station(Point(0.0, 0.0)) == 0
+        for point in (Point(math.nan, 0.0), Point(math.inf, 1.0)):
+            assert network.heard_station(point) is None
+
     def test_alpha_four_reception_differs_from_alpha_two(self):
         stations = [(0.0, 0.0), (4.0, 0.0)]
         shallow = WirelessNetwork.uniform(stations, beta=2.0, alpha=2.0)

@@ -206,43 +206,69 @@ class TestCacheStats:
 # ----------------------------------------------------------------------
 # SINR values computed on first read
 # ----------------------------------------------------------------------
-@pytest.fixture
-def sinr_batch_calls(monkeypatch):
-    """The point counts of every ``engine.batch.sinr_batch`` call."""
+def _count_calls(monkeypatch, name):
+    """The point counts of every ``engine.batch.<name>`` call."""
     import repro.engine.batch as engine_batch
 
     calls = []
-    original = engine_batch.sinr_batch
+    original = getattr(engine_batch, name)
 
     def counting(network, points, *args, **kwargs):
         calls.append(len(points))
         return original(network, points, *args, **kwargs)
 
-    monkeypatch.setattr(engine_batch, "sinr_batch", counting)
+    monkeypatch.setattr(engine_batch, name, counting)
     return calls
+
+
+@pytest.fixture
+def sinr_batch_calls(monkeypatch):
+    """The point counts of every ``engine.batch.sinr_batch`` call."""
+    return _count_calls(monkeypatch, "sinr_batch")
+
+
+@pytest.fixture
+def heard_station_calls(monkeypatch):
+    """The point counts of every ``engine.batch.heard_station_batch`` call:
+    one per computed tile."""
+    return _count_calls(monkeypatch, "heard_station_batch")
 
 
 class TestDeferredSinrValues:
     def test_unread_sinr_costs_only_the_missing_tiles(
-        self, diagram, sinr_batch_calls
+        self, diagram, heard_station_calls, sinr_batch_calls
     ):
         cache = TileCache(tile_size=16)
         diagram.rasterize(Point(-8.0, -8.0), Point(0.0, 8.0), 64, cache=cache)
-        assert len(sinr_batch_calls) == cache.stats().misses == 8
-        sinr_batch_calls.clear()
+        assert len(heard_station_calls) == cache.stats().misses == 8
+        heard_station_calls.clear()
         # The full box: 8 of its 16 tiles are warm.
         diagram.rasterize(Point(-8.0, -8.0), Point(8.0, 8.0), 64, cache=cache)
-        assert sinr_batch_calls == [16 * 16] * 8
-        sinr_batch_calls.clear()
+        assert heard_station_calls == [16 * 16] * 8
+        heard_station_calls.clear()
         raster = diagram.rasterize(Point(-8.0, -8.0), Point(8.0, 8.0), 64, cache=cache)
-        assert sinr_batch_calls == []  # a full hit is lookups and label copies
+        # A full hit is lookups and label copies.
+        assert heard_station_calls == []
+        assert sinr_batch_calls == []
         # The first read is one engine call over the request's own pixels.
         values = raster.sinr_values
         assert sinr_batch_calls == [64 * 64]
         assert raster.sinr_values is values
         assert sinr_batch_calls == [64 * 64]
+        assert heard_station_calls == []
         direct = diagram.rasterize(Point(-8.0, -8.0), Point(8.0, 8.0), 64)
         assert_rasters_identical(direct, raster)
+
+    def test_an_uncached_raster_labels_in_one_call_and_defers_its_sinr(
+        self, diagram, heard_station_calls, sinr_batch_calls
+    ):
+        raster = diagram.rasterize(Point(-8.0, -8.0), Point(8.0, 8.0), 64)
+        assert heard_station_calls == [64 * 64]
+        assert sinr_batch_calls == []
+        values = raster.sinr_values
+        assert sinr_batch_calls == [64 * 64]
+        assert raster.sinr_values is values
+        assert heard_station_calls == [64 * 64]
 
     def test_concurrent_first_reads_compute_once(
         self, ten_station_network, sinr_batch_calls
@@ -508,9 +534,9 @@ class TestNetworkFingerprint:
             def __getattr__(self, attribute):
                 return getattr(self._inner, attribute)
 
-            def sinr_matrix(self, *args, **kwargs):
+            def heard_station(self, *args, **kwargs):
                 self.calls += 1
-                return self._inner.sinr_matrix(*args, **kwargs)
+                return self._inner.heard_station(*args, **kwargs)
 
         counting = CountingBackend(get_backend("numpy"))
         register_backend("counting", counting)

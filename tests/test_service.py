@@ -671,6 +671,60 @@ class TestBackpressure:
         assert (batcher.max_batch_size, batcher.max_pending) == (3, 8)
         assert type(batcher.max_batch_size) is int
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"max_batch_size": 0}, {"max_pending": 2.5},
+         {"latency_budget": float("nan")}, {"latency_budget": "0.002"}],
+        ids=["zero-batch", "fractional-pending", "nan-budget", "string-budget"],
+    )
+    def test_bad_batcher_option_fails_before_the_locator_is_built(
+        self, network, bad
+    ):
+        """Regression: the locator was built first, so a bad option raised
+        only after the whole preprocessing (13.4 s of ``theorem3`` on eight
+        stations).  A counting factory sees no build now."""
+        from repro.pointlocation import registry, register_locator
+
+        builds = []
+
+        class Counting:
+            @classmethod
+            def build(cls, network, **options):
+                builds.append(network)
+                return FakeLocator()
+
+        register_locator("counting-builds", Counting)
+        try:
+            with pytest.raises(ServiceError):
+                QueryService(network, "counting-builds", **bad)
+            assert builds == []
+            QueryService(network, "counting-builds")
+            assert len(builds) == 1
+        finally:
+            registry.LOCATORS.unregister("counting-builds")
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["0.002", None, True, False, np.bool_(True), 1j, -1e-9, 10**400],
+        ids=["string", "none", "true", "false", "numpy-bool", "complex",
+             "negative", "overflowing-int"],
+    )
+    def test_latency_budget_must_be_a_real_number(self, bad):
+        """Regression: a string or ``None`` raised a bare ``TypeError`` from
+        ``math.isfinite``, and ``True`` was stored as ``True`` (a
+        one-second budget)."""
+        with pytest.raises(ServiceError, match="latency_budget must be"):
+            MicroBatcher(FakeLocator().locate_batch, latency_budget=bad)
+
+    @pytest.mark.parametrize(
+        "budget", [0, 3, np.float32(0.25), np.int64(2)],
+        ids=["zero", "int", "numpy-float", "numpy-int"],
+    )
+    def test_latency_budget_is_stored_as_a_float(self, budget):
+        batcher = MicroBatcher(FakeLocator().locate_batch, latency_budget=budget)
+        assert type(batcher.latency_budget) is float
+        assert batcher.latency_budget == float(budget)
+
 
 # ----------------------------------------------------------------------
 # Engine failures
