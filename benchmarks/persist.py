@@ -2,32 +2,40 @@
 
 First step of ROADMAP's observability item: every bench run records its
 headline numbers — queries/second and speedup-vs-numpy per backend — into a
-small JSON file at the repo root, keyed by the git SHA it measured, so the
-perf trajectory across PRs becomes checkable by tooling instead of living
-only in CI logs.
+small JSON file at the repo root, keyed by the code and the machine it
+measured, so the perf trajectory across PRs becomes checkable by tooling
+instead of living only in CI logs.
 
-Schema 2 keeps *quick* (CI smoke, ``REPRO_BENCH_QUICK``) and *full* runs in
-separate groups, each with its own SHA: a quick smoke run at a new commit
-resets only the ``quick`` group, so the committed full-scale trajectory
-survives CI.  The quick flag follows the project's boolean-knob semantics
-(see :func:`quick_mode`): ``REPRO_BENCH_QUICK=0`` / ``=false`` / unset mean
-a full run, anything else means quick.  Within a group the file holds
-exactly one SHA — a run against a different commit resets that group's
-results rather than appending, so the committed file always describes the
-tree it sits in.  Sections merge, letting independent bench modules
-(``bench_engine_batch``, ``bench_incremental_update``...) each contribute
-their own payload; the read-merge-write cycle is serialised under an
-advisory file lock, so concurrent writers (``pytest-xdist``, parallel CI
-legs) never lose each other's sections.
+Schema 3 keeps *quick* (CI smoke, ``REPRO_BENCH_QUICK``) and *full* runs in
+separate groups.  Each group names the code it measured by
+:func:`source_digest` — the digest of every ``src/repro`` Python file,
+which ``perfbench/run.py`` prints as ``src_digest`` — so a run on an
+uncommitted working tree is filed under that tree, not under the commit
+it started from, and records the machine beside it (:func:`machine`:
+nproc, numpy version, CPU model).  A quick smoke run resets only the
+``quick`` group, so the committed full-scale results survive CI.  The
+quick flag follows the project's boolean-knob semantics (see
+:func:`quick_mode`): ``REPRO_BENCH_QUICK=0`` / ``=false`` / unset mean a
+full run, anything else means quick.  Within a group the file holds
+exactly one digest and machine — a run of other code, or on another
+machine, resets that group's results rather than appending, so the
+committed file always describes the tree it sits in.  Sections merge,
+letting independent bench modules (``bench_engine_batch``,
+``bench_incremental_update``...) each contribute their own payload; the
+read-merge-write cycle is serialised under an advisory file lock, so
+concurrent writers (``pytest-xdist``, parallel CI legs) never lose each
+other's sections.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-import subprocess
+import platform
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from pathlib import Path
+from typing import Dict, Iterator, Optional
 
 try:
     import fcntl
@@ -36,9 +44,10 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 
 __all__ = [
     "BENCH_PATH",
-    "current_git_sha",
+    "machine",
     "quick_mode",
     "record_benchmark",
+    "source_digest",
     "speedup_floor",
 ]
 
@@ -47,24 +56,42 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Default output path, at the repo root next to ROADMAP.md.
 BENCH_PATH = os.path.join(_REPO_ROOT, "BENCH_engine.json")
 
-_SCHEMA = 2
+_SCHEMA = 3
 
 
-def current_git_sha() -> str:
-    """The HEAD SHA of the measured tree (``GITHUB_SHA`` fallback in CI)."""
+def source_digest() -> str:
+    """Digest of every ``src/repro`` Python file: the code a run measured.
+
+    The digest ``perfbench/run.py`` prints as ``src_digest`` (the same
+    paths and bytes through the same hash), so a ledger entry and a
+    serving-benchmark result name code the same way, committed or not.
+    """
+    root = Path(_REPO_ROOT)
+    digest = hashlib.blake2b(digest_size=8)
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def machine() -> Dict[str, str]:
+    """What identifies the measuring machine: nproc, numpy, CPU model."""
+    import numpy as np
+
+    cpu_model = platform.processor() or "unknown"
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=_REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    cpu_model = line.split(":", 1)[1].strip()
+                    break
     except OSError:
         pass
-    return os.environ.get("GITHUB_SHA", "unknown")
+    return {
+        "nproc": str(len(os.sched_getaffinity(0))),
+        "numpy": np.__version__,
+        "cpu_model": cpu_model,
+    }
 
 
 def quick_mode() -> bool:
@@ -129,16 +156,17 @@ def record_benchmark(
     ``payload`` should be JSON-serialisable and carry explicit units in its
     key names (``*_qps``, ``*_seconds``, ``speedup_vs_numpy``...).  The
     result lands in the ``quick`` or ``full`` group — by default whichever
-    :func:`quick_mode` says this run is.  Each group is keyed by the git
-    SHA it measured; recording under a different SHA resets that group
-    (never the other one), so CI smoke can't overwrite full trajectory
-    data.  The whole read-merge-write cycle runs under an advisory file
-    lock: concurrent recorders queue up instead of overwriting each
-    other's freshly merged sections.  Returns the path written.
+    :func:`quick_mode` says this run is.  Each group is keyed by the
+    :func:`source_digest` it measured and the :func:`machine` it ran on;
+    recording under another digest or machine resets that group (never the
+    other one), so CI smoke can't overwrite full trajectory data.  The
+    whole read-merge-write cycle runs under an advisory file lock:
+    concurrent recorders queue up instead of overwriting each other's
+    freshly merged sections.  Returns the path written.
     """
     path = path or BENCH_PATH
     group = "quick" if (quick_mode() if quick is None else quick) else "full"
-    sha = current_git_sha()
+    key = {"src_digest": source_digest(), **machine()}
     with _results_lock(path):
         data: dict = {}
         try:
@@ -149,8 +177,10 @@ def record_benchmark(
         if not isinstance(data, dict) or data.get("schema") != _SCHEMA:
             data = {"schema": _SCHEMA}
         slot = data.get(group)
-        if not isinstance(slot, dict) or slot.get("git_sha") != sha:
-            slot = {"git_sha": sha, "results": {}}
+        if not isinstance(slot, dict) or any(
+            slot.get(name) != value for name, value in key.items()
+        ):
+            slot = {**key, "results": {}}
             data[group] = slot
         slot.setdefault("results", {})[section] = payload
         tmp = f"{path}.tmp"

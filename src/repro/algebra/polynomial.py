@@ -26,15 +26,18 @@ __all__ = ["Polynomial"]
 _RELATIVE_EPSILON = 1e-12
 
 
-def _trimmed(coefficients: Sequence[float]) -> Tuple[float, ...]:
-    """Drop trailing (highest-degree) coefficients that are relatively negligible."""
+def _trimmed(
+    coefficients: Sequence[float], relative: float = _RELATIVE_EPSILON
+) -> Tuple[float, ...]:
+    """Drop trailing (highest-degree) coefficients that are relatively
+    negligible (``relative=0.0`` drops exact zeros only)."""
     values = [float(c) for c in coefficients]
     if not values:
         return (0.0,)
     scale = max(abs(c) for c in values)
     if scale == 0.0:
         return (0.0,)
-    threshold = scale * _RELATIVE_EPSILON
+    threshold = scale * relative
     last = len(values) - 1
     while last > 0 and abs(values[last]) <= threshold:
         last -= 1
@@ -217,6 +220,9 @@ class Polynomial:
     def divmod(self, divisor: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
         """Polynomial division: returns ``(quotient, remainder)``.
 
+        The remainder is trimmed like any polynomial; the quotient keeps
+        every coefficient up to its degree ``deg(self) - deg(divisor)``.
+
         Raises:
             AlgebraError: when dividing by the zero polynomial.
         """
@@ -235,7 +241,13 @@ class Polynomial:
                 continue
             for offset, coefficient in enumerate(divisor_coefficients):
                 remainder[position - divisor_degree + offset] -= factor * coefficient
-        return Polynomial(quotient), Polynomial(remainder[:divisor_degree] or [0.0])
+        # The quotient's leading coefficient is the ratio of the two leading
+        # coefficients, never negligible however small beside the others:
+        # trimming it relatively would drop a degree (x^5 / (3 + 0.0011x)
+        # would lose its 909 x^4 term beside 5.0e16).
+        exact_quotient = object.__new__(Polynomial)
+        object.__setattr__(exact_quotient, "coefficients", _trimmed(quotient, 0.0))
+        return exact_quotient, Polynomial(remainder[:divisor_degree] or [0.0])
 
     def __divmod__(self, divisor: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
         return self.divmod(divisor)

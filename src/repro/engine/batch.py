@@ -10,9 +10,14 @@ and return numpy arrays.  Computation is delegated to the active
 Memory-bounded chunking
 -----------------------
 
-Every kernel materialises ``(n_stations, m)`` intermediates — several of
-them at once — so an unchunked 200-station × 1M-point batch peaks around
-1.6 GB.  All batch functions therefore tile the point axis so those
+Every kernel materialises ``(n_stations, m)`` intermediates: one in-place
+energy pass holds two ``(n, m)`` float64 buffers at its peak (squared
+distances turned energies, plus the SINR matrix where one is formed), and
+the general path that re-answers rare columns (points on or
+overflow-close to a station, non-finite points, overflowing sums; see
+:mod:`repro.engine.kernels`) holds several more, over those columns
+only.  An unchunked 200-station × 1M-point batch would still peak in the
+gigabytes, so all batch functions tile the point axis so those
 intermediates fit a byte budget (:func:`chunk_byte_budget`, settable via
 the ``REPRO_ENGINE_CHUNK_BYTES`` environment variable, default 64 MiB).
 Chunking is exact: every kernel decides each point independently of every
@@ -63,10 +68,11 @@ NO_RECEPTION = -1
 DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
 
 #: How many float64 ``(n, chunk)`` temporaries one kernel call may hold
-#: concurrently (deltas, squared distances, energies, coincidence masks,
-#: where-results, ...).  Chunk sizes are budgeted for all of them together,
-#: so the budget bounds the call's whole transient footprint, not just one
-#: matrix.
+#: concurrently.  The in-place energy pass holds two; a chunk made wholly
+#: of rare columns runs the general path (squared distances, energies,
+#: coincidence masks, where-results, ...), which holds several more.
+#: Chunk sizes are budgeted for the worst case, so the budget bounds the
+#: call's whole transient footprint, not just one matrix.
 _TEMPS_PER_CALL = 12
 
 PointsLike = Union[np.ndarray, Sequence["Point"], Sequence[Sequence[float]]]

@@ -6,10 +6,26 @@ shape ``(n_points, 2)`` — and returns arrays, never scalars or
 :class:`~repro.geometry.point.Point` objects.  The kernels are the single
 source of truth for bulk SINR arithmetic, reached through the chunked
 batch query API of :mod:`repro.engine.batch` (reprolint RL005 keeps every
-other layer out).  Each kernel call makes one distance, coincidence and
-energy pass (:func:`_masked_energies`) and adds each point's interference
-total row by row (:func:`_column_totals`), so a point's answer does not
-depend on how many points share the call.
+other layer out).
+
+Each kernel call makes one in-place energy pass: squared distances are
+computed in one ``(n, m)`` buffer and overwritten with the energies they
+give, and each point's interference total is added row by row
+(:func:`_column_totals`), so a point's answer does not depend on how many
+points share the call.  The SINR matrix is the only second ``(n, m)``
+buffer; ``received_mask_at`` and ``nearest_received`` form just the
+candidate's row.  Ratios come from the same IEEE operations in the same
+order as the general path below, so they are that path's bits.
+
+The rare-column rule: a column whose energy total is not finite — a point
+on or overflow-close to a station (co-located stations included), a NaN
+coordinate, or a sum that overflows — is answered again by the general
+path, which builds the coincidence matrix and applies every override
+listed below.  With a positive path-loss exponent a zero squared distance
+gives an infinite (or NaN) energy, so such a column is always rare; with
+``alpha <= 0`` (which no network allows) every column is.  Every other
+column has no coincident station and no infinite energy, where the
+overrides change nothing.
 
 Edge-case semantics (matching the scalar model layer exactly):
 
@@ -57,17 +73,22 @@ def pairwise_squared_distances(
 ) -> np.ndarray:
     """Squared distances of shape ``(n_stations, n_points)``.
 
-    A distance too large to square is ``+inf``, the intended value: such a
-    point is infinitely far for every energy and nearest-station test.
+    ``dx * dx + dy * dy``, squared and summed in place in the ``dx``
+    buffer.  A distance too large to square is ``+inf``, the intended
+    value: such a point is infinitely far for every energy and
+    nearest-station test.
 
     Args:
         station_coordinates: array of shape ``(n_stations, 2)``.
         points: array of shape ``(n_points, 2)``.
     """
-    dx = station_coordinates[:, 0:1] - points[:, 0][None, :]
-    dy = station_coordinates[:, 1:2] - points[:, 1][None, :]
-    with np.errstate(over="ignore"):
-        return dx * dx + dy * dy
+    with np.errstate(over="ignore", invalid="ignore"):
+        squared = station_coordinates[:, 0:1] - points[:, 0][None, :]
+        np.multiply(squared, squared, out=squared)
+        dy = station_coordinates[:, 1:2] - points[:, 1][None, :]
+        np.multiply(dy, dy, out=dy)
+        squared += dy
+    return squared
 
 
 def coincidence_matrix(
@@ -85,27 +106,20 @@ def coincidence_matrix(
     return same_x & same_y
 
 
-def _masked_energies(
-    station_coordinates: np.ndarray,
-    powers: np.ndarray,
-    points: np.ndarray,
-    alpha: float,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """The energy matrix and the coincidence matrix it used: the one
-    distance, coincidence and energy pass of every kernel call."""
-    squared = pairwise_squared_distances(station_coordinates, points)
-    with np.errstate(divide="ignore", over="ignore"):
+def _energies_in_place(
+    squared: np.ndarray, powers: np.ndarray, alpha: float
+) -> np.ndarray:
+    """Overwrite squared distances with the energies they give."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if alpha == 2.0:
             # The paper's default exponent: a plain reciprocal is several
             # times faster than np.power on large matrices and this is the
             # innermost loop of every batch query.
-            energies = powers[:, None] / squared
+            np.divide(powers[:, None], squared, out=squared)
         else:
-            energies = powers[:, None] * np.power(squared, -alpha / 2.0)
-    # Division / np.power already yield inf at squared == 0, but make the
-    # coincident case explicit so nothing can scale or NaN it away.
-    at_station = coincidence_matrix(station_coordinates, points)
-    return np.where(at_station, np.inf, energies), at_station
+            np.power(squared, -alpha / 2.0, out=squared)
+            np.multiply(powers[:, None], squared, out=squared)
+    return squared
 
 
 def _column_totals(finite: np.ndarray) -> np.ndarray:
@@ -122,20 +136,48 @@ def _column_totals(finite: np.ndarray) -> np.ndarray:
     return finite.sum(axis=0)
 
 
-def sinr_matrix(
+def _energy_totals(
+    squared: np.ndarray, powers: np.ndarray, alpha: float
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """The in-place energy pass: ``(energies, totals, rare)``.
+
+    ``energies`` overwrites ``squared``; ``rare`` flags the columns whose
+    total is not finite, which the general path answers again (see the
+    module docstring).  With ``alpha <= 0`` a zero distance need not give
+    an infinite energy, so every column is rare.
+    """
+    energies = _energies_in_place(squared, powers, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _column_totals(energies)
+    if not alpha > 0.0:
+        return energies, total, np.ones(len(total), dtype=bool)
+    return energies, total, ~np.isfinite(total)
+
+
+def _masked_energies(
+    station_coordinates: np.ndarray,
+    powers: np.ndarray,
+    points: np.ndarray,
+    alpha: float,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The general path's energy matrix and the coincidence matrix it used."""
+    energies = _energies_in_place(
+        pairwise_squared_distances(station_coordinates, points), powers, alpha
+    )
+    # Division / np.power already yield inf at squared == 0, but make the
+    # coincident case explicit so nothing can scale or NaN it away.
+    at_station = coincidence_matrix(station_coordinates, points)
+    return np.where(at_station, np.inf, energies), at_station
+
+
+def _general_sinr_matrix(
     station_coordinates: np.ndarray,
     powers: np.ndarray,
     points: np.ndarray,
     noise: float,
-    alpha: float = 2.0,
+    alpha: float,
 ) -> np.ndarray:
-    """The full SINR matrix, shape ``(n_stations, n_points)``.
-
-    Entry ``(i, j)`` is ``SINR(s_i, p_j)``.  At a point exactly occupied by a
-    station the column is ``+inf`` for the first co-located station and
-    ``0.0`` elsewhere (see the module docstring); everywhere else the values
-    agree with the scalar :func:`repro.model.sinr.sinr_ratio`.
-    """
+    """:func:`sinr_matrix` with every coincidence and overflow override."""
     energies, at_station = _masked_energies(
         station_coordinates, powers, points, alpha
     )
@@ -165,27 +207,16 @@ def sinr_matrix(
     return ratio
 
 
-def received_mask_at(
+def _general_received_mask_at(
     station_coordinates: np.ndarray,
     powers: np.ndarray,
     points: np.ndarray,
     indices: np.ndarray,
     noise: float,
     beta: float,
-    alpha: float = 2.0,
+    alpha: float,
 ) -> np.ndarray:
-    """Reception indicator of a *per-point* station, shape ``(m,)``.
-
-    Entry ``j`` says whether station ``indices[j]`` is received at
-    ``points[j]``: its row of :func:`sinr_matrix` against ``beta``, computed
-    without materialising the other ``n - 1`` SINR rows (the energy matrix,
-    needed for the interference total, is the only ``(n, m)`` pass), except
-    that a point occupied by stations is received exactly by the co-located
-    ones.
-    This is the verification kernel of every locator, where each point has
-    exactly one candidate station to check; a constant ``indices`` array
-    asks about one station everywhere.
-    """
+    """:func:`received_mask_at` with every coincidence and overflow override."""
     energies, at_station = _masked_energies(
         station_coordinates, powers, points, alpha
     )
@@ -208,6 +239,85 @@ def received_mask_at(
     return np.where(at_station.any(axis=0), at_station[indices, columns], mask)
 
 
+def sinr_matrix(
+    station_coordinates: np.ndarray,
+    powers: np.ndarray,
+    points: np.ndarray,
+    noise: float,
+    alpha: float = 2.0,
+) -> np.ndarray:
+    """The full SINR matrix, shape ``(n_stations, n_points)``.
+
+    Entry ``(i, j)`` is ``SINR(s_i, p_j)``.  At a point exactly occupied by a
+    station the column is ``+inf`` for the first co-located station and
+    ``0.0`` elsewhere (see the module docstring); everywhere else the values
+    agree with the scalar :func:`repro.model.sinr.sinr_ratio`.
+    """
+    energies, total, rare = _energy_totals(
+        pairwise_squared_distances(station_coordinates, points), powers, alpha
+    )
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.subtract(total[None, :], energies)
+        ratio += noise
+        np.divide(energies, ratio, out=ratio)
+    if rare.any():
+        ratio[:, rare] = _general_sinr_matrix(
+            station_coordinates, powers, points[rare], noise, alpha
+        )
+    return ratio
+
+
+def _received_rows(
+    squared: np.ndarray,
+    station_coordinates: np.ndarray,
+    powers: np.ndarray,
+    points: np.ndarray,
+    indices: np.ndarray,
+    noise: float,
+    beta: float,
+    alpha: float,
+) -> np.ndarray:
+    """:func:`received_mask_at` from the call's squared distances."""
+    energies, total, rare = _energy_totals(squared, powers, alpha)
+    row = energies[indices, np.arange(len(points))]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mask = row / (total - row + noise) >= beta
+    if rare.any():
+        mask[rare] = _general_received_mask_at(
+            station_coordinates, powers, points[rare], indices[rare],
+            noise, beta, alpha,
+        )
+    return mask
+
+
+def received_mask_at(
+    station_coordinates: np.ndarray,
+    powers: np.ndarray,
+    points: np.ndarray,
+    indices: np.ndarray,
+    noise: float,
+    beta: float,
+    alpha: float = 2.0,
+) -> np.ndarray:
+    """Reception indicator of a *per-point* station, shape ``(m,)``.
+
+    Entry ``j`` says whether station ``indices[j]`` is received at
+    ``points[j]``: its row of :func:`sinr_matrix` against ``beta``, computed
+    without materialising the other ``n - 1`` SINR rows (the energy matrix,
+    needed for the interference total, is the only ``(n, m)`` pass), except
+    that a point occupied by stations is received exactly by the co-located
+    ones.
+    This is the verification kernel of every locator, where each point has
+    exactly one candidate station to check; a constant ``indices`` array
+    asks about one station everywhere.
+    """
+    return _received_rows(
+        pairwise_squared_distances(station_coordinates, points),
+        station_coordinates, powers, points, np.asarray(indices),
+        noise, beta, alpha,
+    )
+
+
 def nearest_received(
     station_coordinates: np.ndarray,
     powers: np.ndarray,
@@ -221,13 +331,14 @@ def nearest_received(
 
     The Voronoi candidate of Observation 2.2 and its reception check: a
     squared-distance argmin (lowest index on exact ties) followed by
-    :func:`received_mask_at` on that station, shape ``(m,)``.
+    :func:`received_mask_at` on that station, shape ``(m,)``.  One pass:
+    the squared distances that pick the candidate become its energies.
     """
-    nearest = np.argmin(
-        pairwise_squared_distances(station_coordinates, points), axis=0
-    )
-    heard = received_mask_at(
-        station_coordinates, powers, points, nearest, noise, beta, alpha
+    squared = pairwise_squared_distances(station_coordinates, points)
+    nearest = np.argmin(squared, axis=0)
+    heard = _received_rows(
+        squared, station_coordinates, powers, points, nearest,
+        noise, beta, alpha,
     )
     return np.where(heard, nearest, no_reception)
 

@@ -4,13 +4,15 @@
 *propose* pass stays exact as long as an exact *verify* pass re-checks every
 proposal that could be wrong.  This module applies the same trick to
 precision instead of space: decision queries (reception masks, heard
-station, nearest received station) are screened in float32 —
-half the memory traffic of the float64 kernels, and free of their
-coincidence-matrix passes — together with a certified decision margin per
-point.  Points whose float32 margin is too small to rule out a float64
-disagreement are re-routed through the exact ``numpy`` backend, so the
-combined answer is bit-identical to ``reference`` *by construction*: the
-screen only ever keeps decisions it can certify.
+station, nearest received station) are screened in float32 — the same
+one in-place energy pass as the float64 kernels at half their memory
+traffic — together with a certified decision margin per point.  Points
+whose float32 margin is too small to rule out a float64 disagreement are
+re-routed through the exact ``numpy`` backend, so the combined answer is
+bit-identical to ``reference`` *by construction*: the screen only ever
+keeps decisions it can certify.  The float64 kernels re-answer their rare
+columns (a non-finite energy total) on a general path; the screen never
+needs one, because it sends those columns to the exact backend whole.
 
 Margin semantics
 ----------------

@@ -16,6 +16,7 @@ the null zone ``H_empty`` where no station is heard (Section 1.1).  The
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,7 +31,13 @@ from ..geometry.point import Point
 from .network import WirelessNetwork
 from .reception import ReceptionZone
 
-__all__ = ["SINRDiagram", "RasterDiagram", "RasterLattice", "raster_labels"]
+__all__ = [
+    "SINRDiagram",
+    "RasterDiagram",
+    "RasterLattice",
+    "raster_labels",
+    "raster_lattices",
+]
 
 #: Label used in raster maps for points where no station is heard.
 NO_RECEPTION = -1
@@ -94,6 +101,62 @@ class RasterLattice:
     def stop(self) -> int:
         """One past the request's last global pixel index."""
         return self.start + self.count
+
+
+def raster_lattices(
+    lower_left: Point, upper_right: Point, resolution: int
+) -> Tuple[RasterLattice, RasterLattice]:
+    """The ``(x, y)`` pixel lattices of a raster request.
+
+    ``resolution`` pixels along the longer side of the box, and the
+    shorter side scaled to keep pixels square (at least 2).  The checks and
+    the lattices of :meth:`SINRDiagram.rasterize`, which
+    :class:`~repro.service.RasterService` also runs on its event-loop
+    thread before any tile work.
+
+    Raises:
+        DiagramError: if the box is empty, its width or height is not
+            finite (a non-finite corner, or corners so far apart that the
+            extent overflows), a side is too short for its pixel pitch to
+            be a nonzero float, or ``resolution`` is not an integer of at
+            least 2 (a bool or a float is refused, not truncated).
+    """
+    # Python floats overflow to inf silently; numpy scalars would warn.
+    width = float(upper_right.x) - float(lower_left.x)
+    height = float(upper_right.y) - float(lower_left.y)
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise DiagramError(
+            f"rasterize() requires a finite bounding box, got "
+            f"{lower_left}-{upper_right}"
+        )
+    if width <= 0.0 or height <= 0.0:
+        raise DiagramError("rasterize() requires a non-empty bounding box")
+    try:
+        pixels = None if isinstance(resolution, bool) else operator.index(resolution)
+    except TypeError:
+        pixels = None
+    if pixels is None or pixels < 2:
+        raise DiagramError(
+            f"rasterize() requires an integer resolution >= 2, got {resolution!r}"
+        )
+
+    if width >= height:
+        columns = pixels
+        rows = max(2, int(round(pixels * height / width)))
+    else:
+        rows = pixels
+        columns = max(2, int(round(pixels * width / height)))
+
+    if width / columns == 0.0 or height / rows == 0.0:
+        raise DiagramError(
+            f"rasterize() requires a box whose pixel pitch does not "
+            f"underflow to 0, got {lower_left}-{upper_right} at "
+            f"{columns}x{rows} pixels"
+        )
+    return (
+        RasterLattice.build(lower_left.x, width, columns),
+        RasterLattice.build(lower_left.y, height, rows),
+    )
 
 
 def _pixel_points(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -350,8 +413,9 @@ class SINRDiagram:
 
         Args:
             lower_left, upper_right: corners of the bounding box.
-            resolution: number of pixels along the longer side; the shorter
-                side is scaled to keep pixels square.
+            resolution: number of pixels along the longer side, an integer
+                of at least 2; the shorter side is scaled to keep pixels
+                square.
             cache: ``None`` labels the whole box in one engine call; a
                 :class:`repro.raster.TileCache` assembles the labels from
                 cached lattice tiles instead, computing only the missing
@@ -359,42 +423,13 @@ class SINRDiagram:
                 on first read, and both paths return bit-identical rasters.
 
         Raises:
-            DiagramError: if the box is empty, its width or height is not
-                finite (a non-finite corner, or corners so far apart that
-                the extent overflows), a side is too short for its pixel
-                pitch to be a nonzero float, or the resolution is too small.
+            DiagramError: for a box or resolution that
+                :func:`raster_lattices` refuses, whether or not a cache is
+                passed.
             RasterCacheError: if ``cache`` is neither ``None`` nor a
                 :class:`repro.raster.TileCache`.
         """
-        # Python floats overflow to inf silently; numpy scalars would warn.
-        width = float(upper_right.x) - float(lower_left.x)
-        height = float(upper_right.y) - float(lower_left.y)
-        if not (math.isfinite(width) and math.isfinite(height)):
-            raise DiagramError(
-                f"rasterize() requires a finite bounding box, got "
-                f"{lower_left}-{upper_right}"
-            )
-        if width <= 0.0 or height <= 0.0:
-            raise DiagramError("rasterize() requires a non-empty bounding box")
-        if resolution < 2:
-            raise DiagramError("rasterize() requires resolution >= 2")
-
-        if width >= height:
-            columns = resolution
-            rows = max(2, int(round(resolution * height / width)))
-        else:
-            rows = resolution
-            columns = max(2, int(round(resolution * width / height)))
-
-        if width / columns == 0.0 or height / rows == 0.0:
-            raise DiagramError(
-                f"rasterize() requires a box whose pixel pitch does not "
-                f"underflow to 0, got {lower_left}-{upper_right} at "
-                f"{columns}x{rows} pixels"
-            )
-
-        lattice_x = RasterLattice.build(lower_left.x, width, columns)
-        lattice_y = RasterLattice.build(lower_left.y, height, rows)
+        lattice_x, lattice_y = raster_lattices(lower_left, upper_right, resolution)
 
         if cache is not None:
             # Imported lazily: repro.raster sits above the model layer.

@@ -92,6 +92,7 @@ from .tiles import (
     compute_tile,
     invalidate_for_delta,
     rasterize_tiled,
+    resident_tiles,
     tile_key,
 )
 
@@ -105,5 +106,6 @@ __all__ = [
     "compute_tile",
     "invalidate_for_delta",
     "rasterize_tiled",
+    "resident_tiles",
     "tile_key",
 ]

@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import RasterCacheError
 
@@ -188,6 +188,24 @@ class TileCache:
                 self._in_flight.pop(key, None)
             event.set()
             return tile
+
+    def lookup(self, keys: Sequence[tuple]) -> Optional[List[object]]:
+        """Every tile under ``keys``, or ``None`` unless all are resident.
+
+        One lock acquisition for the whole set, and never a computation.
+        When every tile is resident the caller holds them all by reference,
+        each counts as a hit and moves to the most-recently-used end, as a
+        :meth:`get_or_compute` hit does; otherwise nothing is counted or
+        moved, and the caller fetches through :meth:`get_or_compute`.
+        """
+        with self._lock:
+            tiles = [self._store.get(key) for key in keys]
+            if any(tile is None for tile in tiles):
+                return None
+            for key in keys:
+                self._store.move_to_end(key)
+            self._hits += len(tiles)
+        return tiles
 
     def _insert_locked(self, key: tuple, tile) -> None:
         """Store ``tile`` and evict LRU entries back under budget.

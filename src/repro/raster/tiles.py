@@ -7,6 +7,9 @@ anchored at global pixel index 0 — fetches each covering tile from a
 :class:`~repro.raster.cache.TileCache` (computing only the missing ones
 through the active engine backend), and assembles the requested
 :class:`~repro.model.diagram.RasterDiagram` from the tile slices.
+:func:`resident_tiles` fetches a request's tiles only if all are resident,
+never computing one, so a caller can tell a full hit from a request that
+needs tile work before it picks a thread for it.
 
 A tile is its read-only ``(tile_size, tile_size)`` ``intp`` label block:
 ``tile_size**2 * 8`` bytes whatever the station count (32 KiB at 64 px).
@@ -55,6 +58,7 @@ __all__ = [
     "compute_tile",
     "invalidate_for_delta",
     "rasterize_tiled",
+    "resident_tiles",
     "tile_key",
 ]
 
@@ -198,11 +202,46 @@ def invalidate_for_delta(
     return cache.invalidate_region(old_fingerprint, new_fingerprint, boxes)
 
 
+def _covering_tiles(
+    lattice_x: RasterLattice, lattice_y: RasterLattice, size: int
+) -> List[Tuple[int, int]]:
+    """``(tile_x, tile_y)`` of every tile a request overlaps, row by row."""
+    return [
+        (tile_x, tile_y)
+        for tile_y in range(lattice_y.start // size, (lattice_y.stop - 1) // size + 1)
+        for tile_x in range(lattice_x.start // size, (lattice_x.stop - 1) // size + 1)
+    ]
+
+
+def resident_tiles(
+    network: WirelessNetwork,
+    lattice_x: RasterLattice,
+    lattice_y: RasterLattice,
+    cache: TileCache,
+) -> Optional[Tuple[object, list]]:
+    """``(backend, tiles)`` when every tile of the request is resident.
+
+    Pins the active backend as :func:`rasterize_tiled` does and fetches
+    every covering tile with one :meth:`TileCache.lookup`; ``None`` when
+    one is missing.  Never computes a tile, so
+    :class:`~repro.service.RasterService` calls it on its event-loop thread
+    and assembles a full hit there, from the tiles this holds.
+    """
+    size = cache.tile_size
+    backend = active_backend()
+    tiles = cache.lookup([
+        tile_key(network.fingerprint, backend, size, lattice_x, lattice_y, *tile)
+        for tile in _covering_tiles(lattice_x, lattice_y, size)
+    ])
+    return None if tiles is None else (backend, tiles)
+
+
 def rasterize_tiled(
     network: WirelessNetwork,
     lattice_x: RasterLattice,
     lattice_y: RasterLattice,
     cache: TileCache,
+    resident: Optional[Tuple[object, list]] = None,
 ) -> RasterDiagram:
     """Assemble a raster from cached lattice tiles (computing missing ones).
 
@@ -210,49 +249,51 @@ def rasterize_tiled(
     which builds the lattices; this function fetches every tile covering
     ``[lattice_x.start, lattice_x.stop) x [lattice_y.start, lattice_y.stop)``
     via :meth:`TileCache.get_or_compute` and copies the overlapping label
-    slices into the result.  The returned diagram computes its
+    slices into the result.  ``resident`` is what :func:`resident_tiles`
+    found for the same request when every tile was there: the raster is
+    then assembled from those tiles, under the backend they were looked up
+    with, and nothing is computed.  The returned diagram computes its
     ``sinr_values`` on first read, under this request's network and
     backend, and is bit-identical to the monolithic path on the same box.
     """
     size = cache.tile_size
-    fingerprint = network.fingerprint
-    # Pinned once per request: every tile of this raster — cached or
-    # computed — and its deferred SINR values belong to the same backend,
-    # so a backend switch mid-burst can never stitch a seam through one
-    # assembled diagram.
-    backend = active_backend()
-    columns, rows = lattice_x.count, lattice_y.count
-    gx0, gy0 = lattice_x.start, lattice_y.start
-
-    labels = np.empty((rows, columns), dtype=np.intp)
-
-    first_tile_x = gx0 // size
-    last_tile_x = (lattice_x.stop - 1) // size
-    first_tile_y = gy0 // size
-    last_tile_y = (lattice_y.stop - 1) // size
-    for tile_y in range(first_tile_y, last_tile_y + 1):
-        for tile_x in range(first_tile_x, last_tile_x + 1):
-            key = tile_key(
-                fingerprint, backend, size, lattice_x, lattice_y, tile_x, tile_y
-            )
-            tile = cache.get_or_compute(
-                key,
+    covering = _covering_tiles(lattice_x, lattice_y, size)
+    if resident is not None:
+        backend, tiles = resident
+    else:
+        # Pinned once per request: every tile of this raster — cached or
+        # computed — and its deferred SINR values belong to the same
+        # backend, so a backend switch mid-burst can never stitch a seam
+        # through one assembled diagram.
+        backend = active_backend()
+        fingerprint = network.fingerprint
+        tiles = (
+            cache.get_or_compute(
+                tile_key(
+                    fingerprint, backend, size, lattice_x, lattice_y,
+                    tile_x, tile_y,
+                ),
                 partial(
                     compute_tile,
                     network, lattice_x, lattice_y, tile_x, tile_y, size,
                     backend,
                 ),
             )
-            # Overlap of this tile with the request, in global pixel indices.
-            overlap_x0 = max(gx0, tile_x * size)
-            overlap_x1 = min(lattice_x.stop, (tile_x + 1) * size)
-            overlap_y0 = max(gy0, tile_y * size)
-            overlap_y1 = min(lattice_y.stop, (tile_y + 1) * size)
-            out_cols = slice(overlap_x0 - gx0, overlap_x1 - gx0)
-            out_rows = slice(overlap_y0 - gy0, overlap_y1 - gy0)
-            in_cols = slice(overlap_x0 - tile_x * size, overlap_x1 - tile_x * size)
-            in_rows = slice(overlap_y0 - tile_y * size, overlap_y1 - tile_y * size)
-            labels[out_rows, out_cols] = tile[in_rows, in_cols]
+            for tile_x, tile_y in covering
+        )
+    gx0, gy0 = lattice_x.start, lattice_y.start
+    labels = np.empty((lattice_y.count, lattice_x.count), dtype=np.intp)
+    for (tile_x, tile_y), tile in zip(covering, tiles):
+        # Overlap of this tile with the request, in global pixel indices.
+        overlap_x0 = max(gx0, tile_x * size)
+        overlap_x1 = min(lattice_x.stop, (tile_x + 1) * size)
+        overlap_y0 = max(gy0, tile_y * size)
+        overlap_y1 = min(lattice_y.stop, (tile_y + 1) * size)
+        out_cols = slice(overlap_x0 - gx0, overlap_x1 - gx0)
+        out_rows = slice(overlap_y0 - gy0, overlap_y1 - gy0)
+        in_cols = slice(overlap_x0 - tile_x * size, overlap_x1 - tile_x * size)
+        in_rows = slice(overlap_y0 - tile_y * size, overlap_y1 - tile_y * size)
+        labels[out_rows, out_cols] = tile[in_rows, in_cols]
 
     return RasterDiagram._with_deferred_sinr(
         network, lattice_x, lattice_y, labels, backend

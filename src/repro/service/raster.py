@@ -2,18 +2,25 @@
 
 :class:`RasterService` owns one network and one
 :class:`~repro.raster.TileCache` and serves ``rasterize`` requests from
-asyncio clients.  Each request runs on an event-loop executor thread (the
-tile computation is CPU-bound numpy work that would otherwise stall every
-other coroutine), under a :mod:`contextvars` context captured at
-construction — so the engine backend selected when the service was created
-is the one that computes missing tiles, mirroring the
+asyncio clients.  A request builds its pixel lattices on the event-loop
+thread (a bad box or resolution fails there, before any tile work) and
+asks the cache for all of its tiles at once.  When every tile is resident
+the raster is assembled right there, on the loop thread: a full hit is a
+label copy, cheaper than the hand-off to another thread.  Only a request
+with a missing tile goes to an event-loop executor thread, because tile
+computation is CPU-bound numpy work that would otherwise stall every
+other coroutine; the loop thread never computes a tile.  Both paths run
+under a copy of the :mod:`contextvars` context captured at construction —
+so the engine backend selected when the service was created is the one
+that computes missing tiles, mirroring the
 :class:`~repro.service.batcher.MicroBatcher` contract.
 
 The cache is thread-safe and single-flights concurrent misses, so a burst
 of overlapping zoom/pan requests computes every shared tile exactly once
 and each response is bit-identical to an uncached
-``SINRDiagram.rasterize`` of the same box.  Requests run on the event
-loop's default executor, which bounds how many compute at once.
+``SINRDiagram.rasterize`` of the same box.  Requests with missing tiles
+run on the event loop's default executor, which bounds how many compute
+at once.
 """
 
 from __future__ import annotations
@@ -23,9 +30,10 @@ import contextvars
 from functools import partial
 from typing import Optional
 
+from .. import raster
 from ..exceptions import RasterCacheError, ServiceClosedError, ServiceError
-from ..model.diagram import RasterDiagram, SINRDiagram
-from ..raster import CacheStats, TileCache, invalidate_for_delta
+from ..model.diagram import RasterDiagram, raster_lattices
+from ..raster import CacheStats, TileCache, invalidate_for_delta, resident_tiles
 from ..runtime.component import Component
 
 __all__ = ["RasterService"]
@@ -39,7 +47,9 @@ class RasterService(Component):
     so ``start()`` is optional and exists for uniform composition — a
     :class:`~repro.runtime.Runtime` can boot and retire it like any other
     component.  ``stop()`` is final: further requests raise
-    :class:`~repro.exceptions.ServiceClosedError`.
+    :class:`~repro.exceptions.ServiceClosedError`.  Only requests with a
+    missing tile use the event loop's executor; a full hit is assembled on
+    the loop thread.
 
     Args:
         network: the :class:`~repro.model.network.WirelessNetwork` served.
@@ -58,10 +68,10 @@ class RasterService(Component):
                 f"cache must be a repro.raster.TileCache or None, got {cache!r}"
             )
         self.network = network
-        self.diagram = SINRDiagram(network)
         self.cache = cache
-        # Captured once so every executor-thread rasterisation sees the
-        # engine-backend selection active when the service was built.
+        # Captured once so every rasterisation, on the loop thread or an
+        # executor thread, sees the engine-backend selection active when
+        # the service was built.
         self._context = contextvars.copy_context()
 
     # -- lifecycle -------------------------------------------------------
@@ -76,22 +86,28 @@ class RasterService(Component):
 
         Bit-identical to ``SINRDiagram.rasterize(lower_left, upper_right,
         resolution)`` on the same box; concurrent requests share tile
-        computation through the cache's single-flight path.
+        computation through the cache's single-flight path.  A request
+        whose tiles are all resident is assembled on the calling event-loop
+        thread; one with a missing tile goes to the default executor.
+        Either way it makes one :func:`~repro.raster.rasterize_tiled` call.
         """
         self._ensure_open()
+        network, cache = self.network, self.cache
+        lattice_x, lattice_y = raster_lattices(lower_left, upper_right, resolution)
         # Context.run cannot be entered concurrently from two threads, so
         # each request runs a fresh copy of the captured context (the same
         # convention as the MicroBatcher's dispatch workers).
+        run = self._context.copy().run
+        resident = run(resident_tiles, network, lattice_x, lattice_y, cache)
+        # Looked up on the package at each call, as SINRDiagram.rasterize
+        # does, so a wrapper installed there (perfbench's tracer) sees
+        # every request.
         call = partial(
-            self._context.copy().run,
-            partial(
-                self.diagram.rasterize,
-                lower_left,
-                upper_right,
-                resolution,
-                cache=self.cache,
-            ),
+            run, raster.rasterize_tiled, network, lattice_x, lattice_y, cache,
+            resident,
         )
+        if resident is not None:
+            return call()
         return await asyncio.get_running_loop().run_in_executor(None, call)
 
     # -- network swaps ---------------------------------------------------
@@ -103,7 +119,7 @@ class RasterService(Component):
         re-keyed to the new network's fingerprint, overlapping tiles are
         dropped (a full drop when re-keying cannot be justified; see that
         function for the exact contract and its label caveat) — then
-        installs the new network and diagram.  Returns the
+        installs the new network.  Returns the
         ``(rekeyed, dropped)`` counts.  Rasters served after the swap
         compute their SINR values from the new network, so those are
         exact; re-keyed labels may drift at other stations' zone
@@ -124,7 +140,6 @@ class RasterService(Component):
         else:
             counts = (0, 0)
         self.network = new_network
-        self.diagram = SINRDiagram(new_network)
         return counts
 
     # -- introspection ---------------------------------------------------

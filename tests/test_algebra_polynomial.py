@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.algebra import Polynomial
@@ -93,6 +95,23 @@ class TestArithmetic:
         reconstructed = quotient * divisor + remainder
         for x in (-2.0, -0.5, 0.0, 1.3, 4.0):
             assert reconstructed(x) == pytest.approx(dividend(x))
+
+    def test_quotient_keeps_a_small_leading_coefficient(self):
+        """x^5 / (3 + 0.0011x): the quotient's leading 909 x^4 term sits
+        beside 5.0e16 and was trimmed as negligible, leaving a cubic whose
+        q * d + r read -63904 at x = 2.2 against x^5 = 51.5.  Kept, the
+        reconstruction is exact to rounding of the terms it cancels."""
+        dividend = Polynomial.monomial(5)
+        divisor = Polynomial([3.0, 0.0011])
+        quotient, remainder = dividend.divmod(divisor)
+        assert quotient.degree() == 4
+        assert quotient.leading_coefficient() == 1.0 / 0.0011
+        x = 2.2
+        terms = sum(
+            abs(c) * x**k for k, c in enumerate(quotient.coefficients)
+        ) * (3.0 + 0.0011 * x) + abs(remainder(x))
+        error = abs(quotient(x) * divisor(x) + remainder(x) - x**5)
+        assert error <= 32 * sys.float_info.epsilon * terms
 
     def test_division_by_zero_raises(self):
         with pytest.raises(AlgebraError):

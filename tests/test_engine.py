@@ -1130,3 +1130,135 @@ class TestCachedNetworkArrays:
             network.coords,
             np.array([[p.x, p.y] for p in network.locations()]),
         )
+
+
+# ----------------------------------------------------------------------
+# The in-place energy pass and its rare columns
+# ----------------------------------------------------------------------
+def rare_and_ordinary_points(coords: np.ndarray, seed: int) -> np.ndarray:
+    """Ordinary points interleaved with every kind of rare column: on a
+    station (a duplicated one too), overflow-close and subnormal offsets,
+    NaN, infinite and +-1e308 coordinates."""
+    rng = np.random.default_rng(seed)
+    ordinary = rng.uniform(-2.0, coords.max() + 2.0, size=(40, 2))
+    rare = np.vstack([
+        coords,
+        coords[:3] + 1e-170,
+        coords[:3] + np.array([5e-324, -2.2e-308]),
+        [[math.nan, 1.0], [2.0, math.nan], [math.inf, 0.0],
+         [-math.inf, -math.inf], [1e308, 1e308], [-1e308, 1e308]],
+    ])
+    mixed = np.vstack([ordinary, rare])
+    return mixed[rng.permutation(len(mixed))]
+
+
+def lean_kernel_cases():
+    """Raw-array networks: a duplicated station, noise 0 or not, three
+    exponents, uniform and non-uniform powers, and powers whose energy
+    totals overflow."""
+    coords = np.array(
+        [[0.0, 0.0], [3.0, 0.5], [3.0, 0.5], [1.0, 4.0], [5.0, 5.0], [-2.0, 3.0]]
+    )
+    uneven = np.array([1.0, 0.5, 2.0, 1.5, 0.7, 3.0])
+    return [
+        (coords, np.ones(6), 0.01, 3.0, 2.0),
+        (coords, uneven, 0.0, 0.5, 2.0),
+        (coords, uneven, 0.002, 1.01, 3.0),
+        (coords, np.ones(6), 0.0, 0.3, 4.5),
+        (coords, np.full(6, 1e307), 0.0, 1.0, 2.0),
+    ]
+
+
+class TestLeanKernels:
+    """Each kernel decides ordinary columns in one in-place energy pass and
+    answers rare ones (zero distance, non-finite total) again on the
+    general path; a batch mixing both answers every point as a one-point
+    call does, and decides as the reference backend does."""
+
+    @staticmethod
+    def calls(coords, powers, noise, beta, alpha):
+        reference = get_backend("reference")
+        n = len(coords)
+        return {
+            "sinr_matrix": (
+                lambda pts, idx: kernels.sinr_matrix(coords, powers, pts, noise, alpha),
+                None,
+            ),
+            "heard_station": (
+                lambda pts, idx: kernels.heard_station(
+                    coords, powers, pts, noise, beta, alpha, NO_RECEPTION
+                ),
+                lambda pts, idx: reference.heard_station(
+                    coords, powers, pts, noise, beta, alpha, NO_RECEPTION
+                ),
+            ),
+            "received_mask_at": (
+                lambda pts, idx: kernels.received_mask_at(
+                    coords, powers, pts, idx, noise, beta, alpha
+                ),
+                lambda pts, idx: reference.received_mask_at(
+                    coords, powers, pts, idx, noise, beta, alpha
+                ),
+            ),
+            "nearest_received": (
+                lambda pts, idx: kernels.nearest_received(
+                    coords, powers, pts, noise, beta, alpha, NO_RECEPTION
+                ),
+                lambda pts, idx: reference.nearest_received(
+                    coords, powers, pts, noise, beta, alpha, NO_RECEPTION
+                ),
+            ),
+        }, n
+
+    @pytest.mark.parametrize("case", range(len(lean_kernel_cases())))
+    def test_mixed_batch_equals_one_point_calls_and_reference(self, case):
+        coords, powers, noise, beta, alpha = lean_kernel_cases()[case]
+        points = rare_and_ordinary_points(coords, seed=case)
+        calls, n = self.calls(coords, powers, noise, beta, alpha)
+        indices = np.arange(len(points)) % n
+        with np.errstate(all="ignore"):
+            for name, (kernel, reference) in calls.items():
+                batch = kernel(points, indices)
+                for j in range(len(points)):
+                    one = kernel(points[j : j + 1], indices[j : j + 1])
+                    np.testing.assert_array_equal(
+                        one, batch[..., j : j + 1], err_msg=f"{name} point {j}"
+                    )
+                if reference is not None:
+                    np.testing.assert_array_equal(
+                        batch, reference(points, indices), err_msg=name
+                    )
+
+    def test_candidate_indices_may_be_a_list(self):
+        """The rare columns are re-answered by boolean selection of the
+        candidates, which a plain list of indices must survive too."""
+        coords, powers, noise, beta, alpha = lean_kernel_cases()[0]
+        points = rare_and_ordinary_points(coords, seed=9)
+        indices = [j % len(coords) for j in range(len(points))]
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(
+                kernels.received_mask_at(
+                    coords, powers, points, indices, noise, beta, alpha
+                ),
+                kernels.received_mask_at(
+                    coords, powers, points, np.array(indices), noise, beta, alpha
+                ),
+            )
+
+    @pytest.mark.parametrize(
+        "name", ["sinr_matrix", "heard_station", "received_mask_at", "nearest_received"]
+    )
+    def test_peak_memory_is_about_two_blocks(self, name):
+        """A 50-station x 4,096-point call (one 64 px raster tile) holds
+        the squared distances turned energies, and the SINR matrix where
+        one is formed: its tracemalloc peak stays under 3.5 ``(n, m)``
+        float64 blocks (the general path peaks at 4 to 5.3)."""
+        rng = np.random.default_rng(24)
+        coords = rng.uniform(0.0, 28.0, size=(50, 2))
+        points = rng.uniform(-4.0, 32.0, size=(4096, 2))
+        calls, n = self.calls(coords, np.ones(50), 0.002, 3.0, 2.0)
+        indices = rng.integers(0, n, size=len(points))
+        kernel = calls[name][0]
+        kernel(points, indices)
+        _, peak = peak_of(lambda: kernel(points, indices))
+        assert peak < 3.5 * 50 * 4096 * 8

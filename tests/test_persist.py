@@ -1,11 +1,14 @@
 """Regression tests for benchmark knobs and benchmark persistence.
 
-Three historical bugs are pinned here:
+Four historical bugs are pinned here:
 
 * ``quick_mode()`` read the quick flag as ``bool(read_knob(...))`` — any
   non-empty value, including ``REPRO_BENCH_QUICK=0`` and ``=false``,
   *enabled* quick mode.  The fix routes every flag knob through
   :func:`repro.env.read_bool_knob` with explicit false tokens.
+* ``record_benchmark()`` keyed each group by ``git rev-parse HEAD``, so a
+  run on an uncommitted working tree was filed under its parent commit;
+  groups are now keyed by the ``src/repro`` digest and the machine.
 * ``record_benchmark()`` did an unlocked read-modify-write of
   ``BENCH_engine.json`` — two concurrent recorders (pytest-xdist, parallel
   CI legs) could each read the same base state and the later ``os.replace``
@@ -143,7 +146,7 @@ class TestQuickMode:
 
 
 # ----------------------------------------------------------------------
-# record_benchmark(): merging, SHA resets, concurrency
+# record_benchmark(): merging, code and machine resets, concurrency
 # ----------------------------------------------------------------------
 class TestRecordBenchmark:
     def test_sections_merge_within_a_group(self, tmp_path):
@@ -151,8 +154,44 @@ class TestRecordBenchmark:
         persist.record_benchmark("alpha", {"v": 1}, path=path, quick=False)
         persist.record_benchmark("beta", {"v": 2}, path=path, quick=False)
         data = json.loads(open(path).read())
-        assert data["schema"] == 2
+        assert data["schema"] == 3
         assert set(data["full"]["results"]) == {"alpha", "beta"}
+
+    def test_a_group_names_the_code_and_the_machine(self, tmp_path):
+        """Keyed by the ``src/repro`` digest (which names a working tree
+        too, unlike the HEAD commit), with nproc, numpy and CPU model."""
+        path = str(tmp_path / "bench.json")
+        persist.record_benchmark("alpha", {"v": 1}, path=path, quick=False)
+        group = json.loads(open(path).read())["full"]
+        assert group["src_digest"] == persist.source_digest()
+        assert {name: group[name] for name in ("nproc", "numpy", "cpu_model")} == (
+            persist.machine()
+        )
+        assert "git_sha" not in group
+
+    def test_the_digest_is_the_one_perfbench_prints(self):
+        import importlib.util
+
+        harness_path = os.path.join(
+            os.path.dirname(os.path.dirname(persist.__file__)),
+            "perfbench", "harness.py",
+        )
+        spec = importlib.util.spec_from_file_location("perfbench_harness", harness_path)
+        harness = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(harness)
+        assert harness.run_metadata()["src_digest"] == persist.source_digest()
+
+    def test_an_older_schema_is_replaced(self, tmp_path):
+        """A schema-2 file keyed by a git SHA describes no tree: it goes."""
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({
+            "schema": 2,
+            "full": {"git_sha": "c5a231c", "results": {"adaptive_control": {}}},
+        }))
+        persist.record_benchmark("alpha", {"v": 1}, path=str(path), quick=False)
+        data = json.loads(path.read_text())
+        assert data["schema"] == 3
+        assert set(data["full"]["results"]) == {"alpha"}
 
     def test_groups_are_independent(self, tmp_path):
         path = str(tmp_path / "bench.json")
@@ -162,17 +201,27 @@ class TestRecordBenchmark:
         assert data["full"]["results"]["alpha"] == {"v": 1}
         assert data["quick"]["results"]["alpha"] == {"v": 2}
 
-    def test_new_sha_resets_only_its_group(self, tmp_path, monkeypatch):
+    def test_new_code_resets_only_its_group(self, tmp_path, monkeypatch):
         path = str(tmp_path / "bench.json")
         persist.record_benchmark("alpha", {"v": 1}, path=path, quick=False)
         persist.record_benchmark("alpha", {"v": 2}, path=path, quick=True)
-        # Simulate a run at a different commit.
-        monkeypatch.setattr(persist, "current_git_sha", lambda: "deadbeef")
+        # Simulate a run of different code.
+        monkeypatch.setattr(persist, "source_digest", lambda: "deadbeef")
         persist.record_benchmark("beta", {"v": 3}, path=path, quick=True)
         data = json.loads(open(path).read())
-        assert data["quick"]["git_sha"] == "deadbeef"
+        assert data["quick"]["src_digest"] == "deadbeef"
         assert set(data["quick"]["results"]) == {"beta"}  # quick group reset
         assert set(data["full"]["results"]) == {"alpha"}  # full group kept
+
+    def test_another_machine_resets_the_group(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "bench.json")
+        persist.record_benchmark("alpha", {"v": 1}, path=path, quick=False)
+        other = {**persist.machine(), "nproc": "64"}
+        monkeypatch.setattr(persist, "machine", lambda: other)
+        persist.record_benchmark("beta", {"v": 2}, path=path, quick=False)
+        data = json.loads(open(path).read())
+        assert data["full"]["nproc"] == "64"
+        assert set(data["full"]["results"]) == {"beta"}
 
     def test_concurrent_recorders_lose_no_sections(self, tmp_path):
         """Threaded writers racing one file: every section must survive.

@@ -202,6 +202,40 @@ class TestCacheStats:
         with pytest.raises(RasterCacheError, match="TileCache or None"):
             RasterService(diagram.network, cache=bad)
 
+    @pytest.mark.parametrize(
+        "resolution",
+        [100.5, 64.0, np.float64(64.0), "64", None, True, np.bool_(True), 1, -3],
+        ids=["fraction", "whole-float", "numpy-float", "string", "none", "bool",
+             "numpy-bool", "one", "negative"],
+    )
+    def test_resolution_must_be_an_integer_of_at_least_two(
+        self, diagram, resolution
+    ):
+        """Uncached, cached and served, a resolution that is not an integer
+        >= 2 raises ``DiagramError`` (a float was truncated into a 100 x 101
+        raster without a cache and failed with a bare ``TypeError`` with
+        one), and no tile is computed."""
+        box = (Point(0.0, 0.0), Point(10.0, 10.0))
+        cache = TileCache(tile_size=16)
+        with pytest.raises(DiagramError, match="integer resolution >= 2"):
+            diagram.rasterize(*box, resolution)
+        with pytest.raises(DiagramError, match="integer resolution >= 2"):
+            diagram.rasterize(*box, resolution, cache=cache)
+        service = RasterService(diagram.network, cache=cache)
+        with pytest.raises(DiagramError, match="integer resolution >= 2"):
+            asyncio.run(service.rasterize(*box, resolution))
+        assert cache.stats().requests == 0
+
+    def test_any_integer_type_is_a_resolution(self, diagram):
+        box = (Point(0.0, 0.0), Point(10.0, 7.0))
+        expected = diagram.rasterize(*box, 40)
+        for resolution in (np.int64(40), np.int32(40)):
+            assert_rasters_identical(expected, diagram.rasterize(*box, resolution))
+            assert_rasters_identical(
+                expected,
+                diagram.rasterize(*box, resolution, cache=TileCache(tile_size=16)),
+            )
+
 
 # ----------------------------------------------------------------------
 # SINR values computed on first read
@@ -326,6 +360,23 @@ class TestTileStore:
         stats = cache.stats()
         assert stats.tiles == 4 and stats.stored_bytes == 400
         assert stats.evictions == 6 and stats.misses == 10
+
+    def test_lookup_is_all_or_nothing(self):
+        """``lookup`` returns every tile when all are resident (one hit each,
+        recency refreshed) and ``None`` otherwise, counting and computing
+        nothing."""
+        cache = TileCache(max_bytes=300)
+        self.fill(cache, "fp", 3)
+        keys = [tile_key("fp", 0), tile_key("fp", 1)]
+        assert cache.lookup(keys + [tile_key("fp", 7)]) is None
+        assert (cache.stats().hits, cache.stats().misses) == (0, 3)
+        tiles = cache.lookup(keys)
+        assert [tile.nbytes for tile in tiles] == [100, 100]
+        assert cache.stats().hits == 2
+        # Tiles 0 and 1 are now the most recent: a new one evicts tile 2.
+        self.fill(cache, "other", 1)
+        assert cache.lookup(keys) is not None
+        assert cache.lookup([tile_key("fp", 2)]) is None
 
     def test_a_hit_refreshes_recency(self):
         cache = TileCache(max_bytes=300)
@@ -688,6 +739,89 @@ class TestRasterService:
         for raster in (*first, *second):
             assert_rasters_identical(direct, raster)
         assert service.cache_stats().misses == 4
+
+    @staticmethod
+    def hop_probe(monkeypatch):
+        """``(executor jobs, threads that ran compute_tile)`` of the
+        requests a test serves, and the patch that counts the jobs."""
+        import repro.raster.tiles as tiles
+
+        jobs, computed = [], []
+        compute = tiles.compute_tile
+
+        def spy(*args):
+            computed.append(threading.get_ident())
+            return compute(*args)
+
+        monkeypatch.setattr(tiles, "compute_tile", spy)
+
+        def count_jobs(loop):
+            submit = loop.run_in_executor
+
+            def counting(executor, fn, *args):
+                jobs.append(fn)
+                return submit(executor, fn, *args)
+
+            loop.run_in_executor = counting
+
+        return jobs, computed, count_jobs
+
+    def test_a_full_hit_is_assembled_on_the_loop_thread(
+        self, ten_station_network, monkeypatch
+    ):
+        """A request whose tiles are all resident runs no executor job and
+        no ``compute_tile``; a partial hit makes one job that computes
+        exactly its missing tiles, off the loop thread."""
+        jobs, computed, count_jobs = self.hop_probe(monkeypatch)
+        service = RasterService(ten_station_network, cache=TileCache(tile_size=32))
+        box = (Point(-4.0, -4.0), Point(4.0, 4.0), 64)
+        # Same pitch, shifted by two of the box's four tiles.
+        shifted = (Point(0.0, -4.0), Point(8.0, 4.0), 64)
+
+        async def drive():
+            count_jobs(asyncio.get_running_loop())
+            loop_thread = threading.get_ident()
+            cold = await service.rasterize(*box)
+            assert (len(jobs), len(computed)) == (1, 4)
+            warm = await service.rasterize(*box)
+            assert (len(jobs), len(computed)) == (1, 4)
+            partial_hit = await service.rasterize(*shifted)
+            assert (len(jobs), len(computed)) == (2, 6)
+            assert loop_thread not in computed
+            return cold, warm, partial_hit
+
+        cold, warm, partial_hit = asyncio.run(drive())
+        diagram = SINRDiagram(ten_station_network)
+        assert_rasters_identical(diagram.rasterize(*box), cold)
+        assert_rasters_identical(diagram.rasterize(*box), warm)
+        assert_rasters_identical(diagram.rasterize(*shifted), partial_hit)
+        stats = service.cache_stats()
+        assert (stats.misses, stats.hits) == (6, 4 + 2)
+
+    def test_a_full_hit_runs_under_the_captured_backend(
+        self, ten_station_network, monkeypatch
+    ):
+        """Full hits look their tiles up under the backend selected when the
+        service was built, like the executor path computes them."""
+        from repro.engine import use_backend
+
+        jobs, computed, count_jobs = self.hop_probe(monkeypatch)
+        with use_backend("reference"):
+            service = RasterService(
+                ten_station_network, cache=TileCache(tile_size=8)
+            )
+            expected = SINRDiagram(ten_station_network).rasterize(
+                Point(-4.0, -4.0), Point(4.0, 4.0), 16
+            )
+        box = (Point(-4.0, -4.0), Point(4.0, 4.0), 16)
+
+        async def drive():
+            count_jobs(asyncio.get_running_loop())
+            return [await service.rasterize(*box) for _ in range(2)]
+
+        for raster in asyncio.run(drive()):
+            assert_rasters_identical(expected, raster)
+        assert (len(jobs), len(computed)) == (1, 4)
 
     def test_swap_to_a_content_identical_network_keeps_every_tile(
         self, ten_station_network
