@@ -17,7 +17,10 @@ Two gates, both against the honest static-world baseline:
   station's certified reach and drops only the overlapping ones, so
   re-serving the warm request set is mostly cache assembly.  That re-serve
   must beat the same re-serve after a whole-fingerprint flush by at least
-  **3x**.
+  **3x**.  The same warm requests, re-served against the *old* network as
+  a request straddling the move asks for them, must hit every re-keyed
+  tile and compute only tiles inside the moved station's boxes, storing
+  none of them (counts only, no timing floor).
 
 ``REPRO_BENCH_MIN_SPEEDUP=<float>`` overrides both floors on slow or noisy
 runners (the CI smoke leg relaxes them), and ``REPRO_BENCH_QUICK=1``
@@ -161,13 +164,29 @@ def test_tile_invalidation_beats_full_flush():
     assert rekeyed > 0  # most warm tiles survive the move
     granular_seconds = reserve_seconds(granular)
 
+    # A request that straddles the move still asks for the old network's
+    # tiles: the re-keyed ones serve it, and it computes, without storing,
+    # only tiles inside the moved station's boxes.
+    before = granular.stats()
+    for a, b, res in requests:
+        diagram.rasterize(a, b, res, cache=granular)
+    after = granular.stats()
+    straddle_hits = after.hits - before.hits
+    straddle_misses = after.misses - before.misses
+    straddle_rejected = after.rejected - before.rejected
+
     speedup = flush_seconds / granular_seconds
     print(
         f"\nstations=20 resolution={RESOLUTION} requests={len(requests)}: "
         f"full-flush re-serve {flush_seconds * 1e3:.1f} ms, "
         f"delta re-serve {granular_seconds * 1e3:.1f} ms "
-        f"({rekeyed} rekeyed / {dropped} dropped) -> {speedup:.1f}x"
+        f"({rekeyed} rekeyed / {dropped} dropped) -> {speedup:.1f}x; "
+        f"old-network re-serve {straddle_hits} hits / {straddle_misses} "
+        f"misses / {straddle_rejected} rejected"
     )
+    assert straddle_misses == straddle_rejected
+    assert straddle_misses <= dropped * len(requests)
+    assert straddle_hits >= rekeyed
 
     record_benchmark(
         "incremental_raster",

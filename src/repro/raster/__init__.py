@@ -63,8 +63,11 @@ computes each tile once.
 
 A network swap (:func:`invalidate_for_delta`) retires the old network's
 fingerprint, so a request that straddles the swap parks no tiles under it.
-One cache therefore follows one network lineage: services that share a
-cache must swap together.
+That request is served the new network's tile wherever the swap re-keyed,
+and computes only the tiles inside the swap's boxes; its carried tiles
+follow the re-key rule, so its labels may drift near other stations' zone
+boundaries as a post-swap request's may.  One cache therefore follows one
+network lineage: services that share a cache must swap together.
 
 Quick use::
 

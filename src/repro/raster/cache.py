@@ -18,13 +18,19 @@ or keyed by a retired fingerprint), plus the resident tile count and byte
 total.
 
 One cache follows one network lineage.  :meth:`TileCache.invalidate_region`
-retires the fingerprint a swap moves away from, so services that share a
-cache must swap together: a service still serving a retired network would
-get every tile computed and none stored.
+retires the fingerprint a swap moves away from and remembers the latest
+box-granular swap.  A request that straddles that swap is served the
+successor network's tile wherever the swap re-keyed (the tile touches
+none of its boxes); only the tiles inside the boxes are computed for the
+retired network, served and never stored.  Services that share a cache
+must swap together: a service still serving a network two swaps old
+would get every tile computed and none stored.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
@@ -48,10 +54,36 @@ DEFAULT_MAX_BYTES = 256 * 2**20
 #: per-tile engine call still amortises its dispatch overhead.
 DEFAULT_TILE_SIZE = 64
 
+#: World rectangles ``(xmin, ymin, xmax, ymax)`` a network swap affects.
+Boxes = Sequence[Tuple[float, float, float, float]]
+
 #: How many of the most recently retired fingerprints a cache remembers.
 #: A request still running after this many further swaps stores its tiles
 #: like any other request, and the LRU evicts them.
 RETIRED_FINGERPRINTS = 32
+
+
+def _positive_int(name: str, value: object) -> int:
+    """``value`` as an ``int`` >= 1; a bool, a float (even ``2.0``) or a
+    string is refused rather than truncated."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < 1:
+        raise RasterCacheError(f"{name} must be an integer >= 1, got {value!r}")
+    return number
+
+
+class _Flight:
+    """One in-flight tile computation: its waiters block on ``done`` and
+    then take ``tile``, which stays ``None`` when the computation failed."""
+
+    __slots__ = ("done", "tile")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.tile: object = None
 
 
 @dataclass(frozen=True)
@@ -59,14 +91,18 @@ class CacheStats:
     """A consistent snapshot of one :class:`TileCache`'s counters.
 
     Attributes:
-        hits: lookups answered from the store (including callers that
-            waited on another thread's in-flight computation).
+        hits: lookups answered without computing: from the store, by the
+            successor's tile for a key the latest swap retired outside its
+            boxes, or by another thread's in-flight computation that the
+            caller waited on.
         misses: lookups that had to compute the tile.
         evictions: tiles dropped to get back under the byte budget.
         rejected: computed tiles never stored: the tile alone exceeds the
             whole budget, or its fingerprint was retired by
             :meth:`TileCache.invalidate_region` (a request that straddled
-            a swap computed it for a network no longer served).
+            a swap computed it for a network no longer served: a tile
+            inside the latest swap's boxes, or any tile of a fingerprint
+            retired before that swap).
         rekeyed: tiles carried across a network swap by
             :meth:`TileCache.invalidate_region` (their content is certified
             unaffected by the mutation).
@@ -115,21 +151,16 @@ class TileCache:
         max_bytes: int = DEFAULT_MAX_BYTES,
         tile_size: int = DEFAULT_TILE_SIZE,
     ):
-        if max_bytes <= 0:
-            raise RasterCacheError(
-                f"the tile-cache byte budget must be positive, got {max_bytes}"
-            )
-        if tile_size < 1:
-            raise RasterCacheError(
-                f"the tile size must be at least 1 pixel, got {tile_size}"
-            )
-        self.max_bytes = int(max_bytes)
-        self.tile_size = int(tile_size)
+        self.max_bytes = _positive_int("the tile-cache byte budget", max_bytes)
+        self.tile_size = _positive_int("the tile size in pixels", tile_size)
         self._lock = threading.Lock()
         self._store: "OrderedDict[tuple, object]" = OrderedDict()
-        self._in_flight: Dict[tuple, threading.Event] = {}
+        self._in_flight: Dict[tuple, _Flight] = {}
         # Fingerprints invalidate_region moved away from, oldest first.
         self._retired: "OrderedDict[str, None]" = OrderedDict()
+        # The latest box-granular swap: (retired fingerprint, successor
+        # fingerprint, boxes), or None after a full flush.
+        self._swap: Optional[Tuple[str, str, Boxes]] = None
         self._bytes = 0
         self._hits = 0
         self._misses = 0
@@ -142,70 +173,98 @@ class TileCache:
     def get_or_compute(self, key: tuple, factory: Callable[[], object]):
         """The tile under ``key``, computing it with ``factory`` on a miss.
 
+        A tile is resident for ``key`` when it is stored under ``key``, or
+        when the latest swap retired ``key``'s fingerprint and its successor
+        holds a tile at ``key``'s place outside the swap's boxes (see
+        :meth:`invalidate_region`).
+
         Concurrent misses of the same key are single-flighted: exactly one
-        caller runs ``factory`` (outside the lock), the rest wait and then
-        re-check the store.  If the computed tile was rejected or already
-        evicted by the time a waiter wakes (pathologically small budgets, or
-        a fingerprint retired mid-request), the waiter simply computes its
-        own copy — correctness never depends on residency.
+        caller runs ``factory`` (outside the lock) and hands its tile to the
+        rest, which count as hits, even when the tile is rejected rather
+        than stored.  If the owner's ``factory`` raises, its waiters look
+        again and one of them computes.  The tile is computed and inserted
+        under ``key`` itself, never under the successor's key, so a tile
+        computed for a retired network is served but never stored.
         """
         while True:
             with self._lock:
-                tile = self._store.get(key)
-                if tile is not None:
-                    self._store.move_to_end(key)
+                resident = self._resident_locked(key)
+                if resident is not None:
+                    stored_key, tile = resident
+                    self._store.move_to_end(stored_key)
                     self._hits += 1
                     return tile
-                event = self._in_flight.get(key)
-                if event is None:
-                    event = threading.Event()
-                    self._in_flight[key] = event
+                flight = self._in_flight.get(key)
+                if flight is None:
+                    flight = _Flight()
+                    self._in_flight[key] = flight
                     owner = True
                 else:
                     owner = False
             if not owner:
-                event.wait()
+                flight.done.wait()
+                if flight.tile is None:
+                    continue  # the owner failed: look again, maybe compute
                 with self._lock:
-                    tile = self._store.get(key)
-                    if tile is not None:
-                        self._store.move_to_end(key)
-                        self._hits += 1
-                        return tile
-                # Rejected / evicted / failed before we woke: compute our own.
-                continue
+                    self._hits += 1
+                return flight.tile
             try:
                 tile = factory()
             except BaseException:
-                # Wake waiters so nobody blocks forever; they re-check the
-                # store, find nothing, and retry the computation themselves.
+                # Wake waiters so nobody blocks forever; they find no tile
+                # in the flight and retry the lookup themselves.
                 with self._lock:
                     self._in_flight.pop(key, None)
-                event.set()
+                flight.done.set()
                 raise
             with self._lock:
                 self._misses += 1
                 self._insert_locked(key, tile)
                 self._in_flight.pop(key, None)
-            event.set()
+            flight.tile = tile
+            flight.done.set()
             return tile
 
     def lookup(self, keys: Sequence[tuple]) -> Optional[List[object]]:
-        """Every tile under ``keys``, or ``None`` unless all are resident.
+        """Every tile resident for ``keys``, or ``None`` unless all are.
 
         One lock acquisition for the whole set, and never a computation.
-        When every tile is resident the caller holds them all by reference,
-        each counts as a hit and moves to the most-recently-used end, as a
-        :meth:`get_or_compute` hit does; otherwise nothing is counted or
-        moved, and the caller fetches through :meth:`get_or_compute`.
+        Residency is :meth:`get_or_compute`'s rule, the latest swap's
+        carried tiles included.  When every tile is resident the caller
+        holds them all by reference, each counts as a hit and moves to the
+        most-recently-used end, as a :meth:`get_or_compute` hit does;
+        otherwise nothing is counted or moved, and the caller fetches
+        through :meth:`get_or_compute`.
         """
         with self._lock:
-            tiles = [self._store.get(key) for key in keys]
-            if any(tile is None for tile in tiles):
+            found = [self._resident_locked(key) for key in keys]
+            if any(resident is None for resident in found):
                 return None
-            for key in keys:
-                self._store.move_to_end(key)
-            self._hits += len(tiles)
-        return tiles
+            for stored_key, _ in found:
+                self._store.move_to_end(stored_key)
+            self._hits += len(found)
+        return [tile for _, tile in found]
+
+    def _resident_locked(self, key: tuple) -> Optional[Tuple[tuple, object]]:
+        """``(stored key, tile)`` of the tile that answers ``key``, or ``None``.
+
+        The tile stored under ``key``; failing that, when the latest swap
+        retired ``key``'s fingerprint and ``key``'s tile touches none of
+        that swap's boxes, the successor's tile at the same place — the
+        tile the swap re-keyed, or one computed for the successor since.
+        Nothing is counted or moved.
+        """
+        tile = self._store.get(key)
+        if tile is not None:
+            return key, tile
+        swap = self._swap
+        if swap is None or key[0] != swap[0]:
+            return None
+        carried = (swap[1],) + key[1:]
+        tile = self._store.get(carried)
+        if tile is None or self._tile_touches_any(key, swap[2]):
+            return None
+        return carried, tile
 
     def _insert_locked(self, key: tuple, tile) -> None:
         """Store ``tile`` and evict LRU entries back under budget.
@@ -239,7 +298,7 @@ class TileCache:
         self,
         old_fingerprint: str,
         new_fingerprint: str,
-        boxes: Optional[Sequence[Tuple[float, float, float, float]]],
+        boxes: Optional[Boxes],
     ) -> Tuple[int, int]:
         """Carry unaffected tiles across a network swap; drop the rest.
 
@@ -262,18 +321,33 @@ class TileCache:
         to ``None`` whenever it cannot — should pass a box list.
 
         ``old_fingerprint`` is retired and ``new_fingerprint`` un-retired (a
-        network can return to an earlier configuration): from now on a tile
-        computed for the old network, by a request that straddled the swap,
-        is served to that request but never stored.  Only the most recent
+        network can return to an earlier configuration).  A box list also
+        records this swap as the latest, replacing the one before; a full
+        flush leaves no swap recorded.  A request that straddles the swap
+        still asks for ``old_fingerprint`` tiles: outside the boxes it is
+        served the ``new_fingerprint`` tile at the same place (the re-key
+        rule, applied at lookup, so a tile computed for the new network
+        after the swap serves it too); inside them, or for a fingerprint
+        retired by an earlier swap, its tile is computed for the old
+        network, served to it and never stored.  Only the most recent
         :data:`RETIRED_FINGERPRINTS` are remembered.
 
-        Returns ``(rekeyed, dropped)`` counts.
+        Returns ``(rekeyed, dropped)`` counts.  Raises
+        :class:`~repro.exceptions.RasterCacheError` for equal fingerprints
+        or a box with a NaN coordinate (NaN overlaps nothing, so it would
+        re-key every tile), before anything changes.
         """
         if new_fingerprint == old_fingerprint:
             raise RasterCacheError(
                 "invalidate_region needs distinct old/new fingerprints "
                 "(an unchanged network has nothing to invalidate)"
             )
+        if boxes is not None:
+            boxes = tuple(boxes)
+            if any(math.isnan(edge) for box in boxes for edge in box):
+                raise RasterCacheError(
+                    f"invalidate_region boxes must not hold NaN, got {boxes!r}"
+                )
         rekeyed = 0
         dropped = 0
         with self._lock:
@@ -296,12 +370,13 @@ class TileCache:
             self._retired[old_fingerprint] = None
             if len(self._retired) > RETIRED_FINGERPRINTS:
                 self._retired.popitem(last=False)
+            self._swap = None
+            if boxes is not None:
+                self._swap = (old_fingerprint, new_fingerprint, boxes)
         return rekeyed, dropped
 
     @staticmethod
-    def _tile_touches_any(
-        key: tuple, boxes: Sequence[Tuple[float, float, float, float]]
-    ) -> bool:
+    def _tile_touches_any(key: tuple, boxes: Boxes) -> bool:
         """Closed-rectangle overlap of a tile key's world extent with any box.
 
         The key layout is the :data:`repro.raster.tiles.TileKey` tuple

@@ -174,8 +174,10 @@ def invalidate_for_delta(
     * the network is outside the Theorem 4.1 regime (no certified reach).
 
     Either way the old fingerprint is retired: tiles computed for it by
-    requests still running are not stored (see
-    :meth:`TileCache.invalidate_region`).
+    requests still running are not stored.  After a box-granular swap
+    those requests are served the new fingerprint's tile outside the
+    boxes instead of computing one, with the same label caveat as a
+    re-keyed tile (see :meth:`TileCache.invalidate_region`).
 
     Scope of the approximation: a re-keyed tile's labels are exact wherever
     reception margins exceed the interference shift of the moved stations

@@ -31,7 +31,7 @@ The pieces
     The raster endpoint: ``SINRDiagram.rasterize`` requests served through
     a shared :class:`repro.raster.TileCache` on executor threads, so
     concurrent zoom/pan clients reuse each other's tiles (responses stay
-    bit-identical to the uncached rasteriser).
+    bit-identical to the uncached rasteriser until the first network swap).
 
 What a caller sets is all there is to configure: a locator (name plus
 ``build_options``, or an object) and the batcher's ``latency_budget`` /

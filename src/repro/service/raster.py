@@ -16,11 +16,13 @@ that computes missing tiles, mirroring the
 :class:`~repro.service.batcher.MicroBatcher` contract.
 
 The cache is thread-safe and single-flights concurrent misses, so a burst
-of overlapping zoom/pan requests computes every shared tile exactly once
-and each response is bit-identical to an uncached
-``SINRDiagram.rasterize`` of the same box.  Requests with missing tiles
-run on the event loop's default executor, which bounds how many compute
-at once.
+of overlapping zoom/pan requests computes every shared tile exactly once.
+Until the first :meth:`RasterService.swap_network`, each response is
+bit-identical to an uncached ``SINRDiagram.rasterize`` of the same box;
+after a move, re-keyed tiles carry the label caveat that
+:func:`~repro.raster.invalidate_for_delta` documents.  Requests with
+missing tiles run on the event loop's default executor, which bounds how
+many compute at once.
 """
 
 from __future__ import annotations
@@ -84,12 +86,14 @@ class RasterService(Component):
     ) -> RasterDiagram:
         """Serve one raster request through the shared tile cache.
 
-        Bit-identical to ``SINRDiagram.rasterize(lower_left, upper_right,
-        resolution)`` on the same box; concurrent requests share tile
-        computation through the cache's single-flight path.  A request
-        whose tiles are all resident is assembled on the calling event-loop
-        thread; one with a missing tile goes to the default executor.
-        Either way it makes one :func:`~repro.raster.rasterize_tiled` call.
+        Until the first :meth:`swap_network`, bit-identical to
+        ``SINRDiagram.rasterize(lower_left, upper_right, resolution)`` on
+        the same box (after it, see that method).  Concurrent requests
+        share tile computation through the cache's single-flight path.  A
+        request whose tiles are all resident is assembled on the calling
+        event-loop thread; one with a missing tile goes to the default
+        executor.  Either way it makes one
+        :func:`~repro.raster.rasterize_tiled` call.
         """
         self._ensure_open()
         network, cache = self.network, self.cache
@@ -128,9 +132,11 @@ class RasterService(Component):
         Synchronous and lock-protected inside the cache, so it is safe to
         call from async code between requests; requests already running on
         executor threads hold their tiles by reference and complete against
-        the network they started with.  The tiles such a request computes
-        are served to it but not stored, because the swap retired the old
-        network's fingerprint.
+        the network they started with.  Such a request is served the new
+        network's tile wherever the swap re-keyed, so its labels carry the
+        same caveat; it computes only the tiles inside the swap's boxes,
+        and those are served to it but not stored, because the swap
+        retired the old network's fingerprint.
         """
         self._ensure_open()
         if new_network.fingerprint != self.network.fingerprint:

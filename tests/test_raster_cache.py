@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro import Point, SINRDiagram, TileCache, WirelessNetwork
+from repro.engine import NumpyBackend
 from repro.exceptions import DiagramError, RasterCacheError
 from repro.model.diagram import RasterLattice
 from repro.raster.cache import RETIRED_FINGERPRINTS
@@ -183,10 +184,23 @@ class TestCacheStats:
         assert stats.stored_bytes == stats.tiles * 16 * 16 * np.dtype(np.intp).itemsize
 
     def test_validation(self):
-        with pytest.raises(RasterCacheError):
-            TileCache(max_bytes=0)
-        with pytest.raises(RasterCacheError):
-            TileCache(tile_size=0)
+        """Both options take integers >= 1 only: a float, a bool or a
+        string raises instead of being truncated (``max_bytes=0.5`` built a
+        0-byte budget that rejected every tile, ``tile_size=True`` a 1-px
+        tile) or failing with a bare ``TypeError``."""
+        bad = [
+            {"max_bytes": 0}, {"max_bytes": -1}, {"max_bytes": 0.5},
+            {"max_bytes": 1000.0}, {"max_bytes": "1000"}, {"max_bytes": True},
+            {"max_bytes": None}, {"tile_size": 0}, {"tile_size": 2.5},
+            {"tile_size": True}, {"tile_size": np.float64(16.0)},
+            {"tile_size": np.bool_(True)},
+        ]
+        for options in bad:
+            with pytest.raises(RasterCacheError, match="integer >= 1"):
+                TileCache(**options)
+        cache = TileCache(max_bytes=np.int64(4096), tile_size=np.int32(16))
+        assert (cache.max_bytes, cache.tile_size) == (4096, 16)
+        assert type(cache.max_bytes) is int and type(cache.tile_size) is int
 
     @pytest.mark.parametrize(
         "bad",
@@ -421,10 +435,11 @@ class TestTileStore:
         stats = cache.stats()
         assert stats.misses == 1 and stats.tiles == 1
 
-    def test_concurrent_misses_of_one_key_compute_once(self):
-        cache = TileCache()
+    @staticmethod
+    def race(cache, key, workers):
+        """``workers`` threads asking for ``key`` at once: ``(the tiles they
+        got, how many factory calls ran)``."""
         calls = []
-        workers = 6
         barrier = threading.Barrier(workers)
 
         def factory():
@@ -434,14 +449,37 @@ class TestTileStore:
 
         def request(_):
             barrier.wait()
-            return cache.get_or_compute(tile_key("fp"), factory)
+            return cache.get_or_compute(key, factory)
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             tiles = list(pool.map(request, range(workers)))
-        assert len(calls) == 1
+        return tiles, len(calls)
+
+    def test_concurrent_misses_of_one_key_compute_once(self):
+        cache = TileCache()
+        workers = 6
+        tiles, calls = self.race(cache, tile_key("fp"), workers)
+        assert calls == 1
         assert all(tile is tiles[0] for tile in tiles)
         stats = cache.stats()
         assert stats.misses == 1 and stats.hits == workers - 1
+
+    @pytest.mark.parametrize("unstored", ["retired", "oversized"])
+    def test_waiters_share_a_tile_the_owner_could_not_store(self, unstored):
+        """The owner hands its tile to the threads waiting on it, also when
+        the tile is rejected: each waiter used to find the store empty and
+        compute the tile again, one after another."""
+        if unstored == "retired":
+            cache = TileCache()
+            cache.invalidate_region("fp", "next", None)
+        else:
+            cache = TileCache(max_bytes=50)  # less than one 100-byte tile
+        tiles, calls = self.race(cache, tile_key("fp"), 4)
+        assert calls == 1
+        assert all(tile is tiles[0] for tile in tiles)
+        stats = cache.stats()
+        assert (stats.misses, stats.hits, stats.rejected) == (1, 3, 1)
+        assert stats.tiles == 0
 
     def test_waiter_recomputes_when_the_owner_fails(self):
         cache = TileCache()
@@ -518,6 +556,31 @@ class TestTileStore:
         stats = cache.stats()
         assert stats.invalidated == 1 and stats.stored_bytes == 300
 
+    def test_a_nan_box_is_refused_before_anything_changes(self):
+        """NaN overlaps nothing, so a NaN box used to re-key every tile;
+        it now raises, leaving the store, the retired fingerprints and the
+        latest swap as they were.  Infinite boxes overlap every tile."""
+        cache = TileCache()
+        self.fill(cache, "a", 2)
+        assert cache.invalidate_region("a", "b", [(2.5, 0.5, 3.5, 1.5)]) == (1, 1)
+        self.fill(cache, "old", 4)
+        before = cache.stats()
+        nan, inf = math.nan, math.inf
+        for box in [(nan, nan, nan, nan), (0.0, 0.0, nan, 1.0)]:
+            with pytest.raises(RasterCacheError, match="NaN"):
+                cache.invalidate_region("old", "new", [(-3.0, -3.0, -1.0, -1.0), box])
+        assert cache.stats() == before
+        # "old" is still live: its tiles hit and a new one is stored ...
+        self.fill(cache, "old", 5)
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.rejected) == (4, 7, 0)
+        # ... and the swap from "a" still carries tile 0.
+        (carried,) = cache.lookup([tile_key("a", 0)])
+        assert cache.lookup([tile_key("b", 0)]) == [carried]
+        assert cache.invalidate_region(
+            "old", "new", [(-inf, -inf, inf, inf)]
+        ) == (0, 5)
+
     def test_only_the_latest_retired_fingerprints_are_remembered(self):
         cache = TileCache()
         for index in range(RETIRED_FINGERPRINTS + 1):
@@ -528,6 +591,148 @@ class TestTileStore:
         stats = cache.stats()
         assert stats.misses == 3 and stats.rejected == 1
         assert stats.tiles == 2 and stats.stored_bytes == 200
+
+
+class TestStraddlingLookups:
+    """A key of the fingerprint the latest swap retired is answered by the
+    successor's tile wherever the swap re-keyed, that is where the tile
+    touches none of the swap's boxes; every other retired key computes."""
+
+    #: Inside tile 1 only: "old" tiles 0..3 span x in [0, 8].
+    BOXES = [(2.5, 0.5, 3.5, 1.5)]
+
+    def swapped(self) -> TileCache:
+        cache = TileCache()
+        for index in range(4):
+            cache.get_or_compute(tile_key("old", index), FakeTile)
+        assert cache.invalidate_region("old", "new", self.BOXES) == (3, 1)
+        return cache
+
+    @staticmethod
+    def unreachable():
+        raise AssertionError("a carried tile must not be computed")
+
+    def test_outside_the_boxes_the_successors_tile_is_served(self):
+        cache = self.swapped()
+        (successor,) = cache.lookup([tile_key("new", 2)])
+        before = cache.stats()
+        assert cache.get_or_compute(tile_key("old", 2), self.unreachable) is successor
+        after = cache.stats()
+        assert after.hits - before.hits == 1
+        assert (after.misses, after.rejected) == (before.misses, before.rejected)
+
+    def test_a_carried_hit_refreshes_the_successors_tile(self):
+        cache = TileCache(max_bytes=300)
+        for index in range(3):
+            cache.get_or_compute(tile_key("old", index), FakeTile)
+        cache.invalidate_region("old", "new", [(10.0, 10.0, 11.0, 11.0)])
+        cache.get_or_compute(tile_key("old", 0), self.unreachable)  # now newest
+        cache.get_or_compute(tile_key("new", 3), FakeTile)  # evicts "new" 1
+        assert cache.lookup([tile_key("new", 0), tile_key("new", 2)]) is not None
+        assert cache.lookup([tile_key("new", 1)]) is None
+
+    def test_inside_a_box_the_old_tile_is_computed_and_rejected(self):
+        cache = self.swapped()
+        fresh = cache.get_or_compute(tile_key("new", 1), FakeTile)
+        stale = FakeTile()
+        assert cache.get_or_compute(tile_key("old", 1), lambda: stale) is stale
+        stats = cache.stats()
+        assert (stats.misses, stats.rejected, stats.tiles) == (6, 1, 4)
+        assert cache.lookup([tile_key("new", 1)]) == [fresh]
+        assert cache.lookup([tile_key("old", 1)]) is None
+
+    def test_lookup_follows_the_same_rule(self):
+        cache = self.swapped()
+        carried = [tile_key("old", index) for index in (0, 2, 3)]
+        successors = cache.lookup([tile_key("new", index) for index in (0, 2, 3)])
+        hits = cache.stats().hits
+        found = cache.lookup(carried)
+        assert all(tile is new for tile, new in zip(found, successors))
+        assert cache.stats().hits == hits + 3
+        assert cache.lookup(carried + [tile_key("old", 1)]) is None
+        assert cache.stats().hits == hits + 3
+
+    def test_a_tile_computed_for_the_retired_network_is_stored_under_no_key(self):
+        """Outside the boxes, where the successor holds no tile, the retired
+        key computes its own: stored under the successor's key it would
+        answer the new network with the old one's labels."""
+        cache = self.swapped()
+        stale = FakeTile()
+        assert cache.get_or_compute(tile_key("old", 5), lambda: stale) is stale
+        assert cache.lookup([tile_key("old", 5)]) is None
+        assert cache.lookup([tile_key("new", 5)]) is None
+        stats = cache.stats()
+        assert (stats.rejected, stats.tiles) == (1, 3)
+
+    def test_only_the_latest_box_swap_carries(self):
+        cache = self.swapped()
+        assert cache.invalidate_region("new", "newer", []) == (3, 0)
+        # "new" is one swap old, "old" two.
+        (carried,) = cache.lookup([tile_key("new", 2)])
+        assert cache.lookup([tile_key("newer", 2)]) == [carried]
+        assert cache.lookup([tile_key("old", 2)]) is None
+        stale = FakeTile()
+        assert cache.get_or_compute(tile_key("old", 2), lambda: stale) is stale
+        # A full flush carries nothing, though "newer" still holds tiles.
+        cache.invalidate_region("other", "another", None)
+        assert cache.lookup([tile_key("newer", 2)]) is not None
+        assert cache.lookup([tile_key("new", 2)]) is None
+        assert cache.stats().rejected == 1
+
+    def test_threaded_lookups_across_swaps_lose_no_count(self):
+        """Eight threads, more than the cores, fetch tiles of the live and
+        the just-retired fingerprint while a ninth swaps, under a short
+        switch interval: every lookup is one hit or one miss, every miss
+        ran one factory call, and every tile served sits at the requested
+        place."""
+        fingerprints = [f"fp{index}" for index in range(40)]
+        cache = TileCache()
+        live = [0]
+        calls = []
+        misplaced = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(300):
+                generation = max(live[0] - int(rng.integers(2)), 0)
+                key = tile_key(
+                    fingerprints[generation],
+                    int(rng.integers(6)), int(rng.integers(2)),
+                )
+
+                def factory(key=key):
+                    calls.append(key)
+                    tile = FakeTile()
+                    tile.place = key[1:]
+                    return tile
+
+                if cache.get_or_compute(key, factory).place != key[1:]:
+                    misplaced.append(key)
+
+        def swapper():
+            for index in range(len(fingerprints) - 1):
+                boxes = None if index % 3 == 0 else TestStraddlingLookups.BOXES
+                cache.invalidate_region(
+                    fingerprints[index], fingerprints[index + 1], boxes
+                )
+                live[0] = index + 1
+                time.sleep(0.001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=9) as pool:
+                jobs = [pool.submit(worker, seed) for seed in range(8)]
+                jobs.append(pool.submit(swapper))
+                for job in jobs:
+                    job.result(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = cache.stats()
+        assert misplaced == []
+        assert stats.hits + stats.misses == 8 * 300
+        assert stats.misses == len(calls)
+        assert stats.hits > 0 and stats.rejected > 0
 
 
 # ----------------------------------------------------------------------
@@ -900,6 +1105,28 @@ def test_raster_cache_experiment_reproduces():
 # ----------------------------------------------------------------------
 # Tile-granular invalidation (dynamic networks)
 # ----------------------------------------------------------------------
+class GatedBackend(NumpyBackend):
+    """The numpy backend, recording the lower-left corner of every tile it
+    labels (16-px tiles at pitch 0.25); while ``armed``, the next tile
+    blocks until the test opens ``gate``."""
+
+    def __init__(self):
+        self.armed = False
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        self.origins = []
+
+    def heard_station(self, coords, powers, points, *args):
+        x, y = points.min(axis=0) - 0.125  # the first pixel centre's corner
+        self.origins.append((float(x), float(y)))
+        if self.armed:
+            self.armed = False
+            self.entered.set()
+            if not self.gate.wait(timeout=10.0):
+                raise TimeoutError("test gate never opened")
+        return super().heard_station(coords, powers, points, *args)
+
+
 class TestDeltaInvalidation:
     """``invalidate_region`` / ``invalidate_for_delta`` contracts.
 
@@ -1049,22 +1276,25 @@ class TestDeltaInvalidation:
         self, noisy_network
     ):
         """A request that straddles a swap finishes against the old network:
-        it gets its tiles, and they count as rejected instead of parking
-        under a fingerprint nothing will serve again."""
+        the re-keyed tiles serve it, and the dropped ones it computes count
+        as rejected instead of parking under a fingerprint nothing will
+        serve again."""
         from repro.model import move_station
         from repro.raster import invalidate_for_delta
 
         cache = self._warm(noisy_network)
         moved, delta = move_station(noisy_network, 0, Point(0.3, 0.2))
-        invalidate_for_delta(cache, noisy_network, moved, delta)
+        rekeyed, dropped = invalidate_for_delta(cache, noisy_network, moved, delta)
+        assert (rekeyed, dropped) == (28, 36)
         before = cache.stats()
         stale = SINRDiagram(noisy_network).rasterize(*self.BOX, 64, cache=cache)
         assert_rasters_identical(
             SINRDiagram(noisy_network).rasterize(*self.BOX, 64), stale
         )
         after = cache.stats()
-        assert after.misses - before.misses == 64  # 8 x 8 tiles, none left
-        assert after.rejected - before.rejected == 64
+        assert after.hits - before.hits == rekeyed
+        assert after.misses - before.misses == dropped
+        assert after.rejected - before.rejected == dropped
         assert after.tiles == before.tiles
         assert after.stored_bytes == before.stored_bytes
         assert after.evictions == before.evictions == 0
@@ -1080,10 +1310,70 @@ class TestDeltaInvalidation:
         SINRDiagram(noisy_network).rasterize(*self.BOX, 64, cache=cache)
         stats = cache.stats()
         assert stats.rejected == 0 and stats.tiles == 64
-        # The network moved away from is now the retired one.
+        # The network moved away from is now the retired one: outside the
+        # returning swap's boxes its tiles are carried, inside computed.
         SINRDiagram(moved).rasterize(*self.BOX, 64, cache=cache)
         stats = cache.stats()
-        assert stats.rejected == 64 and stats.tiles == 64
+        assert stats.rejected == 64 - 28 and stats.tiles == 64
+
+    def test_a_request_straddling_a_swap_computes_only_the_boxes_tiles(
+        self, noisy_network
+    ):
+        """A request parked on the executor while the service swaps networks
+        computes the tiles that touch the swap's boxes and is served the
+        re-keyed rest; on a cache warmed on the old network its raster is
+        the uncached old-network raster, bit for bit."""
+        from repro.engine import use_backend
+        from repro.model import move_station
+        from repro.raster import affected_boxes
+
+        backend = GatedBackend()
+        box = (Point(-4.0, -4.0), Point(12.0, 12.0), 64)  # 4 x 4 tiles
+        tile_bytes = 16 * 16 * np.dtype(np.intp).itemsize
+        with use_backend(backend):
+            service = RasterService(
+                noisy_network,
+                cache=TileCache(max_bytes=15 * tile_bytes, tile_size=16),
+            )
+        asyncio.run(service.rasterize(*box))
+        # The budget holds 15 tiles: the first one, (-4, -4), was evicted,
+        # so the next request goes to the executor and computes it first.
+        assert service.cache_stats().evictions == 1
+        moved, delta = move_station(noisy_network, 0, Point(0.3, 0.2))
+        boxes = affected_boxes(noisy_network, moved, delta)
+        backend.origins.clear()
+        backend.armed = True
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            request = asyncio.ensure_future(service.rasterize(*box))
+            assert await loop.run_in_executor(None, backend.entered.wait, 10.0)
+            counts = service.swap_network(moved, delta)
+            backend.gate.set()
+            return counts, await request
+
+        before = service.cache_stats()
+        (rekeyed, dropped), served = asyncio.run(drive())
+        after = service.cache_stats()
+        touching = {
+            (x, y)
+            for x in (-4.0, 0.0, 4.0, 8.0)
+            for y in (-4.0, 0.0, 4.0, 8.0)
+            if any(
+                x <= bx1 and bx0 <= x + 4.0 and y <= by1 and by0 <= y + 4.0
+                for bx0, by0, bx1, by1 in boxes
+            )
+        }
+        assert (-4.0, -4.0) in touching  # the evicted tile
+        assert (rekeyed, dropped) == (16 - len(touching), len(touching) - 1)
+        assert set(backend.origins) == touching
+        assert len(backend.origins) == len(touching)
+        assert after.misses - before.misses == len(touching)
+        assert after.rejected - before.rejected == len(touching)
+        assert after.hits - before.hits == rekeyed
+        assert_rasters_identical(
+            SINRDiagram(noisy_network).rasterize(*box), served
+        )
 
     def test_swap_serves_the_new_networks_sinr_values(self):
         """Re-keyed tiles keep their labels, but a raster served after the
