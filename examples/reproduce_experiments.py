@@ -4,8 +4,8 @@
 This drives the programmatic experiment harness
 (:mod:`repro.analysis.experiments`), which regenerates each figure and theorem
 of the paper and checks its qualitative claim.  The same data, with timings,
-is produced by ``pytest benchmarks/ --benchmark-only`` and summarised in
-EXPERIMENTS.md.
+is produced by ``pytest benchmarks/ --benchmark-only``; this script's report
+(:func:`repro.analysis.format_report`) is the summary.
 
 Run with:  python examples/reproduce_experiments.py
 """

@@ -3,7 +3,7 @@
 Verification harnesses for Theorem 1 (convexity), Lemma 3.1 (star shape),
 Lemma 2.1 (lines meet a convex boundary at most twice), and Theorem 2 /
 Theorem 4.1 / Theorem 4.2 (fatness).  Used both by the test suite and by the
-experiment benchmarks that populate EXPERIMENTS.md.
+experiment report that ``examples/reproduce_experiments.py`` prints.
 """
 
 from .experiments import (

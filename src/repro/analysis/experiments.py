@@ -2,7 +2,8 @@
 
 The benchmark suite under ``benchmarks/`` times the experiments; this module
 *runs* them and returns structured results, so that examples, notebooks and
-EXPERIMENTS.md can all be produced from one source of truth.  Each
+the report ``examples/reproduce_experiments.py`` prints can all be produced
+from one source of truth.  Each
 ``run_*`` function is self-contained and laptop-fast; :func:`run_all`
 aggregates them and :func:`format_report` renders a Markdown summary of
 paper-claim versus measured outcome.

@@ -13,7 +13,8 @@ purposes in the reproduction:
   outcome and the measured fatness against the theoretical bound.
 
 Every verifier returns a small report object rather than a bare bool so that
-benchmarks and EXPERIMENTS.md can show *how much* margin there was.
+benchmarks and the report ``examples/reproduce_experiments.py`` prints can
+show *how much* margin there was.
 """
 
 from __future__ import annotations

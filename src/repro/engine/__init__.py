@@ -30,17 +30,19 @@ Architecture
                       for everyday batches (it pays no compile cost).
     ``reference``     Pure-Python loops over the scalar model functions; ~100x
                       slower, ground truth for the equivalence property tests.
-    ``float32-screen``  The precision tier (``mixed_precision.py``): decision
-                      queries run a float32 screen with a certified decision
-                      margin, and only margin-close points are re-verified
-                      through the registered ``numpy`` backend (resolved by
-                      name on every call).  Answers are bit-identical to
-                      ``reference`` by construction — the screen keeps only
-                      decisions it can certify — at roughly half the memory
-                      traffic of the float64 kernels.  ``nearest_received``
-                      screens the nearest station and its reception in one
-                      pass.  The value query (``sinr_batch``) delegates
-                      to ``numpy`` unscreened.
+    ``float32-screen``  The precision tier (``mixed_precision.py``):
+                      ``received_mask_at`` and ``nearest_received`` run a
+                      float32 screen with a certified decision margin, at a
+                      tolerance derived from n, beta and alpha, and only
+                      margin-close points are re-verified through the
+                      registered ``numpy`` backend (resolved by name on every
+                      call).  Answers are bit-identical to ``reference`` by
+                      construction — the screen keeps only decisions it can
+                      certify — at roughly half the memory traffic of the
+                      float64 kernels.  ``nearest_received`` screens the
+                      nearest station and its reception in one pass.
+                      ``heard_station`` and the value query (``sinr_batch``)
+                      delegate to ``numpy`` unscreened.
     ================  ==========================================================
 
     Switch with::

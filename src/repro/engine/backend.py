@@ -13,7 +13,9 @@ backend matrix (see also :func:`available_backends`):
   agrees with it on random networks, so any future backend can be
   validated through the same protocol;
 * ``"float32-screen"`` (:mod:`repro.engine.mixed_precision`) — a certified
-  float32 screen whose uncertain points are re-verified exactly.
+  float32 screen of ``received_mask_at`` and ``nearest_received`` whose
+  uncertain points are re-verified exactly; ``heard_station`` and
+  ``sinr_matrix`` delegate to ``"numpy"``.
 
 Select a backend with :func:`use_backend` (also usable as a context manager)
 or per call via the ``backend=`` argument of the :mod:`repro.engine.batch`

@@ -204,23 +204,18 @@ def as_points_array(points: PointsLike) -> np.ndarray:
 def sinr_batch(
     network: "WirelessNetwork",
     points: PointsLike,
-    target_index: Optional[int] = None,
     backend: "str | QueryBackend | None" = None,
 ) -> np.ndarray:
-    """SINR values in bulk.
+    """SINR values in bulk: the ``(n_stations, m)`` matrix.
 
-    Returns the full ``(n_stations, m)`` matrix, or the row of one station
-    when ``target_index`` is given.  Away from station locations the values
-    agree with the scalar :meth:`WirelessNetwork.sinr`; the coincident-point
-    convention is documented in :mod:`repro.engine.kernels`.
+    Away from station locations the values agree with the scalar
+    :meth:`WirelessNetwork.sinr`; the coincident-point convention is
+    documented in :mod:`repro.engine.kernels`.
     """
-    matrix = _over_points(
+    return _over_points(
         network, as_points_array(points), backend, "sinr_matrix",
         network.noise, network.alpha, columns=True,
     )
-    if target_index is None:
-        return matrix
-    return matrix[target_index]
 
 
 def received_mask(

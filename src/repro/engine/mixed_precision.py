@@ -1,28 +1,32 @@
-"""The precision tier: float32 screen-then-verify decision backends.
+"""The precision tier: a float32 screen-then-verify decision backend.
 
 :class:`~repro.pointlocation.sharded.ShardedLocator` proved that a cheap
 *propose* pass stays exact as long as an exact *verify* pass re-checks every
 proposal that could be wrong.  This module applies the same trick to
-precision instead of space: decision queries (reception masks, heard
-station, nearest received station) are screened in float32 — the same
-one in-place energy pass as the float64 kernels at half their memory
-traffic — together with a certified decision margin per point.  Points
-whose float32 margin is too small to rule out a float64 disagreement are
-re-routed through the exact ``numpy`` backend, so the combined answer is
-bit-identical to ``reference`` *by construction*: the screen only ever
-keeps decisions it can certify.  The float64 kernels re-answer their rare
-columns (a non-finite energy total) on a general path; the screen never
-needs one, because it sends those columns to the exact backend whole.
+precision instead of space: two decision queries, the reception check of a
+given station (``received_mask_at``) and the nearest received station
+(``nearest_received``), are screened in float32 — the same one in-place
+energy pass as the float64 kernels at half their memory traffic — together
+with a certified decision margin per point.  Points whose float32 margin is
+too small to rule out a float64 disagreement are re-routed through the
+exact ``numpy`` backend, so the combined answer is bit-identical to
+``reference`` *by construction*: the screen only ever keeps decisions it
+can certify.  The float64 kernels re-answer their rare columns (a
+non-finite energy total) on a general path; the screen never needs one,
+because it sends those columns to the exact backend whole.
+
+``heard_station`` and the value query ``sinr_matrix`` delegate wholly to
+the exact backend.  The numpy kernel answers ``heard_station`` in one
+in-place pass that a float32 screen around it did not beat, and
+``sinr_matrix`` returns floats rather than decisions, so there is no margin
+to certify.
 
 Margin semantics
 ----------------
 
 * Reception tests certify ``SINR >= beta`` only when the float32 SINR is
-  relatively far from ``beta``: a column is uncertain iff some entry has
+  relatively far from ``beta``: a point is uncertain iff
   ``|SINR32 - beta| <= tol * (SINR32 + beta)``.
-* The masked argmax of ``heard_station`` certifies the winner only when
-  top-1 and top-2 are relatively separated: ``(v1 - v2) > tol * (v1 + v2)``;
-  ties are always uncertain.
 * ``nearest_received`` certifies its candidate, the float32 nearest
   station, only when it is separated from the runner-up on squared
   distances: ``(d2**2 - d1**2) > tol * (d1**2 + d2**2)``.  With non-uniform
@@ -30,31 +34,29 @@ Margin semantics
   before its SINR can stand in for it.  Outside the geometry guard, float32
   coordinate rounding moves a squared distance by a relative
   ``~(2 * sqrt(2) / GEOMETRY_MARGIN + 2) * eps32``, below the tolerance's
-  geometry floor, so a separated pair has the same strict order in float64
+  geometry bound, so a separated pair has the same strict order in float64
   (no tie for its lowest-index rule to break).  The candidate's reception
   is then certified like ``received_mask_at``'s.  A one-station network
   has no runner-up.
 * A per-point geometry guard flags points within :data:`GEOMETRY_MARGIN`
   (relative to the coordinate scale) of a station, where coordinate rounding
-  amplifies without bound.  Every screen turns squared distances into
-  energies in place and flags a column whose energy total is not finite or
+  amplifies without bound.  Both screens turn squared distances into
+  energies in place and flag a column whose energy total is not finite or
   underflows.  An infinite energy makes the total infinite, which covers
   every coincident-station column (a float64 coincidence forces a float32
   zero distance, hence an infinite energy).
 
-``tol`` is the maximum of the configured ``decision_margin`` and a floor
-derived from the station count, ``beta``, ``alpha`` and float32 epsilon, so
-shrinking the margin can grow the verified fraction but never break
-exactness; an infinite margin verifies every point.  The *value* query
-``sinr_matrix`` returns floats rather than decisions — there is no margin
-to certify — so it delegates wholly to the exact backend.
+``tol`` is derived, not configured: the larger of two error bounds in
+float32 epsilon, one for coordinate rounding at the geometry guard (from
+``alpha``) and one for interference cancellation (from the station count
+and ``beta``); see :meth:`Float32ScreenBackend._tolerance`.
 
 The exact backend is resolved by the name ``"numpy"`` on **every** call,
 exactly like the registry's name-based selections, so
 ``register_backend("numpy", ...)`` overwrites take effect on the verify path
-immediately.
+and on the delegated queries immediately.
 
-All three decision queries run one screen-then-verify pass
+Both screened queries run one screen-then-verify pass
 (:meth:`Float32ScreenBackend._decide`), which casts the station arrays to
 float32 once per call.  :mod:`repro.engine.batch` hands every call a point
 chunk sized for the float64 kernels' temporaries under its
@@ -65,25 +67,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import ReproError
 from .backend import QueryBackend, get_backend, register_backend
 
 __all__ = [
-    "DEFAULT_DECISION_MARGIN",
     "GEOMETRY_MARGIN",
     "Float32ScreenBackend",
     "ScreenStats",
 ]
 
-#: Default relative decision margin of the screen; see ``decision_margin``.
-DEFAULT_DECISION_MARGIN = 1e-3
-
 #: Station-proximity guard (relative to the coordinate scale) below which
 #: coordinate rounding error is considered unbounded.
 GEOMETRY_MARGIN = 1e-3
 
-#: The registered backend that verifies uncertain points and answers value
-#: queries, resolved by name on every call.
+#: The registered backend that verifies uncertain points and answers the
+#: delegated queries, resolved by name on every call.
 _EXACT_BACKEND = "numpy"
 
 _EPS32 = float(np.finfo(np.float32).eps)
@@ -93,10 +90,12 @@ _TINY32 = float(np.finfo(np.float32).tiny)
 class ScreenStats:
     """Counters of screen effectiveness (informational, per backend instance).
 
-    ``screened`` counts every point a decision query saw; ``verified`` the
-    subset whose margin was too small, re-routed through the exact
-    backend.  Updated without locking — exact totals under concurrency are
-    not guaranteed, only the answers are.
+    ``screened`` counts every point a screened query (``received_mask_at``,
+    ``nearest_received``) saw; ``verified`` the subset whose margin was too
+    small, re-routed through the exact backend.  Delegated queries
+    (``heard_station``, ``sinr_matrix``) count nothing.  Updated without
+    locking — exact totals under concurrency are not guaranteed, only the
+    answers are.
     """
 
     __slots__ = ("screened", "verified")
@@ -153,13 +152,6 @@ def _energies_in_place(squared, powers32, alpha):
     return squared
 
 
-def _screen_energies(coords32, powers32, pts32, alpha):
-    """Float32 energies ``(n, c)`` plus the per-point min squared distance."""
-    squared = _screen_squared(coords32, pts32)
-    sq_min = squared.min(axis=0)
-    return _energies_in_place(squared, powers32, alpha), sq_min
-
-
 def _screen_total(energies):
     """Column totals ``(c,)`` and the columns they flag as uncertain.
 
@@ -178,50 +170,6 @@ def _near_beta(ratio, beta32, tol32):
     return np.abs(ratio - beta32) <= tol32 * (ratio + beta32)
 
 
-def _screen_sinr(coords32, powers32, pts32, noise, beta32, tol32, alpha):
-    """The reception screen: ``(ratio, mask, uncertain, sq_min)``.
-
-    ``ratio`` and ``mask`` are the float32 SINR ``(n, c)`` and its
-    ``>= beta`` test.  A column is uncertain when some entry is
-    margin-close to ``beta`` or when :func:`_screen_total` flags it.
-    """
-    energies, sq_min = _screen_energies(coords32, powers32, pts32, alpha)
-    total, flagged = _screen_total(energies)
-    # total >= every energy, so the denominator is >= 0, and it is 0 with a
-    # zero energy only where the total is 0, a flagged column.
-    ratio = total[None, :] - energies
-    ratio += np.float32(noise)
-    np.divide(energies, ratio, out=ratio)
-    uncertain = _near_beta(ratio, beta32, tol32).any(axis=0) | flagged
-    return ratio, ratio >= beta32, uncertain, sq_min
-
-
-def _screen_heard(
-    coords32, powers32, pts32, noise, beta32, tol32, alpha, no_reception
-):
-    """The heard-station screen: ``(labels, uncertain, sq_min)``.
-
-    Uncertain when :func:`_screen_sinr` says so (the mask could differ) or
-    when the masked top-1/top-2 separation fails (the ``beta < 1``
-    tie-break could differ).
-    """
-    ratio, mask, uncertain, sq_min = _screen_sinr(
-        coords32, powers32, pts32, noise, beta32, tol32, alpha
-    )
-    masked = np.where(mask, ratio, np.float32(-np.inf))
-    best = np.argmax(masked, axis=0)
-    cols = np.arange(pts32.shape[0])
-    top1 = masked[best, cols]
-    any_received = top1 > -np.inf
-    masked[best, cols] = -np.inf
-    top2 = masked.max(axis=0)
-    contested = top2 > -np.inf
-    uncertain = uncertain | (
-        contested & ~((top1 - top2) > tol32 * (top1 + top2))
-    )
-    return np.where(any_received, best, no_reception), uncertain, sq_min
-
-
 def _row_sinr(energies, total, indices, noise):
     """Float32 SINR ``(c,)`` of station ``indices[j]`` at point ``j``."""
     row = energies[indices, np.arange(energies.shape[1])]
@@ -232,7 +180,9 @@ def _screen_row(
     coords32, powers32, pts32, indices, noise, beta32, tol32, alpha
 ):
     """The gathered reception screen: ``(mask (c,), uncertain, sq_min)``."""
-    energies, sq_min = _screen_energies(coords32, powers32, pts32, alpha)
+    squared = _screen_squared(coords32, pts32)
+    sq_min = squared.min(axis=0)
+    energies = _energies_in_place(squared, powers32, alpha)
     total, flagged = _screen_total(energies)
     ratio = _row_sinr(energies, total, indices, noise)
     return ratio >= beta32, _near_beta(ratio, beta32, tol32) | flagged, sq_min
@@ -273,56 +223,48 @@ class Float32ScreenBackend:
     """Exact decision backend with a float32 fast path (``"float32-screen"``).
 
     Implements the :class:`~repro.engine.backend.QueryBackend` protocol.
-    Decision queries run the float32 screen and re-route margin-close points
-    through the registered ``"numpy"`` backend; the value query delegates
-    wholly to it.  See the module docstring for the margin scheme.
-
-    Args:
-        decision_margin: relative margin below which a float32 decision is
-            re-verified.  Widening it is always safe (more verification);
-            the effective tolerance never drops below an error-bound floor,
-            so narrowing it cannot break exactness either.  ``inf`` verifies
-            every point exactly; zero, negative and NaN margins raise
-            :class:`~repro.exceptions.ReproError`.
+    ``received_mask_at`` and ``nearest_received`` run the float32 screen and
+    re-route margin-close points through the registered ``"numpy"`` backend;
+    ``heard_station`` and ``sinr_matrix`` delegate wholly to it.  It takes no
+    options: the tolerance is derived per call (:meth:`_tolerance`).  See
+    the module docstring for the margin scheme.
     """
 
     name = "float32-screen"
 
-    def __init__(self, *, decision_margin: float = DEFAULT_DECISION_MARGIN) -> None:
-        # Written so that NaN fails too: a NaN tolerance would make no
-        # point margin-close, certifying every float32 decision.
-        if not decision_margin > 0.0:
-            raise ReproError(
-                f"decision_margin must be positive, got {decision_margin!r}"
-            )
-        self.decision_margin = float(decision_margin)
+    def __init__(self) -> None:
         self.stats = ScreenStats()
 
     def _exact(self) -> QueryBackend:
         """Resolve the exact backend *now* (by name, on every call)."""
         return get_backend(_EXACT_BACKEND)
 
-    # -- the value query: no decision to screen, delegate exactly -------
+    # -- delegated queries: answered by the exact backend alone ----------
 
     def sinr_matrix(self, coords, powers, points, noise, alpha):
         return self._exact().sinr_matrix(coords, powers, points, noise, alpha)
 
+    def heard_station(self, coords, powers, points, noise, beta, alpha, no_reception):
+        return self._exact().heard_station(
+            coords, powers, points, noise, beta, alpha, no_reception
+        )
+
     # -- the screen-then-verify loop ------------------------------------
 
-    def _tolerance(self, n_stations: int, beta: float, alpha: float) -> np.float32:
-        """Effective relative tolerance: the margin, floored by error bounds.
+    @staticmethod
+    def _tolerance(n_stations: int, beta: float, alpha: float) -> np.float32:
+        """The relative tolerance, derived from float32 error bounds.
 
-        The floor covers coordinate-rounding amplification at the geometry
-        guard (``~alpha * eps32 / GEOMETRY_MARGIN``, which also bounds the
+        It covers coordinate-rounding amplification at the geometry guard
+        (``~alpha * eps32 / GEOMETRY_MARGIN``, which also bounds the
         squared-distance error of ``nearest_received``'s separation test)
         and the interference cancellation of near-threshold SINR columns
         (``~beta * n * eps32``), each with generous slack.
         """
-        floor = max(
+        return np.float32(max(
             4.0 * max(2.0, abs(alpha)) * _EPS32 / GEOMETRY_MARGIN,
             8.0 * (abs(beta) + 1.0) * (n_stations + 64.0) * _EPS32,
-        )
-        return np.float32(max(self.decision_margin, floor))
+        ))
 
     @staticmethod
     def _geometry_guard(coords, pts) -> np.ndarray:
@@ -413,22 +355,6 @@ class Float32ScreenBackend:
                 c32, p32, pts32, noise, beta32, tol32, alpha, no_reception
             ),
             lambda pts, sel: self._exact().nearest_received(
-                coords, powers, pts[sel], noise, beta, alpha, no_reception
-            ),
-        )
-
-    def heard_station(self, coords, powers, points, noise, beta, alpha, no_reception):
-        if not self._screenable(noise, beta, alpha):
-            return self._exact().heard_station(
-                coords, powers, points, noise, beta, alpha, no_reception
-            )
-        beta32 = np.float32(beta)
-        return self._decide(
-            coords, powers, points, beta, alpha,
-            lambda c32, p32, pts32, tol32: _screen_heard(
-                c32, p32, pts32, noise, beta32, tol32, alpha, no_reception
-            ),
-            lambda pts, sel: self._exact().heard_station(
                 coords, powers, pts[sel], noise, beta, alpha, no_reception
             ),
         )

@@ -2,10 +2,14 @@
 
 All library-specific failures derive from :class:`ReproError` so that callers
 can distinguish library errors from programming errors (``TypeError`` and
-friends) with a single ``except`` clause.
+friends) with a single ``except`` clause.  :func:`positive_int` is the one
+count check, raising the caller's own error class.
 """
 
 from __future__ import annotations
+
+import operator
+from typing import Type
 
 
 class ReproError(Exception):
@@ -126,3 +130,15 @@ class ObservabilityClosedError(ObservabilityError):
     The unified component lifecycle is terminal: a hub that has been
     stopped keeps its counters readable but no longer samples.
     """
+
+
+def positive_int(name: str, value: object, error: Type[ReproError]) -> int:
+    """``value`` as an ``int`` >= 1, else ``error``: a bool, a float (even
+    ``2.0``) or a string is refused rather than truncated."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < 1:
+        raise error(f"{name} must be an integer >= 1, got {value!r}")
+    return number

@@ -25,7 +25,7 @@ from typing import List, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..exceptions import PointLocationError
+from ..exceptions import PointLocationError, positive_int
 
 __all__ = [
     "SpatialPartitioner",
@@ -61,7 +61,7 @@ class UniformTilePartitioner:
     """Partition by a uniform ``tiles_x x tiles_y`` grid over the station bbox.
 
     Args:
-        tiles_x: number of tile columns (>= 1).
+        tiles_x: number of tile columns (an integer >= 1).
         tiles_y: number of tile rows; defaults to ``tiles_x``.
 
     Stations on interior tile boundaries go to the higher tile; the right and
@@ -71,19 +71,16 @@ class UniformTilePartitioner:
     """
 
     def __init__(self, tiles_x: int, tiles_y: int = None):
-        if tiles_y is None:
-            tiles_y = tiles_x
-        if tiles_x < 1 or tiles_y < 1:
-            raise PointLocationError("tile counts must be at least 1")
-        self.tiles_x = int(tiles_x)
-        self.tiles_y = int(tiles_y)
+        self.tiles_x = positive_int("tiles_x", tiles_x, PointLocationError)
+        self.tiles_y = positive_int(
+            "tiles_y", tiles_x if tiles_y is None else tiles_y, PointLocationError
+        )
         self.name = f"uniform({self.tiles_x}x{self.tiles_y})"
 
     @classmethod
     def for_shard_count(cls, shards: int) -> "UniformTilePartitioner":
         """The most-square tile grid with at least ``shards`` tiles."""
-        if shards < 1:
-            raise PointLocationError("shard count must be at least 1")
+        shards = positive_int("the shard count", shards, PointLocationError)
         tiles_x = max(1, int(math.floor(math.sqrt(shards))))
         tiles_y = int(math.ceil(shards / tiles_x))
         return cls(tiles_x, tiles_y)
@@ -120,8 +117,8 @@ class KDMedianPartitioner:
     """Partition by recursive median bisection along the wider-spread axis.
 
     Args:
-        shards: number of groups to produce (>= 1, need not be a power of
-            two — uneven splits distribute stations proportionally).
+        shards: number of groups to produce (an integer >= 1, need not be a
+            power of two — uneven splits distribute stations proportionally).
 
     Always returns exactly ``shards`` groups with sizes balanced to within
     one station; when there are fewer stations than shards the tail groups
@@ -129,9 +126,7 @@ class KDMedianPartitioner:
     """
 
     def __init__(self, shards: int):
-        if shards < 1:
-            raise PointLocationError("shard count must be at least 1")
-        self.shards = int(shards)
+        self.shards = positive_int("the shard count", shards, PointLocationError)
         self.name = f"kd({self.shards})"
 
     def partition(self, coords) -> List[np.ndarray]:

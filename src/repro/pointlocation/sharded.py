@@ -59,7 +59,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..engine.batch import NO_RECEPTION, PointsLike, as_points_array, received_at
-from ..exceptions import PointLocationError
+from ..exceptions import PointLocationError, positive_int
 from ..geometry.point import Point
 from ..model.delta import NetworkDelta, diff_networks
 from ..model.network import WirelessNetwork
@@ -148,7 +148,8 @@ class ShardedLocator:
         inner: registry name (or factory) of the per-shard locator —
             ``"voronoi"`` (default), ``"brute-force"``, ``"theorem3"``, or
             even ``"sharded"`` again.
-        shards: requested shard count (>= 1).
+        shards: requested shard count (an integer >= 1; a bool, a float or
+            a string raises :class:`~repro.exceptions.PointLocationError`).
         partitioner: ``"kd"`` (default), ``"uniform"``, or a
             :class:`~repro.pointlocation.partition.SpatialPartitioner`.
         inner_options: extra build options forwarded to every inner locator
@@ -166,8 +167,7 @@ class ShardedLocator:
         inner_options: Optional[dict] = None,
     ):
         self._validate_network(network)
-        if shards < 1:
-            raise PointLocationError(f"shard count must be >= 1, got {shards}")
+        shards = positive_int("the shard count", shards, PointLocationError)
 
         from .partition import get_partitioner
 

@@ -30,13 +30,12 @@ would get every tile computed and none stored.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..exceptions import RasterCacheError
+from ..exceptions import RasterCacheError, positive_int
 
 __all__ = [
     "CacheStats",
@@ -61,18 +60,6 @@ Boxes = Sequence[Tuple[float, float, float, float]]
 #: A request still running after this many further swaps stores its tiles
 #: like any other request, and the LRU evicts them.
 RETIRED_FINGERPRINTS = 32
-
-
-def _positive_int(name: str, value: object) -> int:
-    """``value`` as an ``int`` >= 1; a bool, a float (even ``2.0``) or a
-    string is refused rather than truncated."""
-    try:
-        number = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or number < 1:
-        raise RasterCacheError(f"{name} must be an integer >= 1, got {value!r}")
-    return number
 
 
 class _Flight:
@@ -151,8 +138,12 @@ class TileCache:
         max_bytes: int = DEFAULT_MAX_BYTES,
         tile_size: int = DEFAULT_TILE_SIZE,
     ):
-        self.max_bytes = _positive_int("the tile-cache byte budget", max_bytes)
-        self.tile_size = _positive_int("the tile size in pixels", tile_size)
+        self.max_bytes = positive_int(
+            "the tile-cache byte budget", max_bytes, RasterCacheError
+        )
+        self.tile_size = positive_int(
+            "the tile size in pixels", tile_size, RasterCacheError
+        )
         self._lock = threading.Lock()
         self._store: "OrderedDict[tuple, object]" = OrderedDict()
         self._in_flight: Dict[tuple, _Flight] = {}

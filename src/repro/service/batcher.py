@@ -45,14 +45,13 @@ import asyncio
 import contextvars
 import math
 import numbers
-import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..exceptions import ServiceClosedError, ServiceError
+from ..exceptions import ServiceClosedError, ServiceError, positive_int
 from ..runtime.component import Component
 from .stats import ServiceStats
 
@@ -104,17 +103,6 @@ def _budget(value: object) -> float:
     return budget
 
 
-def _count(name: str, value: object) -> int:
-    """``value`` as an ``int`` >= 1; a float, even ``2.0``, is refused."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise ServiceError(f"{name} must be an integer >= 1, got {value!r}")
-    return count
-
-
 def _point_coordinates(point) -> Tuple[float, float]:
     """Coerce a Point / ``(x, y)`` pair / length-2 array into two floats."""
     x = getattr(point, "x", None)
@@ -142,8 +130,8 @@ class MicroBatcher(Component):
         max_pending: backpressure bound on queued + in-flight queries.
 
     The budget must be a finite real number >= 0 (a bool is not one) and
-    is stored as a ``float``; both counts must be integers >= 1.  Anything
-    else raises :class:`ServiceError`.
+    is stored as a ``float``; both counts must be integers >= 1 (a bool
+    is not one).  Anything else raises :class:`ServiceError`.
     The batcher records into its own :class:`~repro.service.stats.ServiceStats`
     (``stats``).
     """
@@ -158,8 +146,10 @@ class MicroBatcher(Component):
     ):
         self._locate = locate
         self.latency_budget = _budget(latency_budget)
-        self.max_batch_size = _count("max_batch_size", max_batch_size)
-        self.max_pending = _count("max_pending", max_pending)
+        self.max_batch_size = positive_int(
+            "max_batch_size", max_batch_size, ServiceError
+        )
+        self.max_pending = positive_int("max_pending", max_pending, ServiceError)
         self.stats = ServiceStats()
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -1,8 +1,9 @@
 """A deterministic catalogue of benchmark scenarios.
 
 Each scenario bundles a network family with the parameters the benchmark
-harness sweeps over, so that benchmarks, examples and EXPERIMENTS.md always
-talk about the same configurations.  Scenarios are intentionally small enough
+harness sweeps over, so that benchmarks, examples and the report that
+``examples/reproduce_experiments.py`` prints always talk about the same
+configurations.  Scenarios are intentionally small enough
 to run on a laptop in seconds — the paper's results are structural, not about
 absolute scale.
 

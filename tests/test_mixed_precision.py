@@ -11,9 +11,9 @@ where a float32 screen alone would go wrong:
   separation is zero;
 * overflow-close and float32-coincident points (float64-distinct
   coordinates that round onto a station in float32);
-* the late-binding contract of the verify path: a
-  ``register_backend("numpy", ...)`` overwrite must reach an
-  already-constructed screen backend;
+* the late-binding contract of the verify path and of the delegated
+  ``heard_station``: a ``register_backend("numpy", ...)`` overwrite must
+  reach an already-constructed screen backend;
 * end-to-end round trips through every layer that routes by backend name —
   ``sharded:`` locators, the micro-batching service, and the raster tiles.
 
@@ -23,8 +23,6 @@ is the verify path — that the screen really did route points through it.
 """
 
 from __future__ import annotations
-
-import inspect
 
 import numpy as np
 import pytest
@@ -43,7 +41,6 @@ from repro.engine import (
     sinr_batch,
     use_backend,
 )
-from repro.exceptions import ReproError
 from repro.pointlocation import build_locator
 from repro.service import serve_points
 from seeded_workloads import query_box_array, seeded_network
@@ -192,19 +189,12 @@ class TestAdversarialMargins:
             sinr_batch(network, points, backend="numpy"),
         )
 
-    def test_rejects_nonpositive_margins(self):
-        with pytest.raises(ReproError, match="decision_margin"):
-            Float32ScreenBackend(decision_margin=0.0)
-        # NaN compares false with everything: as a tolerance it would make
-        # no point margin-close and certify every float32 decision.
-        with pytest.raises(ReproError, match="decision_margin"):
-            Float32ScreenBackend(decision_margin=float("nan"))
-
-    def test_infinite_margin_verifies_every_point(self):
+    def test_station_points_verify_every_point(self):
+        """A batch of station coordinates lies wholly inside the geometry
+        guard, so every screened point takes the exact path."""
         network = network_6(seed=75)
-        points = np.vstack([query_box_array(network, 300, seed=76), network.coords])
-        screen = Float32ScreenBackend(decision_margin=float("inf"))
-        screen.stats.reset()
+        points = network.coords
+        screen = Float32ScreenBackend()
         assert_decisions_identical(network, points, screen)
         assert screen.stats.screened > 0
         assert screen.stats.verified == screen.stats.screened
@@ -215,15 +205,21 @@ class _CountingNumpy(NumpyBackend):
 
     def __init__(self, name):
         self.name = name
-        self.calls = 0
+        self.mask_calls = 0
+        self.heard_calls = 0
+
+    def received_mask_at(self, *args, **kwargs):
+        self.mask_calls += 1
+        return super().received_mask_at(*args, **kwargs)
 
     def heard_station(self, *args, **kwargs):
-        self.calls += 1
+        self.heard_calls += 1
         return super().heard_station(*args, **kwargs)
 
 
 class TestLateBoundVerifyPath:
-    """The verify path re-resolves ``"numpy"`` by name on every call."""
+    """The verify path and the delegated ``heard_station`` re-resolve
+    ``"numpy"`` by name on every call."""
 
     def _adversarial_workload(self):
         # Station coordinates are in the batch, so verification is forced.
@@ -231,31 +227,45 @@ class TestLateBoundVerifyPath:
         points = np.vstack(
             [network.coords, query_box_array(network, 50, seed=81)]
         )
-        return network, points
+        indices = np.arange(len(points)) % len(network)
+        return network, points, indices
 
     def test_overwriting_numpy_reaches_the_verify_path(self):
-        network, points = self._adversarial_workload()
-        expected = heard_station_batch(network, points, backend="numpy")
+        network, points, indices = self._adversarial_workload()
+        expected = received_at(network, indices, points, backend="numpy")
         screen = Float32ScreenBackend()
         first = _CountingNumpy("numpy")
         second = _CountingNumpy("numpy")
         try:
             register_backend("numpy", first)
-            got = heard_station_batch(network, points, backend=screen)
-            assert first.calls > 0 and second.calls == 0
+            got = received_at(network, indices, points, backend=screen)
+            assert first.mask_calls > 0 and second.mask_calls == 0
             np.testing.assert_array_equal(got, expected)
             register_backend("numpy", second)
-            heard_station_batch(network, points, backend=screen)
-            assert second.calls > 0
+            received_at(network, indices, points, backend=screen)
+            assert second.mask_calls > 0
         finally:
             register_backend("numpy", NumpyBackend())
+        assert screen.stats.verified > 0
 
-    def test_decision_margin_is_the_only_option(self):
-        # The verify backend and the geometry guard are fixed, and the
-        # screen takes its point chunks from the engine's batch API.
-        assert list(inspect.signature(Float32ScreenBackend).parameters) == [
-            "decision_margin",
-        ]
+    def test_heard_station_delegates_to_the_registered_numpy(self):
+        """``heard_station`` is numpy's kernel, reached by name and never
+        screened, so it equals numpy at beta < 1 and on stations too."""
+        network = network_6(seed=82, beta=0.5)
+        points = np.vstack(
+            [query_box_array(network, 300, seed=83), network.coords]
+        )
+        expected = heard_station_batch(network, points, backend="numpy")
+        screen = Float32ScreenBackend()
+        counting = _CountingNumpy("numpy")
+        try:
+            register_backend("numpy", counting)
+            got = heard_station_batch(network, points, backend=screen)
+        finally:
+            register_backend("numpy", NumpyBackend())
+        np.testing.assert_array_equal(got, expected)
+        assert counting.heard_calls > 0 and counting.mask_calls == 0
+        assert screen.stats.screened == 0
 
 
 class TestRoutedEndToEnd:
@@ -287,7 +297,7 @@ class TestRoutedEndToEnd:
         with use_backend("float32-screen"):
             screened = diagram.rasterize(*box)
             tiled = diagram.rasterize(*box, cache=TileCache(tile_size=16))
-        # Labels are certified heard_station answers and value planes
+        # Labels (heard_station) and value planes (sinr_matrix) both
         # delegate to the exact numpy backend, so the whole raster — labels
         # *and* SINR values, cached or not — is bit-identical to numpy.
         for raster in (screened, tiled):

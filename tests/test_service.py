@@ -649,14 +649,17 @@ class TestBackpressure:
             # build_options are meaningless with a pre-built locator.
             QueryService(network, FakeLocator(), build_options={"shards": 2})
 
-    @pytest.mark.parametrize("bad", [2.5, 2.0, "8", None],
-                             ids=["fraction", "integral-float", "string", "none"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "8", None, True],
+                             ids=["fraction", "integral-float", "string", "none",
+                                  "bool"])
     @pytest.mark.parametrize("option", ["max_batch_size", "max_pending"])
     def test_batch_counts_must_be_integers(self, network, option, bad):
         """Regression: ``max_batch_size=2.5`` was accepted, and the first
         seal then raised ``TypeError`` (``range(2.5)``) inside the
         dispatcher task, so every ``locate`` hung until ``stop()``
-        re-raised it.  Both counts are checked at construction now."""
+        re-raised it.  Both counts are checked at construction now, and
+        ``True`` is refused as it is by ``TileCache`` rather than read as
+        1."""
         with pytest.raises(ServiceError, match=f"{option} must be an integer"):
             QueryService(network, "voronoi", **{option: bad})
         with pytest.raises(ServiceError, match=f"{option} must be an integer"):

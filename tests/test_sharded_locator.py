@@ -74,6 +74,31 @@ class TestPartitioners:
         with pytest.raises(PointLocationError):
             UniformTilePartitioner(0)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "4", None, 0],
+                             ids=["fraction", "integral-float", "bool",
+                                  "string", "none", "zero"])
+    def test_counts_must_be_integers(self, bad):
+        """Regression: ``KDMedianPartitioner(2.5)`` truncated to 2 shards
+        while ``UniformTilePartitioner.for_shard_count(2.5)`` rounded up to
+        3 tiles, ``True`` counted as 1 and ``"4"`` failed with a bare
+        ``TypeError``.  Every count is checked as an integer >= 1."""
+        makers = [
+            KDMedianPartitioner,
+            UniformTilePartitioner,
+            UniformTilePartitioner.for_shard_count,
+        ]
+        if bad is not None:  # tiles_y=None means as many rows as columns
+            makers.append(lambda count: UniformTilePartitioner(2, count))
+        for make in makers:
+            with pytest.raises(PointLocationError, match="integer >= 1"):
+                make(bad)
+
+    def test_integer_types_are_accepted_as_counts(self):
+        assert KDMedianPartitioner(np.int64(3)).shards == 3
+        tiles = UniformTilePartitioner(np.int32(2), np.int64(3))
+        assert (tiles.tiles_x, tiles.tiles_y) == (2, 3)
+        assert type(tiles.tiles_x) is int and type(tiles.tiles_y) is int
+
 
 class TestShardedExactness:
     @pytest.mark.parametrize("partitioner", ["kd", "uniform"])
@@ -186,6 +211,17 @@ class TestShardedPreconditions:
             ShardedLocator(
                 uniform_random_network(6, side=10.0, seed=1, beta=3.0), shards=0
             )
+
+    @pytest.mark.parametrize("partitioner", ["kd", "uniform"])
+    @pytest.mark.parametrize("bad", [2.5, True, "4"],
+                             ids=["fraction", "bool", "string"])
+    def test_shard_count_must_be_an_integer(self, partitioner, bad):
+        """Regression: ``shards=2.5`` built 2 kd shards but 3 uniform
+        tiles, ``shards=True`` built one shard and ``shards="4"`` raised a
+        bare ``TypeError``."""
+        network = uniform_random_network(6, side=10.0, seed=1, beta=3.0)
+        with pytest.raises(PointLocationError, match="integer >= 1"):
+            ShardedLocator(network, shards=bad, partitioner=partitioner)
 
     def test_inner_options_forward(self):
         network = uniform_random_network(
