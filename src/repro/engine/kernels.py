@@ -17,6 +17,14 @@ buffer; ``received_mask_at`` and ``nearest_received`` form just the
 candidate's row.  Ratios come from the same IEEE operations in the same
 order as the general path below, so they are that path's bits.
 
+``heard_station`` first offers a call's points to a silence certificate:
+the energies of the few stations nearest the call's bounding box, summed
+in the same order, bound every point's largest SINR from above with no
+rounding margin, and the dense pass runs only on the points whose bound
+reaches ``beta`` (see :func:`heard_station`).  On a 64 px raster tile of
+50 stations most pixels hear no station, and the certificate decides
+about 87% of them.
+
 The rare-column rule: a column whose energy total is not finite — a point
 on or overflow-close to a station (co-located stations included), a NaN
 coordinate, or a sum that overflows — is answered again by the general
@@ -56,6 +64,8 @@ Edge-case semantics (matching the scalar model layer exactly):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -66,6 +76,16 @@ __all__ = [
     "nearest_received",
     "heard_station",
 ]
+
+#: How many stations, those nearest a call's bounding box, the silence
+#: certificate of :func:`heard_station` sums exactly.
+_CERTIFIED_STATIONS = 12
+
+#: Calls with fewer points skip the silence certificate.  Deciding whether
+#: it applies costs 10-25 us at 50 to 200 stations on a 2-vCPU VM, which a
+#: batch spread over the whole deployment pays for nothing; under 1,024
+#: points that exceeds the timing noise of the dense pass it precedes.
+_CERTIFY_MIN_POINTS = 1024
 
 
 def pairwise_squared_distances(
@@ -343,6 +363,74 @@ def nearest_received(
     return np.where(heard, nearest, no_reception)
 
 
+def _certified_silent(
+    station_coordinates: np.ndarray,
+    powers: np.ndarray,
+    points: np.ndarray,
+    noise: float,
+    beta: float,
+    alpha: float,
+) -> "np.ndarray | None":
+    """The silence certificate of :func:`heard_station`: a boolean ``(m,)``
+    mask of the points that provably hear no station, or ``None`` where the
+    certificate is skipped (see :func:`heard_station`)."""
+    count = _CERTIFIED_STATIONS
+    if (
+        alpha != 2.0
+        or len(station_coordinates) <= count
+        or len(points) < _CERTIFY_MIN_POINTS
+    ):
+        return None
+    # Reduced over contiguous rows: reducing the (m, 2) array over axis 0
+    # takes about ten times as long.
+    axes = points.T.copy()
+    low, high = axes.min(axis=1), axes.max(axis=1)
+    if not all(map(math.isfinite, low.tolist() + high.tolist())):
+        return None
+    inside = (low <= station_coordinates) & (station_coordinates <= high)
+    if np.count_nonzero(inside.all(axis=1)) > count:
+        return None  # more stations in the box than the certificate sums
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # Per axis max(x0 - sx, sx - x1, 0), squared and summed as the
+        # kernel's dx * dx + dy * dy.
+        gaps = np.subtract(low, station_coordinates)
+        np.maximum(gaps, np.subtract(station_coordinates, high), out=gaps)
+        np.maximum(gaps, 0.0, out=gaps)
+        np.multiply(gaps, gaps, out=gaps)
+        gap = gaps[:, 0] + gaps[:, 1]
+        order = np.argpartition(gap, count)
+        far = order[count:]
+        bound = (powers[far] / gap[far]).max()
+        near = np.sort(order[:count])
+        energies = _energies_in_place(
+            pairwise_squared_distances(station_coordinates[near], points),
+            powers[near],
+            alpha,
+        )
+        partial = _column_totals(energies)
+        largest = energies.max(axis=0)
+        ratio = np.subtract(partial, largest)
+        ratio += noise
+        np.divide(largest, ratio, out=ratio)
+        return (largest >= bound) & (ratio < beta)
+
+
+def _dense_heard(
+    station_coordinates: np.ndarray,
+    powers: np.ndarray,
+    points: np.ndarray,
+    noise: float,
+    beta: float,
+    alpha: float,
+    no_reception: int,
+) -> np.ndarray:
+    """The heard-station rule over every station: SINR argmax, then ``beta``."""
+    ratio = sinr_matrix(station_coordinates, powers, points, noise, alpha)
+    best = np.argmax(ratio, axis=0)
+    heard = ratio[best, np.arange(len(points))] >= beta
+    return np.where(heard, best, no_reception)
+
+
 def heard_station(
     station_coordinates: np.ndarray,
     powers: np.ndarray,
@@ -361,8 +449,58 @@ def heard_station(
     so it is heard; a NaN SINR (``0/0``, a NaN coordinate) fills its whole
     column, whose argmax is then never received.  The same rule as
     :meth:`repro.model.network.WirelessNetwork.heard_station`.
+
+    Most of a diagram hears no station, so points are first offered to a
+    silence certificate that sums only a few stations; the dense pass
+    (:func:`sinr_matrix`, argmax, ``beta``) runs on the points it cannot
+    decide.  Per call:
+
+    * the call's points span a bounding box; each station's squared gap
+      to it is ``gx * gx + gy * gy``, with ``gx = max(x0 - sx, sx - x1,
+      0)`` and ``gy`` alike;
+    * ``S`` holds the :data:`_CERTIFIED_STATIONS` stations of smallest gap,
+      in ascending index, and ``B`` is the largest ``power / gap`` over the
+      other stations;
+    * ``S``'s energies come from the dense pass's own expressions;
+      ``P`` is their total added row by row (:func:`_column_totals`) and
+      ``E`` their largest;
+    * a point is certified silent when ``E >= B`` and
+      ``E / ((P - E) + noise) < beta``, evaluated in that order.
+
+    The certificate needs no rounding margin, because every float
+    operation is monotone and every energy is non-negative.  Adding an
+    energy never lowers a float sum, so ``P`` is at most the dense pass's
+    total ``T``.  The gaps keep the kernel's operand order, so each
+    rounded coordinate difference is at least the rounded gap, and every
+    station outside ``S`` has an energy of at most ``B``; ``E`` is then
+    the largest energy at the point.  ``fl(e / fl(fl(T - e) + noise))``
+    does not decrease as ``e`` grows or ``T`` falls, so the dense pass's
+    largest SINR is at most the certified value, which is below
+    ``beta``: the dense pass answers ``no_reception`` too.  A NaN or an
+    infinity anywhere fails a comparison, so such a point (on a station,
+    say) goes to the dense pass.  The dense pass decides each point on
+    its own, so the answers are the dense pass's bits for every point.
+
+    The certificate is skipped, and every point runs the dense pass,
+    when ``alpha != 2`` (``np.power`` is not guaranteed monotone), when
+    the network has at most :data:`_CERTIFIED_STATIONS` stations, when
+    the box holds more stations than that (some station outside ``S``
+    would have a zero gap, so nothing could be certified), when the box
+    is not finite, and for calls of fewer than
+    :data:`_CERTIFY_MIN_POINTS` points.
     """
-    ratio = sinr_matrix(station_coordinates, powers, points, noise, alpha)
-    best = np.argmax(ratio, axis=0)
-    heard = ratio[best, np.arange(len(points))] >= beta
-    return np.where(heard, best, no_reception)
+    silent = _certified_silent(
+        station_coordinates, powers, points, noise, beta, alpha
+    )
+    if silent is None:
+        return _dense_heard(
+            station_coordinates, powers, points, noise, beta, alpha, no_reception
+        )
+    heard = np.full(len(points), no_reception, dtype=np.intp)
+    rest = np.flatnonzero(~silent)
+    if rest.size:
+        heard[rest] = _dense_heard(
+            station_coordinates, powers, points[rest], noise, beta, alpha,
+            no_reception,
+        )
+    return heard

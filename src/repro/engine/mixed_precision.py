@@ -17,9 +17,9 @@ because it sends those columns to the exact backend whole.
 
 ``heard_station`` and the value query ``sinr_matrix`` delegate wholly to
 the exact backend.  The numpy kernel answers ``heard_station`` in one
-in-place pass that a float32 screen around it did not beat, and
-``sinr_matrix`` returns floats rather than decisions, so there is no margin
-to certify.
+in-place pass, behind its own margin-free silence certificate, that a
+float32 screen around it did not beat, and ``sinr_matrix`` returns floats
+rather than decisions, so there is no margin to certify.
 
 Margin semantics
 ----------------

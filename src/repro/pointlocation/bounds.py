@@ -150,7 +150,11 @@ def station_reaches(
     the widening a point a few ulps past the bound can be heard by brute
     force yet fall outside a routing box built from it.
 
-    Requires the Theorem 4.1 regime (uniform power, ``beta > 1``).
+    Requires the Theorem 4.1 regime (uniform power, ``beta > 1``,
+    ``alpha = 2``): the bound is derived for ``alpha = 2``, and a larger
+    exponent lets a zone reach further (at ``alpha = 4`` a two-station
+    zone reaches ``kappa / (beta**0.25 - 1)``, 3.16 ``kappa`` at
+    ``beta = 3``, against the 1.37 ``kappa`` this bound gives).
     """
     if not network.is_uniform_power():
         raise PointLocationError(
@@ -159,6 +163,10 @@ def station_reaches(
     if network.beta <= 1.0:
         raise PointLocationError(
             "the radius bounds of Theorem 4.1 require beta > 1"
+        )
+    if network.alpha != 2.0:
+        raise PointLocationError(
+            "the radius bounds of Theorem 4.1 require alpha = 2"
         )
     coords = network.coords
     with np.errstate(over="ignore"):

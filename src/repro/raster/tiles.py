@@ -134,8 +134,8 @@ def affected_boxes(
     costs ``O(n)`` rather than a pass over every station.
 
     Raises :class:`~repro.exceptions.PointLocationError` outside the
-    Theorem 4.1 regime (non-uniform power or ``beta <= 1``), where no
-    certified reach exists.
+    Theorem 4.1 regime (non-uniform power, ``beta <= 1`` or
+    ``alpha != 2``), where no certified reach exists.
     """
     from ..pointlocation.bounds import reach_box, station_reaches
 
@@ -171,7 +171,8 @@ def invalidate_for_delta(
     * the delta changes ``noise``/``beta``/``alpha`` (every pixel is stale);
     * the delta is not index-preserving (station joins/leaves renumber the
       label space, so retained labels would name the wrong stations);
-    * the network is outside the Theorem 4.1 regime (no certified reach).
+    * the network is outside the Theorem 4.1 regime (non-uniform power,
+      ``beta <= 1`` or ``alpha != 2``: no certified reach).
 
     Either way the old fingerprint is retired: tiles computed for it by
     requests still running are not stored.  After a box-granular swap

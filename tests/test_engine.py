@@ -51,6 +51,7 @@ from repro.engine import (
 from repro.engine import backend as backend_module
 from repro.exceptions import ReproError
 from repro.model.diagram import raster_labels
+from repro.model.reception import ReceptionZone
 from repro.model.sinr import received_energy, sinr_ratio
 from repro.pointlocation import (
     BruteForceLocator,
@@ -1262,3 +1263,259 @@ class TestLeanKernels:
         kernel(points, indices)
         _, peak = peak_of(lambda: kernel(points, indices))
         assert peak < 3.5 * 50 * 4096 * 8
+
+
+
+# ----------------------------------------------------------------------
+# The silence certificate of the numpy heard_station kernel
+# ----------------------------------------------------------------------
+CERTIFIED_BACKENDS = ["numpy", "float32-screen"]
+
+
+def dense_rule(network, points, backend):
+    """The heard-station rule rebuilt from ``sinr_batch``: the SINR argmax,
+    heard where it reaches beta."""
+    ratio = sinr_batch(network, points, backend=backend)
+    best = np.argmax(ratio, axis=0)
+    heard = ratio[best, np.arange(len(points))] >= network.beta
+    return np.where(heard, best, NO_RECEPTION)
+
+
+def count_dense_points(monkeypatch):
+    """A one-item list counting the points sent to ``kernels.sinr_matrix``."""
+    sent = [0]
+    real = kernels.sinr_matrix
+
+    def counting(coords, powers, points, *args):
+        sent[0] += len(points)
+        return real(coords, powers, points, *args)
+
+    monkeypatch.setattr(kernels, "sinr_matrix", counting)
+    return sent
+
+
+def assert_dense_rule(monkeypatch, network, grids, backend) -> int:
+    """``heard_station_batch`` equals :func:`dense_rule` on every grid, each
+    grid one kernel call; returns how many points the certificate decided."""
+    sent = count_dense_points(monkeypatch)
+    certified = 0
+    for points in grids:
+        want = dense_rule(network, points, backend)
+        before = sent[0]
+        got = heard_station_batch(network, points, backend=backend)
+        certified += len(points) - (sent[0] - before)
+        np.testing.assert_array_equal(got, want)
+    return certified
+
+
+def serving_network(n, seed=1, noise=0.002, beta=3.0, powers=None):
+    """The serving benchmark's network shape: side 4 sqrt(n), separation 1.5."""
+    network = uniform_random_network(
+        n, side=4.0 * math.sqrt(n), minimum_separation=1.5, noise=noise,
+        beta=beta, seed=seed,
+    )
+    if powers is None:
+        return network
+    return WirelessNetwork(
+        [Station.at(s.x, s.y, power) for s, power in zip(network.stations, powers)],
+        noise=noise, beta=beta,
+    )
+
+
+def pixel_grid(x0, y0, pitch, size=64):
+    """The pixel centres of a ``size`` x ``size`` tile with corner (x0, y0)."""
+    centres = (np.arange(size) + 0.5) * pitch
+    xs, ys = np.meshgrid(x0 + centres, y0 + centres)
+    return np.column_stack([xs.ravel(), ys.ravel()])
+
+
+def tiles_over(network, pitch, count, seed):
+    """``count`` 64 px tiles at ``pitch``: half around stations, half at
+    random spots of the deployment."""
+    rng = np.random.default_rng(seed)
+    coords = network.coords
+    around = coords[rng.choice(len(coords), count // 2, replace=False)]
+    spots = rng.uniform(-4.0, coords.max() + 4.0, size=(count - count // 2, 2))
+    corners = np.vstack([around - 32 * pitch, spots])
+    return [pixel_grid(x, y, pitch) for x, y in corners]
+
+
+def boundary_points(network, index, angles):
+    """Points of station ``index``'s zone boundary along rays, to an ulp."""
+    zone = ReceptionZone(network=network, index=index)
+    distances = zone.boundary_distances_along_rays(angles, tolerance=1e-300)
+    directions = np.column_stack([np.cos(angles), np.sin(angles)])
+    return network.coords[index] + distances[:, None] * directions
+
+
+def centred_grid(centre, pitch, size=32):
+    """A ``size`` x ``size`` grid around ``centre``, ``pitch`` per axis."""
+    offsets = np.arange(size) - size // 2
+    xs, ys = np.meshgrid(
+        centre[0] + offsets * pitch[0], centre[1] + offsets * pitch[1]
+    )
+    return np.column_stack([xs.ravel(), ys.ravel()])
+
+
+def boundary_grids(network, stations, rays):
+    """Grids across zone boundaries, four per boundary point, at pitches of
+    3 ulps (every fourth grid, from the first), 1e-9, 1e-6 and 1e-3."""
+    angles = np.linspace(0.0, 2.0 * math.pi, rays, endpoint=False) + 0.3
+    grids = []
+    for index in stations:
+        for centre in boundary_points(network, index, angles):
+            for pitch in (3.0 * np.spacing(np.abs(centre)), 1e-9, 1e-6, 1e-3):
+                grids.append(centred_grid(centre, np.broadcast_to(pitch, (2,))))
+    return grids
+
+
+class TestSilenceCertificate:
+    """``heard_station`` certifies silent points from the stations nearest
+    the call's box and sends only the rest to the dense pass.  The
+    certificate has no margin, so its answers must be the dense rule's
+    bits: on tiles, across powers, thresholds, noise and scales, at
+    co-located stations and on-station pixels, on ulp-pitch grids across
+    zone boundaries, and where the partial sum equals the total."""
+
+    @pytest.mark.parametrize("backend", CERTIFIED_BACKENDS)
+    @pytest.mark.parametrize("n", [13, 50, 200])
+    def test_tiles_of_serving_networks(self, monkeypatch, n, backend):
+        network = serving_network(n)
+        grids = tiles_over(network, 1 / 16, 8, seed=n)
+        grids += tiles_over(network, 1 / 8, 4, seed=n + 1)
+        assert assert_dense_rule(monkeypatch, network, grids, backend) > 0
+
+    @pytest.mark.parametrize("backend", CERTIFIED_BACKENDS)
+    @pytest.mark.parametrize("noise", [0.0, 0.002])
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0, 1.0 + 1e-7, 3.0])
+    def test_uneven_powers_thresholds_and_noise(
+        self, monkeypatch, beta, noise, backend
+    ):
+        powers = np.random.default_rng(5).uniform(0.2, 5.0, size=50)
+        network = serving_network(50, seed=2, noise=noise, beta=beta, powers=powers)
+        grids = tiles_over(network, 1 / 8, 4, seed=3)
+        assert_dense_rule(monkeypatch, network, grids, backend)
+
+    @pytest.mark.parametrize("backend", CERTIFIED_BACKENDS)
+    @pytest.mark.parametrize("scale", [1e-150, 1e-75, 1e75, 1e150])
+    def test_extreme_scales(self, monkeypatch, scale, backend):
+        """Coordinates times ``scale`` and noise over its square: the same
+        diagram, with energies near the overflow and subnormal ranges."""
+        base = serving_network(50, seed=4)
+        network = WirelessNetwork.uniform(
+            base.coords * scale, noise=base.noise / scale**2, beta=base.beta
+        )
+        grids = [grid * scale for grid in tiles_over(base, 1 / 8, 6, seed=5)]
+        grids += [grid * scale for grid in boundary_grids(base, [9], rays=2)]
+        assert assert_dense_rule(monkeypatch, network, grids, backend) > 0
+
+    @pytest.mark.parametrize("backend", CERTIFIED_BACKENDS)
+    def test_co_located_stations_and_on_station_pixels(self, monkeypatch, backend):
+        """Stations sit exactly on pixel centres of the tiles, four of them
+        twice over: those pixels hear the first co-located station."""
+        pitch = 1 / 16
+        snapped = (np.floor(serving_network(30, seed=6).coords / pitch) + 0.5) * pitch
+        network = WirelessNetwork.uniform(
+            np.vstack([snapped, snapped[:4]]), noise=0.002, beta=3.0
+        )
+        grids = [
+            pixel_grid(*((np.floor(station / pitch) - 32) * pitch), pitch)
+            for station in snapped[:6]
+        ]
+        for grid, station in zip(grids, snapped):
+            assert (grid == station).all(axis=1).any()
+        assert assert_dense_rule(monkeypatch, network, grids, backend) > 0
+
+    @pytest.mark.parametrize("backend", CERTIFIED_BACKENDS)
+    def test_ulp_pitch_grids_across_zone_boundaries(self, monkeypatch, backend):
+        """32 x 32 grids centred on zone boundary points found along rays,
+        at pitches from 3 ulps to 1e-3: both sides of each boundary, and
+        points within a few ulps of it."""
+        network = serving_network(50, seed=7)
+        grids = boundary_grids(network, [3, 17, 29], rays=4)
+        assert_dense_rule(monkeypatch, network, grids, backend)
+        ulp_pitched = heard_station_batch(network, np.vstack(grids[::4]))
+        assert (ulp_pitched == NO_RECEPTION).any() and (ulp_pitched >= 0).any()
+
+    @pytest.mark.parametrize("backend", CERTIFIED_BACKENDS)
+    def test_a_cluster_far_from_the_rest(self, monkeypatch, backend):
+        """Twelve stations within a few units and twenty about 1e8 away,
+        whose energies add up to about an ulp of the total: the partial sum
+        is within two ulps of the total, so certified pixels sit within
+        ulps of the zone boundaries."""
+        cluster = serving_network(12, seed=9).coords
+        far = 1e8 + np.random.default_rng(8).uniform(0.0, 1e6, size=(20, 2))
+        network = WirelessNetwork.uniform(
+            np.vstack([far[:10], cluster, far[10:]]), noise=0.002, beta=3.0
+        )
+        tiles = [pixel_grid(x, y, 1 / 16) for x, y in cluster[:4] - 2.0]
+        assert assert_dense_rule(monkeypatch, network, tiles, backend) > 0
+        ulp_pitched = boundary_grids(network, [10, 15], rays=3)[::4]
+        assert assert_dense_rule(monkeypatch, network, ulp_pitched, backend) > 0
+
+    @pytest.mark.parametrize("backend", CERTIFIED_BACKENDS)
+    def test_pixels_whose_sinr_is_exactly_beta(self, monkeypatch, backend):
+        """Twelve stations and one 1e9 away, whose energy is below half an
+        ulp of the others' total, so the partial sum is the total and the
+        certified ratio is the dense SINR.  With beta set to the SINR of a
+        pixel next to a zone boundary, the dense pass hears the station
+        there, and the certificate must not call that pixel silent."""
+        cluster = serving_network(12, seed=9).coords
+        base = WirelessNetwork.uniform(
+            np.vstack([cluster, [[1e9, 1e9]]]), noise=0.002, beta=3.0
+        )
+        grid = boundary_grids(base, [4], rays=1)[0]  # at a 3-ulp pitch
+        best = sinr_batch(base, grid).max(axis=0)
+        for pixel in range(0, len(grid), 128):
+            network = base.with_beta(float(best[pixel]))
+            assert assert_dense_rule(monkeypatch, network, [grid], backend) > 0
+            assert heard_station_batch(network, grid, backend=backend)[pixel] == 4
+
+    @pytest.mark.parametrize("backend", CERTIFIED_BACKENDS)
+    def test_a_strong_station_just_outside_the_box(self, monkeypatch, backend):
+        """Twelve stations inside a tile and a stronger thirteenth just
+        outside it, heard over part of the tile: the certificate sums the
+        twelve, and must leave to the dense pass every pixel where the
+        thirteenth's energy can exceed theirs."""
+        grid = pixel_grid(0.0, 0.0, 1 / 16)
+        edge = grid[:, 0].max()
+        for seed, (beta, gap, power) in enumerate(
+            [(0.5, 0.05, 30.0), (1.0, 0.3, 4.0), (3.0, 0.05, 4.0), (3.0, 1.0, 30.0)]
+        ):
+            rng = np.random.default_rng(seed)
+            inside = [Station.at(x, y) for x, y in rng.uniform(0.2, 3.8, size=(12, 2))]
+            strong = Station.at(edge + gap, grid[rng.integers(len(grid)), 1], power)
+            network = WirelessNetwork(inside + [strong], noise=0.002, beta=beta)
+            assert (heard_station_batch(network, grid) == 12).any()
+            assert_dense_rule(monkeypatch, network, [grid], backend)
+
+    def test_a_finest_zoom_view_runs_a_quarter_of_its_pixels_dense(
+        self, monkeypatch
+    ):
+        """The 16 tiles of a 256 px view at pitch 1/16 over the middle of
+        the serving network send at most a quarter of their pixels to the
+        dense pass (every pixel went there before the certificate)."""
+        from repro.model.diagram import RasterLattice
+        from repro.raster import compute_tile
+
+        network = serving_network(50)
+        lattice = RasterLattice(pitch=1 / 16, phase=0.0, start=128, count=256)
+        sent = count_dense_points(monkeypatch)
+        for tile_x in range(2, 6):
+            for tile_y in range(2, 6):
+                compute_tile(network, lattice, lattice, tile_x, tile_y, 64, "numpy")
+        assert 0 < sent[0] <= 0.25 * 16 * 64 * 64
+
+    def test_random_batches_and_other_exponents_run_dense(self, monkeypatch):
+        """A batch over the whole deployment holds more stations in its box
+        than the certificate sums, and alpha != 2 is never certified: every
+        point runs the dense pass."""
+        network = serving_network(50)
+        points = query_box_array(network, 4096, seed=10)
+        cubic = WirelessNetwork(network.stations, noise=0.002, beta=3.0, alpha=3.0)
+        tile = tiles_over(network, 1 / 16, 2, seed=11)[1]
+        sent = count_dense_points(monkeypatch)
+        heard_station_batch(network, points, backend="numpy")
+        assert sent[0] == len(points)
+        assert assert_dense_rule(monkeypatch, cubic, [tile], "numpy") == 0
+        assert assert_dense_rule(monkeypatch, network, [tile], "numpy") > 0

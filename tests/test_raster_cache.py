@@ -684,16 +684,25 @@ class TestStraddlingLookups:
         the just-retired fingerprint while a ninth swaps, under a short
         switch interval: every lookup is one hit or one miss, every miss
         ran one factory call, and every tile served sits at the requested
-        place."""
+        place.  All nine start at a barrier, the workers keep looking up
+        until the swapper is done, and the swapper retires a fingerprint
+        only after the workers made lookups under it, so lookups and swaps
+        overlap on every run."""
         fingerprints = [f"fp{index}" for index in range(40)]
+        workers = 8
         cache = TileCache()
         live = [0]
         calls = []
         misplaced = []
+        lookups = [0] * workers
+        start = threading.Barrier(workers + 1)
+        swapped = threading.Event()
+        deadline = time.monotonic() + 30.0
 
-        def worker(seed):
-            rng = np.random.default_rng(seed)
-            for _ in range(300):
+        def worker(slot):
+            rng = np.random.default_rng(slot)
+            start.wait(timeout=60.0)
+            while not swapped.is_set():
                 generation = max(live[0] - int(rng.integers(2)), 0)
                 key = tile_key(
                     fingerprints[generation],
@@ -708,29 +717,38 @@ class TestStraddlingLookups:
 
                 if cache.get_or_compute(key, factory).place != key[1:]:
                     misplaced.append(key)
+                lookups[slot] += 1
 
         def swapper():
-            for index in range(len(fingerprints) - 1):
-                boxes = None if index % 3 == 0 else TestStraddlingLookups.BOXES
-                cache.invalidate_region(
-                    fingerprints[index], fingerprints[index + 1], boxes
-                )
-                live[0] = index + 1
-                time.sleep(0.001)
+            start.wait(timeout=60.0)
+            try:
+                for index in range(len(fingerprints) - 1):
+                    made = sum(lookups)
+                    while sum(lookups) < made + workers and time.monotonic() < deadline:
+                        time.sleep(0.0005)
+                    boxes = None if index % 3 == 0 else TestStraddlingLookups.BOXES
+                    cache.invalidate_region(
+                        fingerprints[index], fingerprints[index + 1], boxes
+                    )
+                    live[0] = index + 1
+                    time.sleep(0.001)
+            finally:
+                swapped.set()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=9) as pool:
-                jobs = [pool.submit(worker, seed) for seed in range(8)]
+            with ThreadPoolExecutor(max_workers=workers + 1) as pool:
+                jobs = [pool.submit(worker, slot) for slot in range(workers)]
                 jobs.append(pool.submit(swapper))
                 for job in jobs:
                     job.result(timeout=60.0)
         finally:
             sys.setswitchinterval(interval)
         stats = cache.stats()
+        assert time.monotonic() < deadline  # every swap followed lookups
         assert misplaced == []
-        assert stats.hits + stats.misses == 8 * 300
+        assert stats.hits + stats.misses == sum(lookups)
         assert stats.misses == len(calls)
         assert stats.hits > 0 and stats.rejected > 0
 
@@ -1216,6 +1234,28 @@ class TestDeltaInvalidation:
         served = SINRDiagram(moved).rasterize(*self.BOX, 64, cache=cache)
         direct = SINRDiagram(moved).rasterize(*self.BOX, 64)
         np.testing.assert_array_equal(served.labels, direct.labels)
+
+    def test_an_alpha_four_move_falls_back_to_full_drop(self):
+        """Theorem 4.1's reach holds for alpha = 2 only.  At alpha = 4
+        station 0's zone reaches past its alpha = 2 box, so re-keying the
+        tiles outside that box would serve the old network's zone there:
+        the move drops every tile and the served raster is the moved
+        network's."""
+        from repro.model import move_station
+        from repro.raster import invalidate_for_delta
+
+        network = WirelessNetwork.uniform(
+            [(0.0, 0.0), (1.0, 0.0)], noise=0.0, beta=3.0, alpha=4.0
+        )
+        box = (Point(-6.0, -4.0), Point(2.0, 4.0))
+        cache = TileCache(tile_size=16)
+        SINRDiagram(network).rasterize(*box, 256, cache=cache)
+        warm_tiles = cache.stats().tiles
+        moved, delta = move_station(network, 0, Point(-0.5, 0.0))
+        assert invalidate_for_delta(cache, network, moved, delta) == (0, warm_tiles)
+        served = SINRDiagram(moved).rasterize(*box, 256, cache=cache)
+        direct = SINRDiagram(moved).rasterize(*box, 256)
+        assert_rasters_identical(direct, served)
 
     def test_churn_falls_back_to_full_drop(self, noisy_network):
         from repro.model import remove_station

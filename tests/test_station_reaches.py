@@ -185,6 +185,20 @@ class TestSweepMatchesDensePass:
         with pytest.raises(PointLocationError):
             station_reaches(network, [])
 
+    @pytest.mark.parametrize("alpha", [1.5, 3.0, 4.0])
+    def test_only_alpha_two_has_a_reach(self, alpha):
+        """The bound is Theorem 4.1's for alpha = 2; at alpha = 4 a
+        two-station zone reaches 3.16 kappa, past the 1.37 kappa bound."""
+        from repro.exceptions import PointLocationError
+
+        network = WirelessNetwork.uniform(
+            [(0.0, 0.0), (1.0, 0.0)], beta=3.0, alpha=alpha
+        )
+        with pytest.raises(PointLocationError, match="alpha = 2"):
+            station_reaches(network)
+        with pytest.raises(PointLocationError, match="alpha = 2"):
+            station_reaches(network, [0])
+
     def test_bit_identical_where_the_certificate_binds(self):
         """Past ~4000 uniform stations a nearest neighbour is often more than
         one pass of offsets away in sorted order; compare against dense
