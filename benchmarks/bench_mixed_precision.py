@@ -5,10 +5,11 @@ The gate workload: 200 stations x 100k query points, where
 ``nearest_received_batch`` while staying bit-identical.  That is the query
 the served ``voronoi`` and ``sharded:voronoi`` locators send (the Voronoi
 candidate and its reception check in one screened pass).  On top of the
-gate, a chunk-budget sweep characterises the design space: the shared
-``REPRO_ENGINE_CHUNK_BYTES`` budget trades peak memory against per-chunk
-overhead; the sweep asserts bit-identical answers across budgets while
-recording the throughput of each.
+gate, a chunk-budget sweep characterises the design space: the engine's
+fixed byte budget (``repro.engine.batch.CHUNK_BYTES``, 32 MiB), patched to
+a sixteenth and to four times its value, trades peak memory against
+per-chunk overhead; the sweep asserts bit-identical answers across budgets
+while recording the throughput of each.
 
 Headline numbers are persisted to ``BENCH_engine.json`` via :mod:`persist`.
 ``REPRO_BENCH_QUICK=1`` shrinks the workload (CI smoke mode) and
@@ -26,6 +27,7 @@ from persist import record_benchmark, speedup_floor
 from repro.env import BENCH_QUICK, read_bool_knob
 from repro import Point
 from repro.engine import get_backend, heard_station_batch, nearest_received_batch
+from repro.engine import batch as batch_module
 from repro.workloads import random_query_array, uniform_random_network
 
 QUICK = read_bool_knob(BENCH_QUICK)
@@ -120,8 +122,9 @@ def test_chunk_budget_sweep(workload, monkeypatch):
     network, queries = workload
     expected = nearest_received_batch(network, queries, backend="numpy")
     sweep = {}
-    for budget in (4 * 2**20, 64 * 2**20, 256 * 2**20):
-        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", str(budget))
+    default = batch_module.CHUNK_BYTES
+    for budget in (default // 16, default, default * 4):
+        monkeypatch.setattr(batch_module, "CHUNK_BYTES", budget)
         seconds = _best_seconds(
             lambda: nearest_received_batch(
                 network, queries, backend="float32-screen"

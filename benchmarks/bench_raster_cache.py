@@ -24,7 +24,13 @@ the rest only.  Over the pan/zoom tiles of a 50-station network at pitches
 1/16 and 1/8, ``compute_tile`` must beat the dense rule (``sinr_batch``,
 argmax, ``beta``) on the same pixels by at least **1.5x**, half the lowest
 full-scale ratio measured (3.0-5.0x over six runs on a 2-vCPU VM), with
-labels equal tile by tile.
+labels equal tile by tile.  The same gate runs on 800 stations, where the
+batch API splits every tile into chunks of under 1,024 points that the
+certificate must still decide: a fixed sample of 48 tiles per pitch is
+timed (the deployment has about 1,200), and ``compute_tile`` must win by
+at least **7.5x**, half the lowest full-scale ratio measured (15.3-20.8x
+over six runs on a 2-vCPU VM; with every chunk skipping the certificate
+the ratio reads 2.4x).
 
 Set ``REPRO_BENCH_QUICK=1`` to shrink the workload (CI smoke mode).
 """
@@ -169,33 +175,45 @@ def test_warm_cache_beats_uncached_rasterisation(workload):
     assert speedup >= speedup_floor(5.0)
 
 
-#: The certified-labels gate: the serving benchmark's network shape at 50
-#: stations (side 4 sqrt(n), separation 1.5), whose zones at beta = 3 cover
-#: a few percent of the plane, and its 64 px tiles at two zoom pitches.
-CERTIFIED_STATIONS = 50
+#: The certified-labels gate: the serving benchmark's network shape (side
+#: 4 sqrt(n), separation 1.5), whose zones at beta = 3 cover a few percent
+#: of the plane, and its 64 px tiles at two zoom pitches.  Per network:
+#: station count, tiles timed per pitch (``None``: every tile), the
+#: recorded section and the default speedup floor.
+CERTIFIED_NETWORKS = {
+    50: (None, "certified_tile_labels", 1.5),
+    800: (48, "certified_tile_labels_chunked", 7.5),
+}
 TILE_PX = 64
 PITCHES = (1.0 / 16.0, 1.0 / 8.0)
 
 
-@pytest.fixture(scope="module")
-def panzoom_tiles():
-    side = 4.0 * math.sqrt(CERTIFIED_STATIONS)
+@pytest.fixture(scope="module", params=sorted(CERTIFIED_NETWORKS))
+def panzoom_tiles(request):
+    stations = request.param
+    sample = CERTIFIED_NETWORKS[stations][0]
+    side = 4.0 * math.sqrt(stations)
     network = uniform_random_network(
-        CERTIFIED_STATIONS,
+        stations,
         side=side,
         minimum_separation=1.5,
         noise=0.002,
         beta=3.0,
         seed=31,
     )
+    rng = np.random.default_rng(stations)
     tiles = []
     for pitch in PITCHES:
         span = TILE_PX * pitch
         indices = range(math.floor(-4.0 / span), math.ceil((side + 4.0) / span))
-        if QUICK:
-            indices = indices[::2]
         lattice = RasterLattice(pitch=pitch, phase=0.0, start=0, count=TILE_PX)
-        tiles += [(lattice, x, y) for x in indices for y in indices]
+        grid = [(lattice, x, y) for x in indices for y in indices]
+        if sample is not None:
+            picked = rng.choice(len(grid), sample // 2 if QUICK else sample, False)
+            grid = [grid[i] for i in sorted(picked)]
+        elif QUICK:
+            grid = [(lattice, x, y) for x in indices[::2] for y in indices[::2]]
+        tiles += grid
     return network, tiles
 
 
@@ -228,8 +246,10 @@ def timed_labels(label, network, tiles):
 
 @pytest.mark.paper
 def test_certified_tile_labels_beat_the_dense_rule(panzoom_tiles):
-    """The certified-labels gate: ``compute_tile`` >= 1.5x the dense rule."""
+    """The certified-labels gate: ``compute_tile`` beats the dense rule by
+    the network's floor (1.5x at 50 stations)."""
     network, tiles = panzoom_tiles
+    _, section, floor = CERTIFIED_NETWORKS[len(network)]
     dense_seconds, dense = timed_labels(dense_labels, network, tiles)
     certified_seconds, served = timed_labels(certified_labels, network, tiles)
     for expected, actual in zip(dense, served):
@@ -237,7 +257,7 @@ def test_certified_tile_labels_beat_the_dense_rule(panzoom_tiles):
     heard_share = float(np.mean([(labels >= 0).mean() for labels in dense]))
     speedup = dense_seconds / certified_seconds
     print(
-        f"\nstations={CERTIFIED_STATIONS} tiles={len(tiles)} "
+        f"\nstations={len(network)} tiles={len(tiles)} "
         f"({TILE_PX} px, pitches {', '.join(f'1/{round(1 / p)}' for p in PITCHES)}), "
         f"pixels heard {heard_share:.1%}:"
     )
@@ -247,9 +267,9 @@ def test_certified_tile_labels_beat_the_dense_rule(panzoom_tiles):
     print(f"certified vs dense: {speedup:.2f}x")
 
     record_benchmark(
-        "certified_tile_labels",
+        section,
         {
-            "stations": CERTIFIED_STATIONS,
+            "stations": len(network),
             "tiles": len(tiles),
             "tile_px": TILE_PX,
             "dense_ms_per_tile": round(dense_seconds / len(tiles) * 1e3, 4),
@@ -260,4 +280,4 @@ def test_certified_tile_labels_beat_the_dense_rule(panzoom_tiles):
     )
 
     # Half the lowest full-scale ratio (REPRO_BENCH_MIN_SPEEDUP overrides).
-    assert speedup >= speedup_floor(1.5)
+    assert speedup >= speedup_floor(floor)

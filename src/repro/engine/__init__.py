@@ -12,8 +12,10 @@ Architecture
 ``kernels.py``
     Fully vectorised NumPy SINR kernels over raw coordinate arrays — the
     SINR matrix, the reception check of a given station, the nearest
-    received station and the heard station, each from one distance,
-    coincidence and energy pass.
+    received station and the heard station, each from one in-place
+    distance and energy pass whose rare columns (points on stations, NaN
+    points, overflowing sums) are overridden in place.  The float32 screen
+    runs the same pass on float32 arrays.
     Everything here is array-in / array-out and has no knowledge of the
     model layer's classes.
 
@@ -72,10 +74,10 @@ Architecture
     (:func:`as_points_array`).
 
     Every batch function tiles the point axis so the ``(n, m)``
-    intermediates of one engine call fit a byte budget
-    (``REPRO_ENGINE_CHUNK_BYTES``, default 64 MiB): peak memory stays
-    bounded however large the batch, and results are bit-identical for
-    every chunk size because each point's answer is independent.
+    intermediates of one engine call fit a fixed byte budget
+    (:data:`CHUNK_BYTES`, 32 MiB): peak memory stays bounded however large
+    the batch, and results are bit-identical for every chunk size because
+    each point's answer is independent.
 
 Semantics
 =========
@@ -100,10 +102,9 @@ from .backend import (
     use_backend,
 )
 from .batch import (
-    DEFAULT_CHUNK_BYTES,
+    CHUNK_BYTES,
     NO_RECEPTION,
     as_points_array,
-    chunk_byte_budget,
     heard_station_batch,
     nearest_received_batch,
     nearest_station_batch,
@@ -118,7 +119,7 @@ from . import kernels
 from .mixed_precision import Float32ScreenBackend, ScreenStats
 
 __all__ = [
-    "DEFAULT_CHUNK_BYTES",
+    "CHUNK_BYTES",
     "NO_RECEPTION",
     "Float32ScreenBackend",
     "NumpyBackend",
@@ -128,7 +129,6 @@ __all__ = [
     "active_backend",
     "as_points_array",
     "available_backends",
-    "chunk_byte_budget",
     "get_backend",
     "heard_station_batch",
     "kernels",

@@ -13,13 +13,12 @@ Memory-bounded chunking
 Every kernel materialises ``(n_stations, m)`` intermediates: one in-place
 energy pass holds two ``(n, m)`` float64 buffers at its peak (squared
 distances turned energies, plus the SINR matrix where one is formed), and
-the general path that re-answers rare columns (points on or
-overflow-close to a station, non-finite points, overflowing sums; see
-:mod:`repro.engine.kernels`) holds several more, over those columns
-only.  An unchunked 200-station × 1M-point batch would still peak in the
-gigabytes, so all batch functions tile the point axis so those
-intermediates fit a byte budget (:func:`chunk_byte_budget`, settable via
-the ``REPRO_ENGINE_CHUNK_BYTES`` environment variable, default 64 MiB).
+overriding its rare columns in place (points on or overflow-close to a
+station, non-finite points, overflowing sums; see
+:mod:`repro.engine.kernels`) adds a copy of those columns' energies and a
+few boolean masks.  An unchunked 200-station × 1M-point batch would still
+peak in the gigabytes, so all batch functions tile the point axis so those
+intermediates fit a fixed byte budget (:data:`CHUNK_BYTES`, 32 MiB).
 Chunking is exact: every kernel decides each point independently of every
 other point and adds each point's interference total row by row, a
 one-point chunk included, so results are bit-identical for every chunk
@@ -30,12 +29,11 @@ example) still scale with the batch.
 
 from __future__ import annotations
 
-import sys
+import numbers
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from ..env import ENGINE_CHUNK_BYTES, read_float_knob
 from ..exceptions import EngineError
 from . import kernels
 from .backend import QueryBackend, get_backend
@@ -46,10 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "NO_RECEPTION",
-    "DEFAULT_CHUNK_BYTES",
+    "CHUNK_BYTES",
     "PointsLike",
     "as_points_array",
-    "chunk_byte_budget",
     "points_per_chunk",
     "sinr_batch",
     "received_mask",
@@ -63,42 +60,32 @@ __all__ = [
 #: (matches :data:`repro.model.diagram.NO_RECEPTION`).
 NO_RECEPTION = -1
 
-#: Default byte budget for one engine call's ``(n_stations, chunk)``
-#: intermediates; override with ``REPRO_ENGINE_CHUNK_BYTES``.
-DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
+#: Byte budget for one engine call's ``(n_stations, chunk)`` temporaries:
+#: :func:`points_per_chunk` sizes chunks so :data:`_TEMPS_PER_CALL` float64
+#: blocks fit it, ``2**26 // (96 * n)`` points at n stations.
+CHUNK_BYTES = 32 * 1024 * 1024
 
-#: How many float64 ``(n, chunk)`` temporaries one kernel call may hold
-#: concurrently.  The in-place energy pass holds two; a chunk made wholly
-#: of rare columns runs the general path (squared distances, energies,
-#: coincidence masks, where-results, ...), which holds several more.
-#: Chunk sizes are budgeted for the worst case, so the budget bounds the
-#: call's whole transient footprint, not just one matrix.
-_TEMPS_PER_CALL = 12
+#: How many float64 ``(n, chunk)`` blocks one kernel call may hold at once.
+#: The in-place energy pass holds two; a chunk made wholly of rare columns
+#: (points on stations, NaN points) peaks at 3.3 in ``sinr_matrix`` and
+#: ``heard_station`` and at 2.2 in ``received_mask_at`` and
+#: ``nearest_received``, under tracemalloc.  Chunk sizes are budgeted with
+#: room above that worst case, so the budget bounds the call's whole
+#: transient footprint, not just one matrix.
+_TEMPS_PER_CALL = 6
 
 PointsLike = Union[np.ndarray, Sequence["Point"], Sequence[Sequence[float]]]
 
 
-def chunk_byte_budget() -> int:
-    """The configured intermediate-matrix byte budget for one engine call.
-
-    Reads ``REPRO_ENGINE_CHUNK_BYTES`` on every call (so tests and services
-    can retune it at runtime) through :func:`repro.env.read_float_knob`:
-    non-positive or unparsable values are ignored with a warning in favour
-    of :data:`DEFAULT_CHUNK_BYTES`; a fractional value is truncated.
-    """
-    budget = read_float_knob(ENGINE_CHUNK_BYTES, DEFAULT_CHUNK_BYTES)
-    return int(min(budget, sys.maxsize))
-
-
 def points_per_chunk(n_stations: int) -> int:
-    """How many points fit one engine call under :func:`chunk_byte_budget`.
+    """How many points fit one engine call under :data:`CHUNK_BYTES`.
 
     Always at least 1: a single point's column must be computable whatever
     the budget, so tiny budgets degrade to point-at-a-time evaluation rather
     than failing.
     """
     per_point = max(1, n_stations) * 8 * _TEMPS_PER_CALL
-    return max(1, chunk_byte_budget() // per_point)
+    return max(1, CHUNK_BYTES // per_point)
 
 
 def _chunked(
@@ -192,13 +179,15 @@ def as_points_array(points: PointsLike) -> np.ndarray:
     seq = list(points)
     if not seq:
         return np.empty((0, 2), dtype=float)
-    first = seq[0]
-    if isinstance(first, float) or isinstance(first, int):
-        # A bare (x, y) pair.
+    if isinstance(seq[0], numbers.Real):
+        # A bare (x, y) pair, of Python or numpy scalars.
         if len(seq) != 2:
             raise EngineError("a single point must be a pair (x, y)")
         return np.array([seq], dtype=float)
-    return np.array([(p[0], p[1]) for p in seq], dtype=float)
+    try:
+        return np.array([(x, y) for x, y in seq], dtype=float)
+    except (TypeError, ValueError) as error:
+        raise EngineError(f"expected a sequence of (x, y) pairs: {error}") from None
 
 
 def sinr_batch(

@@ -14,8 +14,9 @@ give, and each point's interference total is added row by row
 (:func:`_column_totals`), so a point's answer does not depend on how many
 points share the call.  The SINR matrix is the only second ``(n, m)``
 buffer; ``received_mask_at`` and ``nearest_received`` form just the
-candidate's row.  Ratios come from the same IEEE operations in the same
-order as the general path below, so they are that path's bits.
+candidate's row.  This pass is the engine's one energy computation: the
+float32 screen of :mod:`repro.engine.mixed_precision` runs it on float32
+arrays.
 
 ``heard_station`` first offers a call's points to a silence certificate:
 the energies of the few stations nearest the call's bounding box, summed
@@ -27,13 +28,17 @@ about 87% of them.
 
 The rare-column rule: a column whose energy total is not finite — a point
 on or overflow-close to a station (co-located stations included), a NaN
-coordinate, or a sum that overflows — is answered again by the general
-path, which builds the coincidence matrix and applies every override
-listed below.  With a positive path-loss exponent a zero squared distance
-gives an infinite (or NaN) energy, so such a column is always rare; with
-``alpha <= 0`` (which no network allows) every column is.  Every other
-column has no coincident station and no infinite energy, where the
-overrides change nothing.
+coordinate, or a sum that overflows — keeps the pass's answer except where
+one of two overrides applies, written over the pass's own output in
+place.  A column holding an infinite energy answers SINR ``+inf`` for each
+station of infinite energy and ``0.0`` for every other station, whatever
+its total; last, a point exactly on stations answers ``+inf`` for the
+first co-located station and ``0.0`` for the rest (its reception mask
+says whether the candidate sits on the point).  With a positive path-loss
+exponent a zero squared distance gives an infinite (or NaN) energy, so
+such a column is always rare; with ``alpha <= 0`` (which no network
+allows) every column is.  Every other column has no coincident station
+and no infinite energy, where the overrides change nothing.
 
 Edge-case semantics (matching the scalar model layer exactly):
 
@@ -81,11 +86,16 @@ __all__ = [
 #: certificate of :func:`heard_station` sums exactly.
 _CERTIFIED_STATIONS = 12
 
-#: Calls with fewer points skip the silence certificate.  Deciding whether
-#: it applies costs 10-25 us at 50 to 200 stations on a 2-vCPU VM, which a
-#: batch spread over the whole deployment pays for nothing; under 1,024
-#: points that exceeds the timing noise of the dense pass it precedes.
+#: Calls of fewer than ``min(_CERTIFY_MIN_POINTS, _CERTIFY_MIN_PAIRS // n)``
+#: points skip the silence certificate.  Deciding whether it applies costs
+#: 10-25 us at 50 to 200 stations on a 2-vCPU VM, which a batch spread over
+#: the whole deployment pays for nothing; under 1,024 points of 50 stations
+#: (51,200 station-point pairs) that exceeds the timing noise of the dense
+#: pass it precedes.  The floor falls as the network grows, so a 4,096-point
+#: tile that :mod:`repro.engine.batch` splits into chunks on a large network
+#: is certified chunk by chunk.
 _CERTIFY_MIN_POINTS = 1024
+_CERTIFY_MIN_PAIRS = 51_200
 
 
 def pairwise_squared_distances(
@@ -129,16 +139,19 @@ def coincidence_matrix(
 def _energies_in_place(
     squared: np.ndarray, powers: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """Overwrite squared distances with the energies they give."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if alpha == 2.0:
-            # The paper's default exponent: a plain reciprocal is several
-            # times faster than np.power on large matrices and this is the
-            # innermost loop of every batch query.
-            np.divide(powers[:, None], squared, out=squared)
-        else:
-            np.power(squared, -alpha / 2.0, out=squared)
-            np.multiply(powers[:, None], squared, out=squared)
+    """Overwrite squared distances with the energies they give.
+
+    Callers silence numpy's divide, overflow and invalid warnings around
+    it: a zero distance divides by zero on purpose.
+    """
+    if alpha == 2.0:
+        # The paper's default exponent: a plain reciprocal is several
+        # times faster than np.power on large matrices and this is the
+        # innermost loop of every batch query.
+        np.divide(powers[:, None], squared, out=squared)
+    else:
+        np.power(squared, -alpha / 2.0, out=squared)
+        np.multiply(powers[:, None], squared, out=squared)
     return squared
 
 
@@ -161,102 +174,17 @@ def _energy_totals(
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """The in-place energy pass: ``(energies, totals, rare)``.
 
-    ``energies`` overwrites ``squared``; ``rare`` flags the columns whose
-    total is not finite, which the general path answers again (see the
-    module docstring).  With ``alpha <= 0`` a zero distance need not give
-    an infinite energy, so every column is rare.
+    ``energies`` overwrites ``squared``; ``rare`` holds the indices of the
+    columns whose total is not finite, whose answers the callers override
+    (see the module docstring).  With ``alpha <= 0`` a zero distance need
+    not give an infinite energy, so every column is rare.
     """
-    energies = _energies_in_place(squared, powers, alpha)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        energies = _energies_in_place(squared, powers, alpha)
         total = _column_totals(energies)
     if not alpha > 0.0:
-        return energies, total, np.ones(len(total), dtype=bool)
-    return energies, total, ~np.isfinite(total)
-
-
-def _masked_energies(
-    station_coordinates: np.ndarray,
-    powers: np.ndarray,
-    points: np.ndarray,
-    alpha: float,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """The general path's energy matrix and the coincidence matrix it used."""
-    energies = _energies_in_place(
-        pairwise_squared_distances(station_coordinates, points), powers, alpha
-    )
-    # Division / np.power already yield inf at squared == 0, but make the
-    # coincident case explicit so nothing can scale or NaN it away.
-    at_station = coincidence_matrix(station_coordinates, points)
-    return np.where(at_station, np.inf, energies), at_station
-
-
-def _general_sinr_matrix(
-    station_coordinates: np.ndarray,
-    powers: np.ndarray,
-    points: np.ndarray,
-    noise: float,
-    alpha: float,
-) -> np.ndarray:
-    """:func:`sinr_matrix` with every coincidence and overflow override."""
-    energies, at_station = _masked_energies(
-        station_coordinates, powers, points, alpha
-    )
-    coincident_columns = at_station.any(axis=0)
-
-    inf_energy = np.isinf(energies)
-    finite = np.where(inf_energy, 0.0, energies)
-    total = _column_totals(finite)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = finite / (total - finite + noise)
-
-    # Overflow-close stations: infinite signal dominates any interference.
-    ratio = np.where(inf_energy, np.inf, ratio)
-    # Finite-energy stations drowned by an overflow-close competitor hear 0.
-    other_inf = (inf_energy.sum(axis=0)[None, :] - inf_energy.astype(int)) > 0
-    ratio = np.where(other_inf & ~inf_energy, 0.0, ratio)
-
-    if coincident_columns.any():
-        # The first exactly co-located station owns the point; every other
-        # station's SINR there is zero by the scalar convention.
-        owner = np.argmax(at_station, axis=0)
-        owner_mask = (
-            np.arange(len(station_coordinates))[:, None] == owner[None, :]
-        ) & coincident_columns[None, :]
-        ratio = np.where(owner_mask, np.inf, ratio)
-        ratio = np.where(coincident_columns[None, :] & ~owner_mask, 0.0, ratio)
-    return ratio
-
-
-def _general_received_mask_at(
-    station_coordinates: np.ndarray,
-    powers: np.ndarray,
-    points: np.ndarray,
-    indices: np.ndarray,
-    noise: float,
-    beta: float,
-    alpha: float,
-) -> np.ndarray:
-    """:func:`received_mask_at` with every coincidence and overflow override."""
-    energies, at_station = _masked_energies(
-        station_coordinates, powers, points, alpha
-    )
-    columns = np.arange(len(points))
-
-    inf_energy = np.isinf(energies)
-    finite = np.where(inf_energy, 0.0, energies)
-    total = _column_totals(finite)
-    row_finite = finite[indices, columns]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = row_finite / (total - row_finite + noise)
-    row_inf = inf_energy[indices, columns]
-    ratio = np.where(row_inf, np.inf, ratio)
-    other_inf = (inf_energy.sum(axis=0) - row_inf.astype(int)) > 0
-    ratio = np.where(other_inf & ~row_inf, 0.0, ratio)
-
-    mask = ratio >= beta
-    # A point occupied by stations is received exactly by the co-located
-    # stations (the scalar is_received rule), co-located or not this one.
-    return np.where(at_station.any(axis=0), at_station[indices, columns], mask)
+        return energies, total, np.arange(len(total))
+    return energies, total, np.flatnonzero(~np.isfinite(total))
 
 
 def sinr_matrix(
@@ -280,10 +208,18 @@ def sinr_matrix(
         ratio = np.subtract(total[None, :], energies)
         ratio += noise
         np.divide(energies, ratio, out=ratio)
-    if rare.any():
-        ratio[:, rare] = _general_sinr_matrix(
-            station_coordinates, powers, points[rare], noise, alpha
-        )
+    if rare.size:
+        # An infinite energy drowns every finite one in its column.
+        infinite = np.isinf(energies[:, rare])
+        drowned = infinite.any(axis=0)
+        ratio[:, rare[drowned]] = np.where(infinite[:, drowned], np.inf, 0.0)
+        # The first station exactly on the point owns it.
+        at_station = coincidence_matrix(station_coordinates, points[rare])
+        occupied = at_station.any(axis=0)
+        if occupied.any():
+            owned = rare[occupied]
+            ratio[:, owned] = 0.0
+            ratio[np.argmax(at_station[:, occupied], axis=0), owned] = np.inf
     return ratio
 
 
@@ -301,12 +237,19 @@ def _received_rows(
     energies, total, rare = _energy_totals(squared, powers, alpha)
     row = energies[indices, np.arange(len(points))]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        mask = row / (total - row + noise) >= beta
-    if rare.any():
-        mask[rare] = _general_received_mask_at(
-            station_coordinates, powers, points[rare], indices[rare],
-            noise, beta, alpha,
-        )
+        ratio = row / (total - row + noise)
+    if not rare.size:
+        return ratio >= beta
+    # An infinite energy drowns every finite one in its column.
+    drowned = rare[np.isinf(energies[:, rare]).any(axis=0)]
+    ratio[drowned] = np.where(np.isinf(row[drowned]), np.inf, 0.0)
+    mask = ratio >= beta
+    # A point occupied by stations is received exactly by the co-located
+    # stations (the scalar is_received rule), co-located or not this one.
+    at_station = coincidence_matrix(station_coordinates, points[rare])
+    occupied = at_station.any(axis=0)
+    candidate = at_station[indices[rare], np.arange(len(rare))]
+    mask[rare[occupied]] = candidate[occupied]
     return mask
 
 
@@ -374,11 +317,11 @@ def _certified_silent(
     """The silence certificate of :func:`heard_station`: a boolean ``(m,)``
     mask of the points that provably hear no station, or ``None`` where the
     certificate is skipped (see :func:`heard_station`)."""
-    count = _CERTIFIED_STATIONS
+    count, n = _CERTIFIED_STATIONS, len(station_coordinates)
     if (
         alpha != 2.0
-        or len(station_coordinates) <= count
-        or len(points) < _CERTIFY_MIN_POINTS
+        or n <= count
+        or len(points) < min(_CERTIFY_MIN_POINTS, _CERTIFY_MIN_PAIRS // n)
     ):
         return None
     # Reduced over contiguous rows: reducing the (m, 2) array over axis 0
@@ -486,8 +429,8 @@ def heard_station(
     the network has at most :data:`_CERTIFIED_STATIONS` stations, when
     the box holds more stations than that (some station outside ``S``
     would have a zero gap, so nothing could be certified), when the box
-    is not finite, and for calls of fewer than
-    :data:`_CERTIFY_MIN_POINTS` points.
+    is not finite, and for calls of fewer than ``min(1024, 51_200 // n)``
+    points (:data:`_CERTIFY_MIN_POINTS`, :data:`_CERTIFY_MIN_PAIRS`).
     """
     silent = _certified_silent(
         station_coordinates, powers, points, noise, beta, alpha

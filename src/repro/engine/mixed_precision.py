@@ -5,15 +5,16 @@
 proposal that could be wrong.  This module applies the same trick to
 precision instead of space: two decision queries, the reception check of a
 given station (``received_mask_at``) and the nearest received station
-(``nearest_received``), are screened in float32 — the same one in-place
-energy pass as the float64 kernels at half their memory traffic — together
-with a certified decision margin per point.  Points whose float32 margin is
-too small to rule out a float64 disagreement are re-routed through the
-exact ``numpy`` backend, so the combined answer is bit-identical to
-``reference`` *by construction*: the screen only ever keeps decisions it
-can certify.  The float64 kernels re-answer their rare columns (a
-non-finite energy total) on a general path; the screen never needs one,
-because it sends those columns to the exact backend whole.
+(``nearest_received``), are screened in float32 — the float64 kernels'
+own in-place distance and energy pass, run on float32 arrays at half the
+memory traffic — together with a certified decision margin per point.
+Points whose float32 margin is too small to rule out a float64
+disagreement are re-routed through the exact ``numpy`` backend, so the
+combined answer is bit-identical to ``reference`` *by construction*: the
+screen only ever keeps decisions it can certify.  The float64 kernels
+override their rare columns (a non-finite energy total) in place; the
+screen never needs to, because it sends those columns to the exact
+backend whole.
 
 ``heard_station`` and the value query ``sinr_matrix`` delegate wholly to
 the exact backend.  The numpy kernel answers ``heard_station`` in one
@@ -59,8 +60,9 @@ and on the delegated queries immediately.
 Both screened queries run one screen-then-verify pass
 (:meth:`Float32ScreenBackend._decide`), which casts the station arrays to
 float32 once per call.  :mod:`repro.engine.batch` hands every call a point
-chunk sized for the float64 kernels' temporaries under its
-``REPRO_ENGINE_CHUNK_BYTES`` budget, so the screen's float32 ones fit too.
+chunk sized for the float64 kernels' temporaries under its fixed byte
+budget (:data:`~repro.engine.batch.CHUNK_BYTES`), so the screen's float32
+ones fit too.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from __future__ import annotations
 import numpy as np
 
 from .backend import QueryBackend, get_backend, register_backend
+from .kernels import _energies_in_place, pairwise_squared_distances
 
 __all__ = [
     "GEOMETRY_MARGIN",
@@ -128,30 +131,6 @@ class ScreenStats:
         )
 
 
-def _screen_squared(coords32, pts32):
-    """Float32 squared distances ``(n, c)``, squared and summed in place."""
-    squared = coords32[:, 0:1] - pts32[:, 0][None, :]
-    np.multiply(squared, squared, out=squared)
-    dy = coords32[:, 1:2] - pts32[:, 1][None, :]
-    np.multiply(dy, dy, out=dy)
-    squared += dy
-    return squared
-
-
-def _energies_in_place(squared, powers32, alpha):
-    """Overwrite float32 squared distances with the energies they give.
-
-    No coincidence matrix: a zero float32 distance yields an infinite
-    energy, which makes its column's total infinite (:func:`_screen_total`).
-    """
-    if alpha == 2.0:
-        np.divide(powers32[:, None], squared, out=squared)
-    else:
-        np.power(squared, np.float32(-alpha / 2.0), out=squared)
-        squared *= powers32[:, None]
-    return squared
-
-
 def _screen_total(energies):
     """Column totals ``(c,)`` and the columns they flag as uncertain.
 
@@ -180,7 +159,7 @@ def _screen_row(
     coords32, powers32, pts32, indices, noise, beta32, tol32, alpha
 ):
     """The gathered reception screen: ``(mask (c,), uncertain, sq_min)``."""
-    squared = _screen_squared(coords32, pts32)
+    squared = pairwise_squared_distances(coords32, pts32)
     sq_min = squared.min(axis=0)
     energies = _energies_in_place(squared, powers32, alpha)
     total, flagged = _screen_total(energies)
@@ -201,7 +180,7 @@ def _screen_nearest(
     clear of ``beta`` as in :func:`_screen_row`.  A one-station network has
     no runner-up.
     """
-    squared = _screen_squared(coords32, pts32)
+    squared = pairwise_squared_distances(coords32, pts32)
     cols = np.arange(pts32.shape[0])
     nearest = np.argmin(squared, axis=0)
     d1 = squared[nearest, cols]

@@ -1,15 +1,15 @@
 """The declared environment-knob registry — the one place ``os.environ`` is read.
 
-Every runtime knob the package honours is declared here as an
+Every environment knob the project honours is declared here as an
 :class:`EnvKnob` (name, default, description) and read through
 :func:`read_knob`.  Centralising the reads keeps configuration enumerable —
 an operator or a doc table can iterate :data:`KNOBS` instead of grepping
 for ``environ`` — and reprolint rule RL009 enforces that no other module
 under ``src/repro`` touches ``os.environ`` / ``os.getenv``.
 
-Benchmark-harness knobs (``REPRO_BENCH_*``) are declared too so the
-inventory is complete, although the ``benchmarks/`` scripts that read them
-live outside the linted tree.
+The library itself reads no knob.  The declared ones belong to the
+benchmark harness (``REPRO_BENCH_*``), whose ``benchmarks/`` scripts live
+outside the linted tree.
 """
 
 from __future__ import annotations
@@ -24,17 +24,12 @@ from .exceptions import ReproError
 __all__ = [
     "EnvKnob",
     "KNOBS",
-    "ENGINE_CHUNK_BYTES",
     "BENCH_QUICK",
     "BENCH_MIN_SPEEDUP",
     "read_knob",
     "read_bool_knob",
     "read_float_knob",
 ]
-
-#: Byte budget for one engine call's kernel temporaries (see
-#: :func:`repro.engine.batch.chunk_byte_budget`).
-ENGINE_CHUNK_BYTES = "REPRO_ENGINE_CHUNK_BYTES"
 
 #: Shrinks benchmark workloads for CI smoke runs.
 BENCH_QUICK = "REPRO_BENCH_QUICK"
@@ -54,14 +49,6 @@ class EnvKnob:
 
 _DECLARED: Tuple[EnvKnob, ...] = (
     EnvKnob(
-        name=ENGINE_CHUNK_BYTES,
-        default="67108864",
-        description=(
-            "byte budget for one engine call's (n_stations, chunk) kernel "
-            "temporaries; batch entry points tile the point axis to fit it"
-        ),
-    ),
-    EnvKnob(
         name=BENCH_QUICK,
         default="",
         description=(
@@ -80,7 +67,7 @@ _DECLARED: Tuple[EnvKnob, ...] = (
     ),
 )
 
-#: Name -> declaration for every knob the package honours.
+#: Name -> declaration for every knob the project honours.
 KNOBS: Dict[str, EnvKnob] = {knob.name: knob for knob in _DECLARED}
 
 
@@ -118,11 +105,9 @@ def read_bool_knob(name: str) -> bool:
 def read_float_knob(name: str, default: float) -> float:
     """A declared knob as a float; warn and fall back on unparsable values.
 
-    Mirrors the lenient numeric-knob idiom of
-    :func:`repro.engine.batch.chunk_byte_budget`: an unset or empty knob is
-    silently ``default``, a malformed or non-positive one warns (so typos
-    are visible) and still yields ``default`` — configuration mistakes must
-    never take down a serving process.
+    An unset or empty knob is silently ``default``, a malformed or
+    non-positive one warns (so typos are visible) and still yields
+    ``default`` — a configuration mistake must never take down a run.
     """
     raw = read_knob(name)
     if raw.strip():

@@ -436,8 +436,8 @@ def _imported_origins(node: ast.AST) -> List[str]:
 class ChunkingDisciplineRule(Rule):
     """RL005: kernels and backends are reached only through ``engine.batch``.
 
-    ``repro.engine.batch`` tiles every query so kernel temporaries fit
-    ``REPRO_ENGINE_CHUNK_BYTES``.  Outside ``engine/`` nothing may use
+    ``repro.engine.batch`` tiles every query so kernel temporaries fit its
+    fixed byte budget, ``CHUNK_BYTES``.  Outside ``engine/`` nothing may use
     ``repro.engine.kernels`` at all (a helper such as
     ``pairwise_squared_distances`` allocates ``(n, m)`` too), nor call a
     ``QueryBackend`` method on a ``get_backend(...)`` / ``active_backend()``
@@ -450,8 +450,7 @@ class ChunkingDisciplineRule(Rule):
     contract = (
         "no repro.engine.kernels use and no QueryBackend method call on a "
         "get_backend()/active_backend() result outside engine/ — use "
-        "repro.engine.batch, which enforces the REPRO_ENGINE_CHUNK_BYTES "
-        "memory bound"
+        "repro.engine.batch, which enforces the CHUNK_BYTES memory bound"
     )
 
     def applies_to(self, relpath: str) -> bool:

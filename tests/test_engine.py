@@ -28,14 +28,12 @@ import pytest
 
 from repro import Point, SINRDiagram, Station, WirelessNetwork
 from repro.engine import (
-    DEFAULT_CHUNK_BYTES,
     NO_RECEPTION,
     NumpyBackend,
     QueryBackend,
     active_backend,
     as_points_array,
     available_backends,
-    chunk_byte_budget,
     get_backend,
     heard_station_batch,
     kernels,
@@ -49,7 +47,8 @@ from repro.engine import (
     use_backend,
 )
 from repro.engine import backend as backend_module
-from repro.exceptions import ReproError
+from repro.engine import batch as batch_module
+from repro.exceptions import EngineError, ReproError
 from repro.model.diagram import raster_labels
 from repro.model.reception import ReceptionZone
 from repro.model.sinr import received_energy, sinr_ratio
@@ -120,6 +119,8 @@ class TestAsPointsArray:
         np.testing.assert_array_equal(single, [[3.0, 4.0]])
         flat = as_points_array(np.array([3.0, 4.0]))
         np.testing.assert_array_equal(flat, [[3.0, 4.0]])
+        for pair in ((np.int64(3), np.int64(4)), (np.float32(3.0), np.float32(4.0))):
+            np.testing.assert_array_equal(as_points_array(pair), [[3.0, 4.0]])
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -130,6 +131,9 @@ class TestAsPointsArray:
             as_points_array(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
             as_points_array([1.0])  # a lone coordinate is not a point
+        for ragged in ([(1.0, 2.0), (3.0,)], "ab"):
+            with pytest.raises(EngineError, match=r"\(x, y\) pairs"):
+                as_points_array(ragged)
 
 
 # ----------------------------------------------------------------------
@@ -569,17 +573,14 @@ def peak_of(fn):
     return result, peak
 
 
-class TestChunkedBatch:
-    def test_invalid_budget_warns_and_uses_default(self, monkeypatch):
-        for bogus in ("banana", "-5", "0"):
-            monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", bogus)
-            with pytest.warns(UserWarning, match="REPRO_ENGINE_CHUNK_BYTES"):
-                assert chunk_byte_budget() == DEFAULT_CHUNK_BYTES
-        monkeypatch.delenv("REPRO_ENGINE_CHUNK_BYTES")
-        assert chunk_byte_budget() == DEFAULT_CHUNK_BYTES
+def set_chunk_bytes(monkeypatch, budget: int) -> None:
+    """Run the rest of the test under another chunk byte budget."""
+    monkeypatch.setattr(batch_module, "CHUNK_BYTES", budget)
 
+
+class TestChunkedBatch:
     def test_points_per_chunk_never_below_one(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", "1")
+        set_chunk_bytes(monkeypatch, 1)
         assert points_per_chunk(10_000) == 1
 
     @pytest.mark.parametrize("backend_name", ["numpy", "float32-screen"])
@@ -589,8 +590,8 @@ class TestChunkedBatch:
     ):
         """Chunking is invisible: every query family, four budgets apart.
 
-        The baseline runs under the default 64 MiB budget (one single chunk
-        at this scale), the comparison under budgets small enough for tens
+        The baseline runs under the 32 MiB budget (one single chunk at
+        this scale), the comparison under budgets small enough for tens
         of chunks, down to one point per chunk — results must match to the
         bit.  Twelve stations, because numpy sums a lone column pairwise
         only from eight entries on: a smaller network could not show a
@@ -610,9 +611,8 @@ class TestChunkedBatch:
             lambda b: received_at(network, indices, points, backend=b),
             lambda b: nearest_received_batch(network, points, backend=b),
         ]
-        monkeypatch.delenv("REPRO_ENGINE_CHUNK_BYTES", raising=False)
         baselines = [fn(backend_name) for fn in families]
-        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", str(budget))
+        set_chunk_bytes(monkeypatch, budget)
         for fn, expected in zip(families, baselines):
             np.testing.assert_array_equal(fn(backend_name), expected)
 
@@ -628,11 +628,11 @@ class TestChunkedBatch:
         network = seeded_network(50, side=30.0, seed=77)
         points = query_box_array(network, 60_000, seed=78)
         budget = 2 * 2**20
-        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", str(budget))
+        set_chunk_bytes(monkeypatch, budget)
         chunked, peak_chunked = peak_of(
             lambda: heard_station_batch(network, points)
         )
-        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", str(1 << 34))
+        set_chunk_bytes(monkeypatch, 1 << 34)
         unchunked, peak_unchunked = peak_of(
             lambda: heard_station_batch(network, points)
         )
@@ -654,9 +654,9 @@ class TestChunkedBatch:
         locator = locator_class(network)
 
         budget = 2**20
-        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", str(budget))
+        set_chunk_bytes(monkeypatch, budget)
         chunked, peak_chunked = peak_of(lambda: locator.locate_batch(points))
-        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", str(1 << 34))
+        set_chunk_bytes(monkeypatch, 1 << 34)
         unchunked, peak_unchunked = peak_of(lambda: locator.locate_batch(points))
         np.testing.assert_array_equal(chunked, unchunked)
         # Budgeted temporaries + a few (m,) label / candidate / mask arrays.
@@ -669,10 +669,9 @@ class TestChunkedBatch:
         batch API, bit-identically."""
         diagram = SINRDiagram(random_network(seed=52))
         box = (Point(-1.0, -1.0), Point(15.0, 11.0), 64)
-        monkeypatch.delenv("REPRO_ENGINE_CHUNK_BYTES", raising=False)
         raster = diagram.rasterize(*box)
         labels, values = raster.labels, raster.sinr_values
-        monkeypatch.setenv("REPRO_ENGINE_CHUNK_BYTES", "40000")
+        set_chunk_bytes(monkeypatch, 40000)
         chunked = diagram.rasterize(*box)
         np.testing.assert_array_equal(chunked.labels, labels)
         np.testing.assert_array_equal(chunked.sinr_values, values)
@@ -1171,9 +1170,9 @@ def lean_kernel_cases():
 
 
 class TestLeanKernels:
-    """Each kernel decides ordinary columns in one in-place energy pass and
-    answers rare ones (zero distance, non-finite total) again on the
-    general path; a batch mixing both answers every point as a one-point
+    """Each kernel decides every column in one in-place energy pass and
+    overrides the rare ones (zero distance, non-finite total) in the pass's
+    own output; a batch mixing both answers every point as a one-point
     call does, and decides as the reference backend does."""
 
     @staticmethod
@@ -1231,8 +1230,8 @@ class TestLeanKernels:
                     )
 
     def test_candidate_indices_may_be_a_list(self):
-        """The rare columns are re-answered by boolean selection of the
-        candidates, which a plain list of indices must survive too."""
+        """The rare columns' overrides select their candidates by index,
+        which a plain list of indices must survive too."""
         coords, powers, noise, beta, alpha = lean_kernel_cases()[0]
         points = rare_and_ordinary_points(coords, seed=9)
         indices = [j % len(coords) for j in range(len(points))]
@@ -1253,7 +1252,7 @@ class TestLeanKernels:
         """A 50-station x 4,096-point call (one 64 px raster tile) holds
         the squared distances turned energies, and the SINR matrix where
         one is formed: its tracemalloc peak stays under 3.5 ``(n, m)``
-        float64 blocks (the general path peaks at 4 to 5.3)."""
+        float64 blocks."""
         rng = np.random.default_rng(24)
         coords = rng.uniform(0.0, 28.0, size=(50, 2))
         points = rng.uniform(-4.0, 32.0, size=(4096, 2))
@@ -1263,6 +1262,31 @@ class TestLeanKernels:
         kernel(points, indices)
         _, peak = peak_of(lambda: kernel(points, indices))
         assert peak < 3.5 * 50 * 4096 * 8
+
+    @pytest.mark.parametrize("kind", ["on_stations", "nan"])
+    @pytest.mark.parametrize(
+        "name", ["sinr_matrix", "heard_station", "received_mask_at", "nearest_received"]
+    )
+    def test_a_chunk_of_rare_columns_fits_the_budget(self, name, kind):
+        """A chunk of ``points_per_chunk(n)`` points that all sit on
+        stations (two of them co-located), or all have a NaN coordinate, is
+        answered wholly by the rare-column overrides: its tracemalloc peak
+        stays under the byte budget the chunk was sized by."""
+        rng = np.random.default_rng(28)
+        coords = rng.uniform(0.0, 28.0, size=(50, 2))
+        coords[-1] = coords[0]
+        m = points_per_chunk(len(coords))
+        if kind == "on_stations":
+            points = coords[np.arange(m) % len(coords)]
+        else:
+            points = np.column_stack([np.full(m, math.nan), rng.uniform(0.0, 28.0, m)])
+        calls, n = self.calls(coords, np.ones(50), 0.002, 3.0, 2.0)
+        indices = rng.integers(0, n, size=m)
+        kernel = calls[name][0]
+        with np.errstate(all="ignore"):
+            kernel(points, indices)
+            _, peak = peak_of(lambda: kernel(points, indices))
+        assert peak < batch_module.CHUNK_BYTES
 
 
 
@@ -1505,6 +1529,30 @@ class TestSilenceCertificate:
             for tile_y in range(2, 6):
                 compute_tile(network, lattice, lattice, tile_x, tile_y, 64, "numpy")
         assert 0 < sent[0] <= 0.25 * 16 * 64 * 64
+
+    def test_the_chunks_of_a_large_networks_tiles_are_certified(self, monkeypatch):
+        """On 800 stations the batch API splits every 64 px tile into
+        chunks of under 1,024 points; the certificate's point floor falls
+        as the network grows, so a finest-zoom view over the middle of the
+        network still sends at most a quarter of its pixels to the dense
+        pass, with the dense rule's labels."""
+        from repro.model.diagram import RasterLattice
+        from repro.raster import compute_tile
+
+        network = serving_network(800)
+        assert points_per_chunk(len(network)) < 1024
+        lattice = RasterLattice(pitch=1 / 16, phase=0.0, start=768, count=256)
+        tiles = [(x, y) for x in range(12, 16) for y in range(12, 16)]
+        sent = count_dense_points(monkeypatch)
+        labels = [
+            compute_tile(network, lattice, lattice, x, y, 64, "numpy")
+            for x, y in tiles
+        ]
+        assert 0 < sent[0] <= 0.25 * 16 * 64 * 64
+        for (x, y), got in zip(tiles, labels):
+            grid = pixel_grid(x * 4.0, y * 4.0, 1 / 16)
+            want = dense_rule(network, grid, "numpy")
+            np.testing.assert_array_equal(got, want.reshape(64, 64))
 
     def test_random_batches_and_other_exponents_run_dense(self, monkeypatch):
         """A batch over the whole deployment holds more stations in its box

@@ -3,12 +3,10 @@
 :data:`repro.env.KNOBS` is the one list of environment knobs the package
 and its harnesses read.  These tests pin that the inventory and everything
 around it agree: undeclared names cannot be read; every knob name the
-code, benchmarks, examples, CI and README mention is declared; the README
-knob table lists each declared knob with its declared default; and each
-library knob's reader falls back to exactly that default — with a warning
-naming the knob — on a malformed or non-positive value.  The README's
-backend table and install lines are pinned the same way, against the
-registered backends and the extras ``setup.py`` declares.
+code, benchmarks, examples, CI and README mention is declared; and the
+README knob table lists each declared knob with its declared default.  The
+README's backend table and install lines are pinned the same way, against
+the registered backends and the extras ``setup.py`` declares.
 """
 
 from __future__ import annotations
@@ -21,15 +19,9 @@ import pytest
 
 from repro import env
 from repro.engine import available_backends
-from repro.engine.batch import chunk_byte_budget
 from repro.exceptions import ReproError
 
 REPO = Path(__file__).resolve().parent.parent
-
-#: Library knob -> (reader, parser of the declared default).
-LIBRARY_READERS = {
-    env.ENGINE_CHUNK_BYTES: (chunk_byte_budget, int),
-}
 
 KNOB_NAME = re.compile(r"\bREPRO_[A-Z0-9_]+")
 
@@ -141,20 +133,3 @@ class TestReadmeInventories:
         }
         assert extras and extras <= setup_extras()
 
-
-class TestLibraryReaders:
-    @pytest.mark.parametrize("name", sorted(LIBRARY_READERS))
-    def test_unset_knob_yields_the_declared_default(self, monkeypatch, name):
-        reader, parse = LIBRARY_READERS[name]
-        monkeypatch.delenv(name, raising=False)
-        assert reader() == parse(env.KNOBS[name].default)
-
-    @pytest.mark.parametrize("raw", ["junk", "0", "-1"])
-    @pytest.mark.parametrize("name", sorted(LIBRARY_READERS))
-    def test_bad_value_warns_and_yields_the_declared_default(
-        self, monkeypatch, name, raw
-    ):
-        reader, parse = LIBRARY_READERS[name]
-        monkeypatch.setenv(name, raw)
-        with pytest.warns(UserWarning, match=name):
-            assert reader() == parse(env.KNOBS[name].default)

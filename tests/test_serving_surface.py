@@ -78,7 +78,7 @@ def test_the_serving_surface_is_what_its_callers_set(ten_station_network):
     library_knobs = {
         name for name in env.KNOBS if not name.startswith("REPRO_BENCH_")
     }
-    assert library_knobs == {"REPRO_ENGINE_CHUNK_BYTES"}
+    assert library_knobs == set()
     # The retired drain knob's default is the fixed timeout (the metrics
     # interval's is pinned in tests/test_obs.py).
     assert service_module.DRAIN_TIMEOUT == 30.0
