@@ -14,6 +14,10 @@ own answer from the batch array, so the answers are bit-identical to calling
 ``locate_batch`` on the same points directly — locators never couple two
 query points, which is what makes regrouping sound.
 
+A query costs the loop thread one future and one ``(x, y, future,
+submitted_at)`` tuple; building the batch's points, recording waits,
+completions and latencies, and releasing capacity are paid once per batch.
+
 Concurrency contract
 ====================
 
@@ -21,12 +25,21 @@ Concurrency contract
   with its own answer, failed with the engine's exception, or failed with
   :class:`~repro.exceptions.ServiceClosedError` on a non-draining shutdown;
 * a submitter cancelling its ``submit`` call never disturbs the rest of its
-  batch: the cancelled entry is skipped at seal/resolution time;
+  batch: an entry cancelled while queued is skipped at seal time, one
+  cancelled in flight is skipped at resolution time;
 * **backpressure**: at most ``max_pending`` queries may be queued or in
-  flight; further ``submit`` calls wait (asynchronously) for capacity;
+  flight.  ``submit`` takes a slot before queueing its query, or parks in a
+  FIFO when none is free; a freed slot is handed straight to the oldest
+  parked submitter.  A batch releases its queries' slots together, when
+  its futures are resolved or failed; a submitter cancelled while its
+  query is still queued releases its own slot at once;
+* stats are recorded per batch: seal waits when the batch is sealed,
+  completions and their latencies when it is resolved;
 * the engine call runs on one dedicated worker thread, so the event loop
   keeps accumulating and sealing batches on schedule while the engine
-  computes;
+  computes — but on a 2-core machine the worker and the loop share one
+  GIL, so every Python step on the loop delays the engine call's own
+  Python steps, and the reverse;
 * the :mod:`contextvars` context captured at :meth:`start` is used for
   every engine call, so a ``use_backend(...)`` selection made before
   starting the service applies to dispatched batches even though they
@@ -51,7 +64,7 @@ from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..exceptions import ServiceClosedError, ServiceError, positive_int
+from ..exceptions import EngineError, ServiceClosedError, ServiceError, positive_int
 from ..runtime.component import Component
 from .stats import ServiceStats
 
@@ -71,18 +84,10 @@ DEFAULT_MAX_BATCH_SIZE = 1024
 #: Default backpressure bound on queued + in-flight queries.
 DEFAULT_MAX_PENDING = 8192
 
-
-class _Entry:
-    """One submitted query: its coordinates, future, and submission time."""
-
-    __slots__ = ("x", "y", "future", "submitted_at")
-
-    def __init__(self, x: float, y: float, future: "asyncio.Future[int]",
-                 submitted_at: float):
-        self.x = x
-        self.y = y
-        self.future = future
-        self.submitted_at = submitted_at
+#: One queued query: ``(x, y, future, submitted_at)``.  A query whose
+#: submitter was cancelled while it was queued keeps its place with the
+#: future replaced by ``None``.
+_Query = Tuple[float, float, Optional["asyncio.Future[int]"], float]
 
 
 def _budget(value: object) -> float:
@@ -104,12 +109,22 @@ def _budget(value: object) -> float:
 
 
 def _point_coordinates(point) -> Tuple[float, float]:
-    """Coerce a Point / ``(x, y)`` pair / length-2 array into two floats."""
-    x = getattr(point, "x", None)
-    if x is not None:
-        return float(x), float(point.y)
-    x, y = point
-    return float(x), float(y)
+    """Coerce a Point / ``(x, y)`` pair / length-2 array into two floats.
+
+    Anything else raises :class:`~repro.exceptions.EngineError`, as
+    :func:`~repro.engine.batch.as_points_array` does for a malformed batch.
+    """
+    try:
+        x = getattr(point, "x", None)
+        if x is not None:
+            return float(x), float(point.y)
+        x, y = point
+        return float(x), float(y)
+    except (AttributeError, TypeError, ValueError, OverflowError) as error:
+        raise EngineError(
+            f"a query point must be a Point or an (x, y) pair of numbers, "
+            f"got {point!r}"
+        ) from error
 
 
 class MicroBatcher(Component):
@@ -153,8 +168,20 @@ class MicroBatcher(Component):
         self.stats = ServiceStats()
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._queue: Deque[_Entry] = deque()
-        self._capacity: Optional[asyncio.Semaphore] = None
+        self._queue: List[_Query] = []
+        # Queries ever taken off the front of the queue: the query a submit
+        # appended as the n-th ever sits at index ``n - 1 - _taken`` while
+        # it is queued.
+        self._taken = 0
+        # Queued entries whose future is None (their slots already freed).
+        self._vacated = 0
+        # Slots held: queued plus in-flight queries, plus slots handed to
+        # parked submitters that have not resumed yet.
+        self._outstanding = 0
+        self._parked: Deque["asyncio.Future[bool]"] = deque()
+        # True from start until stop begins: the lifecycle check submit
+        # makes per query, as a plain attribute read.
+        self._accepting = False
         self._wake: Optional[asyncio.Event] = None
         self._dispatcher: Optional["asyncio.Task[None]"] = None
         self._inflight: set = set()
@@ -172,7 +199,6 @@ class MicroBatcher(Component):
         locator selections active *now* govern every dispatched batch.
         """
         self._loop = asyncio.get_running_loop()
-        self._capacity = asyncio.Semaphore(self.max_pending)
         self._wake = asyncio.Event()
         self._context = contextvars.copy_context()
         self._executor = ThreadPoolExecutor(
@@ -181,6 +207,7 @@ class MicroBatcher(Component):
         self._dispatcher = self._loop.create_task(
             self._dispatch_loop(), name="repro-service-batcher"
         )
+        self._accepting = True
 
     async def _do_stop(self, drain: bool) -> None:
         """Shut down; ``drain=True`` answers everything pending first.
@@ -189,13 +216,18 @@ class MicroBatcher(Component):
         longer applies) and waits for in-flight engine calls to resolve
         their futures.  ``drain=False`` aborts instead: queued and in-flight
         queries fail with :class:`ServiceClosedError`.  Either way, new
-        ``submit`` calls raise once ``stop`` has begun, and the batcher
-        cannot be restarted.
+        ``submit`` calls raise once ``stop`` has begun, submitters parked
+        for capacity raise too, and the batcher cannot be restarted.
         """
+        self._accepting = False
+        while self._parked:
+            waiter = self._parked.popleft()
+            if not waiter.done():
+                waiter.set_result(False)
         if self._dispatcher is None:
             return
-        self._wake.set()
         if drain:
+            self._wake.set()
             await self._dispatcher
             if self._inflight:
                 await asyncio.gather(*list(self._inflight), return_exceptions=True)
@@ -205,14 +237,11 @@ class MicroBatcher(Component):
                 await self._dispatcher
             except asyncio.CancelledError:
                 pass
-            error = ServiceClosedError("service stopped without draining")
-            while self._queue:
-                entry = self._queue.popleft()
-                if not entry.future.done():
-                    entry.future.set_exception(error)
-                    self.stats.record_failed()
-                else:  # cancelled by its submitter while still queued
-                    self.stats.record_cancelled()
+            queued = self._take(len(self._queue))
+            self._fail(
+                [future for _, _, future, _ in queued],
+                ServiceClosedError("service stopped without draining"),
+            )
             for task in list(self._inflight):
                 task.cancel()
             if self._inflight:
@@ -225,7 +254,7 @@ class MicroBatcher(Component):
     @property
     def queue_depth(self) -> int:
         """Queries queued but not yet sealed into a batch."""
-        return len(self._queue)
+        return len(self._queue) - self._vacated
 
     @property
     def inflight_batches(self) -> int:
@@ -279,34 +308,83 @@ class MicroBatcher(Component):
 
         Applies backpressure: when ``max_pending`` queries are outstanding,
         this call waits for capacity before queueing.  Raises
-        :class:`ServiceClosedError` if the batcher is not accepting queries,
-        including when shutdown begins while this call is waiting.
+        :class:`~repro.exceptions.EngineError` for a malformed point before
+        anything is queued or counted, and :class:`ServiceClosedError` if
+        the batcher is not accepting queries, including when shutdown
+        begins while this call is waiting.
         """
         x, y = _point_coordinates(point)
-        if not self.running:
-            raise ServiceClosedError("the query service is not accepting queries")
-        await self._capacity.acquire()
+        # A submitter parks only while every slot is held, and a freed slot
+        # goes to the oldest parked submitter first; so a free slot means
+        # nobody is parked, and taking it here keeps admission FIFO.
+        if self._accepting and self._outstanding < self.max_pending:
+            self._outstanding += 1
+        else:
+            await self._park()
+        loop = self._loop
+        future = loop.create_future()
+        queue = self._queue
+        queue.append((x, y, future, loop.time()))
+        self.stats.submitted += 1
+        queued = len(queue)
+        # Wake the dispatcher only at the two boundaries it acts on: a
+        # queue going non-empty (a new deadline must be armed) and a queue
+        # reaching the batch cap (seal early).  In-between arrivals ride
+        # the already armed deadline timer.
+        if queued == 1 or queued >= self.max_batch_size:
+            self._wake.set()
+        ticket = self._taken + queued
         try:
-            if self.closed:
-                raise ServiceClosedError(
-                    "the query service closed while this query waited for capacity"
-                )
-            future: "asyncio.Future[int]" = self._loop.create_future()
-            self._queue.append(_Entry(x, y, future, self._loop.time()))
-            self.stats.record_submitted()
-            # Wake the dispatcher only at the two boundaries it acts on: a
-            # queue going non-empty (a new deadline must be armed) and a
-            # queue reaching the batch cap (seal early).  In-between
-            # arrivals ride the already armed deadline timer instead of
-            # paying a dispatcher round trip per query.
-            if len(self._queue) == 1 or len(self._queue) >= self.max_batch_size:
-                self._wake.set()
             return await future
-        finally:
-            # Sole release point: runs when the future resolves, fails, or
-            # the submitter itself is cancelled — capacity counts queued
-            # plus in-flight queries and is never released twice.
-            self._capacity.release()
+        except asyncio.CancelledError:
+            if ticket > self._taken:  # still queued: free the slot now
+                self._vacate(ticket - 1 - self._taken)
+            raise
+
+    async def _park(self) -> None:
+        """Wait in FIFO order until a slot is handed over; holds it on return."""
+        if not self._accepting:
+            raise ServiceClosedError("the query service is not accepting queries")
+        waiter = self._loop.create_future()
+        self._parked.append(waiter)
+        try:
+            admitted = await waiter
+        except asyncio.CancelledError:
+            self._unpark(waiter)
+            raise
+        if not self._accepting:  # stop began while this call was parked
+            if admitted:
+                self._release(1)
+            raise ServiceClosedError(
+                "the query service closed while this query waited for capacity"
+            )
+
+    def _unpark(self, waiter: "asyncio.Future[bool]") -> None:
+        """A parked submitter was cancelled: leave the FIFO, or pass on the
+        slot it was handed before it could resume."""
+        if waiter.cancelled():
+            if waiter in self._parked:
+                self._parked.remove(waiter)
+        elif waiter.result():
+            self._release(1)
+
+    def _vacate(self, index: int) -> None:
+        """Free the slot of the queued query at ``index``, whose submitter
+        was cancelled; the seal skips the entry left in its place."""
+        x, y, _, submitted_at = self._queue[index]
+        self._queue[index] = (x, y, None, submitted_at)
+        self._vacated += 1
+        self._release(1)
+
+    def _release(self, count: int) -> None:
+        """Free ``count`` slots, handing each to the oldest parked submitter."""
+        self._outstanding -= count
+        parked = self._parked
+        while parked and self._outstanding < self.max_pending:
+            waiter = parked.popleft()
+            if not waiter.done():  # a cancelled submitter leaves on its own
+                waiter.set_result(True)
+                self._outstanding += 1
 
     # -- dispatcher ------------------------------------------------------
     async def _dispatch_loop(self) -> None:
@@ -321,7 +399,7 @@ class MicroBatcher(Component):
                 await self._wake.wait()
                 continue
             while not self.closed and len(self._queue) < self.max_batch_size:
-                deadline = self._queue[0].submitted_at + self.latency_budget
+                deadline = self._queue[0][3] + self.latency_budget
                 remaining = deadline - loop.time()
                 if remaining <= 0.0:
                     break
@@ -332,39 +410,45 @@ class MicroBatcher(Component):
                     break
             self._seal_batch()
 
+    def _take(self, count: int) -> List[_Query]:
+        """Remove the oldest ``count`` queue entries; return the live ones.
+
+        A vacated entry is counted cancelled here; its slot is already free.
+        """
+        taken = self._queue[:count]
+        del self._queue[:count]
+        self._taken += count
+        if not self._vacated:
+            return taken
+        live = [entry for entry in taken if entry[2] is not None]
+        self._vacated -= len(taken) - len(live)
+        for _ in range(len(taken) - len(live)):
+            self.stats.record_cancelled()
+        return live
+
     def _seal_batch(self) -> None:
-        """Pop up to ``max_batch_size`` entries and dispatch them as a task."""
-        count = min(len(self._queue), self.max_batch_size)
-        if count == 0:
+        """Take up to ``max_batch_size`` entries and dispatch them as a task."""
+        batch = self._take(min(len(self._queue), self.max_batch_size))
+        if not batch:
             return
+        xs, ys, futures, times = zip(*batch)
         now = self._loop.time()
-        entries: List[_Entry] = []
-        waits: List[float] = []
-        for _ in range(count):
-            entry = self._queue.popleft()
-            if entry.future.done():  # the submitter cancelled while queued
-                self.stats.record_cancelled()
-                continue
-            entries.append(entry)
-            waits.append(now - entry.submitted_at)
-        if not entries:
-            return
-        self.stats.record_batch(len(entries), waits)
-        points = np.empty((len(entries), 2), dtype=float)
-        for row, entry in enumerate(entries):
-            points[row, 0] = entry.x
-            points[row, 1] = entry.y
+        self.stats.record_batch(len(batch), [now - t for t in times])
+        points = np.array((xs, ys)).T
         # The batch's answer function is fixed here, at seal time: a
         # set_locate() racing with dispatch affects only later seals, so a
         # batch never straddles two epochs.
-        task = self._loop.create_task(self._run_batch(points, entries, self._locate))
+        task = self._loop.create_task(
+            self._run_batch(points, futures, times, self._locate)
+        )
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
     async def _run_batch(
         self,
         points: np.ndarray,
-        entries: Sequence[_Entry],
+        futures: Sequence["asyncio.Future[int]"],
+        times: Sequence[float],
         locate: Callable[[np.ndarray], np.ndarray],
     ) -> None:
         try:
@@ -375,35 +459,51 @@ class MicroBatcher(Component):
                 self._executor, context.run, locate, points
             )
         except asyncio.CancelledError:
-            self._fail_entries(
-                entries, ServiceClosedError("service stopped with the batch in flight")
+            self._fail(
+                futures, ServiceClosedError("service stopped with the batch in flight")
             )
             raise
         except Exception as exc:  # noqa: BLE001 - forwarded to every submitter
-            self._fail_entries(entries, exc)
+            self._fail(futures, exc)
             return
         answers = np.asarray(answers)
-        if answers.shape != (len(entries),):
-            self._fail_entries(
-                entries,
+        if answers.shape != (len(futures),):
+            self._fail(
+                futures,
                 ServiceError(
                     f"locator returned shape {answers.shape} "
-                    f"for a batch of {len(entries)} queries"
+                    f"for a batch of {len(futures)} queries"
                 ),
             )
             return
         now = self._loop.time()
-        for entry, answer in zip(entries, answers):
-            if entry.future.done():  # cancelled while the batch was in flight
+        cancelled = 0
+        for future, answer in zip(
+            futures, answers.astype(np.int64, copy=False).tolist()
+        ):
+            try:
+                future.set_result(answer)
+            except asyncio.InvalidStateError:  # cancelled while in flight
+                cancelled += 1
+        if cancelled:
+            times = [
+                submitted_at
+                for future, submitted_at in zip(futures, times)
+                if not future.cancelled()
+            ]
+            for _ in range(cancelled):
                 self.stats.record_cancelled()
-                continue
-            entry.future.set_result(int(answer))
-            self.stats.record_completed(now - entry.submitted_at)
+        self.stats.record_completed([now - t for t in times])
+        self._release(len(futures))
 
-    def _fail_entries(self, entries: Sequence[_Entry], error: BaseException) -> None:
-        for entry in entries:
-            if not entry.future.done():
-                entry.future.set_exception(error)
+    def _fail(
+        self, futures: Sequence["asyncio.Future[int]"], error: BaseException
+    ) -> None:
+        """Fail a batch's futures with ``error`` and release its slots."""
+        for future in futures:
+            if not future.done():
+                future.set_exception(error)
                 self.stats.record_failed()
             else:
                 self.stats.record_cancelled()
+        self._release(len(futures))

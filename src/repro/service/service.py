@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import asyncio
 import functools
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Coroutine, Dict, Mapping, Optional, Tuple, Union,
+)
 
 import numpy as np
 
@@ -122,14 +124,17 @@ class QueryService(Component):
         await self._batcher.stop(drain=drain)
 
     # -- queries ---------------------------------------------------------
-    async def locate(self, point: "PointLike") -> int:
+    def locate(self, point: "PointLike") -> Coroutine[Any, Any, int]:
         """Answer one query: the heard station's index, or ``-1`` for silence.
 
+        Returns the batcher's ``submit`` coroutine for ``point``; await it.
         The answer is bit-identical to the locator's own ``locate_batch``
         on the same point — micro-batching regroups queries, never changes
-        their answers.
+        their answers.  A malformed point raises
+        :class:`~repro.exceptions.EngineError` when awaited, before
+        anything is queued.
         """
-        return await self._batcher.submit(point)
+        return self._batcher.submit(point)
 
     async def locate_many(self, points: PointsLike) -> np.ndarray:
         """Submit a whole batch concurrently; answers in query order (int64).

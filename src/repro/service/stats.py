@@ -11,9 +11,12 @@ The micro-batcher records three kinds of facts while it runs:
 * *end-to-end latencies* — submission to answer, which adds the engine call
   on top of the wait.
 
-Waits and latencies are kept in bounded reservoirs (the most recent
-:data:`RESERVOIR_SIZE` samples) so a long-running service never grows
-without bound; percentiles are computed on demand from the reservoir.
+The batcher records waits when it seals a batch and completions with
+their latencies when it resolves one, a whole batch per call; only the
+``submitted`` counter moves once per query.  Waits and latencies are kept
+in bounded reservoirs (the most recent :data:`RESERVOIR_SIZE` samples) so
+a long-running service never grows without bound; percentiles are computed
+on demand from the reservoir.
 
 Everything here is mutated only from the service's event loop thread, so no
 locking is needed; :meth:`ServiceStats.snapshot` returns an immutable copy
@@ -115,9 +118,6 @@ class ServiceStats:
         self._latencies: Deque[float] = deque(maxlen=RESERVOIR_SIZE)
 
     # -- recording (event-loop thread only) -----------------------------
-    def record_submitted(self) -> None:
-        self.submitted += 1
-
     def record_cancelled(self) -> None:
         self.cancelled += 1
 
@@ -128,9 +128,10 @@ class ServiceStats:
         self.max_batch_size = max(self.max_batch_size, size)
         self._waits.extend(waits)
 
-    def record_completed(self, latency: float) -> None:
-        self.completed += 1
-        self._latencies.append(latency)
+    def record_completed(self, latencies: Sequence[float]) -> None:
+        """One batch's answered queries, by their end-to-end latencies."""
+        self.completed += len(latencies)
+        self._latencies.extend(latencies)
 
     def record_failed(self) -> None:
         self.failed += 1

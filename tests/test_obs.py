@@ -174,9 +174,9 @@ class TestSinks:
 class TestMetricsSamples:
     def test_service_stats_sample_flattens_snapshot(self):
         stats = ServiceStats()
-        stats.record_submitted()
+        stats.submitted += 1
         stats.record_batch(1, [0.001])
-        stats.record_completed(0.002)
+        stats.record_completed([0.002])
         sample = stats.metrics_sample()
         assert sample["submitted"] == 1.0
         assert sample["batches"] == 1.0

@@ -18,6 +18,9 @@ suite).
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import functools
+import itertools
 import threading
 import time
 
@@ -25,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.engine import use_backend
-from repro.exceptions import ServiceClosedError, ServiceError
+from repro.exceptions import EngineError, ServiceClosedError, ServiceError
 from repro.pointlocation import build_locator
 from repro.service import (
     MicroBatcher,
@@ -425,6 +428,31 @@ class TestBatcherMechanics:
         assert run(main()) == fingerprint_answers([(1.0, 2.0)])[0]
         assert fake.calls == [1]
 
+    @pytest.mark.parametrize(
+        "bad",
+        [(1.0, 2.0, 3.0), (1.0,), "ab", None, np.array([1.0, 2.0, 3.0]),
+         [[1.0, 2.0]]],
+        ids=["three-coordinates", "one-coordinate", "string", "none",
+             "three-element-array", "nested-pair"],
+    )
+    def test_malformed_point_raises_an_engine_error(self, network, bad):
+        """Regression: ``locate`` raised a bare ``ValueError`` or
+        ``TypeError`` for these points; it raises the engine's typed
+        ``EngineError`` now, before anything is queued or counted."""
+        fake = FakeLocator()
+
+        async def main():
+            async with QueryService(
+                network, fake, latency_budget=0.001
+            ) as service:
+                with pytest.raises(EngineError, match="query point"):
+                    await service.locate(bad)
+                assert service.stats.submitted == 0
+                return await service.locate((1.0, 2.0))
+
+        assert run(main()) == fingerprint_answers([(1.0, 2.0)])[0]
+        assert fake.calls == [1]
+
 
 # ----------------------------------------------------------------------
 # Cancellation
@@ -819,14 +847,45 @@ class TestFacadeAndStats:
 
         stats = ServiceStats()
         for latency in (9e9, 9e9, 9e9):
-            stats.record_completed(latency)
+            stats.record_completed([latency])
         for latency in range(RESERVOIR_SIZE):
-            stats.record_completed(float(latency))
+            stats.record_completed([float(latency)])
         # The three oldest (and largest) samples fell out of the reservoir.
         assert stats.latency_percentile(1.0) == RESERVOIR_SIZE - 1
         assert stats.latency_percentile(0.0) == 0.0
         # Counters are not reservoir-bounded.
         assert stats.completed == RESERVOIR_SIZE + 3
+
+    def test_a_batch_of_completions_records_like_one_at_a_time(self):
+        """The batcher records a batch's completions in one call; that must
+        leave the counters, the bounded reservoir and the snapshot exactly
+        as recording the same latencies one query at a time does."""
+        from dataclasses import asdict
+
+        from repro.service.stats import RESERVOIR_SIZE
+
+        rng = np.random.default_rng(29)
+        per_batch, per_query = ServiceStats(), ServiceStats()
+        recorded = []
+        for size in (1, 5, RESERVOIR_SIZE - 1, 2, RESERVOIR_SIZE + 7, 1024, 0):
+            latencies = rng.exponential(0.01, size=size).tolist()
+            waits = rng.exponential(0.001, size=size).tolist()
+            recorded += latencies
+            per_batch.record_batch(size, waits)
+            per_batch.record_completed(latencies)
+            per_query.record_batch(size, waits)
+            for latency in latencies:
+                per_query.record_completed([latency])
+            assert per_batch.completed == per_query.completed == len(recorded)
+            assert list(per_batch._latencies) == recorded[-RESERVOIR_SIZE:]
+            assert list(per_query._latencies) == recorded[-RESERVOIR_SIZE:]
+            np.testing.assert_equal(
+                asdict(per_batch.snapshot()), asdict(per_query.snapshot())
+            )
+        for fraction in (0.0, 0.5, 0.99, 1.0):
+            assert per_batch.latency_percentile(fraction) == (
+                per_query.latency_percentile(fraction)
+            )
 
     def test_serve_points_facade_with_stats(self, network, queries, truth):
         answers, snapshot = serve_points(
@@ -845,7 +904,7 @@ class TestFacadeAndStats:
         assert np.isnan(empty.latency_p50) and np.isnan(empty.mean_batch_size)
         stats.record_batch(5, [0.001, 0.002, 0.003, 0.004, 0.005])
         for latency in (0.01, 0.02, 0.03, 0.04, 0.05):
-            stats.record_completed(latency)
+            stats.record_completed([latency])
         snapshot = stats.snapshot()
         assert snapshot.wait_p50 == pytest.approx(0.003, abs=1e-9)
         assert snapshot.wait_p99 == pytest.approx(0.005, abs=1e-9)
@@ -881,7 +940,7 @@ class TestFacadeAndStats:
         assert eight.wait_percentile(1.0) == 8.0
         # Latencies go through the same reservoir percentile.
         for value in range(1, 5):
-            eight.record_completed(float(value))
+            eight.record_completed([float(value)])
         assert eight.latency_percentile(0.50) == 2.0
 
     def test_micro_batcher_accepts_point_objects(self, network):
@@ -1126,3 +1185,358 @@ class TestEpochSwap:
                     await service.swap_network(moved, locator=object())
 
         run(main())
+
+
+# ----------------------------------------------------------------------
+# Admission accounting over every small interleaving
+# ----------------------------------------------------------------------
+class EngineFailure(RuntimeError):
+    """The failure a test injects into one engine call."""
+
+
+class GatedEngine:
+    """Stands in for the batcher's one dispatch thread.
+
+    Every engine call waits at a gate until the test runs it (``complete``)
+    or breaks it (``fail``), oldest first, as the one worker thread takes
+    them; the call runs on the loop's own thread, so each interleaving of
+    loop steps and engine calls is exactly the one the test scripts.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.gated = []  # (call, concurrent future), oldest first
+        self.batches = []  # the points of every call, in submission order
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        self.gated.append((functools.partial(fn, *args), future))
+        self.batches.append([tuple(point) for point in args[-1].tolist()])
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
+
+    def in_flight(self) -> int:
+        """Points of the calls not answered yet (cancelled ones excluded)."""
+        return sum(
+            len(call.args[-1]) for call, future in self.gated
+            if not future.cancelled()
+        )
+
+    def complete(self):
+        call, future = self.gated.pop(0)
+        if future.set_running_or_notify_cancel():
+            future.set_result(call())
+
+    def fail(self):
+        _, future = self.gated.pop(0)
+        if future.set_running_or_notify_cancel():
+            future.set_exception(EngineFailure("injected engine failure"))
+
+
+#: The capacity and batch cap the interleavings run at.
+TIGHT = 2
+
+PARKED, QUEUED, IN_FLIGHT = "parked", "queued", "in flight"
+
+
+class AccountingModel:
+    """What the batcher must do at ``max_pending = max_batch_size = 2``.
+
+    Submitters are numbered in submission order.  ``state`` maps each to
+    where it waits (parked, queued, in flight) or to its outcome
+    (``answer``, ``cancelled``, ``engine`` failure, ``closed``).
+    """
+
+    def __init__(self):
+        self.state = {}
+        self.parked = []
+        self.queue = []  # submitters; None where a cancelled one queued
+        self.inflight = []  # members of each unanswered batch, oldest first
+        self.sealed = []  # members of every sealed batch, in seal order
+        self.cancelled_in_flight = set()
+        self.held = 0
+        self.counts = dict(submitted=0, completed=0, cancelled=0, failed=0)
+
+    def submit(self, k):
+        if self.held < TIGHT:
+            self._queue(k)
+            self._seal_full()
+        else:
+            self.parked.append(k)
+            self.state[k] = PARKED
+
+    def _queue(self, k):
+        self.held += 1
+        self.counts["submitted"] += 1
+        self.queue.append(k)
+        self.state[k] = QUEUED
+
+    def _seal(self, count):
+        taken, self.queue = self.queue[:count], self.queue[count:]
+        members = [k for k in taken if k is not None]
+        self.counts["cancelled"] += len(taken) - len(members)
+        if members:
+            self.inflight.append(members)
+            self.sealed.append(members)
+            for k in members:
+                self.state[k] = IN_FLIGHT
+
+    def _seal_full(self):
+        while len(self.queue) >= TIGHT:
+            self._seal(TIGHT)
+
+    def deadline(self):
+        while self.queue:
+            self._seal(min(TIGHT, len(self.queue)))
+
+    def release(self, count):
+        self.held -= count
+        while self.parked and self.held < TIGHT:
+            self._queue(self.parked.pop(0))
+        self._seal_full()
+
+    def cancel(self, k):
+        state, self.state[k] = self.state[k], "cancelled"
+        if state == PARKED:
+            self.parked.remove(k)
+        elif state == QUEUED:
+            self.queue[self.queue.index(k)] = None
+            self.release(1)
+        else:
+            self.cancelled_in_flight.add(k)
+
+    def _settle(self, members, outcome):
+        for k in members:
+            if k in self.cancelled_in_flight:
+                self.counts["cancelled"] += 1
+            else:
+                self.state[k] = outcome
+                self.counts["completed" if outcome == "answer" else "failed"] += 1
+
+    def answer(self, outcome):
+        members = self.inflight.pop(0)
+        self._settle(members, outcome)
+        self.release(len(members))
+
+    def stop(self, drain):
+        for k in self.parked:
+            self.state[k] = "closed"
+        self.parked = []
+        if drain:
+            self.deadline()
+            while self.inflight:
+                self.answer("answer")
+            return
+        self._settle([k for k in self.queue if k is not None], "closed")
+        self.counts["cancelled"] += self.queue.count(None)
+        for members in self.inflight:
+            self._settle(members, "closed")
+        self.queue, self.inflight, self.held = [], [], 0
+
+    def allows(self, action, target):
+        if action == "cancel":
+            return self.state.get(target) in (PARKED, QUEUED, IN_FLIGHT)
+        return action != "fail" or bool(self.inflight)
+
+    def apply(self, action, target):
+        if action == "submit":
+            self.submit(len(self.state))
+        elif action == "cancel":
+            self.cancel(target)
+        elif action == "fail":
+            self.answer("engine")
+        else:
+            self.deadline()
+
+
+def interleavings():
+    """Every ordering of up to four submits and at most one cancel (of any
+    waiting submitter), engine failure and expired deadline, each followed
+    by a draining or an aborting stop; orderings the model rejects (a
+    cancel of nobody waiting, a failure with no batch in flight) are
+    left out."""
+    for submits in range(1, 5):
+        for extras in itertools.chain.from_iterable(
+            itertools.combinations(("cancel", "fail", "deadline"), n)
+            for n in range(4)
+        ):
+            orders = sorted(set(itertools.permutations(("submit",) * submits + extras)))
+            targets = range(submits) if "cancel" in extras else (None,)
+            for actions, target in itertools.product(orders, targets):
+                if feasible(actions, target):
+                    for drain in (True, False):
+                        yield actions, target, drain
+
+
+def feasible(actions, target):
+    model = AccountingModel()
+    for action in actions:
+        if not model.allows(action, target):
+            return False
+        model.apply(action, target)
+    return True
+
+
+def tight_point(k):
+    return (k + 0.5, 2.0)
+
+
+async def settle():
+    """Run every callback the last step made ready, and theirs in turn."""
+    for _ in range(16):
+        await asyncio.sleep(0)
+
+
+def check_against(model, batcher, engine, tasks):
+    assert batcher.queue_depth + engine.in_flight() <= TIGHT
+    assert batcher.queue_depth == sum(k is not None for k in model.queue)
+    assert batcher._outstanding == model.held
+    assert len(batcher._parked) == len(model.parked)
+    assert engine.batches == [
+        [tight_point(k) for k in members] for members in model.sealed
+    ]
+    snapshot = batcher.stats.snapshot()
+    assert snapshot.batches == len(model.sealed)
+    for name, count in model.counts.items():
+        assert getattr(snapshot, name) == count, name
+    for k, task in enumerate(tasks):
+        state = model.state[k]
+        assert task.done() == (state not in (PARKED, QUEUED, IN_FLIGHT)), k
+        if state == "answer":
+            answer = task.result()
+            assert type(answer) is int
+            assert answer == FakeLocator().locate_batch([tight_point(k)])[0]
+        elif state == "cancelled":
+            assert task.cancelled()
+        elif state == "engine":
+            assert isinstance(task.exception(), EngineFailure)
+        elif state == "closed":
+            assert isinstance(task.exception(), ServiceClosedError)
+
+
+async def drive(actions, target, drain, engines, clock):
+    batcher = MicroBatcher(
+        FakeLocator().locate_batch, latency_budget=1.0,
+        max_batch_size=TIGHT, max_pending=TIGHT,
+    )
+    await batcher.start()
+    engine = engines[-1]
+    model = AccountingModel()
+    tasks = []
+    for action in actions:
+        if action == "submit":
+            tasks.append(asyncio.ensure_future(batcher.submit(tight_point(len(tasks)))))
+        elif action == "cancel":
+            tasks[target].cancel()
+        elif action == "fail":
+            engine.fail()
+        else:
+            clock[0] += 2.0 * batcher.latency_budget
+        model.apply(action, target)
+        await settle()
+        check_against(model, batcher, engine, tasks)
+    stopping = asyncio.ensure_future(batcher.stop(drain=drain))
+    model.stop(drain)
+    for _ in range(4 * TIGHT + 4):
+        await settle()
+        if stopping.done():
+            break
+        if engine.gated:
+            engine.complete()
+    assert stopping.done()
+    await settle()
+    check_against(model, batcher, engine, tasks)
+    # Nothing is held or parked after stop, and every query is accounted.
+    assert batcher._outstanding == 0 and not batcher._parked
+    snapshot = batcher.stats.snapshot()
+    assert snapshot.submitted == (
+        snapshot.completed + snapshot.cancelled + snapshot.failed
+    )
+
+
+class TestAccountingInterleavings:
+    def test_every_small_interleaving_keeps_the_accounting(self, monkeypatch):
+        """Every interleaving of submits, a cancel, an engine failure, an
+        expired deadline and a stop, against :class:`AccountingModel`,
+        after each step: queued plus in-flight queries never exceed
+        ``max_pending``; parked submitters are admitted oldest first as
+        soon as a slot frees (a cancelled queued query frees its slot at
+        once); the counters and every outcome match; every answer is a
+        Python ``int`` equal to ``locate_batch``'s; and after stop no slot
+        is held, nobody is parked, and submitted = completed + cancelled +
+        failed.  Four submits, not three: with ``max_pending = 2`` only the
+        fourth makes two submitters park at once, which is what tells a
+        FIFO hand-off from a LIFO one.  The batcher's clock is the loop's,
+        which moves only on an expired deadline, and its engine calls are
+        :class:`GatedEngine`'s, so each interleaving runs exactly as
+        scripted."""
+        from repro.service import batcher as batcher_module
+
+        engines = []
+
+        def gated_engine(*args, **kwargs):
+            engines.append(GatedEngine())
+            return engines[-1]
+
+        monkeypatch.setattr(batcher_module, "ThreadPoolExecutor", gated_engine)
+        cases = list(interleavings())
+        assert len(cases) > 1000
+        for actions, target, drain in cases:
+            clock = [0.0]
+            loop = asyncio.new_event_loop()
+            loop.time = lambda: clock[0]
+            # An expired deadline moves the clock inside one step, which
+            # asyncio's debug mode would otherwise report as a slow step.
+            loop.slow_callback_duration = float("inf")
+            try:
+                loop.run_until_complete(drive(actions, target, drain, engines, clock))
+            except AssertionError as error:
+                raise AssertionError(
+                    f"{actions} cancelling {target}, drain={drain}: {error}"
+                ) from error
+            finally:
+                loop.close()
+
+    def test_a_cancel_racing_the_seal_counts_as_a_mid_flight_cancel(
+        self, monkeypatch
+    ):
+        """A submitter cancelled in the loop step that seals its query has
+        not freed its slot when the seal takes the query.  So the batch
+        carries it, resolution counts it cancelled, and its slot is
+        released with the batch's.  Settled steps never order the seal
+        before the cancelled submitter resumes, so the seal is called
+        directly here."""
+        from repro.service import batcher as batcher_module
+
+        engines = []
+
+        def gated_engine(*args, **kwargs):
+            engines.append(GatedEngine())
+            return engines[-1]
+
+        monkeypatch.setattr(batcher_module, "ThreadPoolExecutor", gated_engine)
+
+        async def main():
+            batcher = MicroBatcher(
+                FakeLocator().locate_batch, latency_budget=60.0,
+                max_batch_size=TIGHT, max_pending=TIGHT,
+            )
+            await batcher.start()
+            racer = asyncio.ensure_future(batcher.submit(tight_point(0)))
+            await settle()
+            racer.cancel()
+            batcher._seal_batch()
+            await settle()
+            assert racer.cancelled()
+            assert engines[-1].batches == [[tight_point(0)]]
+            assert batcher.queue_depth == 0 and batcher._outstanding == 1
+            engines[-1].complete()
+            await settle()
+            assert batcher._outstanding == 0
+            await batcher.stop()
+            return batcher.stats.snapshot()
+
+        snapshot = run(main())
+        assert (snapshot.submitted, snapshot.completed, snapshot.cancelled,
+                snapshot.failed) == (1, 0, 1, 0)
