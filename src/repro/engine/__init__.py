@@ -19,6 +19,14 @@ Architecture
     Everything here is array-in / array-out and has no knowledge of the
     model layer's classes.
 
+``certify.py``
+    The one error model behind every certificate: how far rounding can move
+    an SINR decision or a certified radius.  It derives the float64 reach
+    margin that widens every Theorem 4.1 routing and invalidation box, the
+    float32 screen's tolerance and geometry guard, and holds the boundary
+    probe's constants for the radius bounds.  A new certificate takes its
+    margin from here rather than deriving its own.
+
 ``backend.py``
     The pluggable backend protocol (:class:`QueryBackend`) and the
     concurrency-safe registry/selection machinery.  A backend is any object

@@ -39,7 +39,8 @@ Margin semantics
   (no tie for its lowest-index rule to break).  The candidate's reception
   is then certified like ``received_mask_at``'s.  A one-station network
   has no runner-up.
-* A per-point geometry guard flags points within :data:`GEOMETRY_MARGIN`
+* A per-point geometry guard (:func:`~repro.engine.certify.geometry_guard`)
+  flags points within :data:`~repro.engine.certify.GEOMETRY_MARGIN`
   (relative to the coordinate scale) of a station, where coordinate rounding
   amplifies without bound.  Both screens turn squared distances into
   energies in place and flag a column whose energy total is not finite or
@@ -50,7 +51,8 @@ Margin semantics
 ``tol`` is derived, not configured: the larger of two error bounds in
 float32 epsilon, one for coordinate rounding at the geometry guard (from
 ``alpha``) and one for interference cancellation (from the station count
-and ``beta``); see :meth:`Float32ScreenBackend._tolerance`.
+and ``beta``); see :func:`repro.engine.certify.screen_tolerance`, where
+every certified margin of the library is derived.
 
 The exact backend is resolved by the name ``"numpy"`` on **every** call,
 exactly like the registry's name-based selections, so
@@ -70,23 +72,18 @@ from __future__ import annotations
 import numpy as np
 
 from .backend import QueryBackend, get_backend, register_backend
+from .certify import geometry_guard, screen_tolerance
 from .kernels import _energies_in_place, pairwise_squared_distances
 
 __all__ = [
-    "GEOMETRY_MARGIN",
     "Float32ScreenBackend",
     "ScreenStats",
 ]
-
-#: Station-proximity guard (relative to the coordinate scale) below which
-#: coordinate rounding error is considered unbounded.
-GEOMETRY_MARGIN = 1e-3
 
 #: The registered backend that verifies uncertain points and answers the
 #: delegated queries, resolved by name on every call.
 _EXACT_BACKEND = "numpy"
 
-_EPS32 = float(np.finfo(np.float32).eps)
 _TINY32 = float(np.finfo(np.float32).tiny)
 
 
@@ -205,8 +202,9 @@ class Float32ScreenBackend:
     ``received_mask_at`` and ``nearest_received`` run the float32 screen and
     re-route margin-close points through the registered ``"numpy"`` backend;
     ``heard_station`` and ``sinr_matrix`` delegate wholly to it.  It takes no
-    options: the tolerance is derived per call (:meth:`_tolerance`).  See
-    the module docstring for the margin scheme.
+    options: the tolerance is derived per call
+    (:func:`~repro.engine.certify.screen_tolerance`).  See the module
+    docstring for the margin scheme.
     """
 
     name = "float32-screen"
@@ -229,38 +227,6 @@ class Float32ScreenBackend:
         )
 
     # -- the screen-then-verify loop ------------------------------------
-
-    @staticmethod
-    def _tolerance(n_stations: int, beta: float, alpha: float) -> np.float32:
-        """The relative tolerance, derived from float32 error bounds.
-
-        It covers coordinate-rounding amplification at the geometry guard
-        (``~alpha * eps32 / GEOMETRY_MARGIN``, which also bounds the
-        squared-distance error of ``nearest_received``'s separation test)
-        and the interference cancellation of near-threshold SINR columns
-        (``~beta * n * eps32``), each with generous slack.
-        """
-        return np.float32(max(
-            4.0 * max(2.0, abs(alpha)) * _EPS32 / GEOMETRY_MARGIN,
-            8.0 * (abs(beta) + 1.0) * (n_stations + 64.0) * _EPS32,
-        ))
-
-    @staticmethod
-    def _geometry_guard(coords, pts) -> np.ndarray:
-        """Per-point float64 squared distance ``(GEOMETRY_MARGIN * scale)**2``.
-
-        A point whose float32 distance to some station squares to at most
-        this is within :data:`GEOMETRY_MARGIN` of it; ``scale`` is the
-        largest of 1 and the station and point coordinate magnitudes.
-        """
-        coord_scale = max(1.0, float(np.abs(coords).max(initial=0.0)))
-        scale = np.maximum(np.abs(pts[:, 0]), np.abs(pts[:, 1]))
-        np.maximum(scale, coord_scale, out=scale)
-        # A huge scale squares to inf: the guard then flags the point, and
-        # the exact path answers it.
-        with np.errstate(over="ignore"):
-            scale *= GEOMETRY_MARGIN
-            return np.square(scale, out=scale)
 
     def _screenable(self, noise: float, beta: float, alpha: float) -> bool:
         """Whether the float32 screen's assumptions hold for these parameters."""
@@ -290,10 +256,10 @@ class Float32ScreenBackend:
         # so each coordinate broadcasts against the stations contiguously.
         with np.errstate(over="ignore"):
             pts32 = np.asfortranarray(pts, dtype=np.float32)
-        tol32 = self._tolerance(len(coords), beta, alpha)
+        tol32 = np.float32(screen_tolerance(len(coords), beta, alpha))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out, uncertain, sq_min = screen(coords32, powers32, pts32, tol32)
-        uncertain |= sq_min <= self._geometry_guard(coords, pts)
+        uncertain |= sq_min <= geometry_guard(coords, pts)
         verified = int(np.count_nonzero(uncertain))
         if verified:
             out[..., uncertain] = exact(pts, uncertain)

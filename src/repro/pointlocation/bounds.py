@@ -30,11 +30,17 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ..engine.certify import (
+    MEASURED_PAD,
+    PROBE_BRACKET,
+    probe_tolerance,
+    reach_margin,
+)
 from ..exceptions import PointLocationError
 from ..geometry.fatness import theoretical_fatness_bound
 from ..geometry.point import Point
 from ..geometry.polygon import Polygon
-from ..geometry.segment import Line, Segment
+from ..geometry.segment import Line
 from ..model.network import WirelessNetwork
 from ..model.reception import ReceptionZone
 
@@ -94,9 +100,6 @@ def explicit_radius_bounds(network: WirelessNetwork, index: int) -> RadiusBounds
     return RadiusBounds(delta_lower=delta_lower, Delta_upper=Delta_upper)
 
 
-#: float64 machine epsilon, ``2u`` in :func:`reach_margin`.
-_EPS64 = float(np.finfo(np.float64).eps)
-
 # Neighbour offsets one pass of the sorted sweep scans in each direction.
 # A pass costs a fixed number of numpy calls, and inside a swap under serving
 # load every call waits for the GIL, so offsets are scanned in blocks.
@@ -144,11 +147,12 @@ def station_reaches(
     ``kappa`` taken from ``np.hypot`` over the station's row, and the value
     rounded up one ulp so it stays conservative.
 
-    Every non-zero reach is then widened by :func:`reach_margin` and
-    rounded up one ulp.  The bound is tight (two stations, no noise), and
-    the float64 kernels decide reception from a rounded SINR, so without
-    the widening a point a few ulps past the bound can be heard by brute
-    force yet fall outside a routing box built from it.
+    Every non-zero reach is then widened by
+    :func:`~repro.engine.certify.reach_margin` and rounded up one ulp.  The
+    bound is tight (two stations, no noise), and the float64 kernels decide
+    reception from a rounded SINR, so without the widening a point a few
+    ulps past the bound can be heard by brute force yet fall outside a
+    routing box built from it.
 
     Requires the Theorem 4.1 regime (uniform power, ``beta > 1``,
     ``alpha = 2``): the bound is derived for ``alpha = 2``, and a larger
@@ -200,43 +204,6 @@ def station_reaches(
     out *= 1.0 + margin
     np.nextafter(out, np.inf, out=out, where=live)
     return out
-
-
-def reach_margin(n_stations: int, beta: float) -> float:
-    """Relative widening of a Theorem 4.1 reach that covers float64 rounding.
-
-    :func:`station_reaches` multiplies every reach by ``1 + margin`` so that
-    every point the float64 kernels of :mod:`repro.engine.kernels` find
-    received lies inside it.  With ``u = 2**-53``, ``c = sqrt(beta) /
-    (sqrt(beta) - 1)`` and ``n`` stations, to first order (``alpha = 2``,
-    the Theorem 4.1 regime):
-
-    * The kernels' SINR at a point outside the exact zone is off by a
-      relative ``e <= (n + 12 + (n - 1) * beta) * u``: each energy by
-      ``5u``, the total of ``n`` energies by ``(n - 1) u`` of itself (which
-      ``total - signal`` turns into up to ``(n - 1) (beta + 1) u`` of the
-      interference plus noise, the signal being at most ``beta`` times it),
-      and the subtraction, the noise and the division by ``3u``.  A point
-      judged received therefore has an exact SINR of at least
-      ``beta / (1 + e)``.
-    * Lowering the threshold from ``beta`` to ``beta / (1 + e)`` grows the
-      bound by a factor of at most ``1 + c * e / (2 * (1 - t))`` with
-      ``t = e / (2 * (sqrt(beta) - 1))``, and ``t <= 1/2`` while the margin
-      is below 1.
-    * Evaluating the bound in float64 (``kappa**2`` from rounded
-      differences, the radicand and its square root, ``- 1``, the
-      division) loses at most ``9.5 * c * u``; :func:`_far_bound` less.
-
-    The sum is at most ``(n + 31) * (beta + 1) * c * u``.  The margin is
-    twice that, which covers the second-order terms and its own rounding.
-    A margin of 1 or more (``beta`` within rounding of 1, or so large that
-    the cancellation in ``total - signal`` swamps the interference) makes
-    every reach infinite.
-    """
-    root = math.sqrt(beta)
-    if root <= 1.0:
-        return math.inf
-    return (n_stations + 31) * (beta + 1.0) * _EPS64 * root / (root - 1.0)
 
 
 def reach_box(
@@ -344,7 +311,6 @@ def improved_radius_bounds(
     network: WirelessNetwork,
     index: int,
     probe_angle: float = math.pi / 2.0,
-    tolerance: float = 1e-9,
 ) -> RadiusBounds:
     """The ``Theta(r)`` bounds of Section 5.2 for station ``index``.
 
@@ -361,7 +327,9 @@ def improved_radius_bounds(
     explicit = explicit_radius_bounds(network, index)
     zone = ReceptionZone(network=network, index=index)
     boundary_distance = zone.boundary_distance_along_ray(
-        probe_angle, max_radius=explicit.Delta_upper * 1.0000001, tolerance=tolerance
+        probe_angle,
+        max_radius=explicit.Delta_upper * PROBE_BRACKET,
+        tolerance=probe_tolerance(explicit.Delta_upper),
     )
     # Clamp into the certified sandwich to protect against probe tolerance.
     boundary_distance = min(
@@ -378,11 +346,7 @@ def improved_radius_bounds(
 
 
 def measured_radius_bounds(
-    network: WirelessNetwork,
-    index: int,
-    rays: int = 48,
-    tolerance: float = 1e-9,
-    safety_margin: float = 1e-3,
+    network: WirelessNetwork, index: int, rays: int = 48
 ) -> RadiusBounds:
     """Geometry-measured bounds certified by convexity (an engineering refinement).
 
@@ -407,8 +371,11 @@ def measured_radius_bounds(
       half-planes upper-bounds ``Delta``.
 
     Both sides are additionally intersected with the Theorem 4.1 bounds and
-    padded by ``safety_margin`` against floating-point slop.  Requires the
-    Theorem 1 regime (uniform power, ``beta > 1``, ``alpha = 2``).
+    padded by :data:`~repro.engine.certify.MEASURED_PAD` against
+    floating-point slop.  The rays are probed to a gap relative to the
+    Theorem 4.1 ``Delta_upper`` (:func:`~repro.engine.certify.probe_tolerance`),
+    so the pad covers it at every coordinate scale.  Requires the Theorem 1
+    regime (uniform power, ``beta > 1``, ``alpha = 2``).
     """
     _require_uniform_nondegenerate(network, index)
     if rays < 8:
@@ -417,11 +384,11 @@ def measured_radius_bounds(
     zone = ReceptionZone(network=network, index=index)
     station = zone.station_location
     polynomial = network.reception_polynomial(index)
-    max_radius = explicit.Delta_upper * 1.0000001
-
     angles = [2.0 * math.pi * k / rays for k in range(rays)]
     distances = zone.boundary_distances_along_rays(
-        angles, max_radius=max_radius, tolerance=tolerance
+        angles,
+        max_radius=explicit.Delta_upper * PROBE_BRACKET,
+        tolerance=probe_tolerance(explicit.Delta_upper),
     )
     boundary_points = [
         Point(
@@ -435,7 +402,7 @@ def measured_radius_bounds(
     inscribed = Polygon(boundary_points)
     delta_lower = min(
         edge.distance_to_point(station) for edge in inscribed.edges()
-    ) * (1.0 - safety_margin)
+    ) * (1.0 - MEASURED_PAD)
 
     # Upper bound on Delta: intersection of tangent half-planes.
     box_half_width = explicit.Delta_upper * 2.0
@@ -454,7 +421,7 @@ def measured_radius_bounds(
         Delta_upper = explicit.Delta_upper
     else:
         Delta_upper = max(station.distance_to(v) for v in outer.vertices) * (
-            1.0 + safety_margin
+            1.0 + MEASURED_PAD
         )
 
     delta_lower = max(min(delta_lower, explicit.Delta_upper), 0.0)

@@ -41,6 +41,7 @@ from ..engine.batch import (
     nearest_station_batch,
     received_at,
 )
+from ..engine.certify import PROBE_BRACKET
 from ..exceptions import PointLocationError
 from ..geometry.point import Point
 from ..model.network import WirelessNetwork
@@ -195,7 +196,7 @@ class PointLocationStructure:
         else:
             segment_test = SamplingSegmentTest(zone.contains)
 
-        probe_radius = bounds.Delta_upper * 1.0000001
+        probe_radius = bounds.Delta_upper * PROBE_BRACKET
         return ZoneGridIndex(
             inside=zone.contains,
             station=zone.station_location,

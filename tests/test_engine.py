@@ -50,7 +50,6 @@ from repro.engine import backend as backend_module
 from repro.engine import batch as batch_module
 from repro.exceptions import EngineError, ReproError
 from repro.model.diagram import raster_labels
-from repro.model.reception import ReceptionZone
 from repro.model.sinr import received_energy, sinr_ratio
 from repro.pointlocation import (
     BruteForceLocator,
@@ -60,7 +59,12 @@ from repro.pointlocation import (
 )
 from repro.service import serve_points
 from repro.workloads import random_query_array, uniform_random_network
-from seeded_workloads import query_box_array, seeded_network
+from seeded_workloads import (
+    boundary_grids,
+    query_box_array,
+    seeded_network,
+    serving_network,
+)
 
 #: Every backend that must agree with the "reference" ground truth; newly
 #: registered backends join automatically.
@@ -1332,20 +1336,6 @@ def assert_dense_rule(monkeypatch, network, grids, backend) -> int:
     return certified
 
 
-def serving_network(n, seed=1, noise=0.002, beta=3.0, powers=None):
-    """The serving benchmark's network shape: side 4 sqrt(n), separation 1.5."""
-    network = uniform_random_network(
-        n, side=4.0 * math.sqrt(n), minimum_separation=1.5, noise=noise,
-        beta=beta, seed=seed,
-    )
-    if powers is None:
-        return network
-    return WirelessNetwork(
-        [Station.at(s.x, s.y, power) for s, power in zip(network.stations, powers)],
-        noise=noise, beta=beta,
-    )
-
-
 def pixel_grid(x0, y0, pitch, size=64):
     """The pixel centres of a ``size`` x ``size`` tile with corner (x0, y0)."""
     centres = (np.arange(size) + 0.5) * pitch
@@ -1362,35 +1352,6 @@ def tiles_over(network, pitch, count, seed):
     spots = rng.uniform(-4.0, coords.max() + 4.0, size=(count - count // 2, 2))
     corners = np.vstack([around - 32 * pitch, spots])
     return [pixel_grid(x, y, pitch) for x, y in corners]
-
-
-def boundary_points(network, index, angles):
-    """Points of station ``index``'s zone boundary along rays, to an ulp."""
-    zone = ReceptionZone(network=network, index=index)
-    distances = zone.boundary_distances_along_rays(angles, tolerance=1e-300)
-    directions = np.column_stack([np.cos(angles), np.sin(angles)])
-    return network.coords[index] + distances[:, None] * directions
-
-
-def centred_grid(centre, pitch, size=32):
-    """A ``size`` x ``size`` grid around ``centre``, ``pitch`` per axis."""
-    offsets = np.arange(size) - size // 2
-    xs, ys = np.meshgrid(
-        centre[0] + offsets * pitch[0], centre[1] + offsets * pitch[1]
-    )
-    return np.column_stack([xs.ravel(), ys.ravel()])
-
-
-def boundary_grids(network, stations, rays):
-    """Grids across zone boundaries, four per boundary point, at pitches of
-    3 ulps (every fourth grid, from the first), 1e-9, 1e-6 and 1e-3."""
-    angles = np.linspace(0.0, 2.0 * math.pi, rays, endpoint=False) + 0.3
-    grids = []
-    for index in stations:
-        for centre in boundary_points(network, index, angles):
-            for pitch in (3.0 * np.spacing(np.abs(centre)), 1e-9, 1e-6, 1e-3):
-                grids.append(centred_grid(centre, np.broadcast_to(pitch, (2,))))
-    return grids
 
 
 class TestSilenceCertificate:

@@ -26,6 +26,7 @@ from repro.pointlocation.bounds import reach_margin
 from repro.pointlocation.registry import get_locator
 from repro.raster import affected_boxes
 from repro.workloads import uniform_random_network
+from seeded_workloads import ulps_past
 
 MIB = 2**20
 
@@ -326,14 +327,6 @@ class TestOverflowingKappa:
 # Tight bounds: two stations, no noise
 # ----------------------------------------------------------------------
 KAPPAS = np.logspace(-3.0, 6.0, 10)
-
-
-def ulps_past(x: float, direction: float, count: int) -> np.ndarray:
-    """``x`` and the ``count`` doubles after it towards ``direction``."""
-    out = [x]
-    for _ in range(count):
-        out.append(np.nextafter(out[-1], direction))
-    return np.array(out)
 
 
 class TestTightReachRouting:
