@@ -22,7 +22,7 @@ instances, for cross-checks and for the quadratic building blocks
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from ..exceptions import AlgebraError
 from ..geometry.point import Point

@@ -27,7 +27,7 @@ build as products of quadratics in ``t``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..exceptions import AlgebraError
 from ..geometry.point import Point

@@ -14,9 +14,8 @@ cross-check the Sturm machinery.
 
 from __future__ import annotations
 
-import cmath
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

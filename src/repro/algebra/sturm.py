@@ -21,9 +21,8 @@ traces zone boundaries exactly where needed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..exceptions import AlgebraError
 from .polynomial import Polynomial

@@ -11,9 +11,8 @@ paper-claim versus measured outcome.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from ..diagrams.figures import (
     figure6_network,
 )
 from ..engine.batch import NO_RECEPTION
-from ..geometry.fatness import theoretical_fatness_bound
 from ..geometry.point import Point
 from ..model.diagram import SINRDiagram
 from ..pointlocation import get_locator

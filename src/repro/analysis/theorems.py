@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..geometry.convexity import ConvexityReport, check_zone_convexity, check_zone_star_shape
 from ..geometry.fatness import theoretical_fatness_bound

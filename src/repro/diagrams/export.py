@@ -15,11 +15,10 @@ All exporters take the :class:`~repro.model.diagram.RasterDiagram` produced by
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..exceptions import DiagramError
 from ..geometry.point import Point
 from ..model.diagram import NO_RECEPTION, RasterDiagram
 

@@ -28,8 +28,8 @@ truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..geometry.point import Point
 from ..model.diagram import SINRDiagram

@@ -20,7 +20,6 @@ algebraic and lives in :mod:`repro.algebra`).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple

@@ -16,11 +16,11 @@ consecutive vertices and the last vertex connects back to the first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import GeometryError
-from .point import Point, cross, orientation
+from .point import Point, orientation
 from .segment import Line, Segment
 
 __all__ = ["Polygon", "convex_hull"]

@@ -13,7 +13,6 @@ is provided here as well.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 

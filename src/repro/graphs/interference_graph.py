@@ -15,7 +15,7 @@ sweep across the whole family of graph-based baselines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 import networkx as nx
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 import networkx as nx
 

@@ -20,7 +20,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -418,9 +418,11 @@ class SINRDiagram:
                 square.
             cache: ``None`` labels the whole box in one engine call; a
                 :class:`repro.raster.TileCache` assembles the labels from
-                cached lattice tiles instead, computing only the missing
-                ones.  Either way the raster's ``sinr_values`` are computed
-                on first read, and both paths return bit-identical rasters.
+                cached lattice tiles instead: one lookup of every tile,
+                then, unless all were resident, a per-tile fetch that
+                computes only the missing ones.  Either way the raster's
+                ``sinr_values`` are computed on first read, and both paths
+                return bit-identical rasters.
 
         Raises:
             DiagramError: for a box or resolution that

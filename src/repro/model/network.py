@@ -13,14 +13,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..algebra.reception import ReceptionPolynomial
 from ..exceptions import NetworkConfigurationError
 from ..geometry.kdtree import KDTree
-from ..geometry.point import Point, as_point
+from ..geometry.point import Point
 from ..geometry.transform import SimilarityTransform
 from ..geometry.voronoi import VoronoiDiagram
 from .sinr import interference, received_energy, sinr_ratio

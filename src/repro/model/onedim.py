@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
 
 from ..algebra.sturm import isolate_real_roots, refine_root
 from ..exceptions import NetworkConfigurationError

@@ -11,7 +11,7 @@ that configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..exceptions import NetworkConfigurationError

@@ -32,7 +32,7 @@ Both return the set of *boundary* cells; the QDS layer pads them to 9-cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -40,7 +40,6 @@ import numpy as np
 from ..exceptions import PointLocationError
 from ..geometry.grid import Grid
 from ..geometry.point import Point
-from ..geometry.segment import Segment
 from .segment_test import SegmentTest, SegmentTestResult
 
 __all__ = [

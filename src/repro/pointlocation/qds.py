@@ -33,7 +33,7 @@ from ..exceptions import GeometryError, PointLocationError
 from ..geometry.grid import Grid
 from ..geometry.point import Point
 from .brp import BoundaryCover, ray_sweep_boundary_cells, reconstruct_boundary_cells
-from .segment_test import SamplingSegmentTest, SegmentTest, SturmSegmentTest
+from .segment_test import SegmentTest
 
 __all__ = [
     "ZoneLabel",

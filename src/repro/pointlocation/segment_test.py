@@ -25,7 +25,7 @@ lines at most twice) is itself an invariant worth testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Callable, Protocol
 
 from ..algebra.reception import ReceptionPolynomial
 from ..algebra.sturm import SturmSequence

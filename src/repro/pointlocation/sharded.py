@@ -18,6 +18,13 @@ answers query batches in three steps:
    locator over the shard's *subnetwork*.  Dropping the other shards'
    stations only removes interference, so a shard-local "nothing heard" is
    already certified globally; a shard-local hit is merely a candidate.
+   That holds in floats too, not only in real arithmetic, because every
+   shard keeps its station indices ascending: the subnetwork then sums a
+   subset of the full network's non-negative energies in the full
+   network's order, and rounding is monotone, so its float total never
+   exceeds the full float total (the argument behind the numpy
+   ``heard_station`` kernel's silence certificate).  A point whose
+   full-network SINR is exactly ``beta`` is therefore still proposed.
 3. **Verify & merge.**  All candidates are re-checked in one batched
    reception mask over the **full** station set through the active engine
    backend — shards narrow the candidate search, never the interference sum.
@@ -74,7 +81,8 @@ class ShardInfo:
     """One shard of a :class:`ShardedLocator` (exposed for tests/benchmarks).
 
     Attributes:
-        indices: global station indices of the shard (``int64``).
+        indices: global station indices of the shard (``int64``,
+            ascending).
         query_box: ``(xmin, ymin, xmax, ymax)`` — the station bounding box
             inflated by the shard's certified reach; only points inside it
             can hear one of the shard's stations.
@@ -187,7 +195,7 @@ class ShardedLocator:
         for group in self.partitioner.partition(coords):
             if len(group) == 0:
                 continue
-            group = np.asarray(group, dtype=np.int64)
+            group = np.sort(np.asarray(group, dtype=np.int64))
             self._shards.append(
                 ShardInfo(
                     indices=group,
@@ -334,7 +342,10 @@ class ShardedLocator:
             if not members:
                 retired.append(position)
                 continue
-            group = np.asarray(members, dtype=np.int64)
+            # Arrivals were appended; the survivors are already ascending,
+            # as surviving_map preserves order, so a reused inner locator's
+            # subnetwork keeps its station order.
+            group = np.sort(np.asarray(members, dtype=np.int64))
             query_box = self._query_box(new_coords, group, reaches)
             if changed[position]:
                 inner = self._build_inner(new_network, group)

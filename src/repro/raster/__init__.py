@@ -91,6 +91,7 @@ from .cache import (
 )
 from .tiles import (
     TileKey,
+    TiledRequest,
     affected_boxes,
     compute_tile,
     invalidate_for_delta,
@@ -105,6 +106,7 @@ __all__ = [
     "DEFAULT_TILE_SIZE",
     "TileCache",
     "TileKey",
+    "TiledRequest",
     "affected_boxes",
     "compute_tile",
     "invalidate_for_delta",

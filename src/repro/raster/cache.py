@@ -228,13 +228,21 @@ class TileCache:
         through :meth:`get_or_compute`.
         """
         with self._lock:
-            found = [self._resident_locked(key) for key in keys]
-            if any(resident is None for resident in found):
-                return None
-            for stored_key, _ in found:
-                self._store.move_to_end(stored_key)
-            self._hits += len(found)
-        return [tile for _, tile in found]
+            store = self._store
+            stored_keys, tiles = [], []
+            for key in keys:
+                tile = store.get(key)
+                if tile is None:
+                    resident = self._resident_locked(key)
+                    if resident is None:
+                        return None
+                    key, tile = resident
+                stored_keys.append(key)
+                tiles.append(tile)
+            for key in stored_keys:
+                store.move_to_end(key)
+            self._hits += len(tiles)
+        return tiles
 
     def _resident_locked(self, key: tuple) -> Optional[Tuple[tuple, object]]:
         """``(stored key, tile)`` of the tile that answers ``key``, or ``None``.

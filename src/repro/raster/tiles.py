@@ -7,9 +7,12 @@ anchored at global pixel index 0 — fetches each covering tile from a
 :class:`~repro.raster.cache.TileCache` (computing only the missing ones
 through the active engine backend), and assembles the requested
 :class:`~repro.model.diagram.RasterDiagram` from the tile slices.
-:func:`resident_tiles` fetches a request's tiles only if all are resident,
-never computing one, so a caller can tell a full hit from a request that
-needs tile work before it picks a thread for it.
+:func:`resident_tiles` works out a request's tile layout once (its key
+prefix and, per axis, which pixels of which tile it takes) and fetches its
+tiles with one lookup, only if all are resident and never computing one,
+so a caller can tell a full hit from a request that needs tile work before
+it picks a thread for it; :func:`rasterize_tiled` assembles from that
+layout with one copy per tile.
 
 A tile is its read-only ``(tile_size, tile_size)`` ``intp`` label block:
 ``tile_size**2 * 8`` bytes whatever the station count (32 KiB at 64 px).
@@ -41,7 +44,7 @@ caches perfectly against repeats of itself.
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +57,7 @@ from .cache import TileCache
 
 __all__ = [
     "TileKey",
+    "TiledRequest",
     "affected_boxes",
     "compute_tile",
     "invalidate_for_delta",
@@ -70,6 +74,48 @@ __all__ = [
 #: bit-identity contract — and seam-freeness within one raster — breaks).
 TileKey = Tuple[str, object, int, float, float, float, float, int, int]
 
+#: One tile along one axis of a request: ``(tile index, output slice, tile
+#: slice)``, as :func:`_tile_spans` lists them.
+Span = Tuple[int, slice, slice]
+
+#: The tile slice of a tile the request covers whole.
+_WHOLE = slice(None)
+
+
+class TiledRequest(NamedTuple):
+    """What one request computes once: :func:`resident_tiles`' result.
+
+    ``prefix`` is every tile's key without its index (the pinned backend
+    is ``prefix[1]``); ``columns`` and
+    ``rows`` are the request's tile spans along x and y; ``tiles`` holds
+    the covering tiles row by row when all were resident, else ``None``.
+    """
+
+    prefix: tuple
+    columns: List[Span]
+    rows: List[Span]
+    tiles: Optional[list]
+
+
+def _key_prefix(
+    fingerprint: str,
+    backend,
+    tile_size: int,
+    lattice_x: RasterLattice,
+    lattice_y: RasterLattice,
+) -> tuple:
+    """A :data:`TileKey` without its tile index: what every tile of one
+    request shares."""
+    return (
+        fingerprint,
+        backend,
+        tile_size,
+        lattice_x.pitch,
+        lattice_x.phase,
+        lattice_y.pitch,
+        lattice_y.phase,
+    )
+
 
 def tile_key(
     fingerprint: str,
@@ -81,17 +127,9 @@ def tile_key(
     tile_y: int,
 ) -> TileKey:
     """The cache key of tile ``(tile_x, tile_y)`` on the given lattice pair."""
-    return (
-        fingerprint,
-        backend,
-        tile_size,
-        lattice_x.pitch,
-        lattice_x.phase,
-        lattice_y.pitch,
-        lattice_y.phase,
-        tile_x,
-        tile_y,
-    )
+    return _key_prefix(
+        fingerprint, backend, tile_size, lattice_x, lattice_y
+    ) + (tile_x, tile_y)
 
 
 def compute_tile(
@@ -205,15 +243,22 @@ def invalidate_for_delta(
     return cache.invalidate_region(old_fingerprint, new_fingerprint, boxes)
 
 
-def _covering_tiles(
-    lattice_x: RasterLattice, lattice_y: RasterLattice, size: int
-) -> List[Tuple[int, int]]:
-    """``(tile_x, tile_y)`` of every tile a request overlaps, row by row."""
-    return [
-        (tile_x, tile_y)
-        for tile_y in range(lattice_y.start // size, (lattice_y.stop - 1) // size + 1)
-        for tile_x in range(lattice_x.start // size, (lattice_x.stop - 1) // size + 1)
-    ]
+def _tile_spans(lattice: RasterLattice, size: int) -> List[Span]:
+    """Every tile of one axis that a request overlaps, in order.
+
+    Each is ``(tile index, output slice, tile slice)``: the request's
+    pixels the tile covers and the tile's pixels the request covers.  The
+    tile slice is :data:`_WHOLE` wherever the request covers the whole
+    tile.
+    """
+    start, stop = lattice.start, lattice.start + lattice.count
+    spans = []
+    for index in range(start // size, (stop - 1) // size + 1):
+        low = index * size
+        first, last = max(start, low), min(stop, low + size)
+        inner = _WHOLE if last - first == size else slice(first - low, last - low)
+        spans.append((index, slice(first - start, last - start), inner))
+    return spans
 
 
 def resident_tiles(
@@ -221,22 +266,33 @@ def resident_tiles(
     lattice_x: RasterLattice,
     lattice_y: RasterLattice,
     cache: TileCache,
-) -> Optional[Tuple[object, list]]:
-    """``(backend, tiles)`` when every tile of the request is resident.
+) -> TiledRequest:
+    """A request's tile layout, holding its tiles when all are resident.
 
-    Pins the active backend as :func:`rasterize_tiled` does and fetches
-    every covering tile with one :meth:`TileCache.lookup`; ``None`` when
-    one is missing.  Never computes a tile, so
+    Pins the active backend, computes the request's key prefix and
+    per-axis tile spans once, and fetches every covering tile with one
+    :meth:`TileCache.lookup`; ``tiles`` is ``None`` when one is missing.
+    Never computes a tile, so
     :class:`~repro.service.RasterService` calls it on its event-loop thread
-    and assembles a full hit there, from the tiles this holds.
+    and hands the result to :func:`rasterize_tiled`, there for a full hit
+    and on an executor thread otherwise.
     """
     size = cache.tile_size
-    backend = active_backend()
+    # Pinned once per request: every tile of this raster — cached or
+    # computed — and its deferred SINR values belong to the same backend,
+    # so a backend switch mid-burst can never stitch a seam through one
+    # assembled diagram.
+    prefix = _key_prefix(
+        network.fingerprint, active_backend(), size, lattice_x, lattice_y
+    )
+    columns = _tile_spans(lattice_x, size)
+    rows = _tile_spans(lattice_y, size)
     tiles = cache.lookup([
-        tile_key(network.fingerprint, backend, size, lattice_x, lattice_y, *tile)
-        for tile in _covering_tiles(lattice_x, lattice_y, size)
+        prefix + (tile_x, tile_y)
+        for tile_y, _, _ in rows
+        for tile_x, _, _ in columns
     ])
-    return None if tiles is None else (backend, tiles)
+    return TiledRequest(prefix, columns, rows, tiles)
 
 
 def rasterize_tiled(
@@ -244,60 +300,50 @@ def rasterize_tiled(
     lattice_x: RasterLattice,
     lattice_y: RasterLattice,
     cache: TileCache,
-    resident: Optional[Tuple[object, list]] = None,
+    resident: Optional[TiledRequest] = None,
 ) -> RasterDiagram:
     """Assemble a raster from cached lattice tiles (computing missing ones).
 
     The public entry point is ``SINRDiagram.rasterize(..., cache=...)``,
-    which builds the lattices; this function fetches every tile covering
-    ``[lattice_x.start, lattice_x.stop) x [lattice_y.start, lattice_y.stop)``
-    via :meth:`TileCache.get_or_compute` and copies the overlapping label
-    slices into the result.  ``resident`` is what :func:`resident_tiles`
-    found for the same request when every tile was there: the raster is
-    then assembled from those tiles, under the backend they were looked up
-    with, and nothing is computed.  The returned diagram computes its
-    ``sinr_values`` on first read, under this request's network and
-    backend, and is bit-identical to the monolithic path on the same box.
+    which builds the lattices; this function covers ``[lattice_x.start,
+    lattice_x.stop) x [lattice_y.start, lattice_y.stop)`` with tiles and
+    copies each tile's overlap into the result, the whole tile wherever
+    the request covers it.  ``resident`` is what :func:`resident_tiles`
+    returned for the same request; it is looked up here when omitted.
+    When it holds every tile nothing is computed; otherwise every tile is
+    fetched through :meth:`TileCache.get_or_compute`, computing the
+    missing ones.  Either way the tiles and the deferred SINR values
+    belong to the backend the lookup pinned.  The returned diagram
+    computes its ``sinr_values`` on first read, under this request's
+    network and backend, and is bit-identical to the monolithic path on
+    the same box.
     """
-    size = cache.tile_size
-    covering = _covering_tiles(lattice_x, lattice_y, size)
-    if resident is not None:
-        backend, tiles = resident
-    else:
-        # Pinned once per request: every tile of this raster — cached or
-        # computed — and its deferred SINR values belong to the same
-        # backend, so a backend switch mid-burst can never stitch a seam
-        # through one assembled diagram.
-        backend = active_backend()
-        fingerprint = network.fingerprint
+    if resident is None:
+        resident = resident_tiles(network, lattice_x, lattice_y, cache)
+    prefix, columns, rows, tiles = resident
+    backend = prefix[1]
+    if tiles is None:
         tiles = (
             cache.get_or_compute(
-                tile_key(
-                    fingerprint, backend, size, lattice_x, lattice_y,
-                    tile_x, tile_y,
-                ),
+                prefix + (tile_x, tile_y),
                 partial(
                     compute_tile,
-                    network, lattice_x, lattice_y, tile_x, tile_y, size,
-                    backend,
+                    network, lattice_x, lattice_y, tile_x, tile_y,
+                    cache.tile_size, backend,
                 ),
             )
-            for tile_x, tile_y in covering
+            for tile_y, _, _ in rows
+            for tile_x, _, _ in columns
         )
-    gx0, gy0 = lattice_x.start, lattice_y.start
     labels = np.empty((lattice_y.count, lattice_x.count), dtype=np.intp)
-    for (tile_x, tile_y), tile in zip(covering, tiles):
-        # Overlap of this tile with the request, in global pixel indices.
-        overlap_x0 = max(gx0, tile_x * size)
-        overlap_x1 = min(lattice_x.stop, (tile_x + 1) * size)
-        overlap_y0 = max(gy0, tile_y * size)
-        overlap_y1 = min(lattice_y.stop, (tile_y + 1) * size)
-        out_cols = slice(overlap_x0 - gx0, overlap_x1 - gx0)
-        out_rows = slice(overlap_y0 - gy0, overlap_y1 - gy0)
-        in_cols = slice(overlap_x0 - tile_x * size, overlap_x1 - tile_x * size)
-        in_rows = slice(overlap_y0 - tile_y * size, overlap_y1 - tile_y * size)
-        labels[out_rows, out_cols] = tile[in_rows, in_cols]
-
+    tiles = iter(tiles)
+    for _, out_rows, in_rows in rows:
+        # zip stops at the end of the row without drawing another tile.
+        for (_, out_cols, in_cols), tile in zip(columns, tiles):
+            labels[out_rows, out_cols] = (
+                tile if in_rows is _WHOLE and in_cols is _WHOLE
+                else tile[in_rows, in_cols]
+            )
     return RasterDiagram._with_deferred_sinr(
         network, lattice_x, lattice_y, labels, backend
     )

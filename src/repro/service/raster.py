@@ -93,7 +93,8 @@ class RasterService(Component):
         request whose tiles are all resident is assembled on the calling
         event-loop thread; one with a missing tile goes to the default
         executor.  Either way it makes one
-        :func:`~repro.raster.rasterize_tiled` call.
+        :func:`~repro.raster.rasterize_tiled` call, handed the tile layout
+        and the tiles that the loop thread's lookup found.
         """
         self._ensure_open()
         network, cache = self.network, self.cache
@@ -110,7 +111,7 @@ class RasterService(Component):
             run, raster.rasterize_tiled, network, lattice_x, lattice_y, cache,
             resident,
         )
-        if resident is not None:
+        if resident.tiles is not None:
             return call()
         return await asyncio.get_running_loop().run_in_executor(None, call)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 

@@ -20,7 +20,7 @@ closed-loop drivers.  Determinism is by seeded ``numpy`` ``Generator`` only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 

@@ -22,7 +22,7 @@ import pytest
 from repro import Point, SINRDiagram, TileCache, WirelessNetwork
 from repro.engine import NumpyBackend
 from repro.exceptions import DiagramError, RasterCacheError
-from repro.model.diagram import RasterLattice
+from repro.model.diagram import RasterLattice, raster_lattices
 from repro.raster.cache import RETIRED_FINGERPRINTS
 from repro.service import RasterService
 from repro.workloads import uniform_random_network
@@ -102,6 +102,155 @@ class TestTiledBitIdentity:
             assert_rasters_identical(direct, again)
         assert cache.stats().hits > 0
 
+    #: World units per pixel of the edge-case requests: a power of two, so
+    #: box corners sit exactly on the lattice the request names.
+    PITCH = 1.0 / 8.0
+
+    @classmethod
+    def edge_requests(cls, size):
+        """``(name, start_x, count_x, start_y, count_y, phase)`` requests, in
+        pixels of the global lattice, for tile size ``size``."""
+        return [
+            # Start and stop inside tiles on all four sides, at negative
+            # tile indices too.
+            ("inside", -size - 3, 3 * size + 8, -2 * size + 5, 2 * size + 1, 0.0),
+            ("whole tiles", -size, 2 * size, 0, size, 0.0),
+            ("one tile, inner", 3, size - 7, -size + 2, size - 5, 0.0),
+            ("one whole tile", size, size, -size, size, 0.0),
+            # Two pixels wide: one pixel of each of two tiles, on each axis.
+            ("one-pixel overlaps", size - 1, 2, -1, 2 * size + 2, 0.0),
+            ("phase", -size - 3, 3 * size + 8, -2 * size + 5, 2 * size + 1, 0.37),
+        ]
+
+    @classmethod
+    def box(cls, start_x, count_x, start_y, count_y, phase):
+        """The ``rasterize`` arguments of a request, checked to name it."""
+        pitch = cls.PITCH
+        lower_left = Point((start_x + phase) * pitch, (start_y + phase) * pitch)
+        upper_right = Point(
+            lower_left.x + count_x * pitch, lower_left.y + count_y * pitch
+        )
+        resolution = max(count_x, count_y)
+        lattice_x, lattice_y = raster_lattices(lower_left, upper_right, resolution)
+        for lattice, start, count in (
+            (lattice_x, start_x, count_x), (lattice_y, start_y, count_y)
+        ):
+            assert (lattice.start, lattice.count) == (start, count)
+            assert lattice.pitch == pitch
+            assert (lattice.phase == 0.0) == (phase == 0.0)
+        return lower_left, upper_right, resolution
+
+    @pytest.mark.parametrize("tile_size", [16, 48, 64, 100])
+    def test_edge_requests_cold_warm_and_served(self, diagram, tile_size):
+        """Requests cut tiles on every side, fit in one tile, overlap tiles
+        by one pixel, sit at negative indices or off the zero-phase
+        lattice, with tile sizes that do not divide them: served cold and
+        warm through ``rasterize(cache=...)`` and through
+        :class:`RasterService`, each equals the uncached raster."""
+        cache = TileCache(tile_size=tile_size)
+        service = RasterService(
+            diagram.network, cache=TileCache(tile_size=tile_size)
+        )
+        for name, *request in self.edge_requests(tile_size):
+            box = self.box(*request)
+            direct = diagram.rasterize(*box)
+            cold = diagram.rasterize(*box, cache=cache)
+            misses = cache.stats().misses
+            warm = diagram.rasterize(*box, cache=cache)
+            assert cache.stats().misses == misses, name
+            served = [asyncio.run(service.rasterize(*box)) for _ in range(2)]
+            for raster in (cold, warm, *served):
+                assert_rasters_identical(direct, raster)
+
+    def test_one_pixel_lattices_match_the_uncached_labels(self, diagram):
+        """Lattices one pixel wide, which ``rasterize``'s resolution floor
+        of 2 cannot ask for, assemble through ``rasterize_tiled`` too."""
+        from repro import raster
+        from repro.engine import active_backend
+        from repro.model.diagram import RasterDiagram, raster_labels
+
+        cache = TileCache(tile_size=16)
+        for start_x, count_x, start_y, count_y in (
+            (-17, 1, -40, 37), (15, 1, 16, 1), (-1, 33, 7, 1)
+        ):
+            lattice_x = RasterLattice(self.PITCH, 0.0, start_x, count_x)
+            lattice_y = RasterLattice(self.PITCH, 0.0, start_y, count_y)
+            backend = active_backend()
+            labels = raster_labels(
+                diagram.network, lattice_x.centers(), lattice_y.centers(), backend
+            )
+            direct = RasterDiagram._with_deferred_sinr(
+                diagram.network, lattice_x, lattice_y, labels, backend
+            )
+            for _ in range(2):  # cold, then a full hit
+                assert_rasters_identical(
+                    direct,
+                    raster.rasterize_tiled(diagram.network, lattice_x, lattice_y, cache),
+                )
+
+    @staticmethod
+    def reference_assembly(tiles, lattice_x, lattice_y, size):
+        """The per-tile overlap loop the assembly replaced: each tile's
+        overlap with the request worked out from scratch, in global pixel
+        indices.  ``tiles`` maps ``(tile_x, tile_y)`` to a label block."""
+        gx0, gy0 = lattice_x.start, lattice_y.start
+        labels = np.empty((lattice_y.count, lattice_x.count), dtype=np.intp)
+        for tile_y in range(gy0 // size, (lattice_y.stop - 1) // size + 1):
+            for tile_x in range(gx0 // size, (lattice_x.stop - 1) // size + 1):
+                overlap_x0 = max(gx0, tile_x * size)
+                overlap_x1 = min(lattice_x.stop, (tile_x + 1) * size)
+                overlap_y0 = max(gy0, tile_y * size)
+                overlap_y1 = min(lattice_y.stop, (tile_y + 1) * size)
+                out_cols = slice(overlap_x0 - gx0, overlap_x1 - gx0)
+                out_rows = slice(overlap_y0 - gy0, overlap_y1 - gy0)
+                in_cols = slice(overlap_x0 - tile_x * size, overlap_x1 - tile_x * size)
+                in_rows = slice(overlap_y0 - tile_y * size, overlap_y1 - tile_y * size)
+                labels[out_rows, out_cols] = tiles[tile_x, tile_y][in_rows, in_cols]
+        return labels
+
+    def test_assembly_matches_the_reference_over_random_lattices(
+        self, diagram, seeded_rng, monkeypatch
+    ):
+        """Random tile contents, so a misplaced pixel cannot hide: the
+        assembly equals the reference loop on random lattices and tile
+        sizes, from resident tiles (a full hit) and from computed ones."""
+        import repro.raster.tiles as tiles_module
+        from repro import raster
+
+        network = diagram.network
+        for _ in range(40):
+            size = int(seeded_rng.choice([1, 2, 3, 7, 16, 48, 64, 100]))
+            phase = float(seeded_rng.choice([0.0, 0.03125]))
+            lattice_x, lattice_y = (
+                RasterLattice(
+                    self.PITCH, phase,
+                    int(seeded_rng.integers(-300, 300)),
+                    int(seeded_rng.integers(1, 250)),
+                )
+                for _ in range(2)
+            )
+            tiles = {
+                (tile_x, tile_y): seeded_rng.integers(
+                    -1, 1000, size=(size, size)
+                ).astype(np.intp)
+                for tile_y in range(lattice_y.start // size,
+                                    (lattice_y.stop - 1) // size + 1)
+                for tile_x in range(lattice_x.start // size,
+                                    (lattice_x.stop - 1) // size + 1)
+            }
+            monkeypatch.setattr(
+                tiles_module, "compute_tile",
+                lambda network, lx, ly, tile_x, tile_y, *rest: tiles[tile_x, tile_y],
+            )
+            expected = self.reference_assembly(tiles, lattice_x, lattice_y, size)
+            cache = TileCache(tile_size=size)
+            computed = raster.rasterize_tiled(network, lattice_x, lattice_y, cache)
+            resident = raster.rasterize_tiled(network, lattice_x, lattice_y, cache)
+            stats = cache.stats()
+            assert (stats.misses, stats.hits) == (len(tiles), len(tiles))
+            np.testing.assert_array_equal(computed.labels, expected)
+            np.testing.assert_array_equal(resident.labels, expected)
+
     def test_eviction_under_a_tiny_budget_stays_identical(self, diagram):
         box = (Point(-6.0, -6.0), Point(6.0, 6.0))
         probe = TileCache(tile_size=16)
@@ -168,6 +317,85 @@ class TestCacheStats:
         stats = cache.stats()
         assert stats.misses == misses
         assert stats.hits == 4 + 4
+
+    #: A scripted request sequence over ``noisy_network`` with 16 px tiles
+    #: at pitch 1/8 and a 20-tile budget.  Per step: its name, the network
+    #: it asks for (``None``: the swap moving station 3 by (0.2, 0.1)), its
+    #: box, then ``(hits, misses, rejected, evictions, rekeyed,
+    #: invalidated)`` and the LRU order (oldest first) after it, as the
+    #: per-tile assembly recorded them.  The straddling request asks for
+    #: the old network after the swap.
+    SEQUENCE = [
+        ("cold", "old", (Point(-3, -3), Point(3, 3), 48), (0, 16, 0, 0, 0, 0),
+         "-2,-2 -1,-2 0,-2 1,-2 -2,-1 -1,-1 0,-1 1,-1 -2,0 -1,0 0,0 1,0 "
+         "-2,1 -1,1 0,1 1,1"),
+        ("warm", "old", (Point(-3, -3), Point(3, 3), 48), (16, 16, 0, 0, 0, 0),
+         "-2,-2 -1,-2 0,-2 1,-2 -2,-1 -1,-1 0,-1 1,-1 -2,0 -1,0 0,0 1,0 "
+         "-2,1 -1,1 0,1 1,1"),
+        ("pan", "old", (Point(-1, -3), Point(5, 3), 48), (28, 20, 0, 0, 0, 0),
+         "-2,-2 -2,-1 -2,0 -2,1 -1,-2 0,-2 1,-2 2,-2 -1,-1 0,-1 1,-1 2,-1 "
+         "-1,0 0,0 1,0 2,0 -1,1 0,1 1,1 2,1"),
+        ("zoom", "old", (Point(-1, -1), Point(1, 1), 16), (32, 20, 0, 0, 0, 0),
+         "-2,-2 -2,-1 -2,0 -2,1 -1,-2 0,-2 1,-2 2,-2 1,-1 2,-1 1,0 2,0 "
+         "-1,1 0,1 1,1 2,1 -1,-1 0,-1 -1,0 0,0"),
+        ("evict", "old", (Point(5, -3), Point(7, -1), 16), (34, 22, 0, 2, 0, 0),
+         "-2,0 -2,1 -1,-2 0,-2 1,-2 1,-1 1,0 2,0 -1,1 0,1 1,1 2,1 "
+         "-1,-1 0,-1 -1,0 0,0 2,-2 3,-2 2,-1 3,-1"),
+        ("swap", None, None, (34, 22, 0, 2, 14, 6),
+         "-2,0 -2,1 -1,-2 0,-2 1,-2 1,-1 -1,1 -1,-1 0,-1 -1,0 "
+         "2,-2 3,-2 2,-1 3,-1"),
+        ("straddle", "old", (Point(-3, -3), Point(3, 3), 48), (44, 28, 6, 2, 14, 6),
+         "2,-2 3,-2 2,-1 3,-1 -1,-2 0,-2 1,-2 -1,-1 0,-1 1,-1 -2,0 -1,0 "
+         "-2,1 -1,1"),
+        ("after", "new", (Point(-1, -3), Point(5, 3), 48), (54, 34, 6, 2, 14, 6),
+         "3,-2 3,-1 -2,0 -2,1 -1,-2 0,-2 1,-2 2,-2 -1,-1 0,-1 1,-1 2,-1 "
+         "-1,0 0,0 1,0 2,0 -1,1 0,1 1,1 2,1"),
+    ]
+
+    @pytest.mark.parametrize("path", ["rasterize", "service"])
+    def test_a_scripted_sequence_keeps_counts_and_lru_order(
+        self, noisy_network, path
+    ):
+        """Cold, warm, pan, zoom, an eviction, a swap, a request straddling
+        it and one after it: the counters and the LRU order after every
+        step are the per-tile assembly's, through both serving paths."""
+        from repro.model import move_station
+        from repro.raster import invalidate_for_delta
+
+        moved, delta = move_station(noisy_network, 3, Point(6.2, 6.1))
+        networks = {"old": noisy_network, "new": moved}
+        tags = {network.fingerprint: tag for tag, network in networks.items()}
+        tile_bytes = 16 * 16 * np.dtype(np.intp).itemsize
+        cache = TileCache(max_bytes=20 * tile_bytes, tile_size=16)
+        service = RasterService(noisy_network, cache=cache)
+        straddler = RasterService(noisy_network, cache=cache)
+
+        def step(network, box):
+            if box is None:
+                if path == "service":
+                    service.swap_network(moved, delta)
+                else:
+                    invalidate_for_delta(cache, noisy_network, moved, delta)
+            elif path == "rasterize":
+                SINRDiagram(networks[network]).rasterize(*box, cache=cache)
+            elif service.network is networks[network]:
+                asyncio.run(service.rasterize(*box))
+            else:
+                asyncio.run(straddler.rasterize(*box))
+
+        swapped = False
+        for name, network, box, counts, order in self.SEQUENCE:
+            step(network, box)
+            swapped = swapped or box is None
+            stats = cache.stats()
+            assert (
+                stats.hits, stats.misses, stats.rejected, stats.evictions,
+                stats.rekeyed, stats.invalidated,
+            ) == counts, name
+            tag = "new" if swapped else "old"  # the swap re-keyed every tile
+            assert [
+                (tags[key[0]], f"{key[7]},{key[8]}") for key in cache._store
+            ] == [(tag, place) for place in order.split()], name
 
     @pytest.mark.parametrize("stations", [2, 12])
     def test_a_tile_holds_its_label_block_only(self, stations):

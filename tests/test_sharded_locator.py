@@ -13,13 +13,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Point
+from repro import Point, WirelessNetwork
+from repro.engine import heard_station_batch, sinr_batch, use_backend
 from repro.exceptions import NetworkConfigurationError, PointLocationError
+from repro.model import move_station
 from repro.pointlocation import (
     BruteForceLocator,
     KDMedianPartitioner,
     ShardedLocator,
     UniformTilePartitioner,
+    get_locator,
     get_partitioner,
 )
 from repro.workloads import (
@@ -175,8 +178,6 @@ class TestShardedExactness:
         np.testing.assert_array_equal(locator.locate_batch(pts), truth)
 
     def test_coincident_stations_route_to_first_index(self):
-        from repro import WirelessNetwork
-
         network = WirelessNetwork.uniform(
             [(0.0, 0.0), (0.0, 0.0), (6.0, 0.0), (6.0, 5.0)], beta=2.0
         )
@@ -197,10 +198,76 @@ class TestShardedExactness:
             assert locator.locate(Point(x, y)) == label
 
 
+class TestUlpBoundaries:
+    """Points within an ulp of a zone boundary, where a shard's own
+    interference sum must never exceed the full network's in floats."""
+
+    @staticmethod
+    def two_clusters(seed):
+        """12 stations in [0, 20]^2 and 12 shifted by 1e9, shuffled: the far
+        cluster's energy at a near point is below an ulp of the total."""
+        rng = np.random.default_rng(seed)
+        near = rng.uniform(0.0, 20.0, size=(12, 2))
+        far = rng.uniform(0.0, 20.0, size=(12, 2)) + 1e9
+        coords = np.vstack([near, far])[rng.permutation(24)]
+        network = WirelessNetwork.uniform(
+            [tuple(point) for point in coords], noise=0.0, beta=3.0
+        )
+        probes = near[rng.choice(12, 4, replace=False)]
+        return network, probes + rng.uniform(-0.6, 0.6, size=(4, 2))
+
+    @staticmethod
+    def ulp_neighbourhood(probe):
+        xs, ys = (
+            (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)) for c in probe
+        )
+        return np.array([(x, y) for x in xs for y in ys])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shards_agree_with_brute_force_at_exactly_beta(self, seed):
+        """Each probe is put exactly on its best station's boundary with
+        ``with_beta``.  A shard summing its stations in kd order rather
+        than ascending index could exceed the full sum by an ulp there and
+        reject the point."""
+        base, probes = self.two_clusters(seed)
+        sinr = sinr_batch(base, probes, backend="numpy")
+        checked = 0
+        for column, probe in enumerate(probes):
+            value = float(sinr[:, column].max())
+            if not 1.0 < value < np.inf:
+                continue
+            network = base.with_beta(value)
+            points = self.ulp_neighbourhood(probe)
+            expected = heard_station_batch(network, points, backend="numpy")
+            for name in ("sharded:voronoi", "sharded:brute-force"):
+                locator = get_locator(name).build(network, shards=2, partitioner="kd")
+                for backend in ("numpy", "float32-screen"):
+                    with use_backend(backend):
+                        np.testing.assert_array_equal(
+                            locator.locate_batch(points), expected,
+                            err_msg=f"{name} under {backend}, probe {column}",
+                        )
+            checked += 1
+        assert checked > 0
+
+    def test_shard_indices_stay_ascending_across_updates(self):
+        network = uniform_random_network(
+            16, side=16.0, minimum_separation=1.5, noise=0.002, beta=3.0, seed=8
+        )
+        locator = ShardedLocator(network, shards=4)
+        for shard in locator.shards:
+            assert np.all(np.diff(shard.indices) > 0)
+        moved = network
+        for step in range(3):
+            x, y = moved.coords[step]
+            moved, delta = move_station(moved, step, Point(x + 9.0, y - 7.0))
+            locator = locator.updated(moved, delta)
+            for shard in locator.shards:
+                assert np.all(np.diff(shard.indices) > 0)
+
+
 class TestShardedPreconditions:
     def test_requires_the_paper_regime(self):
-        from repro import WirelessNetwork
-
         low_beta = uniform_random_network(6, side=10.0, seed=1, beta=1.0)
         with pytest.raises(PointLocationError):
             ShardedLocator(low_beta)
