@@ -9,7 +9,12 @@ every answer bit-identical to brute force.
 
 The module sweeps shard counts and both partitioners, reports build and
 query throughput, and gates on the best sharded configuration beating the
-flat structure's query throughput.
+flat structure's query throughput.  Each configuration records whether it
+certifies from the station grid: one 200-station shard does, more shards
+keep their cheaper proposals.  An ungated stage ledger at the serving
+benchmark's shape (3,200 stations, 16 kd shards, float32 screen, 1,024-point
+batches) counts the points the grid certificate answers silent, proves and
+leaves to the shard routing.
 
 Set ``REPRO_BENCH_QUICK=1`` to shrink the workload (CI smoke mode) and
 ``REPRO_BENCH_MIN_SPEEDUP=<float>`` to override the speedup gate on slow or
@@ -26,7 +31,8 @@ import pytest
 from persist import record_benchmark, speedup_floor
 from repro.env import BENCH_QUICK, read_bool_knob
 from repro import Point
-from repro.pointlocation import get_locator
+from repro.engine import NO_RECEPTION, heard_station_batch, use_backend
+from repro.pointlocation import get_locator, sharded
 from repro.workloads import random_query_array, uniform_random_network
 
 QUICK = read_bool_knob(BENCH_QUICK)
@@ -83,7 +89,7 @@ def test_sharded_beats_flat_theorem3(workload):
         f"({1.0 / flat_seconds:,.0f} q/s), {flat.size_estimate()} cells"
     )
     print(f"{'configuration':>32} {'build s':>8} {'query us':>9} "
-          f"{'q/s':>12} {'vs flat':>8}")
+          f"{'q/s':>12} {'vs flat':>8} {'grid':>5}")
 
     best_speedup = 0.0
     sweep = [
@@ -112,14 +118,16 @@ def test_sharded_beats_flat_theorem3(workload):
         seconds = _query_seconds(locator, queries)
         speedup = flat_seconds / seconds
         best_speedup = max(best_speedup, speedup)
+        grid = locator._grid is not None
         rows[label] = {
             "build_seconds": round(build_seconds, 4),
+            "grid": grid,
             "qps": round(1.0 / seconds, 1),
             "speedup_vs_flat": round(speedup, 3),
         }
         print(
             f"{label:>32} {build_seconds:>8.2f} {seconds * 1e6:>9.2f} "
-            f"{1.0 / seconds:>12,.0f} {speedup:>7.2f}x"
+            f"{1.0 / seconds:>12,.0f} {speedup:>7.2f}x {str(grid):>5}"
         )
 
     record_benchmark(
@@ -157,3 +165,74 @@ def test_throughput_sharded_voronoi(benchmark, workload, shards):
     benchmark.extra_info["per_query_us"] = round(
         benchmark.stats.stats.mean / QUERY_COUNT * 1e6, 3
     )
+
+
+#: The serving benchmark's serve-large shape: its network (perfbench's
+#: ``make_network``, rebuilt here), locator, backend and batch size.
+LEDGER_STATIONS = 3200
+LEDGER_BATCH = 1024
+LEDGER_BATCHES = 10 if QUICK else 100
+
+
+@pytest.mark.paper
+def test_serve_large_stage_ledger(monkeypatch):
+    """Ungated: what each stage of ``sharded:voronoi`` decides at
+    serve-large's shape, and the time per batch.  Answers are checked
+    against the dense heard-station rule."""
+    side = 4.0 * LEDGER_STATIONS ** 0.5
+    network = uniform_random_network(
+        LEDGER_STATIONS, side=side, minimum_separation=1.5, noise=0.002,
+        beta=3.0, seed=1,
+    )
+    locator = get_locator("sharded:voronoi").build(
+        network, shards=16, partitioner="kd"
+    )
+    rng = np.random.default_rng(7)
+    batches = [
+        rng.uniform(-2.0, side + 2.0, size=(LEDGER_BATCH, 2))
+        for _ in range(LEDGER_BATCHES)
+    ]
+    with use_backend("float32-screen"):
+        grid_labels, candidates = [], [0]
+        certify, verify = sharded.nearest_or_silent_batch, sharded.received_at
+
+        def counted_certify(*args):
+            labels = certify(*args)
+            grid_labels.append(labels)
+            return labels
+
+        def counted_verify(net, stations, points, *rest):
+            candidates[0] += len(stations)
+            return verify(net, stations, points, *rest)
+
+        monkeypatch.setattr(sharded, "nearest_or_silent_batch", counted_certify)
+        monkeypatch.setattr(sharded, "received_at", counted_verify)
+        for batch in batches:
+            np.testing.assert_array_equal(
+                locator.locate_batch(batch),
+                heard_station_batch(network, batch, backend="numpy"),
+            )
+        monkeypatch.undo()
+        seconds = []
+        for batch in batches:
+            start = time.perf_counter()
+            locator.locate_batch(batch)
+            seconds.append(time.perf_counter() - start)
+    labels = np.concatenate(grid_labels)
+    points = LEDGER_BATCH * LEDGER_BATCHES
+    silent = int(np.count_nonzero(labels == NO_RECEPTION)) / points
+    proved = int(np.count_nonzero(labels >= 0)) / points
+    ledger = {
+        "stations": LEDGER_STATIONS,
+        "shards": 16,
+        "backend": "float32-screen",
+        "batch": LEDGER_BATCH,
+        "batches": LEDGER_BATCHES,
+        "grid_silent_share": round(silent, 5),
+        "grid_proved_share": round(proved, 5),
+        "routed_share": round(1.0 - silent - proved, 5),
+        "candidates_per_query": round(candidates[0] / points, 5),
+        "ms_per_batch_p50": round(float(np.median(seconds)) * 1e3, 3),
+    }
+    print(f"\nserve-large stage ledger: {ledger}")
+    record_benchmark("sharded_stage_ledger", ledger)

@@ -75,7 +75,10 @@ Architecture
     :func:`received_at` (the reception check of a given candidate) and
     :func:`received_mask`, :func:`nearest_received_batch` (the ``voronoi``
     locator's one query: the nearest station where it is received) and
-    :func:`nearest_station_batch` (``theorem3``'s candidate pass).
+    :func:`nearest_station_batch` (``theorem3``'s candidate pass), and
+    :func:`nearest_or_silent_batch` (each point's nearest station or its
+    silence, proved from a block of stations around it: the sharded
+    locator's grid certificate).
     Locators answer batches through their own ``locate_batch``.  Query
     points may be an ``(m, 2)`` array, a sequence of :class:`Point` or
     ``(x, y)`` tuples; a non-finite point hears no station
@@ -112,8 +115,10 @@ from .backend import (
 from .batch import (
     CHUNK_BYTES,
     NO_RECEPTION,
+    UNDECIDED,
     as_points_array,
     heard_station_batch,
+    nearest_or_silent_batch,
     nearest_received_batch,
     nearest_station_batch,
     points_per_chunk,
@@ -129,6 +134,7 @@ from .mixed_precision import Float32ScreenBackend, ScreenStats
 __all__ = [
     "CHUNK_BYTES",
     "NO_RECEPTION",
+    "UNDECIDED",
     "Float32ScreenBackend",
     "NumpyBackend",
     "QueryBackend",
@@ -140,6 +146,7 @@ __all__ = [
     "get_backend",
     "heard_station_batch",
     "kernels",
+    "nearest_or_silent_batch",
     "nearest_received_batch",
     "nearest_station_batch",
     "points_per_chunk",

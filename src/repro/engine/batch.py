@@ -53,12 +53,18 @@ __all__ = [
     "received_at",
     "nearest_station_batch",
     "nearest_received_batch",
+    "nearest_or_silent_batch",
     "heard_station_batch",
+    "UNDECIDED",
 ]
 
 #: Label returned by :func:`heard_station_batch` where no station is heard
 #: (matches :data:`repro.model.diagram.NO_RECEPTION`).
 NO_RECEPTION = -1
+
+#: Label returned by :func:`nearest_or_silent_batch` where it proves
+#: nothing.
+UNDECIDED = -2
 
 #: Byte budget for one engine call's ``(n_stations, chunk)`` temporaries:
 #: :func:`points_per_chunk` sizes chunks so :data:`_TEMPS_PER_CALL` float64
@@ -289,6 +295,48 @@ def nearest_received_batch(
     return _over_points(
         network, as_points_array(points), backend, "nearest_received",
         network.noise, network.beta, network.alpha, NO_RECEPTION,
+    )
+
+
+def nearest_or_silent_batch(
+    network: "WirelessNetwork",
+    points: PointsLike,
+    cells: np.ndarray,
+    blocks: np.ndarray,
+    boxes: np.ndarray,
+) -> np.ndarray:
+    """Each point's nearest station or its silence, proved from a block.
+
+    For a uniform power network with ``alpha = 2``.  ``points[j]`` lies
+    in cell ``cells[j]``; column ``c`` of ``blocks`` (``(k, cells)``)
+    lists cell ``c``'s block of stations in ascending index, padded with
+    ``len(network)``, and column ``c`` of ``boxes`` (``(4, cells)``) is
+    its box ``x0, y0, x1, y1``: every station outside the block has
+    ``x <= x0``, ``x >= x1``, ``y <= y0`` or ``y >= y1``.  Answers
+    ``NO_RECEPTION`` where the point provably hears no station,
+    :data:`UNDECIDED` where nothing is proved, and elsewhere the nearest
+    station (lowest index on exact ties), the only one that can be heard
+    there, still to be verified.  No rounding margin is involved: see
+    :func:`repro.engine.kernels.nearest_or_silent`.  It runs that float64
+    kernel whatever backend is active, and decides nothing a backend
+    would decide differently.
+    """
+    powers = network.powers_array()
+    if network.alpha != 2.0 or not (powers == powers[:1]).all():
+        raise EngineError(
+            "nearest_or_silent_batch needs uniform power and alpha = 2"
+        )
+    coords, power = network.coords, float(powers[0])
+    noise, beta = network.noise, network.beta
+    return _chunked(
+        lambda chunk, sl: kernels.nearest_or_silent(
+            coords, power, chunk, np.take(blocks, cells[sl], axis=1),
+            np.take(boxes, cells[sl], axis=1), noise, beta, NO_RECEPTION,
+            UNDECIDED,
+        ),
+        as_points_array(points),
+        len(blocks),
+        columns=False,
     )
 
 

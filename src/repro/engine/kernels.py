@@ -24,7 +24,9 @@ in the same order, bound every point's largest SINR from above with no
 rounding margin, and the dense pass runs only on the points whose bound
 reaches ``beta`` (see :func:`heard_station`).  On a 64 px raster tile of
 50 stations most pixels hear no station, and the certificate decides
-about 87% of them.
+about 87% of them.  :func:`nearest_or_silent` makes the same argument per
+point, from a block of stations around each point that the caller
+supplies (the sharded locator's grid).
 
 The rare-column rule: a column whose energy total is not finite — a point
 on or overflow-close to a station (co-located stations included), a NaN
@@ -80,6 +82,7 @@ __all__ = [
     "received_mask_at",
     "nearest_received",
     "heard_station",
+    "nearest_or_silent",
 ]
 
 #: How many stations, those nearest a call's bounding box, the silence
@@ -112,10 +115,23 @@ def pairwise_squared_distances(
         station_coordinates: array of shape ``(n_stations, 2)``.
         points: array of shape ``(n_points, 2)``.
     """
+    return _squared_distances(
+        station_coordinates[:, 0:1], station_coordinates[:, 1:2], points
+    )
+
+
+def _squared_distances(
+    xs: np.ndarray, ys: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """``dx * dx + dy * dy`` with ``dx = xs - px``, broadcast over columns.
+
+    ``xs`` and ``ys`` are ``(n, 1)`` station coordinates, or ``(k, m)``
+    coordinates of per-point station blocks.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        squared = station_coordinates[:, 0:1] - points[:, 0][None, :]
+        squared = xs - points[:, 0][None, :]
         np.multiply(squared, squared, out=squared)
-        dy = station_coordinates[:, 1:2] - points[:, 1][None, :]
+        dy = ys - points[:, 1][None, :]
         np.multiply(dy, dy, out=dy)
         squared += dy
     return squared
@@ -356,6 +372,79 @@ def _certified_silent(
         ratio += noise
         np.divide(largest, ratio, out=ratio)
         return (largest >= bound) & (ratio < beta)
+
+
+def nearest_or_silent(
+    station_coordinates: np.ndarray,
+    power: float,
+    points: np.ndarray,
+    blocks: np.ndarray,
+    boxes: np.ndarray,
+    noise: float,
+    beta: float,
+    no_reception: int = -1,
+    undecided: int = -2,
+) -> np.ndarray:
+    """Each point's nearest station, or its silence, proved from a block.
+
+    The silence certificate of :func:`heard_station`, per point, for a
+    uniform power network with ``alpha = 2``.  Column ``j`` of ``blocks``
+    (``(k, m)`` integers) lists a block of stations for ``points[j]`` in
+    ascending index, padded with ``n = len(station_coordinates)``; column
+    ``j`` of ``boxes`` (``(4, m)``) is a box ``x0, y0, x1, y1`` such that
+    every station outside the block has ``x <= x0``, ``x >= x1``,
+    ``y <= y0`` or ``y >= y1``.  Returns ``int64`` labels:
+
+    * ``undecided`` where nothing is proved;
+    * ``no_reception`` where the point provably hears no station;
+    * else the point's nearest station (lowest index on exact ties),
+      Observation 2.2's only candidate, which the caller verifies.
+
+    ``D`` is the smallest squared distance over the block, from the dense
+    pass's own expression, and ``G`` is the squared float gap from the
+    point to its box, ``g * g`` with ``g = max(0, min(px - x0, x1 - px,
+    py - y0, y1 - py))``.  The nearest station is proved when ``D < G``:
+    the dense pass's ``dx`` of a station with ``x >= x1`` is
+    ``fl(x - px) >= fl(x1 - px) >= g`` (rounding is monotone, and
+    ``fl(px - x0) = -fl(x0 - px)``), and adding ``dy * dy`` never lowers
+    it, so every station outside the block has a squared distance of at
+    least ``G``.  Under uniform power the nearest station then also has
+    the largest energy ``E`` at the point.  The block's energies, summed
+    row by row in ascending index (:func:`_column_totals`), give a
+    partial total ``P`` that is at most the dense pass's total, so
+    ``E / ((P - E) + noise) < beta`` proves silence exactly as in
+    :func:`heard_station`, with no rounding margin.  A NaN or infinity
+    fails a comparison and leaves its point undecided or unsilenced.
+    """
+    # The padding index n names a station at infinity: its energy is 0.
+    xs = np.append(station_coordinates[:, 0], np.inf)
+    ys = np.append(station_coordinates[:, 1], np.inf)
+    # Row-by-row sums need C order; an F-ordered block is summed pairwise.
+    blocks = np.ascontiguousarray(blocks)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        squared = _squared_distances(xs[blocks], ys[blocks], points)
+        closest = squared.min(axis=0)
+        axes = points.T
+        gaps = np.subtract(boxes[:2], axes)
+        np.negative(gaps, out=gaps)
+        np.minimum(gaps, np.subtract(boxes[2:], axes), out=gaps)
+        gap = gaps.min(axis=0)
+        np.maximum(gap, 0.0, out=gap)
+        np.multiply(gap, gap, out=gap)
+        proved = closest < gap
+        energies = _energies_in_place(
+            squared.copy(), np.full(len(squared), power), 2.0
+        )
+        largest = energies.max(axis=0)
+        ratio = np.subtract(_column_totals(energies), largest)
+        ratio += noise
+        np.divide(largest, ratio, out=ratio)
+    labels = np.where(proved, no_reception, undecided).astype(np.int64)
+    candidates = np.flatnonzero(proved & ~(ratio < beta))
+    labels[candidates] = blocks[
+        np.argmin(squared[:, candidates], axis=0), candidates
+    ]
+    return labels
 
 
 def _dense_heard(

@@ -156,19 +156,15 @@ class Grid:
 
         Applies the same floating-point drift guard as the scalar method (the
         computed cell must actually contain the point under the half-open
-        rule), so the answers agree exactly.
+        rule), so the answers agree exactly.  Both axes go through each
+        numpy call together.
         """
-        xs = points[:, 0]
-        ys = points[:, 1]
-        cols = np.floor((xs - self.origin.x) / self.spacing).astype(np.int64)
-        rows = np.floor((ys - self.origin.y) / self.spacing).astype(np.int64)
-        lower_x = self.origin.x + cols * self.spacing
-        lower_y = self.origin.y + rows * self.spacing
-        cols += xs >= lower_x + self.spacing
-        cols -= xs < lower_x
-        rows += ys >= lower_y + self.spacing
-        rows -= ys < lower_y
-        return cols, rows
+        origin = np.array([self.origin.x, self.origin.y])
+        cells = np.floor((points - origin) / self.spacing).astype(np.int64)
+        lower = origin + cells * self.spacing
+        cells += points >= lower + self.spacing
+        cells -= points < lower
+        return cells[:, 0], cells[:, 1]
 
     def cell(self, col: int, row: int) -> GridCell:
         """The cell with the given integer index."""

@@ -10,13 +10,18 @@ always summed over the full station set.
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro import Point, WirelessNetwork
+from repro import Point, Station, WirelessNetwork
 from repro.engine import heard_station_batch, sinr_batch, use_backend
 from repro.exceptions import NetworkConfigurationError, PointLocationError
-from repro.model import move_station
+from repro.model import add_station, move_station, remove_station
 from repro.pointlocation import (
     BruteForceLocator,
     KDMedianPartitioner,
@@ -24,6 +29,7 @@ from repro.pointlocation import (
     UniformTilePartitioner,
     get_locator,
     get_partitioner,
+    sharded,
 )
 from repro.workloads import (
     clustered_outliers_network,
@@ -31,7 +37,7 @@ from repro.workloads import (
     uniform_random_network,
 )
 
-from seeded_workloads import query_box_array
+from seeded_workloads import query_box_array, serving_network
 
 
 class TestPartitioners:
@@ -264,6 +270,152 @@ class TestUlpBoundaries:
             locator = locator.updated(moved, delta)
             for shard in locator.shards:
                 assert np.all(np.diff(shard.indices) > 0)
+
+
+class TestDifferentialFuzzAcrossDeltas:
+    """Random uniform and clustered networks of 13-200 stations under random
+    move / add / remove sequences applied through ``updated``: after every
+    delta the updated locator answers ``heard_station_batch``'s numpy bits
+    and a fresh build's, under both backends, at uniform and near-station
+    points.  Moves stay near the station, jump across the deployment or
+    land on another station.  Half the examples build the station grid
+    wherever it can be built, the others only where it pays."""
+
+    @given(
+        st.integers(13, 200),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(["near", "far", "stack", "add", "remove"]),
+                 min_size=1, max_size=5),
+    )
+    @settings(
+        max_examples=25, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_updates_answer_like_brute_force_and_a_fresh_build(
+        self, n, clustered, grid_everywhere, seed, steps
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            if grid_everywhere:
+                patch.setattr(sharded, "_BLOCK_COST", 0.0)
+            self.check_updates(n, clustered, seed, steps)
+
+    @staticmethod
+    def check_updates(n, clustered, seed, steps):
+        rng = np.random.default_rng(seed)
+        side = 4.0 * math.sqrt(n)
+        if clustered:
+            centres = rng.uniform(0.0, side, size=(3, 2))
+            coords = centres[rng.integers(3, size=n)] + rng.normal(
+                scale=side / 8.0, size=(n, 2)
+            )
+        else:
+            coords = rng.uniform(0.0, side, size=(n, 2))
+        network = WirelessNetwork.uniform(coords, noise=0.002, beta=3.0)
+        locator = get_locator("sharded:voronoi").build(network, shards=4)
+        for step in steps:
+            count = len(network)
+            index = int(rng.integers(count))
+            x, y = network.coords[index]
+            if step == "near":
+                dx, dy = rng.normal(scale=2.0, size=2)
+                network, delta = move_station(network, index, Point(x + dx, y + dy))
+            elif step == "far":
+                u, v = rng.uniform(-0.5 * side, 1.5 * side, size=2)
+                network, delta = move_station(network, index, Point(u, v))
+            elif step == "stack":
+                u, v = network.coords[(index + 1) % count]
+                network, delta = move_station(network, index, Point(u, v))
+            elif step == "add":
+                u, v = rng.uniform(0.0, side, size=2)
+                network, delta = add_station(network, Station.at(u, v))
+            elif count > 13:
+                network, delta = remove_station(network, index)
+            else:
+                continue
+            locator = locator.updated(network, delta)
+            coords = network.coords
+            low, high = coords.min(axis=0) - 2.0, coords.max(axis=0) + 2.0
+            points = np.vstack(
+                [
+                    rng.uniform(low, high, size=(400, 2)),
+                    coords[rng.integers(len(coords), size=100)]
+                    + rng.normal(scale=0.3, size=(100, 2)),
+                ]
+            )
+            fresh = get_locator("sharded:voronoi").build(network, shards=4)
+            expected = heard_station_batch(network, points, backend="numpy")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for backend in ("numpy", "float32-screen"):
+                    with use_backend(backend):
+                        np.testing.assert_array_equal(
+                            locator.locate_batch(points), expected
+                        )
+                        np.testing.assert_array_equal(
+                            fresh.locate_batch(points), expected
+                        )
+
+
+class TestStationGrid:
+    """The grid in front of the shard proposals: built only where they
+    cost more than its widest block, and rebuilt by ``updated``."""
+
+    @pytest.mark.parametrize(
+        "n, shards, built",
+        [(3200, 16, True), (200, 1, True), (200, 2, False), (200, 4, False)],
+    )
+    def test_built_where_the_proposals_cost_more(self, n, shards, built):
+        """Serve-large's shape and one 200-station shard take the grid;
+        200 stations split two or four ways keep the shard proposals."""
+        network = serving_network(n, seed=23 if n == 200 else 1)
+        locator = get_locator("sharded:voronoi").build(network, shards=shards)
+        assert (locator._grid is not None) is built
+        moved, delta = move_station(network, 7, Point(3.0, 4.0))
+        assert (locator.updated(moved, delta)._grid is not None) is built
+
+    @pytest.mark.parametrize("grid_everywhere", [False, True])
+    @pytest.mark.parametrize("far", [1e20, 2e160])
+    def test_moves_far_beyond_the_grid(self, monkeypatch, grid_everywhere, far):
+        """A station moved so far that no grid cell edge is exact there:
+        ``updated`` builds no grid, or one whose cells cover both ends,
+        and answers like brute force and a fresh build."""
+        if grid_everywhere:
+            monkeypatch.setattr(sharded, "_BLOCK_COST", 0.0)
+        network = serving_network(200, seed=23)
+        locator = get_locator("sharded:voronoi").build(network, shards=1)
+        assert locator._grid is not None
+        rng = np.random.default_rng(5)
+        side = 4.0 * math.sqrt(200)
+        for index, x in ((3, far), (3, 12.5), (150, far)):
+            network, delta = move_station(network, index, Point(x, 0.0))
+            locator = locator.updated(network, delta)
+            points = np.vstack(
+                [
+                    rng.uniform(-2.0, side + 2.0, size=(2000, 2)),
+                    network.coords + rng.normal(scale=0.3, size=(200, 2)),
+                    [[far, 0.0], [far, 0.25], [np.nextafter(far, 0.0), 0.0]],
+                ]
+            )
+            expected = heard_station_batch(network, points, backend="numpy")
+            fresh = get_locator("sharded:voronoi").build(network, shards=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                # The float32 screen's own cast of coordinates past float32's
+                # range warns; the grid and the verification must not.
+                warnings.filterwarnings(
+                    "ignore", "overflow encountered in cast", RuntimeWarning
+                )
+                for backend in ("numpy", "float32-screen"):
+                    with use_backend(backend):
+                        np.testing.assert_array_equal(
+                            locator.locate_batch(points), expected
+                        )
+                        np.testing.assert_array_equal(
+                            fresh.locate_batch(points), expected
+                        )
+            assert (expected[-3:] >= 0).any() == (x == far)
 
 
 class TestShardedPreconditions:
