@@ -26,8 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from persist import record_benchmark, speedup_floor
-from repro.env import BENCH_QUICK, read_bool_knob
+from persist import quick_mode, record_benchmark, speedup_floor
 from repro import Point, SINRDiagram
 from repro.engine import heard_station_batch, sinr_batch
 from repro.pointlocation import (
@@ -37,7 +36,7 @@ from repro.pointlocation import (
 )
 from repro.workloads import random_query_array, uniform_random_network
 
-QUICK = read_bool_knob(BENCH_QUICK)
+QUICK = quick_mode()
 STATION_COUNT = 10 if QUICK else 50
 QUERY_COUNT = 500 if QUICK else 10_000
 SCALAR_SAMPLE = 100 if QUICK else 1_000  # scalar loops are timed on a subsample

@@ -35,15 +35,14 @@ import time
 import numpy as np
 import pytest
 
-from persist import record_benchmark, speedup_floor
-from repro.env import BENCH_QUICK, read_bool_knob
+from persist import quick_mode, record_benchmark, speedup_floor
 from repro import Point, SINRDiagram, TileCache
 from repro.model import move_station
 from repro.pointlocation import ShardedLocator, get_locator
 from repro.raster import invalidate_for_delta
 from repro.workloads import random_query_array, uniform_random_network
 
-QUICK = read_bool_knob(BENCH_QUICK)
+QUICK = quick_mode()
 STATION_COUNT = 50 if QUICK else 200
 QUERY_COUNT = 2_000 if QUICK else 20_000
 SHARDS = 8 if QUICK else 16

@@ -23,14 +23,13 @@ import time
 import numpy as np
 import pytest
 
-from persist import record_benchmark, speedup_floor
-from repro.env import BENCH_QUICK, read_bool_knob
+from persist import quick_mode, record_benchmark, speedup_floor
 from repro import Point
 from repro.engine import get_backend, heard_station_batch, nearest_received_batch
 from repro.engine import batch as batch_module
 from repro.workloads import random_query_array, uniform_random_network
 
-QUICK = read_bool_knob(BENCH_QUICK)
+QUICK = quick_mode()
 STATION_COUNT = 40 if QUICK else 200
 QUERY_COUNT = 5_000 if QUICK else 100_000
 

@@ -49,8 +49,7 @@ import time
 import numpy as np
 import pytest
 
-from persist import record_benchmark, speedup_floor
-from repro.env import BENCH_QUICK, read_bool_knob
+from persist import quick_mode, record_benchmark, speedup_floor
 from repro import Point, SINRDiagram, TileCache
 from repro.engine import sinr_batch
 from repro.model.diagram import RasterLattice
@@ -58,7 +57,7 @@ from repro.raster import compute_tile
 from repro.service import RasterService
 from repro.workloads import uniform_random_network
 
-QUICK = read_bool_knob(BENCH_QUICK)
+QUICK = quick_mode()
 STATION_COUNT = 20
 RESOLUTION = 96 if QUICK else 192
 

@@ -37,8 +37,7 @@ import time
 import numpy as np
 import pytest
 
-from persist import record_benchmark, speedup_floor
-from repro.env import BENCH_QUICK, read_bool_knob
+from persist import quick_mode, record_benchmark, speedup_floor
 from repro.pointlocation import build_locator
 from repro.service import QueryService, serve_points
 from repro.workloads import (
@@ -48,7 +47,7 @@ from repro.workloads import (
 )
 from repro import Point
 
-QUICK = read_bool_knob(BENCH_QUICK)
+QUICK = quick_mode()
 STATION_COUNT = 50
 QUERY_COUNT = 2_000 if QUICK else 10_000
 PAIRS = 3

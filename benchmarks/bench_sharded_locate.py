@@ -28,14 +28,13 @@ import time
 import numpy as np
 import pytest
 
-from persist import record_benchmark, speedup_floor
-from repro.env import BENCH_QUICK, read_bool_knob
+from persist import quick_mode, record_benchmark, speedup_floor
 from repro import Point
 from repro.engine import NO_RECEPTION, heard_station_batch, use_backend
 from repro.pointlocation import get_locator, sharded
 from repro.workloads import random_query_array, uniform_random_network
 
-QUICK = read_bool_knob(BENCH_QUICK)
+QUICK = quick_mode()
 STATION_COUNT = 50 if QUICK else 200
 QUERY_COUNT = 2_000 if QUICK else 20_000
 SHARD_COUNTS = (1, 4, 8) if QUICK else (1, 2, 4, 8, 16)

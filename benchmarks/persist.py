@@ -13,10 +13,9 @@ which ``perfbench/run.py`` prints as ``src_digest`` — so a run on an
 uncommitted working tree is filed under that tree, not under the commit
 it started from, and records the machine beside it (:func:`machine`:
 nproc, numpy version, CPU model).  A quick smoke run resets only the
-``quick`` group, so the committed full-scale results survive CI.  The
-quick flag follows the project's boolean-knob semantics (see
-:func:`quick_mode`): ``REPRO_BENCH_QUICK=0`` / ``=false`` / unset mean a
-full run, anything else means quick.  Within a group the file holds
+``quick`` group, so the committed full-scale results survive CI.
+``REPRO_BENCH_QUICK=0`` / ``=false`` / unset mean a full run, anything
+else means quick (:func:`quick_mode`).  Within a group the file holds
 exactly one digest and machine — a run of other code, or on another
 machine, resets that group's results rather than appending, so the
 committed file always describes the tree it sits in.  Sections merge,
@@ -25,6 +24,10 @@ letting independent bench modules (``bench_engine_batch``,
 read-merge-write cycle is serialised under an advisory file lock, so
 concurrent writers (``pytest-xdist``, parallel CI legs) never lose each
 other's sections.
+
+This module is also the one reader of the environment in the project:
+the library reads none, and every bench module takes its quick flag from
+:func:`quick_mode` and its gate floors from :func:`speedup_floor`.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import hashlib
 import json
 import os
 import platform
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, Optional
@@ -43,7 +47,9 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
 
 __all__ = [
+    "BENCH_MIN_SPEEDUP",
     "BENCH_PATH",
+    "BENCH_QUICK",
     "machine",
     "quick_mode",
     "record_benchmark",
@@ -55,6 +61,15 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Default output path, at the repo root next to ROADMAP.md.
 BENCH_PATH = os.path.join(_REPO_ROOT, "BENCH_engine.json")
+
+#: Shrinks every benchmark workload to a CI smoke run (:func:`quick_mode`).
+BENCH_QUICK = "REPRO_BENCH_QUICK"
+
+#: Overrides the calibrated floors of the speedup gates (:func:`speedup_floor`).
+BENCH_MIN_SPEEDUP = "REPRO_BENCH_MIN_SPEEDUP"
+
+#: Spellings of ``REPRO_BENCH_QUICK`` that mean a full run.
+_FALSE_TOKENS = frozenset({"", "0", "false", "no", "off"})
 
 _SCHEMA = 3
 
@@ -97,30 +112,37 @@ def machine() -> Dict[str, str]:
 def quick_mode() -> bool:
     """Whether this run is a shrunken CI smoke (``REPRO_BENCH_QUICK``).
 
-    Boolean knob semantics via :func:`repro.env.read_bool_knob`: unset,
-    ``""``, ``"0"``, ``"false"``, ``"no"`` and ``"off"`` (any case) mean a
-    full run; anything else enables quick mode.  An earlier
-    ``bool(read_knob(...))`` treated *any* non-empty value as quick —
-    ``REPRO_BENCH_QUICK=0`` silently shrank what was meant to be a full
-    run, poisoning the recorded full-group trajectory.
+    Unset, ``""``, ``"0"``, ``"false"``, ``"no"`` and ``"off"`` (any case,
+    surrounding whitespace ignored) mean a full run; anything else enables
+    quick mode.  An earlier ``bool(value)`` treated *any* non-empty value as
+    quick — ``REPRO_BENCH_QUICK=0`` silently shrank what was meant to be a
+    full run, poisoning the recorded full-group trajectory.
     """
-    from repro.env import BENCH_QUICK, read_bool_knob
-
-    return read_bool_knob(BENCH_QUICK)
+    return os.environ.get(BENCH_QUICK, "").strip().lower() not in _FALSE_TOKENS
 
 
 def speedup_floor(default: float) -> float:
     """A benchmark gate's minimum speedup: ``default`` unless overridden.
 
     ``REPRO_BENCH_MIN_SPEEDUP`` replaces the calibrated ``default`` (CI
-    sets 1.0–2.0 for its slower runners).  The knob is read through
-    :func:`repro.env.read_float_knob`, so a malformed, zero or negative
-    value warns and keeps ``default``: a typo can neither switch a gate
-    off nor crash the bench.
+    sets 1.0–2.0 for its slower runners).  An unset or empty value keeps
+    ``default``; a malformed, zero, negative or NaN one warns and keeps it
+    too: a typo can neither switch a gate off nor crash the bench.
     """
-    from repro.env import BENCH_MIN_SPEEDUP, read_float_knob
-
-    return read_float_knob(BENCH_MIN_SPEEDUP, default)
+    raw = os.environ.get(BENCH_MIN_SPEEDUP, "")
+    if raw.strip():
+        try:
+            configured = float(raw)
+        except ValueError:
+            configured = float("nan")
+        if configured > 0.0:
+            return configured
+        warnings.warn(
+            f"ignoring invalid {BENCH_MIN_SPEEDUP}={raw!r} (expected a "
+            f"positive number); using {default}",
+            stacklevel=2,
+        )
+    return default
 
 
 @contextmanager

@@ -17,10 +17,8 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
-    # Ship the PEP 561 typing marker and the linter's committed baseline so
-    # installed copies type-check and `python -m repro.lint` behaves exactly
-    # like an in-tree run.
-    package_data={"repro": ["py.typed", "lint/baseline.json"]},
+    # Ship the PEP 561 typing marker so installed copies type-check.
+    package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={
@@ -28,8 +26,8 @@ setup(
             "pytest",
             "pytest-benchmark",
         ],
-        # Static-analysis toolchain (the reprolint linter itself is
-        # pure-stdlib and needs nothing).
+        # Static-analysis toolchain (the project invariants are tests and
+        # need only the test extra).
         "dev": [
             "mypy>=1.0",
             "ruff>=0.4",

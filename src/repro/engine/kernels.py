@@ -5,8 +5,8 @@ Every kernel operates on raw arrays — station coordinates of shape
 shape ``(n_points, 2)`` — and returns arrays, never scalars or
 :class:`~repro.geometry.point.Point` objects.  The kernels are the single
 source of truth for bulk SINR arithmetic, reached through the chunked
-batch query API of :mod:`repro.engine.batch` (reprolint RL005 keeps every
-other layer out).
+batch query API of :mod:`repro.engine.batch` (project invariant RL005 in
+``tests/invariants.py`` keeps every other layer out).
 
 Each kernel call makes one in-place energy pass: squared distances are
 computed in one ``(n, m)`` buffer and overwritten with the energies they

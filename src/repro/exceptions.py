@@ -75,14 +75,6 @@ class WorkloadError(ReproError, ValueError):
     """
 
 
-class LintError(ReproError):
-    """Raised by :mod:`repro.lint` for unusable linter input.
-
-    Examples: a missing lint path, an unknown rule id, or a baseline file
-    that is malformed or missing a written justification.
-    """
-
-
 class ServiceError(ReproError):
     """Raised for invalid query-service configuration or lifecycle misuse.
 

@@ -74,6 +74,19 @@ class NetworkDelta:
     params_changed: bool = False
 
     def __post_init__(self) -> None:
+        leaving = list(self.removed) + [old for old, _ in self.moved]
+        arriving = list(self.added) + [new for _, new in self.moved]
+        for side, count, indices in (
+            ("old", self.old_count, leaving),
+            ("new", self.new_count, arriving),
+        ):
+            if len(set(indices)) != len(indices) or not all(
+                0 <= index < count for index in indices
+            ):
+                raise NetworkConfigurationError(
+                    f"inconsistent delta: the {side}-network indices it touches, "
+                    f"{sorted(indices)}, repeat or fall outside [0, {count})"
+                )
         survivors = self.old_count - len(self.removed) - len(self.moved)
         if survivors + len(self.moved) + len(self.added) != self.new_count:
             raise NetworkConfigurationError(
@@ -125,18 +138,13 @@ class NetworkDelta:
         as "left here, arrived there" and re-place it from
         :attr:`touched_new`.
         """
-        mapping = np.empty(self.old_count, dtype=np.int64)
-        dropped = set(self.removed) | {old for old, _ in self.moved}
-        incoming = set(self.added) | {new for _, new in self.moved}
-        new_index = 0
-        for old_index in range(self.old_count):
-            if old_index in dropped:
-                mapping[old_index] = -1
-                continue
-            while new_index in incoming:
-                new_index += 1
-            mapping[old_index] = new_index
-            new_index += 1
+        kept_old = np.ones(self.old_count, dtype=bool)
+        kept_old[list(self.touched_old)] = False
+        kept_new = np.ones(self.new_count, dtype=bool)
+        kept_new[list(self.touched_new)] = False
+        mapping = np.full(self.old_count, -1, dtype=np.int64)
+        # Survivors keep their relative order: pair them up in index order.
+        mapping[kept_old] = np.flatnonzero(kept_new)
         return mapping
 
     def describe(self) -> str:

@@ -171,7 +171,7 @@ class WirelessNetwork:
 
     def is_uniform_power(self) -> bool:
         """True if every station transmits with power 1 (``psi = 1-bar``)."""
-        return all(station.power == 1.0 for station in self.stations)
+        return bool((self.powers_array() == 1.0).all())
 
     def is_trivial(self) -> bool:
         """True for the paper's *trivial* network: 2 stations, N = 0, beta = 1.

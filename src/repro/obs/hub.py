@@ -34,10 +34,11 @@ race — and CPU-bound Python in an executor thread holds the GIL in
 switch-interval slices, stalling the batcher's seal deadlines far longer
 than the sample itself costs.  Sink *fan-out* runs on an executor thread:
 sinks may write files, and one slow sink must not stall the loop
-(reprolint RL003); the record they receive is immutable, so handing it
-across threads is safe.  A source or sink that raises is skipped for that
-tick and counted (``source_errors`` / ``sink_errors``); observability
-failures never take down the service being observed.
+(project invariant RL003, ``tests/invariants.py``); the record they
+receive is immutable, so handing it across threads is safe.  A source or
+sink that raises is skipped for that tick and counted (``source_errors`` /
+``sink_errors``); observability failures never take down the service
+being observed.
 """
 
 from __future__ import annotations

@@ -52,6 +52,7 @@ __all__ = [
     "radius_bounds",
     "reach_box",
     "reach_margin",
+    "require_theorem_4_1_regime",
     "station_reaches",
 ]
 
@@ -77,15 +78,40 @@ class RadiusBounds:
         return self.Delta_upper / self.delta_lower
 
 
+def require_theorem_4_1_regime(network: WirelessNetwork, user: str) -> None:
+    """Refuse a network outside the regime of Theorem 4.1.
+
+    The regime is uniform power, ``beta > 1`` and ``alpha = 2``: the radius
+    bounds are derived there, and a larger exponent lets a zone reach
+    further than they say (at ``alpha = 4`` a two-station zone reaches
+    ``kappa / (beta**0.25 - 1)``, 3.16 ``kappa`` at ``beta = 3``, against
+    the 1.37 ``kappa`` of the bound).  ``user`` names what needs the regime
+    in the :class:`~repro.exceptions.PointLocationError` raised.
+    """
+    if not network.is_uniform_power():
+        condition = "a uniform power network"
+    elif network.beta <= 1.0:
+        condition = "beta > 1"
+    elif network.alpha != 2.0:
+        condition = "alpha = 2"
+    else:
+        return
+    raise PointLocationError(f"{user}: Theorem 4.1 requires {condition}")
+
+
 def explicit_radius_bounds(network: WirelessNetwork, index: int) -> RadiusBounds:
     """The explicit bounds of Theorem 4.1 for station ``index``.
 
-    Requires a uniform power network with ``beta > 1`` whose station ``index``
-    does not share its location with another station.  Where ``kappa**2``
-    overflows, both bounds take the overflow-safe form of
-    :func:`station_reaches`, rounded one ulp outward.
+    Requires the regime of Theorem 4.1 (:func:`require_theorem_4_1_regime`)
+    and a station ``index`` that does not share its location with another
+    station.  Where ``kappa**2`` overflows, both bounds take the
+    overflow-safe form of :func:`station_reaches`, rounded one ulp outward.
     """
-    _require_uniform_nondegenerate(network, index)
+    require_theorem_4_1_regime(network, "the radius bounds")
+    if network.location_is_shared(index):
+        raise PointLocationError(
+            "the reception zone is degenerate: another station shares the location"
+        )
     beta = network.beta
     noise = network.noise
     n = len(network)
@@ -154,24 +180,9 @@ def station_reaches(
     ulps past the bound can be heard by brute force yet fall outside a
     routing box built from it.
 
-    Requires the Theorem 4.1 regime (uniform power, ``beta > 1``,
-    ``alpha = 2``): the bound is derived for ``alpha = 2``, and a larger
-    exponent lets a zone reach further (at ``alpha = 4`` a two-station
-    zone reaches ``kappa / (beta**0.25 - 1)``, 3.16 ``kappa`` at
-    ``beta = 3``, against the 1.37 ``kappa`` this bound gives).
+    Requires the regime of Theorem 4.1 (:func:`require_theorem_4_1_regime`).
     """
-    if not network.is_uniform_power():
-        raise PointLocationError(
-            "the radius bounds of Theorem 4.1 require a uniform power network"
-        )
-    if network.beta <= 1.0:
-        raise PointLocationError(
-            "the radius bounds of Theorem 4.1 require beta > 1"
-        )
-    if network.alpha != 2.0:
-        raise PointLocationError(
-            "the radius bounds of Theorem 4.1 require alpha = 2"
-        )
+    require_theorem_4_1_regime(network, "the station reaches")
     coords = network.coords
     with np.errstate(over="ignore"):
         if indices is None:
@@ -323,7 +334,6 @@ def improved_radius_bounds(
     The resulting ratio ``Delta_tilde / delta_tilde <= c^2`` is independent of
     the number of stations.
     """
-    _require_uniform_nondegenerate(network, index)
     explicit = explicit_radius_bounds(network, index)
     zone = ReceptionZone(network=network, index=index)
     boundary_distance = zone.boundary_distance_along_ray(
@@ -374,10 +384,9 @@ def measured_radius_bounds(
     padded by :data:`~repro.engine.certify.MEASURED_PAD` against
     floating-point slop.  The rays are probed to a gap relative to the
     Theorem 4.1 ``Delta_upper`` (:func:`~repro.engine.certify.probe_tolerance`),
-    so the pad covers it at every coordinate scale.  Requires the Theorem 1
-    regime (uniform power, ``beta > 1``, ``alpha = 2``).
+    so the pad covers it at every coordinate scale.  Requires what
+    :func:`explicit_radius_bounds` requires.
     """
-    _require_uniform_nondegenerate(network, index)
     if rays < 8:
         raise PointLocationError("measured_radius_bounds() needs at least 8 rays")
     explicit = explicit_radius_bounds(network, index)
@@ -470,18 +479,3 @@ def _outward_normal(polynomial, point: Point, station: Point) -> Point:
         return radial / radial_norm
     return gradient / norm
 
-
-def _require_uniform_nondegenerate(network: WirelessNetwork, index: int) -> None:
-    """Validate the preconditions shared by both bound computations."""
-    if not network.is_uniform_power():
-        raise PointLocationError(
-            "the radius bounds of Theorem 4.1 require a uniform power network"
-        )
-    if network.beta <= 1.0:
-        raise PointLocationError(
-            "the radius bounds of Theorem 4.1 require beta > 1"
-        )
-    if network.location_is_shared(index):
-        raise PointLocationError(
-            "the reception zone is degenerate: another station shares the location"
-        )

@@ -46,7 +46,7 @@ from ..exceptions import PointLocationError
 from ..geometry.point import Point
 from ..model.network import WirelessNetwork
 from ..model.reception import ReceptionZone
-from .bounds import RadiusBounds, radius_bounds
+from .bounds import RadiusBounds, radius_bounds, require_theorem_4_1_regime
 from .qds import (
     INSIDE_CODE,
     UNCERTAIN_CODE,
@@ -127,14 +127,7 @@ class PointLocationStructure:
     ):
         if not 0.0 < epsilon < 1.0:
             raise PointLocationError(f"epsilon must be in (0, 1), got {epsilon}")
-        if not network.is_uniform_power():
-            raise PointLocationError(
-                "the point-location structure requires a uniform power network"
-            )
-        if network.beta <= 1.0:
-            raise PointLocationError("the point-location structure requires beta > 1")
-        if network.alpha != 2.0:
-            raise PointLocationError("the point-location structure requires alpha = 2")
+        require_theorem_4_1_regime(network, "the point-location structure")
 
         self.network = network
         self.epsilon = epsilon

@@ -66,8 +66,10 @@ routing box against the new network (an untouched station's certified reach
 still shifts when its nearest neighbour moved, and the Theorem 4.1 bound is
 not monotone in that distance under noise — stale boxes would not be
 conservative).  Recomputing every reach is one sorted nearest-neighbour
-sweep (:func:`~repro.pointlocation.bounds.station_reaches`): ``O(n)``
-memory and ~10 ms at 3200 stations, so it no longer dominates the update.
+sweep (:func:`~repro.pointlocation.bounds.station_reaches`) in ``O(n)``
+memory, and it is most of the update: on the serving benchmark's network
+(3,200 stations, 16 kd shards, one random-waypoint move per update, 2-vCPU
+VM) it takes 4.6–5.1 ms of a 5.5–6.0 ms median :meth:`ShardedLocator.updated`.
 Unchanged shards keep their already-built inner locator object: its
 subnetwork view contains exactly the same stations, and inner proposals
 never depend on the rest of the network.  The grid of step 0 is rebuilt,
@@ -104,7 +106,7 @@ from ..geometry.grid import Grid
 from ..geometry.point import Point
 from ..model.delta import NetworkDelta, diff_networks
 from ..model.network import WirelessNetwork
-from .bounds import reach_box, station_reaches
+from .bounds import reach_box, require_theorem_4_1_regime, station_reaches
 from .registry import Locator, get_locator, register_locator
 
 __all__ = ["ShardedLocator", "ShardInfo", "ShardUpdateReport"]
@@ -376,7 +378,7 @@ class ShardedLocator:
         partitioner: object = "kd",
         inner_options: Optional[dict] = None,
     ):
-        self._validate_network(network)
+        require_theorem_4_1_regime(network, "sharded point location")
         shards = positive_int("the shard count", shards, PointLocationError)
 
         from .partition import get_partitioner
@@ -411,18 +413,6 @@ class ShardedLocator:
     def build(cls, network: WirelessNetwork, **options) -> "ShardedLocator":
         """Registry factory: options forward to the constructor."""
         return cls(network, **options)
-
-    @staticmethod
-    def _validate_network(network: WirelessNetwork) -> None:
-        if not network.is_uniform_power():
-            raise PointLocationError(
-                "sharded point location requires a uniform power network "
-                "(Theorem 4.1 certifies the routing reach only there)"
-            )
-        if network.beta <= 1.0:
-            raise PointLocationError("sharded point location requires beta > 1")
-        if network.alpha != 2.0:
-            raise PointLocationError("sharded point location requires alpha = 2")
 
     @staticmethod
     def _query_box(
@@ -518,7 +508,7 @@ class ShardedLocator:
             )
         if delta.params_changed:
             return self._full_rebuild(new_network, delta)
-        self._validate_network(new_network)
+        require_theorem_4_1_regime(new_network, "sharded point location")
 
         new_coords = new_network.coords
         mapping = delta.surviving_map()

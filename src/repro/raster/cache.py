@@ -271,8 +271,8 @@ class TileCache:
         A tile larger than the whole budget, or keyed by a retired
         fingerprint, is not stored and counts as rejected; the caller still
         serves it.  The ``_locked`` suffix is the lock-discipline convention
-        (reprolint RL002): the caller holds ``self._lock`` for the whole
-        call.
+        (project invariant RL002, ``tests/invariants.py``): the caller
+        holds ``self._lock`` for the whole call.
         """
         nbytes = tile.nbytes
         if nbytes > self.max_bytes or key[0] in self._retired:

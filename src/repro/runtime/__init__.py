@@ -18,9 +18,9 @@ stack used to hand-roll now live here, written once:
   :meth:`~repro.service.QueryService.swap_network` delegates to.
 
 Everything above the foundations (engine, pointlocation, service, raster,
-obs) builds on this package; reprolint rule RL010 keeps it that
-way by flagging ad-hoc ContextVar registries and hand-rolled start/stop
-state machines anywhere else.
+obs) builds on this package; project invariant RL010
+(``tests/invariants.py``) keeps it that way by flagging ad-hoc ContextVar
+registries and hand-rolled start/stop state machines anywhere else.
 """
 
 from .component import Component, Runtime, StatsSource

@@ -20,9 +20,10 @@ written once:
 
 Subclasses implement only :meth:`Component._do_start` and
 :meth:`Component._do_stop`; the guards, the state, and the context
-manager live here — which is also what makes reprolint rule RL010
-enforceable: a class outside :mod:`repro.runtime` that defines its own
-``start``/``stop`` pair is re-growing the machinery this module unified.
+manager live here — which is also what makes project invariant RL010
+(``tests/invariants.py``) enforceable: a class outside :mod:`repro.runtime`
+that defines its own ``start``/``stop`` pair is re-growing the machinery
+this module unified.
 
 :class:`Runtime` is the composition root of one serving process: declare
 named components (dependencies first), ``start()`` boots them in

@@ -1,10 +1,10 @@
-"""The environment-knob inventory: declared once, honoured everywhere.
+"""The environment knobs and the README inventories that list them.
 
-:data:`repro.env.KNOBS` is the one list of environment knobs the package
-and its harnesses read.  These tests pin that the inventory and everything
-around it agree: undeclared names cannot be read; every knob name the
-code, benchmarks, examples, CI and README mention is declared; and the
-README knob table lists each declared knob with its declared default.  The
+The project honours two environment knobs, both read by the benchmark
+harness (``benchmarks/persist.py``); the library reads none.  These tests
+pin that the README and everything around it agree: every ``REPRO_*``
+name the code, benchmarks, examples, CI and README mention is one of the
+two, and the README knob table lists both as unset by default.  The
 README's backend table and install lines are pinned the same way, against
 the registered backends and the extras ``setup.py`` declares.
 """
@@ -13,15 +13,21 @@ from __future__ import annotations
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro import env
 from repro.engine import available_backends
-from repro.exceptions import ReproError
 
 REPO = Path(__file__).resolve().parent.parent
+
+sys.path.insert(0, str(REPO / "benchmarks"))
+
+import persist  # noqa: E402  (needs the benchmarks/ dir on sys.path first)
+
+#: The knobs ``persist`` reads: the only environment variables honoured.
+KNOBS = {persist.BENCH_QUICK, persist.BENCH_MIN_SPEEDUP}
 
 KNOB_NAME = re.compile(r"\bREPRO_[A-Z0-9_]+")
 
@@ -49,54 +55,28 @@ def readme_knob_rows():
 
 
 class TestInventory:
-    def test_undeclared_names_cannot_be_read(self):
-        with pytest.raises(ReproError, match="undeclared environment knob"):
-            env.read_knob("REPRO_NOT_A_KNOB")
-
-    def test_unset_knob_reads_the_callers_default(self, monkeypatch):
-        monkeypatch.delenv(env.BENCH_MIN_SPEEDUP, raising=False)
-        assert env.read_knob(env.BENCH_MIN_SPEEDUP, "fallback") == "fallback"
-
-    def test_module_constants_name_exactly_the_declared_knobs(self):
-        constants = {
-            getattr(env, name)
-            for name in env.__all__
-            if name.isupper() and isinstance(getattr(env, name), str)
-        }
-        assert constants == set(env.KNOBS)
-
-    @pytest.mark.parametrize("name", sorted(env.KNOBS))
-    def test_declared_knob_is_namespaced_and_described(self, name):
-        knob = env.KNOBS[name]
-        assert knob.name == name and name.startswith("REPRO_")
-        assert knob.description.strip()
-
-    def test_every_referenced_knob_name_is_declared(self):
-        undeclared = {
+    def test_every_referenced_knob_name_is_one_persist_reads(self):
+        unknown = {
             name: str(path)
             for name, path in referenced_knob_names().items()
-            # ``REPRO_BENCH_*``-style prefixes must prefix a declared knob.
+            # ``REPRO_BENCH_*``-style prefixes must prefix a knob.
             if not (
-                name in env.KNOBS
-                or (name.endswith("_") and any(k.startswith(name) for k in env.KNOBS))
+                name in KNOBS
+                or (name.endswith("_") and any(k.startswith(name) for k in KNOBS))
             )
         }
-        assert undeclared == {}
+        assert unknown == {}
 
 
 class TestReadmeTable:
-    @pytest.mark.parametrize("name", sorted(env.KNOBS))
-    def test_table_lists_the_knob_with_its_declared_default(self, name):
+    @pytest.mark.parametrize("name", sorted(KNOBS))
+    def test_table_lists_the_knob_as_unset_by_default(self, name):
         rows = readme_knob_rows()
         assert name in rows, f"README knob table is missing {name}"
-        default = env.KNOBS[name].default
-        if default:
-            assert f"`{default}`" in rows[name]
-        else:
-            assert rows[name] == "unset"
+        assert rows[name] == "unset"
 
-    def test_table_lists_no_undeclared_knob(self):
-        assert set(readme_knob_rows()) <= set(env.KNOBS)
+    def test_table_lists_no_other_knob(self):
+        assert set(readme_knob_rows()) <= KNOBS
 
 
 def readme_table_names(header: str):

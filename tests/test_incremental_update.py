@@ -42,12 +42,65 @@ from seeded_workloads import query_box_array
 # ----------------------------------------------------------------------
 # NetworkDelta algebra
 # ----------------------------------------------------------------------
+def surviving_map_loop(delta: NetworkDelta) -> np.ndarray:
+    """The index walk ``surviving_map`` once ran, kept as its oracle."""
+    mapping = np.empty(delta.old_count, dtype=np.int64)
+    dropped = set(delta.removed) | {old for old, _ in delta.moved}
+    incoming = set(delta.added) | {new for _, new in delta.moved}
+    new_index = 0
+    for old_index in range(delta.old_count):
+        if old_index in dropped:
+            mapping[old_index] = -1
+            continue
+        while new_index in incoming:
+            new_index += 1
+        mapping[old_index] = new_index
+        new_index += 1
+    return mapping
+
+
+def random_delta(rng: np.random.Generator, kind: str) -> NetworkDelta:
+    """A consistent delta of ``kind``: "add", "remove", "move", "mix" or
+    "empty" (nothing changes)."""
+    old_count = int(rng.integers(0, 40))
+    order = rng.permutation(old_count)
+    removes = int(rng.integers(0, old_count + 1)) if kind in ("remove", "mix") else 0
+    moves = (
+        int(rng.integers(0, old_count - removes + 1)) if kind in ("move", "mix") else 0
+    )
+    adds = int(rng.integers(1, 10)) if kind in ("add", "mix") else 0
+    removed = order[:removes]
+    moved_old = order[removes:removes + moves]
+    new_count = old_count - removes + adds
+    incoming = rng.permutation(new_count)[: moves + adds]
+    return NetworkDelta(
+        added=tuple(sorted(int(i) for i in incoming[moves:])),
+        removed=tuple(sorted(int(i) for i in removed)),
+        moved=tuple(
+            (int(old), int(new)) for old, new in zip(moved_old, incoming[:moves])
+        ),
+        old_count=old_count,
+        new_count=new_count,
+    )
+
+
 class TestNetworkDelta:
     def test_count_consistency_is_validated(self):
         with pytest.raises(NetworkConfigurationError):
             NetworkDelta(added=(3,), old_count=5, new_count=5)
         with pytest.raises(NetworkConfigurationError):
             NetworkDelta(removed=(0,), old_count=5, new_count=5)
+        # Each touched index once and in range, or the surviving map would
+        # pair survivors with indices past the new network.
+        for bad in (
+            dict(removed=(1, 1), old_count=5, new_count=3),
+            dict(removed=(1,), moved=((1, 1),), old_count=5, new_count=4),
+            dict(added=(7,), old_count=5, new_count=6),
+            dict(added=(2,), moved=((0, 2),), old_count=5, new_count=6),
+            dict(removed=(-1,), old_count=5, new_count=4),
+        ):
+            with pytest.raises(NetworkConfigurationError):
+                NetworkDelta(**bad)
         # A move keeps the count; an add/remove pair shifts it by one each.
         NetworkDelta(moved=((2, 2),), old_count=5, new_count=5)
         NetworkDelta(added=(5,), old_count=5, new_count=6)
@@ -72,6 +125,17 @@ class TestNetworkDelta:
         np.testing.assert_array_equal(
             delta.surviving_map(), np.array([0, -1, 1, -1, 4])
         )
+
+    @pytest.mark.parametrize(
+        "seed, kind", enumerate(["add", "remove", "move", "mix", "empty"])
+    )
+    def test_surviving_map_equals_the_index_walk(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            delta = random_delta(rng, kind)
+            mapping = delta.surviving_map()
+            assert mapping.dtype == np.int64
+            np.testing.assert_array_equal(mapping, surviving_map_loop(delta))
 
     def test_mutators_carry_exact_deltas(self):
         network = uniform_random_network(

@@ -1,12 +1,11 @@
-"""Tier-1 gate: reprolint runs clean over ``src/repro``.
+"""Tier-1 gate: the project invariants hold over ``src/repro``.
 
-This is the enforcement half of the linter: the rules in
-:mod:`repro.lint.rules` encode real project contracts (lock discipline,
-chunk-budgeted kernel entry, float32 containment, ...), and this test pins
-the tree at zero live findings so a violation fails the ordinary test
-suite — no extra CI leg required for the contract to hold.  It also holds
-the tree to pyflakes' unused-import check (F401), which ``ruff.toml``
-selects, so that check fails the suite where ruff is not installed.
+The ten rules of :mod:`invariants` encode real project contracts (lock
+discipline, chunk-budgeted kernel entry, float32 containment, ...), and
+this test pins the tree at zero findings so a violation fails the ordinary
+test suite.  It also holds the tree to pyflakes' unused-import check
+(F401), which ``ruff.toml`` selects, so that check fails the suite where
+ruff is not installed.
 """
 
 from __future__ import annotations
@@ -15,48 +14,26 @@ import ast
 from pathlib import Path
 from typing import List, Set, Tuple
 
-from repro.lint import load_baseline, run_lint
-from repro.lint.cli import DEFAULT_BASELINE
+from invariants import check_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
 
 
-def _report():
-    baseline = load_baseline(DEFAULT_BASELINE) if DEFAULT_BASELINE.exists() else []
-    return run_lint([SRC], baseline=baseline), baseline
-
-
-def test_src_tree_has_zero_live_findings():
-    report, _ = _report()
-    details = "\n".join(finding.render() for finding in report.findings)
-    assert report.clean, f"reprolint findings in src/repro:\n{details}"
+def test_src_tree_has_zero_findings():
+    """Every rule in scope, over every ``src/repro`` file; each finding is
+    reported as ``path:line: RLxxx message``."""
+    files = sorted(SRC.rglob("*.py"))
     # Sanity: the run actually covered the tree (not an empty glob).
-    assert report.checked_files > 50
-
-
-def test_no_stale_baseline_entries():
-    """Every baseline entry still matches a real finding.
-
-    A baseline entry whose code was since fixed (or rewritten) is dead
-    weight that could silently mask a *new* finding on a similar line, so
-    staleness is itself an error.
-    """
-    report, baseline = _report()
-    for entry in baseline:
-        assert any(entry.matches(finding) for finding in report.baselined), (
-            f"stale baseline entry: {entry.rule} at {entry.path} "
-            f"({entry.line_text!r}) no longer matches any finding — remove it"
+    assert len(files) > 50
+    findings = [
+        f"{path.relative_to(REPO_ROOT).as_posix()}:{line}: {rule} {message}"
+        for path in files
+        for line, rule, message in check_source(
+            path.read_text(encoding="utf-8"), path.relative_to(SRC).as_posix()
         )
-
-
-def test_every_baseline_entry_is_justified():
-    _, baseline = _report()
-    for entry in baseline:
-        assert len(entry.justification.split()) >= 8, (
-            f"baseline entry {entry.rule} at {entry.path} needs a written "
-            f"justification, not a token"
-        )
+    ]
+    assert not findings, "project invariant findings:\n" + "\n".join(findings)
 
 
 def _names_in_strings(tree: ast.AST) -> Set[str]:

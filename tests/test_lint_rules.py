@@ -1,62 +1,36 @@
-"""Per-rule fixture tests for reprolint.
+"""Per-rule fixture tests for the project invariants (:mod:`invariants`).
 
-Every shipped rule gets at least one violating fixture (proving it fires)
-and one conforming fixture (proving it stays quiet on the idiom the project
+Every rule gets at least one violating fixture (proving it fires) and one
+conforming fixture (proving it stays quiet on the idiom the project
 actually uses).  Scoped rules additionally get an out-of-scope fixture.
-Below the rule fixtures: suppression comments, baseline round-trips, and
-the CLI contract (exit codes, JSON shape).
 """
 
 from __future__ import annotations
 
-import json
-import subprocess
-import sys
 import textwrap
-from io import StringIO
-from pathlib import Path
 
-import pytest
-
-from repro.exceptions import LintError
-from repro.lint import (
-    ALL_RULE_CLASSES,
-    BaselineEntry,
-    check_source,
-    load_baseline,
-    run_lint,
-)
-from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
-from repro.lint.core import PARSE_ERROR_RULE
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def rules_hit(source: str, path: str = "somewhere/x.py") -> set:
-    """The set of rule ids that fire on a dedented fixture."""
-    return {f.rule for f in check_source(textwrap.dedent(source), path)}
+from invariants import RULES, check_source
 
 
 def findings_for(rule_id: str, source: str, path: str = "somewhere/x.py"):
+    """``(line, message)`` of each ``rule_id`` finding on a dedented fixture
+    at package-relative ``path``."""
     return [
-        f
-        for f in check_source(textwrap.dedent(source), path)
-        if f.rule == rule_id
+        (line, message)
+        for line, rule, message in check_source(textwrap.dedent(source), path)
+        if rule == rule_id
     ]
 
 
 class TestRuleRegistry:
     def test_rule_ids_unique_and_well_formed(self):
-        ids = [cls.rule_id for cls in ALL_RULE_CLASSES]
-        assert len(ids) == len(set(ids))
-        for rule_id in ids:
-            assert rule_id.startswith("RL") and rule_id[2:].isdigit()
+        assert list(RULES) == [f"RL{number:03d}" for number in range(1, 11)]
 
     def test_every_rule_states_its_contract(self):
-        for cls in ALL_RULE_CLASSES:
-            assert cls.title, f"{cls.rule_id} has no title"
-            assert len(cls.contract.split()) >= 10, (
-                f"{cls.rule_id} contract must state the invariant, not a stub"
+        for rule_id, (check, _) in RULES.items():
+            contract = (check.__doc__ or "").split("\n\n")[0]
+            assert len(contract.split()) >= 10, (
+                f"{rule_id} contract must state the invariant, not a stub"
             )
 
 
@@ -119,15 +93,15 @@ class TestRL002LockDiscipline:
     def test_flags_unlocked_write_of_locked_attribute(self):
         findings = findings_for("RL002", self.VIOLATING)
         assert len(findings) == 1
-        assert "_count" in findings[0].message
+        assert "_count" in findings[0][1]
 
     def test_init_writes_are_exempt(self):
         # __init__ also writes _count without the lock; only reset() fires,
         # so exactly one finding, anchored at the last line of the fixture.
-        (finding,) = findings_for("RL002", self.VIOLATING)
+        ((line, _),) = findings_for("RL002", self.VIOLATING)
         lines = textwrap.dedent(self.VIOLATING).splitlines()
-        assert lines[finding.line - 1].strip() == "self._count = 0"
-        assert finding.line > 10  # the reset() write, not the __init__ one
+        assert lines[line - 1].strip() == "self._count = 0"
+        assert line > 10  # the reset() write, not the __init__ one
 
     def test_locked_helper_suffix_is_exempt(self):
         clean = """
@@ -342,14 +316,14 @@ class TestRL005ChunkingDiscipline:
 
     def test_backend_method_list_matches_the_protocol(self):
         from repro.engine import QueryBackend
-        from repro.lint.rules import _BACKEND_METHODS
+        from invariants import BACKEND_METHODS
 
         declared = {
             name
             for name, value in vars(QueryBackend).items()
             if callable(value) and not name.startswith("_")
         }
-        assert _BACKEND_METHODS == declared
+        assert BACKEND_METHODS == declared
 
     def test_batch_api_and_backend_pinning_pass(self):
         clean = """
@@ -460,7 +434,7 @@ class TestRL008Float32Containment:
         assert not findings_for("RL008", clean, path="model/x.py")
 
 
-class TestRL009EnvRegistry:
+class TestRL009NoEnvironmentReads:
     def test_flags_os_environ_and_getenv(self):
         findings = findings_for(
             "RL009",
@@ -477,9 +451,9 @@ class TestRL009EnvRegistry:
     def test_flags_from_import(self):
         assert findings_for("RL009", "from os import environ\n")
 
-    def test_env_module_is_the_one_allowed_reader(self):
+    def test_no_module_is_exempt(self):
         violating = "import os\nVALUE = os.environ.get('X')\n"
-        assert not findings_for("RL009", violating, path="env.py")
+        assert findings_for("RL009", violating, path="env.py")
 
     def test_other_os_use_passes(self):
         clean = "import os\nWORKERS = os.cpu_count()\n"
@@ -497,7 +471,7 @@ class TestRL010UnifiedRuntime:
             """,
         )
         assert len(findings) == 1
-        assert "Registry" in findings[0].message
+        assert "Registry" in findings[0][1]
 
     def test_flags_module_qualified_contextvar(self):
         assert findings_for(
@@ -531,7 +505,7 @@ class TestRL010UnifiedRuntime:
             """,
         )
         assert len(findings) == 1
-        assert "Component" in findings[0].message
+        assert "Component" in findings[0][1]
 
     def test_single_start_or_stop_passes(self):
         clean = """
@@ -556,219 +530,6 @@ class TestRL010UnifiedRuntime:
 
 class TestParseErrors:
     def test_unparseable_file_is_one_rl000_finding(self):
-        findings = check_source("def broken(:\n", "somewhere/x.py")
-        assert [f.rule for f in findings] == [PARSE_ERROR_RULE]
-        assert "does not parse" in findings[0].message
-
-
-class TestSuppression:
-    def test_inline_disable_silences_the_named_rule_on_that_line(self):
-        source = 'raise RuntimeError("boom")  # reprolint: disable=RL001\n'
-        assert not findings_for("RL001", source)
-
-    def test_inline_disable_is_rule_specific(self):
-        source = 'raise RuntimeError("boom")  # reprolint: disable=RL007\n'
-        assert findings_for("RL001", source)
-
-    def test_inline_disable_is_line_specific(self):
-        source = (
-            'raise RuntimeError("a")  # reprolint: disable=RL001\n'
-            'raise RuntimeError("b")\n'
-        )
-        findings = findings_for("RL001", source)
-        assert [f.line for f in findings] == [2]
-
-    def test_file_wide_disable(self):
-        source = (
-            "# reprolint: disable-file=RL001\n"
-            'raise RuntimeError("a")\n'
-            'raise RuntimeError("b")\n'
-        )
-        assert not findings_for("RL001", source)
-
-    def test_disable_accepts_a_comma_list(self):
-        source = (
-            "def f(x=[]):  # reprolint: disable=RL007, RL001\n"
-            "    raise RuntimeError('boom')\n"
-        )
-        findings = check_source(source, "somewhere/x.py")
-        assert {f.rule for f in findings} == {"RL001"}  # line 2 not suppressed
-
-
-VIOLATING_MODULE = 'raise RuntimeError("boom")\n'
-
-
-class TestBaseline:
-    def _write_violation(self, tmp_path: Path) -> Path:
-        target = tmp_path / "repro" / "scratch.py"
-        target.parent.mkdir()
-        target.write_text(VIOLATING_MODULE)
-        return target
-
-    def test_baseline_entry_absorbs_a_matching_finding(self, tmp_path):
-        target = self._write_violation(tmp_path)
-        entry = BaselineEntry(
-            rule="RL001",
-            path="repro/scratch.py",
-            line_text='raise RuntimeError("boom")',
-            justification="fixture justification for the round-trip test",
-        )
-        report = run_lint([target], baseline=[entry])
-        assert report.clean
-        assert len(report.baselined) == 1
-
-    def test_baseline_survives_line_drift_but_not_text_drift(self, tmp_path):
-        target = self._write_violation(tmp_path)
-        target.write_text("# a new comment pushes the line down\n" + VIOLATING_MODULE)
-        entry = BaselineEntry(
-            rule="RL001",
-            path="repro/scratch.py",
-            line_text='raise RuntimeError("boom")',
-            justification="fixture justification for the drift test",
-        )
-        assert run_lint([target], baseline=[entry]).clean
-        # Different line text: the entry no longer matches.
-        target.write_text('raise RuntimeError("rewritten")\n')
-        assert not run_lint([target], baseline=[entry]).clean
-
-    def test_load_baseline_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(
-            json.dumps(
-                [
-                    {
-                        "rule": "RL001",
-                        "path": "repro/scratch.py",
-                        "line_text": 'raise RuntimeError("boom")',
-                        "justification": "written reason for keeping this",
-                    }
-                ]
-            )
-        )
-        entries = load_baseline(path)
-        assert entries == [
-            BaselineEntry(
-                rule="RL001",
-                path="repro/scratch.py",
-                line_text='raise RuntimeError("boom")',
-                justification="written reason for keeping this",
-            )
-        ]
-
-    def test_load_baseline_rejects_empty_justification(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(
-            json.dumps(
-                [
-                    {
-                        "rule": "RL001",
-                        "path": "x.py",
-                        "line_text": "raise RuntimeError()",
-                        "justification": "   ",
-                    }
-                ]
-            )
-        )
-        with pytest.raises(LintError):
-            load_baseline(path)
-
-    def test_load_baseline_rejects_missing_keys_and_bad_json(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps([{"rule": "RL001"}]))
-        with pytest.raises(LintError):
-            load_baseline(path)
-        path.write_text("{not json")
-        with pytest.raises(LintError):
-            load_baseline(path)
-
-
-class TestCli:
-    def _violating_file(self, tmp_path: Path) -> Path:
-        target = tmp_path / "bad.py"
-        target.write_text(VIOLATING_MODULE)
-        return target
-
-    def _clean_file(self, tmp_path: Path) -> Path:
-        target = tmp_path / "good.py"
-        target.write_text("from repro.exceptions import ReproError\n")
-        return target
-
-    def test_clean_path_exits_zero(self, tmp_path):
-        out = StringIO()
-        assert main([str(self._clean_file(tmp_path))], out=out) == EXIT_CLEAN
-        assert "OK:" in out.getvalue()
-
-    def test_findings_exit_one_with_location_lines(self, tmp_path):
-        target = self._violating_file(tmp_path)
-        out = StringIO()
-        assert main([str(target)], out=out) == EXIT_FINDINGS
-        text = out.getvalue()
-        assert f"{target.as_posix()}:1: RL001" in text
-        assert "FAIL:" in text
-
-    def test_json_output_is_machine_readable(self, tmp_path):
-        target = self._violating_file(tmp_path)
-        out = StringIO()
-        assert main([str(target), "--json"], out=out) == EXIT_FINDINGS
-        payload = json.loads(out.getvalue())
-        assert payload["clean"] is False
-        assert payload["checked_files"] == 1
-        (finding,) = payload["findings"]
-        assert finding["rule"] == "RL001"
-        assert finding["line"] == 1
-        assert finding["line_text"] == 'raise RuntimeError("boom")'
-
-    def test_select_restricts_the_rule_set(self, tmp_path):
-        target = self._violating_file(tmp_path)
-        out = StringIO()
-        assert main([str(target), "--select", "RL007"], out=out) == EXIT_CLEAN
-
-    def test_unknown_rule_id_is_a_usage_error(self, tmp_path):
-        target = self._clean_file(tmp_path)
-        assert main([str(target), "--select", "RL999"], out=StringIO()) == EXIT_USAGE
-
-    def test_missing_path_is_a_usage_error(self, tmp_path):
-        missing = tmp_path / "does-not-exist"
-        assert main([str(missing)], out=StringIO()) == EXIT_USAGE
-
-    def test_custom_baseline_flag(self, tmp_path):
-        target = self._violating_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                [
-                    {
-                        "rule": "RL001",
-                        "path": "bad.py",
-                        "line_text": 'raise RuntimeError("boom")',
-                        "justification": "cli round-trip fixture entry",
-                    }
-                ]
-            )
-        )
-        out = StringIO()
-        code = main([str(target), "--baseline", str(baseline)], out=out)
-        assert code == EXIT_CLEAN
-        assert "1 baselined" in out.getvalue()
-        # --no-baseline must surface it again.
-        assert main([str(target), "--no-baseline"], out=StringIO()) == EXIT_FINDINGS
-
-    def test_list_rules_prints_every_contract(self):
-        out = StringIO()
-        assert main(["--list-rules"], out=out) == EXIT_CLEAN
-        text = out.getvalue()
-        for cls in ALL_RULE_CLASSES:
-            assert cls.rule_id in text
-
-    def test_module_entry_point_subprocess(self, tmp_path):
-        """``python -m repro.lint`` works as the CI leg invokes it."""
-        target = self._clean_file(tmp_path)
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.lint", str(target)],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
-        )
-        assert result.returncode == EXIT_CLEAN, result.stderr
-        assert "OK:" in result.stdout
+        ((line, rule, message),) = check_source("def broken(:\n", "somewhere/x.py")
+        assert (line, rule) == (1, "RL000")
+        assert "does not parse" in message

@@ -2,10 +2,9 @@
 
 Four historical bugs are pinned here:
 
-* ``quick_mode()`` read the quick flag as ``bool(read_knob(...))`` — any
-  non-empty value, including ``REPRO_BENCH_QUICK=0`` and ``=false``,
-  *enabled* quick mode.  The fix routes every flag knob through
-  :func:`repro.env.read_bool_knob` with explicit false tokens.
+* ``quick_mode()`` read the quick flag as ``bool(value)`` — any non-empty
+  value, including ``REPRO_BENCH_QUICK=0`` and ``=false``, *enabled*
+  quick mode.  The fix parses it against explicit false tokens.
 * ``record_benchmark()`` keyed each group by ``git rev-parse HEAD``, so a
   run on an uncommitted working tree was filed under its parent commit;
   groups are now keyed by the ``src/repro`` digest and the machine.
@@ -18,9 +17,8 @@ Four historical bugs are pinned here:
 * six benchmark modules each read ``REPRO_BENCH_MIN_SPEEDUP`` straight from
   ``os.environ``: ``0`` or a negative value silently disabled their speedup
   gates, and a malformed value crashed them.  The one
-  :func:`persist.speedup_floor` reads the knob through
-  :func:`repro.env.read_float_knob`, which warns and keeps the calibrated
-  floor instead.
+  :func:`persist.speedup_floor` reads the knob, warns and keeps the
+  calibrated floor instead.
 """
 
 from __future__ import annotations
@@ -32,57 +30,51 @@ import threading
 
 import pytest
 
-from repro.env import (
-    BENCH_MIN_SPEEDUP,
-    BENCH_QUICK,
-    read_bool_knob,
-    read_float_knob,
-)
-
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "benchmarks")
 )
 
 import persist  # noqa: E402  (needs the benchmarks/ dir on sys.path first)
+from persist import BENCH_MIN_SPEEDUP, BENCH_QUICK  # noqa: E402
 
 
 # ----------------------------------------------------------------------
-# Boolean / float knob parsing
+# Knob parsing
 # ----------------------------------------------------------------------
-class TestReadBoolKnob:
+class TestQuickModeParsing:
     @pytest.mark.parametrize(
         "raw", ["", "0", "false", "False", "FALSE", "no", "No", "off", "OFF",
                 " 0 ", "  false  "]
     )
     def test_false_tokens(self, monkeypatch, raw):
         monkeypatch.setenv(BENCH_QUICK, raw)
-        assert read_bool_knob(BENCH_QUICK) is False
+        assert persist.quick_mode() is False
 
     @pytest.mark.parametrize("raw", ["1", "true", "True", "yes", "on", "2", "quick"])
     def test_true_tokens(self, monkeypatch, raw):
         monkeypatch.setenv(BENCH_QUICK, raw)
-        assert read_bool_knob(BENCH_QUICK) is True
+        assert persist.quick_mode() is True
 
     def test_unset_is_false(self, monkeypatch):
         monkeypatch.delenv(BENCH_QUICK, raising=False)
-        assert read_bool_knob(BENCH_QUICK) is False
+        assert persist.quick_mode() is False
 
 
-class TestReadFloatKnob:
+class TestSpeedupFloorParsing:
     def test_valid_value(self, monkeypatch):
         monkeypatch.setenv(BENCH_MIN_SPEEDUP, "0.5")
-        assert read_float_knob(BENCH_MIN_SPEEDUP, 0.25) == 0.5
+        assert persist.speedup_floor(0.25) == 0.5
 
     def test_unset_uses_default(self, monkeypatch):
         monkeypatch.delenv(BENCH_MIN_SPEEDUP, raising=False)
-        assert read_float_knob(BENCH_MIN_SPEEDUP, 0.25) == 0.25
+        assert persist.speedup_floor(0.25) == 0.25
 
     @pytest.mark.parametrize("raw", ["junk", "0", "-1.5", "nan"])
     def test_invalid_or_nonpositive_warns_and_defaults(self, monkeypatch, raw):
         monkeypatch.setenv(BENCH_MIN_SPEEDUP, raw)
         with pytest.warns(UserWarning, match=BENCH_MIN_SPEEDUP):
-            assert read_float_knob(BENCH_MIN_SPEEDUP, 0.25) == 0.25
+            assert persist.speedup_floor(0.25) == 0.25
 
 
 # ----------------------------------------------------------------------

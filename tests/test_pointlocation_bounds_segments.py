@@ -49,6 +49,32 @@ class TestRadiusBoundsValidation:
         with pytest.raises(PointLocationError):
             explicit_radius_bounds(network, 0)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            explicit_radius_bounds,
+            improved_radius_bounds,
+            measured_radius_bounds,
+            lambda network, index: radius_bounds(network, index, method="explicit"),
+            lambda network, index: radius_bounds(network, index, method="improved"),
+            lambda network, index: radius_bounds(network, index, method="measured"),
+        ],
+        ids=["explicit", "improved", "measured", "radius-explicit",
+             "radius-improved", "radius-measured"],
+    )
+    def test_requires_alpha_two(self, bounds):
+        """Theorem 4.1 is derived for alpha = 2.  At alpha = 4 station 0's
+        zone reaches 2.72 to the west, past the 1.366 the bound gives, so
+        every entry point must refuse rather than certify it."""
+        network = WirelessNetwork.uniform(
+            [(0, 0), (1, 0), (0.3, 5)], noise=0, beta=3, alpha=4
+        )
+        assert ReceptionZone(network=network, index=0).boundary_distance_along_ray(
+            math.pi, max_radius=100.0
+        ) > 2.7
+        with pytest.raises(PointLocationError, match="alpha = 2"):
+            bounds(network, 0)
+
     def test_unknown_method_rejected(self, noisy_network):
         with pytest.raises(PointLocationError):
             radius_bounds(noisy_network, 0, method="magic")
