@@ -3,7 +3,8 @@
 The ten rules of :mod:`invariants` encode real project contracts (lock
 discipline, chunk-budgeted kernel entry, float32 containment, ...), and
 this test pins the tree at zero findings so a violation fails the ordinary
-test suite.  It also holds the tree to pyflakes' unused-import check
+test suite; one violation planted per rule in a real file in its scope
+shows that the gate would see it.  It also holds the tree to pyflakes' unused-import check
 (F401), which ``ruff.toml`` selects, so that check fails the suite where
 ruff is not installed.
 """
@@ -14,10 +15,23 @@ import ast
 from pathlib import Path
 from typing import List, Set, Tuple
 
-from invariants import check_source
+import pytest
+
+from invariants import RULES, check_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
+
+
+def _findings(path: Path, source: str) -> List[str]:
+    """``path:line: RLxxx message`` of every finding in ``source``, checked
+    as the ``src/repro`` file at ``path``."""
+    return [
+        f"{path.relative_to(REPO_ROOT).as_posix()}:{line}: {rule} {message}"
+        for line, rule, message in check_source(
+            source, path.relative_to(SRC).as_posix()
+        )
+    ]
 
 
 def test_src_tree_has_zero_findings():
@@ -27,13 +41,98 @@ def test_src_tree_has_zero_findings():
     # Sanity: the run actually covered the tree (not an empty glob).
     assert len(files) > 50
     findings = [
-        f"{path.relative_to(REPO_ROOT).as_posix()}:{line}: {rule} {message}"
+        finding
         for path in files
-        for line, rule, message in check_source(
-            path.read_text(encoding="utf-8"), path.relative_to(SRC).as_posix()
-        )
+        for finding in _findings(path, path.read_text(encoding="utf-8"))
     ]
     assert not findings, "project invariant findings:\n" + "\n".join(findings)
+
+
+#: Rule id -> (a real file in its scope, the class the plant goes into or
+#: None for the module's end, a violating snippet).  The snippet's
+#: violating line ends in ``# planted``.
+PLANTS = {
+    "RL001": ("model/delta.py", None, (
+        "def _planted():\n"
+        "    raise ValueError('planted')  # planted\n"
+    )),
+    "RL002": ("raster/cache.py", "TileCache", (
+        "def _planted_reset(self):\n"
+        "    self._hits = 0  # planted\n"
+    )),
+    "RL003": ("service/service.py", None, (
+        "async def _planted(future):\n"
+        "    return future.result()  # planted\n"
+    )),
+    "RL004": ("engine/backend.py", None, "_active_planted = None  # planted\n"),
+    "RL005": ("model/sinr.py", None, (
+        "from ..engine.kernels import pairwise_squared_distances  # planted\n"
+    )),
+    "RL006": ("workloads/generators.py", None, (
+        "_planted = np.random.rand(3)  # planted\n"
+    )),
+    "RL007": ("geometry/polygon.py", None, (
+        "def _planted(items=[]):  # planted\n"
+        "    return items\n"
+    )),
+    "RL008": ("model/network.py", None, (
+        "def _planted(a):\n"
+        "    return a.astype(np.float32)  # planted\n"
+    )),
+    "RL009": ("engine/batch.py", None, (
+        "import os\n"
+        "_planted = os.environ.get('REPRO_PLANTED')  # planted\n"
+    )),
+    "RL010": ("service/stats.py", None, (
+        "class _Planted:  # planted\n"
+        "    def start(self):\n"
+        "        pass\n"
+        "\n"
+        "    def stop(self):\n"
+        "        pass\n"
+    )),
+}
+
+
+def _plant(source: str, anchor, snippet: str) -> str:
+    """``source`` with ``snippet`` added at the end of class ``anchor``
+    (indented as a method), or at the module's end when ``anchor`` is None."""
+    lines = source.splitlines(keepends=True)
+    if anchor is None:
+        return "".join(lines) + "\n\n" + snippet
+    (cls,) = [
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name == anchor
+    ]
+    body = "".join(
+        "    " + line if line.strip() else line
+        for line in ("\n" + snippet).splitlines(keepends=True)
+    )
+    return "".join(lines[: cls.end_lineno]) + body + "".join(lines[cls.end_lineno:])
+
+
+def test_every_rule_has_a_plant():
+    assert sorted(PLANTS) == sorted(RULES)
+
+
+@pytest.mark.parametrize("rule", sorted(PLANTS))
+def test_a_planted_violation_fails_the_gate(rule):
+    """One violation planted in a real ``src/repro`` file in the rule's
+    scope is reported by the gate's own reporting, with the rule id at the
+    planted line: no rule's scope misses the tree it guards."""
+    relpath, anchor, snippet = PLANTS[rule]
+    path = SRC / relpath
+    source = path.read_text(encoding="utf-8")
+    assert not _findings(path, source)
+    planted = _plant(source, anchor, snippet)
+    (line,) = [
+        number for number, text in enumerate(planted.splitlines(), 1)
+        if text.endswith("# planted")
+    ]
+    findings = _findings(path, planted)
+    assert [finding.split(" ", 2)[:2] for finding in findings] == [
+        [f"src/repro/{relpath}:{line}:", rule]
+    ], findings
 
 
 def _names_in_strings(tree: ast.AST) -> Set[str]:

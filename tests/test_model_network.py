@@ -112,6 +112,29 @@ class TestNetworkConstruction:
         trivial = WirelessNetwork.uniform([(0, 0), (1, 0)], noise=0.0, beta=1.0)
         assert trivial.is_trivial()
 
+    @pytest.mark.parametrize(
+        "powers",
+        [
+            [1.0, 1.0, 1.0],
+            [1.0, 2.0, 1.0],
+            [1.0, 1.0, math.nextafter(1.0, 2.0)],
+            [math.nextafter(1.0, 0.0), 1.0, 1.0],
+            [0.5, 0.5, 0.5],
+        ],
+        ids=["ones", "one-doubled", "ulp-above", "ulp-below", "all-half"],
+    )
+    def test_uniform_power_means_every_power_is_exactly_one(self, powers):
+        network = WirelessNetwork(
+            stations=tuple(
+                Station.at(3.0 * i, 0.0, power=power) for i, power in enumerate(powers)
+            ),
+            beta=2.0,
+        )
+        assert network.is_uniform_power() is all(
+            station.power == 1.0 for station in network.stations
+        )
+        assert network.is_uniform_power() is (powers == [1.0, 1.0, 1.0])
+
     def test_location_sharing_and_minimum_distance(self):
         network = WirelessNetwork.uniform([(0, 0), (0, 0), (3, 4)], beta=2.0)
         assert network.location_is_shared(0)

@@ -4,21 +4,26 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
-from repro import Point, ReceptionZone, WirelessNetwork
+from repro import Point, ReceptionZone, Station, WirelessNetwork
 from repro.exceptions import PointLocationError
 from repro.geometry import Segment
 from repro.pointlocation import (
+    PointLocationStructure,
     SamplingSegmentTest,
+    ShardedLocator,
     SturmSegmentTest,
     explicit_radius_bounds,
     improved_radius_bounds,
     measured_radius_bounds,
     radius_bounds,
     RadiusBounds,
+    station_reaches,
 )
+from repro.pointlocation.bounds import require_theorem_4_1_regime
 
 
 class TestRadiusBoundsValidation:
@@ -78,6 +83,59 @@ class TestRadiusBoundsValidation:
     def test_unknown_method_rejected(self, noisy_network):
         with pytest.raises(PointLocationError):
             radius_bounds(noisy_network, 0, method="magic")
+
+
+#: Four stations in the regime of Theorem 4.1 but for one condition.
+REGIME_SITES = [(0.0, 0.0), (4.0, 0.0), (1.0, 5.0), (6.0, 4.0)]
+
+
+def out_of_regime(condition: str) -> WirelessNetwork:
+    """:data:`REGIME_SITES` with ``condition`` of the regime broken."""
+    if condition == "a uniform power network":
+        stations = [Station.at(x, y) for x, y in REGIME_SITES]
+        stations[-1] = Station.at(*REGIME_SITES[-1], power=2.0)
+        return WirelessNetwork(stations=tuple(stations), beta=2.0)
+    if condition == "beta > 1":
+        return WirelessNetwork.uniform(REGIME_SITES, beta=1.0)
+    return WirelessNetwork.uniform(REGIME_SITES, beta=2.0, alpha=3.0)
+
+
+def sharded_update(network: WirelessNetwork) -> object:
+    """Swap a sharded locator over the in-regime first three sites to
+    ``network`` (an add, plus a parameter change for beta and alpha)."""
+    base = WirelessNetwork.uniform(REGIME_SITES[:-1], beta=2.0)
+    return ShardedLocator(base).updated(network)
+
+
+class TestTheorem41Regime:
+    """Every point-location entry point that builds on Theorem 4.1 refuses a
+    network outside its regime through the one check, naming itself and
+    the broken condition."""
+
+    def test_the_in_regime_network_passes(self):
+        network = WirelessNetwork.uniform(REGIME_SITES, beta=2.0)
+        assert require_theorem_4_1_regime(network, "a caller") is None
+
+    @pytest.mark.parametrize(
+        "condition", ["a uniform power network", "beta > 1", "alpha = 2"]
+    )
+    @pytest.mark.parametrize(
+        "user, entry",
+        [
+            ("the station reaches", station_reaches),
+            ("the radius bounds", lambda network: radius_bounds(network, 0)),
+            ("the point-location structure", PointLocationStructure),
+            ("sharded point location", ShardedLocator),
+            ("sharded point location", sharded_update),
+        ],
+        ids=["reaches", "bounds", "theorem3", "sharded", "sharded-update"],
+    )
+    def test_entry_point_refuses(self, user, entry, condition):
+        with pytest.raises(
+            PointLocationError,
+            match=re.escape(f"{user}: Theorem 4.1 requires {condition}"),
+        ):
+            entry(out_of_regime(condition))
 
 
 class TestBoundCorrectness:
