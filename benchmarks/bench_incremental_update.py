@@ -3,7 +3,7 @@
 The dynamic-network acceptance workload: one station of a 200-station
 deployment moves a short distance, and every derived structure must follow.
 
-Two gates, both against the honest static-world baseline:
+Three gates, each against the honest static-world baseline:
 
 * **shard-selective rebuild** — ``ShardedLocator.updated(new_network,
   delta)`` rebuilds only the shards whose station sets the move touches
@@ -20,12 +20,22 @@ Two gates, both against the honest static-world baseline:
   **3x**.  The same warm requests, re-served against the *old* network as
   a request straddling the move asks for them, must hit every re-keyed
   tile and compute only tiles inside the moved station's boxes, storing
-  none of them (counts only, no timing floor).
+  none of them (counts only, no timing floor);
+* **moved reaches** — on the serving benchmark's network (3,200 stations,
+  16 kd shards, ``sharded:voronoi``), each of 20 random-waypoint
+  single-station moves recomputes only the reaches the move can change.
+  The median ``updated()`` must beat the median full ``station_reaches``
+  sweep of the same networks by at least **2.5x** (measured on a 2-vCPU
+  VM: 3.5–3.8x over four runs of the whole module, 5.1–5.2x over three
+  runs of this test alone), with every reach bit-identical to the
+  sweep's.  Quick mode keeps the full network: at 800 stations the sweep
+  is cheap enough that the ratio falls to about 1.4x, which would gate
+  nothing.
 
-``REPRO_BENCH_MIN_SPEEDUP=<float>`` overrides both floors on slow or noisy
+``REPRO_BENCH_MIN_SPEEDUP=<float>`` overrides every floor on slow or noisy
 runners (the CI smoke leg relaxes them), and ``REPRO_BENCH_QUICK=1``
-shrinks the workload.  Results are recorded into ``BENCH_engine.json``
-via :mod:`persist`.
+shrinks the first two workloads.  Results are recorded into
+``BENCH_engine.json`` via :mod:`persist`.
 """
 
 from __future__ import annotations
@@ -38,9 +48,13 @@ import pytest
 from persist import quick_mode, record_benchmark, speedup_floor
 from repro import Point, SINRDiagram, TileCache
 from repro.model import move_station
-from repro.pointlocation import ShardedLocator, get_locator
+from repro.pointlocation import ShardedLocator, get_locator, station_reaches
 from repro.raster import invalidate_for_delta
-from repro.workloads import random_query_array, uniform_random_network
+from repro.workloads import (
+    random_query_array,
+    random_waypoint_walk,
+    uniform_random_network,
+)
 
 QUICK = quick_mode()
 STATION_COUNT = 50 if QUICK else 200
@@ -204,3 +218,47 @@ def test_tile_invalidation_beats_full_flush():
     # Tile-granular invalidation must amortise (default floor the
     # acceptance 3x; REPRO_BENCH_MIN_SPEEDUP overrides).
     assert speedup >= speedup_floor(3.0)
+
+
+@pytest.mark.paper
+def test_moved_reaches_beat_the_sweep():
+    """The gate: a one-station ``updated()`` >= 2.5x the full reach sweep."""
+    stations, moves = 3_200, 20
+    network, _, _, _ = _moved_workload(stations, seed=1)
+    locator = ShardedLocator(network, inner="voronoi", shards=16)
+    update_seconds, sweep_seconds = [], []
+    for step in random_waypoint_walk(network, moves, movers=1, seed=5):
+        start = time.perf_counter()
+        locator = locator.updated(step.network, step.delta)
+        update_seconds.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        reaches = station_reaches(step.network)
+        sweep_seconds.append(time.perf_counter() - start)
+        assert not locator.last_update.full_rebuild
+        np.testing.assert_array_equal(
+            locator._reaches.view(np.int64), reaches.view(np.int64)
+        )
+
+    update_ms = float(np.median(update_seconds)) * 1e3
+    sweep_ms = float(np.median(sweep_seconds)) * 1e3
+    speedup = sweep_ms / update_ms
+    print(
+        f"\nstations={stations} shards=16 moves={moves}: median updated() "
+        f"{update_ms:.2f} ms, median station_reaches sweep {sweep_ms:.2f} ms "
+        f"-> {speedup:.1f}x"
+    )
+    record_benchmark(
+        "incremental_reaches",
+        {
+            "stations": stations,
+            "shards": 16,
+            "moves": moves,
+            "updated_ms_p50": round(update_ms, 3),
+            "sweep_ms_p50": round(sweep_ms, 3),
+            "speedup_vs_sweep": round(speedup, 2),
+        },
+    )
+
+    # A move must not pay for a nearest-neighbour sweep of every station
+    # (default floor 2.5x; REPRO_BENCH_MIN_SPEEDUP overrides).
+    assert speedup >= speedup_floor(2.5)

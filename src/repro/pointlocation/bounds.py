@@ -49,8 +49,10 @@ __all__ = [
     "explicit_radius_bounds",
     "improved_radius_bounds",
     "measured_radius_bounds",
+    "nearest_squared",
     "radius_bounds",
     "reach_box",
+    "reach_formula",
     "reach_margin",
     "require_theorem_4_1_regime",
     "station_reaches",
@@ -142,16 +144,40 @@ def station_reaches(
     with ``kappa`` the nearest-neighbour distance: one ``(n,)`` float array,
     with ``0.0`` for degenerate stations (another station shares the
     location — their zone is the single point ``{s_i}``, so a zero reach is
-    exact).  The sharded locator recomputes all routing boxes from it on
-    every incremental update: the reach of an *untouched* station still
-    shifts whenever its nearest neighbour moved, and ``Delta_upper`` is not
-    monotone in that distance once noise is positive, so stale reaches are
-    not conservative.
+    exact).  It composes two steps, :func:`nearest_squared` (``kappa**2``)
+    and :func:`reach_formula` (the bound, widened).  The sharded locator
+    keeps both steps' arrays: a move changes an *untouched* station's reach
+    whenever it changes that station's nearest neighbour, and
+    ``Delta_upper`` is not monotone in that distance once noise is
+    positive, so stale reaches are not conservative; after a pure move the
+    locator recomputes, through ``indices``, the reaches of exactly the
+    stations whose ``kappa**2`` the move can change.
 
-    ``kappa**2`` comes from a sorted sweep, not an ``n x n`` matrix.  The
-    stations are sorted along the coordinate with the larger spread, and
-    each one scans its neighbours in sorted order, both directions, in
-    passes of ``_SWEEP_OFFSETS`` (32) offsets, keeping the smallest
+    ``indices`` (a 1-D sequence of station indices) returns only those
+    stations' reaches, equal to ``station_reaches(network)[indices]``, from
+    one dense ``(k, n)`` pass of the same expression.  Callers that need a
+    few reaches (raster invalidation, a sharded update) pay ``O(k n)``
+    instead of the sweep.
+
+    Requires the regime of Theorem 4.1 (:func:`require_theorem_4_1_regime`).
+    """
+    if indices is None:
+        rows = np.arange(len(network))
+        return reach_formula(network, rows, nearest_squared(network.coords))
+    rows = np.asarray(indices, dtype=np.intp)
+    return reach_formula(network, rows, nearest_squared(network.coords, rows))
+
+
+def nearest_squared(
+    coords: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """``kappa**2``: each station's smallest squared distance to another.
+
+    The first step of :func:`station_reaches`.  With ``rows`` None it comes
+    from a sorted sweep, not an ``n x n`` matrix.  The stations are sorted
+    along the coordinate with the larger spread, and each one scans its
+    neighbours in sorted order, both directions, in passes of
+    ``_SWEEP_OFFSETS`` (32) offsets, keeping the smallest
     ``dx * dx + dy * dy``.  A station retires once the squared gap along the
     sort axis to the last neighbour scanned, in each direction, is at least
     its best so far.  That is the certificate: every later neighbour's gap
@@ -159,16 +185,33 @@ def station_reaches(
     later neighbour can be strictly closer.  Each pair is the expression of
     :func:`repro.engine.kernels.pairwise_squared_distances`, ``min`` is
     exact, and swapping which axis plays ``dx`` only commutes an IEEE
-    addition, so every reach is bit-identical to the dense pass.  The cost
+    addition, so every value is bit-identical to the dense pass.  The cost
     is ``O(n)`` memory and, for spread-out stations, ``O(n sqrt(n))`` time.
 
-    ``indices`` (a 1-D sequence of station indices) returns only those
-    stations' reaches, equal to ``station_reaches(network)[indices]``, from
-    one dense ``(k, n)`` pass of the same expression.  Callers that need a
-    few reaches (raster invalidation) pay ``O(k n)`` instead of the sweep.
+    ``rows`` (an integer array of station indices) returns only those
+    stations' values, from one dense ``(k, n)`` pass of the same
+    expression, bit-identical to the sweep's.  A square that overflows
+    reads ``inf``, without a warning.
+    """
+    with np.errstate(over="ignore"):
+        if rows is None:
+            return _sweep_nearest_squared(coords)
+        dx, dy = _row_differences(coords, rows)
+        return _min_off_self(dx * dx + dy * dy, rows)
 
-    Where ``beta * (1 + N * kappa**2)`` overflows (``kappa`` beyond about
-    ``1e154``), the same bound is evaluated divided through by ``kappa``:
+
+def reach_formula(
+    network: WirelessNetwork, rows: np.ndarray, kappa_squared: np.ndarray
+) -> np.ndarray:
+    """The reaches of stations ``rows`` from their ``kappa_squared``.
+
+    The second step of :func:`station_reaches`:
+    ``kappa / (sqrt(beta * (1 + N * kappa**2)) - 1)``, ``0.0`` where
+    ``kappa_squared`` is zero.  A reach reads only its own ``kappa**2``,
+    the parameters and the station count, except where
+    ``beta * (1 + N * kappa**2)`` overflows (``kappa`` beyond about
+    ``1e154``, or less under huge noise).  There the same bound is
+    evaluated divided through by ``kappa``:
     ``1 / (sqrt(beta) * hypot(u, sqrt(N)) - u)`` with ``u = 1 / kappa``,
     ``kappa`` taken from ``np.hypot`` over the station's row, and the value
     rounded up one ulp so it stays conservative.
@@ -184,15 +227,6 @@ def station_reaches(
     """
     require_theorem_4_1_regime(network, "the station reaches")
     coords = network.coords
-    with np.errstate(over="ignore"):
-        if indices is None:
-            rows = np.arange(len(coords))
-            kappa_squared = _sweep_nearest_squared(coords)
-        else:
-            rows = np.asarray(indices, dtype=np.intp)
-            dx, dy = _row_differences(coords, rows)
-            kappa_squared = _min_off_self(dx * dx + dy * dy, rows)
-
     beta = network.beta
     noise = network.noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -254,7 +288,7 @@ def _min_off_self(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _sweep_nearest_squared(coords: np.ndarray) -> np.ndarray:
     """Each station's smallest squared distance to another, by a sorted sweep.
 
-    See :func:`station_reaches` for the scan and its certificate.
+    See :func:`nearest_squared` for the scan and its certificate.
     """
     n = len(coords)
     axis = int(np.argmax(np.ptp(coords, axis=0)))

@@ -61,15 +61,22 @@ much candidate work the routing saves.  That partition-independence is what
 makes **incremental updates** sound: :meth:`ShardedLocator.updated` applies
 a :class:`~repro.model.delta.NetworkDelta` by rebuilding only the shards
 whose station sets changed, re-placing arriving/relocated stations into the
-nearest existing shard rather than re-partitioning, and recomputing every
-routing box against the new network (an untouched station's certified reach
-still shifts when its nearest neighbour moved, and the Theorem 4.1 bound is
-not monotone in that distance under noise — stale boxes would not be
-conservative).  Recomputing every reach is one sorted nearest-neighbour
-sweep (:func:`~repro.pointlocation.bounds.station_reaches`) in ``O(n)``
-memory, and it is most of the update: on the serving benchmark's network
-(3,200 stations, 16 kd shards, one random-waypoint move per update, 2-vCPU
-VM) it takes 4.6–5.1 ms of a 5.5–6.0 ms median :meth:`ShardedLocator.updated`.
+nearest existing shard rather than re-partitioning, and refreshing the
+routing boxes whose reaches the delta can change.  An untouched station's
+certified reach still shifts when its nearest neighbour moved, and the
+Theorem 4.1 bound is not monotone in that distance under noise, so a stale
+box would not be conservative.  The locator therefore keeps every station's
+``kappa**2`` (squared nearest-neighbour distance) beside its reach, both
+from one sorted sweep (:func:`~repro.pointlocation.bounds.nearest_squared`)
+at construction.  A pure move changes ``kappa`` only for the moved stations
+and for stations whose nearest neighbour was, or now is, a moved one, so
+the update recomputes just those rows, ``O(n)`` per moved station and
+bit-identical to the sweep, and the boxes of the shards holding them; any
+other delta, or a move reaching more than 64 rows, runs the sweep again.
+On the serving benchmark's network (3,200 stations, 16 kd shards, one
+random-waypoint move per update, 2-vCPU VM) a move reaches 1–5 rows, and
+the median :meth:`ShardedLocator.updated` takes 0.9–1.0 ms against the
+sweep's 4.3–5.0 ms.
 Unchanged shards keep their already-built inner locator object: its
 subnetwork view contains exactly the same stations, and inner proposals
 never depend on the rest of the network.  The grid of step 0 is rebuilt,
@@ -106,7 +113,14 @@ from ..geometry.grid import Grid
 from ..geometry.point import Point
 from ..model.delta import NetworkDelta, diff_networks
 from ..model.network import WirelessNetwork
-from .bounds import reach_box, require_theorem_4_1_regime, station_reaches
+from .bounds import (
+    _SWEEP_OFFSETS,
+    nearest_squared,
+    reach_box,
+    reach_formula,
+    require_theorem_4_1_regime,
+    station_reaches,
+)
 from .registry import Locator, get_locator, register_locator
 
 __all__ = ["ShardedLocator", "ShardInfo", "ShardUpdateReport"]
@@ -117,6 +131,12 @@ __all__ = ["ShardedLocator", "ShardInfo", "ShardUpdateReport"]
 #: the serving benchmark's network it proves the nearest station of all but
 #: about 0.1% of uniform query points.
 _CELL_SPACINGS = 1.5
+
+#: The most stations whose reaches a pure move recomputes row by row.  One
+#: pass of the sorted sweep scans ``2 * _SWEEP_OFFSETS`` neighbours of every
+#: station, so more rows than that cost more than a pass: past it the move
+#: runs the sweep.
+_MOST_ROWS = 2 * _SWEEP_OFFSETS
 
 #: What one entry of a block costs the certificate, in stations of a shard
 #: proposal: every point pays for the widest block, its entries gathered.
@@ -320,8 +340,9 @@ class ShardUpdateReport:
         rebuilt_positions: shards whose station set changed — their inner
             locator was built anew over the new subnetwork.
         reused_positions: shards whose station set is unchanged — the same
-            inner locator object serves on (only the routing box was
-            recomputed).
+            inner locator object serves on (its routing box is recomputed
+            only where it holds a station whose reach the delta can
+            change).
         retired_positions: shards left empty by the delta and dropped.
     """
 
@@ -394,7 +415,7 @@ class ShardedLocator:
         self.last_update: Optional[ShardUpdateReport] = None
 
         coords = network.coords
-        reaches = station_reaches(network)
+        self._kappa_squared, self._reaches = self._swept_reaches(network)
         self._shards: List[ShardInfo] = []
         for group in self.partitioner.partition(coords):
             if len(group) == 0:
@@ -403,7 +424,7 @@ class ShardedLocator:
             self._shards.append(
                 ShardInfo(
                     indices=group,
-                    query_box=self._query_box(coords, group, reaches),
+                    query_box=self._query_box(coords, group, self._reaches),
                     locator=self._build_inner(network, group),
                 )
             )
@@ -413,6 +434,62 @@ class ShardedLocator:
     def build(cls, network: WirelessNetwork, **options) -> "ShardedLocator":
         """Registry factory: options forward to the constructor."""
         return cls(network, **options)
+
+    @staticmethod
+    def _swept_reaches(network: WirelessNetwork) -> Tuple[np.ndarray, np.ndarray]:
+        """``(kappa_squared, reaches)`` of every station, from one sweep."""
+        kappa_squared = nearest_squared(network.coords)
+        return kappa_squared, reach_formula(
+            network, np.arange(len(network)), kappa_squared
+        )
+
+    def _moved_reaches(
+        self, new_network: WirelessNetwork, moved: Tuple[int, ...]
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``(kappa_squared, reaches, affected)`` after a pure move of the
+        stations ``moved``, recomputed only in the ``affected`` mask's rows;
+        None where more than :data:`_MOST_ROWS` rows are affected.
+
+        The affected rows are the moved stations, every ``j`` at most its
+        old ``kappa**2`` from a moved station's old position, and every
+        ``j`` strictly nearer than that to a new position.  Any other
+        ``j``'s minimum was reached at an unmoved station and no moved
+        station came as close, so its ``kappa**2`` is the same float: every
+        distance here is the sweep's ``dx * dx + dy * dy`` for the same pair
+        (``fl(a - b)**2 == fl(b - a)**2``), and an unmoved station's
+        coordinates are the same in both networks (:meth:`updated` checks
+        that first).  Ties, shared locations and squares that underflow or
+        overflow fall in the affected set.  A reach depends on its own
+        ``kappa**2`` alone, bit for bit, even where
+        :func:`~repro.pointlocation.bounds.reach_formula` reads ``kappa``
+        from ``hypot`` distances, whose minimum may sit elsewhere: there
+        ``kappa**2`` is infinite, so every move affects the row, or the
+        noise term dominates so far that the bound rounds to the same
+        float whatever ``kappa`` is.
+        """
+        if len(moved) > _MOST_ROWS:
+            return None
+        stations = list(moved)
+        centres = np.concatenate(
+            (self.network.coords[stations], new_network.coords[stations])
+        )
+        coords = new_network.coords
+        kappa_squared = self._kappa_squared
+        with np.errstate(over="ignore"):
+            dx = coords[:, 0] - centres[:, 0:1]
+            dy = coords[:, 1] - centres[:, 1:2]
+            squared = dx * dx + dy * dy
+        affected = (squared[: len(stations)] <= kappa_squared).any(axis=0)
+        affected |= (squared[len(stations):] < kappa_squared).any(axis=0)
+        affected[stations] = True
+        rows = np.flatnonzero(affected)
+        if rows.size > _MOST_ROWS:
+            return None
+        kappa_squared = kappa_squared.copy()
+        kappa_squared[rows] = nearest_squared(coords, rows)
+        reaches = self._reaches.copy()
+        reaches[rows] = station_reaches(new_network, rows)
+        return kappa_squared, reaches, affected
 
     @staticmethod
     def _query_box(
@@ -484,8 +561,13 @@ class ShardedLocator:
         surviving-station bounding box is nearest to their new location
         (ties to the lowest shard position — see :meth:`nearest_shard`).
         Shards that neither lost nor gained a station keep their inner
-        locator object; every routing box is recomputed against the new
-        network.  The station grid is rebuilt (or dropped, where it no
+        locator object.  A delta of pure moves recomputes ``kappa**2`` and
+        the reach only of the stations whose nearest-neighbour distance it
+        can change (at most 64 of them; past that, and for any other
+        delta, every reach comes from a fresh sweep), and the routing box
+        only of shards that gained or lost a station or hold one of those
+        stations: every other box is the tuple a fresh build would compute,
+        bit for bit.  The station grid is rebuilt (or dropped, where it no
         longer pays), except that a delta of pure moves edits only the
         blocks around each moved station and keeps the grid.  Answers are
         bit-identical to a from-scratch build because verification always
@@ -497,6 +579,8 @@ class ShardedLocator:
         delta changes ``noise``/``beta``/``alpha`` or leaves no surviving
         shard to anchor placements.  The returned locator's ``last_update``
         is a :class:`ShardUpdateReport`; this locator is left untouched.
+        Raises :class:`~repro.exceptions.PointLocationError` when the delta
+        keeps a station whose location changed.
         """
         if delta is None:
             delta = diff_networks(self.network, new_network)
@@ -512,6 +596,7 @@ class ShardedLocator:
 
         new_coords = new_network.coords
         mapping = delta.surviving_map()
+        self._require_unchanged_survivors(new_network, mapping)
         groups: List[List[int]] = []
         boxes: List[Optional[Tuple[float, float, float, float]]] = []
         changed: List[bool] = []
@@ -550,7 +635,14 @@ class ShardedLocator:
                 min(box[0], x), min(box[1], y), max(box[2], x), max(box[3], y)
             ) if box is not None else (x, y, x, y)
 
-        reaches = station_reaches(new_network)
+        state = None
+        if delta.index_preserving:
+            state = self._moved_reaches(new_network, delta.touched_new)
+        if state is None:
+            kappa_squared, reaches = self._swept_reaches(new_network)
+            affected = np.ones(len(new_network), dtype=bool)
+        else:
+            kappa_squared, reaches, affected = state
         shards: List[ShardInfo] = []
         rebuilt: List[int] = []
         reused: List[int] = []
@@ -563,7 +655,10 @@ class ShardedLocator:
             # as surviving_map preserves order, so a reused inner locator's
             # subnetwork keeps its station order.
             group = np.sort(np.asarray(members, dtype=np.int64))
-            query_box = self._query_box(new_coords, group, reaches)
+            if changed[position] or affected[group].any():
+                query_box = self._query_box(new_coords, group, reaches)
+            else:
+                query_box = shard.query_box
             if changed[position]:
                 inner = self._build_inner(new_network, group)
                 rebuilt.append(position)
@@ -581,7 +676,9 @@ class ShardedLocator:
             )
         if grid is None:
             grid = self._station_grid(new_coords, shards)
-        clone = self._clone_with_shards(new_network, shards, grid)
+        clone = self._clone_with_shards(
+            new_network, shards, grid, kappa_squared, reaches
+        )
         clone.last_update = ShardUpdateReport(
             full_rebuild=False,
             delta=delta,
@@ -590,6 +687,25 @@ class ShardedLocator:
             retired_positions=tuple(retired),
         )
         return clone
+
+    def _require_unchanged_survivors(
+        self, new_network: WirelessNetwork, mapping: np.ndarray
+    ) -> None:
+        """Refuse a delta that keeps a station whose location changed: its
+        shard, grid block and reach would be reused stale.  Powers need no
+        comparison, as both networks hold the regime's uniform power."""
+        kept = np.flatnonzero(mapping >= 0)
+        differs = np.take(self.network.coords, kept, axis=0) != np.take(
+            new_network.coords, mapping[kept], axis=0
+        )
+        changed = differs[:, 0] | differs[:, 1]
+        if changed.any():
+            station = int(kept[np.argmax(changed)])
+            raise PointLocationError(
+                f"the delta does not describe the new network: station "
+                f"{station} moved, but the delta keeps it as new station "
+                f"{int(mapping[station])}"
+            )
 
     @staticmethod
     def nearest_shard(
@@ -643,6 +759,8 @@ class ShardedLocator:
         network: WirelessNetwork,
         shards: List[ShardInfo],
         grid: Optional[_StationGrid],
+        kappa_squared: np.ndarray,
+        reaches: np.ndarray,
     ) -> "ShardedLocator":
         clone = object.__new__(type(self))
         clone.network = network
@@ -655,6 +773,8 @@ class ShardedLocator:
         clone.inner_options = dict(self.inner_options)
         clone._shards = shards
         clone._grid = grid
+        clone._kappa_squared = kappa_squared
+        clone._reaches = reaches
         clone.last_update = None
         return clone
 

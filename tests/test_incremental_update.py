@@ -368,6 +368,29 @@ class TestShardSelectiveRebuild:
         with pytest.raises(PointLocationError):
             locator.updated(mutated, NetworkDelta(old_count=10, new_count=10))
 
+    @pytest.mark.parametrize("change", ["move", "remove"])
+    def test_delta_that_keeps_a_changed_station_is_rejected(self, change):
+        """A delta naming the wrong station once left the changed one's
+        shard and reach stale: moving station 17 of 800 by (30, 20) while
+        the delta named 18 left all 478 of 4,000 points within 1 of its new
+        location that brute force hears it at silent."""
+        network = uniform_random_network(
+            800, side=4.0 * 800**0.5, minimum_separation=1.5, noise=0.002,
+            beta=3.0, seed=1,
+        )
+        locator = ShardedLocator(network, inner="voronoi", shards=16)
+        if change == "move":
+            station = network.stations[17]
+            mutated, _ = move_station(
+                network, 17, Point(station.x + 30.0, station.y + 20.0)
+            )
+            wrong = NetworkDelta(moved=((18, 18),), old_count=800, new_count=800)
+        else:
+            mutated, _ = remove_station(network, 17)
+            wrong = NetworkDelta(removed=(18,), old_count=800, new_count=799)
+        with pytest.raises(PointLocationError, match="station 17 moved"):
+            locator.updated(mutated, wrong)
+
     def test_update_leaves_the_previous_locator_untouched(self):
         network = uniform_random_network(
             10, side=12.0, minimum_separation=1.5, noise=0.002, beta=3.0, seed=3

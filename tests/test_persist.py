@@ -40,14 +40,15 @@ from persist import BENCH_MIN_SPEEDUP, BENCH_QUICK  # noqa: E402
 
 
 # ----------------------------------------------------------------------
-# Knob parsing
+# quick_mode() regression
 # ----------------------------------------------------------------------
-class TestQuickModeParsing:
+class TestQuickMode:
     @pytest.mark.parametrize(
         "raw", ["", "0", "false", "False", "FALSE", "no", "No", "off", "OFF",
                 " 0 ", "  false  "]
     )
     def test_false_tokens(self, monkeypatch, raw):
+        """REPRO_BENCH_QUICK=0 must mean FULL mode (pre-fix: quick)."""
         monkeypatch.setenv(BENCH_QUICK, raw)
         assert persist.quick_mode() is False
 
@@ -56,25 +57,16 @@ class TestQuickModeParsing:
         monkeypatch.setenv(BENCH_QUICK, raw)
         assert persist.quick_mode() is True
 
-    def test_unset_is_false(self, monkeypatch):
+    def test_unset_means_full_run(self, monkeypatch):
         monkeypatch.delenv(BENCH_QUICK, raising=False)
         assert persist.quick_mode() is False
 
-
-class TestSpeedupFloorParsing:
-    def test_valid_value(self, monkeypatch):
-        monkeypatch.setenv(BENCH_MIN_SPEEDUP, "0.5")
-        assert persist.speedup_floor(0.25) == 0.5
-
-    def test_unset_uses_default(self, monkeypatch):
-        monkeypatch.delenv(BENCH_MIN_SPEEDUP, raising=False)
-        assert persist.speedup_floor(0.25) == 0.25
-
-    @pytest.mark.parametrize("raw", ["junk", "0", "-1.5", "nan"])
-    def test_invalid_or_nonpositive_warns_and_defaults(self, monkeypatch, raw):
-        monkeypatch.setenv(BENCH_MIN_SPEEDUP, raw)
-        with pytest.warns(UserWarning, match=BENCH_MIN_SPEEDUP):
-            assert persist.speedup_floor(0.25) == 0.25
+    def test_record_benchmark_group_follows_quick_mode(self, monkeypatch, tmp_path):
+        path = str(tmp_path / "bench.json")
+        monkeypatch.setenv(BENCH_QUICK, "0")
+        persist.record_benchmark("s", {"v": 1}, path=path)
+        data = json.loads(open(path).read())
+        assert "full" in data and "quick" not in data
 
 
 # ----------------------------------------------------------------------
@@ -85,12 +77,12 @@ class TestSpeedupFloor:
         monkeypatch.delenv(BENCH_MIN_SPEEDUP, raising=False)
         assert persist.speedup_floor(5.0) == 5.0
 
-    @pytest.mark.parametrize("raw", ["1.0", "1.1", "1.5", "2.0"])
+    @pytest.mark.parametrize("raw", ["0.5", "1.0", "1.1", "1.5", "2.0"])
     def test_ci_overrides_replace_the_floor(self, monkeypatch, raw):
         monkeypatch.setenv(BENCH_MIN_SPEEDUP, raw)
         assert persist.speedup_floor(5.0) == float(raw)
 
-    @pytest.mark.parametrize("raw", ["0", "-1", "junk", "nan"])
+    @pytest.mark.parametrize("raw", ["0", "-1", "-1.5", "junk", "nan"])
     def test_bad_override_warns_and_keeps_the_floor(self, monkeypatch, raw):
         """Pre-fix, ``0`` or ``-1`` returned a floor every speedup clears
         and ``junk`` raised ``ValueError`` out of the bench."""
@@ -109,32 +101,6 @@ class TestSpeedupFloor:
             and "os.environ" in open(os.path.join(folder, name)).read()
         ]
         assert readers == []
-
-
-# ----------------------------------------------------------------------
-# quick_mode() regression
-# ----------------------------------------------------------------------
-class TestQuickMode:
-    @pytest.mark.parametrize("raw", ["0", "false", "no", "off", ""])
-    def test_explicitly_disabled_means_full_run(self, monkeypatch, raw):
-        """REPRO_BENCH_QUICK=0 must mean FULL mode (pre-fix: quick)."""
-        monkeypatch.setenv("REPRO_BENCH_QUICK", raw)
-        assert persist.quick_mode() is False
-
-    def test_enabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
-        assert persist.quick_mode() is True
-
-    def test_unset_means_full_run(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_QUICK", raising=False)
-        assert persist.quick_mode() is False
-
-    def test_record_benchmark_group_follows_quick_mode(self, monkeypatch, tmp_path):
-        path = str(tmp_path / "bench.json")
-        monkeypatch.setenv("REPRO_BENCH_QUICK", "0")
-        persist.record_benchmark("s", {"v": 1}, path=path)
-        data = json.loads(open(path).read())
-        assert "full" in data and "quick" not in data
 
 
 # ----------------------------------------------------------------------

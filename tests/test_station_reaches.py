@@ -6,7 +6,10 @@ dense nearest-neighbour pass it replaced, on every layout the sort and
 its certificate could get wrong (duplicates, ties, one-axis layouts,
 clusters far apart, distances whose square underflows or overflows), in
 ``O(n)`` memory.  Where the bound is tight, every point the float64
-kernels hear must still fall inside the reach and its routing box.
+kernels hear must still fall inside the reach and its routing box.  After
+a pure move the sharded locator recomputes only the reaches the move can
+change; on the same layouts, its reaches and routing boxes must still be
+those of a fresh sweep, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,10 +22,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Point, WirelessNetwork
-from repro.model import move_station
-from repro.pointlocation import explicit_radius_bounds, station_reaches
-from repro.pointlocation.bounds import reach_margin
+from repro import Point, Station, WirelessNetwork
+from repro.model import NetworkDelta, add_station, move_station, remove_station
+from repro.pointlocation import (
+    BruteForceLocator,
+    ShardedLocator,
+    explicit_radius_bounds,
+    station_reaches,
+)
+from repro.pointlocation.bounds import nearest_squared, reach_margin
 from repro.pointlocation.registry import get_locator
 from repro.raster import affected_boxes
 from repro.workloads import uniform_random_network
@@ -416,6 +424,261 @@ def test_affected_boxes_computes_only_touched_reaches(monkeypatch):
     boxes = affected_boxes(network, moved, delta)
     assert calls == [delta.touched_old, delta.touched_new] == [(4,), (4,)]
     assert boxes == expected
+
+
+# ----------------------------------------------------------------------
+# A pure move recomputes only the reaches it can change
+# ----------------------------------------------------------------------
+def assert_matches_fresh_sweep(locator: ShardedLocator, network: WirelessNetwork):
+    """``kappa**2``, reaches and every shard's query box are a fresh sweep's."""
+    reaches = station_reaches(network)
+    assert_same_bits(locator._kappa_squared, nearest_squared(network.coords))
+    assert_same_bits(locator._reaches, reaches)
+    coords = network.coords
+    for shard in locator.shards:
+        pts = coords[shard.indices]
+        reach = float(reaches[shard.indices].max())
+        assert shard.query_box == (
+            np.nextafter(pts[:, 0].min() - reach, -np.inf),
+            np.nextafter(pts[:, 1].min() - reach, -np.inf),
+            np.nextafter(pts[:, 0].max() + reach, np.inf),
+            np.nextafter(pts[:, 1].max() + reach, np.inf),
+        )
+
+
+def move_many(network: WirelessNetwork, targets):
+    """Move each station ``i`` of ``targets`` to ``targets[i]``, with the
+    exact delta (a target on the station's own location is no move)."""
+    moved = []
+    for index, (x, y) in sorted(targets.items()):
+        if (network.stations[index].x, network.stations[index].y) != (x, y):
+            moved.append((index, index))
+        network = network.with_station_moved(index, Point(float(x), float(y)))
+    return network, NetworkDelta(
+        moved=tuple(moved), old_count=len(network), new_count=len(network)
+    )
+
+
+def nearest_other(xy: np.ndarray, index: int) -> int:
+    with np.errstate(over="ignore"):
+        squared = ((xy - xy[index]) ** 2).sum(axis=1)
+    squared[index] = np.inf
+    return int(np.argmin(squared))
+
+
+def underflowing_pair(xy: np.ndarray) -> bool:
+    """Whether two distinct stations' squared distance is subnormal or zero."""
+    deltas = xy[:, None, :] - xy[None, :, :]
+    with np.errstate(over="ignore"):
+        squared = (deltas * deltas).sum(axis=2)
+    tiny = np.finfo(float).tiny
+    return bool(((deltas != 0.0).any(axis=2) & (squared < tiny)).any())
+
+
+def hops(network: WirelessNetwork, kind: str, rng: np.random.Generator):
+    """The ``(network, delta)`` steps of one kind of pure move, scaled to
+    the layout: a short hop, a long hop, a hop onto another station's exact
+    location and back off it, or two mutually nearest stations moving."""
+    xy = network.coords
+    n = len(xy)
+    i = int(rng.integers(n))
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
+    if kind == "short":
+        near = xy[nearest_other(xy, i)]
+        yield move_many(network, {i: xy[i] + rng.uniform(-1.5, 1.5) * (near - xy[i])})
+    elif kind == "long":
+        yield move_many(network, {i: lo + rng.uniform(size=2) * (hi - lo)})
+    elif kind == "onto-and-off":
+        j = int((i + rng.integers(1, n)) % n)
+        onto, delta = move_many(network, {i: xy[j]})
+        yield onto, delta
+        yield move_many(onto, {i: xy[i]})
+    else:  # two stations that are each other's nearest both move
+        j = nearest_other(xy, i)
+        for _ in range(n):
+            k = nearest_other(xy, j)
+            if k == i:
+                break
+            i, j = j, k
+        yield move_many(
+            network,
+            {
+                i: lo + rng.uniform(size=2) * (hi - lo),
+                j: xy[j] + rng.uniform(-1.5, 1.5) * (xy[i] - xy[j]),
+            },
+        )
+
+
+def lattice_network() -> WirelessNetwork:
+    """Station 0 at the centre of one cell of an 8 x 8 lattice of pitch 3."""
+    lattice = [(3.0 * i, 3.0 * j) for i in range(8) for j in range(8)]
+    return network_from([(4.5, 4.5)] + lattice)
+
+
+def spy_rows(monkeypatch):
+    """Record the rows of every ``station_reaches`` and ``nearest_squared``
+    call the sharded locator makes, ``None`` for a sweep."""
+    from repro.pointlocation import sharded
+
+    reach_rows, nearest_rows = [], []
+    real_reaches, real_nearest = sharded.station_reaches, sharded.nearest_squared
+
+    def rows_of(rows):
+        return None if rows is None else tuple(np.asarray(rows).tolist())
+
+    def reaches_spy(network, indices=None):
+        reach_rows.append(rows_of(indices))
+        return real_reaches(network, indices)
+
+    def nearest_spy(coords, rows=None):
+        nearest_rows.append(rows_of(rows))
+        return real_nearest(coords, rows)
+
+    monkeypatch.setattr(sharded, "station_reaches", reaches_spy)
+    monkeypatch.setattr(sharded, "nearest_squared", nearest_spy)
+    return reach_rows, nearest_rows
+
+
+class TestIncrementalReaches:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.one_of(layouts().map(lambda drawn: drawn[1]), st.just(None)),
+        st.integers(min_value=1, max_value=5),
+        st.lists(
+            st.sampled_from(["short", "long", "onto-and-off", "pair"]),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_moves_match_a_fresh_sweep(self, xy, shards, kinds, seed):
+        """After every pure move: the locator's ``kappa**2``, reaches and
+        query boxes are a fresh sweep's, and it answers as brute force.
+        Where two distinct stations' squared distance is subnormal or zero,
+        a fresh build already disagrees with brute force near them, and
+        with a build over another partition (a zero reach where the square
+        is zero, infinite energies where it is subnormal), so answers are
+        compared only off such layouts."""
+        network = huge_network() if xy is None else network_from(xy)
+        rng = np.random.default_rng(seed)
+        locator = ShardedLocator(network, shards=shards)
+        for kind in kinds:
+            for mutated, delta in hops(network, kind, rng):
+                locator = locator.updated(mutated, delta)
+                network = mutated
+                # Only a move of every station leaves no shard to anchor on.
+                assert locator.last_update.full_rebuild == (
+                    len(delta.moved) == len(network)
+                )
+                assert_matches_fresh_sweep(locator, network)
+                coords = network.coords
+                ends = rng.integers(len(coords), size=(2, 60))
+                pts = coords[ends[0]] + rng.uniform(-0.5, 0.5, size=(60, 1)) * (
+                    coords[ends[1]] - coords[ends[0]]
+                )
+                if underflowing_pair(coords):
+                    continue
+                # The engine kernels warn on huge_network's coordinates;
+                # only the answers are compared here.
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    answers = locator.locate_batch(pts)
+                    truth = BruteForceLocator(network).locate_batch(pts)
+                np.testing.assert_array_equal(answers, truth)
+
+    def test_a_reach_read_from_hypot_distances_follows_kappa_squared(self):
+        """Under noise 1 the radicand of the bound overflows from ``kappa``
+        about 2.4e153, and the reach then reads ``kappa`` from ``hypot``
+        distances.  Station 2 lands where its squared distance to station
+        0 rounds to station 1's (1e308) but its ``hypot`` distance is an
+        ulp shorter: station 0's ``kappa**2`` is unchanged, so the move
+        does not recompute its reach, which must still be the sweep's."""
+        network = network_from(
+            [(0.0, 0.0), (1e154, 0.0), (-5e154, 5e154)], noise=1.0
+        )
+        locator = ShardedLocator(network, shards=2)
+        landing = Point(5.993958486479537e153, 8.004527572715327e153)
+        mutated, delta = move_station(network, 2, landing)
+        assert landing.x * landing.x + landing.y * landing.y == 1e154 * 1e154
+        assert np.hypot(landing.x, landing.y) < 1e154
+        assert nearest_squared(mutated.coords)[0] == locator._kappa_squared[0]
+        assert_matches_fresh_sweep(locator.updated(mutated, delta), mutated)
+
+    def test_a_move_recomputes_exactly_the_rows_it_can_change(self, monkeypatch):
+        """Station 0 sits at a lattice cell's centre, the nearest neighbour
+        of the cell's four corners (squared distance 4.5 against the
+        lattice's 9).  Moved to another cell's centre, exactly it, the four
+        corners it leaves and the four it joins can change ``kappa``; only
+        shards holding one of them, or rebuilt, get a new query box."""
+        network = lattice_network()
+        locator = ShardedLocator(network, shards=8)
+        mutated, delta = move_station(network, 0, Point(16.5, 10.5))
+        corner = {(i, j): 1 + 8 * i + j for i in range(8) for j in range(8)}
+        left = [corner[i, j] for i in (1, 2) for j in (1, 2)]
+        joined = [corner[i, j] for i in (5, 6) for j in (3, 4)]
+        predicted = tuple(sorted([0] + left + joined))
+
+        reach_rows, nearest_rows = spy_rows(monkeypatch)
+        updated = locator.updated(mutated, delta)
+        assert reach_rows == nearest_rows == [predicted]
+        assert_matches_fresh_sweep(updated, mutated)
+
+        report = updated.last_update
+        assert not report.retired_positions
+        kept = [
+            position
+            for position in report.reused_positions
+            if not np.isin(locator.shards[position].indices, predicted).any()
+        ]
+        assert kept, "the layout must leave a shard the move cannot reach"
+        for position, (old, new) in enumerate(zip(locator.shards, updated.shards)):
+            if position in kept:
+                assert new.query_box is old.query_box
+            else:
+                assert new.query_box is not old.query_box
+
+    @pytest.mark.parametrize("change", ["65 movers", "add", "remove", "params"])
+    def test_wider_changes_take_the_sweep(self, monkeypatch, change):
+        network = lattice_network()
+        locator = ShardedLocator(network, shards=4)
+        if change == "65 movers":
+            mutated, delta = move_many(
+                network, {i: xy + (0.25, 0.125) for i, xy in enumerate(network.coords)}
+            )
+            assert len(delta.moved) == 65
+        elif change == "add":
+            mutated, delta = add_station(network, Station(Point(10.5, 4.5)))
+        elif change == "remove":
+            mutated, delta = remove_station(network, 0)
+        else:
+            mutated = network.with_noise(0.01)
+            delta = NetworkDelta(old_count=65, new_count=65, params_changed=True)
+        reach_rows, nearest_rows = spy_rows(monkeypatch)
+        updated = locator.updated(mutated, delta)
+        assert reach_rows == [] and nearest_rows == [None]
+        assert_matches_fresh_sweep(updated, mutated)
+
+    @pytest.mark.parametrize("cluster", [64, 65])
+    def test_more_rows_than_a_sweep_pass_take_the_sweep(self, monkeypatch, cluster):
+        """``cluster`` stations share one location, so each is at squared
+        distance 0 <= its ``kappa**2`` from any of them: one leaving
+        affects all of them.  64 rows are recomputed row by row; 65 cost
+        more than one pass of the sweep and take it."""
+        spread = [(5.0 * i, 10.0 + 5.0 * j) for i in range(4) for j in range(4)]
+        network = network_from([(0.0, 0.0)] * cluster + spread)
+        locator = ShardedLocator(network, shards=4)
+        mutated, delta = move_station(network, 3, Point(40.0, 40.0))
+        reach_rows, nearest_rows = spy_rows(monkeypatch)
+        updated = locator.updated(mutated, delta)
+        if cluster == 64:
+            assert reach_rows == nearest_rows == [tuple(range(cluster))]
+        else:
+            assert reach_rows == [] and nearest_rows == [None]
+        assert_matches_fresh_sweep(updated, mutated)
 
 
 # ----------------------------------------------------------------------
